@@ -105,9 +105,7 @@ CHAMELEON_BENCHMARK(BM_RelevanceEr2k8t);
 void BM_GenObfAttemptEr2k(bench::BenchContext& context) {
   // Graph, uniqueness scores, and priorities are computed once per
   // process, exactly as the sigma-search driver amortizes them across
-  // attempts. The uniqueness sweep alone costs several attempts' worth
-  // of time, so folding it into the timed region would dominate quick
-  // mode's single-iteration repetitions.
+  // attempts, so the timed region is the attempt alone.
   struct Fixture {
     graph::UncertainGraph graph = BuildGraph(2000, 8.0);
     std::vector<double> scores;

@@ -5,8 +5,9 @@
 //
 // Covers the three layers of the privacy subsystem on fixed-seed graphs:
 // the O(d²) Poisson-binomial PMF build, the O(d) incremental
-// update/downdate the search loop leans on, the O(n²) uniqueness sweep,
-// and the full (k,ε)-obfuscation verifier serial vs 8 workers (the
+// update/downdate the search loop leans on, the O(n log n) uniqueness
+// transform at 2k and 50k vertices, and the full (k,ε)-obfuscation
+// verifier serial vs 8 workers (the
 // parallel twin measures the sharded posterior sweep; on a single-core
 // runner it degenerates gracefully to contention-free oversubscription).
 
@@ -105,11 +106,15 @@ void BM_PoissonBinomialIncrementalD64(bench::BenchContext& context) {
 CHAMELEON_BENCHMARK(BM_PoissonBinomialIncrementalD64);
 
 // --------------------------------------------------------------------------
-// uniqueness_er_2k: the O(n²) Gaussian-kernel commonness sweep with the
-// Silverman bandwidth over 2k expected degrees.
+// uniqueness_er_2k / _50k: the Gaussian-kernel commonness transform (sort,
+// box moments, per-vertex box sums) with the Silverman bandwidth over 2k
+// and 50k expected degrees, one worker. The pair shows the O(n log n)
+// scaling: 25× the vertices cost about 25× the time, not 625×. Each graph is
+// built once per process, outside the timed calls: at 50k the build
+// costs more than the transform.
 // --------------------------------------------------------------------------
-void BM_UniquenessEr2k(bench::BenchContext& context) {
-  const graph::UncertainGraph graph = BuildGraph(2000, 8.0);
+void RunUniqueness(bench::BenchContext& context,
+                   const graph::UncertainGraph& graph) {
   privacy::UniquenessOptions options;
   options.threads = 1;
   context.SetItemsPerIteration(graph.num_nodes());
@@ -118,7 +123,20 @@ void BM_UniquenessEr2k(bench::BenchContext& context) {
     bench::DoNotOptimize(scores.value().scores.back());
   }
 }
+
+void BM_UniquenessEr2k(bench::BenchContext& context) {
+  static const graph::UncertainGraph& graph =
+      *new graph::UncertainGraph(BuildGraph(2000, 8.0));
+  RunUniqueness(context, graph);
+}
 CHAMELEON_BENCHMARK(BM_UniquenessEr2k);
+
+void BM_UniquenessEr50k(bench::BenchContext& context) {
+  static const graph::UncertainGraph& graph =
+      *new graph::UncertainGraph(BuildGraph(50000, 8.0));
+  RunUniqueness(context, graph);
+}
+CHAMELEON_BENCHMARK(BM_UniquenessEr50k);
 
 // --------------------------------------------------------------------------
 // obf_verify_er_2k_serial / _8t: the full (k,ε)-obfuscation verifier —

@@ -22,6 +22,35 @@
 /// DESIGN.md §4) and kernel K_θ unnormalized so K_θ(0) = 1 — every
 /// vertex contributes its own full unit of commonness, giving
 /// U^v ∈ (0, 1].
+///
+/// Algorithm: a one-dimensional fast Gauss transform on sorted values
+/// (Greengard & Strain), O(n log n) instead of the O(n²) pair sum. The
+/// sorted values are cut into boxes of width θ, each starting at the
+/// smallest value not yet covered (the first at the minimum), so a
+/// member y of a box starting at `lo` has t = (y − lo)/θ − ½ ∈ [−½, ½].
+/// A target x sums the boxes within reach of it, in box order:
+///
+///   - Gaussian, box of ≥ P members: with s = (x − lo)/θ − ½,
+///       Σ_y e^{−(s−t)²/2} = e^{−s²/2} · Σ_{k<P} M_k s^k,
+///       M_k = Σ_y e^{−t²/2} t^k / k!,
+///     evaluated by Horner from the box's P precomputed moments.
+///   - Gaussian, box of fewer than P members, and every Epanechnikov
+///     box: the kernel of each member, exactly as the pair sum would.
+///
+/// Both constants come from error bounds; neither is an option:
+///
+///   - Reach c = √(2(ln n + 53 ln 2)) bandwidths (1 for Epanechnikov,
+///     whose support is compact, so its sum is exact). A box is skipped
+///     only when all its members lie farther than cθ from x, so the
+///     neglected mass is ≤ n·e^{−c²/2} = 2⁻⁵³, under half an ulp of C ≥ 1.
+///   - Order P = 28. With |t| ≤ ½, the Taylor remainder of e^{st} costs
+///     each source at most max_s e^{−s²/2+|s|/2}·(|s|/2)^P/P! ≈ 3e−23.
+///
+/// Against the pair sum (tests/privacy/uniqueness_oracle.h) the test
+/// inputs agree to ≤ 1e−12 relative and give the same exclusion sets.
+/// Memory is O(n): a sorted copy of the values plus at most
+/// min(n, span/θ + 1) boxes and P moments per box of ≥ P members, all
+/// freed before returning.
 
 namespace chameleon::privacy {
 
@@ -40,12 +69,14 @@ struct UniquenessOptions {
   /// is zero); the paper's §V-C "θ = σ_G" choice is bandwidth = σ̂,
   /// which callers opt into via SpreadBandwidth().
   double bandwidth = 0.0;
-  /// Worker count for the O(n²) population sweep (< 1 = hardware).
+  /// Worker count for scoring the vertices against the shared box
+  /// table (< 1 = hardware). Scores do not depend on it.
   int threads = 0;
 };
 
 /// Silverman's rule-of-thumb bandwidth for `values` (1.06·σ̂·n^(−1/5));
-/// 1 when fewer than two values or zero spread.
+/// 1 when fewer than two values or zero spread. σ̂ is accumulated over
+/// the sorted values, so the order of `values` cannot change a bit.
 double SilvermanBandwidth(const std::vector<double>& values);
 
 /// The paper's θ = σ_G: sample standard deviation of `values` (1 when
@@ -62,13 +93,17 @@ struct UniquenessScores {
 };
 
 /// U^v over arbitrary property values (one per vertex). InvalidArgument
-/// when `values` is empty or the bandwidth is negative.
+/// when `values` is empty, a value is NaN or ±inf, the bandwidth is
+/// negative or not finite, or Silverman's rule yields no usable
+/// bandwidth. Equal values get bitwise-equal scores, and permuting the
+/// values permutes the scores bitwise.
 Result<UniquenessScores> ComputeUniqueness(const std::vector<double>& values,
                                            const UniquenessOptions& options);
 
-/// U^v over the expected-degree property of `graph`. Deterministic
-/// across worker counts (fixed-block reduction). Emits a
-/// `privacy/uniqueness` trace span.
+/// U^v over the expected-degree property of `graph`. Bit-identical
+/// across worker counts: each vertex is scored independently against
+/// the same box table, in fixed box order. Emits a `privacy/uniqueness`
+/// trace span.
 Result<UniquenessScores> ComputeUniqueness(const graph::UncertainGraph& graph,
                                            const UniquenessOptions& options);
 

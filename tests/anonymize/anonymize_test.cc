@@ -3,16 +3,20 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "chameleon/anonymize/gen_obf.h"
 #include "chameleon/anonymize/perturbation.h"
 #include "chameleon/anonymize/rep_an.h"
 #include "chameleon/graph/uncertain_graph.h"
 #include "chameleon/privacy/obfuscation.h"
+#include "chameleon/privacy/uniqueness.h"
 #include "chameleon/util/rng.h"
+#include "privacy/uniqueness_oracle.h"
 
 namespace chameleon::anonymize {
 namespace {
@@ -120,6 +124,67 @@ TEST(RepAnTest, ExpectedEdgeCountExtraction) {
   rep = ExtractRepresentative(*g, 0.2);
   ASSERT_TRUE(rep.ok());
   EXPECT_EQ(rep->num_edges(), 3u);
+}
+
+TEST(GenObfTest, FastAndOracleUniquenessPublishTheSameGraph) {
+  // er-2k: 2,000 nodes, 8,000 distinct edges, p ~ U[0.1, 0.9].
+  Rng graph_rng(2000);
+  UncertainGraphBuilder builder(2000);
+  std::set<std::pair<NodeId, NodeId>> seen;
+  while (seen.size() < 8000) {
+    auto u = static_cast<NodeId>(graph_rng.UniformInt(2000));
+    auto v = static_cast<NodeId>(graph_rng.UniformInt(2000));
+    if (u > v) std::swap(u, v);
+    if (u == v || !seen.emplace(u, v).second) continue;
+    ASSERT_TRUE(builder.AddEdge(u, v, graph_rng.Uniform(0.1, 0.9)).ok());
+  }
+  Result<UncertainGraph> g = std::move(builder).Build();
+  ASSERT_TRUE(g.ok());
+
+  const Result<privacy::UniquenessScores> fast =
+      privacy::ComputeUniqueness(*g, privacy::UniquenessOptions{});
+  ASSERT_TRUE(fast.ok());
+  const std::vector<double> oracle = privacy::OracleUniqueness(
+      g->expected_degrees(), privacy::Kernel::kGaussian, fast->bandwidth);
+  // Priorities are held fixed: they scale the noise continuously, while
+  // the exclusion set is the discrete use of U that must match exactly.
+  const Result<std::vector<double>> priorities =
+      ComputeEdgePriorities(*g, fast->scores, {});
+  ASSERT_TRUE(priorities.ok());
+
+  GenObfOptions options;
+  options.k = 20.0;
+  options.epsilon = 0.05;  // excludes the 50 most unique vertices
+  auto attempt = [&](const std::vector<double>& uniqueness) {
+    Rng rng(2018);
+    return GenObf(*g, uniqueness, *priorities, 0.05, options, rng);
+  };
+  const Result<GenObfAttempt> with_fast = attempt(fast->scores);
+  const Result<GenObfAttempt> with_oracle = attempt(oracle);
+  ASSERT_TRUE(with_fast.ok());
+  ASSERT_TRUE(with_oracle.ok());
+
+  const auto& a = with_fast->published.edges();
+  const auto& b = with_oracle->published.edges();
+  ASSERT_EQ(a.size(), b.size());
+  std::size_t changed = 0;
+  for (std::size_t e = 0; e < a.size(); ++e) {
+    ASSERT_EQ(a[e].u, b[e].u);
+    ASSERT_EQ(a[e].v, b[e].v);
+    ASSERT_EQ(a[e].p, b[e].p) << "edge " << e;
+    if (a[e].p != g->edges()[e].p) ++changed;
+  }
+  EXPECT_GT(changed, 0u) << "the attempt perturbed nothing";
+  const privacy::ObfuscationCertificate& ca = with_fast->certificate;
+  const privacy::ObfuscationCertificate& cb = with_oracle->certificate;
+  EXPECT_EQ(ca.not_obfuscated, cb.not_obfuscated);
+  EXPECT_EQ(ca.epsilon_hat, cb.epsilon_hat);
+  EXPECT_EQ(ca.obfuscated, cb.obfuscated);
+  EXPECT_EQ(ca.min_entropy_bits, cb.min_entropy_bits);
+  EXPECT_EQ(ca.mean_entropy_bits, cb.mean_entropy_bits);
+  EXPECT_EQ(ca.distinct_omegas, cb.distinct_omegas);
+  EXPECT_EQ(with_fast->excluded_vertices, with_oracle->excluded_vertices);
+  EXPECT_EQ(with_fast->perturbed_edges, with_oracle->perturbed_edges);
 }
 
 TEST(AnonymizeTest, VariantNamesRoundTrip) {
