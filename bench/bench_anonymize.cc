@@ -66,8 +66,10 @@ graph::UncertainGraph BuildGraph(NodeId nodes, double avg_degree) {
 // --------------------------------------------------------------------------
 // relevance_er_2k_serial / _8t: the reused-sampling ERR^e estimator over
 // 200 worlds on a 2k-node / ~8k-edge graph — one union-find pass plus a
-// full edge sweep per world. The pair probes the fixed-block parallel
-// reduction (bit-identical results are asserted in tests, speed here).
+// full edge sweep per world. The pair probes the per-worker integer
+// tallies (bit-identical results are asserted in tests, speed here). Its
+// rounds are only a few ms long, so the 8t row gains only where spawned
+// threads start well within that.
 // --------------------------------------------------------------------------
 void RunRelevance(bench::BenchContext& context, int threads) {
   // Built once per process: the fixture is immutable and rebuilding it

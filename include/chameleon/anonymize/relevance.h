@@ -34,9 +34,13 @@
 /// with zero weight. The driver treats such edges as non-candidates.
 ///
 /// Determinism: every world w draws from its own splitmix-derived stream
-/// keyed by (seed, w), per-world contributions are exact integer counts
-/// accumulated per fixed-size block and merged in block order, so the
-/// result is bit-identical across worker counts.
+/// keyed by (seed, w). Each round of worlds is cut into one contiguous
+/// block per granted worker, and each block adds its worlds into its own
+/// tally of exact integers (delta sums, 128-bit delta-squared sums,
+/// absent counts). Integer addition is exact and order-free, so how the
+/// worlds were split between workers cannot change any sum; the
+/// per-world masses behind the early-stop statistic fold in world order.
+/// The result is therefore bit-identical across worker counts.
 
 namespace chameleon::anonymize {
 

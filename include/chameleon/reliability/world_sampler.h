@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "chameleon/graph/uncertain_graph.h"
+#include "chameleon/graph/union_find.h"
 #include "chameleon/util/bitvector.h"
 #include "chameleon/util/rng.h"
 
@@ -23,7 +24,10 @@ class WorldSampler {
   std::size_t num_edges() const { return probabilities_.size(); }
 
   /// Samples one world into `mask` (bit e = edge e exists). `mask` must
-  /// be sized to num_edges(). Returns the number of edges present.
+  /// be sized to num_edges(). Draws one UniformDouble per edge in edge
+  /// order and sets bit e iff the draw is below p(e); every mask word is
+  /// overwritten, so bits past num_edges() come out zero. Returns the
+  /// number of edges present.
   std::size_t SampleMask(Rng& rng, BitVector& mask) const;
 
   const graph::UncertainGraph& graph() const { return *graph_; }
@@ -32,6 +36,11 @@ class WorldSampler {
   const graph::UncertainGraph* graph_;
   std::vector<double> probabilities_;
 };
+
+/// Resets `dsu` and unites the endpoints of every edge present in `mask`
+/// (one set-bit scan; the absent edges cost nothing).
+void UniteWorld(const graph::UncertainGraph& graph, const BitVector& mask,
+                graph::UnionFind& dsu);
 
 }  // namespace chameleon::rel
 

@@ -54,6 +54,33 @@ class BitVector {
     return total;
   }
 
+  /// Calls `fn(i)` for every set bit, in increasing order: one ctz per set
+  /// bit, no per-bit branch. Bits past size() must be zero (Set/Clear
+  /// keep this; writers through mutable_words() must too).
+  template <typename Fn>
+  void ForEachSet(Fn&& fn) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        fn((w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  }
+
+  /// Calls `fn(i)` for every clear bit below size(), in increasing order.
+  template <typename Fn>
+  void ForEachClear(Fn&& fn) const {
+    const std::size_t tail = size_ & 63;
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      std::uint64_t bits = ~words_[w];
+      if (tail != 0 && w + 1 == words_.size()) {
+        bits &= (std::uint64_t{1} << tail) - 1;
+      }
+      for (; bits != 0; bits &= bits - 1) {
+        fn((w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  }
+
   const std::vector<std::uint64_t>& words() const { return words_; }
   std::vector<std::uint64_t>& mutable_words() { return words_; }
 

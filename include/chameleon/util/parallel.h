@@ -44,6 +44,12 @@ inline std::size_t NumBlocks(std::size_t n, std::size_t block_size) {
   return block_size == 0 ? 0 : (n + block_size - 1) / block_size;
 }
 
+/// The worker count ParallelForBlocks grants for these arguments (0 when
+/// it would run nothing). Callers that keep one partial result per
+/// worker size their blocks from this, so each worker gets one block.
+std::size_t ParallelWorkers(std::size_t n, std::size_t block_size,
+                            int threads, std::size_t item_cost = 1);
+
 /// Runs `fn(block, begin, end)` for every block of `block_size`
 /// consecutive indices in [0, n), using up to `threads` workers (< 1 =
 /// hardware concurrency). Blocks are claimed dynamically but their
@@ -52,14 +58,19 @@ inline std::size_t NumBlocks(std::size_t n, std::size_t block_size) {
 /// scheduling choice, so output stays bit-identical as the clamps
 /// change. The effective worker count is capped at the block count, the
 /// hardware concurrency (oversubscription only adds contention), and a
-/// minimum grain of ~1024 items per spawned worker (below that, thread
-/// startup costs more than the parallelism returns — tiny inputs run
-/// inline on the caller with no threads spawned). `fn` must be
-/// thread-safe across distinct blocks and must not throw.
+/// minimum grain of ~1024 units of work per spawned worker, where the
+/// range holds n · item_cost units (below that, thread startup costs
+/// more than the parallelism returns — tiny inputs run inline on the
+/// caller with no threads spawned). `item_cost` is the caller's estimate
+/// of one item's work relative to a cheap per-vertex step: a sweep whose
+/// every item touches all |E| edges passes |E|. It moves only the worker
+/// count, never the block boundaries. `fn` must be thread-safe across
+/// distinct blocks and must not throw.
 void ParallelForBlocks(
     std::size_t n, std::size_t block_size, int threads,
     const std::function<void(std::size_t block, std::size_t begin,
-                             std::size_t end)>& fn);
+                             std::size_t end)>& fn,
+    std::size_t item_cost = 1);
 
 }  // namespace chameleon
 

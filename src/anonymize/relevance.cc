@@ -27,51 +27,64 @@ std::uint64_t PerWorldSeed(std::uint64_t seed, std::uint64_t world) {
   return SplitMix64(state);
 }
 
-/// Exact integer tallies for a span of worlds: per-edge delta sums,
-/// delta-squared sums (for variance), absent counts, and the per-world
-/// total-mass Welford stats. Merging is integer/Welford only, done in
-/// block order by the caller.
-struct BlockTally {
+/// Exact integer tallies over the worlds one block swept: per-edge
+/// delta sums, delta-squared sums (for variance) and absent counts.
+/// δ ≤ (|V|/2)², so δ² needs 128 bits once |V| passes ~2¹⁷. With every
+/// field an integer, adding block tallies is exact in any order.
+struct WorldTally {
   std::vector<std::uint64_t> delta_sum;
-  std::vector<double> delta_sq_sum;
+  std::vector<unsigned __int128> delta_sq_sum;
   std::vector<std::uint32_t> absent;
-  RunningStats world_mass;
 };
 
-/// Samples worlds [begin, end) and tallies all-edge contributions.
+/// A vertex's component after one world's unions, flattened once per
+/// world so the edge sweep reads one slot per endpoint instead of
+/// calling Find.
+struct Component {
+  NodeId root;
+  NodeId size;
+};
+
+/// Samples worlds [begin, end), adds their contributions to `tally`, and
+/// writes world w's total mass Σ_e δ_e(w) to masses[w - begin].
 void TallyWorlds(const graph::UncertainGraph& graph,
                  const rel::WorldSampler& sampler, std::uint64_t seed,
-                 std::size_t begin, std::size_t end, BlockTally& tally) {
+                 std::size_t begin, std::size_t end, WorldTally& tally,
+                 std::uint64_t* masses) {
   const std::size_t num_edges = graph.num_edges();
-  tally.delta_sum.assign(num_edges, 0);
-  tally.delta_sq_sum.assign(num_edges, 0.0);
-  tally.absent.assign(num_edges, 0);
-  graph::UnionFind dsu(graph.num_nodes());
+  const NodeId num_nodes = graph.num_nodes();
+  if (tally.absent.size() != num_edges) {
+    tally.delta_sum.assign(num_edges, 0);
+    tally.delta_sq_sum.assign(num_edges, 0);
+    tally.absent.assign(num_edges, 0);
+  }
+  std::uint64_t* const delta_sum = tally.delta_sum.data();
+  unsigned __int128* const delta_sq_sum = tally.delta_sq_sum.data();
+  std::uint32_t* const absent = tally.absent.data();
+  graph::UnionFind dsu(num_nodes);
+  std::vector<Component> component(num_nodes);
   BitVector mask(num_edges);
   const auto& edges = graph.edges();
   for (std::size_t w = begin; w < end; ++w) {
     Rng rng(PerWorldSeed(seed, w));
     sampler.SampleMask(rng, mask);
-    dsu.Reset();
-    for (std::size_t e = 0; e < num_edges; ++e) {
-      if (mask.Get(e)) dsu.Union(edges[e].u, edges[e].v);
+    rel::UniteWorld(graph, mask, dsu);
+    for (NodeId v = 0; v < num_nodes; ++v) {
+      const NodeId root = dsu.Find(v);
+      component[v] = {root, dsu.ComponentSize(root)};
     }
     std::uint64_t mass = 0;
-    for (std::size_t e = 0; e < num_edges; ++e) {
-      if (mask.Get(e)) continue;
-      ++tally.absent[e];
-      const NodeId ru = dsu.Find(edges[e].u);
-      const NodeId rv = dsu.Find(edges[e].v);
-      if (ru == rv) continue;
-      const std::uint64_t delta =
-          std::uint64_t{dsu.ComponentSize(edges[e].u)} *
-          dsu.ComponentSize(edges[e].v);
-      tally.delta_sum[e] += delta;
-      tally.delta_sq_sum[e] +=
-          static_cast<double>(delta) * static_cast<double>(delta);
+    mask.ForEachClear([&](std::size_t e) {
+      ++absent[e];
+      const Component cu = component[edges[e].u];
+      const Component cv = component[edges[e].v];
+      if (cu.root == cv.root) return;
+      const std::uint64_t delta = std::uint64_t{cu.size} * cv.size;
+      delta_sum[e] += delta;
+      delta_sq_sum[e] += static_cast<unsigned __int128>(delta) * delta;
       mass += delta;
-    }
-    tally.world_mass.Add(static_cast<double>(mass));
+    });
+    masses[w - begin] = mass;
   }
 }
 
@@ -97,23 +110,32 @@ void EmitRelevanceProgress(std::size_t worlds, std::size_t total_worlds,
   sink->Write(line);
 }
 
-/// Finalizes the float view of the accumulated integer tallies.
-void FinalizeEstimates(const BlockTally& total, EdgeRelevance& out) {
-  const std::size_t num_edges = total.delta_sum.size();
+/// Finalizes the float view of the block tallies, summed per edge.
+void FinalizeEstimates(const std::vector<WorldTally>& tallies,
+                       const RunningStats& world_mass, EdgeRelevance& out) {
+  const std::size_t num_edges = out.err.size();
   double err_sum = 0.0;
   out.max_err = 0.0;
   for (std::size_t e = 0; e < num_edges; ++e) {
-    const std::uint32_t n = total.absent[e];
+    std::uint32_t n = 0;
+    std::uint64_t delta_sum = 0;
+    unsigned __int128 delta_sq_sum = 0;
+    for (const WorldTally& tally : tallies) {
+      n += tally.absent[e];
+      delta_sum += tally.delta_sum[e];
+      delta_sq_sum += tally.delta_sq_sum[e];
+    }
+    out.absent_worlds[e] = n;
     if (n == 0) {
       out.err[e] = 0.0;
       out.err_variance[e] = 0.0;
       continue;
     }
-    const double mean = static_cast<double>(total.delta_sum[e]) / n;
+    const double mean = static_cast<double>(delta_sum) / n;
     out.err[e] = mean;
     if (n >= 2) {
-      const double var =
-          std::max(0.0, (total.delta_sq_sum[e] - n * mean * mean) / (n - 1));
+      const double sq = static_cast<double>(delta_sq_sum);
+      const double var = std::max(0.0, (sq - n * mean * mean) / (n - 1));
       out.err_variance[e] = var / n;
     } else {
       out.err_variance[e] = 0.0;
@@ -123,7 +145,7 @@ void FinalizeEstimates(const BlockTally& total, EdgeRelevance& out) {
   }
   out.mean_err =
       num_edges == 0 ? 0.0 : err_sum / static_cast<double>(num_edges);
-  out.mean_world_mass = total.world_mass.mean();
+  out.mean_world_mass = world_mass.mean();
 }
 
 Status ValidateOptions(const RelevanceOptions& options) {
@@ -157,10 +179,8 @@ Result<EdgeRelevance> EstimateRelevance(const graph::UncertainGraph& graph,
   out.err_variance.assign(num_edges, 0.0);
   out.absent_worlds.assign(num_edges, 0);
 
-  BlockTally total;
-  total.delta_sum.assign(num_edges, 0);
-  total.delta_sq_sum.assign(num_edges, 0.0);
-  total.absent.assign(num_edges, 0);
+  std::vector<WorldTally> tallies;
+  RunningStats world_mass;
 
   obs::ProgressHeartbeat progress(
       "anonymize/relevance/sample_worlds",
@@ -172,36 +192,39 @@ Result<EdgeRelevance> EstimateRelevance(const graph::UncertainGraph& graph,
           .use_global_sink = options.heartbeat});
 
   // Worlds are processed in rounds whose boundaries are the geometric
-  // convergence checkpoints (min_worlds, then doubling). Each round runs
-  // a fixed-block parallel sweep; block tallies merge in block order, so
-  // the accumulated integers — and hence the early-stop decision — do
-  // not depend on the worker count.
+  // convergence checkpoints (min_worlds, then doubling). Each round is
+  // cut into one contiguous block per granted worker, and each block
+  // adds into its own integer tally. Integer sums do not depend on how
+  // the worlds were split, and world masses fold into the running stats
+  // in world order, so every estimate — and the early-stop decision —
+  // is independent of the worker count.
   const std::size_t min_worlds =
       std::max<std::size_t>(1, std::min(options.min_worlds, options.worlds));
-  constexpr std::size_t kWorldsPerBlock = 8;
   std::size_t done = 0;
   std::size_t next_checkpoint = min_worlds;
   bool stopped_early = false;
+  std::vector<std::uint64_t> masses;
   while (done < options.worlds) {
     const std::size_t round_end = std::min(options.worlds, next_checkpoint);
     const std::size_t round = round_end - done;
-    const std::size_t blocks = NumBlocks(round, kWorldsPerBlock);
-    std::vector<BlockTally> tallies(blocks);
+    // One world sweeps every edge, so a world costs |E| units of work.
+    const std::size_t workers =
+        ParallelWorkers(round, 1, options.threads, num_edges);
+    const std::size_t block_size = NumBlocks(round, workers);
+    const std::size_t blocks = NumBlocks(round, block_size);
+    if (tallies.size() < blocks) tallies.resize(blocks);
+    masses.assign(round, 0);
     const std::size_t round_begin = done;
-    ParallelForBlocks(round, kWorldsPerBlock, options.threads,
-                      [&](std::size_t block, std::size_t begin,
-                          std::size_t end) {
-                        TallyWorlds(graph, sampler, options.seed,
-                                    round_begin + begin, round_begin + end,
-                                    tallies[block]);
-                      });
-    for (const BlockTally& tally : tallies) {
-      for (std::size_t e = 0; e < num_edges; ++e) {
-        total.delta_sum[e] += tally.delta_sum[e];
-        total.delta_sq_sum[e] += tally.delta_sq_sum[e];
-        total.absent[e] += tally.absent[e];
-      }
-      total.world_mass.Merge(tally.world_mass);
+    ParallelForBlocks(
+        round, block_size, options.threads,
+        [&](std::size_t block, std::size_t begin, std::size_t end) {
+          TallyWorlds(graph, sampler, options.seed, round_begin + begin,
+                      round_begin + end, tallies[block],
+                      masses.data() + begin);
+        },
+        num_edges);
+    for (const std::uint64_t mass : masses) {
+      world_mass.Add(static_cast<double>(mass));
     }
     done = round_end;
     next_checkpoint = round_end * 2;
@@ -209,10 +232,10 @@ Result<EdgeRelevance> EstimateRelevance(const graph::UncertainGraph& graph,
     CHOBS_FLIGHT_EVENT(kCheckpoint, "anonymize/relevance", done,
                        options.worlds);
 
-    FinalizeEstimates(total, out);
-    const double hw = obs::NormalCiHalfwidth(total.world_mass.variance(),
-                                             total.world_mass.count(), kZ95);
-    const double mean_mass = total.world_mass.mean();
+    FinalizeEstimates(tallies, world_mass, out);
+    const double hw = obs::NormalCiHalfwidth(world_mass.variance(),
+                                             world_mass.count(), kZ95);
+    const double mean_mass = world_mass.mean();
     const double rel_err = mean_mass == 0.0 ? 0.0 : hw / std::abs(mean_mass);
     const bool converged = options.max_rel_err > 0.0 && done >= min_worlds &&
                            mean_mass != 0.0 &&
@@ -225,7 +248,6 @@ Result<EdgeRelevance> EstimateRelevance(const graph::UncertainGraph& graph,
   }
   progress.Finish();
 
-  out.absent_worlds = total.absent;
   out.worlds = done;
   out.stopped_early = stopped_early;
   FillVertexErr(graph, out);

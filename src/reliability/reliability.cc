@@ -58,16 +58,6 @@ Status ValidateOptions(const MonteCarloOptions& options) {
   return Status::OK();
 }
 
-/// Applies a sampled world mask to the union-find structure.
-void UniteWorld(const graph::UncertainGraph& graph, const BitVector& mask,
-                graph::UnionFind& dsu) {
-  dsu.Reset();
-  const auto& edges = graph.edges();
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    if (mask.Get(e)) dsu.Union(edges[e].u, edges[e].v);
-  }
-}
-
 }  // namespace
 
 Result<ReliabilityEstimate> EstimateTwoTerminalReliability(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -23,11 +24,12 @@ std::size_t HardwareConcurrency() {
   return cached;
 }
 
-/// Minimum items per spawned worker. Spawning a thread costs on the
-/// order of 100 µs; below this grain the fan-out tax exceeds any
-/// parallel win (the BM_ObfVerifyEr2k8t regression: 7 spawned workers
-/// for a 2000-vertex verify on one core ran ~2x slower than serial).
-constexpr std::size_t kMinItemsPerWorker = 1024;
+/// Minimum work per spawned worker, in unit-cost items. Spawning a
+/// thread costs on the order of 100 µs; below this grain the fan-out tax
+/// exceeds any parallel win (the BM_ObfVerifyEr2k8t regression: 7
+/// spawned workers for a 2000-vertex verify on one core ran ~2x slower
+/// than serial).
+constexpr std::size_t kMinWorkPerWorker = 1024;
 
 #if CHAMELEON_OBS_ENABLED
 /// Instrumented fork-join path, taken only while observability is live.
@@ -122,12 +124,9 @@ void SetDefaultThreads(int threads) {
                           std::memory_order_relaxed);
 }
 
-void ParallelForBlocks(
-    std::size_t n, std::size_t block_size, int threads,
-    const std::function<void(std::size_t block, std::size_t begin,
-                             std::size_t end)>& fn) {
-  if (n == 0 || block_size == 0) return;
-  const std::size_t blocks = NumBlocks(n, block_size);
+std::size_t ParallelWorkers(std::size_t n, std::size_t block_size,
+                            int threads, std::size_t item_cost) {
+  if (n == 0 || block_size == 0) return 0;
   // Worker count is a pure scheduling choice: block boundaries depend
   // only on (n, block_size), so clamping keeps results bit-identical.
   // Clamp to (a) the block count, (b) real cores — an explicit
@@ -135,13 +134,27 @@ void ParallelForBlocks(
   // (c) the minimum grain, so tiny inputs run inline on the caller.
   const std::size_t requested =
       static_cast<std::size_t>(EffectiveThreads(threads));
-  std::size_t workers = std::min(requested, blocks);
+  std::size_t workers = std::min(requested, NumBlocks(n, block_size));
   workers = std::min(workers, HardwareConcurrency());
-  workers = std::min(workers,
-                     std::max<std::size_t>(1, n / kMinItemsPerWorker));
+  const std::size_t work =
+      item_cost != 0 && n > SIZE_MAX / item_cost ? SIZE_MAX : n * item_cost;
+  return std::min(workers,
+                  std::max<std::size_t>(1, work / kMinWorkPerWorker));
+}
+
+void ParallelForBlocks(
+    std::size_t n, std::size_t block_size, int threads,
+    const std::function<void(std::size_t block, std::size_t begin,
+                             std::size_t end)>& fn,
+    std::size_t item_cost) {
+  if (n == 0 || block_size == 0) return;
+  const std::size_t blocks = NumBlocks(n, block_size);
+  const std::size_t workers =
+      ParallelWorkers(n, block_size, threads, item_cost);
 
 #if CHAMELEON_OBS_ENABLED
   if (obs::Enabled()) {
+    const auto requested = static_cast<std::size_t>(EffectiveThreads(threads));
     RunInstrumented(n, block_size, blocks, requested, workers, fn);
     return;
   }

@@ -1,13 +1,18 @@
 #include "chameleon/anonymize/relevance.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "chameleon/graph/uncertain_graph.h"
+#include "chameleon/obs/obs.h"
+#include "chameleon/obs/parallel_stats.h"
 #include "chameleon/util/rng.h"
 
 namespace chameleon::anonymize {
@@ -162,19 +167,84 @@ TEST(RelevanceTest, ReusedMatchesNaiveOnEr64) {
 }
 
 TEST(RelevanceTest, BitIdenticalAcrossWorkerCounts) {
+  // 512 worlds × ~130 edges is far above the parallel grain, so every
+  // thread count above 1 really runs on several workers (asserted from
+  // the parallel_region telemetry on multi-core hosts).
   const UncertainGraph g = MakeEr64();
   RelevanceOptions options;
   options.worlds = 512;
+  options.heartbeat = false;
   options.threads = 1;
   const Result<EdgeRelevance> one = EstimateRelevance(g, options);
   ASSERT_TRUE(one.ok());
-  for (int threads : {2, 8}) {
+  [[maybe_unused]] const unsigned hw = std::thread::hardware_concurrency();
+  for (int threads : {1, 2, 3, 7, 8}) {
     options.threads = threads;
+    obs::SetEnabledForTesting(true);
+    obs::ResetParallelRegionAggregates();
     const Result<EdgeRelevance> many = EstimateRelevance(g, options);
+    [[maybe_unused]] std::uint64_t workers = 0;
+    for (const obs::ParallelRegionAggregate& region :
+         obs::ParallelRegionAggregates()) {
+      workers = std::max(workers, region.last_workers);
+    }
+    obs::SetEnabledForTesting(false);
     ASSERT_TRUE(many.ok());
     EXPECT_EQ(one->err, many->err) << threads << " threads";
+    EXPECT_EQ(one->err_variance, many->err_variance);
     EXPECT_EQ(one->absent_worlds, many->absent_worlds);
     EXPECT_EQ(one->vertex_err, many->vertex_err);
+    EXPECT_EQ(one->mean_world_mass, many->mean_world_mass);
+#if CHAMELEON_OBS_ENABLED
+    if (threads >= 2 && hw >= 2) {
+      EXPECT_GT(workers, 1u) << threads << " threads granted one worker";
+    }
+#endif
+  }
+}
+
+/// Random graph with exactly `num_edges` distinct edges on 40 vertices
+/// and mid-range probabilities.
+UncertainGraph MakeRandomEdges(std::size_t num_edges) {
+  constexpr NodeId kNodes = 40;
+  Rng rng(11);
+  std::set<std::pair<NodeId, NodeId>> chosen;
+  while (chosen.size() < num_edges) {
+    const auto u = static_cast<NodeId>(rng.UniformInt(kNodes));
+    const auto v = static_cast<NodeId>(rng.UniformInt(kNodes));
+    if (u != v) chosen.insert({std::min(u, v), std::max(u, v)});
+  }
+  UncertainGraphBuilder builder(kNodes);
+  for (const auto& [u, v] : chosen) {
+    EXPECT_TRUE(builder.AddEdge(u, v, rng.Uniform(0.2, 0.9)).ok());
+  }
+  Result<UncertainGraph> g = std::move(builder).Build();
+  EXPECT_TRUE(g.ok());
+  return *std::move(g);
+}
+
+TEST(RelevanceTest, PartialLastMaskWordCountsNoPhantomEdges) {
+  // 65 and 130 edges leave 63 and 62 unused bits in the last mask word;
+  // the clear-bit sweep must never tally one of them as an absent edge.
+  for (const std::size_t num_edges : {65u, 130u}) {
+    SCOPED_TRACE(num_edges);
+    const UncertainGraph g = MakeRandomEdges(num_edges);
+    ASSERT_EQ(g.num_edges(), num_edges);
+    RelevanceOptions options;
+    options.worlds = 1500;
+    options.heartbeat = false;
+    options.threads = 2;
+    const Result<EdgeRelevance> reused = EstimateRelevance(g, options);
+    ASSERT_TRUE(reused.ok());
+    ASSERT_EQ(reused->err.size(), num_edges);
+    ASSERT_EQ(reused->err_variance.size(), num_edges);
+    ASSERT_EQ(reused->absent_worlds.size(), num_edges);
+    for (std::size_t e = 0; e < num_edges; ++e) {
+      EXPECT_LE(reused->absent_worlds[e], reused->worlds) << "edge " << e;
+    }
+    const Result<EdgeRelevance> naive = EstimateRelevanceNaive(g, options);
+    ASSERT_TRUE(naive.ok());
+    ExpectWithinMcError(*reused, *naive);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "chameleon/reliability/reliability.h"
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -73,6 +74,68 @@ TEST(WorldSamplerTest, EdgeFrequencyMatchesProbability) {
   }
   EXPECT_NEAR(static_cast<double>(hits0) / kWorlds, 0.8, 0.01);
   EXPECT_NEAR(static_cast<double>(hits1) / kWorlds, 0.5, 0.015);
+}
+
+/// Path on num_edges + 1 vertices with mid-range probabilities, so the
+/// coins are as unpredictable as they get.
+UncertainGraph MakePath(std::size_t num_edges) {
+  UncertainGraphBuilder builder(static_cast<NodeId>(num_edges + 1));
+  Rng rng(3);
+  for (NodeId u = 0; u < num_edges; ++u) {
+    EXPECT_TRUE(builder.AddEdge(u, u + 1, rng.Uniform(0.2, 0.9)).ok());
+  }
+  Result<UncertainGraph> g = std::move(builder).Build();
+  EXPECT_TRUE(g.ok());
+  return *std::move(g);
+}
+
+TEST(WorldSamplerTest, SampleMaskMatchesPerEdgeLoopBitForBit) {
+  for (const std::size_t num_edges : {0u, 1u, 63u, 64u, 65u, 1000u}) {
+    SCOPED_TRACE(num_edges);
+    const UncertainGraph g = MakePath(num_edges);
+    ASSERT_EQ(g.num_edges(), num_edges);
+    const WorldSampler sampler(g);
+    BitVector mask(num_edges);
+    Rng rng(99);
+    Rng oracle_rng(99);
+    for (int w = 0; w < 20; ++w) {
+      // Every bit set, tail included: SampleMask must overwrite them all.
+      for (std::uint64_t& word : mask.mutable_words()) {
+        word = ~std::uint64_t{0};
+      }
+      const std::size_t present = sampler.SampleMask(rng, mask);
+
+      // The oracle: the per-edge branchy loop SampleMask replaced.
+      BitVector expected(num_edges);
+      std::size_t expected_present = 0;
+      for (std::size_t e = 0; e < num_edges; ++e) {
+        if (oracle_rng.UniformDouble() < g.edges()[e].p) {
+          expected.Set(e);
+          ++expected_present;
+        }
+      }
+      ASSERT_EQ(mask.words(), expected.words()) << "world " << w;
+      EXPECT_EQ(present, expected_present);
+      if (num_edges % 64 != 0) {
+        EXPECT_EQ(mask.words().back() >> (num_edges % 64), 0u);
+      }
+
+      // The set-bit and clear-bit scans partition [0, num_edges) exactly.
+      std::vector<std::size_t> set_bits;
+      std::vector<std::size_t> clear_bits;
+      mask.ForEachSet([&](std::size_t e) { set_bits.push_back(e); });
+      mask.ForEachClear([&](std::size_t e) { clear_bits.push_back(e); });
+      EXPECT_EQ(set_bits.size(), present);
+      EXPECT_EQ(set_bits.size() + clear_bits.size(), num_edges);
+      for (const std::size_t e : set_bits) EXPECT_TRUE(expected.Get(e));
+      for (const std::size_t e : clear_bits) {
+        ASSERT_LT(e, num_edges);
+        EXPECT_FALSE(expected.Get(e));
+      }
+    }
+    // Same number of draws consumed: the streams are still in step.
+    EXPECT_EQ(rng(), oracle_rng());
+  }
 }
 
 TEST(TwoTerminalTest, PathGraphMatchesExact) {

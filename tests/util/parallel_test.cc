@@ -1,6 +1,8 @@
 #include "chameleon/util/parallel.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -65,6 +67,42 @@ TEST(ParallelForBlocksTest, BlockBoundariesIndependentOfWorkerCount) {
   EXPECT_EQ(serial.size(), NumBlocks(kN, kBlock));
   // The final block is the short tail.
   EXPECT_TRUE(serial.count({8, 256, 259}));
+}
+
+TEST(ParallelForBlocksTest, ItemCostRaisesWorkersButKeepsBlocks) {
+  // 64 items of cost 1 sit far under the grain; the same 64 items at
+  // cost 32 or 2^20 carry 2048 or 2^26 units of work.
+  constexpr std::size_t kN = 64;
+  constexpr std::size_t kBlock = 4;
+  const auto collect = [&](std::size_t item_cost) {
+    std::mutex mu;
+    std::set<std::tuple<std::size_t, std::size_t, std::size_t>> triples;
+    ParallelForBlocks(
+        kN, kBlock, 8,
+        [&](std::size_t block, std::size_t begin, std::size_t end) {
+          const std::lock_guard<std::mutex> lock(mu);
+          triples.insert({block, begin, end});
+        },
+        item_cost);
+    return triples;
+  };
+  const auto unit = collect(1);
+  EXPECT_EQ(unit.size(), NumBlocks(kN, kBlock));
+  EXPECT_EQ(collect(32), unit);
+  EXPECT_EQ(collect(std::size_t{1} << 20), unit);
+
+  const std::size_t hw =
+      std::thread::hardware_concurrency() == 0
+          ? 1
+          : std::thread::hardware_concurrency();
+  EXPECT_EQ(ParallelWorkers(kN, kBlock, 8), 1u);
+  EXPECT_EQ(ParallelWorkers(kN, kBlock, 8, 32), std::min<std::size_t>(2, hw));
+  EXPECT_EQ(ParallelWorkers(kN, kBlock, 8, std::size_t{1} << 20),
+            std::min<std::size_t>(8, hw));
+  // n · item_cost saturates instead of wrapping to a tiny grain.
+  EXPECT_EQ(ParallelWorkers(kN, kBlock, 2, SIZE_MAX),
+            std::min<std::size_t>(2, hw));
+  EXPECT_EQ(ParallelWorkers(0, kBlock, 8, 32), 0u);
 }
 
 TEST(ParallelForBlocksTest, EmptyRangeNeverInvokes) {
