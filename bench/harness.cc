@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "chameleon/obs/run_context.h"
-#include "chameleon/obs/sink.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/util/stats.h"
 #include "chameleon/util/string_util.h"
 #include "chameleon/util/timer.h"
@@ -155,8 +155,6 @@ std::string BenchSuiteToJson(std::string_view suite,
 
   std::string out;
   out += "{\n";
-  // No space after the colon: obs::Jsonl*Field (the loader) matches the
-  // exact `"key":` byte sequence the sink emits.
   out += StrFormat("  \"schema\":\"%s\",\n",
                    std::string(kBenchSchema).c_str());
   out += StrFormat("  \"suite\":\"%s\",\n",
@@ -184,8 +182,8 @@ std::string BenchSuiteToJson(std::string_view suite,
   out += "  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];
-    // One complete object per line: LoadBenchFile (and shell pipelines)
-    // parse these line-by-line without a real JSON parser.
+    // One complete object per line: shell pipelines parse these
+    // line-by-line without a real JSON parser.
     out += StrFormat(
         "    {\"name\":\"%s\",\"iterations\":%llu,\"reps\":%d,"
         "\"median_ns\":%.3f,\"mad_ns\":%.3f,\"mean_ns\":%.3f,"
@@ -212,65 +210,46 @@ Status WriteBenchFile(const std::string& path, std::string_view suite,
 Result<BenchSuite> LoadBenchFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open " + path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::optional<obs::JsonValue> file = obs::ParseJson(text.str());
 
   BenchSuite suite;
-  for (std::string line; std::getline(in, line);) {
-    if (suite.schema.empty()) {
-      if (const auto v = obs::JsonlStringField(line, "schema")) {
-        suite.schema = *v;
+  if (file.has_value()) {
+    suite.schema = file->Str("schema");
+    suite.suite = file->Str("suite");
+    suite.quick = file->Flag("quick");
+    if (const obs::JsonValue* build = file->Get("build")) {
+      suite.git_sha = build->Str("git_sha");
+      suite.git_describe = build->Str("git_describe");
+    }
+    // Host provenance, for the bench_diff cross-host warning.
+    if (const obs::JsonValue* host = file->Get("host")) {
+      suite.hostname = host->Str("hostname");
+      suite.cpus = static_cast<std::int64_t>(host->Num("cpus"));
+    }
+    if (const obs::JsonValue* rows = file->Get("benchmarks")) {
+      for (const obs::JsonValue& row : rows->elements()) {
+        const obs::JsonValue* name = row.Get("name");
+        const obs::JsonValue* median = row.Get("median_ns");
+        if (name == nullptr || !name->is(obs::JsonValue::Kind::kString) ||
+            median == nullptr ||
+            !median->is(obs::JsonValue::Kind::kNumber)) {
+          continue;
+        }
+        BenchResult r;
+        r.name = name->str();
+        r.median_ns = median->number();
+        r.mad_ns = row.Num("mad_ns");
+        r.mean_ns = row.Num("mean_ns");
+        r.min_ns = row.Num("min_ns");
+        r.max_ns = row.Num("max_ns");
+        r.items_per_sec = row.Num("items_per_sec");
+        r.iterations = static_cast<std::uint64_t>(row.Num("iterations"));
+        r.reps = static_cast<int>(row.Num("reps"));
+        suite.benchmarks.push_back(std::move(r));
       }
     }
-    if (suite.suite.empty()) {
-      // Benchmark lines have "name" but never "suite"; the header line
-      // has exactly one string for this key.
-      if (const auto v = obs::JsonlStringField(line, "suite")) {
-        suite.suite = *v;
-      }
-    }
-    if (line.find("\"quick\":") != std::string::npos &&
-        line.find("true") != std::string::npos) {
-      suite.quick = true;
-    }
-    if (suite.git_sha.empty()) {
-      if (const auto v = obs::JsonlStringField(line, "git_sha")) {
-        suite.git_sha = *v;
-      }
-    }
-    if (suite.git_describe.empty()) {
-      if (const auto v = obs::JsonlStringField(line, "git_describe")) {
-        suite.git_describe = *v;
-      }
-    }
-    // Host provenance, for the bench_diff cross-host warning. Only the
-    // header's "host" line carries these keys.
-    if (suite.hostname.empty()) {
-      if (const auto v = obs::JsonlStringField(line, "hostname")) {
-        suite.hostname = *v;
-      }
-    }
-    if (suite.cpus == 0) {
-      if (const auto v = obs::JsonlNumberField(line, "cpus")) {
-        suite.cpus = static_cast<std::int64_t>(*v);
-      }
-    }
-
-    const auto median = obs::JsonlNumberField(line, "median_ns");
-    const auto name = obs::JsonlStringField(line, "name");
-    if (!median.has_value() || !name.has_value()) continue;
-    BenchResult r;
-    r.name = *name;
-    r.median_ns = *median;
-    r.mad_ns = obs::JsonlNumberField(line, "mad_ns").value_or(0.0);
-    r.mean_ns = obs::JsonlNumberField(line, "mean_ns").value_or(0.0);
-    r.min_ns = obs::JsonlNumberField(line, "min_ns").value_or(0.0);
-    r.max_ns = obs::JsonlNumberField(line, "max_ns").value_or(0.0);
-    r.items_per_sec =
-        obs::JsonlNumberField(line, "items_per_sec").value_or(0.0);
-    r.iterations = static_cast<std::uint64_t>(
-        obs::JsonlNumberField(line, "iterations").value_or(0.0));
-    r.reps = static_cast<int>(
-        obs::JsonlNumberField(line, "reps").value_or(0.0));
-    suite.benchmarks.push_back(std::move(r));
   }
 
   if (suite.schema != kBenchSchema) {

@@ -49,7 +49,6 @@ enum class FlightEventKind : std::uint8_t {
   kCheckpoint = 3,  ///< heartbeat / estimator progress emit
   kSeed = 4,        ///< RNG seed recorded in the run manifest
   kGraphOp = 5,     ///< graph load / write / summary
-  kLockWait = 6,    ///< TimedMutex long wait (a = wait ns)
 };
 
 /// Stable lowercase name for a kind ("span_open", "checkpoint", ...).

@@ -35,6 +35,8 @@
 
 namespace chameleon::obs {
 
+class JsonWriter;
+
 /// Number of log2 latency buckets. Bucket b counts durations in
 /// [2^b, 2^(b+1)) nanoseconds; the last bucket absorbs overflow
 /// (2^39 ns ~ 9.2 minutes).
@@ -86,11 +88,11 @@ struct MetricsSnapshot {
   const HistogramSample* FindHistogram(std::string_view name) const;
   const GaugeSample* FindGauge(std::string_view name) const;
 
-  /// Serializes as a single JSON object (no trailing newline):
+  /// Writes member `key` of `out`'s open object:
   /// {"counters":{...},"gauges":{...},"histograms":{"name":
-  ///   {"count":..,"sum_ns":..,"min_ns":..,"max_ns":..,"p50_ns":..,
-  ///    "p99_ns":..}}}
-  std::string ToJson() const;
+  ///   {"count":..,"sum_ns":..,"min_ns":..,"max_ns":..,"mean_ns":..,
+  ///    "p50_ns":..,"p99_ns":..}}}
+  void AppendJson(std::string_view key, JsonWriter* out) const;
 };
 
 class MetricsRegistry {

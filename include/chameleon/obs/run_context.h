@@ -60,6 +60,12 @@ struct ProcessUsage {
 
 ProcessUsage GetProcessUsage();
 
+class JsonWriter;
+
+/// Writes `usage` as the `"rusage"` member of `out`'s open object, the
+/// block run_summary and crash records share.
+void AppendUsage(const ProcessUsage& usage, JsonWriter* out);
+
 /// Multi-line `--version` text for the CLI tools:
 ///   <tool> (chameleon 1.0.0, v0-3-g7904802)
 ///   git:      7904802...

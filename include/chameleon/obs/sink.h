@@ -9,140 +9,15 @@
 #include <string_view>
 #include <vector>
 
-#include "chameleon/obs/timed_mutex.h"
 #include "chameleon/util/common.h"
 #include "chameleon/util/status.h"
 
 /// \file sink.h
 /// JSONL record sinks. Every record is one JSON object per line with a
-/// "type" field:
-///   {"type":"manifest", "tool":..., "build":{..}, "host":{..},
-///    "argv":[..], "seeds":{..}}
-///   {"type":"span", "path":..., "tid":..., "t_ms":..., "mono_ns":...,
-///    "dur_ns":..., "cpu_ns":..., "offcpu_ns":..., "vcsw":...,
-///    "ivcsw":..., "max_rss_kb":..., "minflt":..., "majflt":...,
-///    "allocs":..., "alloc_bytes":..., "counters":{..}}  — offcpu_ns is
-///    the wall-vs-CPU gap, vcsw/ivcsw the voluntary/involuntary
-///    context-switch deltas over the span (RUSAGE_THREAD)
-///   {"type":"snapshot", "label":..., "t_ms":..., "metrics":{..}}
-///   {"type":"progress", "label":..., "done":..., "total":..., ...}
-///   {"type":"estimator_progress", "label":..., "t_ms":..., "samples":...,
-///    "mean":..., "stddev":..., "ci_halfwidth":..., "rel_err":...,
-///    "rate_per_s":...}  — plus "final":true,"stopped_early":bool on the
-///    record written by ConvergenceTracker::Finish()
-///   {"type":"run_summary", "t_ms":..., "wall_ms":..., "rusage":{..},
-///    "heap":{"cum_alloc_bytes":..., "cum_allocs":..., "cum_frees":...,
-///    "peak_rss_kb":...}, "metrics":{..}}  — plus "signal":N when a
-///    fatal signal ended the run; "heap" holds the exact process-wide
-///    allocation totals from the counters, present in every run
-///   {"type":"status_server", "t_ms":..., "address":..., "port":N}
-///    — bound /statusz port, written at server start so scripts can
-///    discover an ephemeral (--statusz_port=0) port from the stream
-///   {"type":"graph_summary", "t_ms":..., "origin":..., "nodes":N,
-///    "edges":M, "mean_degree":..., "max_degree":..., "sum_p":...,
-///    "mean_p":..., "deg_hist_log2":[..]}  — emitted per loaded graph;
-///    bucket 0 counts degree-0 nodes, bucket k>=1 degrees in
-///    [2^(k-1), 2^k)
-///   {"type":"profile", "t_ms":..., "hz":..., "duration_ms":...,
-///    "samples":N, "dropped":D, "folded_out":..., "spans":{path:count}}
-///    — sampling-profiler capture; "spans" maps span path to self-CPU
-///    sample count, "" rendered as (no_span)
-///   {"type":"privacy_check", "t_ms":..., "k":..., "eps":...,
-///    "eps_hat":..., "obfuscated":bool, "vertices":N,
-///    "not_obfuscated":M, "min_entropy_bits":..., "mean_entropy_bits":...,
-///    "distinct_omegas":D, "adversary":..., "threads":T, "wall_ms":...}
-///    — one (k,ε)-obfuscation verification (privacy/obfuscation.h)
-///   {"type":"crash", "t_ms":..., "signal":N, "signal_name":...,
-///    "si_code":..., "fault_addr":..., "tid":..., "span_path":...,
-///    "frames":[..],
-///    "rusage":{..}}  — written by the crash handler before the process
-///    re-raises; "frames" is the symbolized backtrace, innermost first
-///   {"type":"flight_event_dump", "t_ms":..., "signal":N?, "threads":T,
-///    "events":E, "recorded":R, "dropped":D, "tail":[..], "rings":[..]}
-///    — flight-recorder contents, written when a signal ends the run
-///    (crash, SIGINT/SIGTERM, watchdog abort); "tail" merges the last
-///    events across threads oldest→newest, "rings" holds the
-///    per-thread event objects; "signal" omitted for plain API dumps
-///   {"type":"watchdog_stall", "t_ms":..., "path":..., "tid":...,
-///    "idle_ms":..., "open_ms":..., "stall_seconds":...,
-///    "aborting":bool}  — stall watchdog verdict for one idle open span;
-///    "aborting":true on the record that precedes SIGABRT escalation
-///   {"type":"parallel_region", "name":..., "t_ms":..., "items":N,
-///    "block_size":B, "blocks":K, "requested":R, "workers":W,
-///    "wall_ns":..., "spawn_ns":..., "join_ns":..., "busy_ns":[..],
-///    "blocks_claimed":[..], "busy_total_ns":..., "idle_total_ns":...,
-///    "imbalance":..., "speedup":..., "efficiency":...}  — one
-///    ParallelForBlocks fork-join region (parallel_stats.h); the two
-///    arrays are per-worker, index 0 = the calling thread. A signal
-///    landing mid-region instead flushes a truncated variant with
-///    "partial":true, "blocks_done" and busy-so-far totals
-///   {"type":"mutex_wait", "name":..., "t_ms":..., "tid":...,
-///    "wait_ns":..., "contended":..., "long_waits":...,
-///    "total_wait_ns":...}  — one obs::TimedMutex wait that crossed the
-///    long-wait threshold; counters are the mutex's lifetime totals
-///   {"type":"hw_counters", "t_ms":..., "path":..., "backend":...,
-///    "spans":N, "cycles":..., "instructions":..., "cache_refs":...,
-///    "cache_misses":..., "branch_misses":..., "stalled_backend":...,
-///    "task_clock_ns":..., "ipc":..., "cache_miss_rate":...,
-///    "branch_miss_rate":..., "class":...}  — per-span-path rollup of
-///    multiplexing-corrected perf counters (hw_counters.h), one record
-///    per path at run end; "class" is the toplev-lite bottleneck label,
-///    "backend" is "perf" or "emulated". Spans additionally carry
-///    cycles/instructions/.../ipc/cache_miss_rate/branch_miss_rate and
-///    "hw_scale" (the enabled/running correction factor) inline while
-///    the engine is live
-///   {"type":"hw_counters_unavailable", "t_ms":..., "reason":...}
-///    — written exactly once per run when counters could not be opened
-///    (perf_event_paranoid, seccomp, no PMU, or explicitly disabled);
-///    its presence means no record or span in the stream carries hw
-///    fields
-///   {"type":"heap_profile", "t_ms":..., "span_path":..., "samples":N,
-///    "cum_bytes":..., "cum_allocs":..., "live_bytes":...,
-///    "live_allocs":..., "peak_bytes":..., "leak_bytes":...,
-///    "allowlisted":bool, "sample_bytes":R, "scale":...,
-///    "frames":[..]}  — one sampled allocation site (heap_profiler.h):
-///    byte/count fields are the unbiased Poisson-sampling estimates,
-///    "leak_bytes" the live-at-exit delta, "allowlisted" whether it
-///    matched the intentional-leak list, "frames" the symbolized stack
-///    innermost first, "" span path rendered as (no_span)
-///   {"type":"heap_timeline", "t_ms":..., "sample_bytes":R,
-///    "duration_ms":..., "samples":N, "dropped":D, "sites":S,
-///    "est_cum_bytes":..., "est_cum_allocs":..., "est_live_bytes":...,
-///    "est_peak_bytes":..., "exact_cum_bytes":..., "exact_cum_allocs":...,
-///    "points":[{"mono_ns":..., "live_bytes":..., "cum_bytes":...,
-///    "cum_allocs":..., "rss_kb":...}, ..]}  — exactly one per heap
-///    capture: the process-wide memory trajectory (sampled live bytes,
-///    exact allocation counters, RSS), points taken at span closes and
-///    snapshots at the configured minimum spacing
-///   {"type":"heap_profiler_unavailable", "t_ms":..., "reason":...}
-///    — written exactly once when the run carries no heap capture (not
-///    requested, refused under a sanitizer, or stopped early); a stream
-///    never holds both this and heap_profile/heap_timeline records
-///   {"type":"relevance_progress", "t_ms":..., "label":...,
-///    "worlds":N, "total_worlds":..., "mean_err":..., "max_err":...,
-///    "mean_world_mass":..., "ci_halfwidth":..., "rel_err":...
-///    [, "final":true, "stopped_early":bool]}  — one reliability-
-///    relevance estimator checkpoint (anonymize/relevance.h), emitted
-///    at geometric world counts; the "final" row carries the converged
-///    totals and whether the adaptive stop fired before the budget
-///   {"type":"anonymize_attempt", "t_ms":..., "method":...,
-///    "phase":..., "level":N, "attempt":N, "sigma":...,
-///    "success":bool, "eps_hat":..., "not_obfuscated":N,
-///    "vertices":N, "perturbed_edges":N, "excluded":N, "wall_ms":...}
-///    — one GenObf attempt inside the σ-search driver
-///    (anonymize/chameleon.h); "phase" is "expand" or "refine"
-///   {"type":"sigma_search", "t_ms":..., "method":..., "phase":...,
-///    "level":N, "sigma":..., "lo":..., "hi":..., "success":bool,
-///    "eps_hat":..., "attempts":N, "best_sigma":...}  — one σ-search
-///    level summary; the closing record has phase "final" with the
-///    chosen σ in "best_sigma" ("success":false means infeasible up
-///    to sigma_max)
-/// Writers format the line; sinks only append and are thread-safe.
-///
-/// Readers (chameleon_obs_dump, chameleon_watch) treat unknown "type"
-/// values as forward-compatible passthrough: the record counts toward
-/// the stream total and is mentioned once per type in a debug note,
-/// never warned about per record.
+/// "type" field, built with obs::Record (record.h). The record catalogue
+/// — every type, its fields and their JSON kinds — is the table in
+/// DESIGN.md §7. Writers format the line; sinks only append and are
+/// thread-safe.
 
 namespace chameleon::obs {
 
@@ -156,10 +31,7 @@ class RecordSink {
   virtual void Flush() {}
 };
 
-/// Buffered, mutex-guarded JSONL file sink. Writer contention is itself
-/// telemetry: the guard is a TimedMutex (wait histogram + flight events
-/// on long waits) constructed with emit_records=false, since emitting a
-/// `mutex_wait` record would re-enter this sink under its own lock.
+/// Buffered, mutex-guarded JSONL file sink.
 class JsonlFileSink : public RecordSink {
  public:
   static Result<std::unique_ptr<JsonlFileSink>> Open(const std::string& path);
@@ -174,9 +46,7 @@ class JsonlFileSink : public RecordSink {
  private:
   JsonlFileSink(std::FILE* file, std::string path);
 
-  TimedMutex mu_{"sink/jsonl",
-                 TimedMutex::Options{.long_wait_nanos = 10'000'000,
-                                     .emit_records = false}};
+  std::mutex mu_;
   std::FILE* file_;
   std::string path_;
 };
@@ -199,9 +69,10 @@ class MemorySink : public RecordSink {
   std::vector<std::string> lines_;
 };
 
-/// Minimal field extraction from the library's own flat JSONL records
-/// (used by tests and tools/chameleon_obs_dump; not a general JSON
-/// parser). Returns nullopt when `key` is absent.
+/// The first value named `key` at any depth of the JSON document `line`,
+/// in document order, when it is a string / number (see
+/// JsonValue::Find). nullopt when `line` does not parse, `key` is absent,
+/// or its first value is of another kind.
 std::optional<std::string> JsonlStringField(std::string_view line,
                                             std::string_view key);
 std::optional<double> JsonlNumberField(std::string_view line,

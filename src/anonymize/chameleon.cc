@@ -10,6 +10,7 @@
 #include "chameleon/anonymize/rep_an.h"
 #include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/util/string_util.h"
 #include "chameleon/util/timer.h"
 
@@ -61,18 +62,20 @@ void EmitAttemptRecord(Variant variant, std::string_view phase,
   obs::RecordSink* sink = obs::GlobalSink();
   if (sink == nullptr) return;
   const auto& cert = result.certificate;
-  sink->Write(StrFormat(
-      "{\"type\":\"anonymize_attempt\",\"t_ms\":%llu,\"method\":\"%s\","
-      "\"phase\":\"%s\",\"level\":%zu,\"attempt\":%zu,\"sigma\":%.6g,"
-      "\"success\":%s,\"eps_hat\":%.6g,\"not_obfuscated\":%zu,"
-      "\"vertices\":%zu,\"perturbed_edges\":%zu,\"excluded\":%zu,"
-      "\"wall_ms\":%.3f}",
-      static_cast<unsigned long long>(WallUnixMillis()),
-      std::string(VariantName(variant)).c_str(),
-      std::string(phase).c_str(), level, attempt, sigma,
-      cert.obfuscated ? "true" : "false", cert.epsilon_hat,
-      cert.not_obfuscated, cert.vertices, result.perturbed_edges,
-      result.excluded_vertices, result.wall_ms));
+  sink->Write(obs::Record("anonymize_attempt")
+                  .Str("method", VariantName(variant))
+                  .Str("phase", phase)
+                  .Int("level", level)
+                  .Int("attempt", attempt)
+                  .Num("sigma", sigma)
+                  .Bool("success", cert.obfuscated)
+                  .Num("eps_hat", cert.epsilon_hat)
+                  .Int("not_obfuscated", cert.not_obfuscated)
+                  .Int("vertices", cert.vertices)
+                  .Int("perturbed_edges", result.perturbed_edges)
+                  .Int("excluded", result.excluded_vertices)
+                  .Num("wall_ms", result.wall_ms)
+                  .Finish());
 }
 
 void EmitSigmaSearchRecord(Variant variant, std::string_view phase,
@@ -82,15 +85,18 @@ void EmitSigmaSearchRecord(Variant variant, std::string_view phase,
   if (!obs::Enabled()) return;
   obs::RecordSink* sink = obs::GlobalSink();
   if (sink == nullptr) return;
-  sink->Write(StrFormat(
-      "{\"type\":\"sigma_search\",\"t_ms\":%llu,\"method\":\"%s\","
-      "\"phase\":\"%s\",\"level\":%zu,\"sigma\":%.6g,\"lo\":%.6g,"
-      "\"hi\":%.6g,\"success\":%s,\"eps_hat\":%.6g,\"attempts\":%zu,"
-      "\"best_sigma\":%.6g}",
-      static_cast<unsigned long long>(WallUnixMillis()),
-      std::string(VariantName(variant)).c_str(),
-      std::string(phase).c_str(), level, sigma, lo, hi,
-      success ? "true" : "false", best_eps_hat, attempts, best_sigma));
+  sink->Write(obs::Record("sigma_search")
+                  .Str("method", VariantName(variant))
+                  .Str("phase", phase)
+                  .Int("level", level)
+                  .Num("sigma", sigma)
+                  .Num("lo", lo)
+                  .Num("hi", hi)
+                  .Bool("success", success)
+                  .Num("eps_hat", best_eps_hat)
+                  .Int("attempts", attempts)
+                  .Num("best_sigma", best_sigma)
+                  .Finish());
 }
 
 class VariantAnonymizer : public Anonymizer {

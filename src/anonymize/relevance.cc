@@ -8,10 +8,10 @@
 #include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/progress.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/reliability/world_sampler.h"
 #include "chameleon/util/parallel.h"
 #include "chameleon/util/stats.h"
-#include "chameleon/util/string_util.h"
 #include "chameleon/util/timer.h"
 
 namespace chameleon::anonymize {
@@ -95,19 +95,17 @@ void EmitRelevanceProgress(std::size_t worlds, std::size_t total_worlds,
   if (!obs::Enabled()) return;
   obs::RecordSink* sink = obs::GlobalSink();
   if (sink == nullptr) return;
-  std::string line = StrFormat(
-      "{\"type\":\"relevance_progress\",\"t_ms\":%llu,"
-      "\"label\":\"anonymize/relevance\",\"worlds\":%zu,"
-      "\"total_worlds\":%zu,\"mean_err\":%.6g,\"max_err\":%.6g,"
-      "\"mean_world_mass\":%.6g,\"ci_halfwidth\":%.6g,\"rel_err\":%.6g",
-      static_cast<unsigned long long>(WallUnixMillis()), worlds, total_worlds,
-      mean_err, max_err, mean_world_mass, ci_halfwidth, rel_err);
-  if (final) {
-    line += StrFormat(",\"final\":true,\"stopped_early\":%s",
-                      stopped_early ? "true" : "false");
-  }
-  line += "}";
-  sink->Write(line);
+  obs::Record record("relevance_progress");
+  record.Str("label", "anonymize/relevance")
+      .Int("worlds", worlds)
+      .Int("total_worlds", total_worlds)
+      .Num("mean_err", mean_err)
+      .Num("max_err", max_err)
+      .Num("mean_world_mass", mean_world_mass)
+      .Num("ci_halfwidth", ci_halfwidth)
+      .Num("rel_err", rel_err);
+  if (final) record.Bool("final", true).Bool("stopped_early", stopped_early);
+  sink->Write(record.Finish());
 }
 
 /// Finalizes the float view of the block tallies, summed per edge.

@@ -9,8 +9,8 @@
 
 #include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/util/string_util.h"
-#include "chameleon/util/timer.h"
 
 namespace chameleon::graph {
 
@@ -33,24 +33,17 @@ void EmitGraphSummary(const UncertainGraph& graph, std::string_view origin) {
 
   const auto n = static_cast<double>(graph.num_nodes());
   const auto m = static_cast<double>(graph.num_edges());
-  std::string line = StrFormat(
-      "{\"type\":\"graph_summary\",\"t_ms\":%llu,\"origin\":\"%s\","
-      "\"nodes\":%llu,\"edges\":%llu,\"mean_degree\":%.6g,"
-      "\"max_degree\":%llu,\"sum_p\":%.10g,\"mean_p\":%.6g,"
-      "\"deg_hist_log2\":[",
-      static_cast<unsigned long long>(WallUnixMillis()),
-      JsonEscape(origin).c_str(),
-      static_cast<unsigned long long>(graph.num_nodes()),
-      static_cast<unsigned long long>(graph.num_edges()),
-      n > 0 ? 2.0 * m / n : 0.0,
-      static_cast<unsigned long long>(max_degree),
-      graph.expected_num_edges(), graph.mean_probability());
-  for (std::size_t b = 0; b < hist.size(); ++b) {
-    if (b != 0) line += ',';
-    line += StrFormat("%llu", static_cast<unsigned long long>(hist[b]));
-  }
-  line += "]}";
-  sink->Write(line);
+  obs::Record record("graph_summary");
+  record.Str("origin", origin)
+      .Int("nodes", graph.num_nodes())
+      .Int("edges", graph.num_edges())
+      .Num("mean_degree", n > 0 ? 2.0 * m / n : 0.0)
+      .Int("max_degree", max_degree)
+      .Num("sum_p", graph.expected_num_edges())
+      .Num("mean_p", graph.mean_probability())
+      .Array("deg_hist_log2");
+  for (const std::uint64_t count : hist) record.Int(count);
+  sink->Write(record.Finish());
 }
 
 Result<UncertainGraph> ParseEdgeList(std::istream& in,

@@ -5,7 +5,7 @@
 
 #include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
-#include "chameleon/util/string_util.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/util/timer.h"
 
 namespace chameleon::obs {
@@ -149,20 +149,16 @@ void ConvergenceTracker::EmitLocked(bool final, bool stopped_early) {
   // Estimator checkpoints feed the flight recorder / watchdog activity
   // pulse (lock-free; mu_ being held here is irrelevant to it).
   CHOBS_FLIGHT_EVENT(kCheckpoint, label_, s.samples, 0);
-  std::string line = StrFormat(
-      "{\"type\":\"estimator_progress\",\"label\":\"%s\",\"t_ms\":%llu,"
-      "\"samples\":%llu,\"mean\":%.9g,\"stddev\":%.9g,"
-      "\"ci_halfwidth\":%.9g,\"rel_err\":%.9g,\"rate_per_s\":%.1f",
-      JsonEscape(label_).c_str(),
-      static_cast<unsigned long long>(WallUnixMillis()),
-      static_cast<unsigned long long>(s.samples), s.mean, s.stddev,
-      s.ci_halfwidth, s.rel_err, s.rate_per_s);
-  if (final) {
-    line += StrFormat(",\"final\":true,\"stopped_early\":%s",
-                      stopped_early ? "true" : "false");
-  }
-  line += '}';
-  options_.sink->Write(line);
+  Record record("estimator_progress");
+  record.Str("label", label_)
+      .Int("samples", s.samples)
+      .Num("mean", s.mean)
+      .Num("stddev", s.stddev)
+      .Num("ci_halfwidth", s.ci_halfwidth)
+      .Num("rel_err", s.rel_err)
+      .Num("rate_per_s", s.rate_per_s);
+  if (final) record.Bool("final", true).Bool("stopped_early", stopped_early);
+  options_.sink->Write(record.Finish());
   ++emit_count_;
 }
 

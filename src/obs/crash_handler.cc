@@ -13,11 +13,11 @@
 #include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/profiler.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/obs/run_context.h"
 #include "chameleon/obs/sink.h"
 #include "chameleon/obs/trace.h"
 #include "chameleon/util/string_util.h"
-#include "chameleon/util/timer.h"
 
 #if CHAMELEON_PROFILER_IMPL
 #include <pthread.h>
@@ -83,43 +83,32 @@ std::uintptr_t ContextFramePointer(void* ucontext_raw) {
 /// header's safety model; the alarm() deadline bounds the damage.
 void WriteCrashRecord(int sig, siginfo_t* info, const std::uintptr_t* pcs,
                       std::uint32_t depth, std::uint32_t span_path_id) {
-  std::string line = StrFormat(
-      "{\"type\":\"crash\",\"t_ms\":%llu,\"signal\":%d,"
-      "\"signal_name\":\"%s\",\"si_code\":%d,\"tid\":%u",
-      static_cast<unsigned long long>(WallUnixMillis()), sig,
-      CrashSignalName(sig), info != nullptr ? info->si_code : 0,
-      CurrentThreadIndex());
+  Record record("crash");
+  record.Int("signal", sig)
+      .Str("signal_name", CrashSignalName(sig))
+      .Int("si_code", info != nullptr ? info->si_code : 0)
+      .Int("tid", CurrentThreadIndex());
   if (info != nullptr && (sig == SIGSEGV || sig == SIGBUS || sig == SIGFPE)) {
-    line += StrFormat(
-        ",\"fault_addr\":\"0x%llx\"",
-        static_cast<unsigned long long>(
-            reinterpret_cast<std::uintptr_t>(info->si_addr)));
+    record.Str("fault_addr",
+               StrFormat("0x%llx",
+                         static_cast<unsigned long long>(
+                             reinterpret_cast<std::uintptr_t>(info->si_addr))));
   }
   std::string span_path;
   if (TrySpanPathForId(span_path_id, &span_path)) {
-    line += StrFormat(",\"span_path\":\"%s\"", JsonEscape(span_path).c_str());
+    record.Str("span_path", span_path);
   }
 
   std::unordered_map<std::uintptr_t, std::string> cache;
-  line += ",\"frames\":[";
+  record.Array("frames");
   for (std::uint32_t i = 0; i < depth; ++i) {
-    if (i != 0) line += ',';
-    line += StrFormat(
-        "\"%s\"", JsonEscape(internal::SymbolizePc(pcs[i], &cache)).c_str());
+    record.Str(internal::SymbolizePc(pcs[i], &cache));
   }
-  line += ']';
-
-  const ProcessUsage usage = GetProcessUsage();
-  line += StrFormat(
-      ",\"rusage\":{\"user_cpu_ms\":%.3f,\"system_cpu_ms\":%.3f,"
-      "\"max_rss_kb\":%llu,\"minflt\":%llu,\"majflt\":%llu}}",
-      usage.user_cpu_ms, usage.system_cpu_ms,
-      static_cast<unsigned long long>(usage.max_rss_kb),
-      static_cast<unsigned long long>(usage.minor_faults),
-      static_cast<unsigned long long>(usage.major_faults));
+  record.End();
+  AppendUsage(GetProcessUsage(), &record);
 
   if (RecordSink* sink = GlobalSink(); sink != nullptr) {
-    sink->Write(line);
+    sink->Write(record.Finish());
     sink->Flush();
   }
 

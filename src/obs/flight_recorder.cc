@@ -6,6 +6,7 @@
 #include <mutex>
 #include <vector>
 
+#include "chameleon/obs/record.h"
 #include "chameleon/obs/trace.h"
 #include "chameleon/util/string_util.h"
 #include "chameleon/util/timer.h"
@@ -84,26 +85,24 @@ FlightThreadSnapshot SnapshotOne(FlightThreadState* state) {
   return snapshot;
 }
 
-std::string EventJson(const FlightEvent& event, std::uint64_t now_ns) {
+void AppendEvent(const FlightEvent& event, std::uint64_t now_ns,
+                 JsonWriter* out) {
   const double age_s =
       now_ns > event.mono_ns
           ? static_cast<double>(now_ns - event.mono_ns) * 1e-9
           : 0.0;
-  std::string out = StrFormat(
-      "{\"age_s\":%.3f,\"kind\":\"%.*s\",\"label\":\"%s\",\"a\":%llu,"
-      "\"b\":%llu",
-      age_s, static_cast<int>(FlightEventKindName(event.kind).size()),
-      FlightEventKindName(event.kind).data(),
-      JsonEscape(event.label).c_str(),
-      static_cast<unsigned long long>(event.a),
-      static_cast<unsigned long long>(event.b));
+  out->Object()
+      .Num("age_s", age_s)
+      .Str("kind", FlightEventKindName(event.kind))
+      .Str("label", event.label)
+      .Int("a", event.a)
+      .Int("b", event.b);
   std::string path;
   if (event.span_path_id != 0 &&
       TrySpanPathForId(event.span_path_id, &path)) {
-    out += StrFormat(",\"path\":\"%s\"", JsonEscape(path).c_str());
+    out->Str("path", path);
   }
-  out += '}';
-  return out;
+  out->End();
 }
 
 }  // namespace
@@ -122,8 +121,6 @@ std::string_view FlightEventKindName(FlightEventKind kind) {
       return "seed";
     case FlightEventKind::kGraphOp:
       return "graph_op";
-    case FlightEventKind::kLockWait:
-      return "lock_wait";
   }
   return "unknown";
 }
@@ -200,14 +197,12 @@ std::string FlightDumpJson(int signal_number) {
     kept += snapshot.events.size();
   }
 
-  std::string line = StrFormat(
-      "{\"type\":\"flight_event_dump\",\"t_ms\":%llu",
-      static_cast<unsigned long long>(WallUnixMillis()));
-  if (signal_number >= 0) line += StrFormat(",\"signal\":%d", signal_number);
-  line += StrFormat(
-      ",\"threads\":%zu,\"events\":%zu,\"recorded\":%llu,\"dropped\":%llu",
-      snapshots.size(), kept, static_cast<unsigned long long>(recorded),
-      static_cast<unsigned long long>(dropped));
+  Record record("flight_event_dump");
+  if (signal_number >= 0) record.Int("signal", signal_number);
+  record.Int("threads", snapshots.size())
+      .Int("events", kept)
+      .Int("recorded", recorded)
+      .Int("dropped", dropped);
 
   // Merged, time-ordered human tail across all threads: the "what was
   // it doing just before it died" view.
@@ -230,46 +225,37 @@ std::string FlightDumpJson(int signal_number) {
   constexpr std::size_t kTailEntries = 32;
   const std::size_t tail_begin =
       tail.size() > kTailEntries ? tail.size() - kTailEntries : 0;
-  line += ",\"tail\":[";
+  record.Array("tail");
   for (std::size_t i = tail_begin; i < tail.size(); ++i) {
-    if (i != tail_begin) line += ',';
     const TailEntry& entry = tail[i];
     const double age_s =
         now_ns > entry.mono_ns
             ? static_cast<double>(now_ns - entry.mono_ns) * 1e-9
             : 0.0;
-    std::string text = StrFormat(
+    record.Str(StrFormat(
         "-%.3fs tid%u %.*s %s a=%llu b=%llu", age_s, entry.thread_index,
         static_cast<int>(FlightEventKindName(entry.event->kind).size()),
         FlightEventKindName(entry.event->kind).data(), entry.event->label,
         static_cast<unsigned long long>(entry.event->a),
-        static_cast<unsigned long long>(entry.event->b));
-    line += StrFormat("\"%s\"", JsonEscape(text).c_str());
+        static_cast<unsigned long long>(entry.event->b)));
   }
-  line += "]";
-
-  line += ",\"rings\":[";
-  bool first_ring = true;
+  record.End().Array("rings");
   for (const FlightThreadSnapshot& snapshot : snapshots) {
-    if (!first_ring) line += ',';
-    first_ring = false;
-    line += StrFormat(
-        "{\"tid\":%u,\"recorded\":%llu,\"dropped\":%llu,\"events\":[",
-        snapshot.thread_index,
-        static_cast<unsigned long long>(snapshot.recorded),
-        static_cast<unsigned long long>(snapshot.dropped));
+    record.Object()
+        .Int("tid", snapshot.thread_index)
+        .Int("recorded", snapshot.recorded)
+        .Int("dropped", snapshot.dropped)
+        .Array("events");
     const std::size_t begin =
         snapshot.events.size() > kFlightDumpEventsPerThread
             ? snapshot.events.size() - kFlightDumpEventsPerThread
             : 0;
     for (std::size_t i = begin; i < snapshot.events.size(); ++i) {
-      if (i != begin) line += ',';
-      line += EventJson(snapshot.events[i], now_ns);
+      AppendEvent(snapshot.events[i], now_ns, &record);
     }
-    line += "]}";
+    record.End().End();
   }
-  line += "]}";
-  return line;
+  return record.Finish();
 }
 
 void EmitFlightRecorderDump(RecordSink* sink, int signal_number) {

@@ -21,6 +21,7 @@
 
 #include "chameleon/obs/alloc_stats.h"
 #include "chameleon/obs/obs.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/obs/sink.h"
 #include "chameleon/obs/trace.h"
 #include "chameleon/util/logging.h"
@@ -728,8 +729,7 @@ void EmitHeapProfileRecords(RecordSink* sink) {
     report = BuildReportLocked(state, /*symbolize=*/true);
   }
 
-  const unsigned long long t_ms =
-      static_cast<unsigned long long>(WallUnixMillis());
+  const std::uint64_t t_ms = WallUnixMillis();
   std::size_t emitted_sites = 0;
   for (const HeapSiteReport& site : report.sites) {
     if (emitted_sites >= kMaxEmittedSites) break;
@@ -739,50 +739,36 @@ void EmitHeapProfileRecords(RecordSink* sink) {
             ? static_cast<double>(site.cum_allocs) /
                   static_cast<double>(site.samples)
             : 0.0;
-    std::string line = StrFormat(
-        "{\"type\":\"heap_profile\",\"t_ms\":%llu,\"span_path\":\"%s\","
-        "\"samples\":%llu,\"cum_bytes\":%llu,\"cum_allocs\":%llu,"
-        "\"live_bytes\":%llu,\"live_allocs\":%llu,\"peak_bytes\":%llu,"
-        "\"leak_bytes\":%llu,\"allowlisted\":%s,\"sample_bytes\":%llu,"
-        "\"scale\":%.2f,\"frames\":[",
-        t_ms, JsonEscape(site.span_path).c_str(),
-        static_cast<unsigned long long>(site.samples),
-        static_cast<unsigned long long>(site.cum_bytes),
-        static_cast<unsigned long long>(site.cum_allocs),
-        static_cast<unsigned long long>(site.live_bytes),
-        static_cast<unsigned long long>(site.live_allocs),
-        static_cast<unsigned long long>(site.peak_bytes),
-        static_cast<unsigned long long>(site.live_bytes),
-        site.allowlisted ? "true" : "false",
-        static_cast<unsigned long long>(report.sample_bytes), scale);
-    bool first = true;
-    for (const std::string& frame : site.frames) {
-      if (!first) line += ',';
-      first = false;
-      line += '"';
-      line += JsonEscape(frame);
-      line += '"';
-    }
-    line += "]}";
-    sink->Write(line);
+    Record record("heap_profile", t_ms);
+    record.Str("span_path", site.span_path)
+        .Int("samples", site.samples)
+        .Int("cum_bytes", site.cum_bytes)
+        .Int("cum_allocs", site.cum_allocs)
+        .Int("live_bytes", site.live_bytes)
+        .Int("live_allocs", site.live_allocs)
+        .Int("peak_bytes", site.peak_bytes)
+        .Int("leak_bytes", site.live_bytes)
+        .Bool("allowlisted", site.allowlisted)
+        .Int("sample_bytes", report.sample_bytes)
+        .Num("scale", scale)
+        .Array("frames");
+    for (const std::string& frame : site.frames) record.Str(frame);
+    sink->Write(record.Finish());
   }
 
-  std::string line = StrFormat(
-      "{\"type\":\"heap_timeline\",\"t_ms\":%llu,\"sample_bytes\":%llu,"
-      "\"duration_ms\":%.3f,\"samples\":%llu,\"dropped\":%llu,"
-      "\"sites\":%llu,\"est_cum_bytes\":%llu,\"est_cum_allocs\":%llu,"
-      "\"est_live_bytes\":%llu,\"est_peak_bytes\":%llu,"
-      "\"exact_cum_bytes\":%llu,\"exact_cum_allocs\":%llu,\"points\":[",
-      t_ms, static_cast<unsigned long long>(report.sample_bytes),
-      report.duration_ms, static_cast<unsigned long long>(report.samples),
-      static_cast<unsigned long long>(report.dropped),
-      static_cast<unsigned long long>(report.sites.size()),
-      static_cast<unsigned long long>(report.est_cum_bytes),
-      static_cast<unsigned long long>(report.est_cum_allocs),
-      static_cast<unsigned long long>(report.est_live_bytes),
-      static_cast<unsigned long long>(report.est_peak_bytes),
-      static_cast<unsigned long long>(report.exact_cum_bytes),
-      static_cast<unsigned long long>(report.exact_cum_allocs));
+  Record record("heap_timeline", t_ms);
+  record.Int("sample_bytes", report.sample_bytes)
+      .Num("duration_ms", report.duration_ms)
+      .Int("samples", report.samples)
+      .Int("dropped", report.dropped)
+      .Int("sites", report.sites.size())
+      .Int("est_cum_bytes", report.est_cum_bytes)
+      .Int("est_cum_allocs", report.est_cum_allocs)
+      .Int("est_live_bytes", report.est_live_bytes)
+      .Int("est_peak_bytes", report.est_peak_bytes)
+      .Int("exact_cum_bytes", report.exact_cum_bytes)
+      .Int("exact_cum_allocs", report.exact_cum_allocs)
+      .Array("points");
   // Keep the record line bounded: stride over the points if the
   // timeline grew past the emission cap.
   const std::size_t stride =
@@ -790,22 +776,17 @@ void EmitHeapProfileRecords(RecordSink* sink) {
           ? (report.timeline.size() + kMaxEmittedPoints - 1) /
                 kMaxEmittedPoints
           : 1;
-  bool first = true;
   for (std::size_t i = 0; i < report.timeline.size(); i += stride) {
     const HeapTimelinePoint& point = report.timeline[i];
-    if (!first) line += ',';
-    first = false;
-    line += StrFormat(
-        "{\"mono_ns\":%llu,\"live_bytes\":%llu,\"cum_bytes\":%llu,"
-        "\"cum_allocs\":%llu,\"rss_kb\":%llu}",
-        static_cast<unsigned long long>(point.mono_ns),
-        static_cast<unsigned long long>(point.live_bytes),
-        static_cast<unsigned long long>(point.cum_alloc_bytes),
-        static_cast<unsigned long long>(point.cum_allocs),
-        static_cast<unsigned long long>(point.rss_kb));
+    record.Object()
+        .Int("mono_ns", point.mono_ns)
+        .Int("live_bytes", point.live_bytes)
+        .Int("cum_bytes", point.cum_alloc_bytes)
+        .Int("cum_allocs", point.cum_allocs)
+        .Int("rss_kb", point.rss_kb)
+        .End();
   }
-  line += "]}";
-  sink->Write(line);
+  sink->Write(record.Finish());
   sink->Flush();
   g_emitted.store(true, std::memory_order_relaxed);
 }

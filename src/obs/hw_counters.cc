@@ -21,9 +21,9 @@
 #endif
 
 #include "chameleon/obs/metrics.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/obs/sink.h"
 #include "chameleon/util/string_util.h"
-#include "chameleon/util/timer.h"
 
 namespace chameleon {
 namespace obs {
@@ -520,26 +520,22 @@ HwBottleneck ClassifyHwBottleneck(const HwPathAggregate& agg) {
 
 std::string FormatHwCounterRecord(const HwPathAggregate& agg,
                                   HwBackend backend) {
-  return StrFormat(
-      "{\"type\":\"hw_counters\",\"t_ms\":%llu,\"path\":\"%s\","
-      "\"backend\":\"%s\",\"spans\":%llu,\"cycles\":%llu,"
-      "\"instructions\":%llu,\"cache_refs\":%llu,\"cache_misses\":%llu,"
-      "\"branch_misses\":%llu,\"stalled_backend\":%llu,"
-      "\"task_clock_ns\":%llu,\"ipc\":%.4f,\"cache_miss_rate\":%.6f,"
-      "\"branch_miss_rate\":%.6f,\"class\":\"%s\"}",
-      static_cast<unsigned long long>(WallUnixMillis()),
-      JsonEscape(agg.path).c_str(),
-      backend == HwBackend::kEmulated ? "emulated" : "perf",
-      static_cast<unsigned long long>(agg.spans),
-      static_cast<unsigned long long>(agg.cycles),
-      static_cast<unsigned long long>(agg.instructions),
-      static_cast<unsigned long long>(agg.cache_references),
-      static_cast<unsigned long long>(agg.cache_misses),
-      static_cast<unsigned long long>(agg.branch_misses),
-      static_cast<unsigned long long>(agg.stalled_backend),
-      static_cast<unsigned long long>(agg.task_clock_ns), agg.Ipc(),
-      agg.CacheMissRate(), agg.BranchMissRate(),
-      HwBottleneckName(ClassifyHwBottleneck(agg)));
+  return Record("hw_counters")
+      .Str("path", agg.path)
+      .Str("backend", backend == HwBackend::kEmulated ? "emulated" : "perf")
+      .Int("spans", agg.spans)
+      .Int("cycles", agg.cycles)
+      .Int("instructions", agg.instructions)
+      .Int("cache_refs", agg.cache_references)
+      .Int("cache_misses", agg.cache_misses)
+      .Int("branch_misses", agg.branch_misses)
+      .Int("stalled_backend", agg.stalled_backend)
+      .Int("task_clock_ns", agg.task_clock_ns)
+      .Num("ipc", agg.Ipc())
+      .Num("cache_miss_rate", agg.CacheMissRate())
+      .Num("branch_miss_rate", agg.BranchMissRate())
+      .Str("class", HwBottleneckName(ClassifyHwBottleneck(agg)))
+      .Finish();
 }
 
 void EmitHwCounterRecords(RecordSink* sink) {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "chameleon/util/string_util.h"
+#include "chameleon/obs/record.h"
 
 namespace chameleon::obs {
 namespace {
@@ -276,40 +276,25 @@ const GaugeSample* MetricsSnapshot::FindGauge(std::string_view name) const {
   return nullptr;
 }
 
-std::string MetricsSnapshot::ToJson() const {
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& sample : counters) {
-    if (!first) out += ',';
-    first = false;
-    out += StrFormat("\"%s\":%llu", JsonEscape(sample.name).c_str(),
-                     static_cast<unsigned long long>(sample.value));
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& sample : gauges) {
-    if (!first) out += ',';
-    first = false;
-    out += StrFormat("\"%s\":%.17g", JsonEscape(sample.name).c_str(),
-                     sample.value);
-  }
-  out += "},\"histograms\":{";
-  first = true;
+void MetricsSnapshot::AppendJson(std::string_view key,
+                                 JsonWriter* out) const {
+  out->Object(key).Object("counters");
+  for (const auto& sample : counters) out->Int(sample.name, sample.value);
+  out->End().Object("gauges");
+  for (const auto& sample : gauges) out->Num(sample.name, sample.value);
+  out->End().Object("histograms");
   for (const auto& sample : histograms) {
-    if (!first) out += ',';
-    first = false;
-    out += StrFormat(
-        "\"%s\":{\"count\":%llu,\"sum_ns\":%llu,\"min_ns\":%llu,"
-        "\"max_ns\":%llu,\"mean_ns\":%.1f,\"p50_ns\":%.1f,\"p99_ns\":%.1f}",
-        JsonEscape(sample.name).c_str(),
-        static_cast<unsigned long long>(sample.count),
-        static_cast<unsigned long long>(sample.sum_nanos),
-        static_cast<unsigned long long>(sample.min_nanos),
-        static_cast<unsigned long long>(sample.max_nanos), sample.mean_nanos(),
-        sample.QuantileNanos(0.5), sample.QuantileNanos(0.99));
+    out->Object(sample.name)
+        .Int("count", sample.count)
+        .Int("sum_ns", sample.sum_nanos)
+        .Int("min_ns", sample.min_nanos)
+        .Int("max_ns", sample.max_nanos)
+        .Num("mean_ns", sample.mean_nanos())
+        .Num("p50_ns", sample.QuantileNanos(0.5))
+        .Num("p99_ns", sample.QuantileNanos(0.99))
+        .End();
   }
-  out += "}}";
-  return out;
+  out->End().End();
 }
 
 }  // namespace chameleon::obs

@@ -14,11 +14,11 @@
 #include "chameleon/obs/hw_counters.h"
 #include "chameleon/obs/parallel_stats.h"
 #include "chameleon/obs/profiler.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/obs/run_context.h"
 #include "chameleon/obs/status_server.h"
 #include "chameleon/obs/watchdog.h"
 #include "chameleon/util/logging.h"
-#include "chameleon/util/string_util.h"
 #include "chameleon/util/timer.h"
 
 namespace chameleon::obs {
@@ -108,11 +108,9 @@ void FinalizeRun(int signal_number) {
     // env/flag override). One record names the reason; emitting it here
     // rather than at init keeps the manifest as the stream's first
     // record, and the one-shot enabled claim above keeps it unique.
-    sink->Write(StrFormat(
-        "{\"type\":\"hw_counters_unavailable\",\"t_ms\":%llu,"
-        "\"reason\":\"%s\"}",
-        static_cast<unsigned long long>(WallUnixMillis()),
-        JsonEscape(HwCountersUnavailableReason()).c_str()));
+    sink->Write(Record("hw_counters_unavailable")
+                    .Str("reason", HwCountersUnavailableReason())
+                    .Finish());
   }
 
   // The heap profiler follows the same exactly-one-of contract: a live
@@ -128,43 +126,31 @@ void FinalizeRun(int signal_number) {
                       << heap.status().ToString();
     }
   } else if (!HeapRecordsEmitted()) {
-    sink->Write(StrFormat(
-        "{\"type\":\"heap_profiler_unavailable\",\"t_ms\":%llu,"
-        "\"reason\":\"%s\"}",
-        static_cast<unsigned long long>(WallUnixMillis()),
-        JsonEscape(HeapProfilerUnavailableReason()).c_str()));
+    sink->Write(Record("heap_profiler_unavailable")
+                    .Str("reason", HeapProfilerUnavailableReason())
+                    .Finish());
   }
 
   const double wall_ms =
       static_cast<double>(MonotonicNanos() - run_start) * 1e-6;
   const ProcessUsage usage = GetProcessUsage();
   const MetricsSnapshot snapshot = GlobalMetrics().TakeSnapshot();
-  std::string line = StrFormat(
-      "{\"type\":\"run_summary\",\"t_ms\":%llu,\"wall_ms\":%.3f",
-      static_cast<unsigned long long>(WallUnixMillis()), wall_ms);
-  if (signal_number >= 0) {
-    line += StrFormat(",\"signal\":%d", signal_number);
-  }
-  line += StrFormat(
-      ",\"rusage\":{\"user_cpu_ms\":%.3f,\"system_cpu_ms\":%.3f,"
-      "\"max_rss_kb\":%llu,\"minflt\":%llu,\"majflt\":%llu}",
-      usage.user_cpu_ms, usage.system_cpu_ms,
-      static_cast<unsigned long long>(usage.max_rss_kb),
-      static_cast<unsigned long long>(usage.minor_faults),
-      static_cast<unsigned long long>(usage.major_faults));
+  Record record("run_summary");
+  record.Num("wall_ms", wall_ms);
+  if (signal_number >= 0) record.Int("signal", signal_number);
+  AppendUsage(usage, &record);
   // The run's memory headline, without summing per-span records:
   // process-wide allocation totals (every thread, exited ones included)
   // plus the peak RSS already sampled above.
   const AllocStats heap_totals = TotalAllocStats();
-  line += StrFormat(
-      ",\"heap\":{\"cum_alloc_bytes\":%llu,\"cum_allocs\":%llu,"
-      "\"cum_frees\":%llu,\"peak_rss_kb\":%llu}",
-      static_cast<unsigned long long>(heap_totals.alloc_bytes),
-      static_cast<unsigned long long>(heap_totals.allocs),
-      static_cast<unsigned long long>(heap_totals.frees),
-      static_cast<unsigned long long>(usage.max_rss_kb));
-  line += StrFormat(",\"metrics\":%s}", snapshot.ToJson().c_str());
-  sink->Write(line);
+  record.Object("heap")
+      .Int("cum_alloc_bytes", heap_totals.alloc_bytes)
+      .Int("cum_allocs", heap_totals.allocs)
+      .Int("cum_frees", heap_totals.frees)
+      .Int("peak_rss_kb", usage.max_rss_kb)
+      .End();
+  snapshot.AppendJson("metrics", &record);
+  sink->Write(record.Finish());
   sink->Flush();
 }
 
@@ -295,12 +281,10 @@ void EmitSnapshot(std::string_view label) {
   HeapProfilerMaybeSampleTimeline();
   RecordSink* sink = GlobalSink();
   if (sink == nullptr) return;
-  const MetricsSnapshot snapshot = GlobalMetrics().TakeSnapshot();
-  sink->Write(StrFormat(
-      "{\"type\":\"snapshot\",\"label\":\"%s\",\"t_ms\":%llu,\"metrics\":%s}",
-      JsonEscape(label).c_str(),
-      static_cast<unsigned long long>(WallUnixMillis()),
-      snapshot.ToJson().c_str()));
+  Record record("snapshot");
+  record.Str("label", label);
+  GlobalMetrics().TakeSnapshot().AppendJson("metrics", &record);
+  sink->Write(record.Finish());
 }
 
 }  // namespace chameleon::obs

@@ -6,8 +6,8 @@
 #include <unordered_set>
 
 #include "chameleon/obs/obs.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/obs/trace.h"
-#include "chameleon/util/string_util.h"
 #include "chameleon/util/timer.h"
 
 namespace chameleon::obs {
@@ -122,51 +122,35 @@ ActiveParallelRegion::~ActiveParallelRegion() {
 }
 
 std::string FormatParallelRegionRecord(const ParallelRegionStats& stats) {
-  std::string line = StrFormat(
-      "{\"type\":\"parallel_region\",\"name\":\"%s\",\"t_ms\":%llu,"
-      "\"items\":%llu,\"block_size\":%llu,\"blocks\":%llu,"
-      "\"requested\":%llu,\"workers\":%llu,\"wall_ns\":%llu,"
-      "\"spawn_ns\":%llu,\"join_ns\":%llu",
-      JsonEscape(stats.name).c_str(),
-      static_cast<unsigned long long>(WallUnixMillis()),
-      static_cast<unsigned long long>(stats.items),
-      static_cast<unsigned long long>(stats.block_size),
-      static_cast<unsigned long long>(stats.blocks),
-      static_cast<unsigned long long>(stats.requested),
-      static_cast<unsigned long long>(stats.workers),
-      static_cast<unsigned long long>(stats.wall_ns),
-      static_cast<unsigned long long>(stats.spawn_ns),
-      static_cast<unsigned long long>(stats.join_ns));
-  line += ",\"busy_ns\":[";
-  for (std::size_t w = 0; w < stats.per_worker.size(); ++w) {
-    line += StrFormat(
-        "%s%llu", w == 0 ? "" : ",",
-        static_cast<unsigned long long>(stats.per_worker[w].busy_ns));
-  }
-  line += "],\"blocks_claimed\":[";
-  for (std::size_t w = 0; w < stats.per_worker.size(); ++w) {
-    line += StrFormat(
-        "%s%llu", w == 0 ? "" : ",",
-        static_cast<unsigned long long>(stats.per_worker[w].blocks));
-  }
-  line += StrFormat(
-      "],\"busy_total_ns\":%llu,\"idle_total_ns\":%llu,"
-      "\"imbalance\":%.4f,\"speedup\":%.4f,\"efficiency\":%.4f",
-      static_cast<unsigned long long>(stats.BusyTotalNanos()),
-      static_cast<unsigned long long>(stats.IdleTotalNanos()),
-      stats.Imbalance(), stats.Speedup(), stats.Efficiency());
+  Record record("parallel_region");
+  record.Str("name", stats.name)
+      .Int("items", stats.items)
+      .Int("block_size", stats.block_size)
+      .Int("blocks", stats.blocks)
+      .Int("requested", stats.requested)
+      .Int("workers", stats.workers)
+      .Int("wall_ns", stats.wall_ns)
+      .Int("spawn_ns", stats.spawn_ns)
+      .Int("join_ns", stats.join_ns);
+  record.Array("busy_ns");
+  for (const auto& worker : stats.per_worker) record.Int(worker.busy_ns);
+  record.End().Array("blocks_claimed");
+  for (const auto& worker : stats.per_worker) record.Int(worker.blocks);
+  record.End()
+      .Int("busy_total_ns", stats.BusyTotalNanos())
+      .Int("idle_total_ns", stats.IdleTotalNanos())
+      .Num("imbalance", stats.Imbalance())
+      .Num("speedup", stats.Speedup())
+      .Num("efficiency", stats.Efficiency());
   if (const HwCounterDelta hw = stats.HwTotals(); hw.valid) {
-    line += StrFormat(
-        ",\"cycles\":%llu,\"instructions\":%llu,\"cache_refs\":%llu,"
-        "\"cache_misses\":%llu,\"ipc\":%.4f,\"cache_miss_rate\":%.6f",
-        static_cast<unsigned long long>(hw.cycles),
-        static_cast<unsigned long long>(hw.instructions),
-        static_cast<unsigned long long>(hw.cache_references),
-        static_cast<unsigned long long>(hw.cache_misses), hw.Ipc(),
-        hw.CacheMissRate());
+    record.Int("cycles", hw.cycles)
+        .Int("instructions", hw.instructions)
+        .Int("cache_refs", hw.cache_references)
+        .Int("cache_misses", hw.cache_misses)
+        .Num("ipc", hw.Ipc())
+        .Num("cache_miss_rate", hw.CacheMissRate());
   }
-  line += '}';
-  return line;
+  return record.Finish();
 }
 
 void RecordParallelRegion(const ParallelRegionStats& stats) {
@@ -240,24 +224,22 @@ void EmitInFlightParallelRegions(RecordSink* sink) {
   if (!lock.owns_lock()) return;
   const std::uint64_t now = MonotonicNanos();
   for (const ActiveParallelRegion* region : ActiveRegions()) {
-    sink->Write(StrFormat(
-        "{\"type\":\"parallel_region\",\"partial\":true,\"name\":\"%s\","
-        "\"t_ms\":%llu,\"items\":%llu,\"block_size\":%llu,\"blocks\":%llu,"
-        "\"requested\":%llu,\"workers\":%llu,\"blocks_done\":%llu,"
-        "\"busy_total_ns\":%llu,\"wall_ns\":%llu}",
-        JsonEscape(region->name_).c_str(),
-        static_cast<unsigned long long>(WallUnixMillis()),
-        static_cast<unsigned long long>(region->items_),
-        static_cast<unsigned long long>(region->block_size_),
-        static_cast<unsigned long long>(region->blocks_),
-        static_cast<unsigned long long>(region->requested_),
-        static_cast<unsigned long long>(region->workers_),
-        static_cast<unsigned long long>(
-            region->blocks_done_.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            region->busy_ns_.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            now > region->start_ns_ ? now - region->start_ns_ : 0)));
+    sink->Write(
+        Record("parallel_region")
+            .Bool("partial", true)
+            .Str("name", region->name_)
+            .Int("items", region->items_)
+            .Int("block_size", region->block_size_)
+            .Int("blocks", region->blocks_)
+            .Int("requested", region->requested_)
+            .Int("workers", region->workers_)
+            .Int("blocks_done",
+                 region->blocks_done_.load(std::memory_order_relaxed))
+            .Int("busy_total_ns",
+                 region->busy_ns_.load(std::memory_order_relaxed))
+            .Int("wall_ns",
+                 now > region->start_ns_ ? now - region->start_ns_ : 0)
+            .Finish());
   }
 }
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "chameleon/obs/obs.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/obs/trace.h"
 #include "chameleon/util/logging.h"
 #include "chameleon/util/string_util.h"
@@ -460,26 +461,17 @@ void EmitProfileRecord(const ProfileReport& report,
                        const std::string& folded_out) {
   RecordSink* sink = GlobalSink();
   if (sink == nullptr) return;
-  std::string line = StrFormat(
-      "{\"type\":\"profile\",\"t_ms\":%llu,\"hz\":%d,\"duration_ms\":%.3f,"
-      "\"samples\":%llu,\"dropped\":%llu",
-      static_cast<unsigned long long>(WallUnixMillis()), report.hz,
-      report.duration_ms, static_cast<unsigned long long>(report.samples),
-      static_cast<unsigned long long>(report.dropped));
-  if (!folded_out.empty()) {
-    line += StrFormat(",\"folded_out\":\"%s\"",
-                      JsonEscape(folded_out).c_str());
-  }
-  line += ",\"spans\":{";
-  bool first = true;
+  Record record("profile");
+  record.Int("hz", report.hz)
+      .Num("duration_ms", report.duration_ms)
+      .Int("samples", report.samples)
+      .Int("dropped", report.dropped);
+  if (!folded_out.empty()) record.Str("folded_out", folded_out);
+  record.Object("spans");
   for (const auto& [path, samples] : report.span_samples) {
-    if (!first) line += ',';
-    first = false;
-    line += StrFormat("\"%s\":%llu", JsonEscape(path).c_str(),
-                      static_cast<unsigned long long>(samples));
+    record.Int(path, samples);
   }
-  line += "}}";
-  sink->Write(line);
+  sink->Write(record.Finish());
   sink->Flush();
 }
 

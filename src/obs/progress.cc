@@ -6,6 +6,7 @@
 
 #include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/util/logging.h"
 #include "chameleon/util/string_util.h"
 #include "chameleon/util/timer.h"
@@ -123,22 +124,19 @@ void ProgressHeartbeat::Emit(bool final) {
   }
 
   if (options_.sink != nullptr) {
-    std::string line = StrFormat(
-        "{\"type\":\"progress\",\"label\":\"%s\",\"t_ms\":%llu,"
-        "\"done\":%llu,\"total\":%llu,\"rate_per_s\":%.1f,\"eta_s\":%.2f",
-        JsonEscape(label_).c_str(),
-        static_cast<unsigned long long>(WallUnixMillis()),
-        static_cast<unsigned long long>(done_units_),
-        static_cast<unsigned long long>(total_units_), rate, eta_s);
+    Record record("progress");
+    record.Str("label", label_)
+        .Int("done", done_units_)
+        .Int("total", total_units_)
+        .Num("rate_per_s", rate)
+        .Num("eta_s", eta_s);
     if (has_accept) {
-      line += StrFormat(
-          ",\"accepted\":%llu,\"attempted\":%llu,\"accept_rate\":%.4f",
-          static_cast<unsigned long long>(accepted_),
-          static_cast<unsigned long long>(attempted_), accept_rate);
+      record.Int("accepted", accepted_)
+          .Int("attempted", attempted_)
+          .Num("accept_rate", accept_rate);
     }
-    if (final) line += ",\"final\":true";
-    line += '}';
-    options_.sink->Write(line);
+    if (final) record.Bool("final", true);
+    options_.sink->Write(record.Finish());
   }
 }
 

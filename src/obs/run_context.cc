@@ -7,9 +7,9 @@
 #include "chameleon/obs/crash_handler.h"
 #include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/obs/sink.h"
 #include "chameleon/util/string_util.h"
-#include "chameleon/util/timer.h"
 
 namespace chameleon::obs {
 namespace {
@@ -22,20 +22,6 @@ std::string ReadHostname() {
 
 std::uint64_t NonNegative(long value) {
   return value > 0 ? static_cast<std::uint64_t>(value) : 0;
-}
-
-void AppendJsonStringMap(
-    std::string& out, std::string_view key,
-    const std::vector<std::pair<std::string, std::string>>& entries) {
-  out += StrFormat(",\"%s\":{", std::string(key).c_str());
-  bool first = true;
-  for (const auto& [k, v] : entries) {
-    if (!first) out += ',';
-    first = false;
-    out += StrFormat("\"%s\":\"%s\"", JsonEscape(k).c_str(),
-                     JsonEscape(v).c_str());
-  }
-  out += '}';
 }
 
 }  // namespace
@@ -111,57 +97,48 @@ void RunManifest::AddParam(std::string_view key, std::string_view value) {
   params_.emplace_back(std::string(key), std::string(value));
 }
 
+void AppendUsage(const ProcessUsage& usage, JsonWriter* out) {
+  out->Object("rusage")
+      .Num("user_cpu_ms", usage.user_cpu_ms)
+      .Num("system_cpu_ms", usage.system_cpu_ms)
+      .Int("max_rss_kb", usage.max_rss_kb)
+      .Int("minflt", usage.minor_faults)
+      .Int("majflt", usage.major_faults)
+      .End();
+}
+
 std::string RunManifest::ToJsonLine() const {
   const BuildInfo& build = GetBuildInfo();
   const HostInfo host = GetHostInfo();
 
-  std::string out = StrFormat(
-      "{\"type\":\"manifest\",\"t_ms\":%llu,\"tool\":\"%s\"",
-      static_cast<unsigned long long>(WallUnixMillis()),
-      JsonEscape(tool_).c_str());
-
-  out += StrFormat(
-      ",\"build\":{\"version\":\"%s\",\"git_sha\":\"%s\","
-      "\"git_describe\":\"%s\",\"compiler\":\"%s %s\","
-      "\"build_type\":\"%s\",\"cxx_flags\":\"%s\",\"sanitize\":\"%s\","
-      "\"obs\":%s}",
-      JsonEscape(build.version).c_str(), JsonEscape(build.git_sha).c_str(),
-      JsonEscape(build.git_describe).c_str(),
-      JsonEscape(build.compiler_id).c_str(),
-      JsonEscape(build.compiler_version).c_str(),
-      JsonEscape(build.build_type).c_str(),
-      JsonEscape(build.cxx_flags).c_str(), JsonEscape(build.sanitize).c_str(),
-      build.obs_compiled ? "true" : "false");
-
-  out += StrFormat(
-      ",\"host\":{\"hostname\":\"%s\",\"pid\":%lld,\"cpus\":%lld,"
-      "\"page_size\":%lld}",
-      JsonEscape(host.hostname).c_str(), static_cast<long long>(host.pid),
-      static_cast<long long>(host.num_cpus),
-      static_cast<long long>(host.page_size_bytes));
-
-  out += ",\"argv\":[";
-  bool first = true;
-  for (const std::string& arg : argv_) {
-    if (!first) out += ',';
-    first = false;
-    out += StrFormat("\"%s\"", JsonEscape(arg).c_str());
+  Record record("manifest");
+  record.Str("tool", tool_)
+      .Object("build")
+      .Str("version", build.version)
+      .Str("git_sha", build.git_sha)
+      .Str("git_describe", build.git_describe)
+      .Str("compiler", build.compiler_id + " " + build.compiler_version)
+      .Str("build_type", build.build_type)
+      .Str("cxx_flags", build.cxx_flags)
+      .Str("sanitize", build.sanitize)
+      .Bool("obs", build.obs_compiled)
+      .End()
+      .Object("host")
+      .Str("hostname", host.hostname)
+      .Int("pid", host.pid)
+      .Int("cpus", host.num_cpus)
+      .Int("page_size", host.page_size_bytes)
+      .End()
+      .Array("argv");
+  for (const std::string& arg : argv_) record.Str(arg);
+  record.End().Object("seeds");
+  for (const auto& [name, value] : seeds_) record.Int(name, value);
+  record.End();
+  if (!params_.empty()) {
+    record.Object("params");
+    for (const auto& [key, value] : params_) record.Str(key, value);
   }
-  out += ']';
-
-  out += ",\"seeds\":{";
-  first = true;
-  for (const auto& [name, value] : seeds_) {
-    if (!first) out += ',';
-    first = false;
-    out += StrFormat("\"%s\":%llu", JsonEscape(name).c_str(),
-                     static_cast<unsigned long long>(value));
-  }
-  out += '}';
-
-  if (!params_.empty()) AppendJsonStringMap(out, "params", params_);
-  out += '}';
-  return out;
+  return record.Finish();
 }
 
 void EmitRunManifest(const RunManifest& manifest) {

@@ -1,8 +1,6 @@
 #include "chameleon/obs/sink.h"
 
-#include <cstdlib>
-
-#include "chameleon/util/string_util.h"
+#include "chameleon/obs/record.h"
 
 namespace chameleon::obs {
 
@@ -19,106 +17,40 @@ JsonlFileSink::JsonlFileSink(std::FILE* file, std::string path)
     : file_(file), path_(std::move(path)) {}
 
 JsonlFileSink::~JsonlFileSink() {
-  const std::lock_guard<TimedMutex> lock(mu_);
+  const std::lock_guard<std::mutex> lock(mu_);
   if (file_ != nullptr) std::fclose(file_);
 }
 
 void JsonlFileSink::Write(std::string_view line) {
-  const std::lock_guard<TimedMutex> lock(mu_);
+  const std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) return;
   std::fwrite(line.data(), 1, line.size(), file_);
   std::fputc('\n', file_);
 }
 
 void JsonlFileSink::Flush() {
-  const std::lock_guard<TimedMutex> lock(mu_);
+  const std::lock_guard<std::mutex> lock(mu_);
   if (file_ != nullptr) std::fflush(file_);
 }
 
-namespace {
-
-/// Finds the byte range of the value for `"key":` at any nesting level,
-/// skipping matches inside string literals. Good enough for the flat
-/// records this library emits.
-std::optional<std::size_t> FindValueStart(std::string_view line,
-                                          std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  bool in_string = false;
-  bool escaped = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (escaped) {
-      escaped = false;
-      continue;
-    }
-    if (c == '\\') {
-      escaped = true;
-      continue;
-    }
-    if (c == '"') {
-      // Candidate key match must begin at this quote, outside a string.
-      if (!in_string && line.substr(i, needle.size()) == needle) {
-        return i + needle.size();
-      }
-      in_string = !in_string;
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
 std::optional<std::string> JsonlStringField(std::string_view line,
                                             std::string_view key) {
-  const auto start = FindValueStart(line, key);
-  if (!start.has_value() || *start >= line.size() || line[*start] != '"') {
-    return std::nullopt;
-  }
-  std::string out;
-  bool escaped = false;
-  for (std::size_t i = *start + 1; i < line.size(); ++i) {
-    const char c = line[i];
-    if (escaped) {
-      switch (c) {
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        default:
-          out += c;
-      }
-      escaped = false;
-      continue;
-    }
-    if (c == '\\') {
-      escaped = true;
-      continue;
-    }
-    if (c == '"') return out;
-    out += c;
-  }
-  return std::nullopt;  // unterminated string
+  const std::optional<JsonValue> record = ParseJson(line);
+  const JsonValue* value =
+      record.has_value() ? record->Find(key, JsonValue::Kind::kString)
+                         : nullptr;
+  if (value == nullptr) return std::nullopt;
+  return value->str();
 }
 
 std::optional<double> JsonlNumberField(std::string_view line,
                                        std::string_view key) {
-  const auto start = FindValueStart(line, key);
-  if (!start.has_value() || *start >= line.size()) return std::nullopt;
-  std::size_t end = *start;
-  while (end < line.size() &&
-         (std::string_view("+-.eE0123456789").find(line[end]) !=
-          std::string_view::npos)) {
-    ++end;
-  }
-  if (end == *start) return std::nullopt;
-  const Result<double> parsed = ParseDouble(line.substr(*start, end - *start));
-  if (!parsed.ok()) return std::nullopt;
-  return *parsed;
+  const std::optional<JsonValue> record = ParseJson(line);
+  const JsonValue* value =
+      record.has_value() ? record->Find(key, JsonValue::Kind::kNumber)
+                         : nullptr;
+  if (value == nullptr) return std::nullopt;
+  return value->number();
 }
 
 }  // namespace chameleon::obs

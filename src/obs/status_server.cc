@@ -23,6 +23,7 @@
 #include "chameleon/obs/parallel_stats.h"
 #include "chameleon/obs/profiler.h"
 #include "chameleon/obs/progress.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/obs/run_context.h"
 #include "chameleon/obs/trace.h"
 #include "chameleon/obs/watchdog.h"
@@ -481,11 +482,10 @@ Status StartGlobalStatusServer(const StatusServerOptions& options) {
   // know it up front; the JSONL record makes it discoverable from the
   // metrics stream (chameleon_watch, CI smoke tests).
   if (RecordSink* sink = GlobalSink(); sink != nullptr) {
-    sink->Write(StrFormat(
-        "{\"type\":\"status_server\",\"t_ms\":%llu,\"address\":\"%s\","
-        "\"port\":%d}",
-        static_cast<unsigned long long>(WallUnixMillis()),
-        JsonEscape(options.bind_address).c_str(), port));
+    sink->Write(Record("status_server")
+                    .Str("address", options.bind_address)
+                    .Int("port", port)
+                    .Finish());
     sink->Flush();
   }
   return Status::OK();

@@ -13,8 +13,8 @@
 #include "chameleon/obs/heap_profiler.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/profiler.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/util/logging.h"
-#include "chameleon/util/string_util.h"
 
 namespace chameleon::obs {
 namespace {
@@ -269,62 +269,42 @@ TraceSpan::~TraceSpan() {
       return hi > lo ? hi - lo : 0;
     };
     const std::uint64_t cpu_ns = delta(start_resources_.cpu_ns, end.cpu_ns);
-    std::string line = StrFormat(
-        "{\"type\":\"span\",\"path\":\"%s\",\"tid\":%u,\"t_ms\":%llu,"
-        "\"mono_ns\":%llu,\"dur_ns\":%llu,\"cpu_ns\":%llu,"
-        "\"offcpu_ns\":%llu,\"vcsw\":%llu,\"ivcsw\":%llu,"
-        "\"max_rss_kb\":%llu,\"minflt\":%llu,\"majflt\":%llu,"
-        "\"allocs\":%llu,\"alloc_bytes\":%llu",
-        JsonEscape(path_).c_str(), CurrentThreadIndex(),
-        static_cast<unsigned long long>(start_wall_millis_),
-        static_cast<unsigned long long>(start_nanos_),
-        static_cast<unsigned long long>(duration),
-        static_cast<unsigned long long>(cpu_ns),
+    Record record("span", start_wall_millis_);
+    record.Str("path", path_)
+        .Int("tid", CurrentThreadIndex())
+        .Int("mono_ns", start_nanos_)
+        .Int("dur_ns", duration)
+        .Int("cpu_ns", cpu_ns)
         // Wall-vs-CPU gap: time this thread existed inside the span but
         // was not running — blocked, runnable-but-preempted, or asleep.
-        static_cast<unsigned long long>(delta(cpu_ns, duration)),
-        static_cast<unsigned long long>(
-            delta(start_resources_.voluntary_csw, end.voluntary_csw)),
-        static_cast<unsigned long long>(
-            delta(start_resources_.involuntary_csw, end.involuntary_csw)),
-        static_cast<unsigned long long>(end.max_rss_kb),
-        static_cast<unsigned long long>(
-            delta(start_resources_.minor_faults, end.minor_faults)),
-        static_cast<unsigned long long>(
-            delta(start_resources_.major_faults, end.major_faults)),
-        static_cast<unsigned long long>(
-            delta(start_resources_.allocs, end.allocs)),
-        static_cast<unsigned long long>(
-            delta(start_resources_.alloc_bytes, end.alloc_bytes)));
+        .Int("offcpu_ns", delta(cpu_ns, duration))
+        .Int("vcsw", delta(start_resources_.voluntary_csw, end.voluntary_csw))
+        .Int("ivcsw",
+             delta(start_resources_.involuntary_csw, end.involuntary_csw))
+        .Int("max_rss_kb", end.max_rss_kb)
+        .Int("minflt", delta(start_resources_.minor_faults, end.minor_faults))
+        .Int("majflt", delta(start_resources_.major_faults, end.major_faults))
+        .Int("allocs", delta(start_resources_.allocs, end.allocs))
+        .Int("alloc_bytes",
+             delta(start_resources_.alloc_bytes, end.alloc_bytes));
     if (hw.valid) {
-      line += StrFormat(
-          ",\"cycles\":%llu,\"instructions\":%llu,\"cache_refs\":%llu,"
-          "\"cache_misses\":%llu,\"branch_misses\":%llu,"
-          "\"stalled_backend\":%llu,\"task_clock_ns\":%llu,"
-          "\"hw_scale\":%.4f,\"ipc\":%.4f,\"cache_miss_rate\":%.6f,"
-          "\"branch_miss_rate\":%.6f",
-          static_cast<unsigned long long>(hw.cycles),
-          static_cast<unsigned long long>(hw.instructions),
-          static_cast<unsigned long long>(hw.cache_references),
-          static_cast<unsigned long long>(hw.cache_misses),
-          static_cast<unsigned long long>(hw.branch_misses),
-          static_cast<unsigned long long>(hw.stalled_backend),
-          static_cast<unsigned long long>(hw.task_clock_ns), hw.scale,
-          hw.Ipc(), hw.CacheMissRate(), hw.BranchMissRate());
+      record.Int("cycles", hw.cycles)
+          .Int("instructions", hw.instructions)
+          .Int("cache_refs", hw.cache_references)
+          .Int("cache_misses", hw.cache_misses)
+          .Int("branch_misses", hw.branch_misses)
+          .Int("stalled_backend", hw.stalled_backend)
+          .Int("task_clock_ns", hw.task_clock_ns)
+          .Num("hw_scale", hw.scale)
+          .Num("ipc", hw.Ipc())
+          .Num("cache_miss_rate", hw.CacheMissRate())
+          .Num("branch_miss_rate", hw.BranchMissRate());
     }
     if (!counters_.empty()) {
-      line += ",\"counters\":{";
-      bool first = true;
-      for (const auto& [key, value] : counters_) {
-        if (!first) line += ',';
-        first = false;
-        line += StrFormat("\"%s\":%llu", JsonEscape(key).c_str(),
-                          static_cast<unsigned long long>(value));
-      }
-      line += '}';
+      record.Object("counters");
+      for (const auto& [key, value] : counters_) record.Int(key, value);
     }
-    line += '}';
-    tracer_->sink()->Write(line);
+    tracer_->sink()->Write(record.Finish());
   }
 }
 

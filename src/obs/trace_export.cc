@@ -3,51 +3,20 @@
 #include <fstream>
 #include <set>
 
-#include "chameleon/obs/sink.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/util/string_util.h"
 
 namespace chameleon::obs {
 namespace {
-
-/// Extracts the raw `"counters":{...}` object from a span record so it
-/// can be re-embedded verbatim in the event's args. Returns "" when the
-/// span carried no counters.
-std::string RawCountersObject(const std::string& line) {
-  const std::size_t key = line.find("\"counters\":{");
-  if (key == std::string::npos) return "";
-  const std::size_t open = key + 11;  // index of '{'
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (std::size_t i = open; i < line.size(); ++i) {
-    const char c = line[i];
-    if (escaped) {
-      escaped = false;
-      continue;
-    }
-    if (c == '\\') {
-      escaped = true;
-      continue;
-    }
-    if (c == '"') in_string = !in_string;
-    if (in_string) continue;
-    if (c == '{') ++depth;
-    if (c == '}' && --depth == 0) return line.substr(open, i - open + 1);
-  }
-  return "";
-}
 
 std::string LastPathSegment(const std::string& path) {
   const std::size_t slash = path.rfind('/');
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
-void AppendNumberArg(std::string& args, const std::string& line,
-                     std::string_view key) {
-  const auto value = JsonlNumberField(line, key);
-  if (!value.has_value()) return;
-  if (args.back() != '{') args += ',';
-  args += StrFormat("\"%s\":%.0f", std::string(key).c_str(), *value);
+/// The record's "type", or "" when the line is not a typed record.
+std::string RecordType(const std::optional<JsonValue>& record) {
+  return record.has_value() ? record->Str("type") : std::string();
 }
 
 }  // namespace
@@ -55,25 +24,28 @@ void AppendNumberArg(std::string& args, const std::string& line,
 std::string ChromeTraceFromJsonlLines(const std::vector<std::string>& lines,
                                       TraceExportStats* stats_out) {
   TraceExportStats stats;
+  std::vector<std::optional<JsonValue>> records;
+  records.reserve(lines.size());
+  for (const std::string& line : lines) records.push_back(ParseJson(line));
 
   // Pass 1: wall-to-monotonic offset (µs) from the first span carrying
   // both clocks, so wall-only records (snapshots, progress) land on the
   // same timeline as the monotonic span timestamps.
   double wall_offset_us = 0.0;
   bool have_offset = false;
-  std::string manifest_line;
-  for (const std::string& line : lines) {
-    const auto type = JsonlStringField(line, "type");
-    if (!type.has_value()) continue;
-    if (!have_offset && *type == "span") {
-      const auto mono = JsonlNumberField(line, "mono_ns");
-      const auto wall = JsonlNumberField(line, "t_ms");
-      if (mono.has_value() && wall.has_value()) {
-        wall_offset_us = *mono / 1e3 - *wall * 1e3;
+  const JsonValue* manifest = nullptr;
+  for (const std::optional<JsonValue>& record : records) {
+    const std::string type = RecordType(record);
+    if (!have_offset && type == "span") {
+      const JsonValue* mono = record->Get("mono_ns");
+      const JsonValue* wall = record->Get("t_ms");
+      if (mono != nullptr && mono->is(JsonValue::Kind::kNumber) &&
+          wall != nullptr && wall->is(JsonValue::Kind::kNumber)) {
+        wall_offset_us = mono->number() / 1e3 - wall->number() * 1e3;
         have_offset = true;
       }
     }
-    if (manifest_line.empty() && *type == "manifest") manifest_line = line;
+    if (manifest == nullptr && type == "manifest") manifest = &*record;
   }
   const auto wall_to_ts = [&](double wall_ms) {
     return wall_ms * 1e3 + wall_offset_us;
@@ -86,65 +58,65 @@ std::string ChromeTraceFromJsonlLines(const std::vector<std::string>& lines,
     events += event;
   };
 
-  for (const std::string& line : lines) {
-    const auto type = JsonlStringField(line, "type");
-    if (!type.has_value()) {
-      if (!StripWhitespace(line).empty()) ++stats.skipped_lines;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::string type = RecordType(records[i]);
+    if (type.empty()) {
+      if (!StripWhitespace(lines[i]).empty()) ++stats.skipped_lines;
       continue;
     }
-    if (*type == "span") {
-      const auto path = JsonlStringField(line, "path");
-      const auto dur = JsonlNumberField(line, "dur_ns");
-      if (!path.has_value() || !dur.has_value()) {
+    const JsonValue& record = *records[i];
+    if (type == "span") {
+      const JsonValue* path = record.Get("path");
+      const JsonValue* dur = record.Get("dur_ns");
+      if (path == nullptr || !path->is(JsonValue::Kind::kString) ||
+          dur == nullptr || !dur->is(JsonValue::Kind::kNumber)) {
         ++stats.skipped_lines;
         continue;
       }
       ++stats.spans;
-      const auto mono = JsonlNumberField(line, "mono_ns");
-      const auto wall = JsonlNumberField(line, "t_ms");
-      const double ts_us = mono.has_value()
-                               ? *mono / 1e3
-                               : wall_to_ts(wall.value_or(0.0));
-      const auto tid =
-          static_cast<unsigned>(JsonlNumberField(line, "tid").value_or(0.0));
+      const JsonValue* mono = record.Get("mono_ns");
+      const double ts_us = mono != nullptr && mono->is(JsonValue::Kind::kNumber)
+                               ? mono->number() / 1e3
+                               : wall_to_ts(record.Num("t_ms"));
+      const auto tid = static_cast<unsigned>(record.Num("tid"));
       tids.insert(tid);
 
       std::string args = StrFormat("{\"path\":\"%s\"",
-                                   JsonEscape(*path).c_str());
+                                   JsonEscape(path->str()).c_str());
       for (const std::string_view key :
            {"cpu_ns", "max_rss_kb", "minflt", "majflt", "allocs",
             "alloc_bytes"}) {
-        AppendNumberArg(args, line, key);
+        const JsonValue* value = record.Get(key);
+        if (value == nullptr || !value->is(JsonValue::Kind::kNumber)) continue;
+        args += StrFormat(",\"%s\":%.0f", std::string(key).c_str(),
+                          value->number());
       }
-      const std::string counters = RawCountersObject(line);
-      if (!counters.empty()) args += ",\"counters\":" + counters;
+      if (const JsonValue* counters = record.Get("counters");
+          counters != nullptr && counters->is(JsonValue::Kind::kObject)) {
+        args += ",\"counters\":" + counters->raw();
+      }
       args += '}';
 
       append_event(StrFormat(
           "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":%.3f,"
           "\"dur\":%.3f,\"pid\":1,\"tid\":%u,\"args\":%s}",
-          JsonEscape(LastPathSegment(*path)).c_str(), ts_us, *dur / 1e3, tid,
-          args.c_str()));
-    } else if (*type == "snapshot") {
+          JsonEscape(LastPathSegment(path->str())).c_str(), ts_us,
+          dur->number() / 1e3, tid, args.c_str()));
+    } else if (type == "snapshot") {
       ++stats.snapshots;
-      const auto label = JsonlStringField(line, "label");
-      const auto wall = JsonlNumberField(line, "t_ms");
       append_event(StrFormat(
           "{\"name\":\"snapshot:%s\",\"cat\":\"snapshot\",\"ph\":\"i\","
           "\"ts\":%.3f,\"pid\":1,\"tid\":0,\"s\":\"p\"}",
-          JsonEscape(label.value_or("")).c_str(),
-          wall_to_ts(wall.value_or(0.0))));
-    } else if (*type == "progress") {
+          JsonEscape(record.Str("label")).c_str(),
+          wall_to_ts(record.Num("t_ms"))));
+    } else if (type == "progress") {
       ++stats.progress;
-      const auto label = JsonlStringField(line, "label");
-      const auto wall = JsonlNumberField(line, "t_ms");
-      const auto done = JsonlNumberField(line, "done");
       append_event(StrFormat(
           "{\"name\":\"%s\",\"cat\":\"progress\",\"ph\":\"C\",\"ts\":%.3f,"
           "\"pid\":1,\"args\":{\"done\":%.0f}}",
-          JsonEscape(label.value_or("")).c_str(),
-          wall_to_ts(wall.value_or(0.0)), done.value_or(0.0)));
-    } else if (*type == "manifest") {
+          JsonEscape(record.Str("label")).c_str(),
+          wall_to_ts(record.Num("t_ms")), record.Num("done")));
+    } else if (type == "manifest") {
       stats.saw_manifest = true;
     }
     // snapshot/run_summary metric payloads stay in the JSONL; obs_dump
@@ -152,12 +124,17 @@ std::string ChromeTraceFromJsonlLines(const std::vector<std::string>& lines,
   }
 
   // Metadata: process name from the manifest, one named track per tid.
+  // Manifest fields are looked up at any depth (build/host nest them).
+  const auto manifest_field = [manifest](std::string_view key) {
+    return manifest != nullptr ? manifest->Find(key, JsonValue::Kind::kString)
+                               : nullptr;
+  };
   std::string process_name = "chameleon";
-  if (!manifest_line.empty()) {
-    const auto tool = JsonlStringField(manifest_line, "tool");
-    const auto describe = JsonlStringField(manifest_line, "git_describe");
-    if (tool.has_value()) process_name = "chameleon " + *tool;
-    if (describe.has_value()) process_name += " (" + *describe + ")";
+  if (const JsonValue* tool = manifest_field("tool")) {
+    process_name = "chameleon " + tool->str();
+  }
+  if (const JsonValue* describe = manifest_field("git_describe")) {
+    process_name += " (" + describe->str() + ")";
   }
   append_event(StrFormat(
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
@@ -171,15 +148,13 @@ std::string ChromeTraceFromJsonlLines(const std::vector<std::string>& lines,
   }
 
   std::string other_data = "{";
-  if (!manifest_line.empty()) {
-    for (const std::string_view key :
-         {"tool", "git_sha", "git_describe", "hostname"}) {
-      const auto value = JsonlStringField(manifest_line, key);
-      if (!value.has_value()) continue;
-      if (other_data.back() != '{') other_data += ',';
-      other_data += StrFormat("\"%s\":\"%s\"", std::string(key).c_str(),
-                              JsonEscape(*value).c_str());
-    }
+  for (const std::string_view key :
+       {"tool", "git_sha", "git_describe", "hostname"}) {
+    const JsonValue* value = manifest_field(key);
+    if (value == nullptr) continue;
+    if (other_data.back() != '{') other_data += ',';
+    other_data += StrFormat("\"%s\":\"%s\"", std::string(key).c_str(),
+                            JsonEscape(value->str()).c_str());
   }
   other_data += '}';
 

@@ -15,6 +15,7 @@
 
 #include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/obs/trace.h"
 #include "chameleon/util/logging.h"
 #include "chameleon/util/string_util.h"
@@ -95,14 +96,14 @@ void EmitStallRecord(const PhaseHealth& phase, const WatchdogOptions& options,
   RecordSink* sink =
       options.sink != nullptr ? options.sink : GlobalSink();
   if (sink == nullptr) return;
-  sink->Write(StrFormat(
-      "{\"type\":\"watchdog_stall\",\"t_ms\":%llu,\"path\":\"%s\","
-      "\"tid\":%u,\"idle_ms\":%.1f,\"open_ms\":%.1f,"
-      "\"stall_seconds\":%.3f,\"aborting\":%s}",
-      static_cast<unsigned long long>(WallUnixMillis()),
-      JsonEscape(phase.path).c_str(), phase.tid, phase.idle_seconds * 1e3,
-      phase.open_seconds * 1e3, options.stall_seconds,
-      aborting ? "true" : "false"));
+  sink->Write(Record("watchdog_stall")
+                  .Str("path", phase.path)
+                  .Int("tid", phase.tid)
+                  .Num("idle_ms", phase.idle_seconds * 1e3)
+                  .Num("open_ms", phase.open_seconds * 1e3)
+                  .Num("stall_seconds", options.stall_seconds)
+                  .Bool("aborting", aborting)
+                  .Finish());
   sink->Flush();
 }
 

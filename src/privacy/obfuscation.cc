@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "chameleon/obs/obs.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/util/parallel.h"
 #include "chameleon/util/string_util.h"
 #include "chameleon/util/timer.h"
@@ -191,23 +192,20 @@ void EmitPrivacyCheckRecord(const ObfuscationCertificate& certificate) {
   if (!obs::Enabled()) return;
   obs::RecordSink* sink = obs::GlobalSink();
   if (sink == nullptr) return;
-  const std::string line = StrFormat(
-      "{\"type\":\"privacy_check\",\"t_ms\":%llu,\"k\":%.10g,"
-      "\"eps\":%.10g,\"eps_hat\":%.10g,\"obfuscated\":%s,"
-      "\"vertices\":%llu,\"not_obfuscated\":%llu,"
-      "\"min_entropy_bits\":%.10g,\"mean_entropy_bits\":%.10g,"
-      "\"distinct_omegas\":%llu,\"adversary\":\"%s\",\"threads\":%d,"
-      "\"wall_ms\":%.6g}",
-      static_cast<unsigned long long>(WallUnixMillis()), certificate.k,
-      certificate.epsilon, certificate.epsilon_hat,
-      certificate.obfuscated ? "true" : "false",
-      static_cast<unsigned long long>(certificate.vertices),
-      static_cast<unsigned long long>(certificate.not_obfuscated),
-      certificate.min_entropy_bits, certificate.mean_entropy_bits,
-      static_cast<unsigned long long>(certificate.distinct_omegas),
-      std::string(AdversaryModelName(certificate.adversary)).c_str(),
-      certificate.threads, certificate.wall_ms);
-  sink->Write(line);
+  sink->Write(obs::Record("privacy_check")
+                  .Num("k", certificate.k)
+                  .Num("eps", certificate.epsilon)
+                  .Num("eps_hat", certificate.epsilon_hat)
+                  .Bool("obfuscated", certificate.obfuscated)
+                  .Int("vertices", certificate.vertices)
+                  .Int("not_obfuscated", certificate.not_obfuscated)
+                  .Num("min_entropy_bits", certificate.min_entropy_bits)
+                  .Num("mean_entropy_bits", certificate.mean_entropy_bits)
+                  .Int("distinct_omegas", certificate.distinct_omegas)
+                  .Str("adversary", AdversaryModelName(certificate.adversary))
+                  .Int("threads", certificate.threads)
+                  .Num("wall_ms", certificate.wall_ms)
+                  .Finish());
 }
 
 }  // namespace chameleon::privacy

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "chameleon/obs/record.h"
+
 namespace chameleon::obs {
 namespace {
 
@@ -207,7 +209,9 @@ TEST(MetricsSnapshotTest, ToJsonShape) {
   registry.Count("a", 2);
   registry.SetGauge("g", 0.5);
   registry.Observe("h", 100);
-  const std::string json = registry.TakeSnapshot().ToJson();
+  JsonWriter writer;
+  registry.TakeSnapshot().AppendJson("metrics", &writer);
+  const std::string json = writer.Finish();
   EXPECT_NE(json.find("\"counters\":{\"a\":2}"), std::string::npos);
   EXPECT_NE(json.find("\"g\":0.5"), std::string::npos);
   EXPECT_NE(json.find("\"h\":{\"count\":1"), std::string::npos);

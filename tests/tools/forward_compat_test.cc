@@ -224,6 +224,51 @@ TEST(WatchForwardCompatTest, UnknownTypesPassThroughWithOneNote) {
   std::remove(path.c_str());
 }
 
+TEST(WatchForwardCompatTest, CrashFrameCountSeesBracketsInsideFrames) {
+  // The first frame's "[]" must not end the frames array early.
+  const std::string path = WriteStream(
+      "fc_crash.jsonl",
+      "{\"type\":\"crash\",\"t_ms\":1,\"signal\":11,"
+      "\"signal_name\":\"SIGSEGV\",\"si_code\":1,\"tid\":1,"
+      "\"fault_addr\":\"0x0\",\"frames\":["
+      "\"std::vector<int>::operator[](unsigned long)\","
+      "\"chameleon::Run(int, char**)\",\"main\"],"
+      "\"rusage\":{\"user_cpu_ms\":1,\"system_cpu_ms\":0,"
+      "\"max_rss_kb\":1,\"minflt\":0,\"majflt\":0}}\n");
+  const RunResult watch =
+      RunCommand(std::string(WATCH_BIN) + " --once " + path);
+  EXPECT_EQ(watch.exit_code, 0) << watch.stderr_text;
+  EXPECT_NE(watch.stdout_text.find("3 frames"), std::string::npos)
+      << watch.stdout_text;
+  const RunResult dump = RunCommand(std::string(OBS_DUMP_BIN) + " " + path);
+  EXPECT_EQ(dump.exit_code, 0) << dump.stderr_text;
+  EXPECT_NE(dump.stdout_text.find("#2 main"), std::string::npos)
+      << dump.stdout_text;
+  std::remove(path.c_str());
+}
+
+TEST(ForwardCompatTest, NestedUnknownRecordPassesThroughBothReaders) {
+  // An unknown type carrying a nested object, an array, and a \u0001
+  // string: each reader notes the type once and renders the rest.
+  const std::string path = WriteStream(
+      "fc_nested.jsonl",
+      "{\"type\":\"wormhole\",\"t_ms\":1,"
+      "\"cfg\":{\"gate\":{\"open\":true},\"path\":\"x]}\"},"
+      "\"hops\":[1,{\"a\":[2,3]},\"b\"],\"note\":\"bell\\u0001ring\"}\n"
+      "{\"type\":\"wormhole\",\"t_ms\":2,\"hops\":[]}\n"
+      "{\"type\":\"run_summary\",\"t_ms\":3,\"wall_ms\":4.5}\n");
+  for (const std::string& bin :
+       {std::string(OBS_DUMP_BIN) + " ", std::string(WATCH_BIN) + " --once "}) {
+    const RunResult result = RunCommand(bin + path);
+    EXPECT_EQ(result.exit_code, 0) << bin << result.stderr_text;
+    EXPECT_EQ(CountOccurrences(result.stderr_text, "wormhole"), 1u)
+        << bin << result.stderr_text;
+    EXPECT_NE(result.stdout_text.find("4.5"), std::string::npos)
+        << bin << result.stdout_text;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ToolSmokeTest, ObfCheckClassifiesCommittedFixtures) {
   // The CLI end of the CI smoke: both committed fixtures run through
   // the real binary and land on the expected verdicts.

@@ -17,12 +17,14 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "chameleon/obs/run_context.h"
-#include "chameleon/obs/sink.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/obs/trace.h"
 #include "chameleon/util/flags.h"
 #include "chameleon/util/status.h"
@@ -31,123 +33,17 @@
 namespace chameleon {
 namespace {
 
+using obs::JsonValue;
+constexpr auto kString = JsonValue::Kind::kString;
+constexpr auto kNumber = JsonValue::Kind::kNumber;
+constexpr auto kObject = JsonValue::Kind::kObject;
+
 struct PhaseAggregate {
   std::uint64_t calls = 0;
   double total_ns = 0.0;
   double self_ns = 0.0;  ///< computed after loading: total - direct children
   double cpu_ns = 0.0;
   double max_ns = 0.0;
-};
-
-/// Last-seen state of one estimator's `estimator_progress` stream.
-struct ConvergenceRow {
-  std::uint64_t samples = 0;
-  double mean = 0.0;
-  double ci_halfwidth = 0.0;
-  double rel_err = 0.0;
-  double rate_per_s = 0.0;
-  bool final_seen = false;
-  bool stopped_early = false;
-  std::size_t records = 0;
-};
-
-/// One "graph_summary" record (per loaded graph).
-struct GraphSummaryRow {
-  std::string origin;
-  double nodes = 0.0;
-  double edges = 0.0;
-  double mean_degree = 0.0;
-  double max_degree = 0.0;
-  double sum_p = 0.0;
-  double mean_p = 0.0;
-};
-
-/// One "profile" record: a sampling-profiler capture with per-span
-/// self-CPU sample counts.
-struct ProfileCapture {
-  double hz = 0.0;
-  double duration_ms = 0.0;
-  double samples = 0.0;
-  double dropped = 0.0;
-  std::vector<std::pair<std::string, double>> spans;
-};
-
-/// One "privacy_check" record: a (k,ε)-obfuscation verification.
-struct PrivacyCheckRow {
-  double k = 0.0;
-  double eps = 0.0;
-  double eps_hat = 0.0;
-  bool obfuscated = false;
-  double vertices = 0.0;
-  double not_obfuscated = 0.0;
-  double min_entropy_bits = 0.0;
-  double mean_entropy_bits = 0.0;
-  std::string adversary;
-  double wall_ms = 0.0;
-};
-
-/// One "sigma_search" record: a σ-search level summary from the
-/// anonymization driver — one per expansion/bisection level, plus a
-/// "final" phase row carrying the chosen σ.
-struct SigmaSearchRow {
-  std::string method;
-  std::string phase;
-  double level = 0.0;
-  double sigma = 0.0;
-  double lo = 0.0;
-  double hi = 0.0;
-  bool success = false;
-  double eps_hat = 0.0;
-  double attempts = 0.0;
-  double best_sigma = 0.0;
-};
-
-/// One "anonymize_attempt" record: a single GenObf attempt at a fixed
-/// σ inside the search driver.
-struct AnonymizeAttemptRow {
-  std::string method;
-  std::string phase;
-  double level = 0.0;
-  double attempt = 0.0;
-  double sigma = 0.0;
-  bool success = false;
-  double eps_hat = 0.0;
-  double perturbed_edges = 0.0;
-  double wall_ms = 0.0;
-};
-
-/// One "relevance_progress" record: a reliability-relevance estimator
-/// checkpoint (the row flagged "final" carries the converged totals).
-struct RelevanceProgressRow {
-  std::string label;
-  double worlds = 0.0;
-  double total_worlds = 0.0;
-  double mean_err = 0.0;
-  double max_err = 0.0;
-  double mean_world_mass = 0.0;
-  double ci_halfwidth = 0.0;
-  double rel_err = 0.0;
-  bool final_seen = false;
-  bool stopped_early = false;
-};
-
-/// One "crash" record: fatal-signal forensics from the crash handler.
-struct CrashRow {
-  int signal_number = 0;
-  std::string signal_name;
-  std::string fault_addr;  ///< "" when the signal carries no address
-  std::string span_path;   ///< "" when no span was open
-  double tid = 0.0;
-  std::vector<std::string> frames;
-};
-
-/// One "watchdog_stall" record: a phase that stopped making progress.
-struct WatchdogStallRow {
-  std::string path;
-  double tid = 0.0;
-  double idle_ms = 0.0;
-  double open_ms = 0.0;
-  bool aborting = false;
 };
 
 /// Aggregate of "parallel_region" records sharing one index-stripped
@@ -164,170 +60,34 @@ struct ParallelRegionDumpAgg {
   double max_imbalance = 0.0;
 };
 
-/// Aggregate of "mutex_wait" records (long lock waits) per mutex name.
-struct MutexWaitDumpAgg {
-  std::uint64_t records = 0;
-  double max_wait_ns = 0.0;
-  double sum_wait_ns = 0.0;  ///< across the reported long waits
-};
-
-/// One "hw_counters" record: per-span-path hardware-counter totals with
-/// the derived rates and the toplev-lite bottleneck class.
-struct HwDumpRow {
-  std::string path;
-  std::string backend;  ///< "perf" | "emulated"
-  std::string cls;      ///< bottleneck label from the writer
-  double spans = 0.0;
-  double cycles = 0.0;
-  double instructions = 0.0;
-  double cache_refs = 0.0;
-  double cache_misses = 0.0;
-  double branch_misses = 0.0;
-  double stalled_backend = 0.0;
-  double task_clock_ns = 0.0;
-  double ipc = 0.0;
-  double cache_miss_rate = 0.0;
-  double branch_miss_rate = 0.0;
-};
-
-/// One "heap_profile" record: a sampled allocation site (span path +
-/// stack frames) with live/peak/cumulative byte estimates.
-struct HeapSiteDumpRow {
-  std::string span_path;
-  double samples = 0.0;
-  double cum_bytes = 0.0;
-  double cum_allocs = 0.0;
-  double live_bytes = 0.0;
-  double live_allocs = 0.0;
-  double peak_bytes = 0.0;
-  double leak_bytes = 0.0;
-  bool allowlisted = false;
-  std::vector<std::string> frames;
-};
-
-/// The "heap_timeline" record: process-wide sampled-heap totals plus the
-/// live-bytes / RSS trajectory.
-struct HeapTimelineDump {
-  double sample_bytes = 0.0;
-  double duration_ms = 0.0;
-  double samples = 0.0;
-  double dropped = 0.0;
-  double sites = 0.0;
-  double est_cum_bytes = 0.0;
-  double est_live_bytes = 0.0;
-  double est_peak_bytes = 0.0;
-  double exact_cum_bytes = 0.0;
-  double exact_cum_allocs = 0.0;
-  std::size_t points = 0;
-  double last_rss_kb = 0.0;
-  double peak_rss_kb = 0.0;
-};
-
-/// One "flight_event_dump" record: the per-thread flight-recorder rings
-/// dumped when a run dies on a signal.
-struct FlightDumpRow {
-  double threads = 0.0;
-  double events = 0.0;
-  double recorded = 0.0;
-  double dropped = 0.0;
-  std::vector<std::string> tail;  ///< merged most-recent-events rendering
-};
-
 struct DumpResult {
   std::map<std::string, PhaseAggregate> phases;
-  std::map<std::string, ConvergenceRow> estimators;
-  std::vector<std::pair<std::string, double>> summary_counters;
-  std::vector<GraphSummaryRow> graph_summaries;
-  std::vector<ProfileCapture> profiles;
-  std::vector<PrivacyCheckRow> privacy_checks;
-  std::vector<SigmaSearchRow> sigma_searches;
-  std::vector<AnonymizeAttemptRow> anonymize_attempts;
-  std::vector<RelevanceProgressRow> relevance_rows;
-  std::vector<CrashRow> crashes;
-  std::vector<WatchdogStallRow> stalls;
-  std::vector<FlightDumpRow> flight_dumps;
   std::map<std::string, ParallelRegionDumpAgg> parallel_regions;
-  std::map<std::string, MutexWaitDumpAgg> mutex_waits;
-  std::vector<HwDumpRow> hw_rows;
-  /// Reasons from "hw_counters_unavailable" records (at most one per run).
-  std::vector<std::string> hw_unavailable;
-  std::vector<HeapSiteDumpRow> heap_sites;
-  std::vector<HeapTimelineDump> heap_timelines;
-  /// Reasons from "heap_profiler_unavailable" records.
-  std::vector<std::string> heap_unavailable;
+  /// Every other record this build renders, by type, in stream order.
+  std::map<std::string, std::vector<JsonValue>, std::less<>> records;
   /// Distinct record types this build does not recognize (forward-compat
   /// passthrough: counted, mentioned once each on stderr, never fatal).
   std::map<std::string, std::size_t> unknown_types;
-  double run_wall_ms = -1.0;
   std::size_t typed_records = 0;  ///< every record with a "type" field
   std::size_t span_records = 0;
   std::size_t progress_records = 0;
   std::size_t snapshot_records = 0;
   std::size_t estimator_records = 0;
-  std::string manifest_line;  ///< raw manifest record, "" when absent
-  std::string summary_line;   ///< raw run_summary record, for rusage
+
+  const std::vector<JsonValue>& Of(std::string_view type) const {
+    static const std::vector<JsonValue> kNone;
+    const auto it = records.find(type);
+    return it == records.end() ? kNone : it->second;
+  }
 };
 
-/// Pulls every `"name":value` pair out of the flat JSON object that
-/// starts at `marker` (e.g. `"counters":{`). Relies on the flat layout
-/// the sink emits; stops at the object's own closing brace — stepping
-/// past it would walk into sibling objects.
-void ExtractFlatNumberObject(
-    const std::string& line, std::string_view marker,
-    std::vector<std::pair<std::string, double>>* out) {
-  const std::size_t block = line.find(marker);
-  if (block == std::string::npos) return;
-  std::size_t i = block + marker.size();
-  while (i < line.size() && line[i] != '}') {
-    const std::size_t key_start = line.find('"', i);
-    if (key_start == std::string::npos) break;
-    const std::size_t key_end = line.find('"', key_start + 1);
-    if (key_end == std::string::npos) break;
-    const std::size_t colon = line.find(':', key_end);
-    if (colon == std::string::npos) break;
-    std::size_t value_end = colon + 1;
-    while (value_end < line.size() &&
-           std::string_view("+-.eE0123456789").find(line[value_end]) !=
-               std::string_view::npos) {
-      ++value_end;
-    }
-    const Result<double> value =
-        ParseDouble(line.substr(colon + 1, value_end - colon - 1));
-    if (value.ok()) {
-      out->emplace_back(line.substr(key_start + 1, key_end - key_start - 1),
-                        *value);
-    }
-    i = value_end;
-  }
-}
-
-/// Pulls every quoted string out of the flat JSON array that starts at
-/// `marker` (e.g. `"frames":[`). Un-escapes backslash sequences by
-/// taking the escaped character literally; stops at the array's own
-/// closing bracket (brackets inside the strings don't terminate it).
-void ExtractStringArray(const std::string& line, std::string_view marker,
-                        std::vector<std::string>* out) {
-  const std::size_t block = line.find(marker);
-  if (block == std::string::npos) return;
-  std::size_t i = block + marker.size();
-  while (i < line.size() && line[i] != ']') {
-    if (line[i] == '"') {
-      std::string item;
-      ++i;
-      while (i < line.size() && line[i] != '"') {
-        if (line[i] == '\\' && i + 1 < line.size()) ++i;
-        item += line[i];
-        ++i;
-      }
-      out->push_back(std::move(item));
-    }
-    ++i;
-  }
-}
-
-void ExtractSummaryCounters(const std::string& line, DumpResult* out) {
-  ExtractFlatNumberObject(line, "\"counters\":{", &out->summary_counters);
-}
+/// Record types stored whole by Load and rendered at print time.
+constexpr std::string_view kStoredTypes[] = {
+    "manifest", "run_summary", "graph_summary", "profile", "privacy_check",
+    "sigma_search", "anonymize_attempt", "relevance_progress", "crash",
+    "watchdog_stall", "flight_event_dump", "hw_counters",
+    "hw_counters_unavailable", "heap_profile", "heap_timeline",
+    "heap_profiler_unavailable"};
 
 /// Self time: a phase's total minus the time attributed to nested phases
 /// (clamped at 0 — overlapping spans can over-subtract). Each phase
@@ -355,314 +115,76 @@ Result<DumpResult> Load(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open " + path);
   DumpResult out;
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto type = obs::JsonlStringField(line, "type");
-    if (!type.has_value()) continue;
+  for (std::string line; std::getline(in, line);) {
+    std::optional<JsonValue> record = obs::ParseJson(line);
+    const JsonValue* type_value =
+        record.has_value() ? record->Get("type", kString) : nullptr;
+    if (type_value == nullptr) continue;
+    const std::string type = type_value->str();
     ++out.typed_records;
-    if (*type == "span") {
-      const auto span_path = obs::JsonlStringField(line, "path");
-      const auto dur = obs::JsonlNumberField(line, "dur_ns");
-      if (!span_path.has_value() || !dur.has_value()) continue;
+    if (type == "span") {
+      const JsonValue* span_path = record->Get("path", kString);
+      const JsonValue* dur = record->Get("dur_ns", kNumber);
+      if (span_path == nullptr || dur == nullptr) continue;
       ++out.span_records;
-      PhaseAggregate& agg = out.phases[*span_path];
+      PhaseAggregate& agg = out.phases[span_path->str()];
       ++agg.calls;
-      agg.total_ns += *dur;
-      agg.cpu_ns += obs::JsonlNumberField(line, "cpu_ns").value_or(0.0);
-      agg.max_ns = std::max(agg.max_ns, *dur);
-    } else if (*type == "progress") {
+      agg.total_ns += dur->number();
+      agg.cpu_ns += record->Num("cpu_ns");
+      agg.max_ns = std::max(agg.max_ns, dur->number());
+    } else if (type == "progress") {
       ++out.progress_records;
-    } else if (*type == "estimator_progress") {
-      const auto label = obs::JsonlStringField(line, "label");
-      if (!label.has_value()) continue;
-      ++out.estimator_records;
-      ConvergenceRow& row = out.estimators[*label];
-      ++row.records;
-      row.samples = static_cast<std::uint64_t>(
-          obs::JsonlNumberField(line, "samples").value_or(0.0));
-      row.mean = obs::JsonlNumberField(line, "mean").value_or(0.0);
-      row.ci_halfwidth =
-          obs::JsonlNumberField(line, "ci_halfwidth").value_or(0.0);
-      row.rel_err = obs::JsonlNumberField(line, "rel_err").value_or(0.0);
-      row.rate_per_s =
-          obs::JsonlNumberField(line, "rate_per_s").value_or(0.0);
-      if (line.find("\"final\":true") != std::string::npos) {
-        row.final_seen = true;
-        row.stopped_early =
-            line.find("\"stopped_early\":true") != std::string::npos;
-      }
-    } else if (*type == "snapshot") {
+    } else if (type == "snapshot") {
       ++out.snapshot_records;
-    } else if (*type == "graph_summary") {
-      GraphSummaryRow row;
-      row.origin = obs::JsonlStringField(line, "origin").value_or("?");
-      row.nodes = obs::JsonlNumberField(line, "nodes").value_or(0.0);
-      row.edges = obs::JsonlNumberField(line, "edges").value_or(0.0);
-      row.mean_degree =
-          obs::JsonlNumberField(line, "mean_degree").value_or(0.0);
-      row.max_degree =
-          obs::JsonlNumberField(line, "max_degree").value_or(0.0);
-      row.sum_p = obs::JsonlNumberField(line, "sum_p").value_or(0.0);
-      row.mean_p = obs::JsonlNumberField(line, "mean_p").value_or(0.0);
-      out.graph_summaries.push_back(std::move(row));
-    } else if (*type == "profile") {
-      ProfileCapture capture;
-      capture.hz = obs::JsonlNumberField(line, "hz").value_or(0.0);
-      capture.duration_ms =
-          obs::JsonlNumberField(line, "duration_ms").value_or(0.0);
-      capture.samples = obs::JsonlNumberField(line, "samples").value_or(0.0);
-      capture.dropped = obs::JsonlNumberField(line, "dropped").value_or(0.0);
-      ExtractFlatNumberObject(line, "\"spans\":{", &capture.spans);
-      out.profiles.push_back(std::move(capture));
-    } else if (*type == "privacy_check") {
-      PrivacyCheckRow row;
-      row.k = obs::JsonlNumberField(line, "k").value_or(0.0);
-      row.eps = obs::JsonlNumberField(line, "eps").value_or(0.0);
-      row.eps_hat = obs::JsonlNumberField(line, "eps_hat").value_or(0.0);
-      row.obfuscated = line.find("\"obfuscated\":true") != std::string::npos;
-      row.vertices = obs::JsonlNumberField(line, "vertices").value_or(0.0);
-      row.not_obfuscated =
-          obs::JsonlNumberField(line, "not_obfuscated").value_or(0.0);
-      row.min_entropy_bits =
-          obs::JsonlNumberField(line, "min_entropy_bits").value_or(0.0);
-      row.mean_entropy_bits =
-          obs::JsonlNumberField(line, "mean_entropy_bits").value_or(0.0);
-      row.adversary = obs::JsonlStringField(line, "adversary").value_or("?");
-      row.wall_ms = obs::JsonlNumberField(line, "wall_ms").value_or(0.0);
-      out.privacy_checks.push_back(std::move(row));
-    } else if (*type == "sigma_search") {
-      SigmaSearchRow row;
-      row.method = obs::JsonlStringField(line, "method").value_or("?");
-      row.phase = obs::JsonlStringField(line, "phase").value_or("?");
-      row.level = obs::JsonlNumberField(line, "level").value_or(0.0);
-      row.sigma = obs::JsonlNumberField(line, "sigma").value_or(0.0);
-      row.lo = obs::JsonlNumberField(line, "lo").value_or(0.0);
-      row.hi = obs::JsonlNumberField(line, "hi").value_or(0.0);
-      row.success = line.find("\"success\":true") != std::string::npos;
-      row.eps_hat = obs::JsonlNumberField(line, "eps_hat").value_or(0.0);
-      row.attempts = obs::JsonlNumberField(line, "attempts").value_or(0.0);
-      row.best_sigma =
-          obs::JsonlNumberField(line, "best_sigma").value_or(0.0);
-      out.sigma_searches.push_back(std::move(row));
-    } else if (*type == "anonymize_attempt") {
-      AnonymizeAttemptRow row;
-      row.method = obs::JsonlStringField(line, "method").value_or("?");
-      row.phase = obs::JsonlStringField(line, "phase").value_or("?");
-      row.level = obs::JsonlNumberField(line, "level").value_or(0.0);
-      row.attempt = obs::JsonlNumberField(line, "attempt").value_or(0.0);
-      row.sigma = obs::JsonlNumberField(line, "sigma").value_or(0.0);
-      row.success = line.find("\"success\":true") != std::string::npos;
-      row.eps_hat = obs::JsonlNumberField(line, "eps_hat").value_or(0.0);
-      row.perturbed_edges =
-          obs::JsonlNumberField(line, "perturbed_edges").value_or(0.0);
-      row.wall_ms = obs::JsonlNumberField(line, "wall_ms").value_or(0.0);
-      out.anonymize_attempts.push_back(std::move(row));
-    } else if (*type == "relevance_progress") {
-      RelevanceProgressRow row;
-      row.label = obs::JsonlStringField(line, "label").value_or("?");
-      row.worlds = obs::JsonlNumberField(line, "worlds").value_or(0.0);
-      row.total_worlds =
-          obs::JsonlNumberField(line, "total_worlds").value_or(0.0);
-      row.mean_err = obs::JsonlNumberField(line, "mean_err").value_or(0.0);
-      row.max_err = obs::JsonlNumberField(line, "max_err").value_or(0.0);
-      row.mean_world_mass =
-          obs::JsonlNumberField(line, "mean_world_mass").value_or(0.0);
-      row.ci_halfwidth =
-          obs::JsonlNumberField(line, "ci_halfwidth").value_or(0.0);
-      row.rel_err = obs::JsonlNumberField(line, "rel_err").value_or(0.0);
-      row.final_seen = line.find("\"final\":true") != std::string::npos;
-      row.stopped_early =
-          line.find("\"stopped_early\":true") != std::string::npos;
-      out.relevance_rows.push_back(std::move(row));
-    } else if (*type == "crash") {
-      CrashRow row;
-      row.signal_number = static_cast<int>(
-          obs::JsonlNumberField(line, "signal").value_or(0.0));
-      row.signal_name =
-          obs::JsonlStringField(line, "signal_name").value_or("?");
-      row.fault_addr = obs::JsonlStringField(line, "fault_addr").value_or("");
-      row.span_path = obs::JsonlStringField(line, "span_path").value_or("");
-      row.tid = obs::JsonlNumberField(line, "tid").value_or(0.0);
-      ExtractStringArray(line, "\"frames\":[", &row.frames);
-      out.crashes.push_back(std::move(row));
-    } else if (*type == "watchdog_stall") {
-      WatchdogStallRow row;
-      row.path = obs::JsonlStringField(line, "path").value_or("?");
-      row.tid = obs::JsonlNumberField(line, "tid").value_or(0.0);
-      row.idle_ms = obs::JsonlNumberField(line, "idle_ms").value_or(0.0);
-      row.open_ms = obs::JsonlNumberField(line, "open_ms").value_or(0.0);
-      row.aborting = line.find("\"aborting\":true") != std::string::npos;
-      out.stalls.push_back(std::move(row));
-    } else if (*type == "parallel_region") {
-      const auto name = obs::JsonlStringField(line, "name");
-      if (!name.has_value()) continue;
+    } else if (type == "parallel_region") {
+      const JsonValue* name = record->Get("name", kString);
+      if (name == nullptr) continue;
       ParallelRegionDumpAgg& agg =
-          out.parallel_regions[obs::StripPathIndices(*name)];
-      if (line.find("\"partial\":true") != std::string::npos) {
+          out.parallel_regions[obs::StripPathIndices(name->str())];
+      if (record->Flag("partial")) {
         ++agg.partials;
         continue;
       }
       ++agg.regions;
-      agg.wall_ns += obs::JsonlNumberField(line, "wall_ns").value_or(0.0);
-      agg.busy_ns +=
-          obs::JsonlNumberField(line, "busy_total_ns").value_or(0.0);
-      agg.idle_ns +=
-          obs::JsonlNumberField(line, "idle_total_ns").value_or(0.0);
-      agg.overhead_ns +=
-          obs::JsonlNumberField(line, "spawn_ns").value_or(0.0) +
-          obs::JsonlNumberField(line, "join_ns").value_or(0.0);
-      agg.workers = obs::JsonlNumberField(line, "workers").value_or(0.0);
-      agg.requested = obs::JsonlNumberField(line, "requested").value_or(0.0);
-      agg.max_imbalance =
-          std::max(agg.max_imbalance,
-                   obs::JsonlNumberField(line, "imbalance").value_or(0.0));
-    } else if (*type == "mutex_wait") {
-      const auto name = obs::JsonlStringField(line, "name");
-      if (!name.has_value()) continue;
-      MutexWaitDumpAgg& agg = out.mutex_waits[*name];
-      ++agg.records;
-      const double wait = obs::JsonlNumberField(line, "wait_ns").value_or(0.0);
-      agg.max_wait_ns = std::max(agg.max_wait_ns, wait);
-      agg.sum_wait_ns += wait;
-    } else if (*type == "flight_event_dump") {
-      // The top-level summary fields precede the per-ring objects in the
-      // record, so first-occurrence field lookup reads the totals.
-      FlightDumpRow row;
-      row.threads = obs::JsonlNumberField(line, "threads").value_or(0.0);
-      row.events = obs::JsonlNumberField(line, "events").value_or(0.0);
-      row.recorded = obs::JsonlNumberField(line, "recorded").value_or(0.0);
-      row.dropped = obs::JsonlNumberField(line, "dropped").value_or(0.0);
-      ExtractStringArray(line, "\"tail\":[", &row.tail);
-      out.flight_dumps.push_back(std::move(row));
-    } else if (*type == "hw_counters") {
-      HwDumpRow row;
-      row.path = obs::JsonlStringField(line, "path").value_or("?");
-      row.backend = obs::JsonlStringField(line, "backend").value_or("?");
-      row.cls = obs::JsonlStringField(line, "class").value_or("unknown");
-      row.spans = obs::JsonlNumberField(line, "spans").value_or(0.0);
-      row.cycles = obs::JsonlNumberField(line, "cycles").value_or(0.0);
-      row.instructions =
-          obs::JsonlNumberField(line, "instructions").value_or(0.0);
-      row.cache_refs =
-          obs::JsonlNumberField(line, "cache_refs").value_or(0.0);
-      row.cache_misses =
-          obs::JsonlNumberField(line, "cache_misses").value_or(0.0);
-      row.branch_misses =
-          obs::JsonlNumberField(line, "branch_misses").value_or(0.0);
-      row.stalled_backend =
-          obs::JsonlNumberField(line, "stalled_backend").value_or(0.0);
-      row.task_clock_ns =
-          obs::JsonlNumberField(line, "task_clock_ns").value_or(0.0);
-      row.ipc = obs::JsonlNumberField(line, "ipc").value_or(0.0);
-      row.cache_miss_rate =
-          obs::JsonlNumberField(line, "cache_miss_rate").value_or(0.0);
-      row.branch_miss_rate =
-          obs::JsonlNumberField(line, "branch_miss_rate").value_or(0.0);
-      out.hw_rows.push_back(std::move(row));
-    } else if (*type == "hw_counters_unavailable") {
-      out.hw_unavailable.push_back(
-          obs::JsonlStringField(line, "reason").value_or("?"));
-    } else if (*type == "heap_profile") {
-      HeapSiteDumpRow row;
-      row.span_path = obs::JsonlStringField(line, "span_path").value_or("?");
-      row.samples = obs::JsonlNumberField(line, "samples").value_or(0.0);
-      row.cum_bytes = obs::JsonlNumberField(line, "cum_bytes").value_or(0.0);
-      row.cum_allocs =
-          obs::JsonlNumberField(line, "cum_allocs").value_or(0.0);
-      row.live_bytes =
-          obs::JsonlNumberField(line, "live_bytes").value_or(0.0);
-      row.live_allocs =
-          obs::JsonlNumberField(line, "live_allocs").value_or(0.0);
-      row.peak_bytes =
-          obs::JsonlNumberField(line, "peak_bytes").value_or(0.0);
-      row.leak_bytes =
-          obs::JsonlNumberField(line, "leak_bytes").value_or(0.0);
-      row.allowlisted =
-          line.find("\"allowlisted\":true") != std::string::npos;
-      ExtractStringArray(line, "\"frames\":[", &row.frames);
-      out.heap_sites.push_back(std::move(row));
-    } else if (*type == "heap_timeline") {
-      HeapTimelineDump row;
-      row.sample_bytes =
-          obs::JsonlNumberField(line, "sample_bytes").value_or(0.0);
-      row.duration_ms =
-          obs::JsonlNumberField(line, "duration_ms").value_or(0.0);
-      row.samples = obs::JsonlNumberField(line, "samples").value_or(0.0);
-      row.dropped = obs::JsonlNumberField(line, "dropped").value_or(0.0);
-      row.sites = obs::JsonlNumberField(line, "sites").value_or(0.0);
-      row.est_cum_bytes =
-          obs::JsonlNumberField(line, "est_cum_bytes").value_or(0.0);
-      row.est_live_bytes =
-          obs::JsonlNumberField(line, "est_live_bytes").value_or(0.0);
-      row.est_peak_bytes =
-          obs::JsonlNumberField(line, "est_peak_bytes").value_or(0.0);
-      row.exact_cum_bytes =
-          obs::JsonlNumberField(line, "exact_cum_bytes").value_or(0.0);
-      row.exact_cum_allocs =
-          obs::JsonlNumberField(line, "exact_cum_allocs").value_or(0.0);
-      // Walk the flat points array for its count and the RSS trajectory.
-      const std::size_t block = line.find("\"points\":[");
-      if (block != std::string::npos) {
-        std::size_t i = block;
-        while ((i = line.find("\"rss_kb\":", i)) != std::string::npos) {
-          i += 9;
-          std::size_t end = i;
-          while (end < line.size() &&
-                 std::string_view("+-.eE0123456789").find(line[end]) !=
-                     std::string_view::npos) {
-            ++end;
-          }
-          if (const Result<double> value =
-                  ParseDouble(line.substr(i, end - i));
-              value.ok()) {
-            ++row.points;
-            row.last_rss_kb = *value;
-            row.peak_rss_kb = std::max(row.peak_rss_kb, *value);
-          }
-          i = end;
-        }
-      }
-      out.heap_timelines.push_back(row);
-    } else if (*type == "heap_profiler_unavailable") {
-      out.heap_unavailable.push_back(
-          obs::JsonlStringField(line, "reason").value_or("?"));
-    } else if (*type == "run_summary") {
-      const auto wall = obs::JsonlNumberField(line, "wall_ms");
-      if (wall.has_value()) out.run_wall_ms = *wall;
-      out.summary_line = line;
-      ExtractSummaryCounters(line, &out);
-    } else if (*type == "manifest") {
-      if (out.manifest_line.empty()) out.manifest_line = line;
-    } else if (*type != "status_server") {
-      ++out.unknown_types[*type];
+      agg.wall_ns += record->Num("wall_ns");
+      agg.busy_ns += record->Num("busy_total_ns");
+      agg.idle_ns += record->Num("idle_total_ns");
+      agg.overhead_ns += record->Num("spawn_ns") + record->Num("join_ns");
+      agg.workers = record->Num("workers");
+      agg.requested = record->Num("requested");
+      agg.max_imbalance = std::max(agg.max_imbalance, record->Num("imbalance"));
+    } else if (type == "estimator_progress") {
+      if (record->Get("label", kString) == nullptr) continue;
+      ++out.estimator_records;
+      out.records[type].push_back(*std::move(record));
+    } else if (std::find(std::begin(kStoredTypes), std::end(kStoredTypes),
+                         type) != std::end(kStoredTypes)) {
+      out.records[type].push_back(*std::move(record));
+    } else if (type != "status_server") {
+      ++out.unknown_types[type];
     }
   }
   ComputeSelfTimes(&out.phases);
   return out;
 }
 
-void PrintManifest(const std::string& line) {
-  const auto tool = obs::JsonlStringField(line, "tool");
-  const auto describe = obs::JsonlStringField(line, "git_describe");
-  const auto hostname = obs::JsonlStringField(line, "hostname");
-  std::string text = "manifest: " + tool.value_or("?");
-  if (describe.has_value()) text += " " + *describe;
-  if (hostname.has_value()) text += " on " + *hostname;
-  // Seeds live in a flat `"seeds":{"name":value,...}` object.
-  const std::size_t seeds = line.find("\"seeds\":{");
-  if (seeds != std::string::npos) {
-    const std::size_t open = seeds + 8;
-    const std::size_t close = line.find('}', open);
-    if (close != std::string::npos && close > open + 1) {
-      std::string inner = line.substr(open + 1, close - open - 1);
-      if (!inner.empty()) {
-        std::string cleaned;
-        for (const char c : inner) {
-          if (c != '"') cleaned += c;
-        }
-        text += " (seed " + cleaned + ")";
-      }
+/// The manifest nests its provenance in build/host blocks, so its fields
+/// are looked up at any depth.
+void PrintManifest(const JsonValue& manifest) {
+  const JsonValue* tool = manifest.Find("tool", kString);
+  const JsonValue* describe = manifest.Find("git_describe", kString);
+  const JsonValue* hostname = manifest.Find("hostname", kString);
+  std::string text = "manifest: " + (tool != nullptr ? tool->str() : "?");
+  if (describe != nullptr) text += " " + describe->str();
+  if (hostname != nullptr) text += " on " + hostname->str();
+  if (const JsonValue* seeds = manifest.Find("seeds", kObject);
+      seeds != nullptr && !seeds->members().empty()) {
+    std::string list;
+    for (const auto& [name, value] : seeds->members()) {
+      if (!list.empty()) list += ',';
+      list += name + ":" + (value.is(kString) ? value.str() : value.raw());
     }
+    text += " (seed " + list + ")";
   }
   std::printf("%s\n", text.c_str());
 }
@@ -714,27 +236,44 @@ void PrintCriticalPath(const std::map<std::string, PhaseAggregate>& phases) {
               phases.at(current).total_ns * 1e-6);
 }
 
+/// Concatenated `counters` of every run_summary, in stream order.
+std::vector<std::pair<std::string, double>> SummaryCounters(
+    const DumpResult& dump) {
+  std::vector<std::pair<std::string, double>> counters;
+  for (const JsonValue& summary : dump.Of("run_summary")) {
+    const JsonValue* block = summary.Find("counters", kObject);
+    if (block == nullptr) continue;
+    for (const auto& [name, value] : block->members()) {
+      if (value.is(kNumber)) counters.emplace_back(name, value.number());
+    }
+  }
+  return counters;
+}
+
 void PrintReport(const DumpResult& dump, const std::string& sort_key,
                  std::int64_t top) {
-  if (!dump.manifest_line.empty()) PrintManifest(dump.manifest_line);
+  if (!dump.Of("manifest").empty()) PrintManifest(dump.Of("manifest").front());
 
   // Crash forensics lead the report: a dead run's backtrace is the first
   // thing a triager needs, before any timing table.
-  for (const CrashRow& crash : dump.crashes) {
+  for (const JsonValue& crash : dump.Of("crash")) {
     std::printf("\nCRASH: %s (signal %d) on tid %.0f",
-                crash.signal_name.c_str(), crash.signal_number, crash.tid);
-    if (!crash.fault_addr.empty()) {
-      std::printf(" at %s", crash.fault_addr.c_str());
+                crash.Str("signal_name", "?").c_str(),
+                static_cast<int>(crash.Num("signal")), crash.Num("tid"));
+    if (const std::string addr = crash.Str("fault_addr"); !addr.empty()) {
+      std::printf(" at %s", addr.c_str());
     }
-    if (!crash.span_path.empty()) {
-      std::printf(" in span %s", crash.span_path.c_str());
+    if (const std::string span = crash.Str("span_path"); !span.empty()) {
+      std::printf(" in span %s", span.c_str());
     }
     std::printf("\n");
-    for (std::size_t i = 0; i < crash.frames.size(); ++i) {
-      std::printf("  #%zu %s\n", i, crash.frames[i].c_str());
+    if (const JsonValue* frames = crash.Get("frames")) {
+      for (std::size_t i = 0; i < frames->elements().size(); ++i) {
+        std::printf("  #%zu %s\n", i, frames->elements()[i].str().c_str());
+      }
     }
   }
-  if (!dump.crashes.empty()) std::printf("\n");
+  if (!dump.Of("crash").empty()) std::printf("\n");
 
   std::vector<std::pair<std::string, PhaseAggregate>> rows(
       dump.phases.begin(), dump.phases.end());
@@ -755,10 +294,16 @@ void PrintReport(const DumpResult& dump, const std::string& sort_key,
     rows.resize(static_cast<std::size_t>(top));
   }
 
+  double run_wall_ms = -1.0;
+  for (const JsonValue& summary : dump.Of("run_summary")) {
+    if (const JsonValue* wall = summary.Get("wall_ms", kNumber)) {
+      run_wall_ms = wall->number();
+    }
+  }
   std::size_t width = 5;
   for (const auto& [path, agg] : rows) width = std::max(width, path.size());
   // Without a run summary, attribute against the largest span total.
-  double run_ns = dump.run_wall_ms * 1e6;
+  double run_ns = run_wall_ms * 1e6;
   if (run_ns <= 0.0) {
     for (const auto& [path, agg] : rows) run_ns = std::max(run_ns, agg.total_ns);
   }
@@ -777,98 +322,116 @@ void PrintReport(const DumpResult& dump, const std::string& sort_key,
 
   PrintCriticalPath(dump.phases);
 
-  if (!dump.estimators.empty()) {
+  // Per estimator label: the last record, and the last one flagged final.
+  std::map<std::string, std::pair<const JsonValue*, const JsonValue*>>
+      estimators;
+  for (const JsonValue& record : dump.Of("estimator_progress")) {
+    auto& [last, final_record] = estimators[record.Str("label")];
+    last = &record;
+    if (record.Flag("final")) final_record = &record;
+  }
+  if (!estimators.empty()) {
     std::printf("\nestimator convergence:\n");
     std::size_t ewidth = 9;
-    for (const auto& [label, row] : dump.estimators) {
+    for (const auto& [label, row] : estimators) {
       ewidth = std::max(ewidth, label.size());
     }
     std::printf("%-*s %10s %12s %12s %9s %12s\n", static_cast<int>(ewidth),
                 "estimator", "samples", "mean", "ci half-w", "rel err",
                 "samples/s");
-    for (const auto& [label, row] : dump.estimators) {
+    for (const auto& [label, row] : estimators) {
+      const auto& [last, final_record] = row;
       std::printf("%-*s %10llu %12.6g %12.4g %9.4f %12.0f%s\n",
                   static_cast<int>(ewidth), label.c_str(),
-                  static_cast<unsigned long long>(row.samples), row.mean,
-                  row.ci_halfwidth, row.rel_err, row.rate_per_s,
-                  row.final_seen
-                      ? (row.stopped_early ? "  [stopped early]" : "")
+                  static_cast<unsigned long long>(last->Num("samples")),
+                  last->Num("mean"), last->Num("ci_halfwidth"),
+                  last->Num("rel_err"), last->Num("rate_per_s"),
+                  final_record != nullptr
+                      ? (final_record->Flag("stopped_early")
+                             ? "  [stopped early]"
+                             : "")
                       : "  [in flight]");
     }
   }
 
-  if (!dump.graph_summaries.empty()) {
+  if (!dump.Of("graph_summary").empty()) {
     std::printf("\ngraphs loaded:\n");
     std::size_t gwidth = 6;
-    for (const GraphSummaryRow& g : dump.graph_summaries) {
-      gwidth = std::max(gwidth, g.origin.size());
+    for (const JsonValue& g : dump.Of("graph_summary")) {
+      gwidth = std::max(gwidth, g.Str("origin", "?").size());
     }
     std::printf("%-*s %10s %10s %9s %8s %12s %7s\n",
                 static_cast<int>(gwidth), "origin", "nodes", "edges",
                 "mean deg", "max deg", "sum p", "mean p");
-    for (const GraphSummaryRow& g : dump.graph_summaries) {
+    for (const JsonValue& g : dump.Of("graph_summary")) {
       std::printf("%-*s %10.0f %10.0f %9.2f %8.0f %12.2f %7.3f\n",
-                  static_cast<int>(gwidth), g.origin.c_str(), g.nodes,
-                  g.edges, g.mean_degree, g.max_degree, g.sum_p, g.mean_p);
+                  static_cast<int>(gwidth), g.Str("origin", "?").c_str(),
+                  g.Num("nodes"), g.Num("edges"), g.Num("mean_degree"),
+                  g.Num("max_degree"), g.Num("sum_p"), g.Num("mean_p"));
     }
   }
 
-  if (!dump.privacy_checks.empty()) {
+  if (!dump.Of("privacy_check").empty()) {
     std::printf("\nprivacy checks:\n");
     std::printf("%10s %10s %10s %9s %10s %10s %10s  %s\n", "k", "eps",
                 "eps_hat", "verdict", "exposed", "min bits", "mean bits",
                 "adversary");
-    for (const PrivacyCheckRow& row : dump.privacy_checks) {
+    for (const JsonValue& row : dump.Of("privacy_check")) {
       std::printf("%10.4g %10.4g %10.4g %9s %10.0f %10.4g %10.4g  %s\n",
-                  row.k, row.eps, row.eps_hat,
-                  row.obfuscated ? "OK" : "VIOLATED", row.not_obfuscated,
-                  row.min_entropy_bits, row.mean_entropy_bits,
-                  row.adversary.c_str());
+                  row.Num("k"), row.Num("eps"), row.Num("eps_hat"),
+                  row.Flag("obfuscated") ? "OK" : "VIOLATED",
+                  row.Num("not_obfuscated"), row.Num("min_entropy_bits"),
+                  row.Num("mean_entropy_bits"),
+                  row.Str("adversary", "?").c_str());
     }
   }
 
-  if (!dump.relevance_rows.empty()) {
+  const std::vector<JsonValue>& relevance = dump.Of("relevance_progress");
+  if (!relevance.empty()) {
     std::printf("\nreliability relevance:\n");
-    for (const RelevanceProgressRow& row : dump.relevance_rows) {
-      if (!row.final_seen && &row != &dump.relevance_rows.back()) continue;
+    for (const JsonValue& row : relevance) {
+      const bool final_row = row.Flag("final");
+      if (!final_row && &row != &relevance.back()) continue;
       std::printf("  %s: %.0f/%.0f worlds, mean ERR %.4g, max ERR %.4g, "
                   "world mass %.4g, ci ±%.4g (rel %.4g)%s\n",
-                  row.label.c_str(), row.worlds, row.total_worlds,
-                  row.mean_err, row.max_err, row.mean_world_mass,
-                  row.ci_halfwidth, row.rel_err,
-                  row.final_seen
-                      ? (row.stopped_early ? "  [stopped early]" : "")
-                      : "  [in flight]");
+                  row.Str("label", "?").c_str(), row.Num("worlds"),
+                  row.Num("total_worlds"), row.Num("mean_err"),
+                  row.Num("max_err"), row.Num("mean_world_mass"),
+                  row.Num("ci_halfwidth"), row.Num("rel_err"),
+                  final_row ? (row.Flag("stopped_early") ? "  [stopped early]"
+                                                         : "")
+                            : "  [in flight]");
     }
   }
 
-  if (!dump.sigma_searches.empty()) {
+  if (!dump.Of("sigma_search").empty()) {
     std::printf("\nsigma search:\n");
     std::printf("%-8s %-8s %5s %10s %10s %7s %10s %8s %10s\n", "method",
                 "phase", "level", "sigma", "eps_hat", "result", "attempts",
                 "bracket", "best sigma");
-    for (const SigmaSearchRow& row : dump.sigma_searches) {
+    for (const JsonValue& row : dump.Of("sigma_search")) {
+      const double hi = row.Num("hi");
       std::printf("%-8s %-8s %5.0f %10.4g %10.4g %7s %10.0f %8s %10.4g\n",
-                  row.method.c_str(), row.phase.c_str(), row.level,
-                  row.sigma, row.eps_hat, row.success ? "ok" : "fail",
-                  row.attempts,
-                  row.hi > 0.0 ? StrFormat("%.3g..%.3g", row.lo,
-                                           row.hi).c_str()
-                               : "-",
-                  row.best_sigma);
+                  row.Str("method", "?").c_str(),
+                  row.Str("phase", "?").c_str(), row.Num("level"),
+                  row.Num("sigma"), row.Num("eps_hat"),
+                  row.Flag("success") ? "ok" : "fail", row.Num("attempts"),
+                  hi > 0.0 ? StrFormat("%.3g..%.3g", row.Num("lo"), hi).c_str()
+                           : "-",
+                  row.Num("best_sigma"));
     }
   }
 
-  if (!dump.anonymize_attempts.empty()) {
+  if (!dump.Of("anonymize_attempt").empty()) {
     // Per-method rollup: the per-level detail already lives in the
     // sigma-search table above.
     std::map<std::string, std::array<double, 4>> by_method;
-    for (const AnonymizeAttemptRow& row : dump.anonymize_attempts) {
-      auto& agg = by_method[row.method];
+    for (const JsonValue& row : dump.Of("anonymize_attempt")) {
+      auto& agg = by_method[row.Str("method", "?")];
       agg[0] += 1.0;
-      agg[1] += row.success ? 1.0 : 0.0;
-      agg[2] += row.wall_ms;
-      agg[3] = std::max(agg[3], row.perturbed_edges);
+      agg[1] += row.Flag("success") ? 1.0 : 0.0;
+      agg[2] += row.Num("wall_ms");
+      agg[3] = std::max(agg[3], row.Num("perturbed_edges"));
     }
     std::printf("\nanonymize attempts:\n");
     for (const auto& [method, agg] : by_method) {
@@ -903,100 +466,100 @@ void PrintReport(const DumpResult& dump, const std::string& sort_key,
     }
   }
 
-  if (!dump.mutex_waits.empty()) {
-    std::printf("\nlong mutex waits:\n");
-    std::size_t mwidth = 5;
-    for (const auto& [name, agg] : dump.mutex_waits) {
-      mwidth = std::max(mwidth, name.size());
-    }
-    std::printf("%-*s %8s %12s %12s\n", static_cast<int>(mwidth), "mutex",
-                "waits", "max ms", "total ms");
-    for (const auto& [name, agg] : dump.mutex_waits) {
-      std::printf("%-*s %8llu %12.3f %12.3f\n", static_cast<int>(mwidth),
-                  name.c_str(), static_cast<unsigned long long>(agg.records),
-                  agg.max_wait_ns * 1e-6, agg.sum_wait_ns * 1e-6);
-    }
-  }
-
-  if (!dump.stalls.empty()) {
+  if (!dump.Of("watchdog_stall").empty()) {
     std::printf("\nwatchdog stalls:\n");
     std::size_t swidth = 5;
-    for (const WatchdogStallRow& s : dump.stalls) {
-      swidth = std::max(swidth, s.path.size());
+    for (const JsonValue& s : dump.Of("watchdog_stall")) {
+      swidth = std::max(swidth, s.Str("path", "?").size());
     }
     std::printf("%-*s %5s %12s %12s\n", static_cast<int>(swidth), "phase",
                 "tid", "idle ms", "open ms");
-    for (const WatchdogStallRow& s : dump.stalls) {
+    for (const JsonValue& s : dump.Of("watchdog_stall")) {
       std::printf("%-*s %5.0f %12.0f %12.0f%s\n", static_cast<int>(swidth),
-                  s.path.c_str(), s.tid, s.idle_ms, s.open_ms,
-                  s.aborting ? "  [aborted]" : "");
+                  s.Str("path", "?").c_str(), s.Num("tid"), s.Num("idle_ms"),
+                  s.Num("open_ms"), s.Flag("aborting") ? "  [aborted]" : "");
     }
   }
 
-  if (!dump.flight_dumps.empty()) {
-    const FlightDumpRow& last = dump.flight_dumps.back();
+  if (!dump.Of("flight_event_dump").empty()) {
+    const JsonValue& last = dump.Of("flight_event_dump").back();
     std::printf("\nflight recorder (%.0f threads, %.0f events kept of "
                 "%.0f recorded, %.0f overwritten), most recent last:\n",
-                last.threads, last.events, last.recorded, last.dropped);
-    for (const std::string& event : last.tail) {
-      std::printf("  %s\n", event.c_str());
+                last.Num("threads"), last.Num("events"), last.Num("recorded"),
+                last.Num("dropped"));
+    if (const JsonValue* tail = last.Get("tail")) {
+      for (const JsonValue& event : tail->elements()) {
+        std::printf("  %s\n", event.str().c_str());
+      }
     }
   }
 
-  if (!dump.profiles.empty()) {
-    const ProfileCapture& last = dump.profiles.back();
+  if (!dump.Of("profile").empty()) {
+    const JsonValue& last = dump.Of("profile").back();
     std::printf("\nprofile: %.0f samples at %.0f Hz over %.1f ms "
                 "(%.0f dropped); rerun with --flame for the span table\n",
-                last.samples, last.hz, last.duration_ms, last.dropped);
+                last.Num("samples"), last.Num("hz"), last.Num("duration_ms"),
+                last.Num("dropped"));
   }
 
-  if (!dump.hw_rows.empty()) {
+  if (!dump.Of("hw_counters").empty()) {
     std::printf("\nhw counters: %zu span path(s) via %s backend; rerun "
                 "with --hw for the bottleneck table\n",
-                dump.hw_rows.size(), dump.hw_rows.front().backend.c_str());
-  } else if (!dump.hw_unavailable.empty()) {
-    std::printf("\nhw counters unavailable: %s\n",
-                dump.hw_unavailable.front().c_str());
+                dump.Of("hw_counters").size(),
+                dump.Of("hw_counters").front().Str("backend", "?").c_str());
+  } else if (!dump.Of("hw_counters_unavailable").empty()) {
+    std::printf(
+        "\nhw counters unavailable: %s\n",
+        dump.Of("hw_counters_unavailable").front().Str("reason", "?").c_str());
   }
 
-  if (!dump.heap_sites.empty() || !dump.heap_timelines.empty()) {
-    const double samples =
-        dump.heap_timelines.empty() ? 0.0
-                                    : dump.heap_timelines.back().samples;
+  const std::vector<JsonValue>& heap_sites = dump.Of("heap_profile");
+  const std::vector<JsonValue>& heap_timelines = dump.Of("heap_timeline");
+  if (!heap_sites.empty() || !heap_timelines.empty()) {
     std::printf("\nheap profile: %zu site(s), %.0f samples; rerun with "
                 "--heap for the allocation table\n",
-                dump.heap_sites.size(), samples);
-  } else if (!dump.heap_unavailable.empty()) {
+                heap_sites.size(),
+                heap_timelines.empty() ? 0.0
+                                       : heap_timelines.back().Num("samples"));
+  } else if (!dump.Of("heap_profiler_unavailable").empty()) {
     std::printf("\nheap profiler unavailable: %s\n",
-                dump.heap_unavailable.front().c_str());
+                dump.Of("heap_profiler_unavailable")
+                    .front()
+                    .Str("reason", "?")
+                    .c_str());
   }
 
-  if (!dump.summary_counters.empty()) {
+  const std::vector<std::pair<std::string, double>> counters =
+      SummaryCounters(dump);
+  if (!counters.empty()) {
     std::printf("\nrun summary counters:\n");
     std::size_t cwidth = 5;
-    for (const auto& [name, value] : dump.summary_counters) {
+    for (const auto& [name, value] : counters) {
       cwidth = std::max(cwidth, name.size());
     }
-    for (const auto& [name, value] : dump.summary_counters) {
+    for (const auto& [name, value] : counters) {
       std::printf("  %-*s %15.0f\n", static_cast<int>(cwidth), name.c_str(),
                   value);
     }
   }
-  if (!dump.summary_line.empty()) {
-    const auto user = obs::JsonlNumberField(dump.summary_line, "user_cpu_ms");
-    const auto sys =
-        obs::JsonlNumberField(dump.summary_line, "system_cpu_ms");
-    const auto rss = obs::JsonlNumberField(dump.summary_line, "max_rss_kb");
-    if (user.has_value() || rss.has_value()) {
+  if (!dump.Of("run_summary").empty()) {
+    // rusage nests these; look them up at any depth.
+    const JsonValue& summary = dump.Of("run_summary").back();
+    const JsonValue* user = summary.Find("user_cpu_ms", kNumber);
+    const JsonValue* sys = summary.Find("system_cpu_ms", kNumber);
+    const JsonValue* rss = summary.Find("max_rss_kb", kNumber);
+    if (user != nullptr || rss != nullptr) {
       std::printf("\nprocess rusage: user %.1f ms, system %.1f ms, "
                   "peak rss %.0f kb\n",
-                  user.value_or(0.0), sys.value_or(0.0), rss.value_or(0.0));
+                  user != nullptr ? user->number() : 0.0,
+                  sys != nullptr ? sys->number() : 0.0,
+                  rss != nullptr ? rss->number() : 0.0);
     }
   }
-  if (dump.run_wall_ms >= 0.0) {
+  if (run_wall_ms >= 0.0) {
     std::printf("\nrun wall time: %.3f ms  (%zu spans, %zu snapshots, "
                 "%zu progress, %zu estimator records)\n",
-                dump.run_wall_ms, dump.span_records, dump.snapshot_records,
+                run_wall_ms, dump.span_records, dump.snapshot_records,
                 dump.progress_records, dump.estimator_records);
   }
 }
@@ -1004,18 +567,24 @@ void PrintReport(const DumpResult& dump, const std::string& sort_key,
 /// The --flame view: per-span self-CPU sample table from the last
 /// "profile" record (the whole-run capture when --profile was used).
 int PrintFlame(const DumpResult& dump, std::int64_t top) {
-  if (dump.profiles.empty()) {
+  if (dump.Of("profile").empty()) {
     std::fprintf(stderr,
                  "no profile records found (rerun the tool with "
                  "--profile=profile.folded)\n");
     return 1;
   }
-  const ProfileCapture& capture = dump.profiles.back();
+  const JsonValue& capture = dump.Of("profile").back();
+  const double samples_total = capture.Num("samples");
   std::printf("profile: %.0f samples at %.0f Hz over %.1f ms (%.0f dropped)\n",
-              capture.samples, capture.hz, capture.duration_ms,
-              capture.dropped);
+              samples_total, capture.Num("hz"), capture.Num("duration_ms"),
+              capture.Num("dropped"));
 
-  std::vector<std::pair<std::string, double>> rows = capture.spans;
+  std::vector<std::pair<std::string, double>> rows;
+  if (const JsonValue* spans = capture.Get("spans", kObject)) {
+    for (const auto& [path, samples] : spans->members()) {
+      if (samples.is(kNumber)) rows.emplace_back(path, samples.number());
+    }
+  }
   std::sort(rows.begin(), rows.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
   if (top > 0 && static_cast<std::size_t>(top) < rows.size()) {
@@ -1030,8 +599,7 @@ int PrintFlame(const DumpResult& dump, std::int64_t top) {
   for (const auto& [path, samples] : rows) {
     std::printf("%-*s %10.0f %6.1f\n", static_cast<int>(width), path.c_str(),
                 samples,
-                capture.samples > 0.0 ? 100.0 * samples / capture.samples
-                                      : 0.0);
+                samples_total > 0.0 ? 100.0 * samples / samples_total : 0.0);
   }
   return 0;
 }
@@ -1040,10 +608,13 @@ int PrintFlame(const DumpResult& dump, std::int64_t top) {
 /// run's "hw_counters" records, hottest (most cycles) first, with the
 /// toplev-lite bottleneck class the writer assigned.
 int PrintHw(const DumpResult& dump, std::int64_t top) {
-  if (dump.hw_rows.empty()) {
-    if (!dump.hw_unavailable.empty()) {
+  if (dump.Of("hw_counters").empty()) {
+    if (!dump.Of("hw_counters_unavailable").empty()) {
       std::fprintf(stderr, "hw counters unavailable: %s\n",
-                   dump.hw_unavailable.front().c_str());
+                   dump.Of("hw_counters_unavailable")
+                       .front()
+                       .Str("reason", "?")
+                       .c_str());
     } else {
       std::fprintf(stderr,
                    "no hw_counters records found (rerun the tool with "
@@ -1052,28 +623,32 @@ int PrintHw(const DumpResult& dump, std::int64_t top) {
     }
     return 1;
   }
-  std::vector<HwDumpRow> rows = dump.hw_rows;
+  std::vector<const JsonValue*> rows;
+  for (const JsonValue& row : dump.Of("hw_counters")) rows.push_back(&row);
   std::sort(rows.begin(), rows.end(),
-            [](const HwDumpRow& a, const HwDumpRow& b) {
-              return a.cycles > b.cycles;
+            [](const JsonValue* a, const JsonValue* b) {
+              return a->Num("cycles") > b->Num("cycles");
             });
   if (top > 0 && static_cast<std::size_t>(top) < rows.size()) {
     rows.resize(static_cast<std::size_t>(top));
   }
-  std::printf("hw counters (%s backend):\n", rows.front().backend.c_str());
+  std::printf("hw counters (%s backend):\n",
+              rows.front()->Str("backend", "?").c_str());
   std::size_t width = 9;
-  for (const HwDumpRow& row : rows) {
-    width = std::max(width, row.path.size());
+  for (const JsonValue* row : rows) {
+    width = std::max(width, row->Str("path", "?").size());
   }
   std::printf("%-*s %8s %10s %10s %6s %10s %11s %s\n",
               static_cast<int>(width), "span path", "spans", "cycles",
               "instrs", "ipc", "cache miss", "branch miss", "class");
-  for (const HwDumpRow& row : rows) {
+  for (const JsonValue* row : rows) {
     std::printf("%-*s %8.0f %10.3g %10.3g %6.2f %9.1f%% %10.2f%% %s\n",
-                static_cast<int>(width), row.path.c_str(), row.spans,
-                row.cycles, row.instructions, row.ipc,
-                100.0 * row.cache_miss_rate, 100.0 * row.branch_miss_rate,
-                row.cls.c_str());
+                static_cast<int>(width), row->Str("path", "?").c_str(),
+                row->Num("spans"), row->Num("cycles"),
+                row->Num("instructions"), row->Num("ipc"),
+                100.0 * row->Num("cache_miss_rate"),
+                100.0 * row->Num("branch_miss_rate"),
+                row->Str("class", "unknown").c_str());
   }
   return 0;
 }
@@ -1084,10 +659,15 @@ int PrintHw(const DumpResult& dump, std::int64_t top) {
 /// wide timeline headline on top.
 int PrintHeap(const DumpResult& dump, const std::string& sort_key,
               std::int64_t top) {
-  if (dump.heap_sites.empty() && dump.heap_timelines.empty()) {
-    if (!dump.heap_unavailable.empty()) {
+  const std::vector<JsonValue>& sites = dump.Of("heap_profile");
+  const std::vector<JsonValue>& timelines = dump.Of("heap_timeline");
+  if (sites.empty() && timelines.empty()) {
+    if (!dump.Of("heap_profiler_unavailable").empty()) {
       std::fprintf(stderr, "heap profiler unavailable: %s\n",
-                   dump.heap_unavailable.front().c_str());
+                   dump.Of("heap_profiler_unavailable")
+                       .front()
+                       .Str("reason", "?")
+                       .c_str());
     } else {
       std::fprintf(stderr,
                    "no heap_profile records found (rerun the tool with "
@@ -1096,68 +676,86 @@ int PrintHeap(const DumpResult& dump, const std::string& sort_key,
     return 1;
   }
 
-  if (!dump.heap_timelines.empty()) {
-    const HeapTimelineDump& t = dump.heap_timelines.back();
+  if (!timelines.empty()) {
+    const JsonValue& t = timelines.back();
     std::printf("heap profile: %.0f samples over %.1f ms at 1/%.0f bytes "
                 "(%.0f dropped, %.0f sites)\n",
-                t.samples, t.duration_ms, t.sample_bytes, t.dropped,
-                t.sites);
+                t.Num("samples"), t.Num("duration_ms"), t.Num("sample_bytes"),
+                t.Num("dropped"), t.Num("sites"));
     std::printf("  estimated: cum %.3f MiB, live-at-end %.3f MiB, "
                 "peak %.3f MiB\n",
-                t.est_cum_bytes / 1048576.0, t.est_live_bytes / 1048576.0,
-                t.est_peak_bytes / 1048576.0);
+                t.Num("est_cum_bytes") / 1048576.0,
+                t.Num("est_live_bytes") / 1048576.0,
+                t.Num("est_peak_bytes") / 1048576.0);
     std::printf("  exact:     cum %.3f MiB across %.0f allocations\n",
-                t.exact_cum_bytes / 1048576.0, t.exact_cum_allocs);
-    if (t.points > 0) {
+                t.Num("exact_cum_bytes") / 1048576.0,
+                t.Num("exact_cum_allocs"));
+    // The RSS trajectory: last and peak over the timeline points.
+    std::size_t points = 0;
+    double last_rss_kb = 0.0;
+    double peak_rss_kb = 0.0;
+    if (const JsonValue* trajectory = t.Get("points")) {
+      for (const JsonValue& point : trajectory->elements()) {
+        const JsonValue* rss = point.Get("rss_kb", kNumber);
+        if (rss == nullptr) continue;
+        ++points;
+        last_rss_kb = rss->number();
+        peak_rss_kb = std::max(peak_rss_kb, last_rss_kb);
+      }
+    }
+    if (points > 0) {
       std::printf("  rss: last %.0f kb, peak %.0f kb over %zu timeline "
                   "points\n",
-                  t.last_rss_kb, t.peak_rss_kb, t.points);
+                  last_rss_kb, peak_rss_kb, points);
     }
   }
-  if (dump.heap_sites.empty()) {
+  if (sites.empty()) {
     std::printf("(no per-site records — the run allocated less than one "
                 "sampling interval)\n");
     return 0;
   }
 
-  std::vector<HeapSiteDumpRow> rows = dump.heap_sites;
-  const auto key = [&sort_key](const HeapSiteDumpRow& r) {
-    if (sort_key == "live") return r.live_bytes;
-    if (sort_key == "peak") return r.peak_bytes;
-    if (sort_key == "leak") return r.leak_bytes;
-    return r.cum_bytes;
-  };
+  const std::string key = sort_key == "live"   ? "live_bytes"
+                          : sort_key == "peak" ? "peak_bytes"
+                          : sort_key == "leak" ? "leak_bytes"
+                                               : "cum_bytes";
+  std::vector<const JsonValue*> rows;
+  for (const JsonValue& site : sites) rows.push_back(&site);
   std::sort(rows.begin(), rows.end(),
-            [&key](const HeapSiteDumpRow& a, const HeapSiteDumpRow& b) {
-              return key(a) > key(b);
+            [&key](const JsonValue* a, const JsonValue* b) {
+              return a->Num(key) > b->Num(key);
             });
   if (top > 0 && static_cast<std::size_t>(top) < rows.size()) {
     rows.resize(static_cast<std::size_t>(top));
   }
 
   std::size_t width = 9;
-  for (const HeapSiteDumpRow& row : rows) {
-    width = std::max(width, row.span_path.size());
+  for (const JsonValue* row : rows) {
+    width = std::max(width, row->Str("span_path", "?").size());
   }
   std::printf("\n%-*s %8s %12s %10s %12s %12s %12s\n",
               static_cast<int>(width), "span path", "samples", "cum MiB",
               "allocs", "live KiB", "peak KiB", "leak KiB");
-  for (const HeapSiteDumpRow& row : rows) {
+  for (const JsonValue* row : rows) {
     std::printf("%-*s %8.0f %12.3f %10.0f %12.1f %12.1f %12.1f%s\n",
-                static_cast<int>(width), row.span_path.c_str(), row.samples,
-                row.cum_bytes / 1048576.0, row.cum_allocs,
-                row.live_bytes / 1024.0, row.peak_bytes / 1024.0,
-                row.leak_bytes / 1024.0,
-                row.allowlisted ? "  [allowlisted]" : "");
+                static_cast<int>(width), row->Str("span_path", "?").c_str(),
+                row->Num("samples"), row->Num("cum_bytes") / 1048576.0,
+                row->Num("cum_allocs"), row->Num("live_bytes") / 1024.0,
+                row->Num("peak_bytes") / 1024.0,
+                row->Num("leak_bytes") / 1024.0,
+                row->Flag("allowlisted") ? "  [allowlisted]" : "");
     // The innermost non-allocator frame names the allocating code; one
     // line keeps the table scannable while still answering "who".
-    for (const std::string& frame : row.frames) {
-      if (frame.compare(0, 12, "operator_new") == 0 ||
-          frame.compare(0, 12, "operator new") == 0) {
+    const JsonValue* frames = row->Get("frames");
+    if (frames == nullptr) continue;
+    for (const JsonValue& frame : frames->elements()) {
+      const std::string& name = frame.str();
+      if (name.compare(0, 12, "operator_new") == 0 ||
+          name.compare(0, 12, "operator new") == 0) {
         continue;
       }
       std::printf("%-*s   ^ %s\n", static_cast<int>(width), "",
-                  frame.c_str());
+                  name.c_str());
       break;
     }
   }

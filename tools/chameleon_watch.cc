@@ -18,18 +18,22 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 
 #include "chameleon/obs/run_context.h"
-#include "chameleon/obs/sink.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/util/flags.h"
 #include "chameleon/util/status.h"
 #include "chameleon/util/string_util.h"
 
 namespace chameleon {
 namespace {
+
+constexpr auto kString = obs::JsonValue::Kind::kString;
+constexpr auto kNumber = obs::JsonValue::Kind::kNumber;
 
 struct WatchState {
   std::map<std::string, std::string> last_estimator_line;
@@ -40,305 +44,189 @@ struct WatchState {
 };
 
 /// Renders one JSONL record as a human line; empty string for record
-/// types the watcher does not surface (spans, snapshots). Unknown types
-/// are forward-compatible passthrough: they count toward the record
-/// total and produce one stderr note per type, never a per-record
-/// warning — newer writers may emit records this build has never heard
-/// of.
+/// types the watcher does not surface (spans, snapshots) and for lines
+/// that are not JSON records. Unknown types are forward-compatible
+/// passthrough: they count toward the record total and produce one
+/// stderr note per type, never a per-record warning — newer writers may
+/// emit records this build has never heard of.
 std::string RenderRecord(const std::string& line, WatchState* state) {
-  const auto type = obs::JsonlStringField(line, "type");
-  if (!type.has_value()) return "";
+  const std::optional<obs::JsonValue> parsed = obs::ParseJson(line);
+  const obs::JsonValue* type_value =
+      parsed.has_value() ? parsed->Get("type", kString) : nullptr;
+  if (type_value == nullptr) return "";
+  const obs::JsonValue& r = *parsed;
+  const std::string& type = type_value->str();
   ++state->records;
-  if (*type == "manifest") {
-    const auto tool = obs::JsonlStringField(line, "tool");
-    const auto describe = obs::JsonlStringField(line, "git_describe");
-    return StrFormat("watching %s (%s)\n", tool.value_or("?").c_str(),
-                     describe.value_or("unknown build").c_str());
+  if (type == "manifest") {
+    // build/host nest the provenance fields; look them up at any depth.
+    const obs::JsonValue* describe = r.Find("git_describe", kString);
+    return StrFormat("watching %s (%s)\n", r.Str("tool", "?").c_str(),
+                     describe != nullptr ? describe->str().c_str()
+                                         : "unknown build");
   }
-  if (*type == "progress") {
-    const auto label = obs::JsonlStringField(line, "label");
-    const double done = obs::JsonlNumberField(line, "done").value_or(0.0);
-    const double total = obs::JsonlNumberField(line, "total").value_or(0.0);
-    const double rate =
-        obs::JsonlNumberField(line, "rate_per_s").value_or(0.0);
-    const double eta = obs::JsonlNumberField(line, "eta_s").value_or(0.0);
-    std::string text = StrFormat("[%s] %.0f", label.value_or("?").c_str(),
+  if (type == "progress") {
+    const double done = r.Num("done");
+    const double total = r.Num("total");
+    const double rate = r.Num("rate_per_s");
+    std::string text = StrFormat("[%s] %.0f", r.Str("label", "?").c_str(),
                                  done);
     if (total > 0.0) {
       text += StrFormat("/%.0f (%.1f%%)", total, 100.0 * done / total);
     }
     text += StrFormat(" %.3g/s", rate);
-    if (total > done && rate > 0.0) text += StrFormat(" ETA %.1fs", eta);
-    if (line.find("\"final\":true") != std::string::npos) {
-      text += " [finished]";
+    if (total > done && rate > 0.0) {
+      text += StrFormat(" ETA %.1fs", r.Num("eta_s"));
     }
+    if (r.Flag("final")) text += " [finished]";
     return text + "\n";
   }
-  if (*type == "estimator_progress") {
-    const auto label = obs::JsonlStringField(line, "label");
-    const double samples =
-        obs::JsonlNumberField(line, "samples").value_or(0.0);
-    const double mean = obs::JsonlNumberField(line, "mean").value_or(0.0);
-    const double hw =
-        obs::JsonlNumberField(line, "ci_halfwidth").value_or(0.0);
-    const double rate =
-        obs::JsonlNumberField(line, "rate_per_s").value_or(0.0);
-    std::string text =
-        StrFormat("[%s] n=%.0f mean=%.6g ci_halfwidth=%.4g (%.3g/s)",
-                  label.value_or("?").c_str(), samples, mean, hw, rate);
-    if (line.find("\"final\":true") != std::string::npos) {
-      text += line.find("\"stopped_early\":true") != std::string::npos
-                  ? " [stopped early]"
-                  : " [done]";
+  if (type == "estimator_progress") {
+    const std::string label = r.Str("label", "?");
+    std::string text = StrFormat(
+        "[%s] n=%.0f mean=%.6g ci_halfwidth=%.4g (%.3g/s)", label.c_str(),
+        r.Num("samples"), r.Num("mean"), r.Num("ci_halfwidth"),
+        r.Num("rate_per_s"));
+    if (r.Flag("final")) {
+      text += r.Flag("stopped_early") ? " [stopped early]" : " [done]";
     }
-    state->last_estimator_line[label.value_or("?")] = text;
+    state->last_estimator_line[label] = text;
     return text + "\n";
   }
-  if (*type == "status_server") {
-    const auto address = obs::JsonlStringField(line, "address");
-    const double port = obs::JsonlNumberField(line, "port").value_or(0.0);
+  if (type == "status_server") {
     return StrFormat("statusz live at http://%s:%.0f/statusz\n",
-                     address.value_or("127.0.0.1").c_str(), port);
+                     r.Str("address", "127.0.0.1").c_str(), r.Num("port"));
   }
-  if (*type == "graph_summary") {
-    const auto origin = obs::JsonlStringField(line, "origin");
-    const double nodes = obs::JsonlNumberField(line, "nodes").value_or(0.0);
-    const double edges = obs::JsonlNumberField(line, "edges").value_or(0.0);
-    const double mean_p =
-        obs::JsonlNumberField(line, "mean_p").value_or(0.0);
+  if (type == "graph_summary") {
     return StrFormat("graph %s: %.0f nodes, %.0f edges, mean p %.3f\n",
-                     origin.value_or("?").c_str(), nodes, edges, mean_p);
+                     r.Str("origin", "?").c_str(), r.Num("nodes"),
+                     r.Num("edges"), r.Num("mean_p"));
   }
-  if (*type == "profile") {
-    const double samples =
-        obs::JsonlNumberField(line, "samples").value_or(0.0);
-    const double hz = obs::JsonlNumberField(line, "hz").value_or(0.0);
-    const double dropped =
-        obs::JsonlNumberField(line, "dropped").value_or(0.0);
+  if (type == "profile") {
     return StrFormat(
         "profile captured: %.0f samples at %.0f Hz (%.0f dropped)\n",
-        samples, hz, dropped);
+        r.Num("samples"), r.Num("hz"), r.Num("dropped"));
   }
-  if (*type == "privacy_check") {
-    const double k = obs::JsonlNumberField(line, "k").value_or(0.0);
-    const double eps = obs::JsonlNumberField(line, "eps").value_or(0.0);
-    const double eps_hat =
-        obs::JsonlNumberField(line, "eps_hat").value_or(0.0);
-    const double vertices =
-        obs::JsonlNumberField(line, "vertices").value_or(0.0);
-    const double not_obf =
-        obs::JsonlNumberField(line, "not_obfuscated").value_or(0.0);
-    const bool obfuscated =
-        line.find("\"obfuscated\":true") != std::string::npos;
+  if (type == "privacy_check") {
     return StrFormat(
         "(k=%.4g, eps=%.4g)-obfuscation %s: eps_hat=%.6g "
         "(%.0f/%.0f vertices exposed)\n",
-        k, eps, obfuscated ? "SATISFIED" : "VIOLATED", eps_hat, not_obf,
-        vertices);
+        r.Num("k"), r.Num("eps"),
+        r.Flag("obfuscated") ? "SATISFIED" : "VIOLATED", r.Num("eps_hat"),
+        r.Num("not_obfuscated"), r.Num("vertices"));
   }
-  if (*type == "anonymize_attempt") {
-    const auto method = obs::JsonlStringField(line, "method");
-    const auto phase = obs::JsonlStringField(line, "phase");
-    const double level = obs::JsonlNumberField(line, "level").value_or(0.0);
-    const double attempt =
-        obs::JsonlNumberField(line, "attempt").value_or(0.0);
-    const double sigma = obs::JsonlNumberField(line, "sigma").value_or(0.0);
-    const double eps_hat =
-        obs::JsonlNumberField(line, "eps_hat").value_or(0.0);
-    const bool success = line.find("\"success\":true") != std::string::npos;
+  if (type == "anonymize_attempt") {
     return StrFormat(
         "%s %s level %.0f attempt %.0f: sigma=%.4g -> eps_hat=%.4g %s\n",
-        method.value_or("?").c_str(), phase.value_or("?").c_str(), level,
-        attempt, sigma, eps_hat, success ? "OK" : "failed");
+        r.Str("method", "?").c_str(), r.Str("phase", "?").c_str(),
+        r.Num("level"), r.Num("attempt"), r.Num("sigma"), r.Num("eps_hat"),
+        r.Flag("success") ? "OK" : "failed");
   }
-  if (*type == "sigma_search") {
-    const auto method = obs::JsonlStringField(line, "method");
-    const auto phase = obs::JsonlStringField(line, "phase");
-    const double level = obs::JsonlNumberField(line, "level").value_or(0.0);
-    const double sigma = obs::JsonlNumberField(line, "sigma").value_or(0.0);
-    const double best =
-        obs::JsonlNumberField(line, "best_sigma").value_or(0.0);
-    const bool success = line.find("\"success\":true") != std::string::npos;
-    if (phase.has_value() && *phase == "final") {
+  if (type == "sigma_search") {
+    const std::string method = r.Str("method", "?");
+    const std::string phase = r.Str("phase", "?");
+    const bool success = r.Flag("success");
+    if (phase == "final") {
       return StrFormat("%s sigma search done: best sigma=%.4g (%s)\n",
-                       method.value_or("?").c_str(), best,
+                       method.c_str(), r.Num("best_sigma"),
                        success ? "feasible" : "infeasible");
     }
     return StrFormat("%s sigma search [%s] level %.0f: sigma=%.4g %s "
                      "(best %.4g)\n",
-                     method.value_or("?").c_str(),
-                     phase.value_or("?").c_str(), level, sigma,
-                     success ? "succeeded" : "failed", best);
+                     method.c_str(), phase.c_str(), r.Num("level"),
+                     r.Num("sigma"), success ? "succeeded" : "failed",
+                     r.Num("best_sigma"));
   }
-  if (*type == "relevance_progress") {
-    const auto label = obs::JsonlStringField(line, "label");
-    const double worlds =
-        obs::JsonlNumberField(line, "worlds").value_or(0.0);
-    const double total =
-        obs::JsonlNumberField(line, "total_worlds").value_or(0.0);
-    const double mean_err =
-        obs::JsonlNumberField(line, "mean_err").value_or(0.0);
-    const double rel_err =
-        obs::JsonlNumberField(line, "rel_err").value_or(0.0);
-    const bool final_row = line.find("\"final\":true") != std::string::npos;
+  if (type == "relevance_progress") {
     return StrFormat(
         "relevance %s: %.0f/%.0f worlds, mean ERR %.4g, rel err %.4g%s\n",
-        label.value_or("?").c_str(), worlds, total, mean_err, rel_err,
-        final_row ? " [final]" : "");
+        r.Str("label", "?").c_str(), r.Num("worlds"), r.Num("total_worlds"),
+        r.Num("mean_err"), r.Num("rel_err"), r.Flag("final") ? " [final]" : "");
   }
-  if (*type == "crash") {
-    const auto name = obs::JsonlStringField(line, "signal_name");
-    const double signal =
-        obs::JsonlNumberField(line, "signal").value_or(0.0);
-    const auto addr = obs::JsonlStringField(line, "fault_addr");
-    const auto span = obs::JsonlStringField(line, "span_path");
+  if (type == "crash") {
     std::string text = StrFormat("CRASH: %s (signal %.0f)",
-                                 name.value_or("?").c_str(), signal);
-    if (addr.has_value()) text += StrFormat(" at %s", addr->c_str());
-    if (span.has_value()) text += StrFormat(" in span %s", span->c_str());
-    // Frame count without parsing the array: the frames are the only
-    // place a crash record nests strings.
-    std::size_t frames = 0;
-    const std::size_t open = line.find("\"frames\":[");
-    if (open != std::string::npos) {
-      const std::size_t close = line.find(']', open);
-      for (std::size_t i = open + 10; i < close && i < line.size(); ++i) {
-        if (line[i] == '"' && line[i - 1] != '\\') ++frames;
-      }
-      frames /= 2;
+                                 r.Str("signal_name", "?").c_str(),
+                                 r.Num("signal"));
+    if (const obs::JsonValue* addr = r.Get("fault_addr", kString)) {
+      text += " at " + addr->str();
     }
+    if (const obs::JsonValue* span = r.Get("span_path", kString)) {
+      text += " in span " + span->str();
+    }
+    const obs::JsonValue* frames = r.Get("frames");
     text += StrFormat(" — %zu frames, run obs_dump for the backtrace",
-                      frames);
+                      frames != nullptr ? frames->elements().size() : 0);
     return text + "\n";
   }
-  if (*type == "watchdog_stall") {
-    const auto path = obs::JsonlStringField(line, "path");
-    const double idle_ms =
-        obs::JsonlNumberField(line, "idle_ms").value_or(0.0);
-    const double stall_s =
-        obs::JsonlNumberField(line, "stall_seconds").value_or(0.0);
-    const bool aborting =
-        line.find("\"aborting\":true") != std::string::npos;
+  if (type == "watchdog_stall") {
     return StrFormat("WATCHDOG: %s idle %.1fs (threshold %.1fs)%s\n",
-                     path.value_or("?").c_str(), idle_ms * 1e-3, stall_s,
-                     aborting ? " — aborting the run" : "");
+                     r.Str("path", "?").c_str(), r.Num("idle_ms") * 1e-3,
+                     r.Num("stall_seconds"),
+                     r.Flag("aborting") ? " — aborting the run" : "");
   }
-  if (*type == "flight_event_dump") {
-    const double threads =
-        obs::JsonlNumberField(line, "threads").value_or(0.0);
-    const double events =
-        obs::JsonlNumberField(line, "events").value_or(0.0);
+  if (type == "flight_event_dump") {
     return StrFormat(
         "flight recorder dumped: %.0f events across %.0f threads (see "
         "obs_dump for the tail)\n",
-        events, threads);
+        r.Num("events"), r.Num("threads"));
   }
-  if (*type == "parallel_region") {
-    const auto name = obs::JsonlStringField(line, "name");
-    const double workers =
-        obs::JsonlNumberField(line, "workers").value_or(0.0);
-    const double requested =
-        obs::JsonlNumberField(line, "requested").value_or(0.0);
-    const double wall_ns =
-        obs::JsonlNumberField(line, "wall_ns").value_or(0.0);
-    if (line.find("\"partial\":true") != std::string::npos) {
-      const double done =
-          obs::JsonlNumberField(line, "blocks_done").value_or(0.0);
-      const double blocks =
-          obs::JsonlNumberField(line, "blocks").value_or(0.0);
+  if (type == "parallel_region") {
+    const std::string name = r.Str("name", "?");
+    if (r.Flag("partial")) {
       return StrFormat(
           "parallel %s INTERRUPTED: %.0f/%.0f blocks done on %.0f workers\n",
-          name.value_or("?").c_str(), done, blocks, workers);
+          name.c_str(), r.Num("blocks_done"), r.Num("blocks"),
+          r.Num("workers"));
     }
-    const double speedup =
-        obs::JsonlNumberField(line, "speedup").value_or(0.0);
-    const double efficiency =
-        obs::JsonlNumberField(line, "efficiency").value_or(0.0);
-    const double imbalance =
-        obs::JsonlNumberField(line, "imbalance").value_or(0.0);
     return StrFormat(
         "parallel %s: %.0f/%.0f workers, %.2f ms, speedup %.2fx "
         "(eff %.0f%%, imbalance %.2f)\n",
-        name.value_or("?").c_str(), workers, requested, wall_ns * 1e-6,
-        speedup, efficiency * 100.0, imbalance);
+        name.c_str(), r.Num("workers"), r.Num("requested"),
+        r.Num("wall_ns") * 1e-6, r.Num("speedup"), r.Num("efficiency") * 100.0,
+        r.Num("imbalance"));
   }
-  if (*type == "mutex_wait") {
-    const auto name = obs::JsonlStringField(line, "name");
-    const double wait_ns =
-        obs::JsonlNumberField(line, "wait_ns").value_or(0.0);
-    const double long_waits =
-        obs::JsonlNumberField(line, "long_waits").value_or(0.0);
-    return StrFormat(
-        "LOCK WAIT: mutex %s blocked a thread for %.2f ms "
-        "(long wait #%.0f)\n",
-        name.value_or("?").c_str(), wait_ns * 1e-6, long_waits);
-  }
-  if (*type == "hw_counters") {
-    const auto path = obs::JsonlStringField(line, "path");
-    const auto cls = obs::JsonlStringField(line, "class");
-    const double ipc = obs::JsonlNumberField(line, "ipc").value_or(0.0);
-    const double cmr =
-        obs::JsonlNumberField(line, "cache_miss_rate").value_or(0.0);
-    const double spans =
-        obs::JsonlNumberField(line, "spans").value_or(0.0);
+  if (type == "hw_counters") {
     return StrFormat(
         "hw %s: ipc %.2f, cache miss %.1f%% over %.0f spans [%s]\n",
-        path.value_or("?").c_str(), ipc, cmr * 100.0, spans,
-        cls.value_or("unknown").c_str());
+        r.Str("path", "?").c_str(), r.Num("ipc"),
+        r.Num("cache_miss_rate") * 100.0, r.Num("spans"),
+        r.Str("class", "unknown").c_str());
   }
-  if (*type == "hw_counters_unavailable") {
-    const auto reason = obs::JsonlStringField(line, "reason");
+  if (type == "hw_counters_unavailable") {
     return StrFormat("hw counters unavailable: %s\n",
-                     reason.value_or("?").c_str());
+                     r.Str("reason", "?").c_str());
   }
-  if (*type == "heap_profile") {
-    const auto span = obs::JsonlStringField(line, "span_path");
-    const double cum =
-        obs::JsonlNumberField(line, "cum_bytes").value_or(0.0);
-    const double live =
-        obs::JsonlNumberField(line, "live_bytes").value_or(0.0);
-    const double samples =
-        obs::JsonlNumberField(line, "samples").value_or(0.0);
+  if (type == "heap_profile") {
     return StrFormat(
         "heap %s: cum %.2f MiB, live %.1f KiB over %.0f samples%s\n",
-        span.value_or("?").c_str(), cum / 1048576.0, live / 1024.0,
-        samples,
-        line.find("\"allowlisted\":true") != std::string::npos
-            ? " [allowlisted]"
-            : "");
+        r.Str("span_path", "?").c_str(), r.Num("cum_bytes") / 1048576.0,
+        r.Num("live_bytes") / 1024.0, r.Num("samples"),
+        r.Flag("allowlisted") ? " [allowlisted]" : "");
   }
-  if (*type == "heap_timeline") {
-    const double samples =
-        obs::JsonlNumberField(line, "samples").value_or(0.0);
-    const double est_peak =
-        obs::JsonlNumberField(line, "est_peak_bytes").value_or(0.0);
-    const double exact_cum =
-        obs::JsonlNumberField(line, "exact_cum_bytes").value_or(0.0);
+  if (type == "heap_timeline") {
     return StrFormat(
         "heap profile: %.0f samples, est peak %.2f MiB, exact cum "
         "%.2f MiB (see obs_dump --heap)\n",
-        samples, est_peak / 1048576.0, exact_cum / 1048576.0);
+        r.Num("samples"), r.Num("est_peak_bytes") / 1048576.0,
+        r.Num("exact_cum_bytes") / 1048576.0);
   }
-  if (*type == "heap_profiler_unavailable") {
-    const auto reason = obs::JsonlStringField(line, "reason");
+  if (type == "heap_profiler_unavailable") {
     return StrFormat("heap profiler unavailable: %s\n",
-                     reason.value_or("?").c_str());
+                     r.Str("reason", "?").c_str());
   }
-  if (*type == "run_summary") {
+  if (type == "run_summary") {
     state->summary_seen = true;
-    state->wall_ms = obs::JsonlNumberField(line, "wall_ms").value_or(0.0);
+    state->wall_ms = r.Num("wall_ms");
     std::string text = StrFormat("run finished: wall %.1f ms", state->wall_ms);
-    if (const auto signal = obs::JsonlNumberField(line, "signal");
-        signal.has_value()) {
-      text += StrFormat(" (killed by signal %.0f)", *signal);
+    if (const obs::JsonValue* signal = r.Get("signal", kNumber)) {
+      text += StrFormat(" (killed by signal %.0f)", signal->number());
     }
     return text + "\n";
   }
-  if (*type != "span" && *type != "snapshot" &&
-      state->unknown_types_noted.insert(*type).second) {
+  if (type != "span" && type != "snapshot" &&
+      state->unknown_types_noted.insert(type).second) {
     std::fprintf(stderr,
                  "note: passing through unknown record type \"%s\"\n",
-                 type->c_str());
+                 type.c_str());
   }
   return "";
 }
