@@ -5,7 +5,7 @@
 //
 // Covers the three layers of the privacy subsystem on fixed-seed graphs:
 // the O(d²) Poisson-binomial PMF build, the O(d) incremental
-// update/downdate the search loop leans on, the O(n log n) uniqueness
+// update/downdate (used only by the tests), the O(n log n) uniqueness
 // transform at 2k and 50k vertices, and the full (k,ε)-obfuscation
 // verifier serial vs 8 workers (the
 // parallel twin measures the sharded posterior sweep; on a single-core
@@ -80,8 +80,8 @@ CHAMELEON_BENCHMARK(BM_PoissonBinomialBuildEr2k);
 
 // --------------------------------------------------------------------------
 // pb_incremental_update_d64: 64 UpdateEdge round trips on one degree-64
-// vertex — the O(d) re-scoring primitive of the obfuscation search loop,
-// straddling both deconvolution branches (p < 1/2 and p >= 1/2).
+// vertex — the O(d) re-scoring primitive (RemoveEdge + the AddEdge
+// kernel), straddling both deconvolution branches (p < 1/2 and p >= 1/2).
 // --------------------------------------------------------------------------
 void BM_PoissonBinomialIncrementalD64(bench::BenchContext& context) {
   constexpr std::size_t kDegree = 64;

@@ -27,6 +27,14 @@
 ///   4. Verify the perturbed graph with the (k,ε)-obfuscation verifier
 ///      (privacy/obfuscation.h); the attempt succeeds iff ε̂ ≤ ε.
 ///
+/// Step 1 and the eligible-edge list depend only on the graph, the
+/// uniqueness scores and the options, so a σ search builds them once
+/// (PlanGenObf) and every attempt pays only for steps 2–4. Selection is
+/// linear: nth_element on the (key, edge) pairs, then one edge-order
+/// pass, so candidates are perturbed and their mean priority summed in
+/// edge order. The attempt's graph reuses the input's CSR topology
+/// (UncertainGraph::WithProbabilities) instead of rebuilding it.
+///
 /// Edges with p = 1 whose relevance the reused-sampling estimator cannot
 /// observe are still eligible: perturbing certain edges is exactly how
 /// uncertainty is injected (and the Rep-An p ∈ {0,1} special case relies
@@ -58,9 +66,34 @@ struct GenObfAttempt {
   double wall_ms = 0.0;
 };
 
-/// Runs one attempt. `uniqueness` holds U^v per vertex; `priorities`
-/// holds Q^e per edge (perturbation.h). Consumes draws from `rng` — pass
-/// a per-attempt stream for reproducible multi-attempt search.
+/// What every attempt of one σ search shares: the exclusion set H and
+/// the edges it leaves eligible.
+struct GenObfPlan {
+  /// Edges with neither endpoint in H, in edge order.
+  std::vector<EdgeId> eligible;
+  /// |H| = ⌈ε/2·|V|⌉.
+  std::size_t excluded_vertices = 0;
+  /// |EC| = min(⌈c·|E|⌉, |eligible|).
+  std::size_t candidates = 0;
+};
+
+/// Builds the plan for `graph` from U^v per vertex (`uniqueness`), ε and
+/// c. H is the ⌈ε/2·|V|⌉ highest scores, ties toward the lower id.
+Result<GenObfPlan> PlanGenObf(const graph::UncertainGraph& graph,
+                              const std::vector<double>& uniqueness,
+                              const GenObfOptions& options);
+
+/// Runs one attempt under `plan`, which must come from PlanGenObf on the
+/// same graph and options. `priorities` holds Q^e per edge
+/// (perturbation.h). Consumes draws from `rng` — pass a per-attempt
+/// stream for reproducible multi-attempt search.
+Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
+                             const GenObfPlan& plan,
+                             const std::vector<double>& priorities,
+                             double sigma, const GenObfOptions& options,
+                             Rng& rng);
+
+/// One attempt with its own plan: PlanGenObf, then the attempt above.
 Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
                              const std::vector<double>& uniqueness,
                              const std::vector<double>& priorities,

@@ -12,7 +12,9 @@
 /// Immutable uncertain-graph container `G = (V, E, p)` with CSR adjacency.
 /// Construction goes through UncertainGraphBuilder, which validates the
 /// paper's graph model: undirected, no self-loops, no multi-edges,
-/// probabilities in [0, 1].
+/// probabilities in [0, 1]. A graph that differs from an existing one
+/// only in its probabilities comes from WithProbabilities, which reuses
+/// the topology instead of re-validating and re-sorting it.
 
 namespace chameleon::graph {
 
@@ -50,6 +52,15 @@ class UncertainGraph {
 
   /// Sum over edges of p (expected number of edges).
   double expected_num_edges() const;
+
+  /// The same vertices, edges and adjacency with `probabilities[e]` as
+  /// edge e's probability. Expected degrees are summed in edge order, as
+  /// UncertainGraphBuilder sums them, so the result equals the graph
+  /// UncertainGraphBuilder makes of the same edges bit for bit.
+  /// InvalidArgument unless there is one probability per edge, each in
+  /// [0, 1] (NaN is rejected).
+  Result<UncertainGraph> WithProbabilities(
+      std::span<const double> probabilities) const;
 
  private:
   friend class UncertainGraphBuilder;

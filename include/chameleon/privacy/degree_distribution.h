@@ -20,13 +20,16 @@
 /// The PMF is computed by the stable direct-convolution recurrence
 ///   f'[k] = f[k]·(1−p) + f[k−1]·p
 /// applied once per incident edge — O(d²) for a degree-d vertex, all
-/// terms non-negative so no catastrophic cancellation. The inverse step
+/// terms non-negative so no catastrophic cancellation. The loop runs two
+/// entries per step with the same per-entry rounding as the one-entry
+/// loop, so every PMF is bit-identical to it. The inverse step
 /// (RemoveEdge) deconvolves one edge in O(d) by running the recurrence
 /// forward (divide by 1−p) when p < 1/2 and backward (divide by p)
 /// otherwise, so the divisor is always ≥ 1/2 and the downdate stays
-/// within ~1e-15 of a from-scratch rebuild. A future search loop can
-/// therefore re-score a perturbed candidate edge in O(d) per endpoint
-/// instead of O(d²).
+/// within ~1e-15 of a from-scratch rebuild — close, but not bitwise,
+/// which is why the GenObf search rebuilds PMFs instead: a vertex whose
+/// posterior entropy sits on the log₂k line could flip. RemoveEdge and
+/// UpdateEdge have no caller outside the tests and one micro-benchmark.
 
 namespace chameleon::privacy {
 
@@ -55,7 +58,7 @@ class DegreeDistribution {
   /// caller owns that bookkeeping.
   Status RemoveEdge(double p);
 
-  /// RemoveEdge(old_p) + AddEdge(new_p): O(d) candidate re-scoring.
+  /// RemoveEdge(old_p) + AddEdge(new_p): O(d) re-scoring of one edge.
   Status UpdateEdge(double old_p, double new_p);
 
   /// Number of incorporated edges (the maximum possible degree).

@@ -98,8 +98,7 @@ Result<ObfuscationCertificate> VerifyObfuscation(
     const graph::UncertainGraph& graph, const ObfuscationOptions& options);
 
 /// Same, reusing caller-held degree distributions (`dists[v]` must be
-/// vertex v's distribution — the search loop keeps these incrementally
-/// updated and re-verifies in O(Σ deg) per candidate).
+/// vertex v's distribution); the sweep alone is O(Σ deg).
 Result<ObfuscationCertificate> VerifyObfuscation(
     const graph::UncertainGraph& graph,
     const std::vector<DegreeDistribution>& dists,

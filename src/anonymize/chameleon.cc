@@ -199,8 +199,13 @@ Result<AnonymizeResult> Anonymize(const graph::UncertainGraph& graph,
                                               : NoiseModel::kMaxEntropy;
   gen_options.adversary = options.adversary;
   gen_options.threads = options.threads;
+  // Exclusion set and eligible edges: the same for every attempt.
+  const Result<GenObfPlan> plan =
+      PlanGenObf(graph, uniqueness->scores, gen_options);
+  if (!plan.ok()) return plan.status();
 
   std::optional<GenObfAttempt> best;
+  // Of a failed attempt only the evidence is kept, not its graph.
   std::optional<GenObfAttempt> last_failed;
   double lo = 0.0;  // highest σ known to fail (0 = none tried below hi)
   double hi = 0.0;  // smallest σ known to succeed (0 = none yet)
@@ -215,8 +220,8 @@ Result<AnonymizeResult> Anonymize(const graph::UncertainGraph& graph,
     bool success = false;
     for (std::size_t a = 0; a < options.trials; ++a) {
       Rng rng(AttemptSeed(options.seed, level, a));
-      Result<GenObfAttempt> attempt = GenObf(
-          graph, uniqueness->scores, *priorities, sigma, gen_options, rng);
+      Result<GenObfAttempt> attempt =
+          GenObf(graph, *plan, *priorities, sigma, gen_options, rng);
       if (!attempt.ok()) {
         level_error = attempt.status();
         return false;
@@ -234,6 +239,7 @@ Result<AnonymizeResult> Anonymize(const graph::UncertainGraph& graph,
         success = true;
         break;
       }
+      attempt->published = graph::UncertainGraph();
       last_failed = std::move(*attempt);
     }
     if (success) hi = sigma;

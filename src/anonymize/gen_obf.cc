@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -13,23 +14,7 @@
 namespace chameleon::anonymize {
 namespace {
 
-Status ValidateOptions(const graph::UncertainGraph& graph,
-                       const std::vector<double>& uniqueness,
-                       const std::vector<double>& priorities, double sigma,
-                       const GenObfOptions& options) {
-  if (uniqueness.size() != graph.num_nodes()) {
-    return Status::InvalidArgument(
-        StrFormat("uniqueness has %zu scores for %u nodes", uniqueness.size(),
-                  graph.num_nodes()));
-  }
-  if (priorities.size() != graph.num_edges()) {
-    return Status::InvalidArgument(
-        StrFormat("priorities has %zu entries for %zu edges",
-                  priorities.size(), graph.num_edges()));
-  }
-  if (!(sigma > 0.0)) {
-    return Status::InvalidArgument("sigma must be positive");
-  }
+Status ValidateOptions(const GenObfOptions& options) {
   if (options.candidate_fraction <= 0.0 || options.candidate_fraction > 1.0) {
     return Status::InvalidArgument("candidate_fraction must be in (0, 1]");
   }
@@ -58,73 +43,100 @@ std::vector<bool> ExcludeHardest(const std::vector<double>& uniqueness,
 
 }  // namespace
 
-Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
-                             const std::vector<double>& uniqueness,
-                             const std::vector<double>& priorities,
-                             double sigma, const GenObfOptions& options,
-                             Rng& rng) {
-  CHAMELEON_RETURN_IF_ERROR(
-      ValidateOptions(graph, uniqueness, priorities, sigma, options));
-  CHOBS_SPAN(span, "anonymize/genobf");
-  WallTimer timer;
+Result<GenObfPlan> PlanGenObf(const graph::UncertainGraph& graph,
+                              const std::vector<double>& uniqueness,
+                              const GenObfOptions& options) {
+  if (uniqueness.size() != graph.num_nodes()) {
+    return Status::InvalidArgument(
+        StrFormat("uniqueness has %zu scores for %u nodes", uniqueness.size(),
+                  graph.num_nodes()));
+  }
+  CHAMELEON_RETURN_IF_ERROR(ValidateOptions(options));
   const auto& edges = graph.edges();
 
   // 1. Hardest-vertex exclusion: ⌈ε/2·|V|⌉ vertices, half the ε budget.
-  const std::size_t h = static_cast<std::size_t>(
+  GenObfPlan plan;
+  plan.excluded_vertices = static_cast<std::size_t>(
       std::ceil(0.5 * options.epsilon * graph.num_nodes()));
-  const std::vector<bool> excluded = ExcludeHardest(uniqueness, h);
-
-  std::vector<EdgeId> eligible;
-  eligible.reserve(edges.size());
+  const std::vector<bool> excluded =
+      ExcludeHardest(uniqueness, plan.excluded_vertices);
+  plan.eligible.reserve(edges.size());
   for (std::size_t e = 0; e < edges.size(); ++e) {
     if (!excluded[edges[e].u] && !excluded[edges[e].v]) {
-      eligible.push_back(static_cast<EdgeId>(e));
+      plan.eligible.push_back(static_cast<EdgeId>(e));
     }
   }
+  plan.candidates = std::min(
+      static_cast<std::size_t>(std::ceil(
+          options.candidate_fraction * static_cast<double>(edges.size()))),
+      plan.eligible.size());
+  return plan;
+}
+
+Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
+                             const GenObfPlan& plan,
+                             const std::vector<double>& priorities,
+                             double sigma, const GenObfOptions& options,
+                             Rng& rng) {
+  if (priorities.size() != graph.num_edges()) {
+    return Status::InvalidArgument(
+        StrFormat("priorities has %zu entries for %zu edges",
+                  priorities.size(), graph.num_edges()));
+  }
+  if (!(sigma > 0.0)) {
+    return Status::InvalidArgument("sigma must be positive");
+  }
+  CHAMELEON_RETURN_IF_ERROR(ValidateOptions(options));
+  if (plan.candidates > plan.eligible.size() ||
+      (!plan.eligible.empty() && plan.eligible.back() >= graph.num_edges())) {
+    return Status::InvalidArgument("plan does not fit this graph");
+  }
+  CHOBS_SPAN(span, "anonymize/genobf");
+  WallTimer timer;
+  const auto& edges = graph.edges();
+  const std::size_t want = plan.candidates;
 
   // 2. Q-weighted candidate selection without replacement: keep the
   // ⌈c|E|⌉ smallest exponential keys −log(u)/Q^e. Zero-priority edges
   // get an infinite key and are chosen only when everything else ran
   // out. Keys are drawn in edge order, so the draw sequence — and the
-  // candidate set — is a pure function of the rng stream.
-  std::size_t want = static_cast<std::size_t>(
-      std::ceil(options.candidate_fraction * static_cast<double>(edges.size())));
-  want = std::min(want, eligible.size());
-  std::vector<std::pair<double, EdgeId>> keyed;
-  keyed.reserve(eligible.size());
-  for (const EdgeId e : eligible) {
-    const double u = 1.0 - rng.UniformDouble();  // (0, 1]
-    const double w = priorities[e];
-    const double key = w > 0.0 ? -std::log(u) / w
-                               : std::numeric_limits<double>::infinity();
-    keyed.emplace_back(key, e);
+  // candidate set — is a pure function of the rng stream. The pairs are
+  // distinct (edge ids are), so nth_element picks exactly the set a
+  // full sort would.
+  std::vector<char> chosen(edges.size(), 0);
+  {
+    std::vector<std::pair<double, EdgeId>> keyed;
+    keyed.reserve(plan.eligible.size());
+    for (const EdgeId e : plan.eligible) {
+      const double u = 1.0 - rng.UniformDouble();  // (0, 1]
+      const double w = priorities[e];
+      const double key = w > 0.0 ? -std::log(u) / w
+                                 : std::numeric_limits<double>::infinity();
+      keyed.emplace_back(key, e);
+    }
+    std::nth_element(keyed.begin(),
+                     keyed.begin() + static_cast<std::ptrdiff_t>(want),
+                     keyed.end());
+    for (std::size_t i = 0; i < want; ++i) chosen[keyed[i].second] = 1;
   }
-  std::sort(keyed.begin(), keyed.end());
-  keyed.resize(want);
 
   // 3. Perturb candidates in edge order (stable rng consumption). The
   // per-edge scale is σ·Q^e normalized by the candidate-mean priority.
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
   double q_sum = 0.0;
-  for (const auto& [key, e] : keyed) q_sum += priorities[e];
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    if (chosen[e]) q_sum += priorities[e];
+  }
   const double q_mean = want > 0 ? q_sum / static_cast<double>(want) : 0.0;
-
   std::vector<double> perturbed(edges.size());
-  for (std::size_t e = 0; e < edges.size(); ++e) perturbed[e] = edges[e].p;
-  for (const auto& [key, e] : keyed) {
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    perturbed[e] = edges[e].p;
+    if (!chosen[e]) continue;
     const double scale =
         q_mean > 0.0 ? sigma * priorities[e] / q_mean : sigma;
     perturbed[e] = PerturbProbability(perturbed[e], scale, options.noise,
                                       options.white_noise, rng);
   }
-
-  graph::UncertainGraphBuilder builder(graph.num_nodes());
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    CHAMELEON_RETURN_IF_ERROR(
-        builder.AddEdge(edges[e].u, edges[e].v, perturbed[e]));
-  }
-  Result<graph::UncertainGraph> published = std::move(builder).Build();
+  Result<graph::UncertainGraph> published = graph.WithProbabilities(perturbed);
   if (!published.ok()) return published.status();
 
   // 4. Anonymity check via the existing (k,ε) verifier.
@@ -143,11 +155,21 @@ Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
   attempt.certificate = std::move(*certificate);
   attempt.sigma = sigma;
   attempt.perturbed_edges = want;
-  attempt.excluded_vertices = h;
+  attempt.excluded_vertices = plan.excluded_vertices;
   attempt.wall_ms = timer.ElapsedMillis();
   span.AddCount("candidates", want);
-  span.AddCount("excluded", h);
+  span.AddCount("excluded", plan.excluded_vertices);
   return attempt;
+}
+
+Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
+                             const std::vector<double>& uniqueness,
+                             const std::vector<double>& priorities,
+                             double sigma, const GenObfOptions& options,
+                             Rng& rng) {
+  Result<GenObfPlan> plan = PlanGenObf(graph, uniqueness, options);
+  if (!plan.ok()) return plan.status();
+  return GenObf(graph, *plan, priorities, sigma, options, rng);
 }
 
 }  // namespace chameleon::anonymize

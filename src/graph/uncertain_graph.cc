@@ -19,6 +19,33 @@ double UncertainGraph::expected_num_edges() const {
   return total;
 }
 
+Result<UncertainGraph> UncertainGraph::WithProbabilities(
+    std::span<const double> probabilities) const {
+  if (probabilities.size() != edges_.size()) {
+    return Status::InvalidArgument(
+        StrFormat("%zu probabilities for %zu edges", probabilities.size(),
+                  edges_.size()));
+  }
+  UncertainGraph g;
+  g.num_nodes_ = num_nodes_;
+  g.edges_.reserve(edges_.size());
+  g.expected_degrees_.assign(num_nodes_, 0.0);
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    const UncertainEdge& e = edges_[i];
+    const double p = probabilities[i];
+    if (!(p >= 0.0 && p <= 1.0)) {
+      return Status::InvalidArgument(StrFormat(
+          "probability %g for edge (%u, %u) outside [0, 1]", p, e.u, e.v));
+    }
+    g.edges_.push_back(UncertainEdge{e.u, e.v, p});
+    g.expected_degrees_[e.u] += p;
+    g.expected_degrees_[e.v] += p;
+  }
+  g.adj_offsets_ = adj_offsets_;
+  g.adjacency_ = adjacency_;
+  return g;
+}
+
 UncertainGraphBuilder::UncertainGraphBuilder(NodeId num_nodes)
     : num_nodes_(num_nodes) {}
 

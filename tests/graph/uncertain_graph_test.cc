@@ -1,9 +1,17 @@
 #include "chameleon/graph/uncertain_graph.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "chameleon/graph/union_find.h"
 #include "chameleon/util/bitvector.h"
+#include "chameleon/util/rng.h"
 
 namespace chameleon::graph {
 namespace {
@@ -78,6 +86,103 @@ TEST(UncertainGraphTest, EmptyGraph) {
   EXPECT_EQ(g->num_nodes(), 0u);
   EXPECT_EQ(g->num_edges(), 0u);
   EXPECT_DOUBLE_EQ(g->mean_probability(), 0.0);
+}
+
+TEST(WithProbabilitiesTest, RejectsBadProbabilities) {
+  const Result<UncertainGraph> g = MakeTriangle();
+  ASSERT_TRUE(g.ok());
+  for (const double bad : {std::nan(""), -0.1, 1.5}) {
+    const std::vector<double> probabilities = {0.5, bad, 0.25};
+    EXPECT_EQ(g->WithProbabilities(probabilities).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_EQ(g->WithProbabilities(std::vector<double>{0.5, 0.5}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(g->WithProbabilities(std::vector<double>(4, 0.5)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(g->WithProbabilities(std::vector<double>{0.0, 1.0, 0.5}).ok());
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// `reweighted` must equal `built` field by field: edges, every
+/// adjacency list, and every expected degree bit for bit.
+void ExpectSameGraph(const UncertainGraph& reweighted,
+                     const UncertainGraph& built) {
+  ASSERT_EQ(reweighted.num_nodes(), built.num_nodes());
+  ASSERT_EQ(reweighted.num_edges(), built.num_edges());
+  for (EdgeId e = 0; e < built.num_edges(); ++e) {
+    EXPECT_EQ(reweighted.edge(e).u, built.edge(e).u) << e;
+    EXPECT_EQ(reweighted.edge(e).v, built.edge(e).v) << e;
+    EXPECT_TRUE(SameBits(reweighted.edge(e).p, built.edge(e).p)) << e;
+  }
+  for (NodeId v = 0; v < built.num_nodes(); ++v) {
+    const auto got = reweighted.Neighbors(v);
+    const auto want = built.Neighbors(v);
+    ASSERT_EQ(got.size(), want.size()) << v;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].neighbor, want[i].neighbor) << v;
+      EXPECT_EQ(got[i].edge, want[i].edge) << v;
+    }
+    EXPECT_TRUE(SameBits(reweighted.expected_degree(v),
+                         built.expected_degree(v)))
+        << v;
+  }
+}
+
+/// Builds `edges` (queued in the given, unsorted order), then checks that
+/// reweighting it with fresh probabilities equals a second
+/// UncertainGraphBuilder run over the reweighted edges.
+void CheckReweightMatchesBuilder(
+    NodeId nodes, const std::vector<std::pair<NodeId, NodeId>>& edges,
+    Rng& rng) {
+  UncertainGraphBuilder builder(nodes);
+  for (const auto& [u, v] : edges) {
+    ASSERT_TRUE(builder.AddEdge(u, v, rng.UniformDouble()).ok());
+  }
+  const Result<UncertainGraph> g = std::move(builder).Build();
+  ASSERT_TRUE(g.ok());
+
+  std::vector<double> fresh(g->num_edges());
+  for (std::size_t e = 0; e < fresh.size(); ++e) {
+    fresh[e] = e % 7 == 0 ? 0.0 : e % 7 == 1 ? 1.0 : rng.UniformDouble();
+  }
+  const Result<UncertainGraph> reweighted = g->WithProbabilities(fresh);
+  ASSERT_TRUE(reweighted.ok());
+
+  // The second build gets the same edges in reverse of canonical order.
+  UncertainGraphBuilder rebuild(nodes);
+  for (auto e = static_cast<EdgeId>(g->num_edges()); e-- > 0;) {
+    ASSERT_TRUE(rebuild.AddEdge(g->edge(e).v, g->edge(e).u, fresh[e]).ok());
+  }
+  const Result<UncertainGraph> built = std::move(rebuild).Build();
+  ASSERT_TRUE(built.ok());
+  ExpectSameGraph(*reweighted, *built);
+}
+
+TEST(WithProbabilitiesTest, MatchesBuilderOnEr2k) {
+  Rng rng(2000);
+  std::set<std::pair<NodeId, NodeId>> seen;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  while (edges.size() < 8000) {
+    const auto u = static_cast<NodeId>(rng.UniformInt(2000));
+    const auto v = static_cast<NodeId>(rng.UniformInt(2000));
+    if (u == v || !seen.emplace(std::min(u, v), std::max(u, v)).second) {
+      continue;
+    }
+    edges.emplace_back(u, v);
+  }
+  CheckReweightMatchesBuilder(2000, edges, rng);
+}
+
+TEST(WithProbabilitiesTest, MatchesBuilderOnStar) {
+  Rng rng(17);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId leaf = 300; leaf > 0; --leaf) edges.emplace_back(leaf, 0);
+  CheckReweightMatchesBuilder(301, edges, rng);
 }
 
 TEST(UnionFindTest, UnionAndComponents) {

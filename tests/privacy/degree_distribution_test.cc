@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -37,6 +39,29 @@ std::vector<double> BruteForcePmf(const std::vector<double>& probs) {
     pmf[degree] += weight;
   }
   return pmf;
+}
+
+/// The one-entry backward recurrence AddEdge ran before it went two
+/// lanes wide, kept as the bitwise oracle for the kernel.
+void ScalarAddEdge(std::vector<double>& pmf, double p) {
+  p = std::clamp(p, 0.0, 1.0);
+  const std::size_t d = pmf.size();
+  pmf.push_back(0.0);
+  for (std::size_t k = d; k > 0; --k) {
+    pmf[k] = pmf[k] * (1.0 - p) + pmf[k - 1] * p;
+  }
+  pmf[0] *= 1.0 - p;
+}
+
+std::vector<double> ScalarPmf(std::span<const double> probs) {
+  std::vector<double> pmf = {1.0};
+  for (const double p : probs) ScalarAddEdge(pmf, p);
+  return pmf;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 double BruteForceEntropyBits(const std::vector<double>& pmf) {
@@ -107,6 +132,46 @@ TEST(DegreeDistributionTest, DeterministicEdgesShiftThePmf) {
   EXPECT_DOUBLE_EQ(dist.Pmf(1), 0.0);
   EXPECT_DOUBLE_EQ(dist.Pmf(3), 0.0);
   EXPECT_DOUBLE_EQ(dist.EntropyBits(), 0.0);
+}
+
+TEST(DegreeDistributionTest, TwoLaneKernelMatchesScalarRecurrence) {
+  // Every degree from 0 to 257 runs once per pattern, so both the even
+  // and the odd tail of the two-lane loop run many times. The patterns
+  // cover the clamp (−0.1, 1.5), exact shifts (0, 1), subnormal
+  // products (1e-300), the largest double below 1, and seeded values.
+  constexpr std::size_t kMaxDegree = 257;
+  const std::vector<double> specials = {
+      0.0, 1.0, 0.5, 1e-300, 1.0 - 0x1.0p-53, -0.1, 1.5};
+  Rng rng(2018);
+  std::vector<std::vector<double>> patterns;
+  for (const double p : specials) {
+    patterns.emplace_back(kMaxDegree, p);
+  }
+  std::vector<double> uniform(kMaxDegree);
+  for (double& p : uniform) p = rng.UniformDouble();
+  patterns.push_back(uniform);
+  std::vector<double> mixed(kMaxDegree);
+  for (std::size_t i = 0; i < kMaxDegree; ++i) {
+    mixed[i] = i % 3 == 0 ? specials[(i / 3) % specials.size()]
+                          : rng.UniformDouble();
+  }
+  patterns.push_back(mixed);
+
+  for (std::size_t pattern = 0; pattern < patterns.size(); ++pattern) {
+    DegreeDistribution dist;
+    std::vector<double> oracle = {1.0};
+    ASSERT_TRUE(SameBits(dist.pmf(), oracle));
+    for (std::size_t d = 0; d < kMaxDegree; ++d) {
+      dist.AddEdge(patterns[pattern][d]);
+      ScalarAddEdge(oracle, patterns[pattern][d]);
+      ASSERT_TRUE(SameBits(dist.pmf(), oracle))
+          << "pattern " << pattern << ", degree " << d + 1;
+    }
+    EXPECT_TRUE(SameBits(
+        DegreeDistribution::FromProbabilities(patterns[pattern]).pmf(),
+        ScalarPmf(patterns[pattern])))
+        << "pattern " << pattern;
+  }
 }
 
 TEST(DegreeDistributionTest, RemoveEdgeInvertsAddEdge) {
@@ -267,20 +332,28 @@ TEST(DegreeDistributionTest, MonteCarloCrossValidation) {
 }
 
 TEST(BuildDegreeDistributionsTest, DeterministicAcrossWorkerCounts) {
+  // A sparse graph and a dense one (mean degree ~100, so the two-lane
+  // kernel does most of the work).
   Rng rng(7);
-  const UncertainGraph g = RandomGraph(200, 800, &rng);
-  const std::vector<DegreeDistribution> serial =
-      BuildDegreeDistributions(g, 1);
-  const std::vector<DegreeDistribution> parallel =
-      BuildDegreeDistributions(g, 8);
-  ASSERT_EQ(serial.size(), g.num_nodes());
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t v = 0; v < serial.size(); ++v) {
-    ASSERT_EQ(serial[v].pmf().size(), parallel[v].pmf().size());
-    for (std::size_t k = 0; k < serial[v].pmf().size(); ++k) {
+  for (const auto& [nodes, edges] :
+       {std::pair<NodeId, std::size_t>{200, 800},
+        std::pair<NodeId, std::size_t>{400, 20000}}) {
+    const UncertainGraph g = RandomGraph(nodes, edges, &rng);
+    const std::vector<DegreeDistribution> serial =
+        BuildDegreeDistributions(g, 1);
+    const std::vector<DegreeDistribution> parallel =
+        BuildDegreeDistributions(g, 8);
+    ASSERT_EQ(serial.size(), g.num_nodes());
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
       // Bit-identical: the same per-vertex convolution runs regardless
-      // of which worker claims the block.
-      EXPECT_EQ(serial[v].Pmf(k), parallel[v].Pmf(k));
+      // of which worker claims the block, and it is the scalar one.
+      EXPECT_TRUE(SameBits(serial[v].pmf(), parallel[v].pmf())) << v;
+      std::vector<double> probs;
+      for (const graph::AdjEntry& entry : g.Neighbors(v)) {
+        probs.push_back(g.edge(entry.edge).p);
+      }
+      EXPECT_TRUE(SameBits(serial[v].pmf(), ScalarPmf(probs))) << v;
     }
   }
 }

@@ -193,6 +193,16 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
+  // Counts become size_t below, where −1 would read as SIZE_MAX.
+  for (const char* count : {"trials", "err_worlds", "refine"}) {
+    if (flags.GetInt64(count) < 0) {
+      std::fprintf(stderr, "error: --%s must be >= 0, got %lld\n%s", count,
+                   static_cast<long long>(flags.GetInt64(count)),
+                   flags.Usage().c_str());
+      return 2;
+    }
+  }
+
   anonymize::ChameleonOptions options;
   options.k = flags.GetDouble("k");
   options.epsilon = flags.GetDouble("eps");
