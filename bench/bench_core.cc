@@ -3,18 +3,21 @@
 //   chameleon_bench_core --out=BENCH_core.json
 //   chameleon_bench_diff BENCH_core.json <new BENCH_core.json>
 //
-// Covers the hot paths of the reproduction: CSR construction, possible-
-// world sampling, and the Monte Carlo reliability estimators built on
-// both. Fixed seeds everywhere so run-to-run deltas measure the code,
-// not the workload.
+// Covers the hot paths of the reproduction: edge-list parsing and
+// writing, CSR construction, possible-world sampling, and the Monte Carlo
+// reliability estimators built on both. Fixed seeds everywhere so
+// run-to-run deltas measure the code, not the workload.
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <string>
 #include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "chameleon/graph/io.h"
 #include "chameleon/graph/uncertain_graph.h"
 #include "chameleon/obs/convergence.h"
 #include "chameleon/obs/run_context.h"
@@ -23,6 +26,7 @@
 #include "chameleon/util/bitvector.h"
 #include "chameleon/util/flags.h"
 #include "chameleon/util/rng.h"
+#include "chameleon/util/string_util.h"
 #include "harness.h"
 
 namespace chameleon {
@@ -77,6 +81,49 @@ void BM_CsrBuildEr2k(bench::BenchContext& context) {
   }
 }
 CHAMELEON_BENCHMARK(BM_CsrBuildEr2k);
+
+// --------------------------------------------------------------------------
+// parse_edge_list_er_2k: graph::ParseEdgeList on the same graph's edge
+// list held in memory, laid out as a written one ("# nodes" header, pairs
+// ascending, p to 17 significant digits) — the per-byte cost of reading
+// an input, without the disk.
+// --------------------------------------------------------------------------
+void BM_ParseEdgeListEr2k(bench::BenchContext& context) {
+  // Built once: the harness times every call, set-up included.
+  static const graph::UncertainGraph written = BuildGraph(2000, 8.0);
+  static const std::string text = [] {
+    std::string lines = "# nodes 2000\n";
+    for (const graph::UncertainEdge& e : written.edges()) {
+      lines += StrFormat("%u %u %.17g\n", e.u, e.v, e.p);
+    }
+    return lines;
+  }();
+  context.SetItemsPerIteration(written.num_edges());
+  for (std::uint64_t i = 0; i < context.iterations(); ++i) {
+    const auto graph = graph::ParseEdgeList(text, "er2k.edges");
+    bench::DoNotOptimize(graph.value().num_edges());
+  }
+}
+CHAMELEON_BENCHMARK(BM_ParseEdgeListEr2k);
+
+// --------------------------------------------------------------------------
+// write_edge_list_er_2k: graph::WriteEdgeList of the same graph to a file
+// in the temp directory — formatting plus the page-cache write a
+// published graph costs.
+// --------------------------------------------------------------------------
+void BM_WriteEdgeListEr2k(bench::BenchContext& context) {
+  static const graph::UncertainGraph graph = BuildGraph(2000, 8.0);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "chameleon_bench_er2k.edges")
+          .string();
+  context.SetItemsPerIteration(graph.num_edges());
+  for (std::uint64_t i = 0; i < context.iterations(); ++i) {
+    const Status written = graph::WriteEdgeList(graph, path);
+    bench::DoNotOptimize(written.ok());
+  }
+  std::remove(path.c_str());
+}
+CHAMELEON_BENCHMARK(BM_WriteEdgeListEr2k);
 
 // --------------------------------------------------------------------------
 // world_sample_er_2k: one possible world per iteration on the same graph

@@ -1,7 +1,6 @@
 #ifndef CHAMELEON_GRAPH_IO_H_
 #define CHAMELEON_GRAPH_IO_H_
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -9,18 +8,38 @@
 #include "chameleon/util/status.h"
 
 /// \file io.h
-/// Edge-list I/O. The format is whitespace-separated `u v p` lines, `#`
-/// comments, with an optional `# nodes <n>` header that fixes the node
-/// count (isolated trailing vertices would otherwise be dropped, since
-/// the node count is inferred as max id + 1). This matches the files in
-/// bench_cache/.
+/// Edge-list I/O, the format of bench_cache/ and of every published graph.
+///
+/// Grammar, line by line (lines end at '\n'; leading and trailing
+/// whitespace, '\r' included, is ignored):
+///   - a blank line is skipped;
+///   - a line starting with '#' is a comment, except `# nodes <n>`: split
+///     on '#', ' ' and '\t' into exactly the tokens "nodes" and an integer
+///     n >= 0, it fixes the node count (the last such header wins). n must
+///     be at most 4294967295. Without a header the count is max id + 1, so
+///     isolated trailing vertices need one;
+///   - any other line is `u v p`: exactly three tokens split on ' ' and
+///     '\t'. u and v are ParseInt integers in [0, 4294967295), p is a
+///     ParseDouble number (strtod's grammar: signs, hex floats, inf, nan;
+///     subnormals are values) that the builder then requires in [0, 1].
+///     No self-loops, and no pair twice in either orientation.
+///
+/// Every error is InvalidArgument and starts `<origin>:<line>: `. The one
+/// reported is the first syntax error or duplicate pair in file order;
+/// only when there is none, the first out-of-range node, self-loop or bad
+/// probability.
+///
+/// WriteEdgeList prints p in shortest round-trip form, so ReadEdgeList of
+/// a written file gives back the same doubles bit for bit.
 
 namespace chameleon::graph {
 
-/// Parses an edge list from `in`. `origin` names the source in errors.
-Result<UncertainGraph> ParseEdgeList(std::istream& in,
+/// Parses the edge list `text`. `origin` names the source in errors.
+Result<UncertainGraph> ParseEdgeList(std::string_view text,
                                      std::string_view origin);
 
+/// Reads the file at `path` into memory and parses it. IoError when it
+/// cannot be opened or read.
 Result<UncertainGraph> ReadEdgeList(const std::string& path);
 
 /// Writes a "graph_summary" JSONL record (n, m, mean/max structural
@@ -31,7 +50,9 @@ Result<UncertainGraph> ReadEdgeList(const std::string& path);
 /// No-op when observability is disabled or has no sink.
 void EmitGraphSummary(const UncertainGraph& graph, std::string_view origin);
 
-/// Writes the `# nodes` header plus one `u v p` line per edge.
+/// Writes the `# nodes` header plus one `u v p` line per edge, p in
+/// shortest round-trip form. IoError when the file cannot be opened or a
+/// write fails.
 Status WriteEdgeList(const UncertainGraph& graph, const std::string& path);
 
 }  // namespace chameleon::graph

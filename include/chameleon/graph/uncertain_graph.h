@@ -83,6 +83,9 @@ class UncertainGraphBuilder {
 
   std::size_t num_queued_edges() const { return edges_.size(); }
 
+  /// Makes room for `edges` more AddEdge calls without regrowing.
+  void Reserve(std::size_t edges) { edges_.reserve(edges_.size() + edges); }
+
   /// Validates (no multi-edges), canonicalizes (u < v, edges sorted),
   /// builds CSR adjacency and expected degrees. The builder is consumed.
   Result<UncertainGraph> Build() &&;

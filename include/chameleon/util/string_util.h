@@ -29,7 +29,13 @@ std::string_view StripWhitespace(std::string_view text);
 bool HasPrefix(std::string_view text, std::string_view prefix);
 bool HasSuffix(std::string_view text, std::string_view suffix);
 
-/// Strict integer / double parsing of the *entire* token.
+/// Strict integer / double parsing of the *entire* token, after
+/// StripWhitespace. Built on std::from_chars: no allocation unless the
+/// token is rejected. The grammar is strtoll's (base 10) and strtod's: a
+/// leading '+' or '-', and for doubles hex floats ("0x1p-1"), inf and
+/// nan. InvalidArgument for an empty or malformed token (a NUL byte is
+/// malformed); OutOfRange when the value overflows, or for a double when
+/// it underflows to zero. Subnormal doubles parse as values.
 Result<std::int64_t> ParseInt(std::string_view text);
 Result<double> ParseDouble(std::string_view text);
 

@@ -69,10 +69,13 @@ Status UncertainGraphBuilder::AddEdge(NodeId u, NodeId v, double p) {
 
 Result<UncertainGraph> UncertainGraphBuilder::Build() && {
   CHOBS_SPAN(span, "graph/build");
-  std::sort(edges_.begin(), edges_.end(),
-            [](const UncertainEdge& a, const UncertainEdge& b) {
-              return a.u != b.u ? a.u < b.u : a.v < b.v;
-            });
+  const auto by_endpoints = [](const UncertainEdge& a, const UncertainEdge& b) {
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  };
+  // Edge lists this library writes, and the generated ones, arrive sorted.
+  if (!std::is_sorted(edges_.begin(), edges_.end(), by_endpoints)) {
+    std::sort(edges_.begin(), edges_.end(), by_endpoints);
+  }
   for (std::size_t i = 1; i < edges_.size(); ++i) {
     if (edges_[i].u == edges_[i - 1].u && edges_[i].v == edges_[i - 1].v) {
       return Status::InvalidArgument(StrFormat(
@@ -84,13 +87,15 @@ Result<UncertainGraph> UncertainGraphBuilder::Build() && {
   g.num_nodes_ = num_nodes_;
   g.edges_ = std::move(edges_);
 
-  // CSR in two passes: degree counting, then placement.
-  std::vector<std::size_t> degree(num_nodes_ + 1, 0);
+  // CSR in two passes: degree counting, then placement. The +1 is taken
+  // in size_t: at 2^32 - 1 nodes it would wrap in NodeId.
+  const std::size_t offsets = std::size_t{num_nodes_} + 1;
+  std::vector<std::size_t> degree(offsets, 0);
   for (const UncertainEdge& e : g.edges_) {
     ++degree[e.u];
     ++degree[e.v];
   }
-  g.adj_offsets_.assign(num_nodes_ + 1, 0);
+  g.adj_offsets_.assign(offsets, 0);
   for (NodeId v = 0; v < num_nodes_; ++v) {
     g.adj_offsets_[v + 1] = g.adj_offsets_[v] + degree[v];
   }

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -14,7 +13,7 @@ namespace chameleon::graph {
 namespace {
 
 TEST(IoTest, ParseBasicEdgeList) {
-  std::istringstream in(
+  const std::string in(
       "# a comment\n"
       "0 1 0.5\n"
       "\n"
@@ -27,7 +26,7 @@ TEST(IoTest, ParseBasicEdgeList) {
 }
 
 TEST(IoTest, NodesHeaderFixesIsolatedVertices) {
-  std::istringstream in(
+  const std::string in(
       "# nodes 10\n"
       "0 1 0.5\n");
   const Result<UncertainGraph> g = ParseEdgeList(in, "test");
@@ -37,20 +36,20 @@ TEST(IoTest, NodesHeaderFixesIsolatedVertices) {
 }
 
 TEST(IoTest, MalformedLineFails) {
-  std::istringstream in("0 1\n");
+  const std::string in("0 1\n");
   const Result<UncertainGraph> g = ParseEdgeList(in, "bad.edges");
   ASSERT_FALSE(g.ok());
   EXPECT_NE(g.status().message().find("bad.edges:1"), std::string::npos);
 }
 
 TEST(IoTest, BadProbabilityFails) {
-  std::istringstream in("0 1 1.5\n");
+  const std::string in("0 1 1.5\n");
   EXPECT_FALSE(ParseEdgeList(in, "test").ok());
 }
 
 TEST(IoTest, BadProbabilityNamesFileAndLine) {
   // Comments and blank lines still advance the reported line number.
-  std::istringstream in(
+  const std::string in(
       "# header\n"
       "0 1 0.5\n"
       "\n"
@@ -62,7 +61,7 @@ TEST(IoTest, BadProbabilityNamesFileAndLine) {
 }
 
 TEST(IoTest, DuplicateEdgeNamesFileAndLine) {
-  std::istringstream in(
+  const std::string in(
       "0 1 0.5\n"
       "1 2 0.25\n"
       "1 0 0.75\n");  // duplicate of line 1, reversed endpoints
@@ -74,7 +73,7 @@ TEST(IoTest, DuplicateEdgeNamesFileAndLine) {
 }
 
 TEST(IoTest, SelfLoopNamesFileAndLine) {
-  std::istringstream in(
+  const std::string in(
       "0 1 0.5\n"
       "2 2 0.25\n");
   const Result<UncertainGraph> g = ParseEdgeList(in, "loop.edges");
@@ -116,7 +115,7 @@ TEST(IoTest, ParseEmitsGraphSummaryRecord) {
   ASSERT_TRUE(obs::InitObservability(options).ok());
 
   // Path graph 0-1-2-3: degrees [1, 2, 2, 1].
-  std::istringstream in("0 1 0.5\n1 2 0.25\n2 3 0.5\n");
+  const std::string in("0 1 0.5\n1 2 0.25\n2 3 0.5\n");
   ASSERT_TRUE(ParseEdgeList(in, "summary.edges").ok());
   obs::ShutdownObservability();
 
