@@ -4,8 +4,7 @@
 //   chameleon_bench_diff BENCH_privacy.json <new BENCH_privacy.json>
 //
 // Covers the three layers of the privacy subsystem on fixed-seed graphs:
-// the O(d²) Poisson-binomial PMF build, the O(d) incremental
-// update/downdate (used only by the tests), the O(n log n) uniqueness
+// the O(d²) Poisson-binomial PMF build, the O(n log n) uniqueness
 // transform at 2k and 50k vertices, and the full (k,ε)-obfuscation
 // verifier serial vs 8 workers (the
 // parallel twin measures the sharded posterior sweep; on a single-core
@@ -77,33 +76,6 @@ void BM_PoissonBinomialBuildEr2k(bench::BenchContext& context) {
   }
 }
 CHAMELEON_BENCHMARK(BM_PoissonBinomialBuildEr2k);
-
-// --------------------------------------------------------------------------
-// pb_incremental_update_d64: 64 UpdateEdge round trips on one degree-64
-// vertex — the O(d) re-scoring primitive (RemoveEdge + the AddEdge
-// kernel), straddling both deconvolution branches (p < 1/2 and p >= 1/2).
-// --------------------------------------------------------------------------
-void BM_PoissonBinomialIncrementalD64(bench::BenchContext& context) {
-  constexpr std::size_t kDegree = 64;
-  Rng rng(kSeed);
-  std::vector<double> probs;
-  probs.reserve(kDegree);
-  for (std::size_t e = 0; e < kDegree; ++e) {
-    probs.push_back(rng.Uniform(0.05, 0.95));
-  }
-  privacy::DegreeDistribution dist =
-      privacy::DegreeDistribution::FromProbabilities(probs);
-  context.SetItemsPerIteration(kDegree);
-  for (std::uint64_t i = 0; i < context.iterations(); ++i) {
-    for (std::size_t e = 0; e < kDegree; ++e) {
-      const double fresh = rng.Uniform(0.05, 0.95);
-      (void)dist.UpdateEdge(probs[e], fresh);
-      probs[e] = fresh;
-    }
-    bench::DoNotOptimize(dist.Pmf(kDegree / 2));
-  }
-}
-CHAMELEON_BENCHMARK(BM_PoissonBinomialIncrementalD64);
 
 // --------------------------------------------------------------------------
 // uniqueness_er_2k / _50k: the Gaussian-kernel commonness transform (sort,

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,8 +15,8 @@
 #include "chameleon/util/status.h"
 
 /// \file chameleon.h
-/// The Chameleon anonymization driver (paper Algorithm 1) and the common
-/// Anonymizer interface over the Table II variants:
+/// The Chameleon anonymization driver (paper Algorithm 1) and one entry
+/// point, Anonymize(), over the Table II variants:
 ///
 ///   RSME    reliability-oriented selection (Q^e damped by ERR^e) +
 ///           max-entropy perturbation — the full scheme.
@@ -27,7 +26,7 @@
 ///           (ablates the max-entropy axis).
 ///   Rep-An  Boldi et al.'s deterministic-graph obfuscation run on a
 ///           representative instance — the p ∈ {0,1} special case
-///           (rep_an.h wires it behind this same interface).
+///           (rep_an.h).
 ///
 /// The driver searches for the smallest global noise level σ whose
 /// GenObf attempt passes the (k,ε) check: an expansion phase doubles σ
@@ -126,28 +125,14 @@ struct AnonymizeResult {
   double wall_ms = 0.0;
 };
 
-/// Runs the Algorithm-1 driver for an uncertain-graph variant (kRSME /
-/// kME / kRS; use rep_an.h or MakeAnonymizer for kRepAn). Infeasibility
-/// is reported through AnonymizeResult::feasible, not a Status — errors
-/// are reserved for invalid options or graph failures.
+/// Runs one Table II variant. kRSME / kME / kRS go through the
+/// Algorithm-1 driver; kRepAn runs RepAnAnonymize (rep_an.h) with the
+/// default representative extraction. Infeasibility is reported through
+/// AnonymizeResult::feasible, not a Status — errors are reserved for
+/// invalid options or graph failures.
 Result<AnonymizeResult> Anonymize(const graph::UncertainGraph& graph,
                                   Variant variant,
                                   const ChameleonOptions& options);
-
-/// Common interface over the four Table II variants (prepares for the
-/// MaxVar scheme of Nguyen et al. riding the same harness).
-class Anonymizer {
- public:
-  virtual ~Anonymizer() = default;
-  virtual std::string_view name() const = 0;
-  virtual Result<AnonymizeResult> Run(
-      const graph::UncertainGraph& graph) const = 0;
-};
-
-/// Factory over all four variants. kRepAn uses the default
-/// representative extraction (expected-edge-count, rep_an.h).
-std::unique_ptr<Anonymizer> MakeAnonymizer(Variant variant,
-                                           const ChameleonOptions& options);
 
 }  // namespace chameleon::anonymize
 

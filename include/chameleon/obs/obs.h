@@ -2,13 +2,18 @@
 #define CHAMELEON_OBS_OBS_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
+#include "chameleon/obs/heap_profiler.h"
 #include "chameleon/obs/metrics.h"
+#include "chameleon/obs/profiler.h"
 #include "chameleon/obs/progress.h"
 #include "chameleon/obs/sink.h"
+#include "chameleon/obs/status_server.h"
 #include "chameleon/obs/trace.h"
+#include "chameleon/obs/watchdog.h"
 #include "chameleon/util/status.h"
 
 /// \file obs.h
@@ -24,9 +29,13 @@
 ///    environment variable.
 ///
 /// Typical tool main():
-///   obs::ObsOptions opts;
-///   opts.metrics_out = flags.GetString("metrics_out");
-///   CH_CHECK(obs::InitObservability(opts).ok());
+///   FlagSet flags("my_tool: ...");
+///   obs::AddObsFlags(flags);          // --metrics_out, --profile, ...
+///   if (auto exit = obs::ParseToolFlags(flags, "my_tool", argc, argv)) {
+///     return *exit;                   // usage error, --help, --version
+///   }
+///   if (Status s = obs::InitObservability(obs::ObsOptionsFromFlags(flags));
+///       !s.ok()) { ... exit 1 ... }
 ///   ... run phases, obs::EmitSnapshot("phase_name") after each ...
 ///   obs::ShutdownObservability();   // writes the final run_summary
 
@@ -34,8 +43,16 @@
 #define CHAMELEON_OBS_ENABLED 1
 #endif
 
+namespace chameleon {
+class FlagSet;
+}  // namespace chameleon
+
 namespace chameleon::obs {
 
+/// One run's observability: the sink, and the engines that render from
+/// the live registries. InitObservability starts the engines that are
+/// set, after the sink, in declaration order; ShutdownObservability (and
+/// the termination hooks) stop every one of them.
 struct ObsOptions {
   /// JSONL output path. Empty: fall back to $CHAMELEON_METRICS (when
   /// `read_env`); still empty: observability stays disabled.
@@ -50,12 +67,26 @@ struct ObsOptions {
   /// hw_counters_unavailable record instead. CHAMELEON_HW_COUNTERS
   /// overrides: off|0|false, emulate, perf, auto.
   bool hw_counters = true;
+  /// Live /statusz, /metricsz, /profilez and /heapz pages.
+  std::optional<StatusServerOptions> status_server;
+  /// Stall watchdog: watchdog_stall records, optional SIGABRT.
+  std::optional<WatchdogOptions> watchdog;
+  /// Whole-run sampling CPU profile.
+  std::optional<ProfilerOptions> profiler;
+  /// Whole-run sampling heap profile.
+  std::optional<HeapProfilerOptions> heap_profiler;
 };
 
-/// Configures the global sink/tracer and flips the runtime switch.
-/// Calling it again tears the previous run down (final summary included)
-/// and starts a new one. Returns IoError when the sink path is not
-/// writable; the process is left disabled in that case.
+/// Configures the global sink/tracer, flips the runtime switch, then
+/// starts the engines `options` names. The engines render from the live
+/// registries, so a run that requests one without a metrics path (flag
+/// or environment) writes its stream to /dev/null. Calling it again
+/// tears the previous run down (final summary included) and starts a new
+/// one. Returns IoError when the sink path is not writable, or the
+/// status server's error when its port cannot be bound; the process is
+/// left disabled in both cases. A watchdog or profiler that refuses to
+/// start (bad argument, OBS=OFF build, sanitizer) is a logged warning:
+/// the run goes on without it.
 ///
 /// The first successful init also installs abnormal-termination hooks
 /// (atexit + SIGINT/SIGTERM) that write the final run_summary and flush
@@ -68,6 +99,16 @@ Status InitObservability(const ObsOptions& options = {});
 /// snapshot), flushes the sink, and disables the runtime switch.
 /// No-op when disabled.
 void ShutdownObservability();
+
+/// Registers the observability flags the CLIs share: --metrics_out,
+/// --hw_counters, --watchdog_stall_seconds, --watchdog_abort_after,
+/// --profile, --profile_hz, --heap_profile, --heap_sample_bytes.
+void AddObsFlags(FlagSet& flags);
+
+/// The ObsOptions those flags select (parsed FlagSet from AddObsFlags).
+/// An engine is set only when its flag asks for it: a positive stall
+/// interval, a non-empty --profile or --heap_profile path.
+ObsOptions ObsOptionsFromFlags(const FlagSet& flags);
 
 /// Finalizes the run exactly as the termination hooks do on a fatal
 /// signal: stops the status server, watchdog, and profiler, dumps the

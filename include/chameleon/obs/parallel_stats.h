@@ -24,8 +24,8 @@
 /// worker-counts guarantee survives.
 ///
 /// Three consumers:
-///  - the JSONL stream (`parallel_region` records, rendered by obs_dump /
-///    chameleon_watch);
+///  - the JSONL stream (`parallel_region` records, rendered by
+///    obs_dump);
 ///  - the metrics registry (per-region-name busy/idle/overhead counters
 ///    plus a wall-time histogram, surfaced on /metricsz);
 ///  - an in-process cumulative aggregate table (the /statusz "parallel

@@ -2,6 +2,7 @@
 #define CHAMELEON_OBS_RUN_CONTEXT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -13,13 +14,17 @@
 /// Run provenance: which build, config, seeds, and host produced a JSONL
 /// stream. A RunManifest is emitted as the first record of a run
 /// (`{"type":"manifest",...}`) so every downstream consumer — obs_dump,
-/// trace_export, the bench harness — can attribute numbers to an exact
-/// git SHA, compiler, flag set, and RNG seed instead of guessing.
+/// its Chrome trace export, the bench harness — can attribute numbers to
+/// an exact git SHA, compiler, flag set, and RNG seed instead of guessing.
 ///
 /// BuildInfo comes from a configure-time-generated header
 /// (`cmake/build_info.h.in` -> `<builddir>/generated/chameleon/
 /// build_info.h`), included only by the implementation so nothing else
 /// rebuilds when the SHA changes.
+
+namespace chameleon {
+class FlagSet;
+}  // namespace chameleon
 
 namespace chameleon::obs {
 
@@ -71,6 +76,14 @@ void AppendUsage(const ProcessUsage& usage, JsonWriter* out);
 ///   git:      7904802...
 ///   compiler: GNU 12.2.0, RelWithDebInfo, obs=on
 std::string VersionString(std::string_view tool);
+
+/// The front door of every CLI: registers --help and --version on
+/// `flags`, parses `argv[1..argc)`, and answers the two itself. Returns
+/// the exit code when the tool should stop here (2 after a parse error,
+/// with the usage on stderr; 0 after printing the usage or VersionString
+/// on stdout), or nullopt when it should run.
+std::optional<int> ParseToolFlags(FlagSet& flags, std::string_view tool,
+                                  int argc, char** argv);
 
 /// The run manifest. Capture() stamps tool name + argv; seeds and free-
 /// form parameters are added by the caller before EmitRunManifest().

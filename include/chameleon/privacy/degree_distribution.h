@@ -7,7 +7,6 @@
 
 #include "chameleon/graph/uncertain_graph.h"
 #include "chameleon/util/common.h"
-#include "chameleon/util/status.h"
 
 /// \file degree_distribution.h
 /// Exact per-vertex degree distributions of an uncertain graph. The
@@ -22,19 +21,16 @@
 /// applied once per incident edge — O(d²) for a degree-d vertex, all
 /// terms non-negative so no catastrophic cancellation. The loop runs two
 /// entries per step with the same per-entry rounding as the one-entry
-/// loop, so every PMF is bit-identical to it. The inverse step
-/// (RemoveEdge) deconvolves one edge in O(d) by running the recurrence
-/// forward (divide by 1−p) when p < 1/2 and backward (divide by p)
-/// otherwise, so the divisor is always ≥ 1/2 and the downdate stays
-/// within ~1e-15 of a from-scratch rebuild — close, but not bitwise,
-/// which is why the GenObf search rebuilds PMFs instead: a vertex whose
-/// posterior entropy sits on the log₂k line could flip. RemoveEdge and
-/// UpdateEdge have no caller outside the tests and one micro-benchmark.
+/// loop, so every PMF is bit-identical to it. There is no inverse step:
+/// a deconvolution downdate lands within ~1e-15 of a rebuild but not on
+/// it bitwise, and a vertex whose posterior entropy sits on the log₂k
+/// line could flip, so the GenObf search rebuilds each attempt's PMFs
+/// from scratch.
 
 namespace chameleon::privacy {
 
 /// PMF of the Poisson-binomial degree of one vertex. Value semantics:
-/// copy freely, mutate via Add/Remove/UpdateEdge.
+/// copy freely, grow via AddEdge.
 class DegreeDistribution {
  public:
   /// Zero incident edges: degree 0 with probability 1.
@@ -50,16 +46,6 @@ class DegreeDistribution {
 
   /// Incorporates one more incident edge with probability `p`. O(d).
   void AddEdge(double p);
-
-  /// Deconvolves an edge with probability `p` that was previously
-  /// incorporated (by construction or AddEdge). O(d). InvalidArgument
-  /// when no edges remain or `p` is outside [0,1]; passing a `p` that
-  /// was never incorporated silently yields a meaningless PMF — the
-  /// caller owns that bookkeeping.
-  Status RemoveEdge(double p);
-
-  /// RemoveEdge(old_p) + AddEdge(new_p): O(d) re-scoring of one edge.
-  Status UpdateEdge(double old_p, double new_p);
 
   /// Number of incorporated edges (the maximum possible degree).
   std::size_t num_edges() const { return pmf_.size() - 1; }

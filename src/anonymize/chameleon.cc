@@ -99,23 +99,6 @@ void EmitSigmaSearchRecord(Variant variant, std::string_view phase,
                   .Finish());
 }
 
-class VariantAnonymizer : public Anonymizer {
- public:
-  VariantAnonymizer(Variant variant, ChameleonOptions options)
-      : variant_(variant), options_(std::move(options)) {}
-
-  std::string_view name() const override { return VariantName(variant_); }
-
-  Result<AnonymizeResult> Run(
-      const graph::UncertainGraph& graph) const override {
-    return Anonymize(graph, variant_, options_);
-  }
-
- private:
-  Variant variant_;
-  ChameleonOptions options_;
-};
-
 }  // namespace
 
 std::string_view VariantName(Variant variant) {
@@ -302,11 +285,6 @@ Result<AnonymizeResult> Anonymize(const graph::UncertainGraph& graph,
   span.AddCount("levels", level);
   span.AddCount("attempts", result.attempts);
   return result;
-}
-
-std::unique_ptr<Anonymizer> MakeAnonymizer(Variant variant,
-                                           const ChameleonOptions& options) {
-  return std::make_unique<VariantAnonymizer>(variant, options);
 }
 
 }  // namespace chameleon::anonymize

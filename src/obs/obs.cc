@@ -1,8 +1,10 @@
 #include "chameleon/obs/obs.h"
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -18,6 +20,7 @@
 #include "chameleon/obs/run_context.h"
 #include "chameleon/obs/status_server.h"
 #include "chameleon/obs/watchdog.h"
+#include "chameleon/util/flags.h"
 #include "chameleon/util/logging.h"
 #include "chameleon/util/timer.h"
 
@@ -241,6 +244,10 @@ Status InitObservability(const ObsOptions& options) {
       path = env;
     }
   }
+  if (path.empty() && (options.status_server || options.watchdog ||
+                       options.profiler || options.heap_profiler)) {
+    path = "/dev/null";
+  }
   if (path.empty()) return Status::OK();  // stays disabled
 
   Result<std::unique_ptr<JsonlFileSink>> sink = JsonlFileSink::Open(path);
@@ -267,10 +274,89 @@ Status InitObservability(const ObsOptions& options) {
   // while every consumer carries on.
   StartHwCounters(options.hw_counters);
   CH_LOG(Info) << "observability enabled, metrics sink: " << path;
+
+  if (options.status_server) {
+    if (Status s = StartGlobalStatusServer(*options.status_server); !s.ok()) {
+      ShutdownObservability();
+      return s;
+    }
+  }
+  const auto warn_unless_ok = [](const Status& s, const char* engine) {
+    if (!s.ok()) {
+      CH_LOG(Warning) << engine << " disabled: " << s.ToString();
+    }
+  };
+  if (options.watchdog) {
+    warn_unless_ok(StartGlobalWatchdog(*options.watchdog), "watchdog");
+  }
+  if (options.profiler) {
+    warn_unless_ok(StartGlobalProfiler(*options.profiler), "profiler");
+  }
+  if (options.heap_profiler) {
+    warn_unless_ok(StartHeapProfiler(*options.heap_profiler),
+                   "heap profiler");
+  }
   return Status::OK();
 }
 
 void ShutdownObservability() { FinalizeRun(-1); }
+
+void AddObsFlags(FlagSet& flags) {
+  flags.AddString("metrics_out", "",
+                  "JSONL metrics/trace sink (also: $CHAMELEON_METRICS)");
+  flags.AddBool("hw_counters", true,
+                "attribute hardware counters (perf_event_open) to spans; "
+                "degrades to a hw_counters_unavailable note when the "
+                "kernel refuses");
+  flags.AddDouble("watchdog_stall_seconds", 0.0,
+                  "emit a watchdog_stall record when a phase makes no "
+                  "progress for this long (0 = watchdog off)");
+  flags.AddDouble("watchdog_abort_after", 0.0,
+                  "SIGABRT (-> crash forensics dump) once a stall persists "
+                  "this many seconds past --watchdog_stall_seconds (0 = "
+                  "never abort)");
+  flags.AddString("profile", "",
+                  "sample CPU for the whole run and write folded collapsed "
+                  "stacks (flamegraph.pl input) to this path");
+  flags.AddInt64("profile_hz", 99, "sampling frequency per CPU-second");
+  flags.AddString("heap_profile", "",
+                  "sample heap allocations for the whole run, emit "
+                  "heap_profile records, and write folded collapsed "
+                  "stacks (flamegraph.pl input) to this path");
+  flags.AddInt64("heap_sample_bytes",
+                 static_cast<std::int64_t>(kDefaultHeapSampleBytes),
+                 "mean bytes between heap samples (smaller = finer "
+                 "attribution, more overhead)");
+}
+
+ObsOptions ObsOptionsFromFlags(const FlagSet& flags) {
+  ObsOptions options;
+  options.metrics_out = flags.GetString("metrics_out");
+  options.hw_counters = flags.GetBool("hw_counters");
+  if (const double stall = flags.GetDouble("watchdog_stall_seconds");
+      stall > 0.0) {
+    WatchdogOptions& watchdog = options.watchdog.emplace();
+    watchdog.stall_seconds = stall;
+    watchdog.abort_after_seconds = flags.GetDouble("watchdog_abort_after");
+  }
+  // Clamped, not wrapped: a value that does not fit reaches the engine's
+  // own range check (a warning) instead of turning into a valid one.
+  if (const std::string& out = flags.GetString("profile"); !out.empty()) {
+    ProfilerOptions& profiler = options.profiler.emplace();
+    profiler.hz = static_cast<int>(std::clamp<std::int64_t>(
+        flags.GetInt64("profile_hz"), std::numeric_limits<int>::min(),
+        std::numeric_limits<int>::max()));
+    profiler.folded_out = out;
+  }
+  if (const std::string& out = flags.GetString("heap_profile");
+      !out.empty()) {
+    HeapProfilerOptions& heap = options.heap_profiler.emplace();
+    heap.sample_bytes = static_cast<std::uint64_t>(
+        std::max<std::int64_t>(0, flags.GetInt64("heap_sample_bytes")));
+    heap.folded_out = out;
+  }
+  return options;
+}
 
 void FinalizeRunForSignal(int signal_number) { FinalizeRun(signal_number); }
 

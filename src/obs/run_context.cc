@@ -3,12 +3,15 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <cstdio>
+
 #include "chameleon/build_info.h"  // generated at configure time
 #include "chameleon/obs/crash_handler.h"
 #include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/record.h"
 #include "chameleon/obs/sink.h"
+#include "chameleon/util/flags.h"
 #include "chameleon/util/string_util.h"
 
 namespace chameleon::obs {
@@ -76,6 +79,26 @@ std::string VersionString(std::string_view tool) {
                    build.sanitize.empty() ? "" : ", sanitize=",
                    build.sanitize.c_str());
   return out;
+}
+
+std::optional<int> ParseToolFlags(FlagSet& flags, std::string_view tool,
+                                  int argc, char** argv) {
+  flags.AddBool("version", false, "print build provenance and exit");
+  flags.AddBool("help", false, "show usage");
+  if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n%s", s.ToString().c_str(),
+                 flags.Usage().c_str());
+    return 2;
+  }
+  if (flags.GetBool("help")) {
+    std::fprintf(stdout, "%s", flags.Usage().c_str());
+    return 0;
+  }
+  if (flags.GetBool("version")) {
+    std::fprintf(stdout, "%s", VersionString(tool).c_str());
+    return 0;
+  }
+  return std::nullopt;
 }
 
 RunManifest RunManifest::Capture(std::string_view tool, int argc,

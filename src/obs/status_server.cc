@@ -480,7 +480,7 @@ Status StartGlobalStatusServer(const StatusServerOptions& options) {
                << port << "/statusz";
   // With --statusz_port=0 the kernel picks the port, so scripts cannot
   // know it up front; the JSONL record makes it discoverable from the
-  // metrics stream (chameleon_watch, CI smoke tests).
+  // metrics stream (CI smoke tests).
   if (RecordSink* sink = GlobalSink(); sink != nullptr) {
     sink->Write(Record("status_server")
                     .Str("address", options.bind_address)

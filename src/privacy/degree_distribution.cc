@@ -6,7 +6,6 @@
 
 #include "chameleon/obs/obs.h"
 #include "chameleon/util/parallel.h"
-#include "chameleon/util/string_util.h"
 
 namespace chameleon::privacy {
 namespace {
@@ -67,50 +66,6 @@ void DegreeDistribution::AddEdge(double p) {
   }
   if (k == 1) f[1] = f[1] * q + f[0] * p;
   f[0] *= q;
-}
-
-Status DegreeDistribution::RemoveEdge(double p) {
-  if (pmf_.size() <= 1) {
-    return Status::InvalidArgument("no incorporated edges to remove");
-  }
-  if (p < 0.0 || p > 1.0 || std::isnan(p)) {
-    return Status::InvalidArgument(
-        StrFormat("edge probability %g outside [0, 1]", p));
-  }
-  const std::size_t d = pmf_.size() - 1;  // degrees 0..d before removal
-  if (p < 0.5) {
-    // Forward deconvolution: g[k] = (f[k] - g[k-1]·p) / (1-p). The
-    // divisor 1-p exceeds 1/2, so rounding noise is damped, not
-    // amplified. g overwrites f in place, low degrees first.
-    const double q = 1.0 - p;
-    double prev = 0.0;
-    for (std::size_t k = 0; k < d; ++k) {
-      const double g = (pmf_[k] - prev * p) / q;
-      pmf_[k] = std::max(0.0, g);
-      prev = pmf_[k];
-    }
-  } else {
-    // Backward deconvolution: g[k-1] = (f[k] - g[k]·(1-p)) / p, divisor
-    // p ≥ 1/2. High degrees first; g lands shifted one slot down, so
-    // f[k-1] must be captured before g[k-1] overwrites its slot.
-    const double q = 1.0 - p;
-    double next = 0.0;  // g[k] from the previous iteration; g[d] = 0
-    double f_k = pmf_[d];
-    for (std::size_t k = d; k > 0; --k) {
-      const double g = (f_k - next * q) / p;
-      f_k = pmf_[k - 1];
-      pmf_[k - 1] = std::max(0.0, g);
-      next = pmf_[k - 1];
-    }
-  }
-  pmf_.pop_back();
-  return Status::OK();
-}
-
-Status DegreeDistribution::UpdateEdge(double old_p, double new_p) {
-  CHAMELEON_RETURN_IF_ERROR(RemoveEdge(old_p));
-  AddEdge(new_p);
-  return Status::OK();
 }
 
 double DegreeDistribution::Cdf(std::size_t k) const {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -217,11 +216,7 @@ void CheckEndToEnd(Variant variant, const ChameleonOptions& options) {
     ASSERT_FALSE(before->obfuscated)
         << "fixture too easy: raw graph already passes";
   }
-  const std::unique_ptr<Anonymizer> anonymizer =
-      MakeAnonymizer(variant, options);
-  ASSERT_NE(anonymizer, nullptr);
-  EXPECT_EQ(anonymizer->name(), VariantName(variant));
-  const Result<AnonymizeResult> result = anonymizer->Run(g);
+  const Result<AnonymizeResult> result = Anonymize(g, variant, options);
   ASSERT_TRUE(result.ok()) << result.status().message();
   EXPECT_EQ(result->variant, variant);
   ASSERT_TRUE(result->feasible) << "eps_hat=" << result->certificate.epsilon_hat;

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -60,8 +59,7 @@ void CheckPublishedFileKeepsTheCertificate(Variant variant, double k,
   options.seed = 2018;
   options.threads = 2;
   options.heartbeat = false;
-  const Result<AnonymizeResult> result =
-      MakeAnonymizer(variant, options)->Run(input);
+  const Result<AnonymizeResult> result = Anonymize(input, variant, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_TRUE(result->feasible);
 

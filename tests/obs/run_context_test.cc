@@ -1,10 +1,15 @@
 #include "chameleon/obs/run_context.h"
 
+#include <climits>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "chameleon/obs/obs.h"
 #include "chameleon/obs/sink.h"
+#include "chameleon/util/flags.h"
 
 namespace chameleon::obs {
 namespace {
@@ -43,6 +48,73 @@ TEST(VersionStringTest, NamesToolAndCompiler) {
   EXPECT_NE(text.find("some_tool"), std::string::npos);
   EXPECT_NE(text.find(GetBuildInfo().compiler_id), std::string::npos);
   EXPECT_NE(text.find(GetBuildInfo().git_sha), std::string::npos);
+}
+
+std::optional<int> ParseArgs(FlagSet& flags,
+                             std::vector<std::string> args) {
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return ParseToolFlags(flags, "some_tool", static_cast<int>(argv.size()),
+                        argv.data());
+}
+
+TEST(ParseToolFlagsTest, ReturnsTheExitCodeOrRuns) {
+  FlagSet run("t");
+  EXPECT_EQ(ParseArgs(run, {"some_tool", "pos"}), std::nullopt);
+  EXPECT_EQ(run.positional().size(), 1u);
+  FlagSet help("t");
+  EXPECT_EQ(ParseArgs(help, {"some_tool", "--help"}), 0);
+  FlagSet version("t");
+  EXPECT_EQ(ParseArgs(version, {"some_tool", "--version"}), 0);
+  FlagSet typo("t");
+  EXPECT_EQ(ParseArgs(typo, {"some_tool", "--no_such_flag"}), 2);
+}
+
+TEST(ObsOptionsFromFlagsTest, StartsOnlyTheEnginesTheFlagsName) {
+  FlagSet quiet("t");
+  AddObsFlags(quiet);
+  ASSERT_EQ(ParseArgs(quiet, {"some_tool"}), std::nullopt);
+  const ObsOptions none = ObsOptionsFromFlags(quiet);
+  EXPECT_TRUE(none.metrics_out.empty());
+  EXPECT_TRUE(none.hw_counters);
+  EXPECT_FALSE(none.status_server || none.watchdog || none.profiler ||
+               none.heap_profiler);
+
+  FlagSet all("t");
+  AddObsFlags(all);
+  ASSERT_EQ(ParseArgs(all, {"some_tool", "--metrics_out=m.jsonl",
+                            "--nohw_counters", "--watchdog_stall_seconds=2",
+                            "--watchdog_abort_after=5", "--profile=p.folded",
+                            "--profile_hz=199", "--heap_profile=h.folded",
+                            "--heap_sample_bytes=4096"}),
+            std::nullopt);
+  const ObsOptions options = ObsOptionsFromFlags(all);
+  EXPECT_EQ(options.metrics_out, "m.jsonl");
+  EXPECT_FALSE(options.hw_counters);
+  EXPECT_FALSE(options.status_server);
+  ASSERT_TRUE(options.watchdog);
+  EXPECT_EQ(options.watchdog->stall_seconds, 2.0);
+  EXPECT_EQ(options.watchdog->abort_after_seconds, 5.0);
+  ASSERT_TRUE(options.profiler);
+  EXPECT_EQ(options.profiler->hz, 199);
+  EXPECT_EQ(options.profiler->folded_out, "p.folded");
+  ASSERT_TRUE(options.heap_profiler);
+  EXPECT_EQ(options.heap_profiler->sample_bytes, 4096u);
+  EXPECT_EQ(options.heap_profiler->folded_out, "h.folded");
+}
+
+TEST(ObsOptionsFromFlagsTest, OutOfRangeRatesStayInvalid) {
+  // 2^32 + 99 must not wrap to a valid 99 Hz, nor -1 bytes to 2^64 - 1.
+  FlagSet flags("t");
+  AddObsFlags(flags);
+  ASSERT_EQ(ParseArgs(flags, {"some_tool", "--profile=p.folded",
+                              "--profile_hz=4294967395",
+                              "--heap_profile=h.folded",
+                              "--heap_sample_bytes=-1"}),
+            std::nullopt);
+  const ObsOptions options = ObsOptionsFromFlags(flags);
+  EXPECT_EQ(options.profiler->hz, INT_MAX);
+  EXPECT_EQ(options.heap_profiler->sample_bytes, 0u);
 }
 
 TEST(RunManifestTest, CapturesArgvSeedsAndParams) {

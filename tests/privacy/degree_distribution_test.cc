@@ -174,76 +174,6 @@ TEST(DegreeDistributionTest, TwoLaneKernelMatchesScalarRecurrence) {
   }
 }
 
-TEST(DegreeDistributionTest, RemoveEdgeInvertsAddEdge) {
-  // ISSUE acceptance: O(d) downdate within 1e-12 of a from-scratch
-  // rebuild, for removal probabilities on both sides of the 1/2 pivot
-  // and at the deterministic extremes.
-  const std::vector<double> base = MixedProbs();
-  for (std::size_t remove = 0; remove < base.size(); ++remove) {
-    DegreeDistribution dist = DegreeDistribution::FromProbabilities(base);
-    ASSERT_TRUE(dist.RemoveEdge(base[remove]).ok()) << "edge " << remove;
-    std::vector<double> rest = base;
-    rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(remove));
-    const DegreeDistribution rebuilt =
-        DegreeDistribution::FromProbabilities(rest);
-    ASSERT_EQ(dist.pmf().size(), rebuilt.pmf().size());
-    for (std::size_t k = 0; k < rebuilt.pmf().size(); ++k) {
-      EXPECT_NEAR(dist.Pmf(k), rebuilt.Pmf(k), 1e-12)
-          << "removed edge " << remove << " (p=" << base[remove]
-          << "), k=" << k;
-    }
-  }
-}
-
-TEST(DegreeDistributionTest, UpdateEdgeMatchesRebuild) {
-  std::vector<double> probs = MixedProbs();
-  DegreeDistribution dist = DegreeDistribution::FromProbabilities(probs);
-  // Re-score edge 3 from 0.7 to 0.2 — the search loop's primitive.
-  ASSERT_TRUE(dist.UpdateEdge(probs[3], 0.2).ok());
-  probs[3] = 0.2;
-  const DegreeDistribution rebuilt =
-      DegreeDistribution::FromProbabilities(probs);
-  for (std::size_t k = 0; k <= rebuilt.num_edges(); ++k) {
-    EXPECT_NEAR(dist.Pmf(k), rebuilt.Pmf(k), 1e-12);
-  }
-}
-
-TEST(DegreeDistributionTest, LongAddRemoveChainStaysExact) {
-  // Many O(d) updates in sequence must not accumulate drift beyond the
-  // 1e-12 budget.
-  Rng rng(2018);
-  std::vector<double> probs;
-  DegreeDistribution dist;
-  for (int step = 0; step < 300; ++step) {
-    if (probs.size() < 5 || rng.Bernoulli(0.6)) {
-      const double p = rng.UniformDouble();
-      probs.push_back(p);
-      dist.AddEdge(p);
-    } else {
-      const std::size_t victim = rng.UniformInt(probs.size());
-      ASSERT_TRUE(dist.RemoveEdge(probs[victim]).ok());
-      probs.erase(probs.begin() + static_cast<std::ptrdiff_t>(victim));
-    }
-  }
-  const DegreeDistribution rebuilt =
-      DegreeDistribution::FromProbabilities(probs);
-  ASSERT_EQ(dist.num_edges(), rebuilt.num_edges());
-  for (std::size_t k = 0; k <= rebuilt.num_edges(); ++k) {
-    EXPECT_NEAR(dist.Pmf(k), rebuilt.Pmf(k), 1e-12);
-  }
-}
-
-TEST(DegreeDistributionTest, RemoveEdgeValidatesArguments) {
-  DegreeDistribution dist;
-  EXPECT_FALSE(dist.RemoveEdge(0.5).ok());  // no edges incorporated
-  dist.AddEdge(0.5);
-  EXPECT_FALSE(dist.RemoveEdge(-0.1).ok());
-  EXPECT_FALSE(dist.RemoveEdge(1.5).ok());
-  EXPECT_FALSE(dist.RemoveEdge(std::nan("")).ok());
-  EXPECT_TRUE(dist.RemoveEdge(0.5).ok());
-  EXPECT_EQ(dist.num_edges(), 0u);
-}
-
 TEST(DegreeDistributionTest, ForVertexUsesIncidentEdges) {
   UncertainGraphBuilder builder(4);
   ASSERT_TRUE(builder.AddEdge(0, 1, 0.25).ok());

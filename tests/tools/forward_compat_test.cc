@@ -1,21 +1,27 @@
-// Forward-compatibility contract of the JSONL readers (ISSUE 5): a
-// metrics stream written by a newer library — containing record types
-// this build has never heard of — must still render through
-// chameleon_obs_dump and chameleon_watch. Unknown types pass through
-// with one debug note per type, count toward the record total, and are
-// never a per-record warning or an error. Drives the real tool binaries
-// (paths injected by CMake) over crafted streams.
+// Forward-compatibility contract of the JSONL reader: a metrics stream
+// written by a newer library — containing record types this build has
+// never heard of — must still render through chameleon_obs_dump, read
+// whole or followed live. Unknown types pass through with one debug note
+// per type, count toward the record total, and are never a per-record
+// warning or an error. Drives the real tool binaries (paths injected by
+// CMake) over crafted streams.
 
 #include <sys/wait.h>
 
 #include <array>
+#include <chrono>
 #include <cstddef>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "chameleon/obs/trace_export.h"
 
 namespace chameleon {
 namespace {
@@ -191,40 +197,61 @@ TEST(ObsDumpForwardCompatTest, StreamWithNoTypedRecordsStillFails) {
   std::remove(path.c_str());
 }
 
-TEST(WatchForwardCompatTest, UnknownTypesPassThroughWithOneNote) {
-  const std::string path = WriteStream("fc_watch.jsonl", MixedStream());
-  const RunResult result =
-      RunCommand(std::string(WATCH_BIN) + " --once " + path);
+/// obs_dump --follow under a timeout: a reader that never sees its
+/// run_summary fails the test instead of hanging it.
+std::string FollowCommand(const std::string& path) {
+  return "timeout 30 " + std::string(OBS_DUMP_BIN) + " --follow " + path;
+}
+
+TEST(FollowForwardCompatTest, UnknownTypesPassThroughWithOneNote) {
+  const std::string path = WriteStream("fc_follow.jsonl", MixedStream());
+  const RunResult result = RunCommand(FollowCommand(path));
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_EQ(CountOccurrences(result.stderr_text, "quantum_flux"), 1u)
       << result.stderr_text;
-  // privacy_check renders as a human line; the summary closes the run.
-  EXPECT_NE(result.stdout_text.find("obfuscation VIOLATED"),
-            std::string::npos)
-      << result.stdout_text;
-  // The anonymization records render as one-liners, never as unknown.
-  EXPECT_NE(result.stdout_text.find("sigma search done"), std::string::npos)
-      << result.stdout_text;
+  // The anonymization records render as live lines, never as unknown.
   EXPECT_NE(result.stdout_text.find("RSME expand level 0"),
             std::string::npos)
+      << result.stdout_text;
+  EXPECT_NE(result.stdout_text.find("sigma search done"), std::string::npos)
       << result.stdout_text;
   EXPECT_NE(result.stdout_text.find("relevance anonymize/relevance"),
             std::string::npos)
       << result.stdout_text;
   EXPECT_EQ(result.stderr_text.find("sigma_search"), std::string::npos)
       << result.stderr_text;
-  EXPECT_NE(result.stdout_text.find("run finished"), std::string::npos);
-  // hw_counters renders as the one-line ipc/cache-miss note, not as an
-  // unknown type.
   EXPECT_EQ(result.stderr_text.find("hw_counters"), std::string::npos)
       << result.stderr_text;
-  EXPECT_NE(result.stdout_text.find("hw privacy/obf_check"),
-            std::string::npos)
+  // The run_summary closes the stream with the full report.
+  EXPECT_NE(result.stdout_text.find("privacy checks:"), std::string::npos)
+      << result.stdout_text;
+  EXPECT_NE(result.stdout_text.find("hw counters:"), std::string::npos)
       << result.stdout_text;
   std::remove(path.c_str());
 }
 
-TEST(WatchForwardCompatTest, CrashFrameCountSeesBracketsInsideFrames) {
+TEST(FollowForwardCompatTest, FinishedStreamEndsWithThePlainReport) {
+  const std::string path = WriteStream("fc_follow_same.jsonl", MixedStream());
+  const RunResult plain = RunCommand(std::string(OBS_DUMP_BIN) + " " + path);
+  const RunResult follow = RunCommand(FollowCommand(path));
+  ASSERT_EQ(plain.exit_code, 0) << plain.stderr_text;
+  EXPECT_EQ(follow.exit_code, 0) << follow.stderr_text;
+  EXPECT_EQ(follow.stderr_text, plain.stderr_text);
+  // Live lines first, then byte for byte what the one-shot read prints.
+  ASSERT_GT(follow.stdout_text.size(), plain.stdout_text.size());
+  const std::size_t live = follow.stdout_text.size() - plain.stdout_text.size();
+  EXPECT_EQ(follow.stdout_text.substr(live), plain.stdout_text);
+  EXPECT_EQ(follow.stdout_text.substr(0, live),
+            "relevance anonymize/relevance: 200/200 worlds, mean ERR 3.25, "
+            "rel err 0.123 [final]\n"
+            "RSME expand level 0 attempt 0: sigma=0.05 -> eps_hat=0.25 "
+            "failed\n"
+            "RSME sigma search done: best sigma=0.1875 (feasible)\n")
+      << follow.stdout_text;
+  std::remove(path.c_str());
+}
+
+TEST(FollowForwardCompatTest, CrashFrameCountSeesBracketsInsideFrames) {
   // The first frame's "[]" must not end the frames array early.
   const std::string path = WriteStream(
       "fc_crash.jsonl",
@@ -234,22 +261,98 @@ TEST(WatchForwardCompatTest, CrashFrameCountSeesBracketsInsideFrames) {
       "\"std::vector<int>::operator[](unsigned long)\","
       "\"chameleon::Run(int, char**)\",\"main\"],"
       "\"rusage\":{\"user_cpu_ms\":1,\"system_cpu_ms\":0,"
-      "\"max_rss_kb\":1,\"minflt\":0,\"majflt\":0}}\n");
-  const RunResult watch =
-      RunCommand(std::string(WATCH_BIN) + " --once " + path);
-  EXPECT_EQ(watch.exit_code, 0) << watch.stderr_text;
-  EXPECT_NE(watch.stdout_text.find("3 frames"), std::string::npos)
-      << watch.stdout_text;
-  const RunResult dump = RunCommand(std::string(OBS_DUMP_BIN) + " " + path);
-  EXPECT_EQ(dump.exit_code, 0) << dump.stderr_text;
-  EXPECT_NE(dump.stdout_text.find("#2 main"), std::string::npos)
-      << dump.stdout_text;
+      "\"max_rss_kb\":1,\"minflt\":0,\"majflt\":0}}\n"
+      "{\"type\":\"run_summary\",\"t_ms\":2,\"wall_ms\":3,"
+      "\"signal\":11}\n");
+  for (const std::string& command :
+       {std::string(OBS_DUMP_BIN) + " " + path, FollowCommand(path)}) {
+    const RunResult result = RunCommand(command);
+    EXPECT_EQ(result.exit_code, 0) << command << result.stderr_text;
+    EXPECT_NE(result.stdout_text.find("#2 main"), std::string::npos)
+        << command << result.stdout_text;
+  }
+  const RunResult follow = RunCommand(FollowCommand(path));
+  EXPECT_NE(follow.stdout_text.find("CRASH: SIGSEGV (signal 11) at 0x0 — "
+                                    "3 frames\n"),
+            std::string::npos)
+      << follow.stdout_text;
   std::remove(path.c_str());
 }
 
-TEST(ForwardCompatTest, NestedUnknownRecordPassesThroughBothReaders) {
+TEST(FollowForwardCompatTest, HalfWrittenRecordIsReadWhole) {
+  // A writer that has flushed half a record must not make the reader
+  // parse the two halves as two lines, and the reader keeps polling
+  // until the run_summary lands.
+  const std::string record =
+      "{\"type\":\"sigma_search\",\"t_ms\":2,\"method\":\"RSME\","
+      "\"phase\":\"final\",\"level\":3,\"sigma\":0.2,\"lo\":0.1,"
+      "\"hi\":0.2,\"success\":true,\"eps_hat\":0.04,\"attempts\":5,"
+      "\"best_sigma\":0.1875}\n";
+  const std::size_t half = record.size() / 2;
+  const std::string path =
+      WriteStream("fc_follow_half.jsonl", record.substr(0, half));
+  std::thread writer([&] {
+    // Each pause outlasts the reader's 500 ms poll.
+    std::this_thread::sleep_for(std::chrono::milliseconds(800));
+    std::ofstream(path, std::ios::app) << record.substr(half) << std::flush;
+    std::this_thread::sleep_for(std::chrono::milliseconds(800));
+    std::ofstream(path, std::ios::app)
+        << "{\"type\":\"run_summary\",\"t_ms\":3,\"wall_ms\":7.25}\n"
+        << std::flush;
+  });
+  const RunResult result = RunCommand(FollowCommand(path));
+  writer.join();
+  EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
+  EXPECT_NE(result.stdout_text.find(
+                "RSME sigma search done: best sigma=0.1875 (feasible)\n"),
+            std::string::npos)
+      << result.stdout_text;
+  EXPECT_NE(result.stdout_text.find("sigma search:"), std::string::npos)
+      << result.stdout_text;
+  EXPECT_NE(result.stdout_text.find("run wall time: 7.250 ms"),
+            std::string::npos)
+      << result.stdout_text;
+  std::remove(path.c_str());
+}
+
+TEST(ChromeTraceTest, MatchesTheLibraryConversion) {
+  const std::string stream =
+      "{\"type\":\"manifest\",\"tool\":\"t\",\"git_describe\":\"v9\"}\n"
+      "{\"type\":\"span\",\"t_ms\":1,\"path\":\"a\",\"mono_ns\":1000,"
+      "\"dur_ns\":5000,\"tid\":0,\"cpu_ns\":4000}\n"
+      "{\"type\":\"span\",\"t_ms\":1,\"path\":\"a/b\",\"mono_ns\":2000,"
+      "\"dur_ns\":1000,\"tid\":1}\n"
+      "{\"type\":\"snapshot\",\"t_ms\":1,\"label\":\"phase\"}\n"
+      "{\"type\":\"progress\",\"t_ms\":1,\"label\":\"w\","
+      "\"done\":3,\"total\":9}\n"
+      "not a record\n"
+      "{\"type\":\"run_summary\",\"t_ms\":2,\"wall_ms\":4.5}\n";
+  const std::string path = WriteStream("fc_trace.jsonl", stream);
+  const std::string out = testing::TempDir() + "/fc_trace.json";
+  const RunResult result = RunCommand(std::string(OBS_DUMP_BIN) +
+                                      " --chrome_trace=" + out + " " + path);
+  EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
+  EXPECT_NE(result.stdout_text.find("wrote " + out + ": 2 spans"),
+            std::string::npos)
+      << result.stdout_text;
+  EXPECT_NE(result.stderr_text.find("skipped 1 non-record lines"),
+            std::string::npos)
+      << result.stderr_text;
+
+  std::vector<std::string> lines;
+  std::istringstream split(stream);
+  for (std::string line; std::getline(split, line);) lines.push_back(line);
+  std::ifstream written(out);
+  const std::string trace((std::istreambuf_iterator<char>(written)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(trace, obs::ChromeTraceFromJsonlLines(lines));
+  std::remove(path.c_str());
+  std::remove(out.c_str());
+}
+
+TEST(ForwardCompatTest, NestedUnknownRecordPassesThroughBothModes) {
   // An unknown type carrying a nested object, an array, and a \u0001
-  // string: each reader notes the type once and renders the rest.
+  // string: each mode notes the type once and renders the rest.
   const std::string path = WriteStream(
       "fc_nested.jsonl",
       "{\"type\":\"wormhole\",\"t_ms\":1,"
@@ -257,14 +360,14 @@ TEST(ForwardCompatTest, NestedUnknownRecordPassesThroughBothReaders) {
       "\"hops\":[1,{\"a\":[2,3]},\"b\"],\"note\":\"bell\\u0001ring\"}\n"
       "{\"type\":\"wormhole\",\"t_ms\":2,\"hops\":[]}\n"
       "{\"type\":\"run_summary\",\"t_ms\":3,\"wall_ms\":4.5}\n");
-  for (const std::string& bin :
-       {std::string(OBS_DUMP_BIN) + " ", std::string(WATCH_BIN) + " --once "}) {
-    const RunResult result = RunCommand(bin + path);
-    EXPECT_EQ(result.exit_code, 0) << bin << result.stderr_text;
+  for (const std::string& command :
+       {std::string(OBS_DUMP_BIN) + " " + path, FollowCommand(path)}) {
+    const RunResult result = RunCommand(command);
+    EXPECT_EQ(result.exit_code, 0) << command << result.stderr_text;
     EXPECT_EQ(CountOccurrences(result.stderr_text, "wormhole"), 1u)
-        << bin << result.stderr_text;
+        << command << result.stderr_text;
     EXPECT_NE(result.stdout_text.find("4.5"), std::string::npos)
-        << bin << result.stdout_text;
+        << command << result.stdout_text;
   }
   std::remove(path.c_str());
 }

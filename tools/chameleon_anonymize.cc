@@ -12,20 +12,16 @@
 // Exit code 0 means the run completed (feasibility lives in the result
 // JSON); 1 is a runtime error, 2 a usage error.
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "chameleon/anonymize/chameleon.h"
 #include "chameleon/anonymize/rep_an.h"
 #include "chameleon/graph/io.h"
 #include "chameleon/graph/uncertain_graph.h"
-#include "chameleon/obs/heap_profiler.h"
 #include "chameleon/obs/obs.h"
-#include "chameleon/obs/profiler.h"
 #include "chameleon/obs/run_context.h"
-#include "chameleon/obs/watchdog.h"
 #include "chameleon/util/flags.h"
 #include "chameleon/util/string_util.h"
 #include "chameleon/util/threads_flag.h"
@@ -134,47 +130,10 @@ int Run(int argc, char** argv) {
   AddThreadsFlag(flags);
   flags.AddString("out", "", "write the anonymized edge list here");
   flags.AddString("result", "", "write the result JSON here");
-  flags.AddString("metrics_out", "",
-                  "JSONL metrics/trace sink (also: $CHAMELEON_METRICS)");
-  flags.AddDouble("watchdog_stall_seconds", 0.0,
-                  "emit a watchdog_stall record when a phase makes no "
-                  "progress for this long (0 = watchdog off)");
-  flags.AddDouble("watchdog_abort_after", 0.0,
-                  "SIGABRT (-> crash forensics dump) once a stall persists "
-                  "this many seconds past --watchdog_stall_seconds (0 = "
-                  "never abort)");
-  flags.AddBool("hw_counters", true,
-                "attribute hardware counters (perf_event_open) to spans; "
-                "degrades to a hw_counters_unavailable note when the "
-                "kernel refuses");
-  flags.AddString("profile", "",
-                  "capture a whole-run sampling profile to this folded-"
-                  "stacks file");
-  flags.AddInt64("profile_hz", 99, "sampling frequency per CPU-second");
-  flags.AddString("heap_profile", "",
-                  "sample heap allocations for the whole run, emit "
-                  "heap_profile records, and write folded collapsed "
-                  "stacks to this path");
-  flags.AddInt64("heap_sample_bytes",
-                 static_cast<std::int64_t>(obs::kDefaultHeapSampleBytes),
-                 "mean bytes between heap samples (smaller = finer "
-                 "attribution, more overhead)");
-  flags.AddBool("version", false, "print build provenance and exit");
-  flags.AddBool("help", false, "show usage");
-
-  if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n%s", s.ToString().c_str(),
-                 flags.Usage().c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::fprintf(stdout, "%s", flags.Usage().c_str());
-    return 0;
-  }
-  if (flags.GetBool("version")) {
-    std::fprintf(stdout, "%s",
-                 obs::VersionString("chameleon_anonymize").c_str());
-    return 0;
+  obs::AddObsFlags(flags);
+  if (const std::optional<int> exit_code = obs::ParseToolFlags(
+          flags, "chameleon_anonymize", argc, argv)) {
+    return *exit_code;
   }
 
   std::string graph_path = flags.GetString("graph");
@@ -233,48 +192,10 @@ int Run(int argc, char** argv) {
                  s.ToString().c_str());
   }
 
-  obs::ObsOptions obs_options;
-  obs_options.metrics_out = flags.GetString("metrics_out");
-  obs_options.hw_counters = flags.GetBool("hw_counters");
-  const double watchdog_stall = flags.GetDouble("watchdog_stall_seconds");
-  const std::string heap_profile_out = flags.GetString("heap_profile");
-  if (obs_options.metrics_out.empty() &&
-      (watchdog_stall > 0.0 || !heap_profile_out.empty()) &&
-      std::getenv("CHAMELEON_METRICS") == nullptr) {
-    obs_options.metrics_out = "/dev/null";
-  }
-  if (Status s = obs::InitObservability(obs_options); !s.ok()) {
+  if (Status s = obs::InitObservability(obs::ObsOptionsFromFlags(flags));
+      !s.ok()) {
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
     return 1;
-  }
-  if (watchdog_stall > 0.0) {
-    obs::WatchdogOptions watchdog_options;
-    watchdog_options.stall_seconds = watchdog_stall;
-    watchdog_options.abort_after_seconds =
-        flags.GetDouble("watchdog_abort_after");
-    if (Status s = obs::StartGlobalWatchdog(watchdog_options); !s.ok()) {
-      std::fprintf(stderr, "warning: watchdog disabled: %s\n",
-                   s.ToString().c_str());
-    }
-  }
-  if (!flags.GetString("profile").empty()) {
-    obs::ProfilerOptions profiler_options;
-    profiler_options.hz = static_cast<int>(flags.GetInt64("profile_hz"));
-    profiler_options.folded_out = flags.GetString("profile");
-    if (Status s = obs::StartGlobalProfiler(profiler_options); !s.ok()) {
-      std::fprintf(stderr, "warning: profiler disabled: %s\n",
-                   s.ToString().c_str());
-    }
-  }
-  if (!heap_profile_out.empty()) {
-    obs::HeapProfilerOptions heap_options;
-    heap_options.sample_bytes =
-        static_cast<std::size_t>(flags.GetInt64("heap_sample_bytes"));
-    heap_options.folded_out = heap_profile_out;
-    if (Status s = obs::StartHeapProfiler(heap_options); !s.ok()) {
-      std::fprintf(stderr, "warning: heap profiler disabled: %s\n",
-                   s.ToString().c_str());
-    }
   }
   obs::RunManifest manifest =
       obs::RunManifest::Capture("chameleon_anonymize", argc, argv);
@@ -344,18 +265,6 @@ int Run(int argc, char** argv) {
       return 1;
     }
     std::fprintf(stdout, "result json: %s\n", result_path.c_str());
-  }
-
-  if (obs::HeapProfilerActive()) {
-    const obs::HeapProfileReport heap =
-        obs::SnapshotHeapProfile(/*symbolize=*/false);
-    std::fprintf(stdout,
-                 "heap: %llu samples, est peak %.2f MiB, exact cum "
-                 "%.2f MiB -> %s\n",
-                 static_cast<unsigned long long>(heap.samples),
-                 static_cast<double>(heap.est_peak_bytes) / 1048576.0,
-                 static_cast<double>(heap.exact_cum_bytes) / 1048576.0,
-                 heap_profile_out.c_str());
   }
 
   obs::ShutdownObservability();

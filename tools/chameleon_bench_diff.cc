@@ -12,6 +12,7 @@
 // on a noisy host cannot fail CI on its own.
 
 #include <cstdio>
+#include <optional>
 
 #include "chameleon/obs/run_context.h"
 #include "chameleon/util/flags.h"
@@ -29,22 +30,9 @@ int Run(int argc, char** argv) {
                   "relative slowdown counted as a regression");
   flags.AddDouble("mad_mult", 3.0,
                   "noise floor: delta must exceed mad_mult * max(MAD)");
-  flags.AddBool("version", false, "print build provenance and exit");
-  flags.AddBool("help", false, "show usage");
-
-  if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n%s", s.ToString().c_str(),
-                 flags.Usage().c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::fprintf(stdout, "%s", flags.Usage().c_str());
-    return 0;
-  }
-  if (flags.GetBool("version")) {
-    std::fprintf(stdout, "%s",
-                 obs::VersionString("chameleon_bench_diff").c_str());
-    return 0;
+  if (const std::optional<int> exit_code =
+          obs::ParseToolFlags(flags, "chameleon_bench_diff", argc, argv)) {
+    return *exit_code;
   }
   if (flags.positional().size() != 2) {
     std::fprintf(stderr, "error: expected <baseline.json> <current.json>\n%s",

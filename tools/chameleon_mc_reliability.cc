@@ -8,21 +8,19 @@
 //       --metrics_out=run.jsonl
 //   chameleon_obs_dump run.jsonl
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "chameleon/graph/io.h"
 #include "chameleon/graph/uncertain_graph.h"
-#include "chameleon/obs/heap_profiler.h"
 #include "chameleon/obs/obs.h"
-#include "chameleon/obs/profiler.h"
 #include "chameleon/obs/run_context.h"
-#include "chameleon/obs/status_server.h"
-#include "chameleon/obs/watchdog.h"
 #include "chameleon/reliability/reliability.h"
 #include "chameleon/util/flags.h"
 #include "chameleon/util/logging.h"
@@ -86,52 +84,15 @@ int Run(int argc, char** argv) {
                   "(0 = off)");
   flags.AddInt64("min_samples", 100,
                  "no early-stop decision before this many worlds");
-  flags.AddString("metrics_out", "",
-                  "JSONL metrics/trace sink (also: $CHAMELEON_METRICS)");
   flags.AddInt64("statusz_port", -1,
                  "serve live /statusz and /metricsz on this loopback port "
                  "(0 = ephemeral, -1 = off)");
-  flags.AddString("profile", "",
-                  "sample CPU for the whole run and write folded collapsed "
-                  "stacks (flamegraph.pl input) to this path");
-  flags.AddInt64("profile_hz", 99, "sampling frequency per CPU-second");
-  flags.AddString("heap_profile", "",
-                  "sample heap allocations for the whole run, emit "
-                  "heap_profile records, and write folded collapsed "
-                  "stacks (flamegraph.pl input) to this path");
-  flags.AddInt64("heap_sample_bytes",
-                 static_cast<std::int64_t>(obs::kDefaultHeapSampleBytes),
-                 "mean bytes between heap samples (smaller = finer "
-                 "attribution, more overhead)");
-  flags.AddDouble("watchdog_stall_seconds", 0.0,
-                  "emit a watchdog_stall record when a phase makes no "
-                  "progress for this long (0 = watchdog off)");
-  flags.AddDouble("watchdog_abort_after", 0.0,
-                  "SIGABRT (-> crash forensics dump) once a stall persists "
-                  "this many seconds past --watchdog_stall_seconds (0 = "
-                  "never abort)");
   flags.AddBool("connected_pairs", true,
                 "also estimate E[#connected pairs]");
-  flags.AddBool("hw_counters", true,
-                "attribute hardware counters (perf_event_open) to spans; "
-                "degrades to a hw_counters_unavailable note when the "
-                "kernel refuses");
-  flags.AddBool("version", false, "print build provenance and exit");
-  flags.AddBool("help", false, "show usage");
-
-  if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n%s", s.ToString().c_str(),
-                 flags.Usage().c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::fprintf(stdout, "%s", flags.Usage().c_str());
-    return 0;
-  }
-  if (flags.GetBool("version")) {
-    std::fprintf(stdout, "%s",
-                 obs::VersionString("chameleon_mc_reliability").c_str());
-    return 0;
+  obs::AddObsFlags(flags);
+  if (const std::optional<int> exit_code = obs::ParseToolFlags(
+          flags, "chameleon_mc_reliability", argc, argv)) {
+    return *exit_code;
   }
 
   // Crash forensics before anything heavy runs: a SIGSEGV from here on
@@ -148,68 +109,16 @@ int Run(int argc, char** argv) {
   const int threads = ResolvedThreads(flags);
   SetDefaultThreads(threads);
 
-  obs::ObsOptions obs_options;
-  obs_options.metrics_out = flags.GetString("metrics_out");
-  obs_options.hw_counters = flags.GetBool("hw_counters");
-  const std::int64_t statusz_port = flags.GetInt64("statusz_port");
-  const std::string profile_out = flags.GetString("profile");
-  const std::string heap_profile_out = flags.GetString("heap_profile");
-  const double watchdog_stall = flags.GetDouble("watchdog_stall_seconds");
-  if (obs_options.metrics_out.empty() &&
-      (statusz_port >= 0 || !profile_out.empty() ||
-       !heap_profile_out.empty() || watchdog_stall > 0.0) &&
-      std::getenv("CHAMELEON_METRICS") == nullptr) {
-    // /statusz, /metricsz, and the profiler render from the live obs
-    // registries, which only run when a sink exists; a discarded stream
-    // keeps them live without forcing the user to pick a metrics path.
-    obs_options.metrics_out = "/dev/null";
+  obs::ObsOptions obs_options = obs::ObsOptionsFromFlags(flags);
+  if (const std::int64_t port = flags.GetInt64("statusz_port"); port >= 0) {
+    // Clamped, not wrapped, so a port that does not fit fails the
+    // server's range check.
+    obs_options.status_server.emplace().port = static_cast<int>(
+        std::min<std::int64_t>(port, std::numeric_limits<int>::max()));
   }
   if (Status s = obs::InitObservability(obs_options); !s.ok()) {
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
     return 1;
-  }
-  if (statusz_port >= 0) {
-    obs::StatusServerOptions server_options;
-    server_options.port = static_cast<int>(statusz_port);
-    if (Status s = obs::StartGlobalStatusServer(server_options); !s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "statusz: http://127.0.0.1:%d/statusz\n",
-                 obs::GlobalStatusServer()->port());
-  }
-  if (watchdog_stall > 0.0) {
-    obs::WatchdogOptions watchdog_options;
-    watchdog_options.stall_seconds = watchdog_stall;
-    watchdog_options.abort_after_seconds =
-        flags.GetDouble("watchdog_abort_after");
-    if (Status s = obs::StartGlobalWatchdog(watchdog_options); !s.ok()) {
-      std::fprintf(stderr, "warning: watchdog disabled: %s\n",
-                   s.ToString().c_str());
-    }
-  }
-  if (!profile_out.empty()) {
-    obs::ProfilerOptions profiler_options;
-    profiler_options.hz = static_cast<int>(flags.GetInt64("profile_hz"));
-    profiler_options.folded_out = profile_out;
-    if (Status s = obs::StartGlobalProfiler(profiler_options); !s.ok()) {
-      // An OBS=OFF build (or a non-Linux host) still runs the estimate,
-      // just without a profile.
-      std::fprintf(stderr, "warning: profiler disabled: %s\n",
-                   s.ToString().c_str());
-    }
-  }
-  if (!heap_profile_out.empty()) {
-    obs::HeapProfilerOptions heap_options;
-    heap_options.sample_bytes =
-        static_cast<std::size_t>(flags.GetInt64("heap_sample_bytes"));
-    heap_options.folded_out = heap_profile_out;
-    if (Status s = obs::StartHeapProfiler(heap_options); !s.ok()) {
-      // Sanitizer and OBS=OFF builds still run the estimate; FinalizeRun
-      // notes the reason in a heap_profiler_unavailable record.
-      std::fprintf(stderr, "warning: heap profiler disabled: %s\n",
-                   s.ToString().c_str());
-    }
   }
 
   // First record of the stream: full run provenance (build, argv, seed).
@@ -280,36 +189,6 @@ int Run(int argc, char** argv) {
                  pairs->expected_pairs, pairs->ci_halfwidth, pairs->stddev,
                  pairs->worlds,
                  pairs->stopped_early ? ", stopped early" : "");
-  }
-
-  if (obs::ProfilerRunning()) {
-    // Explicit stop (FinalizeRun would also do it) so the sample count
-    // lands on stdout next to the estimates.
-    if (Result<obs::ProfileReport> profile = obs::StopGlobalProfiler();
-        profile.ok()) {
-      std::fprintf(stdout, "profile: %llu samples (%llu dropped) -> %s\n",
-                   static_cast<unsigned long long>(profile->samples),
-                   static_cast<unsigned long long>(profile->dropped),
-                   profile_out.c_str());
-    } else {
-      std::fprintf(stderr, "warning: profiler stop failed: %s\n",
-                   profile.status().ToString().c_str());
-    }
-  }
-
-  if (obs::HeapProfilerActive()) {
-    // Snapshot only — FinalizeRun (inside ShutdownObservability) emits
-    // the heap_profile records and stops the sampler, so stopping here
-    // would replace them with an "unavailable" note.
-    const obs::HeapProfileReport heap =
-        obs::SnapshotHeapProfile(/*symbolize=*/false);
-    std::fprintf(stdout,
-                 "heap: %llu samples, est peak %.2f MiB, exact cum "
-                 "%.2f MiB -> %s\n",
-                 static_cast<unsigned long long>(heap.samples),
-                 static_cast<double>(heap.est_peak_bytes) / 1048576.0,
-                 static_cast<double>(heap.exact_cum_bytes) / 1048576.0,
-                 heap_profile_out.c_str());
   }
 
   obs::ShutdownObservability();

@@ -11,21 +11,35 @@
 // "self" is total minus the time attributed to direct child phases; "cpu"
 // is thread CPU time from the span's resource sample. The final run
 // summary's counters and process rusage close the report.
+//
+// --follow tails a stream that is still being written, one line per
+// progress-like record as it lands, and prints the report once the
+// run_summary arrives (interrupt with Ctrl-C if it never does):
+//
+//   chameleon_mc_reliability --worlds=100000000 --metrics_out=run.jsonl &
+//   chameleon_obs_dump --follow run.jsonl
+//   [reliability/two_terminal/sample_worlds] 1534000/100000000 (1.5%) 3.1e+06/s ETA 31.7s
+//
+// --chrome_trace=<out.json> writes the stream as Chrome trace-event JSON
+// for chrome://tracing and ui.perfetto.dev instead of the report.
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "chameleon/obs/run_context.h"
 #include "chameleon/obs/record.h"
 #include "chameleon/obs/trace.h"
+#include "chameleon/obs/trace_export.h"
 #include "chameleon/util/flags.h"
 #include "chameleon/util/status.h"
 #include "chameleon/util/string_util.h"
@@ -37,6 +51,10 @@ using obs::JsonValue;
 constexpr auto kString = JsonValue::Kind::kString;
 constexpr auto kNumber = JsonValue::Kind::kNumber;
 constexpr auto kObject = JsonValue::Kind::kObject;
+
+/// How often --follow re-reads a stream that has not reached its
+/// run_summary yet.
+constexpr std::chrono::milliseconds kFollowPoll{500};
 
 struct PhaseAggregate {
   std::uint64_t calls = 0;
@@ -111,58 +129,167 @@ void ComputeSelfTimes(std::map<std::string, PhaseAggregate>* phases) {
   }
 }
 
-Result<DumpResult> Load(const std::string& path) {
+/// Folds one record into the aggregate; both the one-shot read and
+/// --follow feed every record through here.
+void Ingest(JsonValue record, DumpResult* out) {
+  const JsonValue* type_value = record.Get("type", kString);
+  if (type_value == nullptr) return;
+  const std::string type = type_value->str();
+  ++out->typed_records;
+  if (type == "span") {
+    const JsonValue* span_path = record.Get("path", kString);
+    const JsonValue* dur = record.Get("dur_ns", kNumber);
+    if (span_path == nullptr || dur == nullptr) return;
+    ++out->span_records;
+    PhaseAggregate& agg = out->phases[span_path->str()];
+    ++agg.calls;
+    agg.total_ns += dur->number();
+    agg.cpu_ns += record.Num("cpu_ns");
+    agg.max_ns = std::max(agg.max_ns, dur->number());
+  } else if (type == "progress") {
+    ++out->progress_records;
+  } else if (type == "snapshot") {
+    ++out->snapshot_records;
+  } else if (type == "parallel_region") {
+    const JsonValue* name = record.Get("name", kString);
+    if (name == nullptr) return;
+    ParallelRegionDumpAgg& agg =
+        out->parallel_regions[obs::StripPathIndices(name->str())];
+    if (record.Flag("partial")) {
+      ++agg.partials;
+      return;
+    }
+    ++agg.regions;
+    agg.wall_ns += record.Num("wall_ns");
+    agg.busy_ns += record.Num("busy_total_ns");
+    agg.idle_ns += record.Num("idle_total_ns");
+    agg.overhead_ns += record.Num("spawn_ns") + record.Num("join_ns");
+    agg.workers = record.Num("workers");
+    agg.requested = record.Num("requested");
+    agg.max_imbalance = std::max(agg.max_imbalance, record.Num("imbalance"));
+  } else if (type == "estimator_progress") {
+    if (record.Get("label", kString) == nullptr) return;
+    ++out->estimator_records;
+    out->records[type].push_back(std::move(record));
+  } else if (std::find(std::begin(kStoredTypes), std::end(kStoredTypes),
+                       type) != std::end(kStoredTypes)) {
+    out->records[type].push_back(std::move(record));
+  } else if (type != "status_server") {
+    ++out->unknown_types[type];
+  }
+}
+
+/// The --follow line for one record; empty for types it does not
+/// surface.
+std::string LiveLine(const JsonValue& r) {
+  const std::string type = r.Str("type");
+  if (type == "progress") {
+    const double done = r.Num("done");
+    const double total = r.Num("total");
+    const double rate = r.Num("rate_per_s");
+    std::string text = StrFormat("[%s] %.0f", r.Str("label", "?").c_str(),
+                                 done);
+    if (total > 0.0) {
+      text += StrFormat("/%.0f (%.1f%%)", total, 100.0 * done / total);
+    }
+    text += StrFormat(" %.3g/s", rate);
+    if (total > done && rate > 0.0) {
+      text += StrFormat(" ETA %.1fs", r.Num("eta_s"));
+    }
+    if (r.Flag("final")) text += " [finished]";
+    return text + "\n";
+  }
+  if (type == "estimator_progress") {
+    std::string text = StrFormat(
+        "[%s] n=%.0f mean=%.6g ci_halfwidth=%.4g (%.3g/s)",
+        r.Str("label", "?").c_str(), r.Num("samples"), r.Num("mean"),
+        r.Num("ci_halfwidth"), r.Num("rate_per_s"));
+    if (r.Flag("final")) {
+      text += r.Flag("stopped_early") ? " [stopped early]" : " [done]";
+    }
+    return text + "\n";
+  }
+  if (type == "relevance_progress") {
+    return StrFormat(
+        "relevance %s: %.0f/%.0f worlds, mean ERR %.4g, rel err %.4g%s\n",
+        r.Str("label", "?").c_str(), r.Num("worlds"), r.Num("total_worlds"),
+        r.Num("mean_err"), r.Num("rel_err"), r.Flag("final") ? " [final]" : "");
+  }
+  if (type == "anonymize_attempt") {
+    return StrFormat(
+        "%s %s level %.0f attempt %.0f: sigma=%.4g -> eps_hat=%.4g %s\n",
+        r.Str("method", "?").c_str(), r.Str("phase", "?").c_str(),
+        r.Num("level"), r.Num("attempt"), r.Num("sigma"), r.Num("eps_hat"),
+        r.Flag("success") ? "OK" : "failed");
+  }
+  if (type == "sigma_search") {
+    const std::string method = r.Str("method", "?");
+    const std::string phase = r.Str("phase", "?");
+    const bool success = r.Flag("success");
+    if (phase == "final") {
+      return StrFormat("%s sigma search done: best sigma=%.4g (%s)\n",
+                       method.c_str(), r.Num("best_sigma"),
+                       success ? "feasible" : "infeasible");
+    }
+    return StrFormat("%s sigma search [%s] level %.0f: sigma=%.4g %s "
+                     "(best %.4g)\n",
+                     method.c_str(), phase.c_str(), r.Num("level"),
+                     r.Num("sigma"), success ? "succeeded" : "failed",
+                     r.Num("best_sigma"));
+  }
+  if (type == "watchdog_stall") {
+    return StrFormat("WATCHDOG: %s idle %.1fs (threshold %.1fs)%s\n",
+                     r.Str("path", "?").c_str(), r.Num("idle_ms") * 1e-3,
+                     r.Num("stall_seconds"),
+                     r.Flag("aborting") ? " — aborting the run" : "");
+  }
+  if (type == "crash") {
+    std::string text = StrFormat("CRASH: %s (signal %.0f)",
+                                 r.Str("signal_name", "?").c_str(),
+                                 r.Num("signal"));
+    if (const JsonValue* addr = r.Get("fault_addr", kString)) {
+      text += " at " + addr->str();
+    }
+    if (const JsonValue* span = r.Get("span_path", kString)) {
+      text += " in span " + span->str();
+    }
+    const JsonValue* frames = r.Get("frames");
+    text += StrFormat(" — %zu frames",
+                      frames != nullptr ? frames->elements().size() : 0);
+    return text + "\n";
+  }
+  return "";
+}
+
+/// Reads the stream at `path` into one aggregate. With `follow`, tails a
+/// stream that is still being written: prints each record's live line as
+/// it lands and returns once the run_summary has been read.
+Result<DumpResult> Load(const std::string& path, bool follow) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open " + path);
   DumpResult out;
-  for (std::string line; std::getline(in, line);) {
-    std::optional<JsonValue> record = obs::ParseJson(line);
-    const JsonValue* type_value =
-        record.has_value() ? record->Get("type", kString) : nullptr;
-    if (type_value == nullptr) continue;
-    const std::string type = type_value->str();
-    ++out.typed_records;
-    if (type == "span") {
-      const JsonValue* span_path = record->Get("path", kString);
-      const JsonValue* dur = record->Get("dur_ns", kNumber);
-      if (span_path == nullptr || dur == nullptr) continue;
-      ++out.span_records;
-      PhaseAggregate& agg = out.phases[span_path->str()];
-      ++agg.calls;
-      agg.total_ns += dur->number();
-      agg.cpu_ns += record->Num("cpu_ns");
-      agg.max_ns = std::max(agg.max_ns, dur->number());
-    } else if (type == "progress") {
-      ++out.progress_records;
-    } else if (type == "snapshot") {
-      ++out.snapshot_records;
-    } else if (type == "parallel_region") {
-      const JsonValue* name = record->Get("name", kString);
-      if (name == nullptr) continue;
-      ParallelRegionDumpAgg& agg =
-          out.parallel_regions[obs::StripPathIndices(name->str())];
-      if (record->Flag("partial")) {
-        ++agg.partials;
-        continue;
-      }
-      ++agg.regions;
-      agg.wall_ns += record->Num("wall_ns");
-      agg.busy_ns += record->Num("busy_total_ns");
-      agg.idle_ns += record->Num("idle_total_ns");
-      agg.overhead_ns += record->Num("spawn_ns") + record->Num("join_ns");
-      agg.workers = record->Num("workers");
-      agg.requested = record->Num("requested");
-      agg.max_imbalance = std::max(agg.max_imbalance, record->Num("imbalance"));
-    } else if (type == "estimator_progress") {
-      if (record->Get("label", kString) == nullptr) continue;
-      ++out.estimator_records;
-      out.records[type].push_back(*std::move(record));
-    } else if (std::find(std::begin(kStoredTypes), std::end(kStoredTypes),
-                         type) != std::end(kStoredTypes)) {
-      out.records[type].push_back(*std::move(record));
-    } else if (type != "status_server") {
-      ++out.unknown_types[type];
+  for (std::string line;;) {
+    // While the writer is between write() and the newline, the last line
+    // is a fragment: following, rewind to its start and re-read it whole
+    // on the next poll, so its two halves never parse as two lines.
+    const std::istream::pos_type line_start =
+        follow ? in.tellg() : std::istream::pos_type(-1);
+    if (!std::getline(in, line) || (follow && in.eof())) {
+      if (!follow || !out.Of("run_summary").empty()) break;
+      in.clear();
+      in.seekg(line_start);
+      std::this_thread::sleep_for(kFollowPoll);
+      continue;
     }
+    std::optional<JsonValue> record = obs::ParseJson(line);
+    if (!record.has_value()) continue;
+    if (follow) {
+      if (const std::string text = LiveLine(*record); !text.empty()) {
+        std::fputs(text.c_str(), stdout);
+        std::fflush(stdout);
+      }
+    }
+    Ingest(*std::move(record), &out);
   }
   ComputeSelfTimes(&out.phases);
   return out;
@@ -762,6 +889,28 @@ int PrintHeap(const DumpResult& dump, const std::string& sort_key,
   return 0;
 }
 
+/// The --chrome_trace view: spans become complete events on one track
+/// per thread, snapshots instant markers, progress counter tracks.
+int WriteChromeTrace(const std::string& path, const std::string& out) {
+  const Result<obs::TraceExportStats> stats =
+      obs::ExportChromeTrace(path, out);
+  if (!stats.ok()) {
+    std::fprintf(stderr, "error: %s\n", stats.status().ToString().c_str());
+    return 1;
+  }
+  std::fprintf(stdout,
+               "wrote %s: %zu spans, %zu snapshots, %zu progress events%s"
+               "%s\n",
+               out.c_str(), stats->spans, stats->snapshots, stats->progress,
+               stats->saw_manifest ? ", manifest" : ", no manifest",
+               stats->skipped_lines > 0 ? " (some lines skipped)" : "");
+  if (stats->skipped_lines > 0) {
+    std::fprintf(stderr, "warning: skipped %zu non-record lines\n",
+                 stats->skipped_lines);
+  }
+  return 0;
+}
+
 int Run(int argc, char** argv) {
   FlagSet flags(
       "chameleon_obs_dump: per-phase timing table from a metrics JSONL "
@@ -780,22 +929,17 @@ int Run(int argc, char** argv) {
                 "the timing report (sort with --heap_sort)");
   flags.AddString("heap_sort", "cum",
                   "heap table order: cum | live | peak | leak");
-  flags.AddBool("version", false, "print build provenance and exit");
-  flags.AddBool("help", false, "show usage");
-
-  if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n%s", s.ToString().c_str(),
-                 flags.Usage().c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::fprintf(stdout, "%s", flags.Usage().c_str());
-    return 0;
-  }
-  if (flags.GetBool("version")) {
-    std::fprintf(stdout, "%s",
-                 obs::VersionString("chameleon_obs_dump").c_str());
-    return 0;
+  flags.AddBool("follow", false,
+                "tail a stream still being written: one line per progress "
+                "record as it lands, then the report once the run_summary "
+                "arrives");
+  flags.AddString("chrome_trace", "",
+                  "write Chrome trace-event JSON (chrome://tracing, "
+                  "ui.perfetto.dev) to this path instead of the timing "
+                  "report");
+  if (const std::optional<int> exit_code =
+          obs::ParseToolFlags(flags, "chameleon_obs_dump", argc, argv)) {
+    return *exit_code;
   }
   std::string path = flags.GetString("input");
   if (path.empty() && !flags.positional().empty()) {
@@ -808,10 +952,14 @@ int Run(int argc, char** argv) {
 
   static_cast<void>(obs::InstallCrashForensics());
 
-  const Result<DumpResult> dump = Load(path);
+  const Result<DumpResult> dump = Load(path, flags.GetBool("follow"));
   if (!dump.ok()) {
     std::fprintf(stderr, "error: %s\n", dump.status().ToString().c_str());
     return 1;
+  }
+  if (const std::string& trace_out = flags.GetString("chrome_trace");
+      !trace_out.empty()) {
+    return WriteChromeTrace(path, trace_out);
   }
   if (flags.GetBool("flame")) {
     return PrintFlame(*dump, flags.GetInt64("top"));

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -305,22 +306,9 @@ int Run(int argc, char** argv) {
                 "for per-row IPC / cache-miss-rate columns and the "
                 "bandwidth-saturation verdict; degrades to a "
                 "hw_counters_unavailable note when the kernel refuses");
-  flags.AddBool("version", false, "print build provenance and exit");
-  flags.AddBool("help", false, "show usage");
-
-  if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n%s", s.ToString().c_str(),
-                 flags.Usage().c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::fprintf(stdout, "%s", flags.Usage().c_str());
-    return 0;
-  }
-  if (flags.GetBool("version")) {
-    std::fprintf(stdout, "%s",
-                 obs::VersionString("chameleon_scaling").c_str());
-    return 0;
+  if (const std::optional<int> exit_code =
+          obs::ParseToolFlags(flags, "chameleon_scaling", argc, argv)) {
+    return *exit_code;
   }
 
   const std::string& workload = flags.GetString("workload");
