@@ -5,9 +5,10 @@
 //
 // Covers the hot paths of the Chameleon core on fixed-seed graphs: the
 // reused-sampling reliability-relevance sweep (the O(N·α·|E|) inner loop
-// of RSME/RS) serial vs 8 workers, one full GenObf attempt (candidate
-// selection + perturbation + verification — the unit of the σ search),
-// and the truncated-normal sampler the perturbation leans on.
+// of RSME/RS) serial vs 8 workers on a sparse graph and serial on a
+// dense one, one full GenObf attempt (candidate selection + perturbation
+// + verification — the unit of the σ search), and the truncated-normal
+// sampler the perturbation leans on.
 
 #include <cstdint>
 #include <cstdio>
@@ -65,18 +66,19 @@ graph::UncertainGraph BuildGraph(NodeId nodes, double avg_degree) {
 
 // --------------------------------------------------------------------------
 // relevance_er_2k_serial / _8t: the reused-sampling ERR^e estimator over
-// 200 worlds on a 2k-node / ~8k-edge graph — one union-find pass plus a
-// full edge sweep per world. The pair probes the per-worker integer
-// tallies (bit-identical results are asserted in tests, speed here). Its
-// rounds are only a few ms long, so the 8t row gains only where spawned
-// threads start well within that.
+// 200 worlds on a 2k-node / ~8k-edge graph, where a world is a giant
+// component plus fragments: unions over every present edge, then a sweep
+// of the absent edges. The pair probes the per-worker integer tallies
+// (bit-identical results are asserted in tests, speed here). Its rounds
+// are only a few ms long, so the 8t row gains only where spawned threads
+// start well within that.
+//
+// relevance_dense_2k: the same estimator, serial, on 2k nodes at average
+// degree ~50, where every world is connected: coins, unions until one
+// component is left, and the absent counts; no edge is swept.
 // --------------------------------------------------------------------------
-void RunRelevance(bench::BenchContext& context, int threads) {
-  // Built once per process: the fixture is immutable and rebuilding it
-  // every repetition would skew quick mode, where calibration settles on
-  // a single iteration and setup cost cannot amortize.
-  static const graph::UncertainGraph& graph =
-      *new graph::UncertainGraph(BuildGraph(2000, 8.0));
+void RunRelevance(bench::BenchContext& context,
+                  const graph::UncertainGraph& graph, int threads) {
   anonymize::RelevanceOptions options;
   options.worlds = 200;
   options.threads = threads;
@@ -88,15 +90,31 @@ void RunRelevance(bench::BenchContext& context, int threads) {
   }
 }
 
+// Fixtures are built once per process: they are immutable, and rebuilding
+// one every repetition would skew quick mode, where calibration settles
+// on a single iteration and setup cost cannot amortize.
+const graph::UncertainGraph& SparseEr2k() {
+  static const graph::UncertainGraph& graph =
+      *new graph::UncertainGraph(BuildGraph(2000, 8.0));
+  return graph;
+}
+
 void BM_RelevanceEr2kSerial(bench::BenchContext& context) {
-  RunRelevance(context, 1);
+  RunRelevance(context, SparseEr2k(), 1);
 }
 CHAMELEON_BENCHMARK(BM_RelevanceEr2kSerial);
 
 void BM_RelevanceEr2k8t(bench::BenchContext& context) {
-  RunRelevance(context, 8);
+  RunRelevance(context, SparseEr2k(), 8);
 }
 CHAMELEON_BENCHMARK(BM_RelevanceEr2k8t);
+
+void BM_RelevanceDense2k(bench::BenchContext& context) {
+  static const graph::UncertainGraph& graph =
+      *new graph::UncertainGraph(BuildGraph(2000, 50.0));
+  RunRelevance(context, graph, 1);
+}
+CHAMELEON_BENCHMARK(BM_RelevanceDense2k);
 
 // --------------------------------------------------------------------------
 // gen_obf_attempt_er_2k: one full GenObf attempt at a fixed σ —

@@ -1,7 +1,8 @@
 // Measures the cost of the dormant observability layer on the sampler
 // hot loop (ISSUE budget: < 2% with the sink unset). Three variants:
 //   raw        — hand-rolled copy of SampleMask's word build, no library
-//                calls
+//                calls in the timed loop (the integer coin thresholds
+//                come from rel::CoinThreshold beforehand)
 //   sampler    — WorldSampler::SampleMask with obs dormant (default)
 //   sampler_on — the same with the runtime switch forced on
 // Compare raw vs sampler for the compiled-in-but-disabled overhead, and
@@ -42,15 +43,17 @@ UncertainGraph MakeRing(NodeId n) {
 
 void BM_RawBernoulliLoop(benchmark::State& state) {
   const UncertainGraph g = MakeRing(static_cast<NodeId>(state.range(0)));
-  std::vector<double> probabilities;
-  probabilities.reserve(g.num_edges());
-  for (const auto& e : g.edges()) probabilities.push_back(e.p);
+  std::vector<std::uint64_t> thresholds;
+  thresholds.reserve(g.num_edges());
+  for (const auto& e : g.edges()) {
+    thresholds.push_back(chameleon::rel::CoinThreshold(e.p));
+  }
   Rng rng(11);
   BitVector mask(g.num_edges());
-  const std::size_t num = probabilities.size();
+  const std::size_t num = thresholds.size();
   for (auto _ : state) {
-    // The same branch-free word build as SampleMask, so raw vs dormant
-    // differs only by the dormant counters.
+    // The same branch-free word build as SampleMask, integer thresholds
+    // included, so raw vs dormant differs only by the dormant counters.
     Rng local_rng = rng;
     std::uint64_t* const words = mask.mutable_words().data();
     std::size_t present = 0;
@@ -58,8 +61,7 @@ void BM_RawBernoulliLoop(benchmark::State& state) {
       const std::size_t len = std::min<std::size_t>(64, num - base);
       std::uint64_t word = 0;
       for (std::size_t j = 0; j < len; ++j) {
-        word |= std::uint64_t{local_rng.UniformDouble() <
-                              probabilities[base + j]}
+        word |= std::uint64_t{(local_rng() >> 11) < thresholds[base + j]}
                 << j;
       }
       words[base >> 6] = word;

@@ -18,9 +18,8 @@
 /// GenObf steers perturbation noise away from them.
 ///
 /// The reused-sampling estimator (Lemma 3) shares one pool of N sampled
-/// worlds across every edge: per world it runs a single union-find pass,
-/// then sweeps all edges once. For a world W and edge e = (u, v) with
-/// u, v in *different* components, e is necessarily absent from W and the
+/// worlds across every edge. For a world W and edge e = (u, v) with u, v
+/// in *different* components, e is necessarily absent from W and the
 /// delta pairs(W + e) − pairs(W) is exactly |C_u|·|C_v|; when u, v are
 /// connected the delta is 0. Because edge coins are independent, the
 /// worlds with e absent are a fair sample of W', so averaging the deltas
@@ -28,6 +27,25 @@
 /// O(N·α(|V|)·|E|) for all edges simultaneously — versus the naive
 /// per-edge re-sampler's O(|E|·N·α(|V|)·|E|), which is kept here as the
 /// cross-validation oracle for tests.
+///
+/// How one world is tallied. Worlds are sampled four at a time, one
+/// xoshiro256** stream per vector lane (rel::WorldSampler::
+/// SampleFourMasks). The present edges are united in edge order until
+/// one component is left (rel::UniteWorld). What follows depends on the
+/// world:
+///  - Connected (the unions stopped early): every δ is 0, so only the
+///    absent edges' counts are bumped. Cost: the coins, the unions up to
+///    connection, and one increment per absent edge.
+///  - Not connected, whether a giant component plus fragments or
+///    fragmented: roots and sizes are flattened in O(|V|), and every
+///    absent edge is swept, two flattened slots and one count each.
+///    Cost: every union, the flatten, and one read per absent edge.
+/// Both paths add the same integers: δ depends only on the partition and
+/// its sizes, which no union order changes and which the remaining edges
+/// cannot change once one component is left, and every absent edge is
+/// counted once per world. The tallies therefore equal the
+/// one-world-at-a-time kernel's bit for bit (tests keep that kernel as
+/// an oracle).
 ///
 /// Caveat inherited from the estimator: an edge with p(e) = 1 is never
 /// absent (N_e = 0), so its relevance is unobservable and reported as 0

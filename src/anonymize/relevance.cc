@@ -1,6 +1,7 @@
 #include "chameleon/anonymize/relevance.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "chameleon/graph/union_find.h"
@@ -46,11 +47,14 @@ struct Component {
 };
 
 /// Samples worlds [begin, end), adds their contributions to `tally`, and
-/// writes world w's total mass Σ_e δ_e(w) to masses[w - begin].
+/// writes world w's total mass Σ_e δ_e(w) to masses[w - begin]. Worlds
+/// are sampled four at a time; a tail of one to three uses the scalar
+/// sampler, which draws the same coins.
 void TallyWorlds(const graph::UncertainGraph& graph,
                  const rel::WorldSampler& sampler, std::uint64_t seed,
                  std::size_t begin, std::size_t end, WorldTally& tally,
                  std::uint64_t* masses) {
+  constexpr std::size_t kLanes = rel::WorldSampler::kLanes;
   const std::size_t num_edges = graph.num_edges();
   const NodeId num_nodes = graph.num_nodes();
   if (tally.absent.size() != num_edges) {
@@ -63,17 +67,21 @@ void TallyWorlds(const graph::UncertainGraph& graph,
   std::uint32_t* const absent = tally.absent.data();
   graph::UnionFind dsu(num_nodes);
   std::vector<Component> component(num_nodes);
-  BitVector mask(num_edges);
+  std::array<BitVector, kLanes> masks;
+  for (BitVector& mask : masks) mask.Resize(num_edges);
   const auto& edges = graph.edges();
-  for (std::size_t w = begin; w < end; ++w) {
-    Rng rng(PerWorldSeed(seed, w));
-    sampler.SampleMask(rng, mask);
-    rel::UniteWorld(graph, mask, dsu);
+  const auto tally_world = [&](const BitVector& mask) {
+    std::uint64_t mass = 0;
+    // A connected world is one component whatever edges follow the last
+    // union, so every δ is 0 and only its absent counts are kept.
+    if (rel::UniteWorld(graph, mask, dsu)) {
+      mask.ForEachClear([&](std::size_t e) { ++absent[e]; });
+      return mass;
+    }
     for (NodeId v = 0; v < num_nodes; ++v) {
       const NodeId root = dsu.Find(v);
       component[v] = {root, dsu.ComponentSize(root)};
     }
-    std::uint64_t mass = 0;
     mask.ForEachClear([&](std::size_t e) {
       ++absent[e];
       const Component cu = component[edges[e].u];
@@ -84,7 +92,23 @@ void TallyWorlds(const graph::UncertainGraph& graph,
       delta_sq_sum[e] += static_cast<unsigned __int128>(delta) * delta;
       mass += delta;
     });
-    masses[w - begin] = mass;
+    return mass;
+  };
+  std::size_t w = begin;
+  for (; end - w >= kLanes; w += kLanes) {
+    std::array<std::uint64_t, kLanes> seeds;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      seeds[l] = PerWorldSeed(seed, w + l);
+    }
+    sampler.SampleFourMasks(seeds, masks);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      masses[w + l - begin] = tally_world(masks[l]);
+    }
+  }
+  for (; w < end; ++w) {
+    Rng rng(PerWorldSeed(seed, w));
+    sampler.SampleMask(rng, masks[0]);
+    masses[w - begin] = tally_world(masks[0]);
   }
 }
 
@@ -205,7 +229,7 @@ Result<EdgeRelevance> EstimateRelevance(const graph::UncertainGraph& graph,
   while (done < options.worlds) {
     const std::size_t round_end = std::min(options.worlds, next_checkpoint);
     const std::size_t round = round_end - done;
-    // One world sweeps every edge, so a world costs |E| units of work.
+    // One world draws a coin per edge, so a world costs |E| units of work.
     const std::size_t workers =
         ParallelWorkers(round, 1, options.threads, num_edges);
     const std::size_t block_size = NumBlocks(round, workers);

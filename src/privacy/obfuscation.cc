@@ -13,8 +13,8 @@
 namespace chameleon::privacy {
 namespace {
 
-/// Vertices per scheduling block in the posterior sweep. Per-block
-/// partial S/T arrays cost O(max_degree) doubles each; 256 keeps the
+/// Vertices per scheduling block in the posterior sweep. A block's
+/// partial S/T arrays are as long as its longest PMF; 256 keeps the
 /// block count (and so the partial-buffer memory) small while still
 /// load-balancing hub-heavy blocks.
 constexpr std::size_t kPosteriorBlock = 256;
@@ -103,7 +103,13 @@ Result<ObfuscationCertificate> VerifyObfuscation(
   //   S(ω) = Σ_u X_u(ω)   and   T(ω) = Σ_u X_u(ω)·log₂ X_u(ω);
   // the posterior entropy is then H(Y_ω) = log₂ S − T/S without ever
   // materializing a posterior. Per-block partials merged in block order
-  // keep the sums worker-count independent.
+  // keep the sums worker-count independent. A block's partials stop at
+  // its longest PMF: every term past it would be +0.0, and x + 0.0 == x
+  // bit for bit unless x is −0.0, which no sum here can be (S adds
+  // positive terms; T adds x·log₂x, +0.0 at x = 1 and negative below).
+  // So the merge adds only that prefix and the sums equal those of
+  // globally wide partials. One hub then costs one wide block, not n/256
+  // of them.
   const std::size_t width = max_value + 1;
   const std::size_t blocks = NumBlocks(n, kPosteriorBlock);
   std::vector<std::vector<double>> partial_s(blocks);
@@ -115,8 +121,12 @@ Result<ObfuscationCertificate> VerifyObfuscation(
         [&](std::size_t block, std::size_t begin, std::size_t end) {
           std::vector<double>& s = partial_s[block];
           std::vector<double>& t = partial_t[block];
-          s.assign(width, 0.0);
-          t.assign(width, 0.0);
+          std::size_t block_width = 0;
+          for (std::size_t u = begin; u < end; ++u) {
+            block_width = std::max(block_width, dists[u].pmf().size());
+          }
+          s.assign(block_width, 0.0);
+          t.assign(block_width, 0.0);
           for (std::size_t u = begin; u < end; ++u) {
             const std::vector<double>& pmf = dists[u].pmf();
             for (std::size_t w = 0; w < pmf.size(); ++w) {
@@ -133,7 +143,7 @@ Result<ObfuscationCertificate> VerifyObfuscation(
   std::vector<double> sum(width, 0.0);
   std::vector<double> sum_xlogx(width, 0.0);
   for (std::size_t block = 0; block < blocks; ++block) {
-    for (std::size_t w = 0; w < width; ++w) {
+    for (std::size_t w = 0; w < partial_s[block].size(); ++w) {
       sum[w] += partial_s[block][w];
       sum_xlogx[w] += partial_t[block][w];
     }

@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include "anonymize/relevance_oracle.h"
 #include "chameleon/graph/uncertain_graph.h"
+#include "chameleon/graph/union_find.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/parallel_stats.h"
+#include "chameleon/util/bitvector.h"
 #include "chameleon/util/rng.h"
 
 namespace chameleon::anonymize {
@@ -41,15 +44,16 @@ UncertainGraph MakeStar9() {
   return *std::move(g);
 }
 
-/// Sparse ER graph on 64 nodes with heterogeneous probabilities — the
-/// "realistic" cross-validation fixture.
-UncertainGraph MakeEr64() {
-  Rng rng(7);
-  UncertainGraphBuilder builder(64);
-  for (NodeId u = 0; u < 64; ++u) {
-    for (NodeId v = u + 1; v < 64; ++v) {
-      if (rng.Bernoulli(4.0 / 63.0)) {
-        EXPECT_TRUE(builder.AddEdge(u, v, rng.Uniform(0.1, 0.9)).ok());
+/// ER G(n, q) with edge probabilities uniform in [lo, hi).
+UncertainGraph MakeEr(NodeId n, double avg_degree, double lo, double hi,
+                      std::uint64_t seed) {
+  Rng rng(seed);
+  const double q = avg_degree / static_cast<double>(n - 1);
+  UncertainGraphBuilder builder(n);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v) {
+      if (rng.Bernoulli(q)) {
+        EXPECT_TRUE(builder.AddEdge(u, v, rng.Uniform(lo, hi)).ok());
       }
     }
   }
@@ -57,6 +61,10 @@ UncertainGraph MakeEr64() {
   EXPECT_TRUE(g.ok());
   return *std::move(g);
 }
+
+/// Sparse ER graph on 64 nodes with heterogeneous probabilities — the
+/// "realistic" cross-validation fixture.
+UncertainGraph MakeEr64() { return MakeEr(64, 4.0, 0.1, 0.9, 7); }
 
 /// Per-edge cross-check at 5σ: the two estimators are independent Monte
 /// Carlo runs, so their difference has variance var_a + var_b.
@@ -265,6 +273,189 @@ TEST(RelevanceTest, EarlyStopIsDeterministicAndFlagged) {
   // world count (and therefore every estimate) is thread-invariant.
   EXPECT_EQ(a->worlds, b->worlds);
   EXPECT_EQ(a->err, b->err);
+}
+
+/// Two identical 31-vertex binary trees and nothing else. Internal edges
+/// are certain; each tree's two deepest leaf edges are fair coins. When
+/// both trees keep both coin leaves, their components tie at exactly
+/// half the vertices; when both lose the same number, they tie below.
+UncertainGraph MakeTwinTrees() {
+  constexpr NodeId kTree = 31;
+  UncertainGraphBuilder builder(2 * kTree);
+  for (NodeId offset : {NodeId{0}, kTree}) {
+    for (NodeId child = 1; child < kTree; ++child) {
+      const double p = child >= kTree - 2 ? 0.5 : 1.0;
+      EXPECT_TRUE(
+          builder.AddEdge(offset + (child - 1) / 2, offset + child, p).ok());
+    }
+  }
+  Result<UncertainGraph> g = std::move(builder).Build();
+  EXPECT_TRUE(g.ok());
+  return *std::move(g);
+}
+
+/// Sparse ER whose coins are a mix of certain (p = 1), impossible
+/// (p = 0) and fractional edges.
+UncertainGraph MakeMixedCertainty() {
+  Rng rng(23);
+  UncertainGraphBuilder builder(120);
+  for (NodeId u = 0; u < 120; ++u) {
+    for (NodeId v = u + 1; v < 120; ++v) {
+      if (!rng.Bernoulli(3.0 / 119.0)) continue;
+      const std::uint64_t kind = rng.UniformInt(3);
+      const double p = kind == 0 ? 0.0 : kind == 1 ? 1.0 : rng.Uniform(0.1, 0.9);
+      EXPECT_TRUE(builder.AddEdge(u, v, p).ok());
+    }
+  }
+  Result<UncertainGraph> g = std::move(builder).Build();
+  EXPECT_TRUE(g.ok());
+  return *std::move(g);
+}
+
+void ExpectSameAsOracle(const EdgeRelevance& got, const EdgeRelevance& want) {
+  EXPECT_EQ(got.err, want.err);
+  EXPECT_EQ(got.err_variance, want.err_variance);
+  EXPECT_EQ(got.absent_worlds, want.absent_worlds);
+  EXPECT_EQ(got.vertex_err, want.vertex_err);
+  EXPECT_EQ(got.mean_err, want.mean_err);
+  EXPECT_EQ(got.max_err, want.max_err);
+  EXPECT_EQ(got.mean_world_mass, want.mean_world_mass);
+  EXPECT_EQ(got.worlds, want.worlds);
+  EXPECT_EQ(got.stopped_early, want.stopped_early);
+}
+
+struct OracleFixture {
+  const char* name;
+  UncertainGraph graph;
+};
+
+std::vector<OracleFixture> OracleFixtures() {
+  std::vector<OracleFixture> fixtures;
+  // Every world connected: the unions stop early and no edge is swept.
+  fixtures.push_back({"connected dense ER", MakeEr(60, 30.0, 0.3, 0.9, 31)});
+  // Present degree ~2.6: a giant component plus fragments.
+  fixtures.push_back({"sparse ER, giant", MakeEr(400, 4.0, 0.4, 0.9, 37)});
+  // p·d ≈ 0.75 < 1: no component near half the vertices.
+  fixtures.push_back({"fragmented ER", MakeEr(400, 3.0, 0.1, 0.4, 41)});
+  fixtures.push_back({"twin trees", MakeTwinTrees()});
+  fixtures.push_back({"p in {0, 1} mixed", MakeMixedCertainty()});
+  // num_edges % 64 = 0, 1, 63: a full, a one-bit and a 63-bit last word.
+  for (const std::size_t num_edges : {128u, 129u, 127u}) {
+    fixtures.push_back({"random edges", MakeRandomEdges(num_edges)});
+  }
+  return fixtures;
+}
+
+/// How a fixture's first `worlds` worlds split between the world shapes
+/// the fixtures must cover: connected (the unions stop early and nothing
+/// is swept), a component of at least half the vertices plus fragments,
+/// and fragmented; plus the giant worlds whose two largest components
+/// tie.
+struct WorldShapes {
+  std::size_t connected = 0;
+  std::size_t giant = 0;
+  std::size_t fragmented = 0;
+  std::size_t tied = 0;
+};
+
+WorldShapes CountWorldShapes(const UncertainGraph& g, std::size_t worlds) {
+  WorldShapes shapes;
+  graph::UnionFind dsu(g.num_nodes());
+  BitVector mask(g.num_edges());
+  OracleTally unused;
+  unused.delta_sum.assign(g.num_edges(), 0);
+  unused.delta_sq_sum.assign(g.num_edges(), 0);
+  unused.absent.assign(g.num_edges(), 0);
+  for (std::size_t w = 0; w < worlds; ++w) {
+    OracleTallyWorld(g, OraclePerWorldSeed(99, w), dsu, mask, unused);
+    std::vector<NodeId> sizes;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (dsu.Find(v) == v) sizes.push_back(dsu.ComponentSize(v));
+    }
+    std::sort(sizes.rbegin(), sizes.rend());
+    if (sizes.size() == 1) {
+      ++shapes.connected;
+    } else if (std::size_t{sizes[0]} * 2 >= g.num_nodes()) {
+      ++shapes.giant;
+      if (sizes[0] == sizes[1]) ++shapes.tied;
+    } else {
+      ++shapes.fragmented;
+    }
+  }
+  return shapes;
+}
+
+TEST(RelevanceOracleTest, FixturesCoverEveryWorldShape) {
+  const std::vector<OracleFixture> fixtures = OracleFixtures();
+  constexpr std::size_t kWorlds = 203;
+  EXPECT_EQ(CountWorldShapes(fixtures[0].graph, kWorlds).connected, kWorlds);
+  EXPECT_GT(CountWorldShapes(fixtures[1].graph, kWorlds).giant, kWorlds / 2);
+  EXPECT_GT(CountWorldShapes(fixtures[2].graph, kWorlds).fragmented,
+            kWorlds / 2);
+  EXPECT_GT(CountWorldShapes(fixtures[3].graph, kWorlds).tied, 0u);
+  EXPECT_EQ(fixtures[3].graph.num_nodes(), 62u);  // the two trees only
+  EXPECT_EQ(fixtures[5].graph.num_edges() % 64, 0u);
+  EXPECT_EQ(fixtures[6].graph.num_edges() % 64, 1u);
+  EXPECT_EQ(fixtures[7].graph.num_edges() % 64, 63u);
+}
+
+TEST(RelevanceOracleTest, MatchesOracleBitForBitAcrossWorkers) {
+  // 203 worlds: rounds of 32, 32, 64 and 75, so blocks of every length
+  // mod 4 meet the four-world sampler and its scalar tail.
+  for (const OracleFixture& fixture : OracleFixtures()) {
+    SCOPED_TRACE(fixture.name);
+    RelevanceOptions options;
+    options.worlds = 203;
+    options.seed = 99;
+    options.heartbeat = false;
+    const EdgeRelevance want = OracleEstimateRelevance(fixture.graph, options);
+    for (const int threads : {1, 2, 3, 8}) {
+      SCOPED_TRACE(threads);
+      options.threads = threads;
+      const Result<EdgeRelevance> got =
+          EstimateRelevance(fixture.graph, options);
+      ASSERT_TRUE(got.ok());
+      ExpectSameAsOracle(*got, want);
+    }
+  }
+}
+
+TEST(RelevanceOracleTest, LongSerialBlockMatchesOracle) {
+  // One round of 611 worlds on one worker: 152 four-world samples and a
+  // scalar tail of three in a single block.
+  for (const OracleFixture& fixture : OracleFixtures()) {
+    SCOPED_TRACE(fixture.name);
+    RelevanceOptions options;
+    options.worlds = 611;
+    options.min_worlds = 611;
+    options.threads = 1;
+    options.heartbeat = false;
+    const Result<EdgeRelevance> got = EstimateRelevance(fixture.graph, options);
+    ASSERT_TRUE(got.ok());
+    ExpectSameAsOracle(*got, OracleEstimateRelevance(fixture.graph, options));
+  }
+}
+
+TEST(RelevanceOracleTest, EarlyStopMatchesOracle) {
+  std::size_t stopped = 0;
+  for (const OracleFixture& fixture : OracleFixtures()) {
+    SCOPED_TRACE(fixture.name);
+    RelevanceOptions options;
+    options.worlds = 3001;
+    options.max_rel_err = 0.05;
+    options.heartbeat = false;
+    const EdgeRelevance want = OracleEstimateRelevance(fixture.graph, options);
+    if (want.stopped_early) ++stopped;
+    for (const int threads : {1, 3}) {
+      options.threads = threads;
+      const Result<EdgeRelevance> got =
+          EstimateRelevance(fixture.graph, options);
+      ASSERT_TRUE(got.ok());
+      ExpectSameAsOracle(*got, want);
+    }
+  }
+  // The rule must actually fire on the fixtures with relevance mass.
+  EXPECT_GE(stopped, 4u);
 }
 
 TEST(RelevanceTest, ZeroWorldsIsInvalidArgument) {

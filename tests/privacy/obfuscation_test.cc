@@ -1,7 +1,9 @@
 #include "chameleon/privacy/obfuscation.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -14,6 +16,7 @@
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/sink.h"
 #include "chameleon/privacy/degree_distribution.h"
+#include "chameleon/util/rng.h"
 
 namespace chameleon::privacy {
 namespace {
@@ -168,6 +171,181 @@ TEST(VerifyObfuscationTest, DeterministicAcrossWorkerCounts) {
   for (std::size_t v = 0; v < a->per_vertex.size(); ++v) {
     EXPECT_EQ(a->per_vertex[v].entropy_bits, b->per_vertex[v].entropy_bits);
   }
+}
+
+/// The posterior sweep as it was before each block's partials were cut
+/// to the block's longest PMF: every 256-vertex block gets S/T arrays as
+/// wide as the global maximum and the merge adds them whole.
+struct GlobalWidthCertificate {
+  std::vector<double> entropy_bits;
+  std::vector<bool> obfuscated;
+  std::size_t not_obfuscated = 0;
+  double epsilon_hat = 0.0;
+  double min_entropy_bits = 0.0;
+  double mean_entropy_bits = 0.0;
+};
+
+GlobalWidthCertificate GlobalWidthVerify(
+    const UncertainGraph& graph, const std::vector<DegreeDistribution>& dists,
+    double k, AdversaryModel adversary) {
+  const std::size_t n = graph.num_nodes();
+  std::vector<std::size_t> omegas(n);
+  std::size_t max_value = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    omegas[v] =
+        adversary == AdversaryModel::kStructuralDegree
+            ? graph.Neighbors(v).size()
+            : static_cast<std::size_t>(std::llround(graph.expected_degree(v)));
+    max_value = std::max({max_value, omegas[v], dists[v].num_edges()});
+  }
+  const std::size_t width = max_value + 1;
+  std::vector<double> sum(width, 0.0);
+  std::vector<double> sum_xlogx(width, 0.0);
+  for (std::size_t begin = 0; begin < n; begin += 256) {
+    std::vector<double> s(width, 0.0);
+    std::vector<double> t(width, 0.0);
+    for (std::size_t u = begin; u < std::min(n, begin + 256); ++u) {
+      const std::vector<double>& pmf = dists[u].pmf();
+      for (std::size_t w = 0; w < pmf.size(); ++w) {
+        const double x = pmf[w];
+        if (x > 0.0) {
+          s[w] += x;
+          t[w] += x * std::log2(x);
+        }
+      }
+    }
+    for (std::size_t w = 0; w < width; ++w) {
+      sum[w] += s[w];
+      sum_xlogx[w] += t[w];
+    }
+  }
+  GlobalWidthCertificate cert;
+  double entropy_sum = 0.0;
+  cert.min_entropy_bits = std::numeric_limits<double>::infinity();
+  for (NodeId v = 0; v < n; ++v) {
+    const std::size_t w = omegas[v];
+    const double h =
+        sum[w] > 0.0
+            ? std::max(0.0, std::log2(sum[w]) - sum_xlogx[w] / sum[w])
+            : 0.0;
+    const bool obfuscated = h + 1e-12 >= std::log2(k);
+    if (!obfuscated) ++cert.not_obfuscated;
+    cert.entropy_bits.push_back(h);
+    cert.obfuscated.push_back(obfuscated);
+    entropy_sum += h;
+    cert.min_entropy_bits = std::min(cert.min_entropy_bits, h);
+  }
+  cert.epsilon_hat =
+      static_cast<double>(cert.not_obfuscated) / static_cast<double>(n);
+  cert.mean_entropy_bits = entropy_sum / static_cast<double>(n);
+  return cert;
+}
+
+/// A hub joined to 5,000 of 12,000 other vertices, which also form a
+/// path plus up to 6,000 random chords: every 256-vertex block but the
+/// hub's has short PMFs.
+UncertainGraph MakeHubGraph() {
+  constexpr NodeId kNodes = 12001;
+  Rng rng(2018);
+  UncertainGraphBuilder builder(kNodes);
+  for (NodeId v = 1; v <= 5000; ++v) {
+    EXPECT_TRUE(builder.AddEdge(0, v, rng.Uniform(0.2, 0.9)).ok());
+  }
+  for (NodeId v = 1; v + 1 < kNodes; ++v) {
+    EXPECT_TRUE(builder.AddEdge(v, v + 1, rng.Uniform(0.2, 0.9)).ok());
+  }
+  for (int extra = 0; extra < 6000; ++extra) {
+    const auto u = static_cast<NodeId>(1 + rng.UniformInt(kNodes - 1));
+    const auto v = static_cast<NodeId>(1 + rng.UniformInt(kNodes - 1));
+    if (u + 1 < v) {
+      (void)builder.AddEdge(u, v, rng.Uniform(0.2, 0.9));  // skips repeats
+    }
+  }
+  Result<UncertainGraph> g = std::move(builder).Build();
+  EXPECT_TRUE(g.ok());
+  return *std::move(g);
+}
+
+TEST(VerifyObfuscationTest, BlockWidePartialsMatchGlobalWidthSweep) {
+  const UncertainGraph g = MakeHubGraph();
+  ASSERT_GE(g.Neighbors(0).size(), 5000u);
+  ASSERT_GE(g.num_nodes(), 10001u);
+  const std::vector<DegreeDistribution> dists =
+      BuildDegreeDistributions(g, 1);
+  // The structural adversary's ω is the vertex degree, so it reads the
+  // last entry of every block's longest PMF.
+  const std::vector<std::pair<AdversaryModel, double>> cases = {
+      {AdversaryModel::kRoundedExpectedDegree, 2.0},
+      {AdversaryModel::kRoundedExpectedDegree, 50.0},
+      {AdversaryModel::kRoundedExpectedDegree, 1000.0},
+      {AdversaryModel::kStructuralDegree, 2.0},
+      {AdversaryModel::kStructuralDegree, 50.0},
+      {AdversaryModel::kStructuralDegree, 1000.0}};
+  for (const auto& [adversary, k] : cases) {
+    const GlobalWidthCertificate want =
+        GlobalWidthVerify(g, dists, k, adversary);
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(testing::Message()
+                   << AdversaryModelName(adversary) << " k=" << k
+                   << " threads=" << threads);
+      ObfuscationOptions options;
+      options.k = k;
+      options.epsilon = 0.5;
+      options.adversary = adversary;
+      options.threads = threads;
+      const Result<ObfuscationCertificate> got =
+          VerifyObfuscation(g, dists, options);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got->per_vertex.size(), g.num_nodes());
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        const VertexObfuscation& row = got->per_vertex[v];
+        ASSERT_EQ(row.entropy_bits, want.entropy_bits[v]) << "vertex " << v;
+        ASSERT_EQ(row.k_anonymity, std::exp2(want.entropy_bits[v]));
+        ASSERT_EQ(row.obfuscated, want.obfuscated[v]);
+      }
+      EXPECT_EQ(got->not_obfuscated, want.not_obfuscated);
+      EXPECT_EQ(got->epsilon_hat, want.epsilon_hat);
+      EXPECT_EQ(got->min_entropy_bits, want.min_entropy_bits);
+      EXPECT_EQ(got->mean_entropy_bits, want.mean_entropy_bits);
+    }
+  }
+}
+
+TEST(VerifyObfuscationTest, EntropyIsFixedAndExposureGrowsWithK) {
+  // The posteriors do not depend on k, only the log₂ k line they are
+  // held to: each vertex's entropy is the same at every k, and raising
+  // the line can only expose more vertices.
+  const UncertainGraph g = MakeHubGraph();
+  const std::vector<DegreeDistribution> dists =
+      BuildDegreeDistributions(g, 2);
+  ObfuscationOptions options;
+  options.epsilon = 0.5;
+  options.threads = 2;
+  options.k = 2.0;
+  const Result<ObfuscationCertificate> first =
+      VerifyObfuscation(g, dists, options);
+  ASSERT_TRUE(first.ok());
+  std::size_t previous_exposed = first->not_obfuscated;
+  double previous_epsilon_hat = first->epsilon_hat;
+  for (int log_k = 2; log_k <= 12; ++log_k) {
+    options.k = std::exp2(log_k);
+    SCOPED_TRACE(options.k);
+    const Result<ObfuscationCertificate> cert =
+        VerifyObfuscation(g, dists, options);
+    ASSERT_TRUE(cert.ok());
+    ASSERT_EQ(cert->per_vertex.size(), first->per_vertex.size());
+    for (std::size_t v = 0; v < cert->per_vertex.size(); ++v) {
+      ASSERT_EQ(cert->per_vertex[v].entropy_bits,
+                first->per_vertex[v].entropy_bits)
+          << "vertex " << v;
+    }
+    EXPECT_GE(cert->not_obfuscated, previous_exposed);
+    EXPECT_GE(cert->epsilon_hat, previous_epsilon_hat);
+    previous_exposed = cert->not_obfuscated;
+    previous_epsilon_hat = cert->epsilon_hat;
+  }
+  // The sweep must cross the graph's entropies, not sit below them all.
+  EXPECT_LT(first->not_obfuscated, previous_exposed);
 }
 
 TEST(VerifyObfuscationTest, RejectsBadArguments) {

@@ -1,11 +1,16 @@
 #include "chameleon/reliability/reliability.h"
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "chameleon/graph/union_find.h"
+#include "chameleon/obs/metrics.h"
+#include "chameleon/obs/obs.h"
 #include "chameleon/reliability/world_sampler.h"
 #include "chameleon/util/bitvector.h"
 
@@ -135,6 +140,174 @@ TEST(WorldSamplerTest, SampleMaskMatchesPerEdgeLoopBitForBit) {
     }
     // Same number of draws consumed: the streams are still in step.
     EXPECT_EQ(rng(), oracle_rng());
+  }
+}
+
+/// The probabilities where an integer threshold could part from the
+/// double compare: zero, the smallest subnormal, one ulp of a draw, the
+/// double just below 1/2, 1/2, the largest draw below 1, and 1.
+std::vector<double> BoundaryProbabilities() {
+  return {0.0,
+          std::nextafter(0.0, 1.0),
+          0x1.0p-53,
+          std::nextafter(0.5, 0.0),
+          0.5,
+          1.0 - 0x1.0p-53,
+          1.0};
+}
+
+/// k < CoinThreshold(p) must equal k·2⁻⁵³ < p, as UniformDouble draws it.
+void ExpectThresholdAgrees(double p, std::uint64_t k) {
+  const bool by_double = static_cast<double>(k) * 0x1.0p-53 < p;
+  EXPECT_EQ(k < CoinThreshold(p), by_double) << "p=" << p << " k=" << k;
+}
+
+TEST(WorldSamplerTest, CoinThresholdMatchesDoubleCompare) {
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;  // k < 2⁵³
+  std::vector<double> probabilities = BoundaryProbabilities();
+  Rng rng(2018);
+  for (int i = 0; i < 2000; ++i) probabilities.push_back(rng.UniformDouble());
+  for (const double p : probabilities) {
+    const std::uint64_t t = CoinThreshold(p);
+    ASSERT_LE(t, kTop);
+    for (const std::uint64_t k :
+         {std::uint64_t{0}, std::uint64_t{1}, t - 1, t, t + 1, kTop - 1}) {
+      if (k < kTop) ExpectThresholdAgrees(p, k);
+    }
+    for (int i = 0; i < 64; ++i) ExpectThresholdAgrees(p, rng() >> 11);
+  }
+  EXPECT_EQ(CoinThreshold(0.0), 0u);
+  EXPECT_EQ(CoinThreshold(std::nextafter(0.0, 1.0)), 1u);
+  EXPECT_EQ(CoinThreshold(0.5), kTop / 2);
+  EXPECT_EQ(CoinThreshold(1.0), kTop);
+}
+
+TEST(WorldSamplerTest, BoundaryProbabilitiesSampleAsDoubleCompare) {
+  // Every boundary p on 64 edges each, against the per-edge double loop.
+  const std::vector<double> boundary = BoundaryProbabilities();
+  const NodeId num_edges = static_cast<NodeId>(boundary.size() * 64);
+  UncertainGraphBuilder builder(num_edges + 1);
+  for (NodeId e = 0; e < num_edges; ++e) {
+    ASSERT_TRUE(builder.AddEdge(e, e + 1, boundary[e % boundary.size()]).ok());
+  }
+  const Result<UncertainGraph> g = std::move(builder).Build();
+  ASSERT_TRUE(g.ok());
+  const WorldSampler sampler(*g);
+  BitVector mask(num_edges);
+  Rng rng(5);
+  Rng oracle_rng(5);
+  for (int w = 0; w < 200; ++w) {
+    sampler.SampleMask(rng, mask);
+    for (NodeId e = 0; e < num_edges; ++e) {
+      ASSERT_EQ(mask.Get(e), oracle_rng.UniformDouble() < g->edges()[e].p)
+          << "world " << w << " edge " << e;
+    }
+  }
+}
+
+TEST(WorldSamplerTest, FourMasksMatchScalarSamplerWordForWord) {
+  // 100,003 edges: > 10⁵ coins per lane and a 35-bit last word.
+  const UncertainGraph g = MakePath(100003);
+  const WorldSampler sampler(g);
+  for (const std::array<std::uint64_t, WorldSampler::kLanes> seeds :
+       {std::array<std::uint64_t, 4>{0, 1, 2, 3},
+        std::array<std::uint64_t, 4>{2018, 0x9e3779b97f4a7c15ull,
+                                     ~std::uint64_t{0}, 2018}}) {
+    std::array<BitVector, WorldSampler::kLanes> masks;
+    for (BitVector& mask : masks) {
+      mask.Resize(g.num_edges());
+      for (std::uint64_t& word : mask.mutable_words()) word = ~std::uint64_t{0};
+    }
+    const std::size_t present = sampler.SampleFourMasks(seeds, masks);
+    std::size_t expected_present = 0;
+    for (std::size_t l = 0; l < WorldSampler::kLanes; ++l) {
+      Rng rng(seeds[l]);
+      BitVector expected(g.num_edges());
+      expected_present += sampler.SampleMask(rng, expected);
+      ASSERT_EQ(masks[l].words(), expected.words()) << "lane " << l;
+    }
+    EXPECT_EQ(present, expected_present);
+  }
+}
+
+TEST(WorldSamplerTest, FourMasksCountLikeFourScalarWorlds) {
+#if CHAMELEON_OBS_ENABLED
+  const UncertainGraph g = MakePath(1000);
+  const WorldSampler sampler(g);
+  const std::array<std::uint64_t, WorldSampler::kLanes> seeds = {7, 8, 9, 10};
+  const auto counters = [] {
+    const obs::MetricsSnapshot snapshot = obs::GlobalMetrics().TakeSnapshot();
+    const obs::CounterSample* worlds =
+        snapshot.FindCounter("reliability/sampler/worlds");
+    const obs::CounterSample* present =
+        snapshot.FindCounter("reliability/sampler/edges_present");
+    return std::pair<std::uint64_t, std::uint64_t>(
+        worlds == nullptr ? 0 : worlds->value,
+        present == nullptr ? 0 : present->value);
+  };
+  obs::SetEnabledForTesting(true);
+  obs::GlobalMetrics().Reset();
+  BitVector mask(g.num_edges());
+  for (const std::uint64_t seed : seeds) {
+    Rng rng(seed);
+    sampler.SampleMask(rng, mask);
+  }
+  const auto scalar = counters();
+  obs::GlobalMetrics().Reset();
+  std::array<BitVector, WorldSampler::kLanes> masks;
+  for (BitVector& lane : masks) lane.Resize(g.num_edges());
+  sampler.SampleFourMasks(seeds, masks);
+  const auto four = counters();
+  obs::SetEnabledForTesting(false);
+  obs::GlobalMetrics().Reset();
+  EXPECT_EQ(scalar.first, 4u);
+  EXPECT_GT(scalar.second, 0u);
+  EXPECT_EQ(four, scalar);
+#else
+  GTEST_SKIP() << "instrumentation compiled out";
+#endif
+}
+
+TEST(UniteWorldTest, StopsAtOneComponentWithTheFullPartition) {
+  // A dense ER world connects early; a sparse one never does. Either
+  // way the partition must be the one every present edge gives.
+  for (const double avg_degree : {2.0, 40.0}) {
+    constexpr NodeId kNodes = 200;
+    Rng graph_rng(11);
+    UncertainGraphBuilder builder(kNodes);
+    for (NodeId u = 0; u < kNodes; ++u) {
+      for (NodeId v = u + 1; v < kNodes; ++v) {
+        if (graph_rng.Bernoulli(avg_degree / (kNodes - 1))) {
+          ASSERT_TRUE(builder.AddEdge(u, v, graph_rng.Uniform(0.3, 0.9)).ok());
+        }
+      }
+    }
+    const Result<UncertainGraph> g = std::move(builder).Build();
+    ASSERT_TRUE(g.ok());
+    const WorldSampler sampler(*g);
+    BitVector mask(g->num_edges());
+    graph::UnionFind dsu(kNodes);
+    graph::UnionFind full(kNodes);
+    Rng rng(3);
+    int connected_worlds = 0;
+    for (int w = 0; w < 50; ++w) {
+      sampler.SampleMask(rng, mask);
+      const bool connected = UniteWorld(*g, mask, dsu);
+      if (connected) ++connected_worlds;
+      full.Reset();
+      mask.ForEachSet([&](std::size_t e) {
+        full.Union(g->edges()[e].u, g->edges()[e].v);
+      });
+      EXPECT_EQ(connected, full.num_components() == 1);
+      EXPECT_EQ(dsu.num_components(), full.num_components());
+      EXPECT_EQ(dsu.ConnectedPairs(), full.ConnectedPairs());
+      for (NodeId v = 0; v < kNodes; ++v) {
+        ASSERT_EQ(dsu.ComponentSize(v), full.ComponentSize(v));
+        ASSERT_EQ(dsu.Connected(v, (v * 7 + 1) % kNodes),
+                  full.Connected(v, (v * 7 + 1) % kNodes));
+      }
+    }
+    EXPECT_EQ(connected_worlds, avg_degree > 10.0 ? 50 : 0);
   }
 }
 
