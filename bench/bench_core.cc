@@ -12,19 +12,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
-#include <tuple>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "chameleon/graph/io.h"
 #include "chameleon/graph/uncertain_graph.h"
 #include "chameleon/obs/convergence.h"
-#include "chameleon/obs/run_context.h"
 #include "chameleon/reliability/reliability.h"
 #include "chameleon/reliability/world_sampler.h"
 #include "chameleon/util/bitvector.h"
-#include "chameleon/util/flags.h"
 #include "chameleon/util/rng.h"
 #include "chameleon/util/string_util.h"
 #include "harness.h"
@@ -34,44 +30,12 @@ namespace {
 
 constexpr std::uint64_t kSeed = 2018;
 
-/// Deterministic Erdos-Renyi-style edge list (same construction as the
-/// mc_reliability tool, kept local so the suite has no tool dependency).
-std::vector<std::tuple<NodeId, NodeId, double>> RandomEdges(NodeId nodes,
-                                                            double avg_degree) {
-  Rng rng(kSeed);
-  const auto target =
-      static_cast<std::size_t>(avg_degree * static_cast<double>(nodes) / 2.0);
-  std::unordered_set<std::uint64_t> seen;
-  std::vector<std::tuple<NodeId, NodeId, double>> edges;
-  edges.reserve(target);
-  while (edges.size() < target) {
-    auto u = static_cast<NodeId>(rng.UniformInt(nodes));
-    auto v = static_cast<NodeId>(rng.UniformInt(nodes));
-    if (u == v) continue;
-    if (u > v) std::swap(u, v);
-    if (!seen.insert((static_cast<std::uint64_t>(u) << 32) | v).second) {
-      continue;
-    }
-    edges.emplace_back(u, v, rng.Uniform(0.1, 0.9));
-  }
-  return edges;
-}
-
-graph::UncertainGraph BuildGraph(NodeId nodes, double avg_degree) {
-  graph::UncertainGraphBuilder builder(nodes);
-  for (const auto& [u, v, p] : RandomEdges(nodes, avg_degree)) {
-    (void)builder.AddEdge(u, v, p);
-  }
-  auto graph = std::move(builder).Build();
-  return std::move(graph).value();
-}
-
 // --------------------------------------------------------------------------
 // csr_build_er_2k: UncertainGraphBuilder::Build on a 2k-node / ~8k-edge
 // Erdos-Renyi graph — sort, dedup, CSR adjacency, expected degrees.
 // --------------------------------------------------------------------------
 void BM_CsrBuildEr2k(bench::BenchContext& context) {
-  const auto edges = RandomEdges(2000, 8.0);
+  const auto edges = bench::SeededEdges(2000, 8.0);
   context.SetItemsPerIteration(edges.size());
   for (std::uint64_t i = 0; i < context.iterations(); ++i) {
     graph::UncertainGraphBuilder builder(2000);
@@ -90,7 +54,7 @@ CHAMELEON_BENCHMARK(BM_CsrBuildEr2k);
 // --------------------------------------------------------------------------
 void BM_ParseEdgeListEr2k(bench::BenchContext& context) {
   // Built once: the harness times every call, set-up included.
-  static const graph::UncertainGraph written = BuildGraph(2000, 8.0);
+  static const graph::UncertainGraph written = bench::SeededGraph(2000, 8.0);
   static const std::string text = [] {
     std::string lines = "# nodes 2000\n";
     for (const graph::UncertainEdge& e : written.edges()) {
@@ -112,7 +76,7 @@ CHAMELEON_BENCHMARK(BM_ParseEdgeListEr2k);
 // published graph costs.
 // --------------------------------------------------------------------------
 void BM_WriteEdgeListEr2k(bench::BenchContext& context) {
-  static const graph::UncertainGraph graph = BuildGraph(2000, 8.0);
+  static const graph::UncertainGraph graph = bench::SeededGraph(2000, 8.0);
   const std::string path =
       (std::filesystem::temp_directory_path() / "chameleon_bench_er2k.edges")
           .string();
@@ -130,7 +94,7 @@ CHAMELEON_BENCHMARK(BM_WriteEdgeListEr2k);
 // — the innermost loop of every Monte Carlo estimate.
 // --------------------------------------------------------------------------
 void BM_WorldSampleEr2k(bench::BenchContext& context) {
-  const graph::UncertainGraph graph = BuildGraph(2000, 8.0);
+  const graph::UncertainGraph graph = bench::SeededGraph(2000, 8.0);
   const rel::WorldSampler sampler(graph);
   context.SetItemsPerIteration(sampler.num_edges());
   Rng rng(kSeed);
@@ -148,7 +112,7 @@ CHAMELEON_BENCHMARK(BM_WorldSampleEr2k);
 // (sampling + union-find) with 64 worlds per iteration.
 // --------------------------------------------------------------------------
 void BM_McTwoTerminal500n64w(bench::BenchContext& context) {
-  const graph::UncertainGraph graph = BuildGraph(500, 6.0);
+  const graph::UncertainGraph graph = bench::SeededGraph(500, 6.0);
   rel::MonteCarloOptions options;
   options.worlds = 64;
   options.heartbeat = false;
@@ -166,7 +130,7 @@ CHAMELEON_BENCHMARK(BM_McTwoTerminal500n64w);
 // 8 terminal pairs against 32 worlds.
 // --------------------------------------------------------------------------
 void BM_PairSetReliability500n8p(bench::BenchContext& context) {
-  const graph::UncertainGraph graph = BuildGraph(500, 6.0);
+  const graph::UncertainGraph graph = bench::SeededGraph(500, 6.0);
   std::vector<std::pair<NodeId, NodeId>> pairs;
   for (NodeId i = 0; i < 8; ++i) pairs.emplace_back(i, i + 100);
   rel::MonteCarloOptions options;
@@ -210,7 +174,7 @@ CHAMELEON_BENCHMARK(BM_ConvergenceAdd4k);
 // against the untracked twin for the adaptive-estimation overhead.
 // --------------------------------------------------------------------------
 void BM_McTwoTerminalTracked500n64w(bench::BenchContext& context) {
-  const graph::UncertainGraph graph = BuildGraph(500, 6.0);
+  const graph::UncertainGraph graph = bench::SeededGraph(500, 6.0);
   rel::MonteCarloOptions options;
   options.worlds = 64;
   options.heartbeat = false;
@@ -226,68 +190,9 @@ void BM_McTwoTerminalTracked500n64w(bench::BenchContext& context) {
 }
 CHAMELEON_BENCHMARK(BM_McTwoTerminalTracked500n64w);
 
-int Run(int argc, char** argv) {
-  FlagSet flags(
-      "chameleon_bench_core: run the core benchmark suite and write a "
-      "canonical BENCH_<suite>.json for chameleon_bench_diff");
-  flags.AddString("out", "BENCH_core.json", "output BENCH json path");
-  flags.AddString("suite", "core", "suite name stamped into the json");
-  flags.AddBool("quick", false, "CI mode: fewer reps, shorter calibration");
-  flags.AddInt64("reps", 0, "timed repetitions (0: mode default)");
-  flags.AddString("filter", "", "only run benchmarks containing substring");
-  flags.AddBool("list", false, "list benchmark names and exit");
-  flags.AddBool("version", false, "print build provenance and exit");
-  flags.AddBool("help", false, "show usage");
-
-  if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n%s", s.ToString().c_str(),
-                 flags.Usage().c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::fprintf(stdout, "%s", flags.Usage().c_str());
-    return 0;
-  }
-  if (flags.GetBool("version")) {
-    std::fprintf(stdout, "%s",
-                 obs::VersionString("chameleon_bench_core").c_str());
-    return 0;
-  }
-  if (flags.GetBool("list")) {
-    for (const std::string& name : bench::RegisteredBenchmarkNames()) {
-      std::fprintf(stdout, "%s\n", name.c_str());
-    }
-    return 0;
-  }
-
-  bench::BenchOptions options;
-  if (flags.GetBool("quick")) options = bench::BenchOptions::Quick();
-  if (flags.GetInt64("reps") > 0) {
-    options.reps = static_cast<int>(flags.GetInt64("reps"));
-  }
-  options.filter = flags.GetString("filter");
-
-  const std::vector<bench::BenchResult> results =
-      bench::RunRegisteredBenchmarks(options);
-  if (results.empty()) {
-    std::fprintf(stderr, "no benchmarks matched filter \"%s\"\n",
-                 options.filter.c_str());
-    return 1;
-  }
-
-  const std::string& out = flags.GetString("out");
-  if (Status s = bench::WriteBenchFile(out, flags.GetString("suite"), results,
-                                       options);
-      !s.ok()) {
-    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stdout, "wrote %s (%zu benchmarks)\n", out.c_str(),
-               results.size());
-  return 0;
-}
-
 }  // namespace
 }  // namespace chameleon
 
-int main(int argc, char** argv) { return chameleon::Run(argc, argv); }
+int main(int argc, char** argv) {
+  return chameleon::bench::Main(argc, argv, "core");
+}

@@ -5,11 +5,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
-#include "chameleon/obs/run_context.h"
+#include "chameleon/graph/generators.h"
 #include "chameleon/obs/record.h"
+#include "chameleon/obs/run_context.h"
+#include "chameleon/util/flags.h"
+#include "chameleon/util/rng.h"
 #include "chameleon/util/stats.h"
 #include "chameleon/util/string_util.h"
 #include "chameleon/util/timer.h"
@@ -34,6 +38,33 @@ std::uint64_t TimeRep(const BenchFn& fn, std::uint64_t iterations,
 }
 
 constexpr std::uint64_t kMaxIterations = std::uint64_t{1} << 40;
+
+std::vector<std::pair<std::string, GateFn>>& Gates() {
+  static auto* gates = new std::vector<std::pair<std::string, GateFn>>();
+  return *gates;
+}
+
+/// A gate arm's row: per-iteration order statistics of its rep times.
+BenchResult GateRow(std::string name, std::size_t iterations,
+                    const std::vector<double>& rep_ns) {
+  std::vector<double> per_iter_ns;
+  per_iter_ns.reserve(rep_ns.size());
+  RunningStats stats;
+  for (const double ns : rep_ns) {
+    per_iter_ns.push_back(ns / static_cast<double>(iterations));
+    stats.Add(per_iter_ns.back());
+  }
+  BenchResult row;
+  row.name = std::move(name);
+  row.iterations = iterations;
+  row.reps = static_cast<int>(rep_ns.size());
+  row.median_ns = Median(per_iter_ns);
+  row.mad_ns = MedianAbsDeviation(per_iter_ns, row.median_ns);
+  row.mean_ns = stats.mean();
+  row.min_ns = stats.min();
+  row.max_ns = stats.max();
+  return row;
+}
 
 }  // namespace
 
@@ -145,6 +176,180 @@ std::vector<BenchResult> RunRegisteredBenchmarks(const BenchOptions& options) {
     results.push_back(std::move(result));
   }
   return results;
+}
+
+std::vector<graph::UncertainEdge> SeededEdges(NodeId nodes,
+                                              double avg_degree) {
+  Rng rng(2018);
+  return graph::RandomEdges({.nodes = nodes, .avg_degree = avg_degree}, rng)
+      .value();
+}
+
+graph::UncertainGraph SeededGraph(NodeId nodes, double avg_degree) {
+  Rng rng(2018);
+  return graph::RandomGraph({.nodes = nodes, .avg_degree = avg_degree}, rng)
+      .value();
+}
+
+GateVerdict RunPairedGate(std::string baseline_name, const GateArm& baseline,
+                          std::string candidate_name, const GateArm& candidate,
+                          double budget, int reps) {
+  std::size_t iterations = 1;
+  for (;;) {
+    const double ns = baseline(iterations);
+    if (ns >= kGateRepNanos / 2.0 || iterations >= kMaxIterations) {
+      iterations = static_cast<std::size_t>(
+          static_cast<double>(iterations) *
+          std::max(1.0, kGateRepNanos / std::max(ns, 1.0)));
+      break;
+    }
+    iterations *= 2;
+  }
+
+  std::vector<double> baseline_ns;
+  std::vector<double> candidate_ns;
+  for (int rep = 0; rep < std::max(reps, 1); ++rep) {
+    baseline_ns.push_back(baseline(iterations));
+    candidate_ns.push_back(candidate(iterations));
+  }
+
+  GateVerdict verdict;
+  verdict.baseline = GateRow(std::move(baseline_name), iterations, baseline_ns);
+  verdict.candidate =
+      GateRow(std::move(candidate_name), iterations, candidate_ns);
+  const double baseline_median = Median(baseline_ns);
+  const double candidate_median = Median(candidate_ns);
+  verdict.budget = budget;
+  verdict.delta_ns = candidate_median - baseline_median;
+  verdict.overhead =
+      baseline_median > 0.0 ? verdict.delta_ns / baseline_median : 0.0;
+  verdict.noise_ns =
+      3.0 * std::max(MedianAbsDeviation(baseline_ns, baseline_median),
+                     MedianAbsDeviation(candidate_ns, candidate_median));
+  verdict.passed =
+      !(verdict.overhead > budget && verdict.delta_ns > verdict.noise_ns);
+  return verdict;
+}
+
+std::string FormatGateVerdict(std::string_view gate,
+                              const GateVerdict& verdict) {
+  const auto ms_per_rep = [&](double ns_per_iteration) {
+    return ns_per_iteration *
+           static_cast<double>(verdict.baseline.iterations) * 1e-6;
+  };
+  std::string out = StrFormat(
+      "gate %s: %llu iterations/rep, %d reps\n", std::string(gate).c_str(),
+      static_cast<unsigned long long>(verdict.baseline.iterations),
+      verdict.baseline.reps);
+  for (const BenchResult* row : {&verdict.baseline, &verdict.candidate}) {
+    out += StrFormat("  %-40s median %10.3f ms (MAD %.3f ms)\n",
+                     row->name.c_str(), ms_per_rep(row->median_ns),
+                     ms_per_rep(row->mad_ns));
+  }
+  out += StrFormat(
+      "  overhead %+.2f%% (budget %.2f%%), delta %+.3f ms (noise floor "
+      "%.3f ms): %s\n",
+      verdict.overhead * 100.0, verdict.budget * 100.0,
+      verdict.delta_ns * 1e-6, verdict.noise_ns * 1e-6,
+      verdict.passed ? "PASS" : "FAIL");
+  return out;
+}
+
+void RegisterGate(std::string name, GateFn fn) {
+  for (const auto& [existing, unused] : Gates()) {
+    if (existing == name) {
+      std::fprintf(stderr, "duplicate gate name: %s\n", name.c_str());
+      std::abort();
+    }
+  }
+  Gates().emplace_back(std::move(name), std::move(fn));
+}
+
+int Main(int argc, char** argv, std::string_view suite) {
+  const std::string tool = "chameleon_bench_" + std::string(suite);
+  const std::string bench_file = "BENCH_" + std::string(suite) + ".json";
+  FlagSet flags(tool +
+                ": run the registered benchmarks and overhead gates and "
+                "write a canonical " +
+                bench_file + " for chameleon_bench_diff");
+  flags.AddString("out", bench_file, "output BENCH json path");
+  flags.AddBool("quick", false, "CI mode: fewer reps, shorter calibration");
+  flags.AddInt64("reps", 0, "timed repetitions (0: mode default)");
+  flags.AddString("filter", "",
+                  "only run benchmarks and gates whose name contains this");
+  flags.AddBool("list", false, "list benchmark and gate names and exit");
+  if (const std::optional<int> exit_code =
+          obs::ParseToolFlags(flags, tool, argc, argv)) {
+    return *exit_code;
+  }
+  if (flags.GetBool("list")) {
+    for (const std::string& name : RegisteredBenchmarkNames()) {
+      std::fprintf(stdout, "%s\n", name.c_str());
+    }
+    for (const auto& [name, unused] : Gates()) {
+      std::fprintf(stdout, "%s\n", name.c_str());
+    }
+    return 0;
+  }
+
+  BenchOptions options;
+  if (flags.GetBool("quick")) options = BenchOptions::Quick();
+  if (flags.GetInt64("reps") > 0) {
+    options.reps = static_cast<int>(flags.GetInt64("reps"));
+  }
+  options.filter = flags.GetString("filter");
+
+  std::vector<BenchResult> rows = RunRegisteredBenchmarks(options);
+  std::size_t matched = rows.size();
+  int failed = 0;
+  for (const auto& [name, fn] : Gates()) {
+    if (!options.filter.empty() &&
+        name.find(options.filter) == std::string::npos) {
+      continue;
+    }
+    ++matched;
+    const Result<GateOutcome> outcome = fn(options.reps);
+    if (!outcome.ok()) {
+      std::fprintf(stderr, "FAIL: gate %s: %s\n", name.c_str(),
+                   outcome.status().ToString().c_str());
+      ++failed;
+      continue;
+    }
+    if (!outcome->skipped.empty()) {
+      std::fprintf(stdout, "gate %s: skipped (%s)\n", name.c_str(),
+                   outcome->skipped.c_str());
+      continue;
+    }
+    const GateVerdict& verdict = outcome->verdict;
+    std::fprintf(stdout, "%s", FormatGateVerdict(name, verdict).c_str());
+    std::fflush(stdout);
+    if (!verdict.passed) {
+      std::fprintf(stderr,
+                   "FAIL: gate %s: overhead %+.2f%% exceeds the %.2f%% "
+                   "budget and the delta %+.3f ms exceeds the %.3f ms "
+                   "noise floor\n",
+                   name.c_str(), verdict.overhead * 100.0,
+                   verdict.budget * 100.0, verdict.delta_ns * 1e-6,
+                   verdict.noise_ns * 1e-6);
+      ++failed;
+    }
+    rows.push_back(verdict.baseline);
+    rows.push_back(verdict.candidate);
+  }
+  if (matched == 0) {
+    std::fprintf(stderr, "no benchmarks or gates matched filter \"%s\"\n",
+                 options.filter.c_str());
+    return 1;
+  }
+
+  const std::string& out = flags.GetString("out");
+  if (Status s = WriteBenchFile(out, suite, rows, options); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 1;
+  }
+  std::fprintf(stdout, "wrote %s (%zu benchmarks)\n", out.c_str(),
+               rows.size());
+  return failed > 0 ? 1 : 0;
 }
 
 std::string BenchSuiteToJson(std::string_view suite,

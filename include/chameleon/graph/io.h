@@ -8,7 +8,7 @@
 #include "chameleon/util/status.h"
 
 /// \file io.h
-/// Edge-list I/O, the format of bench_cache/ and of every published graph.
+/// Edge-list I/O, the format of every input and every published graph.
 ///
 /// Grammar, line by line (lines end at '\n'; leading and trailing
 /// whitespace, '\r' included, is ignored):

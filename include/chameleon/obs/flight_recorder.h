@@ -11,7 +11,7 @@
 /// (no locks, no allocation after a thread's first event), so the
 /// instrumented call sites stay hot-path safe; when observability is
 /// disabled the CHOBS_FLIGHT_EVENT macro is one relaxed load and a
-/// branch (budget-gated by bench/micro_flight_overhead). Each ring
+/// branch (budget-gated by chameleon_bench_overhead). Each ring
 /// overwrites its oldest entry when full and counts what it evicted, so
 /// dumps always disclose `dropped`.
 ///

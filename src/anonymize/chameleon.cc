@@ -26,25 +26,50 @@ std::uint64_t AttemptSeed(std::uint64_t seed, std::size_t level,
   return SplitMix64(state);
 }
 
+/// Every range check is written so that NaN fails it, as the verifier's
+/// are, and every range without an upper bound also demands a finite
+/// value: NaN or ±inf must not reach the σ search or the size_t casts.
 Status ValidateOptions(const graph::UncertainGraph& graph, Variant variant,
                        const ChameleonOptions& options) {
   if (graph.num_nodes() == 0) {
     return Status::InvalidArgument("graph has no vertices");
   }
-  if (!(options.k > 1.0)) {
-    return Status::InvalidArgument("k must be > 1");
+  if (!(options.k > 1.0 && std::isfinite(options.k))) {
+    return Status::InvalidArgument(
+        StrFormat("k = %g must be finite and > 1", options.k));
   }
-  if (options.epsilon < 0.0 || options.epsilon > 1.0) {
-    return Status::InvalidArgument("epsilon must be in [0, 1]");
+  if (!(options.epsilon >= 0.0 && options.epsilon <= 1.0)) {
+    return Status::InvalidArgument(
+        StrFormat("epsilon = %g must be in [0, 1]", options.epsilon));
   }
   if (options.trials == 0) {
     return Status::InvalidArgument("trials must be positive");
   }
-  if (!(options.sigma_init > 0.0)) {
-    return Status::InvalidArgument("sigma_init must be positive");
+  if (!(options.candidate_fraction > 0.0 &&
+        options.candidate_fraction <= 1.0)) {
+    return Status::InvalidArgument(
+        StrFormat("candidate_fraction = %g must be in (0, 1]",
+                  options.candidate_fraction));
   }
-  if (options.sigma_max < options.sigma_init) {
-    return Status::InvalidArgument("sigma_max must be >= sigma_init");
+  if (!(options.white_noise >= 0.0 && options.white_noise <= 1.0)) {
+    return Status::InvalidArgument(StrFormat(
+        "white_noise = %g must be in [0, 1]", options.white_noise));
+  }
+  if (!(options.sigma_init > 0.0 && std::isfinite(options.sigma_init))) {
+    return Status::InvalidArgument(StrFormat(
+        "sigma_init = %g must be finite and > 0", options.sigma_init));
+  }
+  if (!(options.sigma_max >= options.sigma_init &&
+        std::isfinite(options.sigma_max))) {
+    return Status::InvalidArgument(
+        StrFormat("sigma_max = %g must be finite and >= sigma_init = %g",
+                  options.sigma_max, options.sigma_init));
+  }
+  if (!(options.relevance_max_rel_err >= 0.0 &&
+        std::isfinite(options.relevance_max_rel_err))) {
+    return Status::InvalidArgument(
+        StrFormat("relevance_max_rel_err = %g must be finite and >= 0",
+                  options.relevance_max_rel_err));
   }
   const bool uses_relevance =
       variant == Variant::kRSME || variant == Variant::kRS;
@@ -133,12 +158,12 @@ Result<Variant> ParseVariant(std::string_view text) {
 Result<AnonymizeResult> Anonymize(const graph::UncertainGraph& graph,
                                   Variant variant,
                                   const ChameleonOptions& options) {
+  CHAMELEON_RETURN_IF_ERROR(ValidateOptions(graph, variant, options));
   if (variant == Variant::kRepAn) {
     RepAnOptions rep_options;
     rep_options.driver = options;
     return RepAnAnonymize(graph, rep_options);
   }
-  CHAMELEON_RETURN_IF_ERROR(ValidateOptions(graph, variant, options));
   CHOBS_SPAN(span, "anonymize/driver");
   WallTimer timer;
 

@@ -14,12 +14,26 @@
 namespace chameleon::anonymize {
 namespace {
 
+/// Written so that NaN fails every check (and ±inf the unbounded one):
+/// ε and c feed size_t casts of ⌈ε/2·|V|⌉ and ⌈c·|E|⌉.
 Status ValidateOptions(const GenObfOptions& options) {
-  if (options.candidate_fraction <= 0.0 || options.candidate_fraction > 1.0) {
-    return Status::InvalidArgument("candidate_fraction must be in (0, 1]");
+  if (!(options.k > 1.0 && std::isfinite(options.k))) {
+    return Status::InvalidArgument(
+        StrFormat("k = %g must be finite and > 1", options.k));
   }
-  if (options.white_noise < 0.0 || options.white_noise > 1.0) {
-    return Status::InvalidArgument("white_noise must be in [0, 1]");
+  if (!(options.epsilon >= 0.0 && options.epsilon <= 1.0)) {
+    return Status::InvalidArgument(
+        StrFormat("epsilon = %g must be in [0, 1]", options.epsilon));
+  }
+  if (!(options.candidate_fraction > 0.0 &&
+        options.candidate_fraction <= 1.0)) {
+    return Status::InvalidArgument(
+        StrFormat("candidate_fraction = %g must be in (0, 1]",
+                  options.candidate_fraction));
+  }
+  if (!(options.white_noise >= 0.0 && options.white_noise <= 1.0)) {
+    return Status::InvalidArgument(StrFormat(
+        "white_noise = %g must be in [0, 1]", options.white_noise));
   }
   return Status::OK();
 }
@@ -83,8 +97,9 @@ Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
         StrFormat("priorities has %zu entries for %zu edges",
                   priorities.size(), graph.num_edges()));
   }
-  if (!(sigma > 0.0)) {
-    return Status::InvalidArgument("sigma must be positive");
+  if (!(sigma > 0.0 && std::isfinite(sigma))) {
+    return Status::InvalidArgument(
+        StrFormat("sigma = %g must be finite and > 0", sigma));
   }
   CHAMELEON_RETURN_IF_ERROR(ValidateOptions(options));
   if (plan.candidates > plan.eligible.size() ||

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -331,6 +333,41 @@ TEST(AnonymizeTest, InvalidOptionsAreRejected) {
   options = FastOptions();
   options.relevance_worlds = 0;
   EXPECT_FALSE(Anonymize(g, Variant::kRSME, options).ok());
+}
+
+TEST(AnonymizeTest, NonFiniteOptionsAreRejectedByName) {
+  // NaN passes a check written `x < lo || x > hi`; ±inf passes one with
+  // no upper bound. Each must be an InvalidArgument naming the option,
+  // for every variant, before the search starts.
+  const UncertainGraph g = MakeEr64();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* name;
+    double ChameleonOptions::*field;
+  } fields[] = {
+      {"k", &ChameleonOptions::k},
+      {"epsilon", &ChameleonOptions::epsilon},
+      {"candidate_fraction", &ChameleonOptions::candidate_fraction},
+      {"white_noise", &ChameleonOptions::white_noise},
+      {"sigma_init", &ChameleonOptions::sigma_init},
+      {"sigma_max", &ChameleonOptions::sigma_max},
+      {"relevance_max_rel_err", &ChameleonOptions::relevance_max_rel_err},
+  };
+  for (const auto& [name, field] : fields) {
+    for (const double value : {std::nan(""), inf, -inf}) {
+      for (const Variant variant :
+           {Variant::kRSME, Variant::kME, Variant::kRS, Variant::kRepAn}) {
+        ChameleonOptions options = FastOptions();
+        options.*field = value;
+        const Result<AnonymizeResult> result =
+            Anonymize(g, variant, options);
+        ASSERT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+            << name << " = " << value << " " << VariantName(variant);
+        EXPECT_NE(result.status().message().find(name), std::string::npos)
+            << result.status().ToString();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include "chameleon/anonymize/gen_obf.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
@@ -251,6 +253,47 @@ TEST(GenObfOracleTest, RejectsBadArguments) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(GenObfOracleTest, RejectsNonFiniteOptionsBeforeAnyWork) {
+  const UncertainGraph g = RandomGraph(50, 100, 5);
+  const std::vector<double> uniqueness = Uniqueness(g);
+  const std::vector<double> priorities(g.num_edges(), 1.0);
+  const Result<GenObfPlan> plan = PlanGenObf(g, uniqueness, GenObfOptions{});
+  ASSERT_TRUE(plan.ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* name;
+    double GenObfOptions::*field;
+  } fields[] = {
+      {"k", &GenObfOptions::k},
+      {"epsilon", &GenObfOptions::epsilon},
+      {"candidate_fraction", &GenObfOptions::candidate_fraction},
+      {"white_noise", &GenObfOptions::white_noise},
+  };
+  for (const auto& [name, field] : fields) {
+    for (const double value : {std::nan(""), inf, -inf}) {
+      GenObfOptions options;
+      options.*field = value;
+      // PlanGenObf would cast ⌈ε/2·|V|⌉ and ⌈c·|E|⌉ to size_t.
+      const Result<GenObfPlan> bad_plan = PlanGenObf(g, uniqueness, options);
+      ASSERT_EQ(bad_plan.status().code(), StatusCode::kInvalidArgument)
+          << name << " = " << value;
+      EXPECT_NE(bad_plan.status().message().find(name), std::string::npos)
+          << bad_plan.status().ToString();
+      Rng rng(1);
+      EXPECT_EQ(GenObf(g, *plan, priorities, 0.1, options, rng).status().code(),
+                StatusCode::kInvalidArgument)
+          << name << " = " << value;
+    }
+  }
+  for (const double sigma : {std::nan(""), inf, -inf}) {
+    Rng rng(1);
+    const Result<GenObfAttempt> attempt =
+        GenObf(g, *plan, priorities, sigma, GenObfOptions{}, rng);
+    ASSERT_EQ(attempt.status().code(), StatusCode::kInvalidArgument) << sigma;
+    EXPECT_NE(attempt.status().message().find("sigma"), std::string::npos);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -210,6 +212,136 @@ TEST(RegistryTest, RegistrationOrderIsPreservedAndFilterable) {
   const std::vector<BenchResult> results = RunRegisteredBenchmarks(options);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].name, "reg_order_first");
+}
+
+/// A fake gate arm: each call returns the next per-rep time from
+/// `rep_ns` (cycling), scaled by the iteration count it is asked for, so
+/// the paired rule sees exactly the script. The first baseline call is
+/// the calibration probe.
+GateArm ScriptedArm(std::vector<double> rep_ns) {
+  auto call = std::make_shared<std::size_t>(0);
+  return [rep_ns = std::move(rep_ns), call](std::size_t iterations) {
+    const double ns = rep_ns[(*call)++ % rep_ns.size()];
+    return ns * static_cast<double>(iterations);
+  };
+}
+
+TEST(PairedGateTest, PassesInsideTheBudget) {
+  // 1% over a 150 ms baseline, under a 2% budget, with no noise at all.
+  const GateVerdict verdict =
+      RunPairedGate("BM_Base", ScriptedArm({150e6}), "BM_Hooked",
+                    ScriptedArm({151.5e6}), 0.02, 9);
+  EXPECT_TRUE(verdict.passed);
+  EXPECT_NEAR(verdict.overhead, 0.01, 1e-12);
+  EXPECT_DOUBLE_EQ(verdict.noise_ns, 0.0);
+  EXPECT_EQ(verdict.baseline.name, "BM_Base");
+  EXPECT_EQ(verdict.candidate.name, "BM_Hooked");
+  // The probe already took >= 75 ms, so one iteration is a rep.
+  EXPECT_EQ(verdict.baseline.iterations, 1u);
+  EXPECT_EQ(verdict.candidate.iterations, 1u);
+  EXPECT_EQ(verdict.baseline.reps, 9);
+  EXPECT_DOUBLE_EQ(verdict.baseline.median_ns, 150e6);
+  EXPECT_DOUBLE_EQ(verdict.candidate.median_ns, 151.5e6);
+}
+
+TEST(PairedGateTest, PassesAboveTheBudgetInsideTheNoiseFloor) {
+  // +5% against a 2% budget, but the baseline's reps swing by 10 ms
+  // around their median: the noise floor is 30 ms and the delta 7.5 ms.
+  const GateVerdict verdict = RunPairedGate(
+      "BM_Base", ScriptedArm({150e6, 140e6, 160e6}), "BM_Hooked",
+      ScriptedArm({157.5e6}), 0.02, 9);
+  EXPECT_GT(verdict.overhead, verdict.budget);
+  EXPECT_DOUBLE_EQ(verdict.noise_ns, 30e6);
+  EXPECT_LT(verdict.delta_ns, verdict.noise_ns);
+  EXPECT_TRUE(verdict.passed);
+}
+
+TEST(PairedGateTest, FailsAboveTheBudgetAndTheNoiseFloor) {
+  const GateVerdict verdict =
+      RunPairedGate("BM_Base", ScriptedArm({150e6, 149e6, 151e6}),
+                    "BM_Hooked", ScriptedArm({165e6}), 0.02, 9);
+  EXPECT_NEAR(verdict.overhead, 0.1, 1e-12);
+  EXPECT_GT(verdict.delta_ns, verdict.noise_ns);
+  EXPECT_FALSE(verdict.passed);
+  EXPECT_NE(FormatGateVerdict("probe", verdict).find("FAIL"),
+            std::string::npos);
+}
+
+TEST(PairedGateTest, CalibratesTheBaselineToAboutAHundredFiftyMs) {
+  // 1 us per iteration: doubling stops at 2^17 iterations (~131 ms, the
+  // first probe >= 75 ms), which then scales to ~150 ms.
+  std::vector<std::size_t> probes;
+  const GateArm baseline = [&probes](std::size_t iterations) {
+    probes.push_back(iterations);
+    return 1e3 * static_cast<double>(iterations);
+  };
+  const GateVerdict verdict = RunPairedGate(
+      "BM_Base", baseline, "BM_Hooked",
+      [](std::size_t iterations) {
+        return 1e3 * static_cast<double>(iterations);
+      },
+      0.02, 3);
+  ASSERT_GE(probes.size(), 2u);
+  EXPECT_EQ(probes.front(), 1u);
+  EXPECT_NEAR(static_cast<double>(verdict.baseline.iterations) * 1e3,
+              kGateRepNanos, 1e3);
+  // Three timed reps of each arm after the probes, every one at the
+  // calibrated count.
+  EXPECT_EQ(probes.back(), verdict.baseline.iterations);
+  EXPECT_DOUBLE_EQ(verdict.baseline.median_ns, 1e3);
+  EXPECT_TRUE(verdict.passed);
+}
+
+TEST(PairedGateTest, MainRunsRegisteredGatesIntoOneBenchFile) {
+  RegisterGate("main_gate_pass", [](int reps) -> Result<GateOutcome> {
+    return GateOutcome{RunPairedGate("BM_PassBase", ScriptedArm({150e6}),
+                                     "BM_PassHooked", ScriptedArm({150e6}),
+                                     0.02, reps),
+                       {}};
+  });
+  RegisterGate("main_gate_skip", [](int) -> Result<GateOutcome> {
+    return GateOutcome{{}, "engine unavailable"};
+  });
+  RegisterGate("main_gate_fail", [](int reps) -> Result<GateOutcome> {
+    return GateOutcome{RunPairedGate("BM_FailBase", ScriptedArm({150e6}),
+                                     "BM_FailHooked", ScriptedArm({300e6}),
+                                     0.02, reps),
+                       {}};
+  });
+  RegisterGate("main_gate_check", [](int) -> Result<GateOutcome> {
+    return Status::Internal("the dormant arm recorded events");
+  });
+
+  const auto run = [](const std::string& filter, const std::string& path) {
+    std::string filter_flag = "--filter=" + filter;
+    std::string out_flag = "--out=" + path;
+    std::string reps_flag = "--reps=3";
+    char name[] = "chameleon_bench_test";
+    char* argv[] = {name, filter_flag.data(), out_flag.data(),
+                    reps_flag.data()};
+    return Main(4, argv, "test");
+  };
+  const std::string path = testing::TempDir() + "/bench_gates.json";
+  // A filter that matches nothing is an error.
+  EXPECT_EQ(run("no_such_gate", path), 1);
+  // A passing gate exits 0 and leaves its rows under its arms' names.
+  EXPECT_EQ(run("main_gate_pass", path), 0);
+  Result<BenchSuite> loaded = LoadBenchFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->benchmarks.size(), 2u);
+  EXPECT_EQ(loaded->benchmarks[0].name, "BM_PassBase");
+  EXPECT_EQ(loaded->benchmarks[1].name, "BM_PassHooked");
+  EXPECT_EQ(loaded->benchmarks[0].reps, 3);
+  // A skipped gate is not a failure.
+  EXPECT_EQ(run("main_gate_skip", path), 0);
+  // A failed rule (whose rows are still written) and a failed check each
+  // exit 1.
+  EXPECT_EQ(run("main_gate_fail", path), 1);
+  loaded = LoadBenchFile(path);
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_EQ(loaded->benchmarks.size(), 2u);
+  EXPECT_EQ(loaded->benchmarks[1].name, "BM_FailHooked");
+  EXPECT_EQ(run("main_gate_check", path), 1);
 }
 
 }  // namespace

@@ -239,22 +239,6 @@ TEST(HeapRecordsTest, FoldedOutputIsWeightedCollapsedStacks) {
 // The exactly-one-of contract through the real obs lifecycle. Each case
 // forks: InitObservability/Shutdown are process-global.
 
-std::vector<std::string> ReadLines(const std::string& path) {
-  std::ifstream in(path);
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  return lines;
-}
-
-std::size_t CountType(const std::vector<std::string>& lines,
-                      const std::string& type) {
-  std::size_t n = 0;
-  for (const std::string& line : lines) {
-    if (JsonlStringField(line, "type") == type) ++n;
-  }
-  return n;
-}
-
 /// Forks; the child runs an obs-configured run with `body` and a clean
 /// ShutdownObservability. Returns the child's exit code.
 template <typename Fn>
@@ -276,6 +260,22 @@ int RunChild(const std::string& path, Fn body) {
 }
 
 #if CHAMELEON_OBS_ENABLED
+
+std::vector<std::string> ReadLines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::size_t CountType(const std::vector<std::string>& lines,
+                      const std::string& type) {
+  std::size_t n = 0;
+  for (const std::string& line : lines) {
+    if (JsonlStringField(line, "type") == type) ++n;
+  }
+  return n;
+}
 
 TEST(HeapLifecycleTest, RunWithoutHeapProfilingEmitsOneUnavailableRecord) {
   const std::string path = testing::TempDir() + "/heap_not_requested.jsonl";

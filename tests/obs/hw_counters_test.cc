@@ -66,22 +66,6 @@ class ScopedHwEnv {
   std::string prev_;
 };
 
-std::vector<std::string> ReadLines(const std::string& path) {
-  std::ifstream in(path);
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  return lines;
-}
-
-std::size_t CountType(const std::vector<std::string>& lines,
-                      const std::string& type) {
-  std::size_t n = 0;
-  for (const std::string& line : lines) {
-    if (JsonlStringField(line, "type") == type) ++n;
-  }
-  return n;
-}
-
 /// CPU-bound busy work: enough arithmetic that the emulated backend
 /// (thread CPU time) observes a nonzero interval.
 std::uint64_t Spin(std::size_t iters) {
@@ -320,6 +304,22 @@ int RunChild(const std::string& path, const char* hw_mode, Fn terminate) {
 }
 
 #if CHAMELEON_OBS_ENABLED
+
+std::vector<std::string> ReadLines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::size_t CountType(const std::vector<std::string>& lines,
+                      const std::string& type) {
+  std::size_t n = 0;
+  for (const std::string& line : lines) {
+    if (JsonlStringField(line, "type") == type) ++n;
+  }
+  return n;
+}
 
 TEST(HwCountersEndToEndTest, EmulatedRunEmitsSpanFieldsAndPathRecords) {
   const std::string path = testing::TempDir() + "/hw_emulated_run.jsonl";

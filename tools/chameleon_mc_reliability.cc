@@ -13,10 +13,8 @@
 #include <cstdio>
 #include <limits>
 #include <optional>
-#include <unordered_set>
-#include <utility>
-#include <vector>
 
+#include "chameleon/graph/generators.h"
 #include "chameleon/graph/io.h"
 #include "chameleon/graph/uncertain_graph.h"
 #include "chameleon/obs/obs.h"
@@ -31,36 +29,6 @@
 
 namespace chameleon {
 namespace {
-
-/// Erdos-Renyi-style uncertain graph: `avg_degree * nodes / 2` distinct
-/// random edges with probabilities uniform in [p_min, p_max]. (The full
-/// generator suite returns with src/graph/generators.)
-Result<graph::UncertainGraph> MakeRandomGraph(NodeId nodes, double avg_degree,
-                                              double p_min, double p_max,
-                                              Rng& rng) {
-  if (nodes < 2) return Status::InvalidArgument("need at least 2 nodes");
-  graph::UncertainGraphBuilder builder(nodes);
-  const auto target_edges =
-      static_cast<std::size_t>(avg_degree * static_cast<double>(nodes) / 2.0);
-  std::size_t added = 0;
-  std::size_t attempts = 0;
-  const std::size_t max_attempts = target_edges * 20 + 100;
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(target_edges * 2);
-  while (added < target_edges && attempts < max_attempts) {
-    ++attempts;
-    auto u = static_cast<NodeId>(rng.UniformInt(nodes));
-    auto v = static_cast<NodeId>(rng.UniformInt(nodes));
-    if (u == v) continue;
-    if (u > v) std::swap(u, v);
-    if (!seen.insert((static_cast<std::uint64_t>(u) << 32) | v).second) {
-      continue;
-    }
-    CHAMELEON_RETURN_IF_ERROR(builder.AddEdge(u, v, rng.Uniform(p_min, p_max)));
-    ++added;
-  }
-  return std::move(builder).Build();
-}
 
 int Run(int argc, char** argv) {
   FlagSet flags(
@@ -139,10 +107,12 @@ int Run(int argc, char** argv) {
     if (!flags.GetString("graph").empty()) {
       return graph::ReadEdgeList(flags.GetString("graph"));
     }
-    return MakeRandomGraph(static_cast<NodeId>(flags.GetInt64("nodes")),
-                           flags.GetDouble("avg_degree"),
-                           flags.GetDouble("p_min"), flags.GetDouble("p_max"),
-                           rng);
+    graph::RandomGraphOptions random;
+    random.nodes = flags.GetInt64("nodes");
+    random.avg_degree = flags.GetDouble("avg_degree");
+    random.p_min = flags.GetDouble("p_min");
+    random.p_max = flags.GetDouble("p_max");
+    return graph::RandomGraph(random, rng);
   }();
   if (!graph.ok()) {
     std::fprintf(stderr, "error: %s\n", graph.status().ToString().c_str());
