@@ -7,8 +7,8 @@
 // reused-sampling reliability-relevance sweep (the O(N·α·|E|) inner loop
 // of RSME/RS) serial vs 8 workers on a sparse graph and serial on a
 // dense one, one full GenObf attempt (candidate selection + perturbation
-// + verification — the unit of the σ search), and the truncated-normal
-// sampler the perturbation leans on.
+// + verification — the unit of the σ search) on a sparse and a dense
+// graph, and the truncated-normal sampler the perturbation leans on.
 
 #include <cstdint>
 #include <vector>
@@ -79,28 +79,30 @@ void BM_RelevanceDense2k(bench::BenchContext& context) {
 CHAMELEON_BENCHMARK(BM_RelevanceDense2k);
 
 // --------------------------------------------------------------------------
-// gen_obf_attempt_er_2k: one full GenObf attempt at a fixed σ —
+// gen_obf_attempt_er_2k / _dense_2k: one full GenObf attempt at a fixed σ —
 // hardest-vertex exclusion, Q-weighted candidate sampling, perturbation,
-// and the (k,ε) verification — the repeated unit of the σ search.
-// Uniqueness and priorities are precomputed once, as the driver does.
+// and the (k,ε) verification — the repeated unit of the σ search, on one
+// worker. On the sparse graph (mean degree 8) selection and perturbation
+// weigh most; on the dense one (mean degree 100) the degree PMFs the
+// verifier builds, O(Σ deg²), dominate. Uniqueness and priorities are
+// precomputed once per process, as the driver amortizes them across
+// attempts, so the timed region is the attempt alone.
 // --------------------------------------------------------------------------
-void BM_GenObfAttemptEr2k(bench::BenchContext& context) {
-  // Graph, uniqueness scores, and priorities are computed once per
-  // process, exactly as the sigma-search driver amortizes them across
-  // attempts, so the timed region is the attempt alone.
-  struct Fixture {
-    graph::UncertainGraph graph = bench::SeededGraph(2000, 8.0);
-    std::vector<double> scores;
-    std::vector<double> priorities;
-    Fixture() {
-      privacy::UniquenessOptions uniq_options;
-      uniq_options.threads = 1;
-      scores = privacy::ComputeUniqueness(graph, uniq_options).value().scores;
-      priorities =
-          anonymize::ComputeEdgePriorities(graph, scores, {}).value();
-    }
-  };
-  static const Fixture& fixture = *new Fixture();
+struct AttemptFixture {
+  graph::UncertainGraph graph;
+  std::vector<double> scores;
+  std::vector<double> priorities;
+  explicit AttemptFixture(double avg_degree)
+      : graph(bench::SeededGraph(2000, avg_degree)) {
+    privacy::UniquenessOptions uniq_options;
+    uniq_options.threads = 1;
+    scores = privacy::ComputeUniqueness(graph, uniq_options).value().scores;
+    priorities = anonymize::ComputeEdgePriorities(graph, scores, {}).value();
+  }
+};
+
+void RunGenObfAttempt(bench::BenchContext& context,
+                      const AttemptFixture& fixture) {
   anonymize::GenObfOptions options;
   options.k = 64.0;
   options.epsilon = 0.01;
@@ -115,7 +117,18 @@ void BM_GenObfAttemptEr2k(bench::BenchContext& context) {
     bench::DoNotOptimize(result.value().certificate.epsilon_hat);
   }
 }
+
+void BM_GenObfAttemptEr2k(bench::BenchContext& context) {
+  static const AttemptFixture& fixture = *new AttemptFixture(8.0);
+  RunGenObfAttempt(context, fixture);
+}
 CHAMELEON_BENCHMARK(BM_GenObfAttemptEr2k);
+
+void BM_GenObfAttemptDense2k(bench::BenchContext& context) {
+  static const AttemptFixture& fixture = *new AttemptFixture(100.0);
+  RunGenObfAttempt(context, fixture);
+}
+CHAMELEON_BENCHMARK(BM_GenObfAttemptDense2k);
 
 // --------------------------------------------------------------------------
 // trunc_normal_draws: the truncated-normal sampler across the three

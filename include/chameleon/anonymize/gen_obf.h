@@ -20,7 +20,8 @@
 ///      incident edges are never perturbed.
 ///   2. Draw a candidate set EC of ⌈c·|E|⌉ eligible edges, weighted by
 ///      the priorities Q^e (Efraimidis–Spirakis exponential-key sampling
-///      without replacement, deterministic given the attempt's rng).
+///      without replacement: the ⌈c·|E|⌉ smallest keys −ln(u_e)/Q^e,
+///      ties toward the lower edge id).
 ///   3. Perturb each candidate with the variant's noise model at scale
 ///      σ(e) = σ·Q^e / mean(Q over EC) — budget proportional to Q^e,
 ///      normalized so the mean candidate scale is σ.
@@ -29,11 +30,17 @@
 ///
 /// Step 1 and the eligible-edge list depend only on the graph, the
 /// uniqueness scores and the options, so a σ search builds them once
-/// (PlanGenObf) and every attempt pays only for steps 2–4. Selection is
-/// linear: nth_element on the (key, edge) pairs, then one edge-order
-/// pass, so candidates are perturbed and their mean priority summed in
-/// edge order. The attempt's graph reuses the input's CSR topology
-/// (UncertainGraph::WithProbabilities) instead of rebuilding it.
+/// (PlanGenObf) and every attempt pays only for steps 2–4.
+///
+/// Steps 2–3 are order-free. An attempt takes exactly one draw from the
+/// `rng` it is passed, as its seed; edge e's key u_e and its noise stream
+/// are pure functions of (that seed, e), on SplitMix64 streams of their
+/// own. So the keys, the selection (a histogram of the keys' bit
+/// patterns, then a search of the one bucket the last candidate sits
+/// in), the candidates' priority sum (fixed-block partials merged in
+/// block order) and the perturbation all run under ParallelForBlocks and
+/// give the same bits at any worker count. The attempt's graph shares
+/// the input's topology (UncertainGraph::WithProbabilities).
 ///
 /// Edges with p = 1 whose relevance the reused-sampling estimator cannot
 /// observe are still eligible: perturbing certain edges is exactly how
@@ -85,8 +92,9 @@ Result<GenObfPlan> PlanGenObf(const graph::UncertainGraph& graph,
 
 /// Runs one attempt under `plan`, which must come from PlanGenObf on the
 /// same graph and options. `priorities` holds Q^e per edge
-/// (perturbation.h). Consumes draws from `rng` — pass a per-attempt
-/// stream for reproducible multi-attempt search.
+/// (perturbation.h). Takes exactly one draw from `rng`, the attempt's
+/// seed (none when an argument is rejected); pass a per-attempt stream
+/// for a reproducible multi-attempt search.
 Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
                              const GenObfPlan& plan,
                              const std::vector<double>& priorities,

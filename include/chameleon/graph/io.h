@@ -24,10 +24,17 @@
 ///     subnormals are values) that the builder then requires in [0, 1].
 ///     No self-loops, and no pair twice in either orientation.
 ///
+/// Node-count policy: the count (the header's, or max id + 1) may exceed
+/// twice the number of edge lines by at most 2^24 = 16,777,216. Only
+/// isolated vertices lie past two per edge, and a count beyond that is
+/// taken for a corrupt id or header (3000000000, or `# nodes 4000000000`
+/// over one edge) rather than allocated. The error names the line that
+/// set the count: the last header, or the first edge with the max id.
+///
 /// Every error is InvalidArgument and starts `<origin>:<line>: `. The one
 /// reported is the first syntax error or duplicate pair in file order;
-/// only when there is none, the first out-of-range node, self-loop or bad
-/// probability.
+/// then a node count over the policy's limit; only when there is none,
+/// the first out-of-range node, self-loop or bad probability.
 ///
 /// WriteEdgeList prints p in shortest round-trip form, so ReadEdgeList of
 /// a written file gives back the same doubles bit for bit.

@@ -1,6 +1,7 @@
 #ifndef CHAMELEON_GRAPH_UNCERTAIN_GRAPH_H_
 #define CHAMELEON_GRAPH_UNCERTAIN_GRAPH_H_
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -14,7 +15,11 @@
 /// paper's graph model: undirected, no self-loops, no multi-edges,
 /// probabilities in [0, 1]. A graph that differs from an existing one
 /// only in its probabilities comes from WithProbabilities, which reuses
-/// the topology instead of re-validating and re-sorting it.
+/// the topology instead of re-validating and re-sorting it. The CSR
+/// offsets and adjacency are immutable once built, so WithProbabilities
+/// and copies share them (a `shared_ptr<const>`, kept alive by every
+/// graph that uses it) instead of copying them; each graph owns only its
+/// edges and expected degrees.
 
 namespace chameleon::graph {
 
@@ -35,10 +40,12 @@ class UncertainGraph {
   const std::vector<UncertainEdge>& edges() const { return edges_; }
   const UncertainEdge& edge(EdgeId e) const { return edges_[e]; }
 
-  /// Neighbors of `v` (both endpoints see the edge).
+  /// Neighbors of `v` (both endpoints see the edge). Graphs that share a
+  /// topology return the same storage.
   std::span<const AdjEntry> Neighbors(NodeId v) const {
-    return {adjacency_.data() + adj_offsets_[v],
-            adj_offsets_[v + 1] - adj_offsets_[v]};
+    const std::vector<std::size_t>& offsets = topology_->offsets;
+    return {topology_->adjacency.data() + offsets[v],
+            offsets[v + 1] - offsets[v]};
   }
 
   /// Expected degree E[deg v] = sum of incident edge probabilities.
@@ -54,9 +61,11 @@ class UncertainGraph {
   double expected_num_edges() const;
 
   /// The same vertices, edges and adjacency with `probabilities[e]` as
-  /// edge e's probability. Expected degrees are summed in edge order, as
-  /// UncertainGraphBuilder sums them, so the result equals the graph
-  /// UncertainGraphBuilder makes of the same edges bit for bit.
+  /// edge e's probability. The result shares this graph's topology and
+  /// stays valid after this graph is destroyed. Expected degrees are
+  /// summed in edge order, as UncertainGraphBuilder sums them, so the
+  /// result equals the graph UncertainGraphBuilder makes of the same
+  /// edges bit for bit.
   /// InvalidArgument unless there is one probability per edge, each in
   /// [0, 1] (NaN is rejected).
   Result<UncertainGraph> WithProbabilities(
@@ -65,10 +74,15 @@ class UncertainGraph {
  private:
   friend class UncertainGraphBuilder;
 
+  /// CSR adjacency: v's entries are adjacency[offsets[v], offsets[v+1]).
+  struct Topology {
+    std::vector<std::size_t> offsets;
+    std::vector<AdjEntry> adjacency;
+  };
+
   NodeId num_nodes_ = 0;
   std::vector<UncertainEdge> edges_;
-  std::vector<std::size_t> adj_offsets_;
-  std::vector<AdjEntry> adjacency_;
+  std::shared_ptr<const Topology> topology_;
   std::vector<double> expected_degrees_;
 };
 

@@ -91,9 +91,13 @@ struct ObfuscationCertificate {
   std::vector<VertexObfuscation> per_vertex;
 };
 
-/// Verifies `graph` against (k, ε). Builds the degree distributions
-/// internally. Emits `privacy/obf_check` trace spans, counters, and one
-/// `privacy_check` JSONL record when observability is live.
+/// Verifies `graph` against (k, ε). Never materializes the degree PMFs:
+/// each block of vertices builds them one at a time in one scratch
+/// buffer and folds each into the block's S/T partials as it is built,
+/// so no per-vertex DegreeDistribution is allocated. The certificate is
+/// bit-identical to BuildDegreeDistributions + the overload below. Emits
+/// `privacy/obf_check` trace spans, counters, and one `privacy_check`
+/// JSONL record when observability is live.
 Result<ObfuscationCertificate> VerifyObfuscation(
     const graph::UncertainGraph& graph, const ObfuscationOptions& options);
 

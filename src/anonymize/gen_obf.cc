@@ -1,13 +1,16 @@
 #include "chameleon/anonymize/gen_obf.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <utility>
 
 #include "chameleon/obs/obs.h"
+#include "chameleon/util/parallel.h"
 #include "chameleon/util/string_util.h"
 #include "chameleon/util/timer.h"
 
@@ -53,6 +56,71 @@ std::vector<bool> ExcludeHardest(const std::vector<double>& uniqueness,
     excluded[order[i]] = true;
   }
   return excluded;
+}
+
+/// Eligible edges per block of the attempt's parallel sweeps. Fixed, so
+/// the candidates' priority sum, taken as one partial per block merged
+/// in block order, does not depend on the worker count.
+constexpr std::size_t kEdgeBlock = 4096;
+
+/// Mixing constants of the per-edge streams: odd, and distinct from
+/// AttemptSeed's (anonymize/chameleon.cc) and the relevance estimator's
+/// per-world ones, so no two of those streams start alike.
+constexpr std::uint64_t kKeyMix = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kNoiseMix = 0x165667b19e3779f9ull;
+
+/// The selection histogram buckets a key by its top bits: sign (always
+/// 0), exponent and four mantissa bits, so +inf lands in the last
+/// bucket in use.
+constexpr int kBucketShift = 48;
+constexpr std::size_t kBuckets = std::size_t{1} << (63 - kBucketShift);
+
+/// Edge e's stream seed for one purpose (`mix`) in the attempt `seed`.
+std::uint64_t EdgeSeed(std::uint64_t seed, std::uint64_t mix, EdgeId e) {
+  std::uint64_t state = seed ^ (mix * (std::uint64_t{e} + 1));
+  return SplitMix64(state);
+}
+
+/// Edge e's exponential key −ln(u)/Q^e (Efraimidis–Spirakis), as its
+/// IEEE bit pattern. u is uniform in the open (0, 1): 52 random bits
+/// plus one half, exact in a double, so the key is positive, or +inf
+/// when Q^e is not; for such doubles the bit patterns order as the
+/// values do.
+std::uint64_t KeyBits(std::uint64_t seed, EdgeId e, double priority) {
+  const double u =
+      (static_cast<double>(EdgeSeed(seed, kKeyMix, e) >> 12) + 0.5) *
+      0x1.0p-52;
+  const double key = priority > 0.0 ? -std::log(u) / priority
+                                    : std::numeric_limits<double>::infinity();
+  return std::bit_cast<std::uint64_t>(key);
+}
+
+/// The want-th smallest (key, position) pair of `keys`, 1 ≤ want ≤
+/// keys.size(): the pairs up to and including it are the candidates.
+/// `counts` holds one histogram of the keys' top bits per contiguous
+/// block of positions; the pair is found among the keys of the bucket
+/// where the running count reaches `want`.
+std::pair<std::uint64_t, std::size_t> LastCandidate(
+    const std::vector<std::uint64_t>& keys,
+    const std::vector<std::vector<std::uint32_t>>& counts, std::size_t want) {
+  std::size_t below = 0;
+  std::size_t bucket = 0;
+  for (;; ++bucket) {
+    std::size_t here = 0;
+    for (const std::vector<std::uint32_t>& count : counts) {
+      here += count[bucket];
+    }
+    if (below + here >= want) break;
+    below += here;
+  }
+  std::vector<std::pair<std::uint64_t, std::size_t>> tied;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (keys[i] >> kBucketShift == bucket) tied.emplace_back(keys[i], i);
+  }
+  const auto last =
+      tied.begin() + static_cast<std::ptrdiff_t>(want - below - 1);
+  std::nth_element(tied.begin(), last, tied.end());
+  return *last;
 }
 
 }  // namespace
@@ -109,48 +177,84 @@ Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
   CHOBS_SPAN(span, "anonymize/genobf");
   WallTimer timer;
   const auto& edges = graph.edges();
+  const std::vector<EdgeId>& eligible = plan.eligible;
   const std::size_t want = plan.candidates;
+  // The attempt's one draw: every key and every noise draw below is a
+  // pure function of (seed, edge id), so each sweep may run in any order
+  // and on any number of workers.
+  const std::uint64_t seed = rng();
 
-  // 2. Q-weighted candidate selection without replacement: keep the
-  // ⌈c|E|⌉ smallest exponential keys −log(u)/Q^e. Zero-priority edges
-  // get an infinite key and are chosen only when everything else ran
-  // out. Keys are drawn in edge order, so the draw sequence — and the
-  // candidate set — is a pure function of the rng stream. The pairs are
-  // distinct (edge ids are), so nth_element picks exactly the set a
-  // full sort would.
-  std::vector<char> chosen(edges.size(), 0);
-  {
-    std::vector<std::pair<double, EdgeId>> keyed;
-    keyed.reserve(plan.eligible.size());
-    for (const EdgeId e : plan.eligible) {
-      const double u = 1.0 - rng.UniformDouble();  // (0, 1]
-      const double w = priorities[e];
-      const double key = w > 0.0 ? -std::log(u) / w
-                                 : std::numeric_limits<double>::infinity();
-      keyed.emplace_back(key, e);
-    }
-    std::nth_element(keyed.begin(),
-                     keyed.begin() + static_cast<std::ptrdiff_t>(want),
-                     keyed.end());
-    for (std::size_t i = 0; i < want; ++i) chosen[keyed[i].second] = 1;
+  // 2. Q-weighted candidate selection without replacement: the ⌈c|E|⌉
+  // smallest exponential keys, ties toward the lower edge id (a full
+  // sort of the (key, edge) pairs would pick the same set). Zero-priority
+  // edges get an infinite key and are chosen only when everything else
+  // ran out. Keys and a histogram of their top bits are made per worker
+  // block; the histograms (integers, so their sum is order-free) name the
+  // one bucket the last candidate sits in, and only that bucket is
+  // searched.
+  std::vector<std::uint64_t> keys(eligible.size());
+  // Position i is a candidate iff its (key, i) pair, as one 128-bit
+  // number, is below `bound`: one past the want-th smallest pair, or 0
+  // when there are no candidates.
+  using Pair = unsigned __int128;
+  Pair bound = 0;
+  if (want > 0) {
+    const std::size_t workers =
+        ParallelWorkers(eligible.size(), 1, options.threads);
+    const std::size_t chunk = NumBlocks(eligible.size(), workers);
+    std::vector<std::vector<std::uint32_t>> counts(
+        NumBlocks(eligible.size(), chunk));
+    ParallelForBlocks(
+        eligible.size(), chunk, options.threads,
+        [&](std::size_t block, std::size_t begin, std::size_t end) {
+          std::vector<std::uint32_t>& count = counts[block];
+          count.assign(kBuckets, 0);
+          for (std::size_t i = begin; i < end; ++i) {
+            const EdgeId e = eligible[i];
+            keys[i] = KeyBits(seed, e, priorities[e]);
+            ++count[keys[i] >> kBucketShift];
+          }
+        });
+    const auto [last_key, last_position] = LastCandidate(keys, counts, want);
+    bound = (Pair{last_key} << 64 | last_position) + 1;
   }
+  const std::uint64_t* key = keys.data();
+  const auto chosen = [key, bound](std::size_t i) {
+    return (Pair{key[i]} << 64 | i) < bound;
+  };
 
-  // 3. Perturb candidates in edge order (stable rng consumption). The
-  // per-edge scale is σ·Q^e normalized by the candidate-mean priority.
+  // 3. Perturb each candidate at σ·Q^e normalized by the candidates'
+  // mean priority. The priority sum is one partial per fixed block,
+  // merged in block order; each candidate's noise comes from its own
+  // stream.
+  std::vector<double> partial_q(NumBlocks(eligible.size(), kEdgeBlock), 0.0);
+  ParallelForBlocks(
+      eligible.size(), kEdgeBlock, options.threads,
+      [&](std::size_t block, std::size_t begin, std::size_t end) {
+        double q = 0.0;
+        for (std::size_t i = begin; i < end; ++i) {
+          if (chosen(i)) q += priorities[eligible[i]];
+        }
+        partial_q[block] = q;
+      });
   double q_sum = 0.0;
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    if (chosen[e]) q_sum += priorities[e];
-  }
+  for (const double q : partial_q) q_sum += q;
   const double q_mean = want > 0 ? q_sum / static_cast<double>(want) : 0.0;
   std::vector<double> perturbed(edges.size());
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    perturbed[e] = edges[e].p;
-    if (!chosen[e]) continue;
-    const double scale =
-        q_mean > 0.0 ? sigma * priorities[e] / q_mean : sigma;
-    perturbed[e] = PerturbProbability(perturbed[e], scale, options.noise,
-                                      options.white_noise, rng);
-  }
+  for (std::size_t e = 0; e < edges.size(); ++e) perturbed[e] = edges[e].p;
+  ParallelForBlocks(
+      eligible.size(), kEdgeBlock, options.threads,
+      [&](std::size_t /*block*/, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          if (!chosen(i)) continue;
+          const EdgeId e = eligible[i];
+          const double scale =
+              q_mean > 0.0 ? sigma * priorities[e] / q_mean : sigma;
+          Rng noise(EdgeSeed(seed, kNoiseMix, e));
+          perturbed[e] = PerturbProbability(edges[e].p, scale, options.noise,
+                                            options.white_noise, noise);
+        }
+      });
   Result<graph::UncertainGraph> published = graph.WithProbabilities(perturbed);
   if (!published.ok()) return published.status();
 

@@ -20,6 +20,11 @@ namespace {
 
 constexpr std::size_t kNoEdge = ~std::size_t{0};
 
+/// Vertices a file may have beyond two per edge line (io.h's node-count
+/// policy): only isolated vertices can be past that, and more than 2^24
+/// of them is read as a corrupt id or header, not a graph.
+constexpr std::uint64_t kMaxIsolatedNodes = std::uint64_t{1} << 24;
+
 /// Longest "u v p\n" line WriteEdgeList formats: two 10-digit ids and a
 /// shortest round-trip double of at most 24 characters
 /// ("-2.2250738585072014e-308"), with separators.
@@ -134,7 +139,9 @@ Status ScanEdgeList(std::string_view text, std::string_view origin,
   edges.reserve(text.size() / 6 + 1);
   NodeId declared_nodes = 0;
   bool has_declared_nodes = false;
+  std::size_t declared_line = 0;
   NodeId max_node = 0;
+  std::size_t max_node_line = 0;
   // Pair keys of the edges so far strictly increase while `ascending`
   // holds. A pair key is never 0, so 0 starts the chain.
   std::uint64_t last_key = 0;
@@ -174,6 +181,7 @@ Status ScanEdgeList(std::string_view text, std::string_view origin,
       }
       declared_nodes = static_cast<NodeId>(*n);
       has_declared_nodes = true;
+      declared_line = line_number;
       continue;
     }
     const std::string_view u_token = NextToken(&rest, IsFieldBreak);
@@ -203,7 +211,10 @@ Status ScanEdgeList(std::string_view text, std::string_view origin,
       ascending = ascending && key > last_key;
       last_key = key;
     }
-    max_node = std::max({max_node, nu, nv});
+    if (edges.empty() || std::max(nu, nv) > max_node) {
+      max_node = std::max(nu, nv);
+      max_node_line = line_number;
+    }
     edges.push_back(UncertainEdge{nu, nv, *p});
   }
 
@@ -211,6 +222,20 @@ Status ScanEdgeList(std::string_view text, std::string_view origin,
   if (duplicate != kNoEdge) return duplicate_error(duplicate);
   out->num_nodes = has_declared_nodes ? declared_nodes
                                       : (edges.empty() ? 0 : max_node + 1);
+  const std::uint64_t limit =
+      2 * std::uint64_t{edges.size()} + kMaxIsolatedNodes;
+  if (out->num_nodes > limit) {
+    const std::string why = StrFormat(
+        "more than %llu (2 per edge plus 2^24 isolated vertices)",
+        static_cast<unsigned long long>(limit));
+    return has_declared_nodes
+               ? LineError(origin, declared_line,
+                           StrFormat("node count %u is %s", out->num_nodes,
+                                     why.c_str()))
+               : LineError(origin, max_node_line,
+                           StrFormat("node id %u makes %u nodes, %s",
+                                     max_node, out->num_nodes, why.c_str()));
+  }
   out->lines = line_number;
   return Status::OK();
 }

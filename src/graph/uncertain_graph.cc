@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include "chameleon/obs/obs.h"
 #include "chameleon/util/string_util.h"
@@ -41,8 +43,7 @@ Result<UncertainGraph> UncertainGraph::WithProbabilities(
     g.expected_degrees_[e.u] += p;
     g.expected_degrees_[e.v] += p;
   }
-  g.adj_offsets_ = adj_offsets_;
-  g.adjacency_ = adjacency_;
+  g.topology_ = topology_;
   return g;
 }
 
@@ -89,27 +90,30 @@ Result<UncertainGraph> UncertainGraphBuilder::Build() && {
 
   // CSR in two passes: degree counting, then placement. The +1 is taken
   // in size_t: at 2^32 - 1 nodes it would wrap in NodeId.
-  const std::size_t offsets = std::size_t{num_nodes_} + 1;
-  std::vector<std::size_t> degree(offsets, 0);
+  const std::size_t slots = std::size_t{num_nodes_} + 1;
+  std::vector<std::size_t> degree(slots, 0);
   for (const UncertainEdge& e : g.edges_) {
     ++degree[e.u];
     ++degree[e.v];
   }
-  g.adj_offsets_.assign(offsets, 0);
+  auto topology = std::make_shared<UncertainGraph::Topology>();
+  std::vector<std::size_t>& offsets = topology->offsets;
+  std::vector<AdjEntry>& adjacency = topology->adjacency;
+  offsets.assign(slots, 0);
   for (NodeId v = 0; v < num_nodes_; ++v) {
-    g.adj_offsets_[v + 1] = g.adj_offsets_[v] + degree[v];
+    offsets[v + 1] = offsets[v] + degree[v];
   }
-  g.adjacency_.resize(g.adj_offsets_[num_nodes_]);
-  std::vector<std::size_t> cursor(g.adj_offsets_.begin(),
-                                  g.adj_offsets_.end() - 1);
+  adjacency.resize(offsets[num_nodes_]);
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
   g.expected_degrees_.assign(num_nodes_, 0.0);
   for (EdgeId i = 0; i < g.edges_.size(); ++i) {
     const UncertainEdge& e = g.edges_[i];
-    g.adjacency_[cursor[e.u]++] = AdjEntry{e.v, i};
-    g.adjacency_[cursor[e.v]++] = AdjEntry{e.u, i};
+    adjacency[cursor[e.u]++] = AdjEntry{e.v, i};
+    adjacency[cursor[e.v]++] = AdjEntry{e.u, i};
     g.expected_degrees_[e.u] += e.p;
     g.expected_degrees_[e.v] += e.p;
   }
+  g.topology_ = std::move(topology);
 
   span.AddCount("nodes", num_nodes_);
   span.AddCount("edges", g.edges_.size());

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "chameleon/obs/obs.h"
 #include "chameleon/util/parallel.h"
+#include "poisson_binomial.h"
 
 namespace chameleon::privacy {
 namespace {
@@ -13,11 +13,6 @@ namespace {
 /// Vertices per scheduling block. Small enough that hub-heavy blocks
 /// (O(d²) per vertex) still balance, large enough to amortize claiming.
 constexpr std::size_t kBuildBlock = 64;
-
-double ClampProbability(double p) { return std::clamp(p, 0.0, 1.0); }
-
-/// Two doubles in one SSE2 register (GCC/Clang vector extension).
-using Lanes = double __attribute__((vector_size(16)));
 
 }  // namespace
 
@@ -41,31 +36,8 @@ DegreeDistribution DegreeDistribution::ForVertex(
 }
 
 void DegreeDistribution::AddEdge(double p) {
-  p = ClampProbability(p);
-  const double q = 1.0 - p;
-  const std::size_t d = pmf_.size();
   pmf_.push_back(0.0);
-  // In-place convolution with {1-p, p}, highest degree first so each
-  // f[k] is read before it is overwritten: f'[k] = f[k]·q + f[k−1]·p.
-  // Two entries per step: both loads happen before the store, and the
-  // next step only reads slots below the ones just written. Each lane
-  // rounds the same multiplies and add as the scalar step (SSE2 mulpd
-  // and addpd; x86-64 baseline has no FMA to contract into), so the PMF
-  // is bit-identical to the one-entry loop.
-  double* f = pmf_.data();
-  const Lanes qq = {q, q};
-  const Lanes pp = {p, p};
-  std::size_t k = d;
-  for (; k >= 2; k -= 2) {
-    Lanes hi;
-    Lanes lo;
-    std::memcpy(&hi, f + k - 1, sizeof(Lanes));  // f[k−1], f[k]
-    std::memcpy(&lo, f + k - 2, sizeof(Lanes));  // f[k−2], f[k−1]
-    const Lanes out = hi * qq + lo * pp;
-    std::memcpy(f + k - 1, &out, sizeof(Lanes));
-  }
-  if (k == 1) f[1] = f[1] * q + f[0] * p;
-  f[0] *= q;
+  internal::ConvolveEdge(pmf_.data(), pmf_.size() - 1, p);
 }
 
 double DegreeDistribution::Cdf(std::size_t k) const {

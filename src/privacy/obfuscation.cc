@@ -9,6 +9,7 @@
 #include "chameleon/util/parallel.h"
 #include "chameleon/util/string_util.h"
 #include "chameleon/util/timer.h"
+#include "poisson_binomial.h"
 
 namespace chameleon::privacy {
 namespace {
@@ -47,41 +48,28 @@ Status ValidateOptions(const ObfuscationOptions& options) {
   return Status::OK();
 }
 
-}  // namespace
-
-std::string_view AdversaryModelName(AdversaryModel model) {
-  switch (model) {
-    case AdversaryModel::kRoundedExpectedDegree:
-      return "expected_degree";
-    case AdversaryModel::kStructuralDegree:
-      return "structural_degree";
+/// Adds one PMF to a block's partials: S[w] += x and T[w] += x·log₂x
+/// for every nonzero x = pmf[w].
+void FoldPmf(const double* pmf, std::size_t size, double* s, double* t) {
+  for (std::size_t w = 0; w < size; ++w) {
+    const double x = pmf[w];
+    if (x > 0.0) {
+      s[w] += x;
+      t[w] += x * std::log2(x);
+    }
   }
-  return "unknown";
 }
 
-Result<ObfuscationCertificate> VerifyObfuscation(
-    const graph::UncertainGraph& graph, const ObfuscationOptions& options) {
-  CHAMELEON_RETURN_IF_ERROR(ValidateOptions(options));
-  const std::vector<DegreeDistribution> dists =
-      BuildDegreeDistributions(graph, options.threads);
-  return VerifyObfuscation(graph, dists, options);
-}
-
-Result<ObfuscationCertificate> VerifyObfuscation(
-    const graph::UncertainGraph& graph,
-    const std::vector<DegreeDistribution>& dists,
-    const ObfuscationOptions& options) {
-  CHAMELEON_RETURN_IF_ERROR(ValidateOptions(options));
+/// The verifier behind both overloads, on a non-empty graph with valid
+/// options. `pmf_size(v)` is the length of v's degree PMF, and
+/// `fold(begin, end, s, t, width)` adds the PMFs of vertices
+/// [begin, end) in vertex order into one block's partials, each `width`
+/// long: the block's longest PMF.
+template <typename PmfSize, typename Fold>
+ObfuscationCertificate Certify(const graph::UncertainGraph& graph,
+                               const ObfuscationOptions& options,
+                               const PmfSize& pmf_size, const Fold& fold) {
   const std::size_t n = graph.num_nodes();
-  if (dists.size() != n) {
-    return Status::InvalidArgument(
-        StrFormat("%zu degree distributions for %zu vertices", dists.size(),
-                  static_cast<std::size_t>(n)));
-  }
-  if (n == 0) {
-    return Status::InvalidArgument("cannot verify an empty graph");
-  }
-
   CHOBS_SPAN(span, "privacy/obf_check");
   WallTimer timer;
   ObfuscationCertificate cert;
@@ -96,7 +84,7 @@ Result<ObfuscationCertificate> VerifyObfuscation(
   std::size_t max_value = 0;
   for (NodeId v = 0; v < n; ++v) {
     omegas[v] = AdversaryValue(graph, v, options.adversary);
-    max_value = std::max({max_value, omegas[v], dists[v].num_edges()});
+    max_value = std::max({max_value, omegas[v], pmf_size(v) - 1});
   }
 
   // One vertex-major sweep accumulates, for every degree value ω,
@@ -123,20 +111,12 @@ Result<ObfuscationCertificate> VerifyObfuscation(
           std::vector<double>& t = partial_t[block];
           std::size_t block_width = 0;
           for (std::size_t u = begin; u < end; ++u) {
-            block_width = std::max(block_width, dists[u].pmf().size());
+            block_width =
+                std::max(block_width, pmf_size(static_cast<NodeId>(u)));
           }
           s.assign(block_width, 0.0);
           t.assign(block_width, 0.0);
-          for (std::size_t u = begin; u < end; ++u) {
-            const std::vector<double>& pmf = dists[u].pmf();
-            for (std::size_t w = 0; w < pmf.size(); ++w) {
-              const double x = pmf[w];
-              if (x > 0.0) {
-                s[w] += x;
-                t[w] += x * std::log2(x);
-              }
-            }
-          }
+          fold(begin, end, s.data(), t.data(), block_width);
         });
     sweep_span.AddCount("vertices", n);
   }
@@ -196,6 +176,71 @@ Result<ObfuscationCertificate> VerifyObfuscation(
   CHOBS_COUNT("privacy/obf_check/not_obfuscated", cert.not_obfuscated);
   EmitPrivacyCheckRecord(cert);
   return cert;
+}
+
+}  // namespace
+
+std::string_view AdversaryModelName(AdversaryModel model) {
+  switch (model) {
+    case AdversaryModel::kRoundedExpectedDegree:
+      return "expected_degree";
+    case AdversaryModel::kStructuralDegree:
+      return "structural_degree";
+  }
+  return "unknown";
+}
+
+Result<ObfuscationCertificate> VerifyObfuscation(
+    const graph::UncertainGraph& graph, const ObfuscationOptions& options) {
+  CHAMELEON_RETURN_IF_ERROR(ValidateOptions(options));
+  if (graph.num_nodes() == 0) {
+    return Status::InvalidArgument("cannot verify an empty graph");
+  }
+  // Each block builds its vertices' PMFs one at a time in one scratch
+  // buffer, with DegreeDistribution's recurrence, and folds each into the
+  // block's partials as soon as it is built, so no per-vertex PMF is
+  // kept and the sums equal those of the overload below bit for bit.
+  return Certify(
+      graph, options,
+      [&](NodeId v) { return graph.Neighbors(v).size() + 1; },
+      [&](std::size_t begin, std::size_t end, double* s, double* t,
+          std::size_t width) {
+        std::vector<double> pmf(width);
+        for (std::size_t u = begin; u < end; ++u) {
+          const auto neighbors = graph.Neighbors(static_cast<NodeId>(u));
+          pmf[0] = 1.0;
+          for (std::size_t i = 0; i < neighbors.size(); ++i) {
+            internal::ConvolveEdge(pmf.data(), i + 1,
+                                   graph.edge(neighbors[i].edge).p);
+          }
+          FoldPmf(pmf.data(), neighbors.size() + 1, s, t);
+        }
+      });
+}
+
+Result<ObfuscationCertificate> VerifyObfuscation(
+    const graph::UncertainGraph& graph,
+    const std::vector<DegreeDistribution>& dists,
+    const ObfuscationOptions& options) {
+  CHAMELEON_RETURN_IF_ERROR(ValidateOptions(options));
+  const std::size_t n = graph.num_nodes();
+  if (dists.size() != n) {
+    return Status::InvalidArgument(
+        StrFormat("%zu degree distributions for %zu vertices", dists.size(),
+                  static_cast<std::size_t>(n)));
+  }
+  if (n == 0) {
+    return Status::InvalidArgument("cannot verify an empty graph");
+  }
+  return Certify(
+      graph, options, [&](NodeId v) { return dists[v].pmf().size(); },
+      [&](std::size_t begin, std::size_t end, double* s, double* t,
+          std::size_t /*width*/) {
+        for (std::size_t u = begin; u < end; ++u) {
+          const std::vector<double>& pmf = dists[u].pmf();
+          FoldPmf(pmf.data(), pmf.size(), s, t);
+        }
+      });
 }
 
 void EmitPrivacyCheckRecord(const ObfuscationCertificate& certificate) {

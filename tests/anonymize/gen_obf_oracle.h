@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -12,18 +13,43 @@
 #include "chameleon/anonymize/gen_obf.h"
 #include "chameleon/anonymize/perturbation.h"
 #include "chameleon/graph/uncertain_graph.h"
+#include "chameleon/privacy/degree_distribution.h"
 #include "chameleon/privacy/obfuscation.h"
 #include "chameleon/util/rng.h"
 #include "chameleon/util/status.h"
 
 /// \file gen_obf_oracle.h
-/// The GenObf attempt that PlanGenObf + the planned GenObf replaced,
-/// kept only as a test oracle: exclusion and the eligible list rebuilt
-/// per attempt, a full sort of the (key, edge) pairs followed by a
-/// re-sort of the chosen ones by edge id, and the published graph
-/// rebuilt through UncertainGraphBuilder.
+/// The slow GenObf attempt, kept only as a test oracle. It draws from the
+/// same per-edge streams as GenObf, mirrored below, but rebuilds the
+/// exclusion set and the eligible list per attempt, fully sorts the
+/// (key, edge) pairs, sums the candidates' priorities in GenObf's fixed
+/// blocks one edge at a time, rebuilds the published graph through
+/// UncertainGraphBuilder, and verifies it with BuildDegreeDistributions
+/// plus the distributions overload of VerifyObfuscation.
 
 namespace chameleon::anonymize {
+
+/// GenObf's per-edge streams (anonymize/gen_obf.cc), mirrored: edge e's
+/// stream for one purpose in the attempt whose seed is `seed`.
+inline std::uint64_t OracleEdgeSeed(std::uint64_t seed, std::uint64_t mix,
+                                    EdgeId e) {
+  std::uint64_t state = seed ^ (mix * (std::uint64_t{e} + 1));
+  return SplitMix64(state);
+}
+
+/// u_e in (0, 1) of edge e's selection key −ln(u_e)/Q^e.
+inline double OracleKeyUniform(std::uint64_t seed, EdgeId e) {
+  const std::uint64_t bits = OracleEdgeSeed(seed, 0xc2b2ae3d27d4eb4full, e);
+  return (static_cast<double>(bits >> 12) + 0.5) * 0x1.0p-52;
+}
+
+/// Edge e's noise stream, PerturbProbability's rng.
+inline Rng OracleNoiseRng(std::uint64_t seed, EdgeId e) {
+  return Rng(OracleEdgeSeed(seed, 0x165667b19e3779f9ull, e));
+}
+
+/// GenObf's block of eligible positions for the priority partial sums.
+inline constexpr std::size_t kOracleEdgeBlock = 4096;
 
 inline std::vector<bool> OracleExcludeHardest(
     const std::vector<double>& uniqueness, std::size_t h) {
@@ -65,22 +91,31 @@ inline Result<GenObfAttempt> OracleGenObf(
   std::size_t want = static_cast<std::size_t>(
       std::ceil(options.candidate_fraction * static_cast<double>(edges.size())));
   want = std::min(want, eligible.size());
+  const std::uint64_t seed = rng();
   std::vector<std::pair<double, EdgeId>> keyed;
   keyed.reserve(eligible.size());
   for (const EdgeId e : eligible) {
-    const double u = 1.0 - rng.UniformDouble();  // (0, 1]
     const double w = priorities[e];
-    const double key = w > 0.0 ? -std::log(u) / w
+    const double key = w > 0.0 ? -std::log(OracleKeyUniform(seed, e)) / w
                                : std::numeric_limits<double>::infinity();
     keyed.emplace_back(key, e);
   }
   std::sort(keyed.begin(), keyed.end());
   keyed.resize(want);
+  std::vector<char> chosen(edges.size(), 0);
+  for (const auto& [key, e] : keyed) chosen[e] = 1;
 
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
   double q_sum = 0.0;
-  for (const auto& [key, e] : keyed) q_sum += priorities[e];
+  for (std::size_t begin = 0; begin < eligible.size();
+       begin += kOracleEdgeBlock) {
+    double partial = 0.0;
+    const std::size_t end =
+        std::min(eligible.size(), begin + kOracleEdgeBlock);
+    for (std::size_t i = begin; i < end; ++i) {
+      if (chosen[eligible[i]]) partial += priorities[eligible[i]];
+    }
+    q_sum += partial;
+  }
   const double q_mean = want > 0 ? q_sum / static_cast<double>(want) : 0.0;
 
   std::vector<double> perturbed(edges.size());
@@ -88,8 +123,9 @@ inline Result<GenObfAttempt> OracleGenObf(
   for (const auto& [key, e] : keyed) {
     const double scale =
         q_mean > 0.0 ? sigma * priorities[e] / q_mean : sigma;
+    Rng noise = OracleNoiseRng(seed, e);
     perturbed[e] = PerturbProbability(perturbed[e], scale, options.noise,
-                                      options.white_noise, rng);
+                                      options.white_noise, noise);
   }
 
   graph::UncertainGraphBuilder builder(graph.num_nodes());
@@ -106,8 +142,10 @@ inline Result<GenObfAttempt> OracleGenObf(
   verify.adversary = options.adversary;
   verify.threads = options.threads;
   verify.keep_per_vertex = false;
+  const std::vector<privacy::DegreeDistribution> dists =
+      privacy::BuildDegreeDistributions(*published, options.threads);
   Result<privacy::ObfuscationCertificate> certificate =
-      privacy::VerifyObfuscation(*published, verify);
+      privacy::VerifyObfuscation(*published, dists, verify);
   if (!certificate.ok()) return certificate.status();
 
   GenObfAttempt attempt;

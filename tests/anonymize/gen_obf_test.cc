@@ -120,6 +120,11 @@ void CheckAgainstOracle(const UncertainGraph& g,
     ExpectSameAttempt(*planned, *oracle);
     EXPECT_EQ(planned_rng(), oracle_rng()) << "rng consumption differs";
     if (seed == 0) {
+      // The attempt's graph shares the input's topology.
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        ASSERT_EQ(planned->published.Neighbors(v).data(),
+                  g.Neighbors(v).data());
+      }
       Rng wrapper_rng(1000);
       const Result<GenObfAttempt> wrapped =
           GenObf(g, uniqueness, priorities, sigma, options, wrapper_rng);
@@ -150,6 +155,133 @@ TEST(GenObfOracleTest, MatchesOracleAcrossSeedsFractionsAndNoiseModels) {
       options.threads = 2;
       CheckAgainstOracle(g, uniqueness, *priorities, options, 20);
     }
+  }
+}
+
+TEST(GenObfOracleTest, MatchesOracleAtEveryWorkerCount) {
+  // 20,000 edges span five of GenObf's 4096-edge blocks, so every sweep
+  // splits across the workers granted.
+  const UncertainGraph g = RandomGraph(3000, 20000, 77);
+  const std::vector<double> uniqueness = Uniqueness(g);
+  const Result<std::vector<double>> priorities =
+      ComputeEdgePriorities(g, uniqueness, {});
+  ASSERT_TRUE(priorities.ok());
+  // The variants' attempt configurations: max-entropy (RSME, ME, Rep-An)
+  // or additive noise (RS), under either adversary.
+  for (const NoiseModel noise :
+       {NoiseModel::kMaxEntropy, NoiseModel::kAdditive}) {
+    for (const privacy::AdversaryModel adversary :
+         {privacy::AdversaryModel::kRoundedExpectedDegree,
+          privacy::AdversaryModel::kStructuralDegree}) {
+      for (const int threads : {1, 2, 3, 8}) {
+        SCOPED_TRACE(std::string(NoiseModelName(noise)) + ", " +
+                     std::string(privacy::AdversaryModelName(adversary)) +
+                     ", threads " + std::to_string(threads));
+        GenObfOptions options;
+        options.k = 32.0;
+        options.epsilon = 0.02;
+        options.noise = noise;
+        options.adversary = adversary;
+        options.threads = threads;
+        CheckAgainstOracle(g, uniqueness, *priorities, options, 3);
+      }
+    }
+  }
+}
+
+TEST(GenObfStreamTest, SingleCandidateIsDrawnInProportionToPriority) {
+  // With one candidate per attempt, Efraimidis–Spirakis picks edge e with
+  // probability w_e / Σw. Additive noise moves the chosen edge's p, which
+  // is how each attempt's pick is read back.
+  const UncertainGraph g = RandomGraph(40, 60, 31);
+  std::vector<double> priorities(g.num_edges());
+  double total = 0.0;
+  for (std::size_t e = 0; e < priorities.size(); ++e) {
+    priorities[e] = 1.0 + static_cast<double>(e % 5);
+    total += priorities[e];
+  }
+  GenObfOptions options;
+  options.k = 2.0;
+  options.epsilon = 0.0;
+  options.candidate_fraction = 0.5 / static_cast<double>(g.num_edges());
+  options.noise = NoiseModel::kAdditive;
+  options.threads = 1;
+  const Result<GenObfPlan> plan =
+      PlanGenObf(g, std::vector<double>(g.num_nodes(), 0.5), options);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan->candidates, 1u);
+  ASSERT_EQ(plan->eligible.size(), g.num_edges());
+  constexpr int kAttempts = 20000;
+  std::vector<int> picks(g.num_edges(), 0);
+  for (int a = 0; a < kAttempts; ++a) {
+    Rng rng(static_cast<std::uint64_t>(a));
+    const Result<GenObfAttempt> attempt =
+        GenObf(g, *plan, priorities, 0.5, options, rng);
+    ASSERT_TRUE(attempt.ok());
+    int moved = 0;
+    for (std::size_t e = 0; e < g.num_edges(); ++e) {
+      if (!SameBits(attempt->published.edges()[e].p, g.edges()[e].p)) {
+        ++picks[e];
+        ++moved;
+      }
+    }
+    ASSERT_EQ(moved, 1) << "attempt " << a;
+  }
+  for (std::size_t e = 0; e < g.num_edges(); ++e) {
+    const double share = priorities[e] / total;
+    const double mean = kAttempts * share;
+    const double sd = std::sqrt(kAttempts * share * (1.0 - share));
+    EXPECT_LE(std::abs(picks[e] - mean), 5.0 * sd)
+        << "edge " << e << ": " << picks[e] << " picks, expected " << mean;
+  }
+}
+
+double Pearson(const std::vector<double>& x, const std::vector<double>& y) {
+  const double n = static_cast<double>(x.size());
+  double mx = 0.0;
+  double my = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    mx += x[i];
+    my += y[i];
+  }
+  mx /= n;
+  my /= n;
+  double sxy = 0.0;
+  double sxx = 0.0;
+  double syy = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    sxy += (x[i] - mx) * (y[i] - my);
+    sxx += (x[i] - mx) * (x[i] - mx);
+    syy += (y[i] - my) * (y[i] - my);
+  }
+  return sxy / std::sqrt(sxx * syy);
+}
+
+TEST(GenObfStreamTest, AdjacentEdgesDrawUncorrelatedKeysAndNoise) {
+  // The oracle's streams, which MatchesOracle* pin equal to GenObf's.
+  // Under independence Pearson's r has standard deviation ~1/√n.
+  constexpr EdgeId kEdges = 200000;
+  const double bound = 5.0 / std::sqrt(static_cast<double>(kEdges - 1));
+  for (const std::uint64_t master : {2018u, 7u}) {
+    Rng rng(master);
+    const std::uint64_t seed = rng();
+    std::vector<double> key(kEdges);
+    std::vector<double> noise(kEdges);
+    for (EdgeId e = 0; e < kEdges; ++e) {
+      key[e] = OracleKeyUniform(seed, e);
+      ASSERT_GT(key[e], 0.0);
+      ASSERT_LT(key[e], 1.0);
+      noise[e] = OracleNoiseRng(seed, e).UniformDouble();
+    }
+    const std::vector<double> key_head(key.begin(), key.end() - 1);
+    const std::vector<double> key_next(key.begin() + 1, key.end());
+    const std::vector<double> noise_head(noise.begin(), noise.end() - 1);
+    const std::vector<double> noise_next(noise.begin() + 1, noise.end());
+    SCOPED_TRACE(master);
+    EXPECT_LT(std::abs(Pearson(key_head, key_next)), bound);
+    EXPECT_LT(std::abs(Pearson(noise_head, noise_next)), bound);
+    EXPECT_LT(std::abs(Pearson(key_head, noise_head)), bound);
+    EXPECT_LT(std::abs(Pearson(key_head, noise_next)), bound);
   }
 }
 
@@ -445,6 +577,38 @@ TEST(GenObfSearchTest, SearchMatchesWrapperPerAttempt) {
   for (const Variant variant : {Variant::kRSME, Variant::kME, Variant::kRS}) {
     SCOPED_TRACE(std::string(VariantName(variant)));
     ExpectSameSearch(g, variant, SearchOptions());
+  }
+}
+
+TEST(GenObfSearchTest, BitIdenticalAtAnyWorkerCount) {
+  const UncertainGraph g = RandomGraph(3000, 20000, 65);
+  for (const Variant variant :
+       {Variant::kRSME, Variant::kME, Variant::kRS, Variant::kRepAn}) {
+    SCOPED_TRACE(std::string(VariantName(variant)));
+    ChameleonOptions options = SearchOptions();
+    options.threads = 1;
+    const Result<AnonymizeResult> serial = Anonymize(g, variant, options);
+    ASSERT_TRUE(serial.ok()) << serial.status().message();
+    ASSERT_GT(serial->attempts, 1u);
+    for (const int threads : {2, 3, 8}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      options.threads = threads;
+      const Result<AnonymizeResult> got = Anonymize(g, variant, options);
+      ASSERT_TRUE(got.ok()) << got.status().message();
+      EXPECT_EQ(got->feasible, serial->feasible);
+      EXPECT_TRUE(SameBits(got->sigma, serial->sigma));
+      ASSERT_EQ(got->trace.size(), serial->trace.size());
+      for (std::size_t i = 0; i < serial->trace.size(); ++i) {
+        EXPECT_TRUE(SameBits(got->trace[i].sigma, serial->trace[i].sigma));
+        EXPECT_EQ(got->trace[i].success, serial->trace[i].success);
+        EXPECT_TRUE(SameBits(got->trace[i].epsilon_hat,
+                             serial->trace[i].epsilon_hat))
+            << i;
+      }
+      ExpectSameGraph(got->published, serial->published);
+      ExpectSameCertificate(got->certificate, serial->certificate);
+      EXPECT_EQ(got->perturbed_edges, serial->perturbed_edges);
+    }
   }
 }
 

@@ -564,6 +564,41 @@ TEST(IoParserTest, NodeIdsAndCountsThatDoNotFitNodeIdAreRejected) {
   EXPECT_EQ(wrapped->edge(0).u, 0u);
 }
 
+TEST(IoParserTest, NodeCountsPastTheIsolatedVertexLimitAreRejected) {
+  // The oracle would allocate these counts; ParseEdgeList refuses them
+  // before anything is sized by them, naming the line that set them.
+  const std::pair<std::string_view, std::string_view> cases[] = {
+      {"0 3000000000 0.5\n",
+       "big.edges:1: node id 3000000000 makes 3000000001 nodes, more than "
+       "16777218 (2 per edge plus 2^24 isolated vertices)"},
+      {"# nodes 4000000000\n0 1 0.5\n",
+       "big.edges:1: node count 4000000000 is more than 16777218 (2 per "
+       "edge plus 2^24 isolated vertices)"},
+      // One past the limit.
+      {"# nodes 16777219\n0 1 0.5\n",
+       "big.edges:1: node count 16777219 is more than 16777218 (2 per edge "
+       "plus 2^24 isolated vertices)"},
+      // The first line with the max id; the last header.
+      {"0 1 0.5\n\n5 20000000 0.5\n1 20000000 0.5\n",
+       "big.edges:3: node id 20000000 makes 20000001 nodes, more than "
+       "16777222 (2 per edge plus 2^24 isolated vertices)"},
+      {"# nodes 5\n0 1 0.5\n# nodes 3000000000\n",
+       "big.edges:3: node count 3000000000 is more than 16777218 (2 per "
+       "edge plus 2^24 isolated vertices)"},
+  };
+  for (const auto& [text, message] : cases) {
+    const Result<UncertainGraph> got = ParseEdgeList(text, "big.edges");
+    ASSERT_FALSE(got.ok()) << Escaped(text);
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(got.status().message(), message);
+  }
+  // Isolated vertices within the limit still load.
+  const Result<UncertainGraph> sparse =
+      ParseEdgeList("# nodes 100000\n0 1 0.5\n", "big.edges");
+  ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+  EXPECT_EQ(sparse->num_nodes(), 100000u);
+}
+
 TEST(IoParserTest, NulByteDoesNotEndAToken) {
   const std::string text("0 1\0junk 0.5\n", 13);
   const Result<UncertainGraph> old = OracleParse(text, "nul.edges");

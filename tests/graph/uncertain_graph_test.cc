@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -183,6 +184,53 @@ TEST(WithProbabilitiesTest, MatchesBuilderOnStar) {
   std::vector<std::pair<NodeId, NodeId>> edges;
   for (NodeId leaf = 300; leaf > 0; --leaf) edges.emplace_back(leaf, 0);
   CheckReweightMatchesBuilder(301, edges, rng);
+}
+
+TEST(WithProbabilitiesTest, SharesTheTopologyAndOutlivesTheInput) {
+  // A path with chords to vertex 0.
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 1; v < 200; ++v) {
+    edges.emplace_back(v - 1, v);
+    if (v % 3 == 0) edges.emplace_back(0, v);
+  }
+  auto input = std::make_unique<UncertainGraph>();
+  std::vector<const AdjEntry*> storage;
+  UncertainGraph reweighted;
+  UncertainGraph copy;
+  {
+    UncertainGraphBuilder builder(200);
+    for (const auto& [u, v] : edges) {
+      ASSERT_TRUE(builder.AddEdge(u, v, 0.5).ok());
+    }
+    Result<UncertainGraph> built = std::move(builder).Build();
+    ASSERT_TRUE(built.ok());
+    *input = *std::move(built);
+    Result<UncertainGraph> fresh =
+        input->WithProbabilities(std::vector<double>(input->num_edges(), 0.25));
+    ASSERT_TRUE(fresh.ok());
+    reweighted = *std::move(fresh);
+    copy = *input;
+    for (NodeId v = 0; v < input->num_nodes(); ++v) {
+      storage.push_back(input->Neighbors(v).data());
+      EXPECT_EQ(reweighted.Neighbors(v).data(), storage.back()) << v;
+      EXPECT_EQ(copy.Neighbors(v).data(), storage.back()) << v;
+    }
+  }
+  // The shared topology lives as long as any graph that uses it.
+  input.reset();
+  copy = UncertainGraph();
+  std::size_t degree_sum = 0;
+  for (NodeId v = 0; v < reweighted.num_nodes(); ++v) {
+    EXPECT_EQ(reweighted.Neighbors(v).data(), storage[v]) << v;
+    for (const AdjEntry& entry : reweighted.Neighbors(v)) {
+      EXPECT_TRUE(reweighted.edge(entry.edge).u == v ||
+                  reweighted.edge(entry.edge).v == v);
+      ++degree_sum;
+    }
+    EXPECT_EQ(reweighted.expected_degree(v),
+              0.25 * static_cast<double>(reweighted.Neighbors(v).size()));
+  }
+  EXPECT_EQ(degree_sum, 2 * reweighted.num_edges());
 }
 
 TEST(UnionFindTest, UnionAndComponents) {

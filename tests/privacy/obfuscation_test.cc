@@ -123,23 +123,6 @@ TEST(VerifyObfuscationTest, StructuralAdversaryOnDeterministicGraph) {
   EXPECT_EQ(AdversaryModelName(cert->adversary), "structural_degree");
 }
 
-TEST(VerifyObfuscationTest, ReusedDistributionsMatchInternalBuild) {
-  const UncertainGraph g = MakeStar9();
-  ObfuscationOptions options;
-  options.k = 8.0;
-  options.epsilon = 0.05;
-  const std::vector<DegreeDistribution> dists = BuildDegreeDistributions(g);
-  const Result<ObfuscationCertificate> reused =
-      VerifyObfuscation(g, dists, options);
-  const Result<ObfuscationCertificate> internal = VerifyObfuscation(g, options);
-  ASSERT_TRUE(reused.ok());
-  ASSERT_TRUE(internal.ok());
-  EXPECT_EQ(reused->not_obfuscated, internal->not_obfuscated);
-  EXPECT_EQ(reused->epsilon_hat, internal->epsilon_hat);
-  EXPECT_EQ(reused->min_entropy_bits, internal->min_entropy_bits);
-  EXPECT_EQ(reused->mean_entropy_bits, internal->mean_entropy_bits);
-}
-
 TEST(VerifyObfuscationTest, KeepPerVertexOffOmitsRows) {
   const UncertainGraph g = MakeCycle12();
   ObfuscationOptions options;
@@ -346,6 +329,86 @@ TEST(VerifyObfuscationTest, EntropyIsFixedAndExposureGrowsWithK) {
   }
   // The sweep must cross the graph's entropies, not sit below them all.
   EXPECT_LT(first->not_obfuscated, previous_exposed);
+}
+
+/// 3,000 vertices of which every third has no edge, including the last
+/// ones; the rest form a path with random chords.
+UncertainGraph MakeGraphWithIsolatedVertices() {
+  constexpr NodeId kNodes = 3000;
+  Rng rng(99);
+  UncertainGraphBuilder builder(kNodes);
+  std::vector<NodeId> linked;
+  for (NodeId v = 0; v < kNodes - 10; ++v) {
+    if (v % 3 != 2) linked.push_back(v);
+  }
+  for (std::size_t i = 1; i < linked.size(); ++i) {
+    EXPECT_TRUE(
+        builder.AddEdge(linked[i - 1], linked[i], rng.Uniform(0.05, 0.95))
+            .ok());
+  }
+  for (std::size_t i = 0; i + 2 < linked.size(); i += 2) {
+    const std::size_t j = i + 2 + rng.UniformInt(linked.size() - i - 2);
+    (void)builder.AddEdge(linked[i], linked[j], rng.Uniform(0.05, 0.95));
+  }
+  Result<UncertainGraph> g = std::move(builder).Build();
+  EXPECT_TRUE(g.ok());
+  return *std::move(g);
+}
+
+TEST(VerifyObfuscationTest, ReusedDistributionsMatchInternalBuild) {
+  // The one-graph overload builds each block's PMFs in scratch; its
+  // certificate must equal BuildDegreeDistributions + the overload that
+  // takes them, bit for bit.
+  const UncertainGraph graphs[] = {MakeStar9(), MakeHubGraph(),
+                                   MakeGraphWithIsolatedVertices()};
+  ASSERT_TRUE(graphs[2].Neighbors(2).empty());
+  ASSERT_TRUE(graphs[2].Neighbors(graphs[2].num_nodes() - 1).empty());
+  for (const UncertainGraph& g : graphs) {
+    const std::vector<DegreeDistribution> dists =
+        BuildDegreeDistributions(g, 2);
+    std::size_t exposed = 0;
+    for (const auto& [adversary, k] :
+         {std::pair{AdversaryModel::kRoundedExpectedDegree, 16.0},
+          std::pair{AdversaryModel::kRoundedExpectedDegree, 1024.0},
+          std::pair{AdversaryModel::kStructuralDegree, 16.0},
+          std::pair{AdversaryModel::kStructuralDegree, 1024.0}}) {
+      for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE(testing::Message()
+                     << g.num_nodes() << " vertices, "
+                     << AdversaryModelName(adversary) << ", k " << k
+                     << ", threads " << threads);
+        ObfuscationOptions options;
+        options.k = k;
+        options.epsilon = 0.5;
+        options.adversary = adversary;
+        options.threads = threads;
+        const Result<ObfuscationCertificate> want =
+            VerifyObfuscation(g, dists, options);
+        const Result<ObfuscationCertificate> got =
+            VerifyObfuscation(g, options);
+        ASSERT_TRUE(want.ok());
+        ASSERT_TRUE(got.ok());
+        ASSERT_EQ(got->per_vertex.size(), want->per_vertex.size());
+        for (std::size_t v = 0; v < want->per_vertex.size(); ++v) {
+          const VertexObfuscation& a = got->per_vertex[v];
+          const VertexObfuscation& b = want->per_vertex[v];
+          ASSERT_EQ(a.vertex, b.vertex);
+          ASSERT_EQ(a.omega, b.omega) << "vertex " << v;
+          ASSERT_EQ(a.entropy_bits, b.entropy_bits) << "vertex " << v;
+          ASSERT_EQ(a.k_anonymity, b.k_anonymity) << "vertex " << v;
+          ASSERT_EQ(a.obfuscated, b.obfuscated) << "vertex " << v;
+        }
+        EXPECT_EQ(got->not_obfuscated, want->not_obfuscated);
+        EXPECT_EQ(got->epsilon_hat, want->epsilon_hat);
+        EXPECT_EQ(got->min_entropy_bits, want->min_entropy_bits);
+        EXPECT_EQ(got->mean_entropy_bits, want->mean_entropy_bits);
+        EXPECT_EQ(got->distinct_omegas, want->distinct_omegas);
+        exposed += got->not_obfuscated;
+      }
+    }
+    // Some vertices must sit below the log₂k line for the rows to differ.
+    EXPECT_GT(exposed, 0u);
+  }
 }
 
 TEST(VerifyObfuscationTest, RejectsBadArguments) {
