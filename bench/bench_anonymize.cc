@@ -6,9 +6,10 @@
 // Covers the hot paths of the Chameleon core on fixed-seed graphs: the
 // reused-sampling reliability-relevance sweep (the O(N·α·|E|) inner loop
 // of RSME/RS) serial vs 8 workers on a sparse graph and serial on a
-// dense one, one full GenObf attempt (candidate selection + perturbation
-// + verification — the unit of the σ search) on a sparse and a dense
-// graph, and the truncated-normal sampler the perturbation leans on.
+// dense one, one planned GenObf attempt (candidate selection +
+// perturbation + verification — the unit the σ search repeats) on a
+// sparse and a dense graph, and the truncated-normal sampler the
+// perturbation leans on.
 
 #include <cstdint>
 #include <vector>
@@ -79,41 +80,44 @@ void BM_RelevanceDense2k(bench::BenchContext& context) {
 CHAMELEON_BENCHMARK(BM_RelevanceDense2k);
 
 // --------------------------------------------------------------------------
-// gen_obf_attempt_er_2k / _dense_2k: one full GenObf attempt at a fixed σ —
-// hardest-vertex exclusion, Q-weighted candidate sampling, perturbation,
-// and the (k,ε) verification — the repeated unit of the σ search, on one
-// worker. On the sparse graph (mean degree 8) selection and perturbation
-// weigh most; on the dense one (mean degree 100) the degree PMFs the
-// verifier builds, O(Σ deg²), dominate. Uniqueness and priorities are
-// precomputed once per process, as the driver amortizes them across
-// attempts, so the timed region is the attempt alone.
+// gen_obf_attempt_er_2k / _dense_2k: one GenObf attempt at a fixed σ —
+// Q-weighted candidate sampling, perturbation, and the (k,ε)
+// verification — the unit the σ search repeats, on one worker. On the
+// sparse graph (mean degree 8) selection and perturbation weigh most; on
+// the dense one (mean degree 100) the degree PMFs the verifier builds,
+// O(Σ deg²), dominate. Uniqueness, priorities and the plan (the
+// hardest-vertex exclusion and the eligible edges) are built once per
+// process, as the driver builds them once per search, so the timed
+// region is the attempt alone.
 // --------------------------------------------------------------------------
 struct AttemptFixture {
+  anonymize::GenObfOptions options;
   graph::UncertainGraph graph;
-  std::vector<double> scores;
   std::vector<double> priorities;
+  anonymize::GenObfPlan plan;
   explicit AttemptFixture(double avg_degree)
       : graph(bench::SeededGraph(2000, avg_degree)) {
+    options.k = 64.0;
+    options.epsilon = 0.01;
+    options.threads = 1;
     privacy::UniquenessOptions uniq_options;
     uniq_options.threads = 1;
-    scores = privacy::ComputeUniqueness(graph, uniq_options).value().scores;
+    const std::vector<double> scores =
+        privacy::ComputeUniqueness(graph, uniq_options).value().scores;
     priorities = anonymize::ComputeEdgePriorities(graph, scores, {}).value();
+    plan = anonymize::PlanGenObf(graph, scores, options).value();
   }
 };
 
 void RunGenObfAttempt(bench::BenchContext& context,
                       const AttemptFixture& fixture) {
-  anonymize::GenObfOptions options;
-  options.k = 64.0;
-  options.epsilon = 0.01;
-  options.threads = 1;
   context.SetItemsPerIteration(fixture.graph.num_edges());
   std::uint64_t attempt = 0;
   for (std::uint64_t i = 0; i < context.iterations(); ++i) {
     Rng rng(kSeed + attempt++);
     const auto result =
-        anonymize::GenObf(fixture.graph, fixture.scores, fixture.priorities,
-                          0.05, options, rng);
+        anonymize::GenObf(fixture.graph, fixture.plan, fixture.priorities,
+                          0.05, fixture.options, rng);
     bench::DoNotOptimize(result.value().certificate.epsilon_hat);
   }
 }

@@ -66,6 +66,59 @@ BenchResult GateRow(std::string name, std::size_t iterations,
   return row;
 }
 
+/// The timing loop both gate rules share, and every number either reads.
+GateVerdict TimePairedArms(std::string baseline_name, const GateArm& baseline,
+                           std::string candidate_name,
+                           const GateArm& candidate, int reps) {
+  std::size_t iterations = 1;
+  for (;;) {
+    const double ns = baseline(iterations);
+    if (ns >= kGateRepNanos / 2.0 || iterations >= kMaxIterations) {
+      iterations = static_cast<std::size_t>(
+          static_cast<double>(iterations) *
+          std::max(1.0, kGateRepNanos / std::max(ns, 1.0)));
+      break;
+    }
+    iterations *= 2;
+  }
+
+  std::vector<double> baseline_ns;
+  std::vector<double> candidate_ns;
+  for (int rep = 0; rep < std::max(reps, 1); ++rep) {
+    baseline_ns.push_back(baseline(iterations));
+    candidate_ns.push_back(candidate(iterations));
+  }
+
+  GateVerdict verdict;
+  verdict.baseline = GateRow(std::move(baseline_name), iterations, baseline_ns);
+  verdict.candidate =
+      GateRow(std::move(candidate_name), iterations, candidate_ns);
+  const double baseline_median = Median(baseline_ns);
+  const double candidate_median = Median(candidate_ns);
+  verdict.delta_ns = candidate_median - baseline_median;
+  verdict.overhead =
+      baseline_median > 0.0 ? verdict.delta_ns / baseline_median : 0.0;
+  verdict.noise_ns =
+      3.0 * std::max(MedianAbsDeviation(baseline_ns, baseline_median),
+                     MedianAbsDeviation(candidate_ns, candidate_median));
+  verdict.speedup =
+      candidate_median > 0.0 ? baseline_median / candidate_median : 0.0;
+  return verdict;
+}
+
+/// Why a verdict failed, for the `FAIL: gate <name>:` line on stderr.
+std::string GateFailure(const GateVerdict& verdict) {
+  if (verdict.min_speedup > 0.0) {
+    return StrFormat("speedup %.2fx is below the %.2fx floor",
+                     verdict.speedup, verdict.min_speedup);
+  }
+  return StrFormat(
+      "overhead %+.2f%% exceeds the %.2f%% budget and the delta %+.3f ms "
+      "exceeds the %.3f ms noise floor",
+      verdict.overhead * 100.0, verdict.budget * 100.0,
+      verdict.delta_ns * 1e-6, verdict.noise_ns * 1e-6);
+}
+
 }  // namespace
 
 double Median(std::vector<double> values) {
@@ -194,41 +247,29 @@ graph::UncertainGraph SeededGraph(NodeId nodes, double avg_degree) {
 GateVerdict RunPairedGate(std::string baseline_name, const GateArm& baseline,
                           std::string candidate_name, const GateArm& candidate,
                           double budget, int reps) {
-  std::size_t iterations = 1;
-  for (;;) {
-    const double ns = baseline(iterations);
-    if (ns >= kGateRepNanos / 2.0 || iterations >= kMaxIterations) {
-      iterations = static_cast<std::size_t>(
-          static_cast<double>(iterations) *
-          std::max(1.0, kGateRepNanos / std::max(ns, 1.0)));
-      break;
-    }
-    iterations *= 2;
-  }
-
-  std::vector<double> baseline_ns;
-  std::vector<double> candidate_ns;
-  for (int rep = 0; rep < std::max(reps, 1); ++rep) {
-    baseline_ns.push_back(baseline(iterations));
-    candidate_ns.push_back(candidate(iterations));
-  }
-
-  GateVerdict verdict;
-  verdict.baseline = GateRow(std::move(baseline_name), iterations, baseline_ns);
-  verdict.candidate =
-      GateRow(std::move(candidate_name), iterations, candidate_ns);
-  const double baseline_median = Median(baseline_ns);
-  const double candidate_median = Median(candidate_ns);
+  GateVerdict verdict = TimePairedArms(std::move(baseline_name), baseline,
+                                       std::move(candidate_name), candidate,
+                                       reps);
   verdict.budget = budget;
-  verdict.delta_ns = candidate_median - baseline_median;
-  verdict.overhead =
-      baseline_median > 0.0 ? verdict.delta_ns / baseline_median : 0.0;
-  verdict.noise_ns =
-      3.0 * std::max(MedianAbsDeviation(baseline_ns, baseline_median),
-                     MedianAbsDeviation(candidate_ns, candidate_median));
   verdict.passed =
       !(verdict.overhead > budget && verdict.delta_ns > verdict.noise_ns);
   return verdict;
+}
+
+GateOutcome RunSpeedupGate(std::string baseline_name, const GateArm& baseline,
+                           std::string candidate_name,
+                           const GateArm& candidate, double min_speedup,
+                           int workers, int cpus, int reps) {
+  if (cpus < workers) {
+    return GateOutcome{{}, StrFormat("needs %d CPUs, this process may use %d",
+                                     workers, cpus)};
+  }
+  GateVerdict verdict = TimePairedArms(std::move(baseline_name), baseline,
+                                       std::move(candidate_name), candidate,
+                                       reps);
+  verdict.min_speedup = min_speedup;
+  verdict.passed = verdict.speedup >= min_speedup;
+  return GateOutcome{std::move(verdict), {}};
 }
 
 std::string FormatGateVerdict(std::string_view gate,
@@ -245,6 +286,11 @@ std::string FormatGateVerdict(std::string_view gate,
     out += StrFormat("  %-40s median %10.3f ms (MAD %.3f ms)\n",
                      row->name.c_str(), ms_per_rep(row->median_ns),
                      ms_per_rep(row->mad_ns));
+  }
+  if (verdict.min_speedup > 0.0) {
+    return out + StrFormat("  speedup %.2fx (floor %.2fx): %s\n",
+                           verdict.speedup, verdict.min_speedup,
+                           verdict.passed ? "PASS" : "FAIL");
   }
   out += StrFormat(
       "  overhead %+.2f%% (budget %.2f%%), delta %+.3f ms (noise floor "
@@ -324,13 +370,8 @@ int Main(int argc, char** argv, std::string_view suite) {
     std::fprintf(stdout, "%s", FormatGateVerdict(name, verdict).c_str());
     std::fflush(stdout);
     if (!verdict.passed) {
-      std::fprintf(stderr,
-                   "FAIL: gate %s: overhead %+.2f%% exceeds the %.2f%% "
-                   "budget and the delta %+.3f ms exceeds the %.3f ms "
-                   "noise floor\n",
-                   name.c_str(), verdict.overhead * 100.0,
-                   verdict.budget * 100.0, verdict.delta_ns * 1e-6,
-                   verdict.noise_ns * 1e-6);
+      std::fprintf(stderr, "FAIL: gate %s: %s\n", name.c_str(),
+                   GateFailure(verdict).c_str());
       ++failed;
     }
     rows.push_back(verdict.baseline);

@@ -25,8 +25,9 @@
 /// repetition exceeds `min_rep_seconds`), warmed up, then timed for
 /// `reps` repetitions; the reported statistic is the median ns/iteration
 /// with the median absolute deviation (MAD) as the robust noise measure
-/// the diff gate uses. An overhead gate times two arms of the same loop
-/// under the paired rule of RunPairedGate. The canonical
+/// the diff gate uses. A gate times two arms of the same loop, alternating
+/// rep by rep, and judges them by the overhead rule of RunPairedGate or
+/// the speedup rule of RunSpeedupGate. The canonical
 /// `BENCH_<suite>.json` embeds the same build/host provenance as a
 /// RunManifest so a number can always be traced to the exact SHA +
 /// compiler + host that produced it.
@@ -118,7 +119,8 @@ std::vector<graph::UncertainEdge> SeededEdges(NodeId nodes,
 graph::UncertainGraph SeededGraph(NodeId nodes, double avg_degree);
 
 // --------------------------------------------------------------------------
-// Paired overhead gates (chameleon_bench_overhead).
+// Paired gates: the overhead gates (chameleon_bench_overhead) and the
+// verifier's speedup gate (chameleon_bench_privacy).
 // --------------------------------------------------------------------------
 
 /// One arm of a gate: runs its loop `iterations` times and returns the
@@ -129,8 +131,8 @@ using GateArm = std::function<double(std::size_t iterations)>;
 /// A gate's reps are calibrated on its baseline arm to about this long.
 inline constexpr double kGateRepNanos = 150e6;
 
-/// The paired rule's verdict. The rows hold ns per iteration, like every
-/// BENCH row; the rule itself reads per-rep medians.
+/// A gate's verdict. The rows hold ns per iteration, like every BENCH
+/// row; the rules themselves read per-rep medians.
 struct GateVerdict {
   BenchResult baseline;
   BenchResult candidate;
@@ -138,7 +140,12 @@ struct GateVerdict {
   double overhead = 0.0;  ///< (candidate − baseline) / baseline, medians
   double delta_ns = 0.0;  ///< candidate − baseline median, per rep
   double noise_ns = 0.0;  ///< 3 × the worse arm's MAD, per rep
-  bool passed = true;     ///< false iff overhead > budget and delta > noise
+  double speedup = 0.0;   ///< baseline / candidate, medians
+  /// The speedup rule's floor; 0 under the overhead rule.
+  double min_speedup = 0.0;
+  /// Overhead rule: false iff overhead > budget and delta > noise.
+  /// Speedup rule: false iff speedup < min_speedup.
+  bool passed = true;
 };
 
 /// The paired rule: grow the iteration count on `baseline` until a rep
@@ -152,18 +159,30 @@ GateVerdict RunPairedGate(std::string baseline_name, const GateArm& baseline,
                           double budget, int reps);
 
 /// Verdict lines for stdout: both arms' per-rep medians and MADs, then
-/// the overhead against the budget and the noise floor, and PASS or FAIL.
+/// the overhead against the budget and the noise floor (or the speedup
+/// against its floor), and PASS or FAIL.
 std::string FormatGateVerdict(std::string_view gate,
                               const GateVerdict& verdict);
 
 /// What a registered gate returns: its verdict, or a note saying why the
-/// engine it times cannot start in this build (OBS=OFF, a sanitizer),
-/// which skips the gate without failing it. A non-OK status from the
-/// gate is a failed check.
+/// gate cannot run here (an engine compiled out or refused under a
+/// sanitizer, too few CPUs for a speedup), which skips the gate without
+/// failing it. A non-OK status from the gate is a failed check.
 struct GateOutcome {
   GateVerdict verdict;
   std::string skipped;
 };
+
+/// The speedup rule, on RunPairedGate's timing loop: `baseline` runs the
+/// workload on one worker and `candidate` on `workers`, and the gate
+/// fails iff the baseline's median rep over the candidate's is below
+/// `min_speedup`. No noise floor excuses a miss. Skipped, with neither
+/// arm run, when `cpus` (the CPUs the process may use) is below
+/// `workers`, where no speedup is possible.
+GateOutcome RunSpeedupGate(std::string baseline_name, const GateArm& baseline,
+                           std::string candidate_name,
+                           const GateArm& candidate, double min_speedup,
+                           int workers, int cpus, int reps);
 
 using GateFn = std::function<Result<GateOutcome>(int reps)>;
 

@@ -8,8 +8,8 @@
 // flow into `hw_counters` JSONL records, a /statusz table, and
 // chameleon_-prefixed /metricsz series. A toplev-lite classifier labels
 // each path frontend-bound / backend-memory-bound / compute-bound /
-// balanced so obs_dump --hw and chameleon_scaling can diagnose poor
-// speedup instead of merely measuring it.
+// balanced so obs_dump --hw can diagnose poor speedup instead of merely
+// measuring it.
 //
 // Graceful degradation is the contract: perf_event_paranoid, seccomp,
 // or a missing PMU (typical CI containers) leave the engine inactive
@@ -186,7 +186,7 @@ void AccumulateHwPath(const std::string& stripped_path,
 /// Snapshot of every path aggregate, sorted by path.
 std::vector<HwPathAggregate> HwPathAggregates();
 
-/// Clears the aggregates (chameleon_scaling resets between sweep rows).
+/// Clears the aggregates (tests reset between cases).
 void ResetHwPathAggregates();
 
 /// Total spans that contributed a valid delta — guard counter for the

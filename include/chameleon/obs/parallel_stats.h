@@ -29,7 +29,7 @@
 ///  - the metrics registry (per-region-name busy/idle/overhead counters
 ///    plus a wall-time histogram, surfaced on /metricsz);
 ///  - an in-process cumulative aggregate table (the /statusz "parallel
-///    regions" section and tools/chameleon_scaling read it directly).
+///    regions" section reads it directly).
 ///
 /// Fatal signals: in-flight regions register themselves (relaxed atomics
 /// updated per claimed block) so FinalizeRun can flush one well-formed
@@ -135,25 +135,17 @@ struct ParallelRegionAggregate {
   std::uint64_t last_requested = 0;
   std::uint64_t last_workers = 0;
   double max_imbalance = 0.0;
-  /// Hardware-counter sums over all workers of all folded regions (zero
-  /// when the hw engine was off) — chameleon_scaling derives per-row IPC
-  /// and cache-miss-rate columns from these.
-  std::uint64_t hw_cycles = 0;
-  std::uint64_t hw_instructions = 0;
-  std::uint64_t hw_cache_references = 0;
-  std::uint64_t hw_cache_misses = 0;
 };
 
 /// Snapshot of the aggregate table, sorted by name. The /statusz
-/// "parallel regions" section and chameleon_scaling's sweep deltas read
-/// this.
+/// "parallel regions" section reads this.
 std::vector<ParallelRegionAggregate> ParallelRegionAggregates();
 
 /// Total `parallel_region` records ever recorded (relaxed counter;
 /// partial signal-time records do not count).
 std::uint64_t ParallelRegionsRecorded();
 
-/// Test/tool hook: clears the cumulative aggregate table.
+/// Test hook: clears the cumulative aggregate table.
 void ResetParallelRegionAggregates();
 
 /// Writes one partial `parallel_region` record ("partial":true, with

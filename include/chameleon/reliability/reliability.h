@@ -30,10 +30,10 @@ struct MonteCarloOptions {
   /// Emit a throttled progress heartbeat for the world loop.
   bool heartbeat = true;
   /// Opt-in early stop: halt once the 95% CI half-width reaches this
-  /// absolute value (0 = rule off).
+  /// absolute value (0 = rule off; must be finite and >= 0).
   double target_ci_halfwidth = 0.0;
   /// Opt-in early stop: halt once half-width <= max_rel_err * |mean|
-  /// (0 = rule off).
+  /// (0 = rule off; must be finite and >= 0).
   double max_rel_err = 0.0;
   /// No stopping decision before this many worlds.
   std::size_t min_samples = 100;
@@ -50,7 +50,9 @@ struct ReliabilityEstimate {
 };
 
 /// P[s ~ t]: fraction of sampled worlds where s and t are connected.
-/// InvalidArgument when a terminal is out of range or worlds == 0.
+/// InvalidArgument when a terminal is out of range, worlds == 0 or a
+/// stopping rule is NaN, infinite or negative (every estimator checks
+/// its options the same way).
 Result<ReliabilityEstimate> EstimateTwoTerminalReliability(
     const graph::UncertainGraph& graph, NodeId source, NodeId target,
     const MonteCarloOptions& options, Rng& rng);

@@ -2,7 +2,6 @@
 """Validates hardware-counter telemetry in a chameleon metrics JSONL.
 
 Usage: check_hw.py <metrics.jsonl> [--expect=available|unavailable|auto]
-           [--scaling=scaling.json]
 
 The exactly-one-of contract: a run holds either >= 1 "hw_counters"
 record (counters were live) or exactly one "hw_counters_unavailable"
@@ -13,13 +12,8 @@ auto (the default) accepts either side but still enforces the contract.
 Every hw_counters record must carry the full schema: path, backend in
 {perf, emulated}, class in the toplev-lite enum, non-negative integer
 counters, and derived rates consistent with the raw counters
-(ipc ~ instructions/cycles and so on).
-
---scaling=scaling.json additionally validates a chameleon_scaling sweep:
-every row carries "ipc" and "cache_miss_rate" keys (numbers when hw was
-live, null otherwise) and the top level carries a "bandwidth_verdict"
-string. Exits 0 on success, 1 on a validation failure, 2 on usage
-errors.
+(ipc ~ instructions/cycles and so on). Exits 0 on success, 1 on a
+validation failure, 2 on usage errors.
 """
 import json
 import sys
@@ -43,7 +37,6 @@ COUNTER_FIELDS = (
     "task_clock_ns",
 )
 RATE_FIELDS = ("ipc", "cache_miss_rate", "branch_miss_rate")
-VERDICTS = {"bandwidth-saturated", "no-saturation", "unavailable"}
 
 
 def fail(message: str) -> int:
@@ -87,38 +80,6 @@ def check_record(path: str, lineno: int, obj: dict) -> str | None:
     return None
 
 
-def check_scaling(path: str) -> int:
-    try:
-        with open(path, encoding="utf-8") as stream:
-            doc = json.load(stream)
-    except (OSError, json.JSONDecodeError) as err:
-        return fail(f"{path}: unreadable scaling json: {err}")
-    verdict = doc.get("bandwidth_verdict")
-    if verdict not in VERDICTS:
-        return fail(f"{path}: bandwidth_verdict {verdict!r} not in "
-                    f"{sorted(VERDICTS)}")
-    rows = doc.get("rows")
-    if not isinstance(rows, list) or not rows:
-        return fail(f"{path}: no sweep rows")
-    hw_rows = 0
-    for i, row in enumerate(rows):
-        for key in ("ipc", "cache_miss_rate"):
-            if key not in row:
-                return fail(f"{path}: row {i} is missing {key!r}")
-            value = row[key]
-            if value is not None and not isinstance(value, (int, float)):
-                return fail(f"{path}: row {i} {key}={value!r} is neither "
-                            f"a number nor null")
-        if row["ipc"] is not None:
-            hw_rows += 1
-    if verdict != "unavailable" and hw_rows == 0:
-        return fail(f"{path}: verdict {verdict!r} but no row carries hw "
-                    f"data")
-    print(f"{path}: {len(rows)} rows ({hw_rows} with hw data), "
-          f"bandwidth_verdict={verdict}")
-    return 0
-
-
 def main() -> int:
     args = [a for a in sys.argv[1:] if not a.startswith("--")]
     opts = [a for a in sys.argv[1:] if a.startswith("--")]
@@ -127,15 +88,12 @@ def main() -> int:
         return 2
     path = args[0]
     expect = "auto"
-    scaling = None
     for opt in opts:
         if opt.startswith("--expect="):
             expect = opt.split("=", 1)[1]
             if expect not in ("available", "unavailable", "auto"):
                 print(__doc__, file=sys.stderr)
                 return 2
-        elif opt.startswith("--scaling="):
-            scaling = opt.split("=", 1)[1]
         else:
             print(__doc__, file=sys.stderr)
             return 2
@@ -188,9 +146,6 @@ def main() -> int:
     else:
         print(f"{path}: counters unavailable "
               f"({unavailable[0].get('reason')})")
-
-    if scaling is not None:
-        return check_scaling(scaling)
     return 0
 
 

@@ -189,12 +189,6 @@ void RecordParallelRegion(const ParallelRegionStats& stats) {
     agg.last_requested = stats.requested;
     agg.last_workers = stats.workers;
     agg.max_imbalance = std::max(agg.max_imbalance, stats.Imbalance());
-    if (const HwCounterDelta hw = stats.HwTotals(); hw.valid) {
-      agg.hw_cycles += hw.cycles;
-      agg.hw_instructions += hw.instructions;
-      agg.hw_cache_references += hw.cache_references;
-      agg.hw_cache_misses += hw.cache_misses;
-    }
   }
 }
 

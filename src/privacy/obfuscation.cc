@@ -37,9 +37,9 @@ std::size_t AdversaryValue(const graph::UncertainGraph& graph, NodeId v,
 }
 
 Status ValidateOptions(const ObfuscationOptions& options) {
-  if (!(options.k > 1.0)) {
+  if (!(options.k > 1.0 && std::isfinite(options.k))) {
     return Status::InvalidArgument(
-        StrFormat("k = %g must be greater than 1", options.k));
+        StrFormat("k = %g must be finite and greater than 1", options.k));
   }
   if (!(options.epsilon >= 0.0 && options.epsilon <= 1.0)) {
     return Status::InvalidArgument(

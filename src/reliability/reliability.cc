@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "chameleon/graph/union_find.h"
 #include "chameleon/obs/convergence.h"
@@ -54,6 +55,16 @@ Status ValidateTerminals(const graph::UncertainGraph& graph, NodeId source,
 Status ValidateOptions(const MonteCarloOptions& options) {
   if (options.worlds == 0) {
     return Status::InvalidArgument("worlds must be positive");
+  }
+  // NaN or a negative value would silently turn its rule off, and +inf
+  // would stop at min_samples whatever the interval.
+  for (const auto& [name, value] :
+       {std::pair{"target_ci_halfwidth", options.target_ci_halfwidth},
+        std::pair{"max_rel_err", options.max_rel_err}}) {
+    if (!(std::isfinite(value) && value >= 0.0)) {
+      return Status::InvalidArgument(
+          StrFormat("%s = %g must be finite and >= 0", name, value));
+    }
   }
   return Status::OK();
 }

@@ -292,6 +292,18 @@ TEST(PairedGateTest, CalibratesTheBaselineToAboutAHundredFiftyMs) {
   EXPECT_TRUE(verdict.passed);
 }
 
+/// Runs Main on the gates and benchmarks matching `filter`, three reps,
+/// writing the BENCH file to `path`.
+int RunMain(const std::string& filter, const std::string& path) {
+  std::string filter_flag = "--filter=" + filter;
+  std::string out_flag = "--out=" + path;
+  std::string reps_flag = "--reps=3";
+  char name[] = "chameleon_bench_test";
+  char* argv[] = {name, filter_flag.data(), out_flag.data(),
+                  reps_flag.data()};
+  return Main(4, argv, "test");
+}
+
 TEST(PairedGateTest, MainRunsRegisteredGatesIntoOneBenchFile) {
   RegisterGate("main_gate_pass", [](int reps) -> Result<GateOutcome> {
     return GateOutcome{RunPairedGate("BM_PassBase", ScriptedArm({150e6}),
@@ -312,20 +324,11 @@ TEST(PairedGateTest, MainRunsRegisteredGatesIntoOneBenchFile) {
     return Status::Internal("the dormant arm recorded events");
   });
 
-  const auto run = [](const std::string& filter, const std::string& path) {
-    std::string filter_flag = "--filter=" + filter;
-    std::string out_flag = "--out=" + path;
-    std::string reps_flag = "--reps=3";
-    char name[] = "chameleon_bench_test";
-    char* argv[] = {name, filter_flag.data(), out_flag.data(),
-                    reps_flag.data()};
-    return Main(4, argv, "test");
-  };
   const std::string path = testing::TempDir() + "/bench_gates.json";
   // A filter that matches nothing is an error.
-  EXPECT_EQ(run("no_such_gate", path), 1);
+  EXPECT_EQ(RunMain("no_such_gate", path), 1);
   // A passing gate exits 0 and leaves its rows under its arms' names.
-  EXPECT_EQ(run("main_gate_pass", path), 0);
+  EXPECT_EQ(RunMain("main_gate_pass", path), 0);
   Result<BenchSuite> loaded = LoadBenchFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->benchmarks.size(), 2u);
@@ -333,15 +336,100 @@ TEST(PairedGateTest, MainRunsRegisteredGatesIntoOneBenchFile) {
   EXPECT_EQ(loaded->benchmarks[1].name, "BM_PassHooked");
   EXPECT_EQ(loaded->benchmarks[0].reps, 3);
   // A skipped gate is not a failure.
-  EXPECT_EQ(run("main_gate_skip", path), 0);
+  EXPECT_EQ(RunMain("main_gate_skip", path), 0);
   // A failed rule (whose rows are still written) and a failed check each
   // exit 1.
-  EXPECT_EQ(run("main_gate_fail", path), 1);
+  EXPECT_EQ(RunMain("main_gate_fail", path), 1);
   loaded = LoadBenchFile(path);
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->benchmarks.size(), 2u);
   EXPECT_EQ(loaded->benchmarks[1].name, "BM_FailHooked");
-  EXPECT_EQ(run("main_gate_check", path), 1);
+  EXPECT_EQ(RunMain("main_gate_check", path), 1);
+}
+
+TEST(SpeedupGateTest, PassesAtOrAboveTheFloor) {
+  // 150 ms on one worker, 100 ms on two: 1.5x against a 1.3x floor.
+  GateOutcome outcome =
+      RunSpeedupGate("BM_Serial", ScriptedArm({150e6}), "BM_TwoWorkers",
+                     ScriptedArm({100e6}), 1.3, 2, 4, 9);
+  ASSERT_TRUE(outcome.skipped.empty());
+  EXPECT_TRUE(outcome.verdict.passed);
+  EXPECT_DOUBLE_EQ(outcome.verdict.speedup, 1.5);
+  EXPECT_DOUBLE_EQ(outcome.verdict.min_speedup, 1.3);
+  EXPECT_EQ(outcome.verdict.baseline.name, "BM_Serial");
+  EXPECT_EQ(outcome.verdict.candidate.name, "BM_TwoWorkers");
+  EXPECT_EQ(outcome.verdict.baseline.reps, 9);
+  EXPECT_NE(FormatGateVerdict("probe", outcome.verdict)
+                .find("speedup 1.50x (floor 1.30x): PASS"),
+            std::string::npos);
+  // Exactly at the floor passes: the gate fails only below it.
+  outcome = RunSpeedupGate("BM_Serial", ScriptedArm({130e6}), "BM_TwoWorkers",
+                           ScriptedArm({100e6}), 1.3, 2, 2, 9);
+  EXPECT_TRUE(outcome.verdict.passed);
+}
+
+TEST(SpeedupGateTest, FailsANoisyCandidateBelowTheFloor) {
+  // Medians 150 and 125 ms, a 1.2x speedup, with both arms swinging by
+  // 20 ms around them: a 60 ms noise floor. The 1.3x floor asks for a
+  // two-worker median of 115.4 ms, 9.6 ms under the measured one, so a
+  // noise-floor exemption would forgive the miss; the rule has none.
+  const GateOutcome outcome = RunSpeedupGate(
+      "BM_Serial", ScriptedArm({150e6, 130e6, 170e6}), "BM_TwoWorkers",
+      ScriptedArm({125e6, 105e6, 145e6}), 1.3, 2, 4, 9);
+  ASSERT_TRUE(outcome.skipped.empty());
+  EXPECT_NEAR(outcome.verdict.speedup, 1.2, 1e-12);
+  EXPECT_DOUBLE_EQ(outcome.verdict.noise_ns, 60e6);
+  EXPECT_LT(125e6 - 150e6 / 1.3, outcome.verdict.noise_ns);
+  EXPECT_FALSE(outcome.verdict.passed);
+  EXPECT_NE(FormatGateVerdict("probe", outcome.verdict)
+                .find("speedup 1.20x (floor 1.30x): FAIL"),
+            std::string::npos);
+}
+
+TEST(SpeedupGateTest, SkipsWithoutTimingOnTooFewCpus) {
+  int calls = 0;
+  const GateArm counted = [&calls](std::size_t iterations) {
+    ++calls;
+    return 150e6 * static_cast<double>(iterations);
+  };
+  const GateOutcome outcome = RunSpeedupGate(
+      "BM_Serial", counted, "BM_TwoWorkers", counted, 1.3, 2, 1, 9);
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(outcome.skipped, "needs 2 CPUs, this process may use 1");
+}
+
+TEST(SpeedupGateTest, MainNamesTheSpeedupAndTheFloor) {
+  RegisterGate("main_speedup_fail", [](int reps) -> Result<GateOutcome> {
+    return RunSpeedupGate("BM_SlowSerial", ScriptedArm({150e6}),
+                          "BM_SlowTwoWorkers", ScriptedArm({125e6}), 1.3, 2,
+                          4, reps);
+  });
+  RegisterGate("main_speedup_skip", [](int reps) -> Result<GateOutcome> {
+    return RunSpeedupGate("BM_LoneSerial", ScriptedArm({150e6}),
+                          "BM_LoneTwoWorkers", ScriptedArm({100e6}), 1.3, 2,
+                          1, reps);
+  });
+  const std::string path = testing::TempDir() + "/bench_speedup.json";
+
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(RunMain("main_speedup_fail", path), 1);
+  const std::string failure = testing::internal::GetCapturedStderr();
+  EXPECT_NE(failure.find("FAIL: gate main_speedup_fail: speedup 1.20x is "
+                         "below the 1.30x floor"),
+            std::string::npos)
+      << failure;
+  const Result<BenchSuite> loaded = LoadBenchFile(path);
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_EQ(loaded->benchmarks.size(), 2u);
+  EXPECT_EQ(loaded->benchmarks[1].name, "BM_SlowTwoWorkers");
+
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(RunMain("main_speedup_skip", path), 0);
+  const std::string skipped = testing::internal::GetCapturedStdout();
+  EXPECT_NE(skipped.find("gate main_speedup_skip: skipped (needs 2 CPUs, "
+                         "this process may use 1)"),
+            std::string::npos)
+      << skipped;
 }
 
 }  // namespace

@@ -416,6 +416,17 @@ TEST(VerifyObfuscationTest, RejectsBadArguments) {
   ObfuscationOptions options;
   options.k = 1.0;  // must be > 1
   EXPECT_FALSE(VerifyObfuscation(g, options).ok());
+  // ...and finite: no entropy reaches log2(inf), and a verdict's JSON
+  // cannot carry an infinite k.
+  for (const double k : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    options.k = k;
+    const Result<ObfuscationCertificate> cert = VerifyObfuscation(g, options);
+    ASSERT_FALSE(cert.ok());
+    EXPECT_EQ(cert.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(cert.status().message().find("k = "), std::string::npos)
+        << cert.status().ToString();
+  }
   options.k = 8.0;
   options.epsilon = 1.5;  // outside [0, 1]
   EXPECT_FALSE(VerifyObfuscation(g, options).ok());

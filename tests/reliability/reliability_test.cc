@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -345,6 +346,28 @@ TEST(TwoTerminalTest, InvalidArgumentsFail) {
   Rng rng(1);
   EXPECT_FALSE(TwoTerminalReliability(g, 0, 99, QuietOptions(10), rng).ok());
   EXPECT_FALSE(TwoTerminalReliability(g, 0, 2, QuietOptions(0), rng).ok());
+  // A stopping rule that is NaN, infinite or negative is named by every
+  // estimator before it draws a world: NaN or a negative rule used to
+  // switch itself off, and +inf stopped at min_samples.
+  const std::pair<double MonteCarloOptions::*, std::string> rules[] = {
+      {&MonteCarloOptions::target_ci_halfwidth, "target_ci_halfwidth"},
+      {&MonteCarloOptions::max_rel_err, "max_rel_err"}};
+  for (const auto& [rule, name] : rules) {
+    for (const double bad : {std::nan(""), -0.1, HUGE_VAL, -HUGE_VAL}) {
+      MonteCarloOptions options = QuietOptions(100);
+      options.*rule = bad;
+      Rng probe(1);
+      const Result<ReliabilityEstimate> two =
+          EstimateTwoTerminalReliability(g, 0, 2, options, probe);
+      ASSERT_FALSE(two.ok()) << name << " = " << bad;
+      EXPECT_EQ(two.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(two.status().message().find(name), std::string::npos)
+          << two.status().ToString();
+      EXPECT_EQ(probe(), Rng(1)()) << "sampled before rejecting " << name;
+      EXPECT_FALSE(PairSetReliability(g, {{0, 2}}, options, probe).ok());
+      EXPECT_FALSE(ExpectedConnectedPairs(g, options, probe).ok());
+    }
+  }
 }
 
 TEST(PairSetTest, MatchesSingleEstimates) {

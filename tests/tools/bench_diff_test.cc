@@ -2,8 +2,9 @@
 // files recorded on different machines (hostname or cpu count differ)
 // exits 3 — an annotation distinct from both "clean" (0) and
 // "regression" (1) — and prints a warning naming both hosts. A real
-// regression still wins: mismatched provenance never masks exit 1.
-// Drives the real binary (path injected by CMake) over fabricated
+// regression still wins: mismatched provenance never masks exit 1. A
+// --threshold or --mad_mult that is not finite and >= 0 is a usage
+// error (exit 2). Drives the real binary (path injected by CMake) over fabricated
 // files, the only way to get two hostnames in one test process.
 
 #include <sys/wait.h>
@@ -157,6 +158,37 @@ TEST(BenchDiffHostTest, FilesWithoutHostBlockSkipTheCheck) {
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_EQ(result.stderr_text.find("warning:"), std::string::npos)
       << result.stderr_text;
+  std::remove(baseline.c_str());
+  std::remove(current.c_str());
+}
+
+TEST(BenchDiffOptionsTest, NonFiniteOrNegativeRuleIsAUsageError) {
+  // Every median 3x the baseline's: a regression under any sane rule. A
+  // NaN threshold or MAD multiple fails both comparisons of the rule, so
+  // it used to report "0 regression(s)" and exit 0.
+  const std::string baseline =
+      WriteBenchFile("bd_base_nan.json", "runner-a", 8, 100.0);
+  const std::string current =
+      WriteBenchFile("bd_cur_nan.json", "runner-a", 8, 300.0);
+  for (const std::string flag :
+       {"--threshold=nan", "--threshold=inf", "--threshold=-0.1",
+        "--threshold=-inf", "--mad_mult=nan", "--mad_mult=inf",
+        "--mad_mult=-1"}) {
+    const RunResult result =
+        RunCommand(std::string(BENCH_DIFF_BIN) + " " + flag + " " +
+                   baseline + " " + current);
+    EXPECT_EQ(result.exit_code, 2) << flag << ": " << result.stdout_text;
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(result.stderr_text.find("error: " + name + "="),
+              std::string::npos)
+        << flag << ": " << result.stderr_text;
+  }
+  // Zero is a legal rule (any slowdown, no noise floor) and still catches
+  // the regression.
+  const RunResult zero =
+      RunCommand(std::string(BENCH_DIFF_BIN) +
+                 " --threshold=0 --mad_mult=0 " + baseline + " " + current);
+  EXPECT_EQ(zero.exit_code, 1) << zero.stderr_text;
   std::remove(baseline.c_str());
   std::remove(current.c_str());
 }

@@ -9,8 +9,10 @@
 // self-diff on one runner and never see it. A benchmark regresses when
 // its median slows down by more than --threshold AND the delta exceeds
 // --mad_mult times the larger MAD of the two runs, so run-to-run jitter
-// on a noisy host cannot fail CI on its own.
+// on a noisy host cannot fail CI on its own. Both must be finite and
+// >= 0: a NaN fails every comparison, so it would pass every benchmark.
 
+#include <cmath>
 #include <cstdio>
 #include <optional>
 
@@ -38,6 +40,14 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "error: expected <baseline.json> <current.json>\n%s",
                  flags.Usage().c_str());
     return 2;
+  }
+  for (const char* name : {"threshold", "mad_mult"}) {
+    const double value = flags.GetDouble(name);
+    if (!(std::isfinite(value) && value >= 0.0)) {
+      std::fprintf(stderr, "error: --%s=%g must be finite and >= 0\n%s",
+                   name, value, flags.Usage().c_str());
+      return 2;
+    }
   }
   static_cast<void>(obs::InstallCrashForensics());
 

@@ -30,6 +30,33 @@
 namespace chameleon {
 namespace {
 
+/// Checks the count and terminal flags on the int64 each holds, before
+/// any cast: cast first, --worlds=-1 would read as 2^64-1 worlds,
+/// --min_samples=-1 would turn early stopping off, and
+/// --source=4294967296 would name vertex 0.
+Status CheckCountsAndTerminals(const FlagSet& flags, NodeId num_nodes) {
+  if (const std::int64_t worlds = flags.GetInt64("worlds"); worlds < 1) {
+    return Status::InvalidArgument(
+        StrFormat("--worlds=%lld must be positive",
+                  static_cast<long long>(worlds)));
+  }
+  if (const std::int64_t min_samples = flags.GetInt64("min_samples");
+      min_samples < 0) {
+    return Status::InvalidArgument(
+        StrFormat("--min_samples=%lld must be >= 0",
+                  static_cast<long long>(min_samples)));
+  }
+  for (const char* terminal : {"source", "target"}) {
+    const std::int64_t v = flags.GetInt64(terminal);
+    if (v < 0 || v >= static_cast<std::int64_t>(num_nodes)) {
+      return Status::InvalidArgument(
+          StrFormat("--%s=%lld is not a vertex of the %u-node graph",
+                    terminal, static_cast<long long>(v), num_nodes));
+    }
+  }
+  return Status::OK();
+}
+
 int Run(int argc, char** argv) {
   FlagSet flags(
       "chameleon_mc_reliability: instrumented Monte Carlo reliability "
@@ -124,6 +151,11 @@ int Run(int argc, char** argv) {
                graph->num_nodes(), graph->num_edges(),
                graph->mean_probability());
 
+  if (Status s = CheckCountsAndTerminals(flags, graph->num_nodes());
+      !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 1;
+  }
   rel::MonteCarloOptions mc;
   mc.worlds = static_cast<std::size_t>(flags.GetInt64("worlds"));
   mc.target_ci_halfwidth = flags.GetDouble("target_ci_halfwidth");
