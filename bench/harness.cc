@@ -162,6 +162,11 @@ BenchResult MeasureBenchmark(std::string_view name, const BenchFn& fn,
   const auto min_rep_ns =
       static_cast<std::uint64_t>(options.min_rep_seconds * 1e9);
 
+  // One untimed call first: a benchmark that builds a static fixture on
+  // its first call would otherwise pass that build off as one long
+  // iteration and stop calibration at 1.
+  TimeRep(fn, 1, nullptr);
+
   // Calibrate: grow the iteration count until a repetition takes at least
   // min_rep_ns, so the per-iteration figure is not dominated by timer
   // granularity. Growth targets ~1.4x the minimum to converge fast

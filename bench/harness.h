@@ -21,11 +21,12 @@
 ///   chameleon_bench_overhead --out=BENCH_overhead.json  # the gates
 ///   chameleon_bench_diff BENCH_old.json BENCH_new.json  # regression gate
 ///
-/// Each registered benchmark is calibrated (iterations doubled until one
-/// repetition exceeds `min_rep_seconds`), warmed up, then timed for
-/// `reps` repetitions; the reported statistic is the median ns/iteration
-/// with the median absolute deviation (MAD) as the robust noise measure
-/// the diff gate uses. A gate times two arms of the same loop, alternating
+/// Each registered benchmark is called once untimed (so a static fixture
+/// built on the first call stays out of calibration), calibrated
+/// (iterations grown until one repetition exceeds `min_rep_seconds`),
+/// warmed up, then timed for `reps` repetitions; the reported statistic
+/// is the median ns/iteration with the median absolute deviation (MAD)
+/// as the robust noise measure the diff gate uses. A gate times two arms of the same loop, alternating
 /// rep by rep, and judges them by the overhead rule of RunPairedGate or
 /// the speedup rule of RunSpeedupGate. The canonical
 /// `BENCH_<suite>.json` embeds the same build/host provenance as a

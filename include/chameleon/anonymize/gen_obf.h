@@ -2,6 +2,9 @@
 #define CHAMELEON_ANONYMIZE_GEN_OBF_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "chameleon/anonymize/perturbation.h"
@@ -39,8 +42,18 @@
 /// patterns, then a search of the one bucket the last candidate sits
 /// in), the candidates' priority sum (fixed-block partials merged in
 /// block order) and the perturbation all run under ParallelForBlocks and
-/// give the same bits at any worker count. The attempt's graph shares
-/// the input's topology (UncertainGraph::WithProbabilities).
+/// give the same bits at any worker count.
+///
+/// An attempt works on a probability vector, not a graph. It writes p̃
+/// into a GenObfScratch that the search reuses with its other buffers
+/// (the keys, the histograms): every attempt rewrites every eligible
+/// edge, candidate or not, so the edges no attempt may perturb keep p
+/// from the scratch's first fill. Step 4 verifies p̃ on the input's
+/// topology (privacy::VerifyObfuscation's probability overload). The
+/// driver keeps its best attempt's p̃ with GenObfScratch::Keep, a buffer
+/// swap, and builds one graph per search, the winner's. After the first
+/// attempt of a search, an attempt allocates only small per-call
+/// buffers, none of them O(|E|).
 ///
 /// Edges with p = 1 whose relevance the reused-sampling estimator cannot
 /// observe are still eligible: perturbing certain edges is exactly how
@@ -65,6 +78,9 @@ struct GenObfOptions {
 
 /// Outcome of one GenObf attempt.
 struct GenObfAttempt {
+  /// The perturbed graph, from the one-shot GenObf only. An attempt on a
+  /// GenObfScratch leaves it empty: its p̃ is the scratch's
+  /// probabilities().
   graph::UncertainGraph published;
   privacy::ObfuscationCertificate certificate;
   double sigma = 0.0;
@@ -82,6 +98,9 @@ struct GenObfPlan {
   std::size_t excluded_vertices = 0;
   /// |EC| = min(⌈c·|E|⌉, |eligible|).
   std::size_t candidates = 0;
+  /// Distinct for every plan PlanGenObf makes (0 for one it did not), so
+  /// a GenObfScratch knows which plan its p̃ was filled under.
+  std::uint64_t id = 0;
 };
 
 /// Builds the plan for `graph` from U^v per vertex (`uniqueness`), ε and
@@ -90,8 +109,11 @@ Result<GenObfPlan> PlanGenObf(const graph::UncertainGraph& graph,
                               const std::vector<double>& uniqueness,
                               const GenObfOptions& options);
 
+class GenObfScratch;
+
 /// Runs one attempt under `plan`, which must come from PlanGenObf on the
-/// same graph and options. `priorities` holds Q^e per edge
+/// same graph and options, writing its p̃ into `scratch`; the result's
+/// `published` stays empty. `priorities` holds Q^e per edge
 /// (perturbation.h). Takes exactly one draw from `rng`, the attempt's
 /// seed (none when an argument is rejected); pass a per-attempt stream
 /// for a reproducible multi-attempt search.
@@ -99,14 +121,64 @@ Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
                              const GenObfPlan& plan,
                              const std::vector<double>& priorities,
                              double sigma, const GenObfOptions& options,
-                             Rng& rng);
+                             Rng& rng, GenObfScratch& scratch);
 
-/// One attempt with its own plan: PlanGenObf, then the attempt above.
+/// One attempt with its own plan and scratch: PlanGenObf, the attempt
+/// above, then `published` = graph.WithProbabilities(p̃).
 Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
                              const std::vector<double>& uniqueness,
                              const std::vector<double>& priorities,
                              double sigma, const GenObfOptions& options,
                              Rng& rng);
+
+/// The buffers a σ search reuses across its attempts: two p̃ vectors (the
+/// latest attempt's and the kept one), the selection keys and
+/// histograms, and the priority partials. An attempt first fills the
+/// latest vector with the graph's p unless it was last filled under the
+/// same plan (by GenObfPlan::id) and graph (by its edge storage). Not
+/// thread-safe: one search, one scratch.
+class GenObfScratch {
+ public:
+  /// p̃ per edge of the latest attempt run on this scratch; empty before
+  /// the first. A view from either accessor stays valid until the next
+  /// attempt or Keep() on this scratch.
+  std::span<const double> probabilities() const { return latest_.p; }
+
+  /// p̃ of the attempt that was latest at the last Keep().
+  std::span<const double> kept() const { return kept_.p; }
+
+  /// Sets the latest attempt's p̃ aside by swapping the two vectors; the
+  /// next attempt writes into the one kept before. The first Keep()
+  /// gives that vector room for the kept one's size, so no attempt
+  /// allocates it.
+  void Keep() {
+    std::swap(latest_, kept_);
+    latest_.p.reserve(kept_.p.size());
+  }
+
+ private:
+  friend Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
+                                      const GenObfPlan& plan,
+                                      const std::vector<double>& priorities,
+                                      double sigma,
+                                      const GenObfOptions& options, Rng& rng,
+                                      GenObfScratch& scratch);
+
+  /// A p̃ vector and the plan and graph it was filled under: its edges
+  /// that plan leaves alone hold that graph's p.
+  struct Probabilities {
+    std::vector<double> p;
+    std::uint64_t plan = 0;
+    const graph::UncertainEdge* edges = nullptr;
+  };
+
+  Probabilities latest_;
+  Probabilities kept_;
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::vector<std::uint32_t>> counts_;
+  std::vector<std::pair<std::uint64_t, std::size_t>> tied_;
+  std::vector<double> partial_q_;
+};
 
 }  // namespace chameleon::anonymize
 

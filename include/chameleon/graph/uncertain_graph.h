@@ -40,8 +40,11 @@ class UncertainGraph {
   const std::vector<UncertainEdge>& edges() const { return edges_; }
   const UncertainEdge& edge(EdgeId e) const { return edges_[e]; }
 
-  /// Neighbors of `v` (both endpoints see the edge). Graphs that share a
-  /// topology return the same storage.
+  /// Neighbors of `v` (both endpoints see the edge), in increasing edge
+  /// id: the order UncertainGraphBuilder sums expected degrees in, so a
+  /// sum over this span in order reproduces expected_degree(v) bit for
+  /// bit under any probabilities (the verifier's probability overload
+  /// relies on it). Graphs that share a topology return the same storage.
   std::span<const AdjEntry> Neighbors(NodeId v) const {
     const std::vector<std::size_t>& offsets = topology_->offsets;
     return {topology_->adjacency.data() + offsets[v],
@@ -65,7 +68,8 @@ class UncertainGraph {
   /// stays valid after this graph is destroyed. Expected degrees are
   /// summed in edge order, as UncertainGraphBuilder sums them, so the
   /// result equals the graph UncertainGraphBuilder makes of the same
-  /// edges bit for bit.
+  /// edges bit for bit. A σ search calls it once, for the winning
+  /// attempt's p̃; the attempts themselves build no graph.
   /// InvalidArgument unless there is one probability per edge, each in
   /// [0, 1] (NaN is rejected).
   Result<UncertainGraph> WithProbabilities(

@@ -2,6 +2,7 @@
 #define CHAMELEON_PRIVACY_OBFUSCATION_H_
 
 #include <cstddef>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -27,8 +28,10 @@
 /// H(Y_ω) = log₂ S(ω) − T(ω)/S(ω) with S(ω) = Σ_u X_u(ω) and
 /// T(ω) = Σ_u X_u(ω)·log₂ X_u(ω), both accumulated vertex-major in one
 /// parallel sweep over the PMFs (O(Σ_v deg v) after the O(Σ deg²) PMF
-/// build). Per-block partials are reduced in fixed block order, so the
-/// result is bit-identical across worker counts.
+/// build), and only over the adversary-value range [min ω, max ω]: the
+/// certificate reads no other entry. Per-block partials are reduced in
+/// fixed block order, so the result is bit-identical across worker
+/// counts.
 
 namespace chameleon::privacy {
 
@@ -84,7 +87,9 @@ struct ObfuscationCertificate {
   /// Distinct adversary knowledge values across the graph.
   std::size_t distinct_omegas = 0;
   AdversaryModel adversary = AdversaryModel::kRoundedExpectedDegree;
-  /// Workers actually used.
+  /// Workers the posterior sweep was granted: the requested count
+  /// after ParallelForBlocks' clamps (block count, hardware
+  /// concurrency, minimum grain), so a 9-vertex graph reports 1.
   int threads = 1;
   double wall_ms = 0.0;
   /// Per-vertex rows (empty when options.keep_per_vertex is false).
@@ -95,14 +100,27 @@ struct ObfuscationCertificate {
 /// each block of vertices builds them one at a time in one scratch
 /// buffer and folds each into the block's S/T partials as it is built,
 /// so no per-vertex DegreeDistribution is allocated. The certificate is
-/// bit-identical to BuildDegreeDistributions + the overload below. Emits
-/// `privacy/obf_check` trace spans, counters, and one `privacy_check`
-/// JSONL record when observability is live.
+/// bit-identical to BuildDegreeDistributions + the dists overload below.
+/// Emits `privacy/obf_check` trace spans, counters, and one
+/// `privacy_check` JSONL record when observability is live.
 Result<ObfuscationCertificate> VerifyObfuscation(
     const graph::UncertainGraph& graph, const ObfuscationOptions& options);
 
+/// Verifies `graph`'s topology with `probabilities[e]` as edge e's
+/// probability in place of the graph's own: the check a GenObf attempt
+/// runs on its p̃ without building a graph. Each vertex's expected degree
+/// is summed over its adjacency in edge-id order, in parallel, so the
+/// certificate equals the one-graph overload's on
+/// `graph.WithProbabilities(probabilities)` bit for bit.
+/// InvalidArgument unless there is one probability per edge, each in
+/// [0, 1] (NaN is rejected).
+Result<ObfuscationCertificate> VerifyObfuscation(
+    const graph::UncertainGraph& graph, std::span<const double> probabilities,
+    const ObfuscationOptions& options);
+
 /// Same, reusing caller-held degree distributions (`dists[v]` must be
-/// vertex v's distribution); the sweep alone is O(Σ deg).
+/// vertex v's distribution); the sweep alone is O(Σ deg). Kept for
+/// bench/e2e's traced pass, which holds PMFs, and as the tests' oracle.
 Result<ObfuscationCertificate> VerifyObfuscation(
     const graph::UncertainGraph& graph,
     const std::vector<DegreeDistribution>& dists,

@@ -212,8 +212,10 @@ Result<AnonymizeResult> Anonymize(const graph::UncertainGraph& graph,
       PlanGenObf(graph, uniqueness->scores, gen_options);
   if (!plan.ok()) return plan.status();
 
+  // Attempts write p̃ into one scratch; the best one's p̃ is set aside
+  // with Keep() and becomes the one graph this search builds.
+  GenObfScratch scratch;
   std::optional<GenObfAttempt> best;
-  // Of a failed attempt only the evidence is kept, not its graph.
   std::optional<GenObfAttempt> last_failed;
   double lo = 0.0;  // highest σ known to fail (0 = none tried below hi)
   double hi = 0.0;  // smallest σ known to succeed (0 = none yet)
@@ -229,7 +231,7 @@ Result<AnonymizeResult> Anonymize(const graph::UncertainGraph& graph,
     for (std::size_t a = 0; a < options.trials; ++a) {
       Rng rng(AttemptSeed(options.seed, level, a));
       Result<GenObfAttempt> attempt =
-          GenObf(graph, *plan, *priorities, sigma, gen_options, rng);
+          GenObf(graph, *plan, *priorities, sigma, gen_options, rng, scratch);
       if (!attempt.ok()) {
         level_error = attempt.status();
         return false;
@@ -244,10 +246,10 @@ Result<AnonymizeResult> Anonymize(const graph::UncertainGraph& graph,
       EmitAttemptRecord(variant, phase, level, a, sigma, *attempt);
       if (ok) {
         best = std::move(*attempt);
+        scratch.Keep();
         success = true;
         break;
       }
-      attempt->published = graph::UncertainGraph();
       last_failed = std::move(*attempt);
     }
     if (success) hi = sigma;
@@ -274,7 +276,7 @@ Result<AnonymizeResult> Anonymize(const graph::UncertainGraph& graph,
   }
 
   // Refinement: bisect (lo, hi] toward the smallest successful σ,
-  // keeping the published graph of the best (lowest-σ) success.
+  // keeping the p̃ of the best (lowest-σ) success.
   if (found) {
     for (std::size_t i = 0; i < options.refine_iters; ++i) {
       const double mid = 0.5 * (lo + hi);
@@ -288,14 +290,19 @@ Result<AnonymizeResult> Anonymize(const graph::UncertainGraph& graph,
 
   result.feasible = found;
   if (found) {
+    Result<graph::UncertainGraph> published =
+        graph.WithProbabilities(scratch.kept());
+    if (!published.ok()) return published.status();
     result.sigma = hi;
-    result.published = std::move(best->published);
+    result.published = std::move(*published);
     result.certificate = std::move(best->certificate);
     result.perturbed_edges = best->perturbed_edges;
     result.excluded_vertices = best->excluded_vertices;
   } else {
     // Publish nothing new: callers get the input back plus the evidence
-    // of why the search failed.
+    // of why the search failed. The search's buffers go first, so the
+    // copy does not add to them.
+    scratch = GenObfScratch();
     result.published = graph;
     if (last_failed.has_value()) {
       result.certificate = std::move(last_failed->certificate);

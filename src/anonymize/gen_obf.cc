@@ -1,6 +1,7 @@
 #include "chameleon/anonymize/gen_obf.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -99,10 +100,11 @@ std::uint64_t KeyBits(std::uint64_t seed, EdgeId e, double priority) {
 /// keys.size(): the pairs up to and including it are the candidates.
 /// `counts` holds one histogram of the keys' top bits per contiguous
 /// block of positions; the pair is found among the keys of the bucket
-/// where the running count reaches `want`.
+/// where the running count reaches `want`, gathered into `tied`.
 std::pair<std::uint64_t, std::size_t> LastCandidate(
     const std::vector<std::uint64_t>& keys,
-    const std::vector<std::vector<std::uint32_t>>& counts, std::size_t want) {
+    const std::vector<std::vector<std::uint32_t>>& counts, std::size_t want,
+    std::vector<std::pair<std::uint64_t, std::size_t>>& tied) {
   std::size_t below = 0;
   std::size_t bucket = 0;
   for (;; ++bucket) {
@@ -113,7 +115,7 @@ std::pair<std::uint64_t, std::size_t> LastCandidate(
     if (below + here >= want) break;
     below += here;
   }
-  std::vector<std::pair<std::uint64_t, std::size_t>> tied;
+  tied.clear();
   for (std::size_t i = 0; i < keys.size(); ++i) {
     if (keys[i] >> kBucketShift == bucket) tied.emplace_back(keys[i], i);
   }
@@ -122,6 +124,9 @@ std::pair<std::uint64_t, std::size_t> LastCandidate(
   std::nth_element(tied.begin(), last, tied.end());
   return *last;
 }
+
+/// Stamps PlanGenObf's plans; 0 is left for plans it did not make.
+std::atomic<std::uint64_t> g_last_plan_id{0};
 
 }  // namespace
 
@@ -152,6 +157,7 @@ Result<GenObfPlan> PlanGenObf(const graph::UncertainGraph& graph,
       static_cast<std::size_t>(std::ceil(
           options.candidate_fraction * static_cast<double>(edges.size()))),
       plan.eligible.size());
+  plan.id = g_last_plan_id.fetch_add(1, std::memory_order_relaxed) + 1;
   return plan;
 }
 
@@ -159,7 +165,7 @@ Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
                              const GenObfPlan& plan,
                              const std::vector<double>& priorities,
                              double sigma, const GenObfOptions& options,
-                             Rng& rng) {
+                             Rng& rng, GenObfScratch& scratch) {
   if (priorities.size() != graph.num_edges()) {
     return Status::InvalidArgument(
         StrFormat("priorities has %zu entries for %zu edges",
@@ -179,6 +185,20 @@ Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
   const auto& edges = graph.edges();
   const std::vector<EdgeId>& eligible = plan.eligible;
   const std::size_t want = plan.candidates;
+
+  // p̃ starts as p, once per vector and (plan, graph): every attempt
+  // below rewrites every eligible edge, so the others keep p from this
+  // fill.
+  GenObfScratch::Probabilities& latest = scratch.latest_;
+  if (!(plan.id != 0 && latest.plan == plan.id &&
+        latest.edges == edges.data() && latest.p.size() == edges.size())) {
+    latest.p.resize(edges.size());
+    for (std::size_t e = 0; e < edges.size(); ++e) latest.p[e] = edges[e].p;
+    latest.plan = plan.id;
+    latest.edges = edges.data();
+  }
+  double* perturbed = latest.p.data();
+
   // The attempt's one draw: every key and every noise draw below is a
   // pure function of (seed, edge id), so each sweep may run in any order
   // and on any number of workers.
@@ -192,7 +212,8 @@ Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
   // block; the histograms (integers, so their sum is order-free) name the
   // one bucket the last candidate sits in, and only that bucket is
   // searched.
-  std::vector<std::uint64_t> keys(eligible.size());
+  std::vector<std::uint64_t>& keys = scratch.keys_;
+  keys.resize(eligible.size());
   // Position i is a candidate iff its (key, i) pair, as one 128-bit
   // number, is below `bound`: one past the want-th smallest pair, or 0
   // when there are no candidates.
@@ -202,8 +223,8 @@ Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
     const std::size_t workers =
         ParallelWorkers(eligible.size(), 1, options.threads);
     const std::size_t chunk = NumBlocks(eligible.size(), workers);
-    std::vector<std::vector<std::uint32_t>> counts(
-        NumBlocks(eligible.size(), chunk));
+    std::vector<std::vector<std::uint32_t>>& counts = scratch.counts_;
+    counts.resize(NumBlocks(eligible.size(), chunk));
     ParallelForBlocks(
         eligible.size(), chunk, options.threads,
         [&](std::size_t block, std::size_t begin, std::size_t end) {
@@ -215,7 +236,8 @@ Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
             ++count[keys[i] >> kBucketShift];
           }
         });
-    const auto [last_key, last_position] = LastCandidate(keys, counts, want);
+    const auto [last_key, last_position] =
+        LastCandidate(keys, counts, want, scratch.tied_);
     bound = (Pair{last_key} << 64 | last_position) + 1;
   }
   const std::uint64_t* key = keys.data();
@@ -224,10 +246,11 @@ Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
   };
 
   // 3. Perturb each candidate at σ·Q^e normalized by the candidates'
-  // mean priority. The priority sum is one partial per fixed block,
-  // merged in block order; each candidate's noise comes from its own
-  // stream.
-  std::vector<double> partial_q(NumBlocks(eligible.size(), kEdgeBlock), 0.0);
+  // mean priority, and reset every other eligible edge to p. The
+  // priority sum is one partial per fixed block, merged in block order;
+  // each candidate's noise comes from its own stream.
+  std::vector<double>& partial_q = scratch.partial_q_;
+  partial_q.assign(NumBlocks(eligible.size(), kEdgeBlock), 0.0);
   ParallelForBlocks(
       eligible.size(), kEdgeBlock, options.threads,
       [&](std::size_t block, std::size_t begin, std::size_t end) {
@@ -240,14 +263,15 @@ Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
   double q_sum = 0.0;
   for (const double q : partial_q) q_sum += q;
   const double q_mean = want > 0 ? q_sum / static_cast<double>(want) : 0.0;
-  std::vector<double> perturbed(edges.size());
-  for (std::size_t e = 0; e < edges.size(); ++e) perturbed[e] = edges[e].p;
   ParallelForBlocks(
       eligible.size(), kEdgeBlock, options.threads,
       [&](std::size_t /*block*/, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          if (!chosen(i)) continue;
           const EdgeId e = eligible[i];
+          if (!chosen(i)) {
+            perturbed[e] = edges[e].p;
+            continue;
+          }
           const double scale =
               q_mean > 0.0 ? sigma * priorities[e] / q_mean : sigma;
           Rng noise(EdgeSeed(seed, kNoiseMix, e));
@@ -255,10 +279,8 @@ Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
                                             options.white_noise, noise);
         }
       });
-  Result<graph::UncertainGraph> published = graph.WithProbabilities(perturbed);
-  if (!published.ok()) return published.status();
 
-  // 4. Anonymity check via the existing (k,ε) verifier.
+  // 4. Anonymity check of p̃ on the input's topology.
   privacy::ObfuscationOptions verify;
   verify.k = options.k;
   verify.epsilon = options.epsilon;
@@ -266,11 +288,10 @@ Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
   verify.threads = options.threads;
   verify.keep_per_vertex = false;
   Result<privacy::ObfuscationCertificate> certificate =
-      privacy::VerifyObfuscation(*published, verify);
+      privacy::VerifyObfuscation(graph, scratch.probabilities(), verify);
   if (!certificate.ok()) return certificate.status();
 
   GenObfAttempt attempt;
-  attempt.published = std::move(*published);
   attempt.certificate = std::move(*certificate);
   attempt.sigma = sigma;
   attempt.perturbed_edges = want;
@@ -288,7 +309,15 @@ Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
                              Rng& rng) {
   Result<GenObfPlan> plan = PlanGenObf(graph, uniqueness, options);
   if (!plan.ok()) return plan.status();
-  return GenObf(graph, *plan, priorities, sigma, options, rng);
+  GenObfScratch scratch;
+  Result<GenObfAttempt> attempt =
+      GenObf(graph, *plan, priorities, sigma, options, rng, scratch);
+  if (!attempt.ok()) return attempt.status();
+  Result<graph::UncertainGraph> published =
+      graph.WithProbabilities(scratch.probabilities());
+  if (!published.ok()) return published.status();
+  attempt->published = std::move(*published);
+  return attempt;
 }
 
 }  // namespace chameleon::anonymize

@@ -37,7 +37,7 @@ DegreeDistribution DegreeDistribution::ForVertex(
 
 void DegreeDistribution::AddEdge(double p) {
   pmf_.push_back(0.0);
-  internal::ConvolveEdge(pmf_.data(), pmf_.size() - 1, p);
+  internal::ConvolveEdgeLanes<2>(pmf_.data(), pmf_.size() - 1, p);
 }
 
 double DegreeDistribution::Cdf(std::size_t k) const {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/record.h"
@@ -24,18 +26,6 @@ constexpr std::size_t kPosteriorBlock = 256;
 /// an exactly-uniform posterior over k vertices counts as k-obfuscated.
 constexpr double kEntropySlack = 1e-12;
 
-std::size_t AdversaryValue(const graph::UncertainGraph& graph, NodeId v,
-                           AdversaryModel model) {
-  switch (model) {
-    case AdversaryModel::kRoundedExpectedDegree:
-      return static_cast<std::size_t>(
-          std::llround(graph.expected_degree(v)));
-    case AdversaryModel::kStructuralDegree:
-      return graph.Neighbors(v).size();
-  }
-  return 0;
-}
-
 Status ValidateOptions(const ObfuscationOptions& options) {
   if (!(options.k > 1.0 && std::isfinite(options.k))) {
     return Status::InvalidArgument(
@@ -48,25 +38,57 @@ Status ValidateOptions(const ObfuscationOptions& options) {
   return Status::OK();
 }
 
-/// Adds one PMF to a block's partials: S[w] += x and T[w] += x·log₂x
-/// for every nonzero x = pmf[w].
-void FoldPmf(const double* pmf, std::size_t size, double* s, double* t) {
-  for (std::size_t w = 0; w < size; ++w) {
+/// Adds the entries ω ∈ [lo, hi] of one PMF of `size` entries to a
+/// block's partials, which hold ω at index ω − lo: S[ω] += x and
+/// T[ω] += x·log₂x for every nonzero x = pmf[ω].
+void FoldPmf(const double* pmf, std::size_t size, std::size_t lo,
+             std::size_t hi, double* s, double* t) {
+  const std::size_t end = std::min(size, hi + 1);
+  for (std::size_t w = lo; w < end; ++w) {
     const double x = pmf[w];
     if (x > 0.0) {
-      s[w] += x;
-      t[w] += x * std::log2(x);
+      s[w - lo] += x;
+      t[w - lo] += x * std::log2(x);
     }
   }
 }
 
-/// The verifier behind both overloads, on a non-empty graph with valid
-/// options. `pmf_size(v)` is the length of v's degree PMF, and
-/// `fold(begin, end, s, t, width)` adds the PMFs of vertices
-/// [begin, end) in vertex order into one block's partials, each `width`
-/// long: the block's longest PMF.
+/// Builds the PMFs of vertices [begin, end) one at a time in one scratch
+/// buffer, `width` entries long (the block's longest PMF), and folds
+/// each into the block's partials at once. Each vertex's edge
+/// probabilities `probability(e)` are first gathered, in adjacency
+/// order, into a local buffer the recurrence reads. A PMF that ends
+/// below lo has nothing to fold and is not built.
+template <typename Probability>
+void BuildAndFold(const graph::UncertainGraph& graph,
+                  const Probability& probability, std::size_t begin,
+                  std::size_t end, std::size_t width, std::size_t lo,
+                  std::size_t hi, double* s, double* t) {
+  std::vector<double> pmf(width);
+  std::vector<double> probs(width - 1);
+  for (std::size_t u = begin; u < end; ++u) {
+    const auto neighbors = graph.Neighbors(static_cast<NodeId>(u));
+    const std::size_t degree = neighbors.size();
+    if (degree < lo) continue;
+    for (std::size_t i = 0; i < degree; ++i) {
+      probs[i] = probability(neighbors[i].edge);
+    }
+    internal::BuildPmf(pmf.data(), probs.data(), degree);
+    FoldPmf(pmf.data(), degree + 1, lo, hi, s, t);
+  }
+}
+
+/// The verifier behind every overload, on a non-empty graph with valid
+/// options. `expected_degrees[v]` is E[deg v] under the probabilities
+/// verified (read only by the expected-degree adversary); `pmf_size(v)`
+/// is the length of v's degree PMF; and
+/// `fold(begin, end, width, lo, hi, s, t)` adds entries [lo, hi] of the
+/// PMFs of vertices [begin, end), in vertex order, into one block's
+/// partials, which hold ω at index ω − lo. `width` is the block's
+/// longest PMF, and hi < width.
 template <typename PmfSize, typename Fold>
 ObfuscationCertificate Certify(const graph::UncertainGraph& graph,
+                               std::span<const double> expected_degrees,
                                const ObfuscationOptions& options,
                                const PmfSize& pmf_size, const Fold& fold) {
   const std::size_t n = graph.num_nodes();
@@ -77,17 +99,25 @@ ObfuscationCertificate Certify(const graph::UncertainGraph& graph,
   cert.epsilon = options.epsilon;
   cert.vertices = n;
   cert.adversary = options.adversary;
-  cert.threads = EffectiveThreads(options.threads);
+  cert.threads =
+      static_cast<int>(ParallelWorkers(n, kPosteriorBlock, options.threads));
 
-  // Adversary knowledge values and the ω range the posteriors span.
+  // Adversary knowledge values and their range [lo, hi]: the certificate
+  // reads S and T at these ω alone.
   std::vector<std::size_t> omegas(n);
-  std::size_t max_value = 0;
+  std::size_t lo = std::numeric_limits<std::size_t>::max();
+  std::size_t hi = 0;
   for (NodeId v = 0; v < n; ++v) {
-    omegas[v] = AdversaryValue(graph, v, options.adversary);
-    max_value = std::max({max_value, omegas[v], pmf_size(v) - 1});
+    omegas[v] =
+        options.adversary == AdversaryModel::kRoundedExpectedDegree
+            ? static_cast<std::size_t>(std::llround(expected_degrees[v]))
+            : graph.Neighbors(v).size();
+    lo = std::min(lo, omegas[v]);
+    hi = std::max(hi, omegas[v]);
   }
 
-  // One vertex-major sweep accumulates, for every degree value ω,
+  // One vertex-major sweep accumulates, for every degree value ω in
+  // [lo, hi],
   //   S(ω) = Σ_u X_u(ω)   and   T(ω) = Σ_u X_u(ω)·log₂ X_u(ω);
   // the posterior entropy is then H(Y_ω) = log₂ S − T/S without ever
   // materializing a posterior. Per-block partials merged in block order
@@ -97,8 +127,9 @@ ObfuscationCertificate Certify(const graph::UncertainGraph& graph,
   // positive terms; T adds x·log₂x, +0.0 at x = 1 and negative below).
   // So the merge adds only that prefix and the sums equal those of
   // globally wide partials. One hub then costs one wide block, not n/256
-  // of them.
-  const std::size_t width = max_value + 1;
+  // of them. Each sum at ω is its own chain of adds, so leaving out the
+  // ω outside [lo, hi] changes none of the sums the certificate reads.
+  const std::size_t width = hi - lo + 1;
   const std::size_t blocks = NumBlocks(n, kPosteriorBlock);
   std::vector<std::vector<double>> partial_s(blocks);
   std::vector<std::vector<double>> partial_t(blocks);
@@ -107,16 +138,18 @@ ObfuscationCertificate Certify(const graph::UncertainGraph& graph,
     ParallelForBlocks(
         n, kPosteriorBlock, options.threads,
         [&](std::size_t block, std::size_t begin, std::size_t end) {
-          std::vector<double>& s = partial_s[block];
-          std::vector<double>& t = partial_t[block];
           std::size_t block_width = 0;
           for (std::size_t u = begin; u < end; ++u) {
             block_width =
                 std::max(block_width, pmf_size(static_cast<NodeId>(u)));
           }
-          s.assign(block_width, 0.0);
-          t.assign(block_width, 0.0);
-          fold(begin, end, s.data(), t.data(), block_width);
+          if (block_width <= lo) return;  // no PMF reaches the range
+          const std::size_t block_hi = std::min(hi, block_width - 1);
+          std::vector<double>& s = partial_s[block];
+          std::vector<double>& t = partial_t[block];
+          s.assign(block_hi - lo + 1, 0.0);
+          t.assign(block_hi - lo + 1, 0.0);
+          fold(begin, end, block_width, lo, block_hi, s.data(), t.data());
         });
     sweep_span.AddCount("vertices", n);
   }
@@ -143,12 +176,12 @@ ObfuscationCertificate Certify(const graph::UncertainGraph& graph,
   if (options.keep_per_vertex) cert.per_vertex.reserve(n);
   for (NodeId v = 0; v < n; ++v) {
     const std::size_t omega = omegas[v];
-    const double h = entropy[omega];
+    const double h = entropy[omega - lo];
     const bool obfuscated = h + kEntropySlack >= required_bits;
     if (!obfuscated) ++cert.not_obfuscated;
     entropy_sum += h;
     entropy_min = std::min(entropy_min, h);
-    value_seen[omega] = true;
+    value_seen[omega - lo] = true;
     if (options.keep_per_vertex) {
       cert.per_vertex.push_back(VertexObfuscation{
           .vertex = v,
@@ -199,22 +232,65 @@ Result<ObfuscationCertificate> VerifyObfuscation(
   // Each block builds its vertices' PMFs one at a time in one scratch
   // buffer, with DegreeDistribution's recurrence, and folds each into the
   // block's partials as soon as it is built, so no per-vertex PMF is
-  // kept and the sums equal those of the overload below bit for bit.
+  // kept and the sums equal those of the dists overload bit for bit.
   return Certify(
-      graph, options,
+      graph, graph.expected_degrees(), options,
       [&](NodeId v) { return graph.Neighbors(v).size() + 1; },
-      [&](std::size_t begin, std::size_t end, double* s, double* t,
-          std::size_t width) {
-        std::vector<double> pmf(width);
-        for (std::size_t u = begin; u < end; ++u) {
-          const auto neighbors = graph.Neighbors(static_cast<NodeId>(u));
-          pmf[0] = 1.0;
-          for (std::size_t i = 0; i < neighbors.size(); ++i) {
-            internal::ConvolveEdge(pmf.data(), i + 1,
-                                   graph.edge(neighbors[i].edge).p);
+      [&](std::size_t begin, std::size_t end, std::size_t width,
+          std::size_t lo, std::size_t hi, double* s, double* t) {
+        BuildAndFold(
+            graph, [&](EdgeId e) { return graph.edge(e).p; }, begin, end,
+            width, lo, hi, s, t);
+      });
+}
+
+Result<ObfuscationCertificate> VerifyObfuscation(
+    const graph::UncertainGraph& graph, std::span<const double> probabilities,
+    const ObfuscationOptions& options) {
+  CHAMELEON_RETURN_IF_ERROR(ValidateOptions(options));
+  const std::size_t n = graph.num_nodes();
+  if (n == 0) {
+    return Status::InvalidArgument("cannot verify an empty graph");
+  }
+  if (probabilities.size() != graph.num_edges()) {
+    return Status::InvalidArgument(
+        StrFormat("%zu probabilities for %zu edges", probabilities.size(),
+                  graph.num_edges()));
+  }
+  for (std::size_t e = 0; e < probabilities.size(); ++e) {
+    if (!(probabilities[e] >= 0.0 && probabilities[e] <= 1.0)) {
+      return Status::InvalidArgument(
+          StrFormat("probability %g of edge %zu outside [0, 1]",
+                    probabilities[e], e));
+    }
+  }
+  // E[deg v] summed over v's adjacency, which lists v's edges in edge-id
+  // order: the order, and so the bits, of UncertainGraphBuilder's and
+  // WithProbabilities' edge-order sums.
+  std::vector<double> expected_degrees;
+  if (options.adversary == AdversaryModel::kRoundedExpectedDegree) {
+    expected_degrees.resize(n);
+    ParallelForBlocks(
+        n, kPosteriorBlock, options.threads,
+        [&](std::size_t /*block*/, std::size_t begin, std::size_t end) {
+          for (std::size_t v = begin; v < end; ++v) {
+            double sum = 0.0;
+            for (const graph::AdjEntry& entry :
+                 graph.Neighbors(static_cast<NodeId>(v))) {
+              sum += probabilities[entry.edge];
+            }
+            expected_degrees[v] = sum;
           }
-          FoldPmf(pmf.data(), neighbors.size() + 1, s, t);
-        }
+        });
+  }
+  return Certify(
+      graph, expected_degrees, options,
+      [&](NodeId v) { return graph.Neighbors(v).size() + 1; },
+      [&](std::size_t begin, std::size_t end, std::size_t width,
+          std::size_t lo, std::size_t hi, double* s, double* t) {
+        BuildAndFold(
+            graph, [&](EdgeId e) { return probabilities[e]; }, begin, end,
+            width, lo, hi, s, t);
       });
 }
 
@@ -233,12 +309,13 @@ Result<ObfuscationCertificate> VerifyObfuscation(
     return Status::InvalidArgument("cannot verify an empty graph");
   }
   return Certify(
-      graph, options, [&](NodeId v) { return dists[v].pmf().size(); },
-      [&](std::size_t begin, std::size_t end, double* s, double* t,
-          std::size_t /*width*/) {
+      graph, graph.expected_degrees(), options,
+      [&](NodeId v) { return dists[v].pmf().size(); },
+      [&](std::size_t begin, std::size_t end, std::size_t /*width*/,
+          std::size_t lo, std::size_t hi, double* s, double* t) {
         for (std::size_t u = begin; u < end; ++u) {
           const std::vector<double>& pmf = dists[u].pmf();
-          FoldPmf(pmf.data(), pmf.size(), s, t);
+          FoldPmf(pmf.data(), pmf.size(), lo, hi, s, t);
         }
       });
 }

@@ -25,7 +25,9 @@
 /// (key, edge) pairs, sums the candidates' priorities in GenObf's fixed
 /// blocks one edge at a time, rebuilds the published graph through
 /// UncertainGraphBuilder, and verifies it with BuildDegreeDistributions
-/// plus the distributions overload of VerifyObfuscation.
+/// plus the distributions overload of VerifyObfuscation. The tests hold
+/// a scratch attempt's p̃ to its published probabilities, and the graph a
+/// search builds from a kept p̃ to its published graph.
 
 namespace chameleon::anonymize {
 

@@ -7,6 +7,7 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -18,7 +19,9 @@
 #include "chameleon/anonymize/chameleon.h"
 #include "chameleon/anonymize/perturbation.h"
 #include "chameleon/anonymize/relevance.h"
+#include "chameleon/graph/generators.h"
 #include "chameleon/graph/uncertain_graph.h"
+#include "chameleon/obs/alloc_stats.h"
 #include "chameleon/privacy/uniqueness.h"
 #include "chameleon/util/rng.h"
 
@@ -95,16 +98,39 @@ void ExpectSameAttempt(const GenObfAttempt& got, const GenObfAttempt& want) {
   EXPECT_TRUE(SameBits(got.sigma, want.sigma));
 }
 
-/// One plan per (graph, options), then `seeds` attempts at σ cycling
-/// through {0.05, 0.2, 0.7}: each must match the oracle's attempt from the
-/// same stream, leave the stream in the same state, and match the
-/// one-shot wrapper.
+/// An attempt run on `scratch` against the oracle's: p̃ bit for bit with
+/// the oracle's published probabilities, and the same certificate and
+/// counts. The scratch attempt builds no graph.
+void ExpectSameScratchAttempt(const GenObfScratch& scratch,
+                              const GenObfAttempt& got,
+                              const GenObfAttempt& want) {
+  EXPECT_EQ(got.published.num_nodes(), 0u);
+  const std::span<const double> p = scratch.probabilities();
+  ASSERT_EQ(p.size(), want.published.num_edges());
+  for (std::size_t e = 0; e < p.size(); ++e) {
+    ASSERT_TRUE(SameBits(p[e], want.published.edges()[e].p)) << "edge " << e;
+  }
+  ExpectSameCertificate(got.certificate, want.certificate);
+  EXPECT_EQ(got.perturbed_edges, want.perturbed_edges);
+  EXPECT_EQ(got.excluded_vertices, want.excluded_vertices);
+  EXPECT_TRUE(SameBits(got.sigma, want.sigma));
+}
+
+/// One plan and one scratch per (graph, options), then `seeds` attempts
+/// at σ cycling through {0.05, 0.2, 0.7}: each must match the oracle's
+/// attempt from the same stream and leave the stream in the same state.
+/// Every third attempt is kept, as the driver keeps a success; after the
+/// later attempts ran, the graph built from the kept p̃ must be the
+/// oracle's published graph of that attempt. The first attempt must also
+/// match the one-shot wrapper, whose graph shares the input's topology.
 void CheckAgainstOracle(const UncertainGraph& g,
                         const std::vector<double>& uniqueness,
                         const std::vector<double>& priorities,
                         const GenObfOptions& options, int seeds) {
   const Result<GenObfPlan> plan = PlanGenObf(g, uniqueness, options);
   ASSERT_TRUE(plan.ok()) << plan.status().message();
+  GenObfScratch scratch;
+  std::optional<UncertainGraph> kept_oracle;
   const double sigmas[] = {0.05, 0.2, 0.7};
   for (int seed = 0; seed < seeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -112,26 +138,33 @@ void CheckAgainstOracle(const UncertainGraph& g,
     Rng planned_rng(1000 + static_cast<std::uint64_t>(seed));
     Rng oracle_rng(1000 + static_cast<std::uint64_t>(seed));
     const Result<GenObfAttempt> planned =
-        GenObf(g, *plan, priorities, sigma, options, planned_rng);
+        GenObf(g, *plan, priorities, sigma, options, planned_rng, scratch);
     const Result<GenObfAttempt> oracle =
         OracleGenObf(g, uniqueness, priorities, sigma, options, oracle_rng);
     ASSERT_TRUE(planned.ok()) << planned.status().message();
     ASSERT_TRUE(oracle.ok()) << oracle.status().message();
-    ExpectSameAttempt(*planned, *oracle);
+    ExpectSameScratchAttempt(scratch, *planned, *oracle);
     EXPECT_EQ(planned_rng(), oracle_rng()) << "rng consumption differs";
+    if (seed % 3 == 0) {
+      scratch.Keep();
+      kept_oracle = oracle->published;
+    }
     if (seed == 0) {
-      // The attempt's graph shares the input's topology.
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        ASSERT_EQ(planned->published.Neighbors(v).data(),
-                  g.Neighbors(v).data());
-      }
       Rng wrapper_rng(1000);
       const Result<GenObfAttempt> wrapped =
           GenObf(g, uniqueness, priorities, sigma, options, wrapper_rng);
       ASSERT_TRUE(wrapped.ok());
       ExpectSameAttempt(*wrapped, *oracle);
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        ASSERT_EQ(wrapped->published.Neighbors(v).data(),
+                  g.Neighbors(v).data());
+      }
     }
   }
+  ASSERT_TRUE(kept_oracle.has_value());
+  const Result<UncertainGraph> winner = g.WithProbabilities(scratch.kept());
+  ASSERT_TRUE(winner.ok());
+  ExpectSameGraph(*winner, *kept_oracle);
 }
 
 TEST(GenObfOracleTest, MatchesOracleAcrossSeedsFractionsAndNoiseModels) {
@@ -213,14 +246,17 @@ TEST(GenObfStreamTest, SingleCandidateIsDrawnInProportionToPriority) {
   ASSERT_EQ(plan->eligible.size(), g.num_edges());
   constexpr int kAttempts = 20000;
   std::vector<int> picks(g.num_edges(), 0);
+  // One scratch for every attempt, as in a search: each attempt must
+  // reset the edge the previous one moved.
+  GenObfScratch scratch;
   for (int a = 0; a < kAttempts; ++a) {
     Rng rng(static_cast<std::uint64_t>(a));
     const Result<GenObfAttempt> attempt =
-        GenObf(g, *plan, priorities, 0.5, options, rng);
+        GenObf(g, *plan, priorities, 0.5, options, rng, scratch);
     ASSERT_TRUE(attempt.ok());
     int moved = 0;
     for (std::size_t e = 0; e < g.num_edges(); ++e) {
-      if (!SameBits(attempt->published.edges()[e].p, g.edges()[e].p)) {
+      if (!SameBits(scratch.probabilities()[e], g.edges()[e].p)) {
         ++picks[e];
         ++moved;
       }
@@ -343,14 +379,15 @@ TEST(GenObfOracleTest, ExcludedVerticesKeepTheirEdges) {
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->candidates, all->eligible.size());
   Rng rng(3);
+  GenObfScratch scratch;
   const Result<GenObfAttempt> attempt =
-      GenObf(g, *all, *priorities, 0.5, options, rng);
+      GenObf(g, *all, *priorities, 0.5, options, rng, scratch);
   ASSERT_TRUE(attempt.ok());
   std::vector<char> eligible(g.num_edges(), 0);
   for (const EdgeId e : all->eligible) eligible[e] = 1;
   for (std::size_t e = 0; e < g.num_edges(); ++e) {
     if (!eligible[e]) {
-      EXPECT_EQ(attempt->published.edges()[e].p, g.edges()[e].p) << e;
+      EXPECT_EQ(scratch.probabilities()[e], g.edges()[e].p) << e;
     }
   }
 }
@@ -369,22 +406,27 @@ TEST(GenObfOracleTest, RejectsBadArguments) {
   const Result<GenObfPlan> plan = PlanGenObf(g, uniqueness, options);
   ASSERT_TRUE(plan.ok());
   Rng rng(1);
-  EXPECT_EQ(GenObf(g, *plan, {1.0}, 0.1, options, rng).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(GenObf(g, *plan, priorities, 0.0, options, rng).status().code(),
-            StatusCode::kInvalidArgument);
+  GenObfScratch scratch;
+  EXPECT_EQ(
+      GenObf(g, *plan, {1.0}, 0.1, options, rng, scratch).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      GenObf(g, *plan, priorities, 0.0, options, rng, scratch).status().code(),
+      StatusCode::kInvalidArgument);
   options.white_noise = 1.5;
-  EXPECT_EQ(GenObf(g, *plan, priorities, 0.1, options, rng).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      GenObf(g, *plan, priorities, 0.1, options, rng, scratch).status().code(),
+      StatusCode::kInvalidArgument);
   // A plan made for a bigger graph names edges this one does not have.
   const UncertainGraph bigger = RandomGraph(50, 300, 6);
   const Result<GenObfPlan> other =
       PlanGenObf(bigger, Uniqueness(bigger), GenObfOptions{});
   ASSERT_TRUE(other.ok());
-  EXPECT_EQ(GenObf(g, *other, priorities, 0.1, GenObfOptions{}, rng)
+  EXPECT_EQ(GenObf(g, *other, priorities, 0.1, GenObfOptions{}, rng, scratch)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+  EXPECT_TRUE(scratch.probabilities().empty());
 }
 
 TEST(GenObfOracleTest, RejectsNonFiniteOptionsBeforeAnyWork) {
@@ -414,17 +456,134 @@ TEST(GenObfOracleTest, RejectsNonFiniteOptionsBeforeAnyWork) {
       EXPECT_NE(bad_plan.status().message().find(name), std::string::npos)
           << bad_plan.status().ToString();
       Rng rng(1);
-      EXPECT_EQ(GenObf(g, *plan, priorities, 0.1, options, rng).status().code(),
+      GenObfScratch scratch;
+      EXPECT_EQ(GenObf(g, *plan, priorities, 0.1, options, rng, scratch)
+                    .status()
+                    .code(),
                 StatusCode::kInvalidArgument)
           << name << " = " << value;
     }
   }
   for (const double sigma : {std::nan(""), inf, -inf}) {
     Rng rng(1);
+    GenObfScratch scratch;
     const Result<GenObfAttempt> attempt =
-        GenObf(g, *plan, priorities, sigma, GenObfOptions{}, rng);
+        GenObf(g, *plan, priorities, sigma, GenObfOptions{}, rng, scratch);
     ASSERT_EQ(attempt.status().code(), StatusCode::kInvalidArgument) << sigma;
     EXPECT_NE(attempt.status().message().find("sigma"), std::string::npos);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// GenObfScratch: what a search reuses across its attempts.
+// ---------------------------------------------------------------------------
+
+/// One attempt on `reused` must equal the same attempt on a fresh scratch,
+/// p̃ bit for bit.
+void ExpectSameAsFreshScratch(const UncertainGraph& g, const GenObfPlan& plan,
+                              const std::vector<double>& priorities,
+                              const GenObfOptions& options, std::uint64_t seed,
+                              GenObfScratch& reused) {
+  Rng reused_rng(seed);
+  Rng fresh_rng(seed);
+  GenObfScratch fresh;
+  const Result<GenObfAttempt> got =
+      GenObf(g, plan, priorities, 0.7, options, reused_rng, reused);
+  const Result<GenObfAttempt> want =
+      GenObf(g, plan, priorities, 0.7, options, fresh_rng, fresh);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  ASSERT_TRUE(want.ok()) << want.status().message();
+  ASSERT_EQ(reused.probabilities().size(), fresh.probabilities().size());
+  for (std::size_t e = 0; e < fresh.probabilities().size(); ++e) {
+    ASSERT_TRUE(SameBits(reused.probabilities()[e], fresh.probabilities()[e]))
+        << "edge " << e;
+  }
+  ExpectSameCertificate(got->certificate, want->certificate);
+}
+
+TEST(GenObfScratchTest, RefillsUnderAnotherPlanOrGraph) {
+  // At c = 1 the first plan perturbs nearly every edge. The second plan
+  // excludes 90 vertices, so many of those edges are not its to perturb:
+  // they must read p again. The second graph has the same topology and
+  // other probabilities, so every edge its plan leaves alone must read
+  // that graph's p.
+  const UncertainGraph g = RandomGraph(600, 3000, 23);
+  const std::vector<double> uniqueness = Uniqueness(g);
+  const std::vector<double> priorities =
+      ComputeEdgePriorities(g, uniqueness, {}).value();
+  GenObfOptions wide;
+  wide.k = 8.0;
+  wide.epsilon = 0.01;
+  wide.candidate_fraction = 1.0;
+  GenObfOptions narrow = wide;
+  narrow.epsilon = 0.3;
+  const GenObfPlan wide_plan = PlanGenObf(g, uniqueness, wide).value();
+  const GenObfPlan narrow_plan = PlanGenObf(g, uniqueness, narrow).value();
+  ASSERT_NE(wide_plan.id, narrow_plan.id);
+  ASSERT_LT(narrow_plan.eligible.size(), wide_plan.eligible.size());
+
+  std::vector<double> flipped(g.num_edges());
+  for (std::size_t e = 0; e < g.num_edges(); ++e) {
+    flipped[e] = 1.0 - g.edges()[e].p;
+  }
+  const UncertainGraph other = g.WithProbabilities(flipped).value();
+  const std::vector<double> other_uniqueness = Uniqueness(other);
+  const std::vector<double> other_priorities =
+      ComputeEdgePriorities(other, other_uniqueness, {}).value();
+  const GenObfPlan other_plan =
+      PlanGenObf(other, other_uniqueness, wide).value();
+  ASSERT_LT(other_plan.eligible.size(), other.num_edges());
+
+  GenObfScratch scratch;
+  {
+    SCOPED_TRACE("first plan");
+    ExpectSameAsFreshScratch(g, wide_plan, priorities, wide, 1, scratch);
+  }
+  {
+    SCOPED_TRACE("second plan");
+    ExpectSameAsFreshScratch(g, narrow_plan, priorities, narrow, 2, scratch);
+  }
+  {
+    SCOPED_TRACE("second graph");
+    ExpectSameAsFreshScratch(other, other_plan, other_priorities, wide, 3,
+                             scratch);
+  }
+  {
+    SCOPED_TRACE("first plan again, after a Keep");
+    scratch.Keep();
+    ExpectSameAsFreshScratch(g, wide_plan, priorities, wide, 4, scratch);
+  }
+}
+
+TEST(GenObfScratchTest, AttemptsAfterTheFirstAllocateUnderOneMiB) {
+  // 8k vertices at mean degree 100: 400k edges, so p̃ alone is 3.2 MB and
+  // the selection keys another 3.2 MB. Reused, they leave an attempt
+  // only small per-call buffers, a kept attempt included. (Every sample
+  // reads zero in a build without observability.)
+  Rng rng(2018);
+  const UncertainGraph g =
+      graph::RandomGraph({.nodes = 8000, .avg_degree = 100.0}, rng).value();
+  const std::vector<double> uniqueness = Uniqueness(g);
+  const std::vector<double> priorities =
+      ComputeEdgePriorities(g, uniqueness, {}).value();
+  GenObfOptions options;
+  options.k = 100.0;
+  options.epsilon = 0.01;
+  options.threads = 2;
+  const GenObfPlan plan = PlanGenObf(g, uniqueness, options).value();
+  GenObfScratch scratch;
+  for (std::uint64_t attempt = 0; attempt < 4; ++attempt) {
+    SCOPED_TRACE(attempt);
+    Rng attempt_rng(attempt);
+    const std::uint64_t before = obs::TotalAllocStats().alloc_bytes;
+    ASSERT_TRUE(
+        GenObf(g, plan, priorities, 0.2, options, attempt_rng, scratch).ok());
+    const std::uint64_t allocated =
+        obs::TotalAllocStats().alloc_bytes - before;
+    if (attempt > 0) {
+      EXPECT_LT(allocated, std::uint64_t{1} << 20);
+    }
+    if (attempt == 1) scratch.Keep();
   }
 }
 

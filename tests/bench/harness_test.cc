@@ -1,10 +1,12 @@
 #include "harness.h"
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -74,6 +76,31 @@ TEST(MeasureTest, CalibratesAndReportsSaneStats) {
   EXPECT_LE(result.min_ns, result.median_ns);
   EXPECT_GE(result.max_ns, result.median_ns);
   EXPECT_GT(result.items_per_sec, 0.0);  // 2 items/iter declared
+}
+
+TEST(MeasureTest, SlowFirstCallStaysOutOfCalibration) {
+  // A benchmark that builds a static fixture on its first call: 100 ms
+  // once, then 1 ms per iteration. Calibration must see the iterations,
+  // not the build, and grow past one iteration toward the 50 ms rep.
+  BenchOptions options;
+  options.reps = 1;
+  options.warmup_reps = 0;
+  options.min_rep_seconds = 0.05;
+  bool built = false;
+  const BenchResult result = MeasureBenchmark(
+      "fixture",
+      [&built](BenchContext& context) {
+        if (!built) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
+          built = true;
+        }
+        for (std::uint64_t i = 0; i < context.iterations(); ++i) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      },
+      options);
+  EXPECT_GT(result.iterations, 1u);
+  EXPECT_LT(result.median_ns, 50e6);
 }
 
 TEST(BenchFileTest, WriteLoadRoundTrip) {

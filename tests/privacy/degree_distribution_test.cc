@@ -13,6 +13,7 @@
 
 #include "chameleon/graph/uncertain_graph.h"
 #include "chameleon/util/rng.h"
+#include "privacy/poisson_binomial.h"
 
 namespace chameleon::privacy {
 namespace {
@@ -171,6 +172,77 @@ TEST(DegreeDistributionTest, TwoLaneKernelMatchesScalarRecurrence) {
         DegreeDistribution::FromProbabilities(patterns[pattern]).pmf(),
         ScalarPmf(patterns[pattern])))
         << "pattern " << pattern;
+  }
+}
+
+TEST(DegreeDistributionTest, LaneInstantiationsMatchScalarRecurrence) {
+  // The two- and four-lane recurrences, called directly (here built
+  // without AVX, so both run on any x86-64 host), against the scalar
+  // one, on TwoLaneKernelMatchesScalarRecurrence's patterns grown to
+  // degree 1,200: every degree's PMF, edge by edge, and whole PMFs built
+  // at once. BuildPmf, and the AVX2 build where this CPU has AVX2, must
+  // agree too.
+  constexpr std::size_t kMaxDegree = 1200;
+  const std::vector<double> specials = {
+      0.0, 1.0, 0.5, 1e-300, 1.0 - 0x1.0p-53, -0.1, 1.5};
+  Rng rng(2018);
+  std::vector<std::vector<double>> patterns;
+  for (const double p : specials) {
+    patterns.emplace_back(kMaxDegree, p);
+  }
+  std::vector<double> uniform(kMaxDegree);
+  for (double& p : uniform) p = rng.UniformDouble();
+  patterns.push_back(uniform);
+  std::vector<double> mixed(kMaxDegree);
+  for (std::size_t i = 0; i < kMaxDegree; ++i) {
+    mixed[i] = i % 3 == 0 ? specials[(i / 3) % specials.size()]
+                          : rng.UniformDouble();
+  }
+  patterns.push_back(mixed);
+
+  const auto built = [](auto build, const std::vector<double>& probs,
+                        std::size_t d) {
+    std::vector<double> pmf(d + 1);
+    build(pmf.data(), probs.data(), d);
+    return pmf;
+  };
+  for (std::size_t pattern = 0; pattern < patterns.size(); ++pattern) {
+    SCOPED_TRACE(testing::Message() << "pattern " << pattern);
+    const std::vector<double>& probs = patterns[pattern];
+    std::vector<double> oracle = {1.0};
+    std::vector<double> two(kMaxDegree + 1);
+    std::vector<double> four(kMaxDegree + 1);
+    two[0] = 1.0;
+    four[0] = 1.0;
+    for (std::size_t d = 1; d <= kMaxDegree; ++d) {
+      ScalarAddEdge(oracle, probs[d - 1]);
+      internal::ConvolveEdgeLanes<2>(two.data(), d, probs[d - 1]);
+      internal::ConvolveEdgeLanes<4>(four.data(), d, probs[d - 1]);
+      ASSERT_EQ(std::memcmp(two.data(), oracle.data(),
+                            oracle.size() * sizeof(double)),
+                0)
+          << "two lanes, degree " << d;
+      ASSERT_EQ(std::memcmp(four.data(), oracle.data(),
+                            oracle.size() * sizeof(double)),
+                0)
+          << "four lanes, degree " << d;
+    }
+    for (std::size_t d = 0; d <= kMaxDegree; d += d < 40 ? 1 : 97) {
+      const std::vector<double> want =
+          ScalarPmf(std::span<const double>(probs.data(), d));
+      ASSERT_TRUE(SameBits(built(internal::BuildPmfLanes<2>, probs, d), want))
+          << "two lanes, degree " << d;
+      ASSERT_TRUE(SameBits(built(internal::BuildPmfLanes<4>, probs, d), want))
+          << "four lanes, degree " << d;
+      ASSERT_TRUE(SameBits(built(internal::BuildPmf, probs, d), want))
+          << "dispatched, degree " << d;
+#if defined(__x86_64__) || defined(__i386__)
+      if (__builtin_cpu_supports("avx2")) {
+        ASSERT_TRUE(SameBits(built(internal::BuildPmfAvx2, probs, d), want))
+            << "AVX2, degree " << d;
+      }
+#endif
+    }
   }
 }
 

@@ -6,11 +6,13 @@
 #include <limits>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "chameleon/graph/generators.h"
 #include "chameleon/graph/io.h"
 #include "chameleon/graph/uncertain_graph.h"
 #include "chameleon/obs/obs.h"
@@ -494,6 +496,154 @@ TEST(VerifyObfuscationTest, CommittedFixturesClassifyCorrectly) {
   const Result<ObfuscationCertificate> bad = VerifyObfuscation(*star, options);
   ASSERT_TRUE(bad.ok());
   EXPECT_FALSE(bad->obfuscated);
+}
+
+/// Dense ER: 600 vertices at mean degree 60, p in [0.2, 0.9), so under
+/// the expected-degree adversary every ω sits well above 0 and below the
+/// largest degree: the fold's ω range is strictly inside every wide PMF.
+UncertainGraph MakeDenseEr() {
+  Rng rng(4242);
+  return graph::RandomGraph(
+             {.nodes = 600, .avg_degree = 60.0, .p_min = 0.2, .p_max = 0.9},
+             rng)
+      .value();
+}
+
+/// A p̃ for `g` unlike its own p: each p moved toward 1/2 by a seeded
+/// fraction, as max-entropy noise moves it, and every 97th edge set to 0
+/// and every 89th to 1.
+std::vector<double> PerturbedProbabilities(const UncertainGraph& g,
+                                           std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> p(g.num_edges());
+  for (std::size_t e = 0; e < p.size(); ++e) {
+    const double old = g.edges()[e].p;
+    p[e] = old + (1.0 - 2.0 * old) * rng.UniformDouble();
+    if (e % 97 == 0) p[e] = 0.0;
+    if (e % 89 == 0) p[e] = 1.0;
+  }
+  return p;
+}
+
+TEST(VerifyObfuscationTest, ProbabilityVectorMatchesGraphWithThoseProbabilities) {
+  // VerifyObfuscation(g, p̃) against the one-graph overload on
+  // g.WithProbabilities(p̃), and both against the global-width sweep on
+  // that graph's distributions, bit for bit.
+  const UncertainGraph graphs[] = {MakeDenseEr(),
+                                   MakeGraphWithIsolatedVertices(),
+                                   MakeHubGraph()};
+  for (const UncertainGraph& g : graphs) {
+    const std::vector<double> p = PerturbedProbabilities(g, g.num_nodes());
+    const Result<UncertainGraph> published = g.WithProbabilities(p);
+    ASSERT_TRUE(published.ok());
+    const std::vector<DegreeDistribution> dists =
+        BuildDegreeDistributions(*published, 2);
+    for (const auto& [adversary, k] :
+         {std::pair{AdversaryModel::kRoundedExpectedDegree, 16.0},
+          std::pair{AdversaryModel::kRoundedExpectedDegree, 1024.0},
+          std::pair{AdversaryModel::kStructuralDegree, 16.0},
+          std::pair{AdversaryModel::kStructuralDegree, 1024.0}}) {
+      const GlobalWidthCertificate oracle =
+          GlobalWidthVerify(*published, dists, k, adversary);
+      for (const int threads : {1, 2, 3, 8}) {
+        SCOPED_TRACE(testing::Message()
+                     << g.num_nodes() << " vertices, "
+                     << AdversaryModelName(adversary) << ", k " << k
+                     << ", threads " << threads);
+        ObfuscationOptions options;
+        options.k = k;
+        options.epsilon = 0.5;
+        options.adversary = adversary;
+        options.threads = threads;
+        const Result<ObfuscationCertificate> got =
+            VerifyObfuscation(g, p, options);
+        const Result<ObfuscationCertificate> want =
+            VerifyObfuscation(*published, options);
+        ASSERT_TRUE(got.ok()) << got.status().message();
+        ASSERT_TRUE(want.ok());
+        ASSERT_EQ(got->per_vertex.size(), g.num_nodes());
+        ASSERT_EQ(want->per_vertex.size(), g.num_nodes());
+        std::size_t min_omega = g.num_nodes();
+        std::size_t max_omega = 0;
+        for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+          const VertexObfuscation& a = got->per_vertex[v];
+          const VertexObfuscation& b = want->per_vertex[v];
+          ASSERT_EQ(a.vertex, b.vertex);
+          ASSERT_EQ(a.omega, b.omega) << "vertex " << v;
+          ASSERT_EQ(a.entropy_bits, b.entropy_bits) << "vertex " << v;
+          ASSERT_EQ(a.entropy_bits, oracle.entropy_bits[v]) << "vertex " << v;
+          ASSERT_EQ(a.k_anonymity, b.k_anonymity) << "vertex " << v;
+          ASSERT_EQ(a.obfuscated, b.obfuscated) << "vertex " << v;
+          min_omega = std::min(min_omega, a.omega);
+          max_omega = std::max(max_omega, a.omega);
+        }
+        EXPECT_EQ(got->not_obfuscated, want->not_obfuscated);
+        EXPECT_EQ(got->not_obfuscated, oracle.not_obfuscated);
+        EXPECT_EQ(got->epsilon_hat, want->epsilon_hat);
+        EXPECT_EQ(got->min_entropy_bits, want->min_entropy_bits);
+        EXPECT_EQ(got->min_entropy_bits, oracle.min_entropy_bits);
+        EXPECT_EQ(got->mean_entropy_bits, want->mean_entropy_bits);
+        EXPECT_EQ(got->mean_entropy_bits, oracle.mean_entropy_bits);
+        EXPECT_EQ(got->distinct_omegas, want->distinct_omegas);
+        if (&g == &graphs[0] &&
+            adversary == AdversaryModel::kRoundedExpectedDegree) {
+          std::size_t max_degree = 0;
+          for (NodeId v = 0; v < g.num_nodes(); ++v) {
+            max_degree = std::max(max_degree, g.Neighbors(v).size());
+          }
+          EXPECT_GT(min_omega, 0u);
+          EXPECT_LT(max_omega, max_degree);
+        }
+      }
+    }
+  }
+}
+
+TEST(VerifyObfuscationTest, RejectsBadProbabilityVectors) {
+  const UncertainGraph g = MakeCycle12();
+  ObfuscationOptions options;
+  options.k = 8.0;
+  const std::vector<double> p(g.num_edges(), 0.5);
+  ASSERT_TRUE(VerifyObfuscation(g, p, options).ok());
+  for (const std::size_t size : {g.num_edges() - 1, g.num_edges() + 1}) {
+    const std::vector<double> wrong(size, 0.5);
+    EXPECT_EQ(VerifyObfuscation(g, wrong, options).status().code(),
+              StatusCode::kInvalidArgument)
+        << size;
+  }
+  for (const double bad : {std::nan(""), -0.1, 1.5}) {
+    std::vector<double> q = p;
+    q[5] = bad;
+    const Result<ObfuscationCertificate> cert =
+        VerifyObfuscation(g, q, options);
+    ASSERT_EQ(cert.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(cert.status().message().find("edge 5"), std::string::npos)
+        << cert.status().ToString();
+  }
+}
+
+TEST(VerifyObfuscationTest, CertificateReportsTheWorkersGranted) {
+  // The posterior sweep's blocks are 256 vertices, so a 9-vertex graph
+  // runs on one worker whatever was asked; no request gets more workers
+  // than the hardware has.
+  ObfuscationOptions options;
+  options.k = 8.0;
+  options.threads = 8;
+  const Result<ObfuscationCertificate> star =
+      VerifyObfuscation(MakeStar9(), options);
+  ASSERT_TRUE(star.ok());
+  EXPECT_EQ(star->threads, 1);
+
+  Rng rng(7);
+  const UncertainGraph g =
+      graph::RandomGraph({.nodes = 20000, .avg_degree = 8.0}, rng).value();
+  options.threads = 64;
+  options.keep_per_vertex = false;
+  const Result<ObfuscationCertificate> wide = VerifyObfuscation(g, options);
+  ASSERT_TRUE(wide.ok());
+  EXPECT_GE(wide->threads, 1);
+  EXPECT_LE(wide->threads,
+            std::max(1, static_cast<int>(std::thread::hardware_concurrency())));
 }
 
 }  // namespace
