@@ -11,7 +11,7 @@
 // its gate's namespace. Every gate starts and ends with observability
 // dormant, and checks that its dormant arm recorded nothing. The
 // profiler and heap_active gates are skipped, not failed, where their
-// engine cannot start (both under OBS=OFF, the heap sampler under a
+// engine cannot start (both off Linux, the heap sampler under a
 // sanitizer). Exit 0 when every gate passes or skips, 1 when one fails,
 // 2 on a usage error.
 
@@ -189,8 +189,8 @@ Result<GateOutcome> Measure(int reps) {
   profiler_options.hz = kHz;
   profiler_options.emit_record = false;
   if (Status s = obs::StartGlobalProfiler(profiler_options); !s.ok()) {
-    // OBS=OFF build or non-Linux host: nothing to measure, and nothing
-    // to gate — the profiler genuinely costs zero here.
+    // Non-Linux host: nothing to measure, and nothing to gate — the
+    // profiler genuinely costs zero here.
     return GateOutcome{{}, "profiler unavailable: " + s.ToString()};
   }
   CHAMELEON_RETURN_IF_ERROR(obs::StopGlobalProfiler().status());

@@ -323,7 +323,9 @@ int Main(int argc, char** argv, std::string_view suite) {
                 ": run the registered benchmarks and overhead gates and "
                 "write a canonical " +
                 bench_file + " for chameleon_bench_diff");
-  flags.AddString("out", bench_file, "output BENCH json path");
+  flags.AddString("out", bench_file,
+                  "output BENCH json path (a --filter run writes only "
+                  "when this is given)");
   flags.AddBool("quick", false, "CI mode: fewer reps, shorter calibration");
   flags.AddInt64("reps", 0, "timed repetitions (0: mode default)");
   flags.AddString("filter", "",
@@ -388,6 +390,13 @@ int Main(int argc, char** argv, std::string_view suite) {
     return 1;
   }
 
+  // A filtered run holds only some rows; written to the default path it
+  // would replace the suite's full baseline.
+  if (!options.filter.empty() && !flags.WasSet("out")) {
+    std::fprintf(stdout, "filtered run: no BENCH file written (pass --out "
+                         "to write one)\n");
+    return failed > 0 ? 1 : 0;
+  }
   const std::string& out = flags.GetString("out");
   if (Status s = WriteBenchFile(out, suite, rows, options); !s.ok()) {
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
@@ -418,13 +427,12 @@ std::string BenchSuiteToJson(std::string_view suite,
   out += StrFormat(
       "  \"build\":{\"version\":\"%s\",\"git_sha\":\"%s\","
       "\"git_describe\":\"%s\",\"compiler\":\"%s %s\","
-      "\"build_type\":\"%s\",\"sanitize\":\"%s\",\"obs\":%s},\n",
+      "\"build_type\":\"%s\",\"sanitize\":\"%s\"},\n",
       JsonEscape(build.version).c_str(), JsonEscape(build.git_sha).c_str(),
       JsonEscape(build.git_describe).c_str(),
       JsonEscape(build.compiler_id).c_str(),
       JsonEscape(build.compiler_version).c_str(),
-      JsonEscape(build.build_type).c_str(), JsonEscape(build.sanitize).c_str(),
-      build.obs_compiled ? "true" : "false");
+      JsonEscape(build.build_type).c_str(), JsonEscape(build.sanitize).c_str());
   out += StrFormat(
       "  \"host\":{\"hostname\":\"%s\",\"cpus\":%lld,"
       "\"page_size\":%lld},\n",

@@ -166,7 +166,7 @@ std::string FormatGateVerdict(std::string_view gate,
                               const GateVerdict& verdict);
 
 /// What a registered gate returns: its verdict, or a note saying why the
-/// gate cannot run here (an engine compiled out or refused under a
+/// gate cannot run here (an engine unavailable off Linux or refused under a
 /// sanitizer, too few CPUs for a speedup), which skips the gate without
 /// failing it. A non-OK status from the gate is a failed check.
 struct GateOutcome {
@@ -195,9 +195,10 @@ void RegisterGate(std::string name, GateFn fn);
 /// (substring of a benchmark or gate name) and --list, plus --help and
 /// --version through obs::ParseToolFlags. Runs the matching benchmarks,
 /// then the matching gates, printing each gate's verdict, and writes
-/// every row to one BENCH file. Exits 0 when everything ran (a skipped
-/// gate included), 1 when a gate failed, nothing matched or the file
-/// could not be written, 2 on a usage error.
+/// every row to one BENCH file; a --filter run writes one only to an
+/// explicit --out, so it never replaces a full baseline. Exits 0 when
+/// everything ran (a skipped gate included), 1 when a gate failed,
+/// nothing matched or the file could not be written, 2 on a usage error.
 int Main(int argc, char** argv, std::string_view suite);
 
 /// A parsed (or about-to-be-written) BENCH_<suite>.json.

@@ -4,16 +4,14 @@
 #include <cstdint>
 
 /// \file alloc_stats.h
-/// Heap-allocation counters. When CHAMELEON_OBS_ENABLED, alloc_stats.cc
-/// replaces the global operator new/delete (every overload — plain,
-/// array, nothrow, sized, and the C++17 aligned std::align_val_t
-/// variants) with malloc-backed versions that bump per-thread counters
-/// and feed the sampling heap profiler (heap_profiler.h), so a
-/// TraceSpan can report how many allocations (and requested bytes) a
-/// phase performed on its thread and run_summary can report the
-/// process-wide totals. The counters are monotonically increasing;
-/// consumers diff two samples. With observability compiled out the
-/// replacement operators are not emitted and every sample reads zero.
+/// Heap-allocation counters. alloc_stats.cc replaces the global operator
+/// new/delete (every overload — plain, array, nothrow, sized, and the
+/// C++17 aligned std::align_val_t variants) with malloc-backed versions
+/// that bump per-thread counters and feed the sampling heap profiler
+/// (heap_profiler.h), so a TraceSpan can report how many allocations
+/// (and requested bytes) a phase performed on its thread and run_summary
+/// can report the process-wide totals. The counters are monotonically
+/// increasing; consumers diff two samples.
 
 namespace chameleon::obs {
 

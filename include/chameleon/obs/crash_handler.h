@@ -45,9 +45,8 @@ struct CrashHandlerOptions {
 
 /// Installs the handlers (idempotent; later calls update the options).
 /// Also registers the calling thread with the profiler so its stack
-/// bounds are known to the walker. Returns FailedPrecondition /
-/// Unimplemented on builds without signal forensics (CHAMELEON_OBS=OFF
-/// or non-Linux); tools treat that as a warning, not an error.
+/// bounds are known to the walker. Returns Unimplemented off Linux;
+/// tools treat that as a warning, not an error.
 Status InstallCrashHandler(const CrashHandlerOptions& options = {});
 
 /// True once InstallCrashHandler succeeded in this process.

@@ -18,8 +18,8 @@
 /// Consumers:
 ///  - the crash handler and signal-death FinalizeRun path emit a
 ///    `flight_event_dump` JSONL record (see sink.h);
-///  - the stall watchdog reads per-thread last-activity timestamps to
-///    decide whether a phase is still making progress.
+///  - the status server's /healthz reads per-thread last-activity
+///    timestamps to decide whether a phase is still making progress.
 
 #include <cstdint>
 #include <string>
@@ -92,8 +92,8 @@ struct FlightThreadSnapshot {
 /// shutdown, and tests — not for hot-path polling.
 std::vector<FlightThreadSnapshot> SnapshotFlightRecorder();
 
-/// Per-thread activity pulse for the watchdog: atomics only, never
-/// touches ring slots.
+/// Per-thread activity pulse for /healthz: atomics only, never touches
+/// ring slots.
 struct FlightThreadActivity {
   std::uint32_t thread_index = 0;
   std::uint64_t recorded = 0;
@@ -115,12 +115,6 @@ void EmitFlightRecorderDump(RecordSink* sink, int signal_number);
 }  // namespace obs
 }  // namespace chameleon
 
-#ifndef CHAMELEON_OBS_ENABLED
-#define CHAMELEON_OBS_ENABLED 1
-#endif
-
-#if CHAMELEON_OBS_ENABLED
-
 /// Records a flight event when observability is enabled; dormant cost
 /// is one relaxed load + branch. `kind` is a bare FlightEventKind
 /// enumerator token (kCheckpoint, kGraphOp, ...).
@@ -132,13 +126,5 @@ void EmitFlightRecorderDump(RecordSink* sink, int signal_number);
           static_cast<std::uint64_t>(a), static_cast<std::uint64_t>(b));    \
     }                                                                       \
   } while (0)
-
-#else  // !CHAMELEON_OBS_ENABLED
-
-#define CHOBS_FLIGHT_EVENT(kind, label, a, b) \
-  do {                                        \
-  } while (0)
-
-#endif  // CHAMELEON_OBS_ENABLED
 
 #endif  // CHAMELEON_OBS_FLIGHT_RECORDER_H_

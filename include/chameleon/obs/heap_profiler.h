@@ -20,7 +20,6 @@
 //     clean and signal exits via FinalizeRun;
 //   * folded collapsed stacks weighted by cumulative bytes, written next
 //     to the CPU profile.folded for flamegraph.pl / speedscope;
-//   * /heapz?seconds=N bounded capture on the status server;
 //   * `chameleon_obs_dump --heap` (top-N site and span-path tables).
 //
 // Hook safety rules (everything here is reachable from inside
@@ -106,11 +105,11 @@ struct HeapProfileReport {
 };
 
 /// Starts the sampler. InvalidArgument when sample_bytes is 0;
-/// FailedPrecondition when observability is compiled out, a sampler is
-/// already running, or the build runs under ASan/TSan (the reason is
-/// retained for the heap_profiler_unavailable record); Unimplemented off
-/// Linux. Independent of InitObservability — records are only emitted
-/// where a global sink exists.
+/// FailedPrecondition when a sampler is already running or the build
+/// runs under ASan/TSan (the reason is retained for the
+/// heap_profiler_unavailable record); Unimplemented off Linux.
+/// Independent of InitObservability — records are only emitted where a
+/// global sink exists.
 Status StartHeapProfiler(const HeapProfilerOptions& options);
 
 /// Stops sampling, writes folded_out, and returns the report. Does NOT
@@ -128,16 +127,9 @@ bool HeapProfilerActive();
 std::string HeapProfilerUnavailableReason();
 
 /// Builds the report from the current site table without stopping —
-/// /statusz and a mid-run /heapz snapshot use this. Empty report when
-/// inactive. Symbolizes only when `symbolize` is set (the /statusz
-/// table needs span paths, not frames).
+/// /statusz uses this. Empty report when inactive. Symbolizes only when
+/// `symbolize` is set (the /statusz table needs span paths, not frames).
 HeapProfileReport SnapshotHeapProfile(bool symbolize);
-
-/// Bounded capture for /heapz: when a sampler is live, renders its
-/// aggregate so far; otherwise runs one for `seconds` (clamped to
-/// [0.05, 30]) at the default rate. Returns folded text weighted by
-/// cumulative bytes.
-Result<std::string> CaptureHeapFolded(double seconds);
 
 /// Writes the `heap_profile` records (top sites) and the one
 /// `heap_timeline` record to `sink`. Safe on the FinalizeRun path:

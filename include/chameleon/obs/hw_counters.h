@@ -117,11 +117,11 @@ HwCounterDelta ComputeHwDelta(const HwCounterSample& open,
 /// Starts the engine: resolves the backend (CHAMELEON_HW_COUNTERS env:
 /// off/0/false → disabled, emulate → emulated, unset/auto → probe
 /// perf_event_open), probes by registering the calling thread, and
-/// resets the per-path aggregates. When `enable` is false, or the probe
+/// resets the per-path aggregates. When the env says off, or the probe
 /// fails, the engine stays inactive and the reason is retained; the
 /// FinalizeRun emits the single hw_counters_unavailable record for runs
 /// where counters never came up. Returns true when counters are live.
-bool StartHwCounters(bool enable);
+bool StartHwCounters();
 
 /// Stops the engine: flips the active flag so no new samples open
 /// groups. Per-thread fds close when their threads exit (TLS

@@ -13,20 +13,15 @@
 #include "chameleon/obs/sink.h"
 #include "chameleon/obs/status_server.h"
 #include "chameleon/obs/trace.h"
-#include "chameleon/obs/watchdog.h"
 #include "chameleon/util/status.h"
 
 /// \file obs.h
 /// Umbrella header and process lifecycle for the observability layer.
 ///
-/// Enablement has two levels:
-///  * Compile time: the CMake option CHAMELEON_OBS sets
-///    CHAMELEON_OBS_ENABLED; when 0, every CHOBS_* macro expands to a
-///    no-op and instrumented code carries zero cost.
-///  * Run time: instrumentation is compiled in but dormant (one relaxed
-///    atomic load per macro hit) until InitObservability() configures a
-///    sink — from the `--metrics_out=` flag or the CHAMELEON_METRICS
-///    environment variable.
+/// Instrumentation is always compiled in but dormant (one relaxed
+/// atomic load per macro hit) until InitObservability() configures a
+/// sink — from the `--metrics_out=` flag or the CHAMELEON_METRICS
+/// environment variable.
 ///
 /// Typical tool main():
 ///   FlagSet flags("my_tool: ...");
@@ -38,10 +33,6 @@
 ///       !s.ok()) { ... exit 1 ... }
 ///   ... run phases, obs::EmitSnapshot("phase_name") after each ...
 ///   obs::ShutdownObservability();   // writes the final run_summary
-
-#ifndef CHAMELEON_OBS_ENABLED
-#define CHAMELEON_OBS_ENABLED 1
-#endif
 
 namespace chameleon {
 class FlagSet;
@@ -61,32 +52,25 @@ struct ObsOptions {
   /// Default throttle for ProgressHeartbeat instances that do not
   /// override it.
   std::uint64_t heartbeat_interval_nanos = 500'000'000;
-  /// Open per-thread hardware counter groups (perf_event_open) and
-  /// attribute deltas to spans. When the kernel refuses (paranoid,
-  /// seccomp, no PMU) or this is false, the run carries exactly one
-  /// hw_counters_unavailable record instead. CHAMELEON_HW_COUNTERS
-  /// overrides: off|0|false, emulate, perf, auto.
-  bool hw_counters = true;
-  /// Live /statusz, /metricsz, /profilez and /heapz pages.
+  /// Live /statusz, /metricsz, /profilez and /healthz pages.
   std::optional<StatusServerOptions> status_server;
-  /// Stall watchdog: watchdog_stall records, optional SIGABRT.
-  std::optional<WatchdogOptions> watchdog;
   /// Whole-run sampling CPU profile.
   std::optional<ProfilerOptions> profiler;
   /// Whole-run sampling heap profile.
   std::optional<HeapProfilerOptions> heap_profiler;
 };
 
-/// Configures the global sink/tracer, flips the runtime switch, then
-/// starts the engines `options` names. The engines render from the live
-/// registries, so a run that requests one without a metrics path (flag
-/// or environment) writes its stream to /dev/null. Calling it again
-/// tears the previous run down (final summary included) and starts a new
-/// one. Returns IoError when the sink path is not writable, or the
-/// status server's error when its port cannot be bound; the process is
-/// left disabled in both cases. A watchdog or profiler that refuses to
-/// start (bad argument, OBS=OFF build, sanitizer) is a logged warning:
-/// the run goes on without it.
+/// Configures the global sink/tracer, flips the runtime switch, starts
+/// the hardware counters (CHAMELEON_HW_COUNTERS picks the backend, see
+/// hw_counters.h), then starts the engines `options` names. The engines
+/// render from the live registries, so a run that requests one without
+/// a metrics path (flag or environment) writes its stream to /dev/null.
+/// Calling it again tears the previous run down (final summary
+/// included) and starts a new one. Returns IoError when the sink path is
+/// not writable, or the status server's error when its port cannot be
+/// bound; the process is left disabled in both cases. A profiler that
+/// refuses to start (bad argument, sanitizer, non-Linux host) is a
+/// logged warning: the run goes on without it.
 ///
 /// The first successful init also installs abnormal-termination hooks
 /// (atexit + SIGINT/SIGTERM) that write the final run_summary and flush
@@ -101,17 +85,16 @@ Status InitObservability(const ObsOptions& options = {});
 void ShutdownObservability();
 
 /// Registers the observability flags the CLIs share: --metrics_out,
-/// --hw_counters, --watchdog_stall_seconds, --watchdog_abort_after,
 /// --profile, --profile_hz, --heap_profile, --heap_sample_bytes.
 void AddObsFlags(FlagSet& flags);
 
 /// The ObsOptions those flags select (parsed FlagSet from AddObsFlags).
-/// An engine is set only when its flag asks for it: a positive stall
-/// interval, a non-empty --profile or --heap_profile path.
+/// An engine is set only when its flag asks for it: a non-empty
+/// --profile or --heap_profile path.
 ObsOptions ObsOptionsFromFlags(const FlagSet& flags);
 
 /// Finalizes the run exactly as the termination hooks do on a fatal
-/// signal: stops the status server, watchdog, and profiler, dumps the
+/// signal: stops the status server and the profiler, dumps the
 /// flight recorder, then writes a run_summary annotated with
 /// `signal_number` (>= 0). Idempotent (the first finalizer wins). The
 /// crash handler calls this after its `crash` record; normal code wants
@@ -147,10 +130,8 @@ void SetEnabledForTesting(bool enabled);
 
 // ---------------------------------------------------------------------------
 // Instrumentation macros. Library code uses these, never the classes
-// directly, so a -DCHAMELEON_OBS=OFF build compiles instrumentation out.
+// directly, so each hit costs one relaxed load while observability is off.
 // ---------------------------------------------------------------------------
-
-#if CHAMELEON_OBS_ENABLED
 
 /// Adds `delta` to counter `name` (no-op while disabled).
 #define CHOBS_COUNT(name, delta)                              \
@@ -178,21 +159,5 @@ void SetEnabledForTesting(bool enabled);
 
 /// Declares an RAII trace span named `var` on the global tracer.
 #define CHOBS_SPAN(var, ...) ::chameleon::obs::TraceSpan var{__VA_ARGS__}
-
-#else  // !CHAMELEON_OBS_ENABLED
-
-#define CHOBS_COUNT(name, delta) \
-  do {                           \
-  } while (0)
-#define CHOBS_GAUGE(name, value) \
-  do {                           \
-  } while (0)
-#define CHOBS_OBSERVE(name, nanos) \
-  do {                             \
-  } while (0)
-#define CHOBS_SPAN(var, ...) \
-  [[maybe_unused]] ::chameleon::obs::NullSpan var {}
-
-#endif  // CHAMELEON_OBS_ENABLED
 
 #endif  // CHAMELEON_OBS_OBS_H_

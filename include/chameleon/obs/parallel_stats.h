@@ -1,15 +1,11 @@
 #ifndef CHAMELEON_OBS_PARALLEL_STATS_H_
 #define CHAMELEON_OBS_PARALLEL_STATS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "chameleon/obs/hw_counters.h"
-#include "chameleon/obs/sink.h"
-#include "chameleon/util/common.h"
 
 /// \file parallel_stats.h
 /// Parallel-efficiency telemetry for ParallelForBlocks. Every instrumented
@@ -30,11 +26,6 @@
 ///    plus a wall-time histogram, surfaced on /metricsz);
 ///  - an in-process cumulative aggregate table (the /statusz "parallel
 ///    regions" section reads it directly).
-///
-/// Fatal signals: in-flight regions register themselves (relaxed atomics
-/// updated per claimed block) so FinalizeRun can flush one well-formed
-/// partial record ("partial":true) per region still running when a
-/// SIGINT/SIGTERM lands mid-sweep.
 
 namespace chameleon::obs {
 
@@ -81,37 +72,6 @@ struct ParallelRegionStats {
   double Efficiency() const;
 };
 
-/// RAII registration of an in-flight region, so a fatal signal can dump
-/// partial telemetry for a sweep that never reached its join. The ctor
-/// and dtor take a (leaked) registry mutex — per region, off the hot
-/// path; NoteBlockDone is two relaxed adds per claimed block.
-class ActiveParallelRegion {
- public:
-  ActiveParallelRegion(std::string_view name, std::uint64_t items,
-                       std::uint64_t block_size, std::uint64_t blocks,
-                       std::uint64_t requested, std::uint64_t workers);
-  ~ActiveParallelRegion();
-  CHAMELEON_DISALLOW_COPY_AND_ASSIGN(ActiveParallelRegion);
-
-  void NoteBlockDone(std::uint64_t busy_ns) {
-    blocks_done_.fetch_add(1, std::memory_order_relaxed);
-    busy_ns_.fetch_add(busy_ns, std::memory_order_relaxed);
-  }
-
- private:
-  friend void EmitInFlightParallelRegions(RecordSink* sink);
-
-  std::string name_;
-  std::uint64_t items_;
-  std::uint64_t block_size_;
-  std::uint64_t blocks_;
-  std::uint64_t requested_;
-  std::uint64_t workers_;
-  std::uint64_t start_ns_;
-  std::atomic<std::uint64_t> blocks_done_{0};
-  std::atomic<std::uint64_t> busy_ns_{0};
-};
-
 /// Renders the `parallel_region` JSONL record for `stats` (no sink
 /// interaction; exposed for tests).
 std::string FormatParallelRegionRecord(const ParallelRegionStats& stats);
@@ -141,19 +101,11 @@ struct ParallelRegionAggregate {
 /// "parallel regions" section reads this.
 std::vector<ParallelRegionAggregate> ParallelRegionAggregates();
 
-/// Total `parallel_region` records ever recorded (relaxed counter;
-/// partial signal-time records do not count).
+/// Total `parallel_region` records ever recorded (relaxed counter).
 std::uint64_t ParallelRegionsRecorded();
 
 /// Test hook: clears the cumulative aggregate table.
 void ResetParallelRegionAggregates();
-
-/// Writes one partial `parallel_region` record ("partial":true, with
-/// blocks_done and busy-so-far) per registered in-flight region. Called
-/// by FinalizeRun on signal exits; try-locks the registry so a signal
-/// landing inside register/unregister skips the dump instead of
-/// deadlocking. No-op when `sink` is null or nothing is in flight.
-void EmitInFlightParallelRegions(RecordSink* sink);
 
 }  // namespace chameleon::obs
 

@@ -32,9 +32,8 @@
 ///
 /// Threads register on their first TraceSpan open (plus the thread that
 /// calls StartGlobalProfiler), so profiling requires live observability:
-/// with a dormant obs runtime no spans open and nothing is sampled. With
-/// CHAMELEON_OBS=OFF everything here compiles to a no-op and Start
-/// reports FailedPrecondition.
+/// with a dormant obs runtime no spans open and nothing is sampled. Off
+/// Linux everything here is a no-op and Start reports Unimplemented.
 ///
 /// Outputs, all rendered from the same (span path × stack) aggregate:
 ///   * folded collapsed stacks ("a;b;c 42" lines) for flamegraph.pl /
@@ -89,9 +88,8 @@ struct ProfileReport {
 std::string FoldedText(const ProfileReport& report);
 
 /// Starts the process-global profiler. InvalidArgument when `hz` is out
-/// of [1, 10000] or a profiler is already running; FailedPrecondition
-/// when observability is compiled out; Internal on timer/sigaction
-/// failures.
+/// of [1, 10000]; FailedPrecondition when a profiler is already running;
+/// Unimplemented off Linux; Internal on timer/sigaction failures.
 Status StartGlobalProfiler(const ProfilerOptions& options);
 
 /// Stops the profiler, writes `folded_out`, emits the "profile" record,

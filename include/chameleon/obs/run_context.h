@@ -38,7 +38,6 @@ struct BuildInfo {
   std::string build_type;        ///< e.g. "RelWithDebInfo"
   std::string cxx_flags;         ///< CMAKE_CXX_FLAGS as configured
   std::string sanitize;          ///< CHAMELEON_SANITIZE value, often ""
-  bool obs_compiled = false;     ///< CHAMELEON_OBS state of this build
 };
 
 const BuildInfo& GetBuildInfo();
@@ -74,7 +73,7 @@ void AppendUsage(const ProcessUsage& usage, JsonWriter* out);
 /// Multi-line `--version` text for the CLI tools:
 ///   <tool> (chameleon 1.0.0, v0-3-g7904802)
 ///   git:      7904802...
-///   compiler: GNU 12.2.0, RelWithDebInfo, obs=on
+///   compiler: GNU 12.2.0, RelWithDebInfo
 std::string VersionString(std::string_view tool);
 
 /// The front door of every CLI: registers --help and --version on
@@ -125,8 +124,8 @@ void EmitRunManifest(const RunManifest& manifest);
 /// Installs the crash-forensics handlers (SIGSEGV/SIGABRT/SIGBUS/SIGFPE
 /// -> `crash` record + flight-recorder dump + signal-annotated
 /// run_summary, then re-raise; see crash_handler.h). The one call every
-/// tool main() makes right after flag parsing; failure (OBS=OFF builds,
-/// non-Linux) is a warning, never fatal.
+/// tool main() makes right after flag parsing; failure (non-Linux) is a
+/// warning, never fatal.
 Status InstallCrashForensics();
 
 }  // namespace chameleon::obs

@@ -18,6 +18,8 @@
 ///              the per-estimator convergence table (human-readable text)
 ///   /metricsz  the full MetricsRegistry plus live convergence gauges in
 ///              Prometheus text exposition format 0.0.4
+///   /profilez  a bounded CPU profile as folded stacks (?seconds=N&hz=N)
+///   /healthz   per-phase liveness; 503 once a phase is stalled
 ///
 /// The server owns no state: every request re-renders from the live obs
 /// registries (all mutex-guarded for exactly this cross-thread read).
@@ -67,6 +69,13 @@ class StatusServer {
 
 /// Renders the /statusz page from the live obs registries.
 std::string StatuszText();
+
+/// Renders the /healthz page: one line per phase (the innermost open span
+/// on each thread) with how long it has been open and idle, idle meaning
+/// since its thread's last flight event; the phase is STALLED once idle
+/// exceeds `stall_seconds` (the server passes 30). Ends with "overall:
+/// OK" or "overall: STALLED".
+std::string HealthzText(double stall_seconds);
 
 /// Renders a metrics snapshot in Prometheus text exposition format 0.0.4:
 /// names are prefixed `chameleon_` and sanitized to [a-zA-Z0-9_:];

@@ -154,14 +154,6 @@ class TraceSpan {
   std::vector<std::pair<std::string, std::uint64_t>> counters_;
 };
 
-/// Drop-in stand-in emitted by the CHOBS_SPAN macro when instrumentation
-/// is compiled out.
-struct NullSpan {
-  void AddCount(std::string_view, std::uint64_t = 1) {}
-  bool active() const { return false; }
-  std::uint64_t ElapsedNanos() const { return 0; }
-};
-
 }  // namespace chameleon::obs
 
 #endif  // CHAMELEON_OBS_TRACE_H_

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <new>
 
-#include "chameleon/obs/obs.h"  // for CHAMELEON_OBS_ENABLED
 #include "heap_hooks.h"
 
 /// Replacement global allocation functions. [replacement.functions] allows
@@ -43,8 +42,6 @@ std::atomic<ThreadCounterNode*> g_counter_list{nullptr};
 
 thread_local ThreadCounterNode* tls_counters = nullptr;
 
-#if CHAMELEON_OBS_ENABLED
-
 /// First allocation on this thread: register a node. Uses malloc +
 /// placement new directly so registration never re-enters operator new.
 ThreadCounterNode* RegisterThreadCountersSlow() {
@@ -73,8 +70,6 @@ inline void Bump(std::atomic<std::uint64_t>& counter, std::uint64_t delta) {
                 std::memory_order_relaxed);
 }
 
-#endif  // CHAMELEON_OBS_ENABLED
-
 }  // namespace
 
 AllocStats ThreadAllocStats() {
@@ -98,8 +93,6 @@ AllocStats TotalAllocStats() {
 }
 
 }  // namespace chameleon::obs
-
-#if CHAMELEON_OBS_ENABLED
 
 namespace {
 
@@ -214,5 +207,3 @@ void operator delete[](void* ptr, std::align_val_t,
                        const std::nothrow_t&) noexcept {
   CountedFree(ptr);
 }
-
-#endif  // CHAMELEON_OBS_ENABLED

@@ -146,7 +146,7 @@ void ConvergenceTracker::MaybeEmitLocked() {
 void ConvergenceTracker::EmitLocked(bool final, bool stopped_early) {
   if (options_.sink == nullptr) return;
   const ConvergenceSnapshot s = SnapshotLocked();
-  // Estimator checkpoints feed the flight recorder / watchdog activity
+  // Estimator checkpoints feed the flight recorder / /healthz activity
   // pulse (lock-free; mu_ being held here is irrelevant to it).
   CHOBS_FLIGHT_EVENT(kCheckpoint, label_, s.samples, 0);
   Record record("estimator_progress");

@@ -211,13 +211,8 @@ bool CrashHandlerInstalled() {
 #else  // !CHAMELEON_PROFILER_IMPL
 
 Status InstallCrashHandler(const CrashHandlerOptions& /*options*/) {
-#if !CHAMELEON_OBS_ENABLED
-  return Status::FailedPrecondition(
-      "crash forensics compiled out (CHAMELEON_OBS=OFF)");
-#else
   return Status::Unimplemented(
       "crash forensics require Linux signal/ucontext support");
-#endif
 }
 
 bool CrashHandlerInstalled() { return false; }

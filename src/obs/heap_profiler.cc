@@ -10,12 +10,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -56,8 +54,8 @@ namespace chameleon::obs {
 namespace internal {
 
 // Defined unconditionally: alloc_stats.cc references the hook fast path
-// whenever CHAMELEON_OBS_ENABLED, including configurations where the
-// sampler itself is stubbed out (non-Linux) and the flag stays 0.
+// in every build, including where the sampler itself is stubbed out
+// (non-Linux) and the flag stays 0.
 std::atomic<std::uint32_t> g_heap_sampling_active{0};
 thread_local std::int64_t tls_heap_countdown = 0;
 
@@ -660,18 +658,6 @@ HeapProfileReport SnapshotHeapProfile(bool symbolize) {
   return BuildReportLocked(state, symbolize);
 }
 
-Result<std::string> CaptureHeapFolded(double seconds) {
-  if (HeapProfilerActive()) {
-    return HeapFoldedText(SnapshotHeapProfile(/*symbolize=*/true));
-  }
-  const double clamped = std::clamp(seconds, 0.05, 30.0);
-  CHAMELEON_RETURN_IF_ERROR(StartHeapProfiler(HeapProfilerOptions{}));
-  std::this_thread::sleep_for(std::chrono::duration<double>(clamped));
-  Result<HeapProfileReport> report = StopHeapProfiler();
-  if (!report.ok()) return report.status();
-  return HeapFoldedText(*report);
-}
-
 void HeapProfilerMaybeSampleTimeline() {
   if (!HeapProfilerActive()) return;
   const std::uint64_t now = MonotonicNanos();
@@ -814,13 +800,8 @@ void HeapFreeSlow(void* /*ptr*/) noexcept {}
 
 namespace {
 Status HeapProfilerUnavailable() {
-#if !CHAMELEON_OBS_ENABLED
-  return Status::FailedPrecondition(
-      "heap profiler compiled out (CHAMELEON_OBS=OFF)");
-#else
   return Status::Unimplemented(
       "heap profiling requires Linux frame-pointer walks");
-#endif
 }
 }  // namespace
 
@@ -841,10 +822,6 @@ bool HeapProfilerActive() { return false; }
 
 HeapProfileReport SnapshotHeapProfile(bool /*symbolize*/) {
   return HeapProfileReport();
-}
-
-Result<std::string> CaptureHeapFolded(double /*seconds*/) {
-  return HeapProfilerUnavailable();
 }
 
 void EmitHeapProfileRecords(RecordSink* /*sink*/) {}

@@ -349,7 +349,7 @@ HwCounterDelta ComputeHwDelta(const HwCounterSample& open,
   return delta;
 }
 
-bool StartHwCounters(bool enable) {
+bool StartHwCounters() {
   StopHwCounters();
   {
     const std::lock_guard<std::mutex> lock(AggregatesMu());
@@ -358,10 +358,6 @@ bool StartHwCounters(bool enable) {
   g_hw_spans_attributed.store(0, std::memory_order_relaxed);
   g_hw_generation.fetch_add(1, std::memory_order_relaxed);
 
-  if (!enable) {
-    SetUnavailableReason("disabled by --hw_counters=false");
-    return false;
-  }
   const EnvMode mode = HwEnvMode();
   if (mode == EnvMode::kOff) {
     SetUnavailableReason(
@@ -542,7 +538,7 @@ void EmitHwCounterRecords(RecordSink* sink) {
   if (sink == nullptr) return;
   // FinalizeRun may arrive via a signal handler while another thread
   // holds the aggregate lock; skipping beats deadlocking (same doctrine
-  // as EmitInFlightParallelRegions).
+  // as EmitHeapProfileRecords).
   std::unique_lock<std::mutex> lock(AggregatesMu(), std::try_to_lock);
   if (!lock.owns_lock()) return;
   std::vector<HwPathAggregate> aggregates;

@@ -14,12 +14,10 @@
 #include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/heap_profiler.h"
 #include "chameleon/obs/hw_counters.h"
-#include "chameleon/obs/parallel_stats.h"
 #include "chameleon/obs/profiler.h"
 #include "chameleon/obs/record.h"
 #include "chameleon/obs/run_context.h"
 #include "chameleon/obs/status_server.h"
-#include "chameleon/obs/watchdog.h"
 #include "chameleon/util/flags.h"
 #include "chameleon/util/logging.h"
 #include "chameleon/util/timer.h"
@@ -62,11 +60,6 @@ void FinalizeRun(int signal_number) {
   // runs on a worker thread.
   StopGlobalStatusServer();
 
-  // The watchdog writes records from its own thread; it must fall
-  // silent before the summary marks the stream complete. Its thread
-  // blocks SIGINT/SIGTERM too, so the join is safe from the handler.
-  StopGlobalWatchdog();
-
   // A still-running profiler flushes next (folded file + "profile"
   // record), before the summary, for the same reason: the summary marks
   // the stream complete. The drainer thread also blocks SIGINT/SIGTERM,
@@ -94,11 +87,6 @@ void FinalizeRun(int signal_number) {
   // skip it: the full JSONL stream already tells the story.
   if (signal_number >= 0) EmitFlightRecorderDump(sink, signal_number);
 
-  // Likewise, a signal that lands mid-sweep flushes one partial
-  // parallel_region record per fork-join region still in flight, so a
-  // killed scaling run keeps the region it died inside.
-  if (signal_number >= 0) EmitInFlightParallelRegions(sink);
-
   // Hardware-counter rollups flush on every exit path — clean or
   // signal-ended — so a killed run keeps its per-path bottleneck data.
   // Emit while the engine is still live (the record names its backend),
@@ -108,7 +96,7 @@ void FinalizeRun(int signal_number) {
     StopHwCounters();
   } else {
     // Counters never came up (paranoid kernel, seccomp, no PMU, or the
-    // env/flag override). One record names the reason; emitting it here
+    // env override). One record names the reason; emitting it here
     // rather than at init keeps the manifest as the stream's first
     // record, and the one-shot enabled claim above keeps it unique.
     sink->Write(Record("hw_counters_unavailable")
@@ -244,8 +232,8 @@ Status InitObservability(const ObsOptions& options) {
       path = env;
     }
   }
-  if (path.empty() && (options.status_server || options.watchdog ||
-                       options.profiler || options.heap_profiler)) {
+  if (path.empty() &&
+      (options.status_server || options.profiler || options.heap_profiler)) {
     path = "/dev/null";
   }
   if (path.empty()) return Status::OK();  // stays disabled
@@ -272,7 +260,7 @@ Status InitObservability(const ObsOptions& options) {
   // allows it, otherwise FinalizeRun emits exactly one
   // hw_counters_unavailable record explaining the absence of hw fields
   // while every consumer carries on.
-  StartHwCounters(options.hw_counters);
+  StartHwCounters();
   CH_LOG(Info) << "observability enabled, metrics sink: " << path;
 
   if (options.status_server) {
@@ -286,9 +274,6 @@ Status InitObservability(const ObsOptions& options) {
       CH_LOG(Warning) << engine << " disabled: " << s.ToString();
     }
   };
-  if (options.watchdog) {
-    warn_unless_ok(StartGlobalWatchdog(*options.watchdog), "watchdog");
-  }
   if (options.profiler) {
     warn_unless_ok(StartGlobalProfiler(*options.profiler), "profiler");
   }
@@ -304,17 +289,6 @@ void ShutdownObservability() { FinalizeRun(-1); }
 void AddObsFlags(FlagSet& flags) {
   flags.AddString("metrics_out", "",
                   "JSONL metrics/trace sink (also: $CHAMELEON_METRICS)");
-  flags.AddBool("hw_counters", true,
-                "attribute hardware counters (perf_event_open) to spans; "
-                "degrades to a hw_counters_unavailable note when the "
-                "kernel refuses");
-  flags.AddDouble("watchdog_stall_seconds", 0.0,
-                  "emit a watchdog_stall record when a phase makes no "
-                  "progress for this long (0 = watchdog off)");
-  flags.AddDouble("watchdog_abort_after", 0.0,
-                  "SIGABRT (-> crash forensics dump) once a stall persists "
-                  "this many seconds past --watchdog_stall_seconds (0 = "
-                  "never abort)");
   flags.AddString("profile", "",
                   "sample CPU for the whole run and write folded collapsed "
                   "stacks (flamegraph.pl input) to this path");
@@ -332,13 +306,6 @@ void AddObsFlags(FlagSet& flags) {
 ObsOptions ObsOptionsFromFlags(const FlagSet& flags) {
   ObsOptions options;
   options.metrics_out = flags.GetString("metrics_out");
-  options.hw_counters = flags.GetBool("hw_counters");
-  if (const double stall = flags.GetDouble("watchdog_stall_seconds");
-      stall > 0.0) {
-    WatchdogOptions& watchdog = options.watchdog.emplace();
-    watchdog.stall_seconds = stall;
-    watchdog.abort_after_seconds = flags.GetDouble("watchdog_abort_after");
-  }
   // Clamped, not wrapped: a value that does not fit reaches the engine's
   // own range check (a warning) instead of turning into a valid one.
   if (const std::string& out = flags.GetString("profile"); !out.empty()) {

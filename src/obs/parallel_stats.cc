@@ -1,32 +1,18 @@
 #include "chameleon/obs/parallel_stats.h"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <mutex>
-#include <unordered_set>
 
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/record.h"
 #include "chameleon/obs/trace.h"
-#include "chameleon/util/timer.h"
 
 namespace chameleon::obs {
 namespace {
 
 std::atomic<std::uint64_t> g_regions_recorded{0};
-
-/// In-flight regions, for the signal-time partial dump. Leaked mutex +
-/// set so a region closing during process teardown never touches a
-/// destructed lock (same doctrine as the live-span table).
-std::mutex& ActiveRegionsMu() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::unordered_set<const ActiveParallelRegion*>& ActiveRegions() {
-  static auto* set = new std::unordered_set<const ActiveParallelRegion*>();
-  return *set;
-}
 
 /// Cumulative per-name aggregates. Keyed by the index-stripped region
 /// name so loop iterations fold together, like span metric names.
@@ -97,28 +83,6 @@ double ParallelRegionStats::Speedup() const {
 double ParallelRegionStats::Efficiency() const {
   if (per_worker.empty()) return 1.0;
   return Speedup() / static_cast<double>(per_worker.size());
-}
-
-ActiveParallelRegion::ActiveParallelRegion(std::string_view name,
-                                          std::uint64_t items,
-                                          std::uint64_t block_size,
-                                          std::uint64_t blocks,
-                                          std::uint64_t requested,
-                                          std::uint64_t workers)
-    : name_(name),
-      items_(items),
-      block_size_(block_size),
-      blocks_(blocks),
-      requested_(requested),
-      workers_(workers),
-      start_ns_(MonotonicNanos()) {
-  const std::lock_guard<std::mutex> lock(ActiveRegionsMu());
-  ActiveRegions().insert(this);
-}
-
-ActiveParallelRegion::~ActiveParallelRegion() {
-  const std::lock_guard<std::mutex> lock(ActiveRegionsMu());
-  ActiveRegions().erase(this);
 }
 
 std::string FormatParallelRegionRecord(const ParallelRegionStats& stats) {
@@ -207,34 +171,6 @@ std::uint64_t ParallelRegionsRecorded() {
 void ResetParallelRegionAggregates() {
   const std::lock_guard<std::mutex> lock(AggregatesMu());
   Aggregates().clear();
-}
-
-void EmitInFlightParallelRegions(RecordSink* sink) {
-  if (sink == nullptr) return;
-  // Signal context: never block on the registry. A signal that lands
-  // while the caller thread is inside register/unregister would deadlock
-  // a plain lock; skipping the dump loses telemetry, not the run.
-  std::unique_lock<std::mutex> lock(ActiveRegionsMu(), std::try_to_lock);
-  if (!lock.owns_lock()) return;
-  const std::uint64_t now = MonotonicNanos();
-  for (const ActiveParallelRegion* region : ActiveRegions()) {
-    sink->Write(
-        Record("parallel_region")
-            .Bool("partial", true)
-            .Str("name", region->name_)
-            .Int("items", region->items_)
-            .Int("block_size", region->block_size_)
-            .Int("blocks", region->blocks_)
-            .Int("requested", region->requested_)
-            .Int("workers", region->workers_)
-            .Int("blocks_done",
-                 region->blocks_done_.load(std::memory_order_relaxed))
-            .Int("busy_total_ns",
-                 region->busy_ns_.load(std::memory_order_relaxed))
-            .Int("wall_ns",
-                 now > region->start_ns_ ? now - region->start_ns_ : 0)
-            .Finish());
-  }
 }
 
 }  // namespace chameleon::obs

@@ -196,8 +196,8 @@ std::uint32_t WalkStack(void* ucontext_raw, std::uintptr_t* pcs,
 #endif
   if (pc != 0 && depth < max_depth) pcs[depth++] = pc;
   // Classic frame-pointer walk: [fp] = caller's fp, [fp + 8] = return
-  // address. Requires -fno-omit-frame-pointer (set by the build when
-  // CHAMELEON_OBS is on); a broken chain just ends the walk early.
+  // address. Requires -fno-omit-frame-pointer (set by the build); a
+  // broken chain just ends the walk early.
   while (depth < max_depth) {
     if (fp < stack_lo || fp + 2 * sizeof(std::uintptr_t) > stack_hi ||
         (fp & (sizeof(std::uintptr_t) - 1)) != 0) {
@@ -683,13 +683,8 @@ Result<std::string> CaptureFoldedProfile(double seconds, int hz) {
 
 namespace {
 Status ProfilerUnavailable() {
-#if !CHAMELEON_OBS_ENABLED
-  return Status::FailedPrecondition(
-      "profiler compiled out (CHAMELEON_OBS=OFF)");
-#else
   return Status::Unimplemented(
       "per-thread CPU profiling requires Linux timer_create");
-#endif
 }
 }  // namespace
 

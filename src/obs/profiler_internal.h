@@ -11,10 +11,6 @@
 #include <string_view>
 #include <unordered_map>
 
-#ifndef CHAMELEON_OBS_ENABLED
-#define CHAMELEON_OBS_ENABLED 1
-#endif
-
 // Disables sanitizer instrumentation for code that reads stack words
 // that are not ordinary objects (saved-FP/return-address slots) or that
 // runs in fatal-signal context, where ASan/TSan bookkeeping would
@@ -29,7 +25,7 @@
 // The walker and symbolizer need Linux ucontext register layouts,
 // dladdr, and pthread_getattr_np; everything degrades to stubs
 // elsewhere, mirroring the profiler itself.
-#if CHAMELEON_OBS_ENABLED && defined(__linux__)
+#if defined(__linux__)
 #define CHAMELEON_PROFILER_IMPL 1
 #else
 #define CHAMELEON_PROFILER_IMPL 0

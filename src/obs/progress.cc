@@ -81,7 +81,7 @@ void ProgressHeartbeat::Finish() {
 
 void ProgressHeartbeat::Emit(bool final) {
   ++emit_count_;
-  // Heartbeats double as the watchdog's / flight recorder's activity
+  // Heartbeats double as the flight recorder's (and /healthz's) activity
   // pulse; throttled by min_interval, so well off the Tick hot path.
   CHOBS_FLIGHT_EVENT(kCheckpoint, label_, done_units_, total_units_);
   const double elapsed_s =

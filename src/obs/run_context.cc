@@ -39,7 +39,6 @@ const BuildInfo& GetBuildInfo() {
       CHAMELEON_BUILD_TYPE,
       CHAMELEON_BUILD_CXX_FLAGS,
       CHAMELEON_BUILD_SANITIZE,
-      CHAMELEON_BUILD_OBS_COMPILED != 0,
   };
   return *info;
 }
@@ -73,9 +72,9 @@ std::string VersionString(std::string_view tool) {
                               std::string(tool).c_str(), build.version.c_str(),
                               build.git_describe.c_str());
   out += StrFormat("git:      %s\n", build.git_sha.c_str());
-  out += StrFormat("compiler: %s %s, %s, obs=%s%s%s\n",
+  out += StrFormat("compiler: %s %s, %s%s%s\n",
                    build.compiler_id.c_str(), build.compiler_version.c_str(),
-                   build.build_type.c_str(), build.obs_compiled ? "on" : "off",
+                   build.build_type.c_str(),
                    build.sanitize.empty() ? "" : ", sanitize=",
                    build.sanitize.c_str());
   return out;
@@ -144,7 +143,6 @@ std::string RunManifest::ToJsonLine() const {
       .Str("build_type", build.build_type)
       .Str("cxx_flags", build.cxx_flags)
       .Str("sanitize", build.sanitize)
-      .Bool("obs", build.obs_compiled)
       .End()
       .Object("host")
       .Str("hostname", host.hostname)
@@ -170,13 +168,10 @@ void EmitRunManifest(const RunManifest& manifest) {
   if (sink == nullptr) return;
   // Seeds also land in the flight recorder: a crash dump then shows
   // which RNG streams the dead run was using without scanning back to
-  // the manifest record. (Compile-guarded: with obs off the macro
-  // expands to nothing and the bindings would trip -Werror=unused.)
-#if CHAMELEON_OBS_ENABLED
+  // the manifest record.
   for (const auto& [name, value] : manifest.seeds()) {
     CHOBS_FLIGHT_EVENT(kSeed, name, value, 0);
   }
-#endif
   sink->Write(manifest.ToJsonLine());
   sink->Flush();  // survive even if the run dies before the first snapshot
 }

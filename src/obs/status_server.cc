@@ -9,14 +9,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "chameleon/obs/convergence.h"
+#include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/heap_profiler.h"
 #include "chameleon/obs/hw_counters.h"
 #include "chameleon/obs/obs.h"
@@ -26,7 +30,6 @@
 #include "chameleon/obs/record.h"
 #include "chameleon/obs/run_context.h"
 #include "chameleon/obs/trace.h"
-#include "chameleon/obs/watchdog.h"
 #include "chameleon/util/logging.h"
 #include "chameleon/util/string_util.h"
 #include "chameleon/util/timer.h"
@@ -65,6 +68,9 @@ double QueryParam(std::string_view query, std::string_view key,
   return fallback;
 }
 
+/// A phase idle this long reads STALLED on /healthz.
+constexpr double kHealthzStallSeconds = 30.0;
+
 std::mutex& GlobalServerMu() {
   static std::mutex* mu = new std::mutex();
   return *mu;
@@ -84,10 +90,9 @@ std::string StatuszText() {
   const std::uint64_t now = MonotonicNanos();
 
   std::string text = "chameleon statusz\n";
-  text += StrFormat("build: %s (%s %s, %s, obs=%s)\n",
-                    build.git_describe.c_str(), build.compiler_id.c_str(),
-                    build.compiler_version.c_str(), build.build_type.c_str(),
-                    build.obs_compiled ? "on" : "off");
+  text += StrFormat("build: %s (%s %s, %s)\n", build.git_describe.c_str(),
+                    build.compiler_id.c_str(), build.compiler_version.c_str(),
+                    build.build_type.c_str());
   text += StrFormat("host: %s, pid %lld\n", host.hostname.c_str(),
                     static_cast<long long>(host.pid));
   text += StrFormat("obs: %s", Enabled() ? "enabled" : "disabled");
@@ -218,6 +223,46 @@ std::string StatuszText() {
     }
     if (heap.sites.empty()) text += "  (no samples yet)\n";
   }
+  return text;
+}
+
+std::string HealthzText(double stall_seconds) {
+  const std::uint64_t now = MonotonicNanos();
+  std::unordered_map<std::uint32_t, std::uint64_t> last_activity;
+  for (const FlightThreadActivity& activity : FlightRecorderActivity()) {
+    std::uint64_t& last = last_activity[activity.thread_index];
+    last = std::max(last, activity.last_event_ns);
+  }
+  // LiveSpans lists each thread's whole open stack; the innermost
+  // (latest-opened) span is the phase that should be moving.
+  std::map<std::uint32_t, LiveSpanEntry> innermost;
+  for (const LiveSpanEntry& entry : LiveSpans()) {
+    auto [it, inserted] = innermost.emplace(entry.tid, entry);
+    if (!inserted && entry.start_nanos > it->second.start_nanos) {
+      it->second = entry;
+    }
+  }
+  std::string text = "chameleon healthz\n";
+  text += innermost.empty() ? "phases: none open\n" : "phases:\n";
+  bool any_stalled = false;
+  for (const auto& [tid, span] : innermost) {
+    std::uint64_t last = span.start_nanos;
+    if (const auto it = last_activity.find(tid); it != last_activity.end()) {
+      last = std::max(last, it->second);
+    }
+    const double open_s =
+        now > span.start_nanos
+            ? static_cast<double>(now - span.start_nanos) * 1e-9
+            : 0.0;
+    const double idle_s =
+        now > last ? static_cast<double>(now - last) * 1e-9 : 0.0;
+    const bool stalled = idle_s > stall_seconds;
+    any_stalled = any_stalled || stalled;
+    text += StrFormat("  tid %u  %s  open %.1f s  idle %.1f s  %s\n", tid,
+                      span.path.c_str(), open_s, idle_s,
+                      stalled ? "STALLED" : "OK");
+  }
+  text += any_stalled ? "overall: STALLED\n" : "overall: OK\n";
   return text;
 }
 
@@ -421,30 +466,16 @@ void StatusServer::HandleConnection(int client_fd) {
       code = 503;
       body = "profile capture failed: " + folded.status().ToString() + "\n";
     }
-  } else if (path == "/heapz") {
-    // Bounded heap capture mirroring /profilez: when a whole-run
-    // --heap_profile capture is already running this folds its live
-    // aggregate; otherwise it starts the sampler at the default rate,
-    // sleeps, and stops it (seconds clamped to [0.05, 30]).
-    const double seconds = QueryParam(query, "seconds", 1.0);
-    Result<std::string> folded = CaptureHeapFolded(seconds);
-    if (folded.ok()) {
-      body = *std::move(folded);
-    } else {
-      code = 503;
-      body = "heap capture failed: " + folded.status().ToString() + "\n";
-    }
   } else if (path == "/healthz") {
-    // Per-phase liveness from the watchdog's view of span + flight-
-    // recorder activity; 503 lets a plain HTTP prober (load balancer,
-    // cron curl) detect a wedged run without parsing anything.
-    body = HealthzText();
+    // 503 lets a plain HTTP prober (load balancer, cron curl) detect a
+    // wedged run without parsing anything.
+    body = HealthzText(kHealthzStallSeconds);
     if (body.find("overall: STALLED") != std::string::npos) code = 503;
   } else {
     code = 404;
     body =
-        "not found; try /statusz, /metricsz, /healthz, "
-        "/profilez?seconds=N, or /heapz?seconds=N\n";
+        "not found; try /statusz, /metricsz, /healthz, or "
+        "/profilez?seconds=N\n";
   }
 
   const char* reason = code == 200   ? "OK"

@@ -31,7 +31,6 @@ std::size_t HardwareConcurrency() {
 /// than serial).
 constexpr std::size_t kMinWorkPerWorker = 1024;
 
-#if CHAMELEON_OBS_ENABLED
 /// Instrumented fork-join path, taken only while observability is live.
 /// Identical block boundaries, claim order semantics, and worker count
 /// as the plain path — the only additions are MonotonicNanos() pairs
@@ -53,9 +52,6 @@ void RunInstrumented(
   stats.workers = workers;
   stats.per_worker.resize(workers);
 
-  obs::ActiveParallelRegion active(stats.name, n, block_size, blocks,
-                                   requested, workers);
-
   std::atomic<std::size_t> cursor{0};
   const auto drain = [&](std::size_t worker) {
     obs::ParallelWorkerSample& sample = stats.per_worker[worker];
@@ -73,10 +69,8 @@ void RunInstrumented(
       const std::size_t end = std::min(n, begin + block_size);
       const std::uint64_t t0 = MonotonicNanos();
       fn(block, begin, end);
-      const std::uint64_t busy = MonotonicNanos() - t0;
-      sample.busy_ns += busy;
+      sample.busy_ns += MonotonicNanos() - t0;
       ++sample.blocks;
-      active.NoteBlockDone(busy);
     }
     if (hw_valid) {
       obs::HwCounterSample hw_close;
@@ -105,7 +99,6 @@ void RunInstrumented(
   stats.wall_ns = region_end - region_start;
   obs::RecordParallelRegion(stats);
 }
-#endif  // CHAMELEON_OBS_ENABLED
 
 /// Process default for `threads < 1` requests; 0 = hardware concurrency.
 std::atomic<int> g_default_threads{0};
@@ -152,13 +145,11 @@ void ParallelForBlocks(
   const std::size_t workers =
       ParallelWorkers(n, block_size, threads, item_cost);
 
-#if CHAMELEON_OBS_ENABLED
   if (obs::Enabled()) {
     const auto requested = static_cast<std::size_t>(EffectiveThreads(threads));
     RunInstrumented(n, block_size, blocks, requested, workers, fn);
     return;
   }
-#endif
 
   std::atomic<std::size_t> cursor{0};
   const auto drain = [&] {

@@ -203,11 +203,9 @@ TEST(RelevanceTest, BitIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(one->absent_worlds, many->absent_worlds);
     EXPECT_EQ(one->vertex_err, many->vertex_err);
     EXPECT_EQ(one->mean_world_mass, many->mean_world_mass);
-#if CHAMELEON_OBS_ENABLED
     if (threads >= 2 && hw >= 2) {
       EXPECT_GT(workers, 1u) << threads << " threads granted one worker";
     }
-#endif
   }
 }
 

@@ -1,9 +1,15 @@
 #include "harness.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -372,6 +378,56 @@ TEST(PairedGateTest, MainRunsRegisteredGatesIntoOneBenchFile) {
   ASSERT_EQ(loaded->benchmarks.size(), 2u);
   EXPECT_EQ(loaded->benchmarks[1].name, "BM_FailHooked");
   EXPECT_EQ(RunMain("main_gate_check", path), 1);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(PairedGateTest, FilteredRunWritesOnlyToAnExplicitOut) {
+  RegisterGate("main_filtered_pass", [](int reps) -> Result<GateOutcome> {
+    return GateOutcome{RunPairedGate("BM_FilteredBase", ScriptedArm({150e6}),
+                                     "BM_FilteredHooked",
+                                     ScriptedArm({150e6}), 0.02, reps),
+                       {}};
+  });
+  // A working directory holding the suite's full baseline, which Main
+  // would write by default.
+  const std::string dir = testing::TempDir() + "/bench_filtered";
+  ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
+  const std::string baseline_path = dir + "/BENCH_test.json";
+  ASSERT_TRUE(WriteBenchFile(baseline_path, "test",
+                             {MakeResult("BM_A", 10.0, 1.0),
+                              MakeResult("BM_B", 20.0, 1.0),
+                              MakeResult("BM_C", 30.0, 1.0)},
+                             BenchOptions{})
+                  .ok());
+  const std::string baseline = ReadFile(baseline_path);
+
+  char cwd[4096];
+  ASSERT_NE(::getcwd(cwd, sizeof(cwd)), nullptr);
+  ASSERT_EQ(::chdir(dir.c_str()), 0);
+  std::string filter_flag = "--filter=main_filtered_pass";
+  std::string reps_flag = "--reps=3";
+  char name[] = "chameleon_bench_test";
+  char* argv[] = {name, filter_flag.data(), reps_flag.data()};
+  testing::internal::CaptureStdout();
+  const int exit_code = Main(3, argv, "test");
+  const std::string out = testing::internal::GetCapturedStdout();
+  ASSERT_EQ(::chdir(cwd), 0);
+
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_NE(out.find("no BENCH file written"), std::string::npos) << out;
+  EXPECT_EQ(ReadFile(baseline_path), baseline);
+
+  // An explicit --out still writes the filtered rows.
+  EXPECT_EQ(RunMain("main_filtered_pass", baseline_path), 0);
+  const Result<BenchSuite> loaded = LoadBenchFile(baseline_path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->benchmarks.size(), 2u);
+  EXPECT_EQ(loaded->benchmarks[0].name, "BM_FilteredBase");
 }
 
 TEST(SpeedupGateTest, PassesAtOrAboveTheFloor) {

@@ -105,7 +105,6 @@ TEST(IoTest, RoundTripThroughFile) {
   std::remove(path.c_str());
 }
 
-#if CHAMELEON_OBS_ENABLED
 TEST(IoTest, ParseEmitsGraphSummaryRecord) {
   const std::string jsonl = testing::TempDir() + "/io_graph_summary.jsonl";
   std::remove(jsonl.c_str());
@@ -138,7 +137,6 @@ TEST(IoTest, ParseEmitsGraphSummaryRecord) {
   EXPECT_NE(summary.find("\"deg_hist_log2\":[0,2,2]"), std::string::npos)
       << summary;
 }
-#endif  // CHAMELEON_OBS_ENABLED
 
 TEST(IoTest, MissingFileIsIoError) {
   const Result<UncertainGraph> g =

@@ -93,9 +93,7 @@ TEST(CrashHandlerTest, SigsegvLeavesFullForensicsTrail) {
   EXPECT_EQ(JsonlStringField(crash, "signal_name"), "SIGSEGV");
   EXPECT_NE(crash.find("\"frames\":[\""), std::string::npos)
       << "empty backtrace: " << crash;
-#if CHAMELEON_OBS_ENABLED
   EXPECT_EQ(JsonlStringField(crash, "span_path"), "crash_phase");
-#endif
 
   const std::string dump = FindRecord(lines, "flight_event_dump");
   ASSERT_FALSE(dump.empty()) << "no flight ring dump flushed";

@@ -32,7 +32,7 @@ namespace chameleon::obs {
 namespace {
 
 /// Starts the sampler or skips the test where it cannot run (sanitizer
-/// builds, OBS compiled out, non-Linux). GTEST_SKIP returns from the
+/// builds, non-Linux). GTEST_SKIP returns from the
 /// enclosing test body, so this must stay a macro.
 #define START_OR_SKIP(options)                                        \
   do {                                                                \
@@ -259,8 +259,6 @@ int RunChild(const std::string& path, Fn body) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-#if CHAMELEON_OBS_ENABLED
-
 std::vector<std::string> ReadLines(const std::string& path) {
   std::ifstream in(path);
   std::vector<std::string> lines;
@@ -335,8 +333,6 @@ TEST(HeapLifecycleTest, ProfiledRunSatisfiesExactlyOneOfContract) {
   // Either way the run summary carries the exact process-wide totals.
   EXPECT_EQ(CountType(lines, "run_summary"), 1u);
 }
-
-#endif  // CHAMELEON_OBS_ENABLED
 
 }  // namespace
 }  // namespace chameleon::obs

@@ -213,7 +213,7 @@ TEST(FormatHwCounterRecordTest, SchemaCarriesEveryField) {
 
 TEST(HwCountersEngineTest, EmulatedBackendSamplesAndAggregates) {
   ScopedHwEnv env("emulate");
-  ASSERT_TRUE(StartHwCounters(true));
+  ASSERT_TRUE(StartHwCounters());
   EXPECT_TRUE(HwCountersActive());
   EXPECT_EQ(HwCountersBackend(), HwBackend::kEmulated);
   EXPECT_EQ(HwCountersUnavailableReason(), "");
@@ -255,17 +255,9 @@ TEST(HwCountersEngineTest, EmulatedBackendSamplesAndAggregates) {
 
 TEST(HwCountersEngineTest, OffOverrideDisablesWithReason) {
   ScopedHwEnv env("off");
-  EXPECT_FALSE(StartHwCounters(true));
+  EXPECT_FALSE(StartHwCounters());
   EXPECT_FALSE(HwCountersActive());
   EXPECT_EQ(HwCountersBackend(), HwBackend::kNone);
-  EXPECT_NE(HwCountersUnavailableReason(), "");
-  StopHwCounters();
-}
-
-TEST(HwCountersEngineTest, FlagOffDisablesWithReason) {
-  ScopedHwEnv env("emulate");
-  EXPECT_FALSE(StartHwCounters(false));
-  EXPECT_FALSE(HwCountersActive());
   EXPECT_NE(HwCountersUnavailableReason(), "");
   StopHwCounters();
 }
@@ -302,8 +294,6 @@ int RunChild(const std::string& path, const char* hw_mode, Fn terminate) {
   waitpid(pid, &status, 0);
   return status;
 }
-
-#if CHAMELEON_OBS_ENABLED
 
 std::vector<std::string> ReadLines(const std::string& path) {
   std::ifstream in(path);
@@ -404,8 +394,6 @@ TEST(HwCountersEndToEndTest, SignalEndedRunStillFlushesHwRecords) {
   EXPECT_EQ(CountType(lines, "run_summary"), 1u);
 }
 
-#endif  // CHAMELEON_OBS_ENABLED
-
 // ---------------------------------------------------------------------
 // Perf-backend multiplexing: only meaningful on a machine with a real
 // PMU and permissive perf_event_paranoid; skips elsewhere.
@@ -438,7 +426,7 @@ TEST(HwCountersPerfTest, MultiplexedCountsScaleWithinTolerance) {
   GTEST_SKIP() << "perf_event_open is linux-only";
 #else
   ScopedHwEnv env("perf");
-  if (!StartHwCounters(true)) {
+  if (!StartHwCounters()) {
     GTEST_SKIP() << "perf backend unavailable: "
                  << HwCountersUnavailableReason();
   }

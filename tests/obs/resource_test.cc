@@ -32,7 +32,6 @@ TEST(ThreadResourceTest, CpuTimeAdvancesWithWork) {
   EXPECT_GE(after.minor_faults, before.minor_faults);
 }
 
-#if CHAMELEON_OBS_ENABLED
 TEST(ThreadResourceTest, AllocationCountersTrackOperatorNew) {
   const AllocStats before = ThreadAllocStats();
   // Direct operator-new calls: the compiler may elide a paired
@@ -102,7 +101,6 @@ TEST(ThreadResourceTest, AllocationCountersAreThreadLocal) {
   const AllocStats main_after = ThreadAllocStats();
   EXPECT_GE(main_after.allocs, main_before.allocs);
 }
-#endif  // CHAMELEON_OBS_ENABLED
 
 TEST(ThreadResourceTest, ThreadIndexIsStableAndDistinct) {
   const std::uint32_t mine = CurrentThreadIndex();
@@ -121,10 +119,8 @@ TEST(TraceSpanResourceTest, SpanRecordCarriesResourceFields) {
   {
     TraceSpan span("resource_probe", &tracer);
     BurnCpu();
-#if CHAMELEON_OBS_ENABLED
     void* p = ::operator new(4096);  // non-elidable, unlike new char[4096]
     ::operator delete(p);
-#endif
   }
   const auto lines = sink.lines();
   ASSERT_EQ(lines.size(), 1u);
@@ -149,10 +145,8 @@ TEST(TraceSpanResourceTest, SpanRecordCarriesResourceFields) {
   // catch unit mix-ups (e.g. us vs ns) outright.
   EXPECT_LT(*JsonlNumberField(line, "cpu_ns"),
             2.0 * *JsonlNumberField(line, "dur_ns") + 1e6);
-#if CHAMELEON_OBS_ENABLED
   EXPECT_GE(*JsonlNumberField(line, "allocs"), 1.0);
   EXPECT_GE(*JsonlNumberField(line, "alloc_bytes"), 4096.0);
-#endif
 }
 
 TEST(TraceSpanResourceTest, NestedSpansSplitCpuDeltas) {

@@ -22,11 +22,6 @@ TEST(BuildInfoTest, ConfigureTimeFieldsArePopulated) {
   // Git fields fall back to "unknown" outside a checkout, never "".
   EXPECT_FALSE(build.git_sha.empty());
   EXPECT_FALSE(build.git_describe.empty());
-#if CHAMELEON_OBS_ENABLED
-  EXPECT_TRUE(build.obs_compiled);
-#else
-  EXPECT_FALSE(build.obs_compiled);
-#endif
 }
 
 TEST(HostInfoTest, DescribesTheRunningProcess) {
@@ -76,31 +71,33 @@ TEST(ObsOptionsFromFlagsTest, StartsOnlyTheEnginesTheFlagsName) {
   ASSERT_EQ(ParseArgs(quiet, {"some_tool"}), std::nullopt);
   const ObsOptions none = ObsOptionsFromFlags(quiet);
   EXPECT_TRUE(none.metrics_out.empty());
-  EXPECT_TRUE(none.hw_counters);
-  EXPECT_FALSE(none.status_server || none.watchdog || none.profiler ||
-               none.heap_profiler);
+  EXPECT_FALSE(none.status_server || none.profiler || none.heap_profiler);
 
   FlagSet all("t");
   AddObsFlags(all);
   ASSERT_EQ(ParseArgs(all, {"some_tool", "--metrics_out=m.jsonl",
-                            "--nohw_counters", "--watchdog_stall_seconds=2",
-                            "--watchdog_abort_after=5", "--profile=p.folded",
-                            "--profile_hz=199", "--heap_profile=h.folded",
+                            "--profile=p.folded", "--profile_hz=199",
+                            "--heap_profile=h.folded",
                             "--heap_sample_bytes=4096"}),
             std::nullopt);
   const ObsOptions options = ObsOptionsFromFlags(all);
   EXPECT_EQ(options.metrics_out, "m.jsonl");
-  EXPECT_FALSE(options.hw_counters);
   EXPECT_FALSE(options.status_server);
-  ASSERT_TRUE(options.watchdog);
-  EXPECT_EQ(options.watchdog->stall_seconds, 2.0);
-  EXPECT_EQ(options.watchdog->abort_after_seconds, 5.0);
   ASSERT_TRUE(options.profiler);
   EXPECT_EQ(options.profiler->hz, 199);
   EXPECT_EQ(options.profiler->folded_out, "p.folded");
   ASSERT_TRUE(options.heap_profiler);
   EXPECT_EQ(options.heap_profiler->sample_bytes, 4096u);
   EXPECT_EQ(options.heap_profiler->folded_out, "h.folded");
+
+  // The stall watchdog and the --hw_counters switch are gone: their
+  // flags are usage errors like any unknown flag.
+  for (const char* removed : {"--watchdog_stall_seconds=30",
+                              "--watchdog_abort_after=5", "--nohw_counters"}) {
+    FlagSet flags("t");
+    AddObsFlags(flags);
+    EXPECT_EQ(ParseArgs(flags, {"some_tool", removed}), 2) << removed;
+  }
 }
 
 TEST(ObsOptionsFromFlagsTest, OutOfRangeRatesStayInvalid) {

@@ -80,16 +80,12 @@ TEST(ShutdownTest, SigtermStillWritesSignalledRunSummary) {
   const std::string summary = FindSummary(lines);
   ASSERT_FALSE(summary.empty()) << "no run_summary flushed on SIGTERM";
   EXPECT_EQ(JsonlNumberField(summary, "signal"), SIGTERM);
-#if CHAMELEON_OBS_ENABLED
-  // The rest of the stream (the span) made it out too. With obs
-  // compiled out CHOBS_SPAN expands to nothing, so only the summary
-  // is expected.
+  // The rest of the stream (the span) made it out too.
   bool saw_span = false;
   for (const std::string& line : lines) {
     if (JsonlStringField(line, "type") == "span") saw_span = true;
   }
   EXPECT_TRUE(saw_span);
-#endif
 }
 
 TEST(ShutdownTest, SigintStillWritesSignalledRunSummary) {
@@ -130,12 +126,10 @@ TEST(ShutdownTest, ExitWithoutShutdownWritesSummaryViaAtexit) {
   ASSERT_TRUE(JsonlNumberField(summary, "cum_frees").has_value());
   ASSERT_TRUE(JsonlNumberField(summary, "peak_rss_kb").has_value());
   EXPECT_GT(*JsonlNumberField(summary, "peak_rss_kb"), 0.0);
-#if CHAMELEON_OBS_ENABLED
-  // With the replacement operators compiled in, the child's startup
-  // alone allocates: the totals cannot read zero.
+  // The replacement operators count the child's startup allocations:
+  // the totals cannot read zero.
   EXPECT_GT(*JsonlNumberField(summary, "cum_alloc_bytes"), 0.0);
   EXPECT_GT(*JsonlNumberField(summary, "cum_allocs"), 0.0);
-#endif
 }
 
 TEST(ShutdownTest, ExplicitShutdownWritesExactlyOneSummary) {

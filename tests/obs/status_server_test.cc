@@ -1,5 +1,6 @@
 // StatusServer tests: raw-socket HTTP round trips against an ephemeral
-// port, plus Prometheus text-format unit checks that never open a socket.
+// port, plus Prometheus text-format and /healthz liveness checks that
+// never open a socket.
 
 #include "chameleon/obs/status_server.h"
 
@@ -8,16 +9,21 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "chameleon/obs/convergence.h"
+#include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/metrics.h"
 #include "chameleon/obs/obs.h"
+#include "chameleon/obs/sink.h"
+#include "chameleon/obs/trace.h"
 
 namespace chameleon::obs {
 namespace {
@@ -152,9 +158,46 @@ TEST(StatusServerTest, UnknownPathIs404) {
   const std::string response = HttpGet((*server)->port(), "/nope");
   EXPECT_NE(response.find("HTTP/1.0 404 Not Found"), std::string::npos);
   EXPECT_NE(response.find(
-                "try /statusz, /metricsz, /healthz, /profilez?seconds=N, or "
-                "/heapz?seconds=N"),
+                "try /statusz, /metricsz, /healthz, or /profilez?seconds=N"),
             std::string::npos);
+}
+
+TEST(HealthzTest, AtRestAnswersOk) {
+  Result<std::unique_ptr<StatusServer>> server = StatusServer::Start({});
+  ASSERT_TRUE(server.ok());
+  const std::string response = HttpGet((*server)->port(), "/healthz");
+  EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos) << response;
+  EXPECT_NE(response.find("chameleon healthz"), std::string::npos);
+  EXPECT_NE(response.find("overall: OK"), std::string::npos);
+  EXPECT_EQ(response.find("watchdog:"), std::string::npos) << response;
+}
+
+TEST(HealthzTest, IdleSpanStallsWhileAnActiveOneStaysOk) {
+  constexpr double kStallSeconds = 0.05;
+  MemorySink sink;
+  Tracer tracer(&sink, &GlobalMetrics());
+  {
+    TraceSpan span("idle_phase", &tracer);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const std::string healthz = HealthzText(kStallSeconds);
+    EXPECT_NE(healthz.find("idle_phase"), std::string::npos) << healthz;
+    EXPECT_NE(healthz.find("overall: STALLED"), std::string::npos)
+        << healthz;
+  }
+  {
+    // Open four thresholds long, but never idle: each check follows a
+    // fresh flight event, as heartbeats and estimator checkpoints keep
+    // a real phase's pulse.
+    TraceSpan span("busy_phase", &tracer);
+    for (int i = 0; i < 20; ++i) {
+      RecordFlightEvent(FlightEventKind::kCheckpoint, "busy_tick",
+                        static_cast<std::uint64_t>(i), 20);
+      const std::string healthz = HealthzText(kStallSeconds);
+      EXPECT_NE(healthz.find("busy_phase"), std::string::npos) << healthz;
+      EXPECT_NE(healthz.find("overall: OK"), std::string::npos) << healthz;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
 }
 
 TEST(StatusServerTest, GlobalServerRestartAndStop) {

@@ -232,7 +232,6 @@ TEST(WorldSamplerTest, FourMasksMatchScalarSamplerWordForWord) {
 }
 
 TEST(WorldSamplerTest, FourMasksCountLikeFourScalarWorlds) {
-#if CHAMELEON_OBS_ENABLED
   const UncertainGraph g = MakePath(1000);
   const WorldSampler sampler(g);
   const std::array<std::uint64_t, WorldSampler::kLanes> seeds = {7, 8, 9, 10};
@@ -264,9 +263,6 @@ TEST(WorldSamplerTest, FourMasksCountLikeFourScalarWorlds) {
   EXPECT_EQ(scalar.first, 4u);
   EXPECT_GT(scalar.second, 0u);
   EXPECT_EQ(four, scalar);
-#else
-  GTEST_SKIP() << "instrumentation compiled out";
-#endif
 }
 
 TEST(UniteWorldTest, StopsAtOneComponentWithTheFullPartition) {

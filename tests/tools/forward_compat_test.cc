@@ -71,8 +71,9 @@ std::string WriteStream(const std::string& name, const std::string& body) {
   return path;
 }
 
-/// A stream mixing known records, a privacy_check, and three records of
-/// a type from "the future".
+/// A stream mixing known records, a privacy_check, three records of a
+/// type from "the future", and a watchdog_stall record, which builds
+/// before the stall watchdog's removal wrote.
 std::string MixedStream() {
   return
       "{\"type\":\"manifest\",\"tool\":\"future_tool\","
@@ -99,6 +100,10 @@ std::string MixedStream() {
       "{\"type\":\"quantum_flux\",\"t_ms\":2,\"q\":1}\n"
       "{\"type\":\"quantum_flux\",\"t_ms\":3,\"q\":2}\n"
       "{\"type\":\"quantum_flux\",\"t_ms\":4,\"q\":3}\n"
+      "{\"type\":\"watchdog_stall\",\"t_ms\":4,"
+      "\"path\":\"reliability/two_terminal\",\"tid\":0,"
+      "\"idle_ms\":31250,\"open_ms\":40000,\"stall_seconds\":30,"
+      "\"aborting\":false}\n"
       "{\"type\":\"hw_counters\",\"t_ms\":4,\"path\":\"privacy/obf_check\","
       "\"backend\":\"emulated\",\"spans\":2,\"cycles\":3000000,"
       "\"instructions\":3750000,\"cache_refs\":234375,"
@@ -117,6 +122,11 @@ TEST(ObsDumpForwardCompatTest, UnknownTypesPassThroughWithOneNote) {
   EXPECT_EQ(CountOccurrences(result.stderr_text, "quantum_flux"), 1u)
       << result.stderr_text;
   EXPECT_NE(result.stderr_text.find("unknown type"), std::string::npos);
+  // A record type this build no longer writes is unknown like any other.
+  EXPECT_EQ(CountOccurrences(result.stderr_text, "watchdog_stall"), 1u)
+      << result.stderr_text;
+  EXPECT_EQ(result.stdout_text.find("WATCHDOG"), std::string::npos)
+      << result.stdout_text;
   // The privacy_check record renders.
   EXPECT_NE(result.stdout_text.find("privacy checks:"), std::string::npos)
       << result.stdout_text;
@@ -209,6 +219,10 @@ TEST(FollowForwardCompatTest, UnknownTypesPassThroughWithOneNote) {
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
   EXPECT_EQ(CountOccurrences(result.stderr_text, "quantum_flux"), 1u)
       << result.stderr_text;
+  EXPECT_EQ(CountOccurrences(result.stderr_text, "watchdog_stall"), 1u)
+      << result.stderr_text;
+  EXPECT_EQ(result.stdout_text.find("WATCHDOG"), std::string::npos)
+      << result.stdout_text;
   // The anonymization records render as live lines, never as unknown.
   EXPECT_NE(result.stdout_text.find("RSME expand level 0"),
             std::string::npos)

@@ -68,7 +68,6 @@ struct PhaseAggregate {
 /// region name (loop iterations fold together, like the phase table).
 struct ParallelRegionDumpAgg {
   std::uint64_t regions = 0;
-  std::uint64_t partials = 0;  ///< "partial":true records (signal exits)
   double wall_ns = 0.0;
   double busy_ns = 0.0;
   double idle_ns = 0.0;
@@ -103,7 +102,7 @@ struct DumpResult {
 constexpr std::string_view kStoredTypes[] = {
     "manifest", "run_summary", "graph_summary", "profile", "privacy_check",
     "sigma_search", "anonymize_attempt", "relevance_progress", "crash",
-    "watchdog_stall", "flight_event_dump", "hw_counters",
+    "flight_event_dump", "hw_counters",
     "hw_counters_unavailable", "heap_profile", "heap_timeline",
     "heap_profiler_unavailable"};
 
@@ -153,12 +152,11 @@ void Ingest(JsonValue record, DumpResult* out) {
   } else if (type == "parallel_region") {
     const JsonValue* name = record.Get("name", kString);
     if (name == nullptr) return;
+    // Older builds flushed a "partial" record for a region a fatal
+    // signal cut short; it is not a completed region.
+    if (record.Flag("partial")) return;
     ParallelRegionDumpAgg& agg =
         out->parallel_regions[obs::StripPathIndices(name->str())];
-    if (record.Flag("partial")) {
-      ++agg.partials;
-      return;
-    }
     ++agg.regions;
     agg.wall_ns += record.Num("wall_ns");
     agg.busy_ns += record.Num("busy_total_ns");
@@ -236,12 +234,6 @@ std::string LiveLine(const JsonValue& r) {
                      method.c_str(), phase.c_str(), r.Num("level"),
                      r.Num("sigma"), success ? "succeeded" : "failed",
                      r.Num("best_sigma"));
-  }
-  if (type == "watchdog_stall") {
-    return StrFormat("WATCHDOG: %s idle %.1fs (threshold %.1fs)%s\n",
-                     r.Str("path", "?").c_str(), r.Num("idle_ms") * 1e-3,
-                     r.Num("stall_seconds"),
-                     r.Flag("aborting") ? " — aborting the run" : "");
   }
   if (type == "crash") {
     std::string text = StrFormat("CRASH: %s (signal %.0f)",
@@ -583,28 +575,12 @@ void PrintReport(const DumpResult& dump, const std::string& sort_key,
       const double efficiency =
           agg.workers > 0.0 ? speedup / agg.workers : 1.0;
       std::printf("%-*s %8llu %4.0f/%-2.0f %11.3f %7.2fx %5.1f%% %9.2f "
-                  "%11.3f%s\n",
+                  "%11.3f\n",
                   static_cast<int>(pwidth), name.c_str(),
                   static_cast<unsigned long long>(agg.regions), agg.workers,
                   agg.requested, agg.wall_ns * 1e-6, speedup,
                   efficiency * 100.0, agg.max_imbalance,
-                  agg.overhead_ns * 1e-6,
-                  agg.partials > 0 ? "  [+partial]" : "");
-    }
-  }
-
-  if (!dump.Of("watchdog_stall").empty()) {
-    std::printf("\nwatchdog stalls:\n");
-    std::size_t swidth = 5;
-    for (const JsonValue& s : dump.Of("watchdog_stall")) {
-      swidth = std::max(swidth, s.Str("path", "?").size());
-    }
-    std::printf("%-*s %5s %12s %12s\n", static_cast<int>(swidth), "phase",
-                "tid", "idle ms", "open ms");
-    for (const JsonValue& s : dump.Of("watchdog_stall")) {
-      std::printf("%-*s %5.0f %12.0f %12.0f%s\n", static_cast<int>(swidth),
-                  s.Str("path", "?").c_str(), s.Num("tid"), s.Num("idle_ms"),
-                  s.Num("open_ms"), s.Flag("aborting") ? "  [aborted]" : "");
+                  agg.overhead_ns * 1e-6);
     }
   }
 
@@ -744,9 +720,9 @@ int PrintHw(const DumpResult& dump, std::int64_t top) {
                        .c_str());
     } else {
       std::fprintf(stderr,
-                   "no hw_counters records found (rerun the tool with "
-                   "--hw_counters=true, or set CHAMELEON_HW_COUNTERS="
-                   "emulate where perf events are blocked)\n");
+                   "no hw_counters records found (set "
+                   "CHAMELEON_HW_COUNTERS=emulate where perf events are "
+                   "blocked)\n");
     }
     return 1;
   }
