@@ -6,10 +6,10 @@
 // Covers the hot paths of the Chameleon core on fixed-seed graphs: the
 // reused-sampling reliability-relevance sweep (the O(N·α·|E|) inner loop
 // of RSME/RS) serial vs 8 workers on a sparse graph and serial on a
-// dense one, one planned GenObf attempt on a reused scratch (candidate
-// selection + perturbation + verification — the unit the σ search
-// repeats) on a sparse and a dense graph, and the truncated-normal
-// sampler the perturbation leans on.
+// dense and a fragmented one, one planned GenObf attempt on a reused
+// scratch (candidate selection + perturbation + verification — the unit
+// the σ search repeats) on a sparse and a dense graph, and the
+// truncated-normal sampler the perturbation leans on.
 
 #include <cstdint>
 #include <vector>
@@ -39,6 +39,11 @@ constexpr std::uint64_t kSeed = 2018;
 // relevance_dense_2k: the same estimator, serial, on 2k nodes at average
 // degree ~50, where every world is connected: coins, unions until one
 // component is left, and the absent counts; no edge is swept.
+//
+// relevance_fragmented_2k: serial, on the sparse graph with every p
+// scaled by 0.2 (present degree ~0.8), where no world has a component
+// near half the vertices: every union, the flatten, and a sweep of
+// nearly every edge, most of them between two components.
 // --------------------------------------------------------------------------
 void RunRelevance(bench::BenchContext& context,
                   const graph::UncertainGraph& graph, int threads) {
@@ -78,6 +83,18 @@ void BM_RelevanceDense2k(bench::BenchContext& context) {
   RunRelevance(context, graph, 1);
 }
 CHAMELEON_BENCHMARK(BM_RelevanceDense2k);
+
+void BM_RelevanceFragmented2k(bench::BenchContext& context) {
+  static const graph::UncertainGraph& graph = *new graph::UncertainGraph([] {
+    std::vector<double> p;
+    for (const graph::UncertainEdge& edge : SparseEr2k().edges()) {
+      p.push_back(edge.p * 0.2);
+    }
+    return SparseEr2k().WithProbabilities(p).value();
+  }());
+  RunRelevance(context, graph, 1);
+}
+CHAMELEON_BENCHMARK(BM_RelevanceFragmented2k);
 
 // --------------------------------------------------------------------------
 // gen_obf_attempt_er_2k / _dense_2k: one GenObf attempt at a fixed σ —

@@ -8,6 +8,7 @@
 // reliability estimators built on both. Fixed seeds everywhere so
 // run-to-run deltas measure the code, not the workload.
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -106,6 +107,29 @@ void BM_WorldSampleEr2k(bench::BenchContext& context) {
   bench::DoNotOptimize(present);
 }
 CHAMELEON_BENCHMARK(BM_WorldSampleEr2k);
+
+// --------------------------------------------------------------------------
+// world_sample_four_er_2k: four possible worlds per iteration on the same
+// graph through SampleFourMasks, the sampler relevance runs on every
+// four worlds of a block (the scalar row above samples only a block's
+// tail of one to three). Items are coins: four per edge.
+// --------------------------------------------------------------------------
+void BM_WorldSampleFourEr2k(bench::BenchContext& context) {
+  const graph::UncertainGraph graph = bench::SeededGraph(2000, 8.0);
+  const rel::WorldSampler sampler(graph);
+  constexpr std::size_t kLanes = rel::WorldSampler::kLanes;
+  context.SetItemsPerIteration(kLanes * sampler.num_edges());
+  std::array<BitVector, kLanes> masks;
+  for (BitVector& mask : masks) mask.Resize(sampler.num_edges());
+  std::size_t present = 0;
+  for (std::uint64_t i = 0; i < context.iterations(); ++i) {
+    std::array<std::uint64_t, kLanes> seeds;
+    for (std::size_t l = 0; l < kLanes; ++l) seeds[l] = kSeed + kLanes * i + l;
+    present += sampler.SampleFourMasks(seeds, masks);
+  }
+  bench::DoNotOptimize(present);
+}
+CHAMELEON_BENCHMARK(BM_WorldSampleFourEr2k);
 
 // --------------------------------------------------------------------------
 // mc_two_terminal_500n_64w: full two-terminal reliability estimate

@@ -29,13 +29,18 @@
 /// cross-validation oracle for tests.
 ///
 /// How one world is tallied. Worlds are sampled four at a time, one
-/// xoshiro256** stream per vector lane (rel::WorldSampler::
-/// SampleFourMasks). The present edges are united in edge order until
-/// one component is left (rel::UniteWorld). What follows depends on the
-/// world:
+/// xoshiro256** stream per uint64 vector lane (rel::WorldSampler::
+/// SampleFourMasks: one AVX2 register where the CPU has AVX2, two SSE2
+/// registers elsewhere). The present edges are united in edge order
+/// until one component is left (rel::UniteWorld). What follows depends
+/// on the world:
 ///  - Connected (the unions stopped early): every δ is 0, so only the
-///    absent edges' counts are bumped. Cost: the coins, the unions up to
-///    connection, and one increment per absent edge.
+///    absent edges are counted, bit-sliced. A block of n worlds keeps
+///    bit_width(n) planes of ⌈|E|/64⌉ words; a connected world adds its
+///    complemented mask into them with a ripple carry (the last word's
+///    bits past the last edge masked off), and the block adds the planes
+///    into its tally once, at its end. Cost: the coins, the unions up to
+///    connection, and a few word operations per 64 edges.
 ///  - Not connected, whether a giant component plus fragments or
 ///    fragmented: roots and sizes are flattened in O(|V|), and every
 ///    absent edge is swept, two flattened slots and one count each.
@@ -43,9 +48,20 @@
 /// Both paths add the same integers: δ depends only on the partition and
 /// its sizes, which no union order changes and which the remaining edges
 /// cannot change once one component is left, and every absent edge is
-/// counted once per world. The tallies therefore equal the
-/// one-world-at-a-time kernel's bit for bit (tests keep that kernel as
-/// an oracle).
+/// counted once per world, in the planes or by the sweep. The tallies
+/// therefore equal the one-world-at-a-time kernel's bit for bit (tests
+/// keep that kernel as an oracle).
+///
+/// The tally. Each block adds into its own tally of two exact integers
+/// per edge, 12 bytes: a uint64 sum of δ and a uint32 absent count N_e.
+/// δ ≤ (|V|/2)², so a δ sum over N worlds stays exact while
+/// N·|V|² < 2⁶⁶, and N_e ≤ N < 2³². A plane count never carries out of
+/// its top plane, since a block of n worlds counts to at most n. The
+/// estimate ERR^e = Σδ / N_e is formed from the summed tallies after the
+/// last round, and after an earlier round only when a relevance_progress
+/// record is written, since those records alone read per-round values.
+/// Per-edge variance is not kept: the tests that bound the estimate
+/// recompute it from the oracle kernel, which tallies δ² as well.
 ///
 /// Caveat inherited from the estimator: an edge with p(e) = 1 is never
 /// absent (N_e = 0), so its relevance is unobservable and reported as 0
@@ -54,11 +70,10 @@
 /// Determinism: every world w draws from its own splitmix-derived stream
 /// keyed by (seed, w). Each round of worlds is cut into one contiguous
 /// block per granted worker, and each block adds its worlds into its own
-/// tally of exact integers (delta sums, 128-bit delta-squared sums,
-/// absent counts). Integer addition is exact and order-free, so how the
-/// worlds were split between workers cannot change any sum; the
-/// per-world masses behind the early-stop statistic fold in world order.
-/// The result is therefore bit-identical across worker counts.
+/// tally. Integer addition is exact and order-free, so how the worlds
+/// were split between workers cannot change any sum; the per-world
+/// masses behind the early-stop statistic fold in world order. The
+/// result is therefore bit-identical across worker counts.
 
 namespace chameleon::anonymize {
 
@@ -83,9 +98,6 @@ struct RelevanceOptions {
 struct EdgeRelevance {
   /// ERR^e per edge, aligned with graph.edges().
   std::vector<double> err;
-  /// Variance of each ERR^e estimate (sample variance / N_e); 0 when
-  /// N_e < 2. Tests use this for self-scaling MC error bounds.
-  std::vector<double> err_variance;
   /// N_e: worlds in which edge e was absent (the usable sample count).
   std::vector<std::uint32_t> absent_worlds;
   /// VRR^v: summed relevance of v's incident edges.
@@ -108,10 +120,19 @@ struct EdgeRelevance {
 Result<EdgeRelevance> EstimateRelevance(const graph::UncertainGraph& graph,
                                         const RelevanceOptions& options);
 
+/// An estimate with each ERR^e's variance beside it.
+struct EdgeRelevanceWithVariance : EdgeRelevance {
+  /// Variance of each ERR^e estimate (sample variance / N_e); 0 when
+  /// N_e < 2. Sizes the self-scaling Monte Carlo error bound when two
+  /// independent estimates are compared.
+  std::vector<double> err_variance;
+};
+
 /// Naive per-edge re-sampler: for each edge, N fresh worlds of the other
-/// edges. O(|E|²·N·α) — the test oracle for cross-validating the reused
-/// estimator on small graphs; never used by the driver.
-Result<EdgeRelevance> EstimateRelevanceNaive(
+/// edges. O(|E|²·N·α) — the oracle for cross-validating the reused
+/// estimator on small graphs (and ablation A1's baseline); never used by
+/// the driver.
+Result<EdgeRelevanceWithVariance> EstimateRelevanceNaive(
     const graph::UncertainGraph& graph, const RelevanceOptions& options);
 
 }  // namespace chameleon::anonymize

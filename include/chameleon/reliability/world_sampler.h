@@ -51,18 +51,22 @@ class WorldSampler {
   /// Samples four worlds at once: lane l runs the xoshiro256** stream of
   /// `Rng(seeds[l])` and writes `masks[l]` exactly as
   /// `Rng rng(seeds[l]); SampleMask(rng, masks[l])` would, word for word.
-  /// The four streams advance in vector lanes of the baseline ISA. Each
-  /// mask must be sized to num_edges(). Returns the number of edges
-  /// present summed over the four worlds; the sampler counters advance
-  /// by four worlds and that sum, as four SampleMask calls would.
+  /// The four streams advance in uint64 vector lanes: one 256-bit AVX2
+  /// register on CPUs that have AVX2, two 128-bit SSE2 registers on every
+  /// other CPU, the width chosen once per process from the CPU alone.
+  /// Both widths write the same masks. Each mask must be sized to
+  /// num_edges(). Returns the number of edges present summed over the
+  /// four worlds; the sampler counters advance by four worlds and that
+  /// sum, as four SampleMask calls would.
   std::size_t SampleFourMasks(const std::array<std::uint64_t, kLanes>& seeds,
                               std::array<BitVector, kLanes>& masks) const;
 
   const graph::UncertainGraph& graph() const { return *graph_; }
+  /// t(e) = CoinThreshold(p(e)), aligned with graph().edges().
+  const std::vector<std::uint64_t>& thresholds() const { return thresholds_; }
 
  private:
   const graph::UncertainGraph* graph_;
-  /// t(e) = CoinThreshold(p(e)), aligned with graph().edges().
   std::vector<std::uint64_t> thresholds_;
 };
 

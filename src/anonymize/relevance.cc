@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 
 #include "chameleon/graph/union_find.h"
@@ -28,14 +29,70 @@ std::uint64_t PerWorldSeed(std::uint64_t seed, std::uint64_t world) {
   return SplitMix64(state);
 }
 
-/// Exact integer tallies over the worlds one block swept: per-edge
-/// delta sums, delta-squared sums (for variance) and absent counts.
-/// δ ≤ (|V|/2)², so δ² needs 128 bits once |V| passes ~2¹⁷. With every
-/// field an integer, adding block tallies is exact in any order.
+/// Exact integer tallies over the worlds one block swept: per-edge delta
+/// sums and absent counts, 12 bytes per edge. δ ≤ (|V|/2)², so a sum
+/// over N worlds fits 64 bits while N·|V|² < 2⁶⁶. With every field an
+/// integer, adding block tallies is exact in any order.
 struct WorldTally {
   std::vector<std::uint64_t> delta_sum;
-  std::vector<unsigned __int128> delta_sq_sum;
   std::vector<std::uint32_t> absent;
+};
+
+/// The absent counts of a block's connected worlds, bit-sliced: bit k of
+/// edge e's count is bit e mod 64 of plane k of mask word ⌊e/64⌋, and a
+/// word's planes sit together. A world adds its complemented mask word
+/// by word with a ripple carry, 64 counters per operation, instead of
+/// one increment per absent edge. A block of n worlds counts to at most
+/// n, so bit_width(n) planes never carry out of the top one. The planes
+/// are allocated by the first connected world, so a block whose worlds
+/// never connect pays nothing.
+class ConnectedAbsentCounts {
+ public:
+  ConnectedAbsentCounts(std::size_t num_edges, std::size_t block_worlds)
+      : num_words_((num_edges + 63) / 64),
+        num_planes_(static_cast<std::size_t>(std::bit_width(block_worlds))),
+        last_word_edges_(num_edges % 64 == 0
+                             ? ~std::uint64_t{0}
+                             : (std::uint64_t{1} << (num_edges % 64)) - 1) {}
+
+  /// Counts every edge absent from `mask` once. The last word's bits past
+  /// the last edge are masked off: they are zero in `mask`, so their
+  /// complement would count edges that do not exist.
+  void AddAbsent(const BitVector& mask) {
+    if (planes_.empty()) planes_.assign(num_words_ * num_planes_, 0);
+    const std::uint64_t* const words = mask.words().data();
+    std::uint64_t* plane = planes_.data();
+    for (std::size_t i = 0; i < num_words_; ++i, plane += num_planes_) {
+      std::uint64_t carry = ~words[i];
+      if (i + 1 == num_words_) carry &= last_word_edges_;
+      for (std::size_t k = 0; carry != 0; ++k) {
+        const std::uint64_t next = plane[k] & carry;
+        plane[k] ^= carry;
+        carry = next;
+      }
+    }
+  }
+
+  /// Adds every edge's count to absent[e].
+  void AddTo(std::uint32_t* absent) const {
+    if (planes_.empty()) return;
+    const std::uint64_t* plane = planes_.data();
+    for (std::size_t i = 0; i < num_words_; ++i, plane += num_planes_) {
+      for (std::size_t k = 0; k < num_planes_; ++k) {
+        for (std::uint64_t bits = plane[k]; bits != 0; bits &= bits - 1) {
+          absent[(i << 6) + static_cast<std::size_t>(std::countr_zero(bits))] +=
+              std::uint32_t{1} << k;
+        }
+      }
+    }
+  }
+
+ private:
+  std::size_t num_words_;
+  std::size_t num_planes_;
+  /// The bits of the last mask word that are edges.
+  std::uint64_t last_word_edges_;
+  std::vector<std::uint64_t> planes_;
 };
 
 /// A vertex's component after one world's unions, flattened once per
@@ -59,14 +116,13 @@ void TallyWorlds(const graph::UncertainGraph& graph,
   const NodeId num_nodes = graph.num_nodes();
   if (tally.absent.size() != num_edges) {
     tally.delta_sum.assign(num_edges, 0);
-    tally.delta_sq_sum.assign(num_edges, 0);
     tally.absent.assign(num_edges, 0);
   }
   std::uint64_t* const delta_sum = tally.delta_sum.data();
-  unsigned __int128* const delta_sq_sum = tally.delta_sq_sum.data();
   std::uint32_t* const absent = tally.absent.data();
   graph::UnionFind dsu(num_nodes);
   std::vector<Component> component(num_nodes);
+  ConnectedAbsentCounts connected_absent(num_edges, end - begin);
   std::array<BitVector, kLanes> masks;
   for (BitVector& mask : masks) mask.Resize(num_edges);
   const auto& edges = graph.edges();
@@ -75,7 +131,7 @@ void TallyWorlds(const graph::UncertainGraph& graph,
     // A connected world is one component whatever edges follow the last
     // union, so every δ is 0 and only its absent counts are kept.
     if (rel::UniteWorld(graph, mask, dsu)) {
-      mask.ForEachClear([&](std::size_t e) { ++absent[e]; });
+      connected_absent.AddAbsent(mask);
       return mass;
     }
     for (NodeId v = 0; v < num_nodes; ++v) {
@@ -89,7 +145,6 @@ void TallyWorlds(const graph::UncertainGraph& graph,
       if (cu.root == cv.root) return;
       const std::uint64_t delta = std::uint64_t{cu.size} * cv.size;
       delta_sum[e] += delta;
-      delta_sq_sum[e] += static_cast<unsigned __int128>(delta) * delta;
       mass += delta;
     });
     return mass;
@@ -110,15 +165,14 @@ void TallyWorlds(const graph::UncertainGraph& graph,
     sampler.SampleMask(rng, masks[0]);
     masses[w - begin] = tally_world(masks[0]);
   }
+  connected_absent.AddTo(absent);
 }
 
-void EmitRelevanceProgress(std::size_t worlds, std::size_t total_worlds,
-                           double mean_err, double max_err,
-                           double mean_world_mass, double ci_halfwidth,
-                           double rel_err, bool final, bool stopped_early) {
-  if (!obs::Enabled()) return;
-  obs::RecordSink* sink = obs::GlobalSink();
-  if (sink == nullptr) return;
+void EmitRelevanceProgress(obs::RecordSink& sink, std::size_t worlds,
+                           std::size_t total_worlds, double mean_err,
+                           double max_err, double mean_world_mass,
+                           double ci_halfwidth, double rel_err, bool final,
+                           bool stopped_early) {
   obs::Record record("relevance_progress");
   record.Str("label", "anonymize/relevance")
       .Int("worlds", worlds)
@@ -129,7 +183,7 @@ void EmitRelevanceProgress(std::size_t worlds, std::size_t total_worlds,
       .Num("ci_halfwidth", ci_halfwidth)
       .Num("rel_err", rel_err);
   if (final) record.Bool("final", true).Bool("stopped_early", stopped_early);
-  sink->Write(record.Finish());
+  sink.Write(record.Finish());
 }
 
 /// Finalizes the float view of the block tallies, summed per edge.
@@ -141,27 +195,17 @@ void FinalizeEstimates(const std::vector<WorldTally>& tallies,
   for (std::size_t e = 0; e < num_edges; ++e) {
     std::uint32_t n = 0;
     std::uint64_t delta_sum = 0;
-    unsigned __int128 delta_sq_sum = 0;
     for (const WorldTally& tally : tallies) {
       n += tally.absent[e];
       delta_sum += tally.delta_sum[e];
-      delta_sq_sum += tally.delta_sq_sum[e];
     }
     out.absent_worlds[e] = n;
     if (n == 0) {
       out.err[e] = 0.0;
-      out.err_variance[e] = 0.0;
       continue;
     }
     const double mean = static_cast<double>(delta_sum) / n;
     out.err[e] = mean;
-    if (n >= 2) {
-      const double sq = static_cast<double>(delta_sq_sum);
-      const double var = std::max(0.0, (sq - n * mean * mean) / (n - 1));
-      out.err_variance[e] = var / n;
-    } else {
-      out.err_variance[e] = 0.0;
-    }
     err_sum += mean;
     out.max_err = std::max(out.max_err, mean);
   }
@@ -198,7 +242,6 @@ Result<EdgeRelevance> EstimateRelevance(const graph::UncertainGraph& graph,
 
   EdgeRelevance out;
   out.err.assign(num_edges, 0.0);
-  out.err_variance.assign(num_edges, 0.0);
   out.absent_worlds.assign(num_edges, 0);
 
   std::vector<WorldTally> tallies;
@@ -254,7 +297,6 @@ Result<EdgeRelevance> EstimateRelevance(const graph::UncertainGraph& graph,
     CHOBS_FLIGHT_EVENT(kCheckpoint, "anonymize/relevance", done,
                        options.worlds);
 
-    FinalizeEstimates(tallies, world_mass, out);
     const double hw = obs::NormalCiHalfwidth(world_mass.variance(),
                                              world_mass.count(), kZ95);
     const double mean_mass = world_mass.mean();
@@ -264,8 +306,16 @@ Result<EdgeRelevance> EstimateRelevance(const graph::UncertainGraph& graph,
                            rel_err <= options.max_rel_err;
     const bool final = converged || done >= options.worlds;
     stopped_early = converged && done < options.worlds;
-    EmitRelevanceProgress(done, options.worlds, out.mean_err, out.max_err,
-                          mean_mass, hw, rel_err, final, stopped_early);
+    // The estimates are read after the last round; a relevance_progress
+    // record is the only reader of an earlier round's, so a round that
+    // writes none skips the pass over every edge and tally.
+    obs::RecordSink* const sink = obs::Enabled() ? obs::GlobalSink() : nullptr;
+    if (final || sink != nullptr) FinalizeEstimates(tallies, world_mass, out);
+    if (sink != nullptr) {
+      EmitRelevanceProgress(*sink, done, options.worlds, out.mean_err,
+                            out.max_err, mean_mass, hw, rel_err, final,
+                            stopped_early);
+    }
     if (converged) break;
   }
   progress.Finish();
@@ -279,7 +329,7 @@ Result<EdgeRelevance> EstimateRelevance(const graph::UncertainGraph& graph,
   return out;
 }
 
-Result<EdgeRelevance> EstimateRelevanceNaive(
+Result<EdgeRelevanceWithVariance> EstimateRelevanceNaive(
     const graph::UncertainGraph& graph, const RelevanceOptions& options) {
   CHAMELEON_RETURN_IF_ERROR(ValidateOptions(options));
   CHOBS_SPAN(span, "anonymize/relevance_naive");
@@ -287,7 +337,7 @@ Result<EdgeRelevance> EstimateRelevanceNaive(
   const std::size_t num_edges = graph.num_edges();
   const auto& edges = graph.edges();
 
-  EdgeRelevance out;
+  EdgeRelevanceWithVariance out;
   out.err.assign(num_edges, 0.0);
   out.err_variance.assign(num_edges, 0.0);
   out.absent_worlds.assign(num_edges, 0);

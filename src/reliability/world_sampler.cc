@@ -8,6 +8,7 @@
 
 #include "chameleon/obs/obs.h"
 #include "chameleon/util/logging.h"
+#include "coin_lanes.h"
 
 namespace chameleon::rel {
 
@@ -64,76 +65,60 @@ std::size_t WorldSampler::SampleMask(Rng& rng, BitVector& mask) const {
   return present;
 }
 
-std::size_t WorldSampler::SampleFourMasks(
-    const std::array<std::uint64_t, kLanes>& seeds,
-    std::array<BitVector, kLanes>& masks) const {
-  // Two 128-bit halves of two uint64 lanes each, lanes {0, 1} and {2, 3}:
-  // the baseline ISA's SSE2 width, so all eight state vectors stay in
-  // registers (one 256-bit generic vector makes GCC spill the state to
-  // the stack every step). No vector is passed or returned by value, so
-  // no call's ABI depends on the ISA (GCC's -Wpsabi note).
-  using U64x2 = std::uint64_t __attribute__((vector_size(16)));
-  const std::size_t num = thresholds_.size();
-  std::array<std::uint64_t*, kLanes> words;
-  for (std::size_t l = 0; l < kLanes; ++l) {
+namespace internal {
+
+std::size_t SampleFourMasksSse2(
+    const std::uint64_t* thresholds, std::size_t num_edges,
+    const std::array<std::uint64_t, WorldSampler::kLanes>& seeds,
+    const std::array<std::uint64_t*, WorldSampler::kLanes>& words) {
+  return SampleFourMasksLanes<2>(thresholds, num_edges, seeds, words);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+std::size_t SampleFourMasksAvx2(
+    const std::uint64_t* thresholds, std::size_t num_edges,
+    const std::array<std::uint64_t, WorldSampler::kLanes>& seeds,
+    const std::array<std::uint64_t*, WorldSampler::kLanes>& words) {
+  return SampleFourMasksLanes<4>(thresholds, num_edges, seeds, words);
+}
+#endif
+
+std::size_t SampleFourMasksWith(
+    FourMasksKernel kernel, const WorldSampler& sampler,
+    const std::array<std::uint64_t, WorldSampler::kLanes>& seeds,
+    std::array<BitVector, WorldSampler::kLanes>& masks) {
+  const std::size_t num = sampler.num_edges();
+  std::array<std::uint64_t*, WorldSampler::kLanes> words;
+  for (std::size_t l = 0; l < WorldSampler::kLanes; ++l) {
     CH_CHECK(masks[l].size() == num);
     words[l] = masks[l].mutable_words().data();
   }
-  // Lane l starts in Rng(seeds[l])'s state: four splitmix64 outputs.
-  std::array<std::array<std::uint64_t, 4>, kLanes> state;
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    std::uint64_t sm = seeds[l];
-    for (std::uint64_t& word : state[l]) word = SplitMix64(sm);
-  }
-  U64x2 a0 = {state[0][0], state[1][0]};
-  U64x2 a1 = {state[0][1], state[1][1]};
-  U64x2 a2 = {state[0][2], state[1][2]};
-  U64x2 a3 = {state[0][3], state[1][3]};
-  U64x2 b0 = {state[2][0], state[3][0]};
-  U64x2 b1 = {state[2][1], state[3][1]};
-  U64x2 b2 = {state[2][2], state[3][2]};
-  U64x2 b3 = {state[2][3], state[3][3]};
-  // One xoshiro256** step per lane, as Rng::operator() takes it, and the
-  // coin of threshold t into bit j of `word`. The multiplications by 5
-  // and 9 are shift-adds (SSE2 has no 64-bit lane multiply). k = draw >>
-  // 11 and t both lie in [0, 2⁵³], so k − t wraps to a set sign bit
-  // exactly when k < t: the coin, branch-free and without a 64-bit lane
-  // compare (SSE2 has none). Vectors pass by reference only.
-  const auto coin = [](U64x2& s0, U64x2& s1, U64x2& s2, U64x2& s3,
-                       std::uint64_t t, std::size_t j, U64x2& word) {
-    const U64x2 times5 = s1 + (s1 << 2);
-    const U64x2 rotated = (times5 << 7) | (times5 >> 57);
-    const U64x2 draw = rotated + (rotated << 3);
-    const U64x2 shifted = s1 << 17;
-    s2 ^= s0;
-    s3 ^= s1;
-    s1 ^= s2;
-    s0 ^= s3;
-    s2 ^= shifted;
-    s3 = (s3 << 45) | (s3 >> 19);
-    word |= (((draw >> 11) - t) >> 63) << j;
-  };
-  const std::uint64_t* const thresholds = thresholds_.data();
-  std::size_t present = 0;
-  for (std::size_t base = 0; base < num; base += 64) {
-    const std::size_t len = std::min<std::size_t>(64, num - base);
-    const std::uint64_t* const t = thresholds + base;
-    U64x2 word_a = {0, 0};
-    U64x2 word_b = {0, 0};
-    for (std::size_t j = 0; j < len; ++j) {
-      coin(a0, a1, a2, a3, t[j], j, word_a);
-      coin(b0, b1, b2, b3, t[j], j, word_b);
-    }
-    const std::array<std::uint64_t, kLanes> lane_words = {
-        word_a[0], word_a[1], word_b[0], word_b[1]};
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      words[l][base >> 6] = lane_words[l];
-      present += static_cast<std::size_t>(std::popcount(lane_words[l]));
-    }
-  }
-  CHOBS_COUNT("reliability/sampler/worlds", kLanes);
+  const std::size_t present =
+      kernel(sampler.thresholds().data(), num, seeds, words);
+  CHOBS_COUNT("reliability/sampler/worlds", WorldSampler::kLanes);
   CHOBS_COUNT("reliability/sampler/edges_present", present);
   return present;
+}
+
+}  // namespace internal
+
+namespace {
+
+internal::FourMasksKernel SelectFourMasksKernel() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) return internal::SampleFourMasksAvx2;
+#endif
+  return internal::SampleFourMasksSse2;
+}
+
+}  // namespace
+
+std::size_t WorldSampler::SampleFourMasks(
+    const std::array<std::uint64_t, kLanes>& seeds,
+    std::array<BitVector, kLanes>& masks) const {
+  static const internal::FourMasksKernel kernel = SelectFourMasksKernel();
+  return internal::SampleFourMasksWith(kernel, *this, seeds, masks);
 }
 
 bool UniteWorld(const graph::UncertainGraph& graph, const BitVector& mask,

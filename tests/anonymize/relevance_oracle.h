@@ -22,7 +22,11 @@
 /// united, every vertex's root and size flattened, and every absent edge
 /// swept with its own absent-count increment. Serial, one tally; the
 /// convergence checkpoints and the float finalisation are those of
-/// EstimateRelevance, so the two agree bit for bit.
+/// EstimateRelevance, so the two agree bit for bit. The tally also keeps
+/// 128-bit δ² sums (δ ≤ (|V|/2)², so δ² outgrows 64 bits past
+/// |V| ≈ 2¹⁷), from which the oracle gives each estimate's variance:
+/// the 5σ cross-validation against the naive re-sampler needs it, and
+/// the production tally does not keep it.
 
 namespace chameleon::anonymize {
 
@@ -72,11 +76,12 @@ inline std::uint64_t OracleTallyWorld(const graph::UncertainGraph& graph,
 }
 
 /// EstimateRelevance's result fields (everything but wall_ms), computed
-/// the old way.
-inline EdgeRelevance OracleEstimateRelevance(
+/// the old way, with each ERR^e's variance (sample variance / N_e; 0
+/// when N_e < 2).
+inline EdgeRelevanceWithVariance OracleEstimateRelevance(
     const graph::UncertainGraph& graph, const RelevanceOptions& options) {
   const std::size_t num_edges = graph.num_edges();
-  EdgeRelevance out;
+  EdgeRelevanceWithVariance out;
   out.err.assign(num_edges, 0.0);
   out.err_variance.assign(num_edges, 0.0);
   out.absent_worlds.assign(num_edges, 0);

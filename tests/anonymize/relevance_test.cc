@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -15,6 +19,7 @@
 #include "chameleon/graph/union_find.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/parallel_stats.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/util/bitvector.h"
 #include "chameleon/util/rng.h"
 
@@ -44,9 +49,11 @@ UncertainGraph MakeStar9() {
   return *std::move(g);
 }
 
-/// ER G(n, q) with edge probabilities uniform in [lo, hi).
+/// ER G(n, q) with edge probabilities uniform in [lo, hi). With
+/// `impossible_edge`, the first pair the draw skips becomes one more edge
+/// with p = 0 (it takes no draw, so the other edges are unchanged).
 UncertainGraph MakeEr(NodeId n, double avg_degree, double lo, double hi,
-                      std::uint64_t seed) {
+                      std::uint64_t seed, bool impossible_edge = false) {
   Rng rng(seed);
   const double q = avg_degree / static_cast<double>(n - 1);
   UncertainGraphBuilder builder(n);
@@ -54,6 +61,9 @@ UncertainGraph MakeEr(NodeId n, double avg_degree, double lo, double hi,
     for (NodeId v = u + 1; v < n; ++v) {
       if (rng.Bernoulli(q)) {
         EXPECT_TRUE(builder.AddEdge(u, v, rng.Uniform(lo, hi)).ok());
+      } else if (impossible_edge) {
+        EXPECT_TRUE(builder.AddEdge(u, v, 0.0).ok());
+        impossible_edge = false;
       }
     }
   }
@@ -66,17 +76,25 @@ UncertainGraph MakeEr(NodeId n, double avg_degree, double lo, double hi,
 /// "realistic" cross-validation fixture.
 UncertainGraph MakeEr64() { return MakeEr(64, 4.0, 0.1, 0.9, 7); }
 
-/// Per-edge cross-check at 5σ: the two estimators are independent Monte
-/// Carlo runs, so their difference has variance var_a + var_b.
-void ExpectWithinMcError(const EdgeRelevance& a, const EdgeRelevance& b) {
-  ASSERT_EQ(a.err.size(), b.err.size());
+/// Per-edge cross-check at 5σ of the reused estimate (run on `g` with
+/// `options`) against the naive one: the two estimators are independent
+/// Monte Carlo runs, so their difference has variance var_a + var_b. The
+/// reused estimate's variance comes from the oracle kernel, which
+/// tallies the same worlds with δ² kept and must give the same err bit
+/// for bit.
+void ExpectWithinMcError(const UncertainGraph& g,
+                         const RelevanceOptions& options,
+                         const EdgeRelevance& reused,
+                         const EdgeRelevanceWithVariance& naive) {
+  const EdgeRelevanceWithVariance a = OracleEstimateRelevance(g, options);
+  ASSERT_EQ(a.err, reused.err);
+  ASSERT_EQ(a.err.size(), naive.err.size());
   for (std::size_t e = 0; e < a.err.size(); ++e) {
-    const double sd =
-        std::sqrt(a.err_variance[e] + b.err_variance[e]);
+    const double sd = std::sqrt(a.err_variance[e] + naive.err_variance[e]);
     const double bound = 5.0 * sd + 1e-9;
-    EXPECT_NEAR(a.err[e], b.err[e], bound)
+    EXPECT_NEAR(a.err[e], naive.err[e], bound)
         << "edge " << e << " (N_a=" << a.absent_worlds[e]
-        << ", N_b=" << b.absent_worlds[e] << ")";
+        << ", N_b=" << naive.absent_worlds[e] << ")";
   }
 }
 
@@ -94,7 +112,7 @@ TEST(RelevanceTest, SingleEdgeIsExactlyOne) {
   ASSERT_TRUE(rel.ok());
   ASSERT_EQ(rel->err.size(), 1u);
   EXPECT_DOUBLE_EQ(rel->err[0], 1.0);
-  EXPECT_DOUBLE_EQ(rel->err_variance[0], 0.0);
+  EXPECT_DOUBLE_EQ(OracleEstimateRelevance(*g, options).err_variance[0], 0.0);
   EXPECT_GT(rel->absent_worlds[0], 0u);
   EXPECT_DOUBLE_EQ(rel->vertex_err[0], 1.0);
   EXPECT_DOUBLE_EQ(rel->vertex_err[1], 1.0);
@@ -114,10 +132,12 @@ TEST(RelevanceTest, TwoEdgePathMatchesClosedForm) {
   options.worlds = 20000;
   const Result<EdgeRelevance> rel = EstimateRelevance(*g, options);
   ASSERT_TRUE(rel.ok());
+  const EdgeRelevanceWithVariance oracle = OracleEstimateRelevance(*g, options);
+  ASSERT_EQ(oracle.err, rel->err);
   EXPECT_NEAR(rel->err[0], 1.0 + pb,
-              5.0 * std::sqrt(rel->err_variance[0]) + 1e-9);
+              5.0 * std::sqrt(oracle.err_variance[0]) + 1e-9);
   EXPECT_NEAR(rel->err[1], 1.0 + pa,
-              5.0 * std::sqrt(rel->err_variance[1]) + 1e-9);
+              5.0 * std::sqrt(oracle.err_variance[1]) + 1e-9);
 }
 
 TEST(RelevanceTest, CertainEdgeIsUnobservable) {
@@ -141,10 +161,11 @@ TEST(RelevanceTest, ReusedMatchesNaiveOnCycle) {
   RelevanceOptions options;
   options.worlds = 4000;
   const Result<EdgeRelevance> reused = EstimateRelevance(g, options);
-  const Result<EdgeRelevance> naive = EstimateRelevanceNaive(g, options);
+  const Result<EdgeRelevanceWithVariance> naive =
+      EstimateRelevanceNaive(g, options);
   ASSERT_TRUE(reused.ok());
   ASSERT_TRUE(naive.ok());
-  ExpectWithinMcError(*reused, *naive);
+  ExpectWithinMcError(g, options, *reused, *naive);
   // Symmetry: every cycle edge has the same true ERR, so the estimates
   // cluster tightly around the shared mean.
   EXPECT_GT(reused->mean_err, 0.0);
@@ -156,10 +177,11 @@ TEST(RelevanceTest, ReusedMatchesNaiveOnStar) {
   RelevanceOptions options;
   options.worlds = 4000;
   const Result<EdgeRelevance> reused = EstimateRelevance(g, options);
-  const Result<EdgeRelevance> naive = EstimateRelevanceNaive(g, options);
+  const Result<EdgeRelevanceWithVariance> naive =
+      EstimateRelevanceNaive(g, options);
   ASSERT_TRUE(reused.ok());
   ASSERT_TRUE(naive.ok());
-  ExpectWithinMcError(*reused, *naive);
+  ExpectWithinMcError(g, options, *reused, *naive);
 }
 
 TEST(RelevanceTest, ReusedMatchesNaiveOnEr64) {
@@ -168,10 +190,11 @@ TEST(RelevanceTest, ReusedMatchesNaiveOnEr64) {
   RelevanceOptions options;
   options.worlds = 2000;
   const Result<EdgeRelevance> reused = EstimateRelevance(g, options);
-  const Result<EdgeRelevance> naive = EstimateRelevanceNaive(g, options);
+  const Result<EdgeRelevanceWithVariance> naive =
+      EstimateRelevanceNaive(g, options);
   ASSERT_TRUE(reused.ok());
   ASSERT_TRUE(naive.ok());
-  ExpectWithinMcError(*reused, *naive);
+  ExpectWithinMcError(g, options, *reused, *naive);
 }
 
 TEST(RelevanceTest, BitIdenticalAcrossWorkerCounts) {
@@ -199,7 +222,6 @@ TEST(RelevanceTest, BitIdenticalAcrossWorkerCounts) {
     obs::SetEnabledForTesting(false);
     ASSERT_TRUE(many.ok());
     EXPECT_EQ(one->err, many->err) << threads << " threads";
-    EXPECT_EQ(one->err_variance, many->err_variance);
     EXPECT_EQ(one->absent_worlds, many->absent_worlds);
     EXPECT_EQ(one->vertex_err, many->vertex_err);
     EXPECT_EQ(one->mean_world_mass, many->mean_world_mass);
@@ -243,14 +265,14 @@ TEST(RelevanceTest, PartialLastMaskWordCountsNoPhantomEdges) {
     const Result<EdgeRelevance> reused = EstimateRelevance(g, options);
     ASSERT_TRUE(reused.ok());
     ASSERT_EQ(reused->err.size(), num_edges);
-    ASSERT_EQ(reused->err_variance.size(), num_edges);
     ASSERT_EQ(reused->absent_worlds.size(), num_edges);
     for (std::size_t e = 0; e < num_edges; ++e) {
       EXPECT_LE(reused->absent_worlds[e], reused->worlds) << "edge " << e;
     }
-    const Result<EdgeRelevance> naive = EstimateRelevanceNaive(g, options);
+    const Result<EdgeRelevanceWithVariance> naive =
+        EstimateRelevanceNaive(g, options);
     ASSERT_TRUE(naive.ok());
-    ExpectWithinMcError(*reused, *naive);
+    ExpectWithinMcError(g, options, *reused, *naive);
   }
 }
 
@@ -312,7 +334,6 @@ UncertainGraph MakeMixedCertainty() {
 
 void ExpectSameAsOracle(const EdgeRelevance& got, const EdgeRelevance& want) {
   EXPECT_EQ(got.err, want.err);
-  EXPECT_EQ(got.err_variance, want.err_variance);
   EXPECT_EQ(got.absent_worlds, want.absent_worlds);
   EXPECT_EQ(got.vertex_err, want.vertex_err);
   EXPECT_EQ(got.mean_err, want.mean_err);
@@ -329,8 +350,12 @@ struct OracleFixture {
 
 std::vector<OracleFixture> OracleFixtures() {
   std::vector<OracleFixture> fixtures;
-  // Every world connected: the unions stop early and no edge is swept.
-  fixtures.push_back({"connected dense ER", MakeEr(60, 30.0, 0.3, 0.9, 31)});
+  // Every world connected: the unions stop early and no edge is swept,
+  // so absent counts go through the counter planes. The p = 0 edge is
+  // absent from every world: its count is a block's whole world count,
+  // which needs the top plane when that count is a power of two.
+  fixtures.push_back(
+      {"connected dense ER", MakeEr(60, 30.0, 0.3, 0.9, 31, true)});
   // Present degree ~2.6: a giant component plus fragments.
   fixtures.push_back({"sparse ER, giant", MakeEr(400, 4.0, 0.4, 0.9, 37)});
   // p·d ≈ 0.75 < 1: no component near half the vertices.
@@ -419,18 +444,23 @@ TEST(RelevanceOracleTest, MatchesOracleBitForBitAcrossWorkers) {
 }
 
 TEST(RelevanceOracleTest, LongSerialBlockMatchesOracle) {
-  // One round of 611 worlds on one worker: 152 four-world samples and a
-  // scalar tail of three in a single block.
-  for (const OracleFixture& fixture : OracleFixtures()) {
-    SCOPED_TRACE(fixture.name);
-    RelevanceOptions options;
-    options.worlds = 611;
-    options.min_worlds = 611;
-    options.threads = 1;
-    options.heartbeat = false;
-    const Result<EdgeRelevance> got = EstimateRelevance(fixture.graph, options);
-    ASSERT_TRUE(got.ok());
-    ExpectSameAsOracle(*got, OracleEstimateRelevance(fixture.graph, options));
+  // One round on one worker, so one block: 611 worlds are 152 four-world
+  // samples and a scalar tail of three; 512 worlds are a power of two,
+  // which the connected fixture's p = 0 edge counts to exactly.
+  for (const std::size_t worlds : {611u, 512u}) {
+    SCOPED_TRACE(worlds);
+    for (const OracleFixture& fixture : OracleFixtures()) {
+      SCOPED_TRACE(fixture.name);
+      RelevanceOptions options;
+      options.worlds = worlds;
+      options.min_worlds = worlds;
+      options.threads = 1;
+      options.heartbeat = false;
+      const Result<EdgeRelevance> got =
+          EstimateRelevance(fixture.graph, options);
+      ASSERT_TRUE(got.ok());
+      ExpectSameAsOracle(*got, OracleEstimateRelevance(fixture.graph, options));
+    }
   }
 }
 
@@ -454,6 +484,52 @@ TEST(RelevanceOracleTest, EarlyStopMatchesOracle) {
   }
   // The rule must actually fire on the fixtures with relevance mass.
   EXPECT_GE(stopped, 4u);
+}
+
+TEST(RelevanceOracleTest, ProgressRecordsCarryEachRoundsEstimates) {
+  // relevance_progress records are the only readers of a round's
+  // estimates before the last, so each must carry the oracle's estimates
+  // at its world count: 32, 64, 128 and 203 worlds.
+  const UncertainGraph g = MakeEr(400, 4.0, 0.4, 0.9, 37);
+  const std::string path =
+      testing::TempDir() + "/relevance_progress_test.jsonl";
+  std::remove(path.c_str());
+  obs::ObsOptions obs_options;
+  obs_options.metrics_out = path;
+  obs_options.read_env = false;
+  ASSERT_TRUE(obs::InitObservability(obs_options).ok());
+  RelevanceOptions options;
+  options.worlds = 203;
+  options.seed = 99;
+  options.threads = 2;
+  options.heartbeat = false;
+  const Result<EdgeRelevance> got = EstimateRelevance(g, options);
+  obs::ShutdownObservability();
+  ASSERT_TRUE(got.ok());
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::vector<obs::JsonValue> records;
+  for (std::string line; std::getline(in, line);) {
+    std::optional<obs::JsonValue> record = obs::ParseJson(line);
+    ASSERT_TRUE(record.has_value()) << line;
+    if (record->Str("type") == "relevance_progress") {
+      records.push_back(*std::move(record));
+    }
+  }
+  std::remove(path.c_str());
+  const std::vector<std::size_t> checkpoints = {32, 64, 128, 203};
+  ASSERT_EQ(records.size(), checkpoints.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    SCOPED_TRACE(checkpoints[i]);
+    options.worlds = checkpoints[i];
+    const EdgeRelevanceWithVariance want = OracleEstimateRelevance(g, options);
+    EXPECT_EQ(records[i].Num("worlds"), static_cast<double>(want.worlds));
+    EXPECT_EQ(records[i].Num("mean_err"), want.mean_err);
+    EXPECT_EQ(records[i].Num("max_err"), want.max_err);
+    EXPECT_GT(want.max_err, 0.0);
+  }
+  EXPECT_TRUE(records.back().Flag("final"));
 }
 
 TEST(RelevanceTest, ZeroWorldsIsInvalidArgument) {

@@ -14,6 +14,7 @@
 #include "chameleon/obs/obs.h"
 #include "chameleon/reliability/world_sampler.h"
 #include "chameleon/util/bitvector.h"
+#include "reliability/coin_lanes.h"
 
 namespace chameleon::rel {
 namespace {
@@ -206,32 +207,86 @@ TEST(WorldSamplerTest, BoundaryProbabilitiesSampleAsDoubleCompare) {
   }
 }
 
-TEST(WorldSamplerTest, FourMasksMatchScalarSamplerWordForWord) {
-  // 100,003 edges: > 10⁵ coins per lane and a 35-bit last word.
-  const UncertainGraph g = MakePath(100003);
-  const WorldSampler sampler(g);
-  for (const std::array<std::uint64_t, WorldSampler::kLanes> seeds :
-       {std::array<std::uint64_t, 4>{0, 1, 2, 3},
-        std::array<std::uint64_t, 4>{2018, 0x9e3779b97f4a7c15ull,
-                                     ~std::uint64_t{0}, 2018}}) {
-    std::array<BitVector, WorldSampler::kLanes> masks;
-    for (BitVector& mask : masks) {
-      mask.Resize(g.num_edges());
-      for (std::uint64_t& word : mask.mutable_words()) word = ~std::uint64_t{0};
+/// One lane width of the four-world coin kernel, reached through the
+/// private header so both run whatever this CPU would choose.
+struct LaneWidth {
+  const char* name;
+  internal::FourMasksKernel kernel;
+  /// Whether the kernel runs only on CPUs with AVX2.
+  bool needs_avx2;
+};
+
+class WorldSamplerLanesTest : public testing::TestWithParam<LaneWidth> {
+ protected:
+  void SetUp() override {
+#if defined(__x86_64__) || defined(__i386__)
+    if (GetParam().needs_avx2 && !__builtin_cpu_supports("avx2")) {
+      GTEST_SKIP() << "this CPU has no AVX2";
     }
-    const std::size_t present = sampler.SampleFourMasks(seeds, masks);
-    std::size_t expected_present = 0;
-    for (std::size_t l = 0; l < WorldSampler::kLanes; ++l) {
-      Rng rng(seeds[l]);
-      BitVector expected(g.num_edges());
-      expected_present += sampler.SampleMask(rng, expected);
-      ASSERT_EQ(masks[l].words(), expected.words()) << "lane " << l;
+#endif
+  }
+
+  std::size_t SampleFourMasks(
+      const WorldSampler& sampler,
+      const std::array<std::uint64_t, WorldSampler::kLanes>& seeds,
+      std::array<BitVector, WorldSampler::kLanes>& masks) const {
+    return internal::SampleFourMasksWith(GetParam().kernel, sampler, seeds,
+                                         masks);
+  }
+};
+
+/// Path graph whose edge probabilities cycle through `probabilities`.
+UncertainGraph MakePathWith(std::size_t num_edges,
+                            const std::vector<double>& probabilities) {
+  UncertainGraphBuilder builder(static_cast<NodeId>(num_edges + 1));
+  for (NodeId u = 0; u < num_edges; ++u) {
+    EXPECT_TRUE(
+        builder.AddEdge(u, u + 1, probabilities[u % probabilities.size()])
+            .ok());
+  }
+  Result<UncertainGraph> g = std::move(builder).Build();
+  EXPECT_TRUE(g.ok());
+  return *std::move(g);
+}
+
+TEST_P(WorldSamplerLanesTest, FourMasksMatchScalarSamplerWordForWord) {
+  // 100,003 edges: > 10⁵ coins per lane and a 35-bit last word. Then
+  // last words of 64, 1 and 63 bits, on mid-range coins and on coins
+  // that mix p = 0 and p = 1 with fair ones.
+  std::vector<UncertainGraph> graphs;
+  graphs.push_back(MakePath(100003));
+  for (const std::size_t num_edges : {128u, 129u, 127u}) {
+    graphs.push_back(MakePath(num_edges));
+    graphs.push_back(MakePathWith(num_edges, {0.0, 1.0, 0.5, 1.0, 0.0}));
+  }
+  for (const UncertainGraph& g : graphs) {
+    SCOPED_TRACE(g.num_edges());
+    const WorldSampler sampler(g);
+    for (const std::array<std::uint64_t, WorldSampler::kLanes> seeds :
+         {std::array<std::uint64_t, 4>{0, 1, 2, 3},
+          std::array<std::uint64_t, 4>{2018, 0x9e3779b97f4a7c15ull,
+                                       ~std::uint64_t{0}, 2018}}) {
+      std::array<BitVector, WorldSampler::kLanes> masks;
+      for (BitVector& mask : masks) {
+        mask.Resize(g.num_edges());
+        for (std::uint64_t& word : mask.mutable_words()) {
+          word = ~std::uint64_t{0};
+        }
+      }
+      const std::size_t present = SampleFourMasks(sampler, seeds, masks);
+      std::size_t expected_present = 0;
+      for (std::size_t l = 0; l < WorldSampler::kLanes; ++l) {
+        Rng rng(seeds[l]);
+        BitVector expected(g.num_edges());
+        expected_present += sampler.SampleMask(rng, expected);
+        ASSERT_EQ(masks[l].words(), expected.words()) << "lane " << l;
+      }
+      EXPECT_EQ(present, expected_present);
     }
-    EXPECT_EQ(present, expected_present);
   }
 }
 
-TEST(WorldSamplerTest, FourMasksCountLikeFourScalarWorlds) {
+TEST_P(WorldSamplerLanesTest, FourMasksCountLikeFourScalarWorlds) {
   const UncertainGraph g = MakePath(1000);
   const WorldSampler sampler(g);
   const std::array<std::uint64_t, WorldSampler::kLanes> seeds = {7, 8, 9, 10};
@@ -256,7 +311,7 @@ TEST(WorldSamplerTest, FourMasksCountLikeFourScalarWorlds) {
   obs::GlobalMetrics().Reset();
   std::array<BitVector, WorldSampler::kLanes> masks;
   for (BitVector& lane : masks) lane.Resize(g.num_edges());
-  sampler.SampleFourMasks(seeds, masks);
+  SampleFourMasks(sampler, seeds, masks);
   const auto four = counters();
   obs::SetEnabledForTesting(false);
   obs::GlobalMetrics().Reset();
@@ -264,6 +319,17 @@ TEST(WorldSamplerTest, FourMasksCountLikeFourScalarWorlds) {
   EXPECT_GT(scalar.second, 0u);
   EXPECT_EQ(four, scalar);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    LaneWidths, WorldSamplerLanesTest,
+    testing::Values(
+#if defined(__x86_64__) || defined(__i386__)
+        LaneWidth{"Avx2", internal::SampleFourMasksAvx2, true},
+#endif
+        LaneWidth{"Sse2", internal::SampleFourMasksSse2, false}),
+    [](const testing::TestParamInfo<LaneWidth>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 TEST(UniteWorldTest, StopsAtOneComponentWithTheFullPartition) {
   // A dense ER world connects early; a sparse one never does. Either
