@@ -32,7 +32,6 @@
 #include "chameleon/graph/uncertain_graph.h"
 #include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/heap_profiler.h"
-#include "chameleon/obs/hw_counters.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/parallel_stats.h"
 #include "chameleon/obs/profiler.h"
@@ -53,10 +52,9 @@ using bench::GateOutcome;
 constexpr std::uint64_t kSeed = 2018;
 
 /// Every gate measures from, and hands back, a dormant process: no sink,
-/// no CPU or heap sampler, no hw counters.
+/// no CPU or heap sampler.
 Status ExpectDormant(const char* when) {
-  if (obs::Enabled() || obs::ProfilerRunning() || obs::HeapProfilerActive() ||
-      obs::HwCountersActive()) {
+  if (obs::Enabled() || obs::ProfilerRunning() || obs::HeapProfilerActive()) {
     return Status::FailedPrecondition(
         std::string("observability is not dormant ") + when);
   }
@@ -386,17 +384,16 @@ Result<GateOutcome> Gate(int reps) {
 }  // namespace parallel
 
 // --------------------------------------------------------------------------
-// hw: a sampling-style inner loop with one CHOBS_SPAN per iteration,
+// span: a sampling-style inner loop with one CHOBS_SPAN per iteration,
 // dormant, against the same loop with no span. With obs dormant the span
 // constructor is a single relaxed Enabled() load and the destructor an
-// active() check — the hw engine adds one more relaxed HwCountersActive()
-// load on each live open/close, and none at all on the dormant path. The
-// per-span workload (kDrawsPerSpan RNG draws, ~2 us) is two to three
-// orders of magnitude below the shortest span any tool opens, so the
-// ratio over-states every real placement while staying large enough that
-// the ~10 ns dormant-span constant doesn't swamp the budget with noise.
+// active() check. The per-span workload (kDrawsPerSpan RNG draws, ~2 us)
+// is two to three orders of magnitude below the shortest span any tool
+// opens, so the ratio over-states every real placement while staying
+// large enough that the ~10 ns dormant-span constant doesn't swamp the
+// budget with noise.
 // --------------------------------------------------------------------------
-namespace hw {
+namespace span {
 
 constexpr double kBudget = 0.02;
 
@@ -416,7 +413,7 @@ double TimeLoop(std::size_t iterations) {
   const std::uint64_t start = MonotonicNanos();
   for (std::size_t i = 0; i < iterations; ++i) {
     if constexpr (instrumented) {
-      CHOBS_SPAN(span, "bench/hw_tick");
+      CHOBS_SPAN(tick, "bench/span_tick");
       for (int draw = 0; draw < kDrawsPerSpan; ++draw) {
         acc += rng.UniformInt(1u << 20);
       }
@@ -432,19 +429,19 @@ double TimeLoop(std::size_t iterations) {
 }
 
 Result<GateOutcome> Gate(int reps) {
-  const std::uint64_t attributed_before = obs::HwSpansAttributed();
   GateOutcome outcome{
       bench::RunPairedGate("BM_SpanLoop_Bare", TimeLoop<false>,
-                           "BM_SpanLoop_DormantHwSpan", TimeLoop<true>,
+                           "BM_SpanLoop_DormantSpan", TimeLoop<true>,
                            kBudget, reps),
       {}};
-  if (obs::HwSpansAttributed() != attributed_before) {
-    return Status::Internal("dormant spans attributed hw counters");
+  if (obs::GlobalMetrics().TakeSnapshot().FindHistogram(
+          "span/bench/span_tick") != nullptr) {
+    return Status::Internal("dormant spans recorded span latencies");
   }
   return outcome;
 }
 
-}  // namespace hw
+}  // namespace span
 
 // --------------------------------------------------------------------------
 // heap_dormant / heap_active: one malloc-shaped loop. Each iteration
@@ -544,7 +541,7 @@ CHAMELEON_GATE(obs_dormant, Dormant(obs_dormant::Gate));
 CHAMELEON_GATE(profiler, Dormant(profiler::Gate));
 CHAMELEON_GATE(flight, Dormant(flight::Gate));
 CHAMELEON_GATE(parallel, Dormant(parallel::Gate));
-CHAMELEON_GATE(hw, Dormant(hw::Gate));
+CHAMELEON_GATE(span, Dormant(span::Gate));
 CHAMELEON_GATE(heap_dormant, Dormant(heap::DormantGate));
 CHAMELEON_GATE(heap_active, Dormant(heap::ActiveGate));
 

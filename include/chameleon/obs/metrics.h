@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "chameleon/util/common.h"
-#include "chameleon/util/timer.h"
 
 /// \file metrics.h
 /// Process-wide metrics: counters, gauges, and fixed-bucket latency
@@ -137,30 +136,6 @@ class MetricsRegistry {
   // Gauges are rare (set once per phase); a single locked map suffices.
   mutable std::mutex gauges_mu_;
   std::map<std::string, double, std::less<>> gauges_;
-};
-
-/// RAII timer recording its lifetime into `registry.Observe(name)`.
-/// Cheaper than a TraceSpan: no path building, no sink record.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(std::string_view name,
-                       MetricsRegistry* registry = &MetricsRegistry::Global())
-      : name_(name), registry_(registry), start_nanos_(MonotonicNanos()) {}
-
-  ~ScopedTimer() {
-    if (registry_ != nullptr) registry_->Observe(name_, ElapsedNanos());
-  }
-  CHAMELEON_DISALLOW_COPY_AND_ASSIGN(ScopedTimer);
-
-  std::uint64_t ElapsedNanos() const { return MonotonicNanos() - start_nanos_; }
-
-  /// Detaches the timer: the destructor no longer records.
-  void Cancel() { registry_ = nullptr; }
-
- private:
-  std::string name_;
-  MetricsRegistry* registry_;
-  std::uint64_t start_nanos_;
 };
 
 }  // namespace chameleon::obs

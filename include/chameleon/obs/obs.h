@@ -60,11 +60,10 @@ struct ObsOptions {
   std::optional<HeapProfilerOptions> heap_profiler;
 };
 
-/// Configures the global sink/tracer, flips the runtime switch, starts
-/// the hardware counters (CHAMELEON_HW_COUNTERS picks the backend, see
-/// hw_counters.h), then starts the engines `options` names. The engines
-/// render from the live registries, so a run that requests one without
-/// a metrics path (flag or environment) writes its stream to /dev/null.
+/// Configures the global sink/tracer, flips the runtime switch, then
+/// starts the engines `options` names. The engines render from the live
+/// registries, so a run that requests one without a metrics path (flag
+/// or environment) writes its stream to /dev/null.
 /// Calling it again tears the previous run down (final summary
 /// included) and starts a new one. Returns IoError when the sink path is
 /// not writable, or the status server's error when its port cannot be

@@ -5,13 +5,11 @@
 #include <string>
 #include <vector>
 
-#include "chameleon/obs/hw_counters.h"
-
 /// \file parallel_stats.h
 /// Parallel-efficiency telemetry for ParallelForBlocks. Every instrumented
 /// fork-join region emits one `parallel_region` JSONL record carrying the
 /// clamp decisions (workers requested vs. spawned), the block/grain
-/// geometry, per-worker busy/idle time and blocks claimed, the imbalance
+/// geometry, per-worker busy/CPU/idle time and blocks claimed, the imbalance
 /// ratio, the spawn+join overhead, and the realized speedup vs. the
 /// busy-time sum — so "the verifier doesn't scale" decomposes into
 /// *which* of serial fraction, load imbalance, or fan-out overhead is to
@@ -34,9 +32,11 @@ namespace chameleon::obs {
 struct ParallelWorkerSample {
   std::uint64_t busy_ns = 0;  ///< time spent inside fn() across blocks
   std::uint64_t blocks = 0;   ///< blocks this worker claimed
-  /// Corrected hardware-counter delta over this worker's drain (invalid
-  /// when the hw engine is off or the worker's group failed to open).
-  HwCounterDelta hw;
+  /// Thread CPU time and heap allocations over this worker's drain; a
+  /// spawned worker's are folded into the caller's open spans.
+  std::uint64_t cpu_ns = 0;
+  std::uint64_t allocs = 0;
+  std::uint64_t alloc_bytes = 0;
 };
 
 /// A fully measured region, produced by ParallelForBlocks after join.
@@ -57,9 +57,6 @@ struct ParallelRegionStats {
   std::vector<ParallelWorkerSample> per_worker;  ///< size == workers
 
   std::uint64_t BusyTotalNanos() const;
-  /// Sum of valid per-worker hw deltas; zero-valued (valid=false) when
-  /// no worker carried counters.
-  HwCounterDelta HwTotals() const;
   /// Sum over workers of max(0, wall - busy): time sitting in the claim
   /// loop, waiting to start, or waiting for the join.
   std::uint64_t IdleTotalNanos() const;

@@ -7,10 +7,10 @@
 #include <utility>
 #include <vector>
 
-#include "chameleon/obs/hw_counters.h"
 #include "chameleon/obs/metrics.h"
 #include "chameleon/obs/sink.h"
 #include "chameleon/util/common.h"
+#include "chameleon/util/timer.h"
 
 /// \file trace.h
 /// Hierarchical phase tracing. A TraceSpan is an RAII scope whose path is
@@ -27,7 +27,9 @@
 /// counts (where the thread *waited*, not just where it worked), minor/
 /// major page faults, heap allocation count/bytes, plus the process peak
 /// RSS at close and a stable small thread index (`tid`) that keeps
-/// threads apart in Chrome/Perfetto traces.
+/// threads apart in Chrome/Perfetto traces. CPU time and allocations
+/// also count the ParallelForBlocks workers the span's thread forked
+/// (FoldIntoOpenSpans).
 
 namespace chameleon::obs {
 
@@ -46,6 +48,9 @@ struct ThreadResourceSample {
 };
 
 ThreadResourceSample SampleThreadResources();
+
+/// CPU time of the calling thread (CLOCK_THREAD_CPUTIME_ID), in ns.
+std::uint64_t ThreadCpuNanos();
 
 /// Process-unique dense thread index, assigned on first use (main thread
 /// usually gets 1). Stable for the thread's lifetime; never reused.
@@ -79,6 +84,20 @@ bool TrySpanPathForId(std::uint32_t id, std::string* path);
 /// SIGPROF handler can call it async-signal-safely to attribute a sample
 /// to the active span without touching strings or locks.
 std::uint32_t CurrentSpanPathId();
+
+/// Makes `id` the calling thread's innermost span path id without
+/// opening a span. A spawned ParallelForBlocks worker adopts the id of
+/// the span that forked it, so the heap profiler, flight recorder and
+/// crash handler file the worker's work under that span.
+void AdoptSpanPathId(std::uint32_t id);
+
+/// Adds work that threads forked by the calling thread did on its behalf
+/// (ParallelForBlocks' spawned workers) to every span open on the calling
+/// thread, so their cpu_ns, allocs and alloc_bytes cover the whole
+/// fork-join region. Their offcpu_ns, context switches and faults stay
+/// the calling thread's own.
+void FoldIntoOpenSpans(std::uint64_t cpu_ns, std::uint64_t allocs,
+                       std::uint64_t alloc_bytes);
 
 /// One currently-open span, as shown by the /statusz live-span table.
 struct LiveSpanEntry {
@@ -137,6 +156,9 @@ class TraceSpan {
   void AddCount(std::string_view key, std::uint64_t delta = 1);
 
  private:
+  friend void FoldIntoOpenSpans(std::uint64_t cpu_ns, std::uint64_t allocs,
+                                std::uint64_t alloc_bytes);
+
   void Open(std::string_view name, Tracer* tracer);
 
   Tracer* tracer_ = nullptr;
@@ -146,11 +168,9 @@ class TraceSpan {
   std::uint64_t start_nanos_ = 0;
   std::uint64_t start_wall_millis_ = 0;
   ThreadResourceSample start_resources_;
-  // Hardware-counter snapshot at open; valid only while the hw engine
-  // is live (see hw_counters.h), in which case the close attributes the
-  // corrected delta to this span's record and path aggregate.
-  HwCounterSample start_hw_;
-  bool hw_valid_ = false;
+  // cpu_ns / allocs / alloc_bytes that forked workers did for this span
+  // (FoldIntoOpenSpans); the record adds them to this thread's deltas.
+  ThreadResourceSample folded_;
   std::vector<std::pair<std::string, std::uint64_t>> counters_;
 };
 

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "chameleon/obs/record.h"
+#include "chameleon/util/timer.h"
 
 namespace chameleon::obs {
 namespace {

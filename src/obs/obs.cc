@@ -13,7 +13,6 @@
 #include "chameleon/obs/alloc_stats.h"
 #include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/heap_profiler.h"
-#include "chameleon/obs/hw_counters.h"
 #include "chameleon/obs/profiler.h"
 #include "chameleon/obs/record.h"
 #include "chameleon/obs/run_context.h"
@@ -87,29 +86,14 @@ void FinalizeRun(int signal_number) {
   // skip it: the full JSONL stream already tells the story.
   if (signal_number >= 0) EmitFlightRecorderDump(sink, signal_number);
 
-  // Hardware-counter rollups flush on every exit path — clean or
-  // signal-ended — so a killed run keeps its per-path bottleneck data.
-  // Emit while the engine is still live (the record names its backend),
-  // then stop it.
-  if (HwCountersActive()) {
-    EmitHwCounterRecords(sink);
-    StopHwCounters();
-  } else {
-    // Counters never came up (paranoid kernel, seccomp, no PMU, or the
-    // env override). One record names the reason; emitting it here
-    // rather than at init keeps the manifest as the stream's first
-    // record, and the one-shot enabled claim above keeps it unique.
-    sink->Write(Record("hw_counters_unavailable")
-                    .Str("reason", HwCountersUnavailableReason())
-                    .Finish());
-  }
-
-  // The heap profiler follows the same exactly-one-of contract: a live
-  // sampler flushes its heap_profile/heap_timeline records (then stops,
-  // so the folded file is written); otherwise one record names why the
-  // stream carries no heap data — not requested, refused under a
-  // sanitizer, or stopped early (in which case HeapRecordsEmitted()
-  // suppresses the unavailable record so the two never coexist).
+  // The heap profiler's exactly-one-of contract: a live sampler flushes
+  // its heap_profile/heap_timeline records (then stops, so the folded
+  // file is written); otherwise one record names why the stream carries
+  // no heap data — not requested, refused under a sanitizer, or stopped
+  // early (in which case HeapRecordsEmitted() suppresses the unavailable
+  // record so the two never coexist). Emitting it here rather than at
+  // init keeps the manifest as the stream's first record, and the
+  // one-shot enabled claim above keeps it unique.
   if (HeapProfilerActive()) {
     EmitHeapProfileRecords(sink);
     if (Result<HeapProfileReport> heap = StopHeapProfiler(); !heap.ok()) {
@@ -255,12 +239,6 @@ Status InitObservability(const ObsOptions& options) {
                                    std::memory_order_relaxed);
   InstallTerminationHooks();
   g_enabled.store(true, std::memory_order_release);
-
-  // Hardware counters ride along with the sink: live when the kernel
-  // allows it, otherwise FinalizeRun emits exactly one
-  // hw_counters_unavailable record explaining the absence of hw fields
-  // while every consumer carries on.
-  StartHwCounters();
   CH_LOG(Info) << "observability enabled, metrics sink: " << path;
 
   if (options.status_server) {

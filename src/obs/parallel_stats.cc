@@ -34,26 +34,6 @@ std::uint64_t ParallelRegionStats::BusyTotalNanos() const {
   return total;
 }
 
-HwCounterDelta ParallelRegionStats::HwTotals() const {
-  HwCounterDelta total;
-  for (const ParallelWorkerSample& w : per_worker) {
-    if (!w.hw.valid) continue;
-    total.valid = true;
-    total.cycles += w.hw.cycles;
-    total.instructions += w.hw.instructions;
-    total.cache_references += w.hw.cache_references;
-    total.cache_misses += w.hw.cache_misses;
-    total.branch_misses += w.hw.branch_misses;
-    total.stalled_backend += w.hw.stalled_backend;
-    total.task_clock_ns += w.hw.task_clock_ns;
-    total.has_cache = total.has_cache || w.hw.has_cache;
-    total.has_branch = total.has_branch || w.hw.has_branch;
-    total.has_stalled = total.has_stalled || w.hw.has_stalled;
-    total.scale = std::max(total.scale, w.hw.scale);
-  }
-  return total;
-}
-
 std::uint64_t ParallelRegionStats::IdleTotalNanos() const {
   std::uint64_t total = 0;
   for (const ParallelWorkerSample& w : per_worker) {
@@ -98,6 +78,8 @@ std::string FormatParallelRegionRecord(const ParallelRegionStats& stats) {
       .Int("join_ns", stats.join_ns);
   record.Array("busy_ns");
   for (const auto& worker : stats.per_worker) record.Int(worker.busy_ns);
+  record.End().Array("cpu_ns");
+  for (const auto& worker : stats.per_worker) record.Int(worker.cpu_ns);
   record.End().Array("blocks_claimed");
   for (const auto& worker : stats.per_worker) record.Int(worker.blocks);
   record.End()
@@ -106,14 +88,6 @@ std::string FormatParallelRegionRecord(const ParallelRegionStats& stats) {
       .Num("imbalance", stats.Imbalance())
       .Num("speedup", stats.Speedup())
       .Num("efficiency", stats.Efficiency());
-  if (const HwCounterDelta hw = stats.HwTotals(); hw.valid) {
-    record.Int("cycles", hw.cycles)
-        .Int("instructions", hw.instructions)
-        .Int("cache_refs", hw.cache_references)
-        .Int("cache_misses", hw.cache_misses)
-        .Num("ipc", hw.Ipc())
-        .Num("cache_miss_rate", hw.CacheMissRate());
-  }
   return record.Finish();
 }
 

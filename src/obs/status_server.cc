@@ -22,7 +22,6 @@
 #include "chameleon/obs/convergence.h"
 #include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/heap_profiler.h"
-#include "chameleon/obs/hw_counters.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/parallel_stats.h"
 #include "chameleon/obs/profiler.h"
@@ -172,26 +171,6 @@ std::string StatuszText() {
         static_cast<unsigned long long>(region.last_requested), wall_s,
         speedup, efficiency * 100.0, region.max_imbalance,
         static_cast<double>(region.overhead_ns) * 1e-6);
-  }
-
-  text += "\nhw counters:\n";
-  if (!HwCountersActive()) {
-    const std::string reason = HwCountersUnavailableReason();
-    text += reason.empty() ? "  (inactive)\n"
-                           : StrFormat("  (unavailable: %s)\n",
-                                       reason.c_str());
-  } else {
-    const std::vector<HwPathAggregate> hw_paths = HwPathAggregates();
-    if (hw_paths.empty()) text += "  (no samples yet)\n";
-    for (const HwPathAggregate& agg : hw_paths) {
-      text += StrFormat(
-          "  %s: spans=%llu ipc=%.2f cache_miss=%.1f%% branch_miss=%.2f%% "
-          "cycles=%.3g [%s]\n",
-          agg.path.c_str(), static_cast<unsigned long long>(agg.spans),
-          agg.Ipc(), agg.CacheMissRate() * 100.0,
-          agg.BranchMissRate() * 100.0, static_cast<double>(agg.cycles),
-          HwBottleneckName(ClassifyHwBottleneck(agg)));
-    }
   }
 
   text += "\nheap:\n";

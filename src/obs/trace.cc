@@ -48,7 +48,7 @@ SpanPathTable& SpanPaths() {
 /// path building only follows the matching ancestry.
 struct StackEntry {
   const Tracer* tracer;
-  const TraceSpan* span;
+  TraceSpan* span;
 };
 
 thread_local std::vector<StackEntry> tls_span_stack;
@@ -81,13 +81,16 @@ std::unordered_map<const TraceSpan*, LiveSpanEntry>& LiveSpanTable() {
 
 }  // namespace
 
+std::uint64_t ThreadCpuNanos() {
+  struct timespec ts = {};
+  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
 ThreadResourceSample SampleThreadResources() {
   ThreadResourceSample sample;
-  struct timespec ts = {};
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-    sample.cpu_ns = static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-                    static_cast<std::uint64_t>(ts.tv_nsec);
-  }
+  sample.cpu_ns = ThreadCpuNanos();
   struct rusage ru = {};
 #ifdef RUSAGE_THREAD
   const int who = RUSAGE_THREAD;
@@ -169,6 +172,17 @@ bool TrySpanPathForId(std::uint32_t id, std::string* path) {
 
 std::uint32_t CurrentSpanPathId() { return tls_span_path_id; }
 
+void AdoptSpanPathId(std::uint32_t id) { tls_span_path_id = id; }
+
+void FoldIntoOpenSpans(std::uint64_t cpu_ns, std::uint64_t allocs,
+                       std::uint64_t alloc_bytes) {
+  for (const StackEntry& entry : tls_span_stack) {
+    entry.span->folded_.cpu_ns += cpu_ns;
+    entry.span->folded_.allocs += allocs;
+    entry.span->folded_.alloc_bytes += alloc_bytes;
+  }
+}
+
 std::vector<LiveSpanEntry> LiveSpans() {
   std::vector<LiveSpanEntry> entries;
   {
@@ -213,7 +227,6 @@ void TraceSpan::Open(std::string_view name, Tracer* tracer) {
   ProfilerRegisterCurrentThread();
   start_wall_millis_ = WallUnixMillis();
   start_resources_ = SampleThreadResources();
-  if (HwCountersActive()) hw_valid_ = SampleHwCounters(&start_hw_);
   start_nanos_ = MonotonicNanos();
   CHOBS_FLIGHT_EVENT(kSpanOpen, path_, path_id_, 0);
   tls_span_stack.push_back(StackEntry{tracer_, this});
@@ -251,17 +264,6 @@ TraceSpan::~TraceSpan() {
   // Span boundaries drive the heap timeline (no dedicated timer
   // thread); one relaxed load + compare when it is not yet time.
   HeapProfilerMaybeSampleTimeline();
-  // Close the hardware-counter interval first (before the resource
-  // sample and JSON work below pollute it), attribute it to the path
-  // aggregate, and keep it for the span record's hw fields.
-  HwCounterDelta hw;
-  if (hw_valid_ && HwCountersActive()) {
-    HwCounterSample end_hw;
-    if (SampleHwCounters(&end_hw)) {
-      hw = ComputeHwDelta(start_hw_, end_hw);
-      if (hw.valid) AccumulateHwPath(StripPathIndices(path_), hw);
-    }
-  }
 
   if (tracer_->sink() != nullptr) {
     const ThreadResourceSample end = SampleThreadResources();
@@ -274,7 +276,7 @@ TraceSpan::~TraceSpan() {
         .Int("tid", CurrentThreadIndex())
         .Int("mono_ns", start_nanos_)
         .Int("dur_ns", duration)
-        .Int("cpu_ns", cpu_ns)
+        .Int("cpu_ns", cpu_ns + folded_.cpu_ns)
         // Wall-vs-CPU gap: time this thread existed inside the span but
         // was not running — blocked, runnable-but-preempted, or asleep.
         .Int("offcpu_ns", delta(cpu_ns, duration))
@@ -284,22 +286,11 @@ TraceSpan::~TraceSpan() {
         .Int("max_rss_kb", end.max_rss_kb)
         .Int("minflt", delta(start_resources_.minor_faults, end.minor_faults))
         .Int("majflt", delta(start_resources_.major_faults, end.major_faults))
-        .Int("allocs", delta(start_resources_.allocs, end.allocs))
+        .Int("allocs",
+             delta(start_resources_.allocs, end.allocs) + folded_.allocs)
         .Int("alloc_bytes",
-             delta(start_resources_.alloc_bytes, end.alloc_bytes));
-    if (hw.valid) {
-      record.Int("cycles", hw.cycles)
-          .Int("instructions", hw.instructions)
-          .Int("cache_refs", hw.cache_references)
-          .Int("cache_misses", hw.cache_misses)
-          .Int("branch_misses", hw.branch_misses)
-          .Int("stalled_backend", hw.stalled_backend)
-          .Int("task_clock_ns", hw.task_clock_ns)
-          .Num("hw_scale", hw.scale)
-          .Num("ipc", hw.Ipc())
-          .Num("cache_miss_rate", hw.CacheMissRate())
-          .Num("branch_miss_rate", hw.BranchMissRate());
-    }
+             delta(start_resources_.alloc_bytes, end.alloc_bytes) +
+                 folded_.alloc_bytes);
     if (!counters_.empty()) {
       record.Object("counters");
       for (const auto& [key, value] : counters_) record.Int(key, value);

@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "chameleon/obs/alloc_stats.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/parallel_stats.h"
 #include "chameleon/util/timer.h"
@@ -36,14 +37,17 @@ constexpr std::size_t kMinWorkPerWorker = 1024;
 /// as the plain path — the only additions are MonotonicNanos() pairs
 /// around each fn() call and per-worker accumulators, none of which
 /// influence which (block, begin, end) triples `fn` sees. The caller
-/// thread is worker 0; spawned threads are 1..workers-1.
+/// thread is worker 0; spawned threads are 1..workers-1. Spawned workers
+/// run under the caller's span path id, and after the join their CPU
+/// time and allocations are folded into the spans open on the caller.
 void RunInstrumented(
     std::size_t n, std::size_t block_size, std::size_t blocks,
     std::size_t requested, std::size_t workers,
     const std::function<void(std::size_t block, std::size_t begin,
                              std::size_t end)>& fn) {
+  const std::uint32_t span_id = obs::CurrentSpanPathId();
   obs::ParallelRegionStats stats;
-  stats.name = obs::SpanPathForId(obs::CurrentSpanPathId());
+  stats.name = obs::SpanPathForId(span_id);
   if (stats.name.empty()) stats.name = "(no_span)";
   stats.items = n;
   stats.block_size = block_size;
@@ -54,14 +58,10 @@ void RunInstrumented(
 
   std::atomic<std::size_t> cursor{0};
   const auto drain = [&](std::size_t worker) {
+    if (worker != 0) obs::AdoptSpanPathId(span_id);
     obs::ParallelWorkerSample& sample = stats.per_worker[worker];
-    // Per-worker hardware counters: each thread owns its counter group
-    // (spawned workers lazily open theirs on first sample), so the
-    // region record can report per-thread-count IPC honestly instead of
-    // attributing worker cycles to the caller.
-    obs::HwCounterSample hw_open;
-    const bool hw_valid =
-        obs::HwCountersActive() && obs::SampleHwCounters(&hw_open);
+    const std::uint64_t cpu_open = obs::ThreadCpuNanos();
+    const obs::AllocStats alloc_open = obs::ThreadAllocStats();
     for (std::size_t block = cursor.fetch_add(1, std::memory_order_relaxed);
          block < blocks;
          block = cursor.fetch_add(1, std::memory_order_relaxed)) {
@@ -72,12 +72,10 @@ void RunInstrumented(
       sample.busy_ns += MonotonicNanos() - t0;
       ++sample.blocks;
     }
-    if (hw_valid) {
-      obs::HwCounterSample hw_close;
-      if (obs::SampleHwCounters(&hw_close)) {
-        sample.hw = obs::ComputeHwDelta(hw_open, hw_close);
-      }
-    }
+    const obs::AllocStats alloc_close = obs::ThreadAllocStats();
+    sample.cpu_ns = obs::ThreadCpuNanos() - cpu_open;
+    sample.allocs = alloc_close.allocs - alloc_open.allocs;
+    sample.alloc_bytes = alloc_close.alloc_bytes - alloc_open.alloc_bytes;
   };
 
   const std::uint64_t region_start = MonotonicNanos();
@@ -97,6 +95,13 @@ void RunInstrumented(
   const std::uint64_t region_end = MonotonicNanos();
   stats.join_ns = region_end - join_start;
   stats.wall_ns = region_end - region_start;
+  obs::ParallelWorkerSample spawned;
+  for (std::size_t w = 1; w < workers; ++w) {
+    spawned.cpu_ns += stats.per_worker[w].cpu_ns;
+    spawned.allocs += stats.per_worker[w].allocs;
+    spawned.alloc_bytes += stats.per_worker[w].alloc_bytes;
+  }
+  obs::FoldIntoOpenSpans(spawned.cpu_ns, spawned.allocs, spawned.alloc_bytes);
   obs::RecordParallelRegion(stats);
 }
 

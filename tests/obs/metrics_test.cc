@@ -189,21 +189,6 @@ TEST(MetricsRegistryTest, IndependentRegistriesDoNotAlias) {
   EXPECT_EQ(a.TakeSnapshot().FindCounter("x")->value, 1u);
 }
 
-TEST(ScopedTimerTest, RecordsOnDestruction) {
-  MetricsRegistry registry;
-  {
-    ScopedTimer timer("scope/lat", &registry);
-  }
-  {
-    ScopedTimer cancelled("scope/lat", &registry);
-    cancelled.Cancel();
-  }
-  const MetricsSnapshot snapshot = registry.TakeSnapshot();
-  const HistogramSample* h = snapshot.FindHistogram("scope/lat");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 1u);  // the cancelled timer did not record
-}
-
 TEST(MetricsSnapshotTest, ToJsonShape) {
   MetricsRegistry registry;
   registry.Count("a", 2);

@@ -72,8 +72,9 @@ std::string WriteStream(const std::string& name, const std::string& body) {
 }
 
 /// A stream mixing known records, a privacy_check, three records of a
-/// type from "the future", and a watchdog_stall record, which builds
-/// before the stall watchdog's removal wrote.
+/// type from "the future", and the watchdog_stall, hw_counters and
+/// hw_counters_unavailable records that builds before the stall
+/// watchdog's and the hardware-counter engine's removal wrote.
 std::string MixedStream() {
   return
       "{\"type\":\"manifest\",\"tool\":\"future_tool\","
@@ -111,6 +112,8 @@ std::string MixedStream() {
       "\"stalled_backend\":750000,\"task_clock_ns\":1000000,"
       "\"ipc\":1.25,\"cache_miss_rate\":0.125,"
       "\"branch_miss_rate\":0.003906,\"class\":\"balanced\"}\n"
+      "{\"type\":\"hw_counters_unavailable\",\"t_ms\":4,"
+      "\"reason\":\"perf_event_paranoid\"}\n"
       "{\"type\":\"run_summary\",\"t_ms\":5,\"wall_ms\":12.5}\n";
 }
 
@@ -146,41 +149,24 @@ TEST(ObsDumpForwardCompatTest, UnknownTypesPassThroughWithOneNote) {
   EXPECT_EQ(result.stderr_text.find("anonymize_attempt"), std::string::npos);
   EXPECT_EQ(result.stderr_text.find("relevance_progress"),
             std::string::npos);
-  // hw_counters is a known type: rendered (as the --hw hint), never in
-  // the unknown-type notes.
-  EXPECT_EQ(result.stderr_text.find("hw_counters"), std::string::npos)
+  // The hardware-counter records are no longer written: like
+  // watchdog_stall, one note each and no report line.
+  EXPECT_EQ(CountOccurrences(result.stderr_text, "\"hw_counters\""), 1u)
       << result.stderr_text;
-  EXPECT_NE(result.stdout_text.find("hw counters:"), std::string::npos)
+  EXPECT_EQ(
+      CountOccurrences(result.stderr_text, "\"hw_counters_unavailable\""),
+      1u)
+      << result.stderr_text;
+  EXPECT_EQ(result.stdout_text.find("hw counters"), std::string::npos)
       << result.stdout_text;
   std::remove(path.c_str());
 }
 
-TEST(ObsDumpForwardCompatTest, HwViewRendersBottleneckTable) {
+TEST(ObsDumpForwardCompatTest, HwViewIsAUsageError) {
   const std::string path = WriteStream("fc_hw.jsonl", MixedStream());
   const RunResult result =
       RunCommand(std::string(OBS_DUMP_BIN) + " --hw " + path);
-  EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
-  EXPECT_NE(result.stdout_text.find("privacy/obf_check"), std::string::npos)
-      << result.stdout_text;
-  EXPECT_NE(result.stdout_text.find("balanced"), std::string::npos);
-  EXPECT_NE(result.stdout_text.find("emulated"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(ObsDumpForwardCompatTest, HwViewExplainsUnavailableCounters) {
-  const std::string path = WriteStream(
-      "fc_hw_unavail.jsonl",
-      "{\"type\":\"hw_counters_unavailable\",\"t_ms\":1,"
-      "\"reason\":\"perf_event_paranoid\"}\n"
-      "{\"type\":\"run_summary\",\"t_ms\":2,\"wall_ms\":1.0}\n");
-  const RunResult result =
-      RunCommand(std::string(OBS_DUMP_BIN) + " --hw " + path);
-  // No table to print is still an error exit, but the reason is relayed
-  // instead of the generic rerun hint.
-  EXPECT_EQ(result.exit_code, 1);
-  EXPECT_NE(result.stderr_text.find("perf_event_paranoid"),
-            std::string::npos)
-      << result.stderr_text;
+  EXPECT_EQ(result.exit_code, 2) << result.stderr_text;
   std::remove(path.c_str());
 }
 
@@ -234,12 +220,16 @@ TEST(FollowForwardCompatTest, UnknownTypesPassThroughWithOneNote) {
       << result.stdout_text;
   EXPECT_EQ(result.stderr_text.find("sigma_search"), std::string::npos)
       << result.stderr_text;
-  EXPECT_EQ(result.stderr_text.find("hw_counters"), std::string::npos)
+  EXPECT_EQ(CountOccurrences(result.stderr_text, "\"hw_counters\""), 1u)
+      << result.stderr_text;
+  EXPECT_EQ(
+      CountOccurrences(result.stderr_text, "\"hw_counters_unavailable\""),
+      1u)
       << result.stderr_text;
   // The run_summary closes the stream with the full report.
   EXPECT_NE(result.stdout_text.find("privacy checks:"), std::string::npos)
       << result.stdout_text;
-  EXPECT_NE(result.stdout_text.find("hw counters:"), std::string::npos)
+  EXPECT_EQ(result.stdout_text.find("hw counters"), std::string::npos)
       << result.stdout_text;
   std::remove(path.c_str());
 }

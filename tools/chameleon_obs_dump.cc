@@ -9,8 +9,9 @@
 //   critical path: reliability/two_terminal > sample_worlds (811.90 ms)
 //
 // "self" is total minus the time attributed to direct child phases; "cpu"
-// is thread CPU time from the span's resource sample. The final run
-// summary's counters and process rusage close the report.
+// is the span's thread CPU time plus that of the ParallelForBlocks
+// workers it forked. The final run summary's counters and process rusage
+// close the report.
 //
 // --follow tails a stream that is still being written, one line per
 // progress-like record as it lands, and prints the report once the
@@ -102,8 +103,7 @@ struct DumpResult {
 constexpr std::string_view kStoredTypes[] = {
     "manifest", "run_summary", "graph_summary", "profile", "privacy_check",
     "sigma_search", "anonymize_attempt", "relevance_progress", "crash",
-    "flight_event_dump", "hw_counters",
-    "hw_counters_unavailable", "heap_profile", "heap_timeline",
+    "flight_event_dump", "heap_profile", "heap_timeline",
     "heap_profiler_unavailable"};
 
 /// Self time: a phase's total minus the time attributed to nested phases
@@ -605,17 +605,6 @@ void PrintReport(const DumpResult& dump, const std::string& sort_key,
                 last.Num("dropped"));
   }
 
-  if (!dump.Of("hw_counters").empty()) {
-    std::printf("\nhw counters: %zu span path(s) via %s backend; rerun "
-                "with --hw for the bottleneck table\n",
-                dump.Of("hw_counters").size(),
-                dump.Of("hw_counters").front().Str("backend", "?").c_str());
-  } else if (!dump.Of("hw_counters_unavailable").empty()) {
-    std::printf(
-        "\nhw counters unavailable: %s\n",
-        dump.Of("hw_counters_unavailable").front().Str("reason", "?").c_str());
-  }
-
   const std::vector<JsonValue>& heap_sites = dump.Of("heap_profile");
   const std::vector<JsonValue>& heap_timelines = dump.Of("heap_timeline");
   if (!heap_sites.empty() || !heap_timelines.empty()) {
@@ -703,55 +692,6 @@ int PrintFlame(const DumpResult& dump, std::int64_t top) {
     std::printf("%-*s %10.0f %6.1f\n", static_cast<int>(width), path.c_str(),
                 samples,
                 samples_total > 0.0 ? 100.0 * samples / samples_total : 0.0);
-  }
-  return 0;
-}
-
-/// The --hw view: the per-span-path hardware-counter table from the
-/// run's "hw_counters" records, hottest (most cycles) first, with the
-/// toplev-lite bottleneck class the writer assigned.
-int PrintHw(const DumpResult& dump, std::int64_t top) {
-  if (dump.Of("hw_counters").empty()) {
-    if (!dump.Of("hw_counters_unavailable").empty()) {
-      std::fprintf(stderr, "hw counters unavailable: %s\n",
-                   dump.Of("hw_counters_unavailable")
-                       .front()
-                       .Str("reason", "?")
-                       .c_str());
-    } else {
-      std::fprintf(stderr,
-                   "no hw_counters records found (set "
-                   "CHAMELEON_HW_COUNTERS=emulate where perf events are "
-                   "blocked)\n");
-    }
-    return 1;
-  }
-  std::vector<const JsonValue*> rows;
-  for (const JsonValue& row : dump.Of("hw_counters")) rows.push_back(&row);
-  std::sort(rows.begin(), rows.end(),
-            [](const JsonValue* a, const JsonValue* b) {
-              return a->Num("cycles") > b->Num("cycles");
-            });
-  if (top > 0 && static_cast<std::size_t>(top) < rows.size()) {
-    rows.resize(static_cast<std::size_t>(top));
-  }
-  std::printf("hw counters (%s backend):\n",
-              rows.front()->Str("backend", "?").c_str());
-  std::size_t width = 9;
-  for (const JsonValue* row : rows) {
-    width = std::max(width, row->Str("path", "?").size());
-  }
-  std::printf("%-*s %8s %10s %10s %6s %10s %11s %s\n",
-              static_cast<int>(width), "span path", "spans", "cycles",
-              "instrs", "ipc", "cache miss", "branch miss", "class");
-  for (const JsonValue* row : rows) {
-    std::printf("%-*s %8.0f %10.3g %10.3g %6.2f %9.1f%% %10.2f%% %s\n",
-                static_cast<int>(width), row->Str("path", "?").c_str(),
-                row->Num("spans"), row->Num("cycles"),
-                row->Num("instructions"), row->Num("ipc"),
-                100.0 * row->Num("cache_miss_rate"),
-                100.0 * row->Num("branch_miss_rate"),
-                row->Str("class", "unknown").c_str());
   }
   return 0;
 }
@@ -897,9 +837,6 @@ int Run(int argc, char** argv) {
   flags.AddBool("flame", false,
                 "print the per-span self-CPU sample table from the last "
                 "profiler capture instead of the timing report");
-  flags.AddBool("hw", false,
-                "print the per-span-path hardware-counter bottleneck "
-                "table instead of the timing report");
   flags.AddBool("heap", false,
                 "print the sampled heap-allocation site table instead of "
                 "the timing report (sort with --heap_sort)");
@@ -939,9 +876,6 @@ int Run(int argc, char** argv) {
   }
   if (flags.GetBool("flame")) {
     return PrintFlame(*dump, flags.GetInt64("top"));
-  }
-  if (flags.GetBool("hw")) {
-    return PrintHw(*dump, flags.GetInt64("top"));
   }
   if (flags.GetBool("heap")) {
     return PrintHeap(*dump, flags.GetString("heap_sort"),
