@@ -5,7 +5,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "chameleon/obs/sink.h"
 #include "chameleon/util/common.h"
@@ -33,9 +32,8 @@
 /// (hw ~ 1/sqrt(n) drops ~29% per doubling) even when it finishes in
 /// milliseconds.
 ///
-/// Live trackers register themselves in a process-global table consumed
-/// by the /statusz page; all mutable state is mutex-guarded so the status
-/// server thread can snapshot mid-run.
+/// Each tracker guards its state with its own mutex, so any thread may
+/// call its members.
 
 namespace chameleon::obs {
 
@@ -68,7 +66,7 @@ struct ConvergenceOptions {
   bool use_global_sink = true;
 };
 
-/// Point-in-time view of a tracker, for /statusz and tests.
+/// Point-in-time view of a tracker.
 struct ConvergenceSnapshot {
   std::string label;
   std::uint64_t samples = 0;
@@ -78,7 +76,6 @@ struct ConvergenceSnapshot {
   /// ci_halfwidth / |mean|; 0 when the mean is 0.
   double rel_err = 0.0;
   double rate_per_s = 0.0;
-  bool bernoulli = false;
   bool finished = false;
   bool stopped_early = false;
 };
@@ -135,15 +132,6 @@ class ConvergenceTracker {
   bool finished_ = false;
   bool stopped_early_ = false;
 };
-
-/// Snapshots of every live (constructed, not yet destroyed) tracker in
-/// the process, for the /statusz convergence table.
-std::vector<ConvergenceSnapshot> LiveConvergenceSnapshots();
-
-/// Publishes `convergence/<label>/{samples,mean,ci_halfwidth,rate_per_s}`
-/// gauges for every live tracker into the global registry (used by the
-/// /metricsz handler so mid-run scrapes see current convergence state).
-void PublishConvergenceGauges();
 
 }  // namespace chameleon::obs
 

@@ -5,7 +5,7 @@
 /// structured events — span enter/exit, estimator checkpoints, RNG
 /// seeds, graph ops — kept purely in memory so that a crash or a wedged
 /// phase can dump "what was this process doing just now" after the
-/// fact. The black-box counterpart to the live /statusz page.
+/// fact.
 ///
 /// Recording is a handful of relaxed stores into a thread-owned slot
 /// (no locks, no allocation after a thread's first event), so the
@@ -15,11 +15,8 @@
 /// overwrites its oldest entry when full and counts what it evicted, so
 /// dumps always disclose `dropped`.
 ///
-/// Consumers:
-///  - the crash handler and signal-death FinalizeRun path emit a
-///    `flight_event_dump` JSONL record (see sink.h);
-///  - the status server's /healthz reads per-thread last-activity
-///    timestamps to decide whether a phase is still making progress.
+/// Consumer: the crash handler and signal-death FinalizeRun path emit a
+/// `flight_event_dump` JSONL record (see sink.h).
 
 #include <cstdint>
 #include <string>
@@ -81,7 +78,6 @@ struct FlightThreadSnapshot {
   std::uint32_t thread_index = 0;  ///< CurrentThreadIndex() of the owner
   std::uint64_t recorded = 0;      ///< events ever recorded on this thread
   std::uint64_t dropped = 0;       ///< evicted by ring wrap-around
-  std::uint64_t last_event_ns = 0; ///< MonotonicNanos() of newest event
   std::vector<FlightEvent> events; ///< oldest -> newest, <= capacity
 };
 
@@ -91,15 +87,6 @@ struct FlightThreadSnapshot {
 /// fewer than `recorded - dropped` events. Intended for crash dumps,
 /// shutdown, and tests — not for hot-path polling.
 std::vector<FlightThreadSnapshot> SnapshotFlightRecorder();
-
-/// Per-thread activity pulse for /healthz: atomics only, never touches
-/// ring slots.
-struct FlightThreadActivity {
-  std::uint32_t thread_index = 0;
-  std::uint64_t recorded = 0;
-  std::uint64_t last_event_ns = 0;
-};
-std::vector<FlightThreadActivity> FlightRecorderActivity();
 
 /// Renders one `flight_event_dump` JSONL record: per-thread ring tails
 /// (newest kFlightDumpEventsPerThread events each) plus a merged,

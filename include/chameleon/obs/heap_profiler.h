@@ -126,9 +126,9 @@ bool HeapProfilerActive();
 /// start, "" while active.
 std::string HeapProfilerUnavailableReason();
 
-/// Builds the report from the current site table without stopping —
-/// /statusz uses this. Empty report when inactive. Symbolizes only when
-/// `symbolize` is set (the /statusz table needs span paths, not frames).
+/// Builds the report from the current site table without stopping, so
+/// tests can read live and peak bytes mid-run. Empty report when
+/// inactive. Symbolizes frames only when `symbolize` is set.
 HeapProfileReport SnapshotHeapProfile(bool symbolize);
 
 /// Writes the `heap_profile` records (top sites) and the one
@@ -141,11 +141,6 @@ void EmitHeapProfileRecords(RecordSink* sink);
 /// passed since the last one. Called from span close and EmitSnapshot;
 /// one relaxed load + compare when it is not yet time.
 void HeapProfilerMaybeSampleTimeline();
-
-/// Publishes heap/* gauges (estimated live bytes, cumulative bytes,
-/// sample count) into the global metrics registry so /metricsz exports
-/// them. No-op when inactive.
-void PublishHeapGauges();
 
 /// Total sampled allocations since start — guard counter for the
 /// overhead bench (dormant runs must not sample).

@@ -11,7 +11,6 @@
 #include "chameleon/obs/profiler.h"
 #include "chameleon/obs/progress.h"
 #include "chameleon/obs/sink.h"
-#include "chameleon/obs/status_server.h"
 #include "chameleon/obs/trace.h"
 #include "chameleon/util/status.h"
 
@@ -40,10 +39,10 @@ class FlagSet;
 
 namespace chameleon::obs {
 
-/// One run's observability: the sink, and the engines that render from
-/// the live registries. InitObservability starts the engines that are
-/// set, after the sink, in declaration order; ShutdownObservability (and
-/// the termination hooks) stop every one of them.
+/// One run's observability: the sink, and the profilers that sample the
+/// run. InitObservability starts the engines that are set, after the
+/// sink, in declaration order; ShutdownObservability (and the termination
+/// hooks) stop every one of them.
 struct ObsOptions {
   /// JSONL output path. Empty: fall back to $CHAMELEON_METRICS (when
   /// `read_env`); still empty: observability stays disabled.
@@ -52,8 +51,6 @@ struct ObsOptions {
   /// Default throttle for ProgressHeartbeat instances that do not
   /// override it.
   std::uint64_t heartbeat_interval_nanos = 500'000'000;
-  /// Live /statusz, /metricsz, /profilez and /healthz pages.
-  std::optional<StatusServerOptions> status_server;
   /// Whole-run sampling CPU profile.
   std::optional<ProfilerOptions> profiler;
   /// Whole-run sampling heap profile.
@@ -61,15 +58,14 @@ struct ObsOptions {
 };
 
 /// Configures the global sink/tracer, flips the runtime switch, then
-/// starts the engines `options` names. The engines render from the live
-/// registries, so a run that requests one without a metrics path (flag
+/// starts the engines `options` names. The engines attribute samples to
+/// open spans, so a run that requests one without a metrics path (flag
 /// or environment) writes its stream to /dev/null.
 /// Calling it again tears the previous run down (final summary
 /// included) and starts a new one. Returns IoError when the sink path is
-/// not writable, or the status server's error when its port cannot be
-/// bound; the process is left disabled in both cases. A profiler that
-/// refuses to start (bad argument, sanitizer, non-Linux host) is a
-/// logged warning: the run goes on without it.
+/// not writable; the process is left disabled. A profiler that refuses
+/// to start (bad argument, sanitizer, non-Linux host) is a logged
+/// warning: the run goes on without it.
 ///
 /// The first successful init also installs abnormal-termination hooks
 /// (atexit + SIGINT/SIGTERM) that write the final run_summary and flush
@@ -93,11 +89,10 @@ void AddObsFlags(FlagSet& flags);
 ObsOptions ObsOptionsFromFlags(const FlagSet& flags);
 
 /// Finalizes the run exactly as the termination hooks do on a fatal
-/// signal: stops the status server and the profiler, dumps the
-/// flight recorder, then writes a run_summary annotated with
-/// `signal_number` (>= 0). Idempotent (the first finalizer wins). The
-/// crash handler calls this after its `crash` record; normal code wants
-/// ShutdownObservability() instead.
+/// signal: stops the profiler, dumps the flight recorder, then writes a
+/// run_summary annotated with `signal_number` (>= 0). Idempotent (the
+/// first finalizer wins). The crash handler calls this after its `crash`
+/// record; normal code wants ShutdownObservability() instead.
 void FinalizeRunForSignal(int signal_number);
 
 /// Runtime switch; one relaxed atomic load.
@@ -117,10 +112,6 @@ void EmitSnapshot(std::string_view label);
 
 /// Default heartbeat throttle configured at init.
 std::uint64_t HeartbeatIntervalNanos();
-
-/// Monotonic timestamp of the most recent InitObservability(); 0 when no
-/// run was ever initialized. Feeds the /statusz uptime line.
-std::uint64_t RunStartNanos();
 
 /// Test hook: flips the runtime switch without touching sink/tracer.
 void SetEnabledForTesting(bool enabled);

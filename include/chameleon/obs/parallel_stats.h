@@ -17,13 +17,11 @@
 /// boundaries and merge order are untouched, so the bit-identical-across-
 /// worker-counts guarantee survives.
 ///
-/// Three consumers:
+/// Two consumers:
 ///  - the JSONL stream (`parallel_region` records, rendered by
 ///    obs_dump);
 ///  - the metrics registry (per-region-name busy/idle/overhead counters
-///    plus a wall-time histogram, surfaced on /metricsz);
-///  - an in-process cumulative aggregate table (the /statusz "parallel
-///    regions" section reads it directly).
+///    plus a wall-time histogram, in every snapshot and the run_summary).
 
 namespace chameleon::obs {
 
@@ -73,36 +71,13 @@ struct ParallelRegionStats {
 /// interaction; exposed for tests).
 std::string FormatParallelRegionRecord(const ParallelRegionStats& stats);
 
-/// Emits the record to the global sink (when one is configured), bumps
-/// the per-region-name metrics counters, and folds the region into the
-/// cumulative aggregate table. ParallelForBlocks calls this after join;
-/// it is safe with observability half-configured (null sink).
+/// Emits the record to the global sink (when one is configured) and bumps
+/// the per-region-name metrics counters. ParallelForBlocks calls this
+/// after join; it is safe with observability half-configured (null sink).
 void RecordParallelRegion(const ParallelRegionStats& stats);
-
-/// Cumulative per-region-name aggregate (indices stripped, like span
-/// metric names) since process start / the last reset.
-struct ParallelRegionAggregate {
-  std::string name;
-  std::uint64_t regions = 0;
-  std::uint64_t wall_ns = 0;
-  std::uint64_t busy_ns = 0;
-  std::uint64_t idle_ns = 0;
-  std::uint64_t overhead_ns = 0;  ///< spawn + join
-  std::uint64_t blocks = 0;
-  std::uint64_t last_requested = 0;
-  std::uint64_t last_workers = 0;
-  double max_imbalance = 0.0;
-};
-
-/// Snapshot of the aggregate table, sorted by name. The /statusz
-/// "parallel regions" section reads this.
-std::vector<ParallelRegionAggregate> ParallelRegionAggregates();
 
 /// Total `parallel_region` records ever recorded (relaxed counter).
 std::uint64_t ParallelRegionsRecorded();
-
-/// Test hook: clears the cumulative aggregate table.
-void ResetParallelRegionAggregates();
 
 }  // namespace chameleon::obs
 

@@ -41,7 +41,6 @@
 ///     frames so flames read `reliability;two_terminal;sample_worlds;...`;
 ///   * one "profile" JSONL record in the global sink with per-span
 ///     self-CPU sample counts;
-///   * /profilez?seconds=N on the status server (bounded capture);
 ///   * `chameleon_obs_dump --flame` (top-N span table from the record).
 
 namespace chameleon::obs {
@@ -97,12 +96,6 @@ Status StartGlobalProfiler(const ProfilerOptions& options);
 Result<ProfileReport> StopGlobalProfiler();
 
 bool ProfilerRunning();
-
-/// Bounded capture for /profilez: runs the profiler for `seconds`
-/// (clamped to [0.05, 30]) at `hz` and returns folded text. When a
-/// profiler is already running (e.g. a whole-run --profile capture),
-/// returns a snapshot of its aggregate so far without disturbing it.
-Result<std::string> CaptureFoldedProfile(double seconds, int hz);
 
 /// Registers the calling thread with the profiler (idempotent, one TLS
 /// check after the first call). Called from TraceSpan open; a thread

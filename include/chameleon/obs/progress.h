@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "chameleon/obs/sink.h"
 #include "chameleon/util/common.h"
@@ -26,22 +25,6 @@
 /// uses for its randomized-trial loop.
 
 namespace chameleon::obs {
-
-/// Last emitted state of a heartbeat, keyed by label, for the /statusz
-/// page. Entries persist for the run (a finished loop shows its final
-/// state until the label is reused).
-struct HeartbeatStatus {
-  std::string label;
-  std::uint64_t done = 0;
-  std::uint64_t total = 0;  ///< 0 = unknown
-  double rate_per_s = 0.0;
-  double eta_s = 0.0;
-  bool finished = false;
-};
-
-/// Snapshot of every heartbeat that has emitted at least once, sorted by
-/// label. Mutex-guarded; safe to call from the status-server thread.
-std::vector<HeartbeatStatus> LiveHeartbeats();
 
 class ProgressHeartbeat {
  public:

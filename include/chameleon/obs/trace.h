@@ -99,19 +99,6 @@ void AdoptSpanPathId(std::uint32_t id);
 void FoldIntoOpenSpans(std::uint64_t cpu_ns, std::uint64_t allocs,
                        std::uint64_t alloc_bytes);
 
-/// One currently-open span, as shown by the /statusz live-span table.
-struct LiveSpanEntry {
-  std::uint32_t tid = 0;
-  std::string path;
-  std::uint64_t start_nanos = 0;
-};
-
-/// Innermost open span per thread, across all tracers. Maintained in a
-/// mutex-guarded process-global table (spans open per phase, not per
-/// sample, so the bookkeeping is off the hot path) so the status-server
-/// thread can read it mid-run.
-std::vector<LiveSpanEntry> LiveSpans();
-
 class Tracer {
  public:
   /// Neither pointer is owned; both may outlive every span. `sink` may be

@@ -9,22 +9,6 @@
 #include "chameleon/util/timer.h"
 
 namespace chameleon::obs {
-namespace {
-
-/// Live-tracker table for /statusz. Leaked on purpose (like the obs
-/// lifecycle globals) so trackers destroyed during process teardown never
-/// race a destructed mutex.
-std::mutex& TrackersMu() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::vector<ConvergenceTracker*>& Trackers() {
-  static auto* trackers = new std::vector<ConvergenceTracker*>();
-  return *trackers;
-}
-
-}  // namespace
 
 double NormalCiHalfwidth(double variance, std::uint64_t n, double z) {
   if (n == 0) return 0.0;
@@ -52,19 +36,9 @@ ConvergenceTracker::ConvergenceTracker(std::string_view label,
   // First time-throttled emission waits a full interval; the first
   // checkpoint emission still fires at min_samples.
   last_emit_nanos_ = start_nanos_;
-  const std::lock_guard<std::mutex> lock(TrackersMu());
-  Trackers().push_back(this);
 }
 
-ConvergenceTracker::~ConvergenceTracker() {
-  {
-    const std::lock_guard<std::mutex> lock(TrackersMu());
-    std::vector<ConvergenceTracker*>& trackers = Trackers();
-    trackers.erase(std::remove(trackers.begin(), trackers.end(), this),
-                   trackers.end());
-  }
-  Finish(/*stopped_early=*/false);
-}
+ConvergenceTracker::~ConvergenceTracker() { Finish(/*stopped_early=*/false); }
 
 void ConvergenceTracker::Add(double x) {
   const std::lock_guard<std::mutex> lock(mu_);
@@ -117,7 +91,6 @@ ConvergenceSnapshot ConvergenceTracker::SnapshotLocked() const {
       static_cast<double>(MonotonicNanos() - start_nanos_) * 1e-9;
   snapshot.rate_per_s =
       elapsed_s > 0.0 ? static_cast<double>(snapshot.samples) / elapsed_s : 0.0;
-  snapshot.bernoulli = options_.bernoulli;
   snapshot.finished = finished_;
   snapshot.stopped_early = stopped_early_;
   return snapshot;
@@ -146,8 +119,8 @@ void ConvergenceTracker::MaybeEmitLocked() {
 void ConvergenceTracker::EmitLocked(bool final, bool stopped_early) {
   if (options_.sink == nullptr) return;
   const ConvergenceSnapshot s = SnapshotLocked();
-  // Estimator checkpoints feed the flight recorder / /healthz activity
-  // pulse (lock-free; mu_ being held here is irrelevant to it).
+  // Estimator checkpoints feed the flight recorder (lock-free; mu_ being
+  // held here is irrelevant to it).
   CHOBS_FLIGHT_EVENT(kCheckpoint, label_, s.samples, 0);
   Record record("estimator_progress");
   record.Str("label", label_)
@@ -188,28 +161,6 @@ void ConvergenceTracker::Finish(bool stopped_early) {
 std::uint64_t ConvergenceTracker::emit_count() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return emit_count_;
-}
-
-std::vector<ConvergenceSnapshot> LiveConvergenceSnapshots() {
-  const std::lock_guard<std::mutex> lock(TrackersMu());
-  std::vector<ConvergenceSnapshot> snapshots;
-  snapshots.reserve(Trackers().size());
-  for (const ConvergenceTracker* tracker : Trackers()) {
-    snapshots.push_back(tracker->Snapshot());
-  }
-  return snapshots;
-}
-
-void PublishConvergenceGauges() {
-  if (!Enabled()) return;
-  MetricsRegistry& metrics = GlobalMetrics();
-  for (const ConvergenceSnapshot& s : LiveConvergenceSnapshots()) {
-    const std::string prefix = "convergence/" + s.label;
-    metrics.SetGauge(prefix + "/samples", static_cast<double>(s.samples));
-    metrics.SetGauge(prefix + "/mean", s.mean);
-    metrics.SetGauge(prefix + "/ci_halfwidth", s.ci_halfwidth);
-    metrics.SetGauge(prefix + "/rate_per_s", s.rate_per_s);
-  }
 }
 
 }  // namespace chameleon::obs

@@ -25,7 +25,6 @@ static_assert((kFlightRingCapacity & (kFlightRingCapacity - 1)) == 0,
 /// writer release-stores it after filling the slot.
 struct FlightThreadState {
   std::atomic<std::uint64_t> head{0};
-  std::atomic<std::uint64_t> last_event_ns{0};
   std::uint32_t thread_index = 0;
   FlightEvent ring[kFlightRingCapacity];
 };
@@ -62,7 +61,6 @@ FlightThreadState* RegisterFlightThread() {
 FlightThreadSnapshot SnapshotOne(FlightThreadState* state) {
   FlightThreadSnapshot snapshot;
   snapshot.thread_index = state->thread_index;
-  snapshot.last_event_ns = state->last_event_ns.load(std::memory_order_relaxed);
   const std::uint64_t head1 = state->head.load(std::memory_order_acquire);
   const std::uint64_t kept = std::min<std::uint64_t>(head1, kFlightRingCapacity);
   const std::uint64_t begin = head1 - kept;
@@ -140,7 +138,6 @@ void RecordFlightEvent(FlightEventKind kind, std::string_view label,
   std::memcpy(slot.label, label.data(), n);
   slot.label[n] = '\0';
   state->head.store(head + 1, std::memory_order_release);
-  state->last_event_ns.store(slot.mono_ns, std::memory_order_relaxed);
   g_flight_recorded.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -164,24 +161,6 @@ std::vector<FlightThreadSnapshot> SnapshotFlightRecorder() {
               return a.thread_index < b.thread_index;
             });
   return snapshots;
-}
-
-std::vector<FlightThreadActivity> FlightRecorderActivity() {
-  std::vector<FlightThreadState*> states;
-  {
-    const std::lock_guard<std::mutex> lock(FlightRegistryMu());
-    states = FlightRegistry();
-  }
-  std::vector<FlightThreadActivity> activity;
-  activity.reserve(states.size());
-  for (const FlightThreadState* state : states) {
-    FlightThreadActivity entry;
-    entry.thread_index = state->thread_index;
-    entry.recorded = state->head.load(std::memory_order_relaxed);
-    entry.last_event_ns = state->last_event_ns.load(std::memory_order_relaxed);
-    activity.push_back(entry);
-  }
-  return activity;
 }
 
 std::string FlightDumpJson(int signal_number) {

@@ -342,8 +342,8 @@ std::vector<std::string>& LeakAllowlist() {
   static auto* allowlist = new std::vector<std::string>{
       // Singletons this library leaks by design (obs teardown doctrine).
       "FlightRecorder", "flight_recorder", "MetricsRegistry",
-      "SpanPath",       "LiveSpan",        "ProfilerRegister",
-      "HeapState",      "Retired",
+      "SpanPath",       "ProfilerRegister", "HeapState",
+      "Retired",
   };
   return *allowlist;
 }
@@ -677,29 +677,6 @@ void HeapProfilerMaybeSampleTimeline() {
   TakeTimelinePointLocked(state, now);
 }
 
-void PublishHeapGauges() {
-  if (!HeapProfilerActive()) return;
-  HookGuard guard;
-  std::uint64_t live_bytes;
-  std::uint64_t peak_bytes;
-  {
-    std::unique_lock<std::mutex> lock(HeapMu(), std::try_to_lock);
-    if (!lock.owns_lock()) return;
-    const HeapState& state = State();
-    if (!state.running) return;
-    live_bytes = static_cast<std::uint64_t>(state.est_live_bytes);
-    peak_bytes = static_cast<std::uint64_t>(state.est_peak_bytes);
-  }
-  const AllocStats totals = TotalAllocStats();
-  MetricsRegistry& metrics = GlobalMetrics();
-  metrics.SetGauge("heap/est_live_bytes", static_cast<double>(live_bytes));
-  metrics.SetGauge("heap/est_peak_bytes", static_cast<double>(peak_bytes));
-  metrics.SetGauge("heap/samples", static_cast<double>(HeapSamplesRecorded()));
-  metrics.SetGauge("heap/cum_alloc_bytes",
-                   static_cast<double>(totals.alloc_bytes));
-  metrics.SetGauge("heap/rss_kb", static_cast<double>(CurrentRssKb()));
-}
-
 void EmitHeapProfileRecords(RecordSink* sink) {
   if (sink == nullptr || !HeapProfilerActive()) return;
   HookGuard guard;
@@ -826,7 +803,6 @@ HeapProfileReport SnapshotHeapProfile(bool /*symbolize*/) {
 
 void EmitHeapProfileRecords(RecordSink* /*sink*/) {}
 void HeapProfilerMaybeSampleTimeline() {}
-void PublishHeapGauges() {}
 std::uint64_t HeapSamplesRecorded() { return 0; }
 bool HeapRecordsEmitted() { return false; }
 void SetHeapLeakAllowlistForTesting(std::vector<std::string> /*substrings*/) {}

@@ -16,7 +16,6 @@
 #include "chameleon/obs/profiler.h"
 #include "chameleon/obs/record.h"
 #include "chameleon/obs/run_context.h"
-#include "chameleon/obs/status_server.h"
 #include "chameleon/util/flags.h"
 #include "chameleon/util/logging.h"
 #include "chameleon/util/timer.h"
@@ -51,19 +50,11 @@ RetiredRuns& Retired() {
 void FinalizeRun(int signal_number) {
   if (!g_enabled.exchange(false, std::memory_order_acq_rel)) return;
 
-  // Shutdown ordering: the status server must stop serving before the
-  // final run_summary is composed, so a scrape can never observe a
-  // post-summary registry and a dead /statusz port implies the JSONL
-  // stream is complete. Safe from the signal handler: SIGINT/SIGTERM are
-  // blocked on the serving thread, so the handler (and this join) always
-  // runs on a worker thread.
-  StopGlobalStatusServer();
-
-  // A still-running profiler flushes next (folded file + "profile"
-  // record), before the summary, for the same reason: the summary marks
-  // the stream complete. The drainer thread also blocks SIGINT/SIGTERM,
-  // so joining it here is safe from the signal handler. Same
-  // not-async-signal-safe trade-off as the summary below.
+  // A still-running profiler flushes first (folded file + "profile"
+  // record), before the summary: the summary marks the stream complete.
+  // The drainer thread blocks SIGINT/SIGTERM, so joining it here is safe
+  // from the signal handler. Same not-async-signal-safe trade-off as the
+  // summary below.
   if (ProfilerRunning()) {
     if (Result<ProfileReport> profile = StopGlobalProfiler(); !profile.ok()) {
       CH_LOG(Warning) << "profiler flush failed: "
@@ -202,11 +193,6 @@ std::uint64_t HeartbeatIntervalNanos() {
   return g_heartbeat_interval_nanos.load(std::memory_order_relaxed);
 }
 
-std::uint64_t RunStartNanos() {
-  const std::lock_guard<std::mutex> lock(g_lifecycle_mu);
-  return g_run_start_nanos;
-}
-
 Status InitObservability(const ObsOptions& options) {
   ShutdownObservability();
 
@@ -216,8 +202,7 @@ Status InitObservability(const ObsOptions& options) {
       path = env;
     }
   }
-  if (path.empty() &&
-      (options.status_server || options.profiler || options.heap_profiler)) {
+  if (path.empty() && (options.profiler || options.heap_profiler)) {
     path = "/dev/null";
   }
   if (path.empty()) return Status::OK();  // stays disabled
@@ -241,12 +226,6 @@ Status InitObservability(const ObsOptions& options) {
   g_enabled.store(true, std::memory_order_release);
   CH_LOG(Info) << "observability enabled, metrics sink: " << path;
 
-  if (options.status_server) {
-    if (Status s = StartGlobalStatusServer(*options.status_server); !s.ok()) {
-      ShutdownObservability();
-      return s;
-    }
-  }
   const auto warn_unless_ok = [](const Status& s, const char* engine) {
     if (!s.ok()) {
       CH_LOG(Warning) << engine << " disabled: " << s.ToString();

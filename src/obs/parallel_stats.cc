@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
-#include <mutex>
 
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/record.h"
@@ -13,18 +11,6 @@ namespace chameleon::obs {
 namespace {
 
 std::atomic<std::uint64_t> g_regions_recorded{0};
-
-/// Cumulative per-name aggregates. Keyed by the index-stripped region
-/// name so loop iterations fold together, like span metric names.
-std::mutex& AggregatesMu() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::map<std::string, ParallelRegionAggregate>& Aggregates() {
-  static auto* map = new std::map<std::string, ParallelRegionAggregate>();
-  return *map;
-}
 
 }  // namespace
 
@@ -113,38 +99,10 @@ void RecordParallelRegion(const ParallelRegionStats& stats) {
   metrics.Count(prefix + "/idle_ns", stats.IdleTotalNanos());
   metrics.Count(prefix + "/overhead_ns", stats.spawn_ns + stats.join_ns);
   metrics.Observe(prefix + "/wall", stats.wall_ns);
-
-  {
-    const std::lock_guard<std::mutex> lock(AggregatesMu());
-    ParallelRegionAggregate& agg = Aggregates()[stripped];
-    agg.name = stripped;
-    ++agg.regions;
-    agg.wall_ns += stats.wall_ns;
-    agg.busy_ns += stats.BusyTotalNanos();
-    agg.idle_ns += stats.IdleTotalNanos();
-    agg.overhead_ns += stats.spawn_ns + stats.join_ns;
-    agg.blocks += stats.blocks;
-    agg.last_requested = stats.requested;
-    agg.last_workers = stats.workers;
-    agg.max_imbalance = std::max(agg.max_imbalance, stats.Imbalance());
-  }
-}
-
-std::vector<ParallelRegionAggregate> ParallelRegionAggregates() {
-  std::vector<ParallelRegionAggregate> out;
-  const std::lock_guard<std::mutex> lock(AggregatesMu());
-  out.reserve(Aggregates().size());
-  for (const auto& [name, agg] : Aggregates()) out.push_back(agg);
-  return out;  // map order == sorted by name
 }
 
 std::uint64_t ParallelRegionsRecorded() {
   return g_regions_recorded.load(std::memory_order_relaxed);
-}
-
-void ResetParallelRegionAggregates() {
-  const std::lock_guard<std::mutex> lock(AggregatesMu());
-  Aggregates().clear();
 }
 
 }  // namespace chameleon::obs

@@ -131,7 +131,7 @@ std::vector<ThreadState*>& Registry() {
 std::atomic<bool> g_profiling{false};
 
 /// Aggregated samples, keyed by [path_id, pc...] (outermost pc last).
-/// Merged by the drainer, snapshotted by /profilez, rendered at Stop.
+/// Merged by the drainer, rendered at Stop.
 struct Aggregate {
   std::map<std::vector<std::uintptr_t>, std::uint64_t> stacks;
   std::uint64_t samples = 0;
@@ -656,29 +656,6 @@ Result<ProfileReport> StopGlobalProfiler() {
   return report;
 }
 
-Result<std::string> CaptureFoldedProfile(double seconds, int hz) {
-  const double clamped = std::clamp(seconds, 0.05, 30.0);
-  if (ProfilerRunning()) {
-    // A whole-run capture is in flight; snapshot its aggregate so far
-    // rather than disturbing it.
-    Control& control = GlobalControl();
-    const std::uint64_t dropped = TotalDropped();
-    const std::lock_guard<std::mutex> agg_lock(AggregateMu());
-    return FoldedText(RenderAggregate(
-        GlobalAggregate(), control.options.hz,
-        static_cast<double>(MonotonicNanos() - control.start_nanos) * 1e-6,
-        dropped));
-  }
-  ProfilerOptions options;
-  options.hz = hz;
-  options.emit_record = true;
-  CHAMELEON_RETURN_IF_ERROR(StartGlobalProfiler(options));
-  std::this_thread::sleep_for(std::chrono::duration<double>(clamped));
-  Result<ProfileReport> report = StopGlobalProfiler();
-  if (!report.ok()) return report.status();
-  return FoldedText(*report);
-}
-
 #else  // !CHAMELEON_PROFILER_IMPL
 
 namespace {
@@ -705,10 +682,6 @@ Status StartGlobalProfiler(const ProfilerOptions& options) {
 }
 
 Result<ProfileReport> StopGlobalProfiler() { return ProfilerUnavailable(); }
-
-Result<std::string> CaptureFoldedProfile(double /*seconds*/, int /*hz*/) {
-  return ProfilerUnavailable();
-}
 
 #endif  // CHAMELEON_PROFILER_IMPL
 

@@ -1,9 +1,5 @@
 #include "chameleon/obs/progress.h"
 
-#include <algorithm>
-#include <map>
-#include <mutex>
-
 #include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/record.h"
@@ -12,32 +8,6 @@
 #include "chameleon/util/timer.h"
 
 namespace chameleon::obs {
-namespace {
-
-/// Last emission per label, for /statusz. Leaked so heartbeats finishing
-/// during process teardown never race a destructed mutex; updates are
-/// throttled to the emission interval, so the lock is off the hot path.
-std::mutex& HeartbeatsMu() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::map<std::string, HeartbeatStatus>& HeartbeatTable() {
-  static auto* table = new std::map<std::string, HeartbeatStatus>();
-  return *table;
-}
-
-}  // namespace
-
-std::vector<HeartbeatStatus> LiveHeartbeats() {
-  const std::lock_guard<std::mutex> lock(HeartbeatsMu());
-  std::vector<HeartbeatStatus> statuses;
-  statuses.reserve(HeartbeatTable().size());
-  for (const auto& [label, status] : HeartbeatTable()) {
-    statuses.push_back(status);
-  }
-  return statuses;
-}
 
 ProgressHeartbeat::ProgressHeartbeat(std::string_view label,
                                      std::uint64_t total_units)
@@ -81,8 +51,8 @@ void ProgressHeartbeat::Finish() {
 
 void ProgressHeartbeat::Emit(bool final) {
   ++emit_count_;
-  // Heartbeats double as the flight recorder's (and /healthz's) activity
-  // pulse; throttled by min_interval, so well off the Tick hot path.
+  // Heartbeats double as flight-recorder checkpoints; throttled by
+  // min_interval, so well off the Tick hot path.
   CHOBS_FLIGHT_EVENT(kCheckpoint, label_, done_units_, total_units_);
   const double elapsed_s =
       static_cast<double>(MonotonicNanos() - start_nanos_) * 1e-9;
@@ -97,12 +67,6 @@ void ProgressHeartbeat::Emit(bool final) {
       has_accept
           ? static_cast<double>(accepted_) / static_cast<double>(attempted_)
           : 0.0;
-
-  {
-    const std::lock_guard<std::mutex> lock(HeartbeatsMu());
-    HeartbeatTable()[label_] =
-        HeartbeatStatus{label_, done_units_, total_units_, rate, eta_s, final};
-  }
 
   if (options_.log) {
     std::string text;

@@ -3,7 +3,6 @@
 #include <sys/resource.h>
 #include <time.h>
 
-#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <unordered_map>
@@ -26,8 +25,8 @@ namespace {
 thread_local std::uint32_t tls_span_path_id = 0;
 
 /// Interned span paths. Id i lives at table[i - 1]; id 0 is "no span".
-/// Leaked (like the live-span mutex) so late span closes during teardown
-/// never touch a destructed table.
+/// Leaked so late span closes during teardown never touch a destructed
+/// table.
 std::mutex& SpanPathsMu() {
   static std::mutex* mu = new std::mutex();
   return *mu;
@@ -62,21 +61,6 @@ const TraceSpan* InnermostFor(const Tracer* tracer) {
 
 std::uint64_t NonNegative(long value) {
   return value > 0 ? static_cast<std::uint64_t>(value) : 0;
-}
-
-/// Open spans across all threads, keyed by span address, for the
-/// /statusz live-span table. Guarded by a leaked mutex so spans closing
-/// during process teardown never race a destructed lock. Updates happen
-/// only at span open/close (per phase, not per sample), so the lock is
-/// off the hot path.
-std::mutex& LiveSpansMu() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::unordered_map<const TraceSpan*, LiveSpanEntry>& LiveSpanTable() {
-  static auto* table = new std::unordered_map<const TraceSpan*, LiveSpanEntry>();
-  return *table;
 }
 
 }  // namespace
@@ -183,21 +167,6 @@ void FoldIntoOpenSpans(std::uint64_t cpu_ns, std::uint64_t allocs,
   }
 }
 
-std::vector<LiveSpanEntry> LiveSpans() {
-  std::vector<LiveSpanEntry> entries;
-  {
-    const std::lock_guard<std::mutex> lock(LiveSpansMu());
-    entries.reserve(LiveSpanTable().size());
-    for (const auto& [span, entry] : LiveSpanTable()) entries.push_back(entry);
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const LiveSpanEntry& a, const LiveSpanEntry& b) {
-              return a.tid != b.tid ? a.tid < b.tid
-                                    : a.start_nanos < b.start_nanos;
-            });
-  return entries;
-}
-
 std::string Tracer::CurrentPath() const {
   const TraceSpan* span = InnermostFor(this);
   return span != nullptr ? span->path() : std::string();
@@ -230,11 +199,6 @@ void TraceSpan::Open(std::string_view name, Tracer* tracer) {
   start_nanos_ = MonotonicNanos();
   CHOBS_FLIGHT_EVENT(kSpanOpen, path_, path_id_, 0);
   tls_span_stack.push_back(StackEntry{tracer_, this});
-  {
-    const std::lock_guard<std::mutex> lock(LiveSpansMu());
-    LiveSpanTable()[this] =
-        LiveSpanEntry{CurrentThreadIndex(), path_, start_nanos_};
-  }
 }
 
 TraceSpan::~TraceSpan() {
@@ -244,10 +208,6 @@ TraceSpan::~TraceSpan() {
   // Restore the sampler's active-span word; the guard keeps a tolerated
   // out-of-order close from resurrecting a stale id.
   if (tls_span_path_id == path_id_) tls_span_path_id = parent_path_id_;
-  {
-    const std::lock_guard<std::mutex> lock(LiveSpansMu());
-    LiveSpanTable().erase(this);
-  }
 
   // Scoped lifetimes make span closure LIFO per thread; find-and-erase
   // from the back tolerates out-of-order destruction anyway.

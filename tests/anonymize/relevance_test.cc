@@ -18,7 +18,6 @@
 #include "chameleon/graph/uncertain_graph.h"
 #include "chameleon/graph/union_find.h"
 #include "chameleon/obs/obs.h"
-#include "chameleon/obs/parallel_stats.h"
 #include "chameleon/obs/record.h"
 #include "chameleon/util/bitvector.h"
 #include "chameleon/util/rng.h"
@@ -208,25 +207,33 @@ TEST(RelevanceTest, BitIdenticalAcrossWorkerCounts) {
   options.threads = 1;
   const Result<EdgeRelevance> one = EstimateRelevance(g, options);
   ASSERT_TRUE(one.ok());
-  [[maybe_unused]] const unsigned hw = std::thread::hardware_concurrency();
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::string path = testing::TempDir() + "/relevance_workers.jsonl";
+  obs::ObsOptions obs_options;
+  obs_options.metrics_out = path;
+  obs_options.read_env = false;
   for (int threads : {1, 2, 3, 7, 8}) {
     options.threads = threads;
-    obs::SetEnabledForTesting(true);
-    obs::ResetParallelRegionAggregates();
+    std::remove(path.c_str());
+    ASSERT_TRUE(obs::InitObservability(obs_options).ok());
     const Result<EdgeRelevance> many = EstimateRelevance(g, options);
-    [[maybe_unused]] std::uint64_t workers = 0;
-    for (const obs::ParallelRegionAggregate& region :
-         obs::ParallelRegionAggregates()) {
-      workers = std::max(workers, region.last_workers);
+    obs::ShutdownObservability();
+    double workers = 0.0;
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) {
+      const std::optional<obs::JsonValue> record = obs::ParseJson(line);
+      if (record.has_value() && record->Str("type") == "parallel_region") {
+        workers = std::max(workers, record->Num("workers"));
+      }
     }
-    obs::SetEnabledForTesting(false);
+    std::remove(path.c_str());
     ASSERT_TRUE(many.ok());
     EXPECT_EQ(one->err, many->err) << threads << " threads";
     EXPECT_EQ(one->absent_worlds, many->absent_worlds);
     EXPECT_EQ(one->vertex_err, many->vertex_err);
     EXPECT_EQ(one->mean_world_mass, many->mean_world_mass);
     if (threads >= 2 && hw >= 2) {
-      EXPECT_GT(workers, 1u) << threads << " threads granted one worker";
+      EXPECT_GT(workers, 1.0) << threads << " threads granted one worker";
     }
   }
 }

@@ -174,28 +174,6 @@ TEST(ConvergenceTrackerTest, ThrottleSuppressesMidRunRecords) {
   EXPECT_TRUE(snapshot.stopped_early);
 }
 
-TEST(ConvergenceTrackerTest, LiveTableTracksRegistration) {
-  const auto count_label = [](const std::string& label) {
-    std::size_t n = 0;
-    for (const ConvergenceSnapshot& s : LiveConvergenceSnapshots()) {
-      if (s.label == label) ++n;
-    }
-    return n;
-  };
-  EXPECT_EQ(count_label("test/live"), 0u);
-  {
-    ConvergenceTracker tracker("test/live", QuietOptions());
-    tracker.Add(1.0);
-    ASSERT_EQ(count_label("test/live"), 1u);
-    for (const ConvergenceSnapshot& s : LiveConvergenceSnapshots()) {
-      if (s.label != "test/live") continue;
-      EXPECT_EQ(s.samples, 1u);
-      EXPECT_FALSE(s.finished);
-    }
-  }
-  EXPECT_EQ(count_label("test/live"), 0u);
-}
-
 // The ISSUE acceptance criterion in test form: a fixed-seed two-node
 // estimate with a relative-error rule stops early and the JSONL stream
 // holds >= 3 estimator_progress records with strictly shrinking

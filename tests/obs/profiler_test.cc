@@ -1,17 +1,14 @@
 // Sampling-profiler tests: span-path interning and TLS attribution,
 // whole-capture lifecycle (start/stop, folded file, "profile" record,
 // ring-overflow accounting), signal-safety under concurrent span churn
-// (meaningful under TSan), SIGINT-during-capture flushing (forked child),
-// and the /profilez endpoint.
+// (meaningful under TSan), and SIGINT-during-capture flushing (forked
+// child).
 //
 // Capture tests burn real CPU inside a span — the per-thread timers fire
 // on CLOCK_THREAD_CPUTIME_ID, so sleeping would collect nothing.
 
 #include "chameleon/obs/profiler.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -30,7 +27,6 @@
 
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/sink.h"
-#include "chameleon/obs/status_server.h"
 #include "chameleon/obs/trace.h"
 #include "chameleon/util/timer.h"
 
@@ -330,68 +326,6 @@ TEST(ProfilerShutdownTest, SigintDuringCaptureFlushesFoldedProfile) {
   EXPECT_TRUE(saw_profile_record);
   EXPECT_TRUE(saw_summary_after_profile)
       << "profile record must precede the final run_summary";
-}
-
-int ConnectLoopback(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  struct sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-std::string HttpGet(int port, const std::string& path) {
-  const int fd = ConnectLoopback(port);
-  if (fd < 0) return "";
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  ::send(fd, request.data(), request.size(), 0);
-  std::string response;
-  char buffer[2048];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n <= 0) break;
-    response.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
-TEST(ProfilezEndpointTest, ServesBoundedCaptureOverHttp) {
-  Result<std::unique_ptr<StatusServer>> server = StatusServer::Start({});
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-
-  // Keep a span burning CPU while the endpoint captures, so the folded
-  // body has content to attribute.
-  MemorySink sink;
-  Tracer tracer(&sink, nullptr);
-  std::atomic<bool> stop{false};
-  std::thread burner([&tracer, &stop] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      TraceSpan span("profilez_burn", &tracer);
-      BurnCpu(5.0);
-    }
-  });
-
-  const std::string response =
-      HttpGet((*server)->port(), "/profilez?seconds=0.3&hz=997");
-  stop.store(true, std::memory_order_relaxed);
-  burner.join();
-
-#if defined(__linux__)
-  ASSERT_NE(response.find("200 OK"), std::string::npos) << response;
-  EXPECT_NE(response.find("profilez_burn"), std::string::npos)
-      << "captured folded text should attribute the burning span";
-#else
-  EXPECT_NE(response.find("503"), std::string::npos) << response;
-#endif
-  (*server)->Stop();
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ TEST(ObsOptionsFromFlagsTest, StartsOnlyTheEnginesTheFlagsName) {
   ASSERT_EQ(ParseArgs(quiet, {"some_tool"}), std::nullopt);
   const ObsOptions none = ObsOptionsFromFlags(quiet);
   EXPECT_TRUE(none.metrics_out.empty());
-  EXPECT_FALSE(none.status_server || none.profiler || none.heap_profiler);
+  EXPECT_FALSE(none.profiler || none.heap_profiler);
 
   FlagSet all("t");
   AddObsFlags(all);
@@ -82,7 +82,6 @@ TEST(ObsOptionsFromFlagsTest, StartsOnlyTheEnginesTheFlagsName) {
             std::nullopt);
   const ObsOptions options = ObsOptionsFromFlags(all);
   EXPECT_EQ(options.metrics_out, "m.jsonl");
-  EXPECT_FALSE(options.status_server);
   ASSERT_TRUE(options.profiler);
   EXPECT_EQ(options.profiler->hz, 199);
   EXPECT_EQ(options.profiler->folded_out, "p.folded");

@@ -1,18 +1,13 @@
 // Abnormal-termination behavior of the obs lifecycle: a run killed by
 // SIGINT/SIGTERM or exiting without ShutdownObservability() must still
-// leave a flushed JSONL stream ending in a run_summary record — and stop
-// the status server first, so a dead /statusz port implies a complete
-// stream. Each case runs in a forked child so the signal/exit cannot
-// take the test runner down with it.
+// leave a flushed JSONL stream ending in a run_summary record. Each case
+// runs in a forked child so the signal/exit cannot take the test runner
+// down with it.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 
 #include <csignal>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -24,7 +19,6 @@
 
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/sink.h"
-#include "chameleon/obs/status_server.h"
 
 namespace chameleon::obs {
 namespace {
@@ -150,87 +144,6 @@ TEST(ShutdownTest, ExplicitShutdownWritesExactlyOneSummary) {
     if (JsonlStringField(line, "type") == "run_summary") ++summaries;
   }
   EXPECT_EQ(summaries, 1);
-}
-
-int ConnectLoopback(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  struct sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-TEST(ShutdownTest, SigtermStopsStatusServerAndWritesSummary) {
-  const std::string path = testing::TempDir() + "/obs_shutdown_statusz.jsonl";
-  const std::string port_path = path + ".port";
-  std::remove(path.c_str());
-  std::remove(port_path.c_str());
-
-  std::fflush(nullptr);
-  const pid_t pid = fork();
-  if (pid == 0) {
-    ObsOptions options;
-    options.metrics_out = path;
-    options.read_env = false;
-    if (!InitObservability(options).ok()) _exit(97);
-    if (!StartGlobalStatusServer({}).ok()) _exit(96);
-    std::FILE* port_file = std::fopen(port_path.c_str(), "w");
-    if (port_file == nullptr) _exit(95);
-    std::fprintf(port_file, "%d\n", GlobalStatusServer()->port());
-    std::fclose(port_file);
-    // The server thread blocks SIGTERM, so the termination hook runs on
-    // this thread and must join the server before writing the summary.
-    raise(SIGTERM);
-    _exit(98);
-  }
-  int status = 0;
-  waitpid(pid, &status, 0);
-  ASSERT_TRUE(WIFSIGNALED(status));
-  EXPECT_EQ(WTERMSIG(status), SIGTERM);
-
-  int port = 0;
-  {
-    std::ifstream port_in(port_path);
-    ASSERT_TRUE(static_cast<bool>(port_in >> port)) << "child never served";
-  }
-  EXPECT_GT(port, 0);
-  // The stream is complete and the scrape port is dead.
-  const std::string summary = FindSummary(ReadLines(path));
-  ASSERT_FALSE(summary.empty()) << "no run_summary flushed on SIGTERM";
-  EXPECT_EQ(JsonlNumberField(summary, "signal"), SIGTERM);
-  EXPECT_LT(ConnectLoopback(port), 0) << "statusz port survived shutdown";
-  std::remove(port_path.c_str());
-}
-
-// Runs last: it initializes obs in the test runner process itself, which
-// the fork-based cases above must not inherit mid-lifecycle.
-TEST(ShutdownTest, ExplicitShutdownStopsGlobalStatusServer) {
-  const std::string path = testing::TempDir() + "/obs_shutdown_inproc.jsonl";
-  std::remove(path.c_str());
-  ObsOptions options;
-  options.metrics_out = path;
-  options.read_env = false;
-  ASSERT_TRUE(InitObservability(options).ok());
-  ASSERT_TRUE(StartGlobalStatusServer({}).ok());
-  ASSERT_NE(GlobalStatusServer(), nullptr);
-  const int port = GlobalStatusServer()->port();
-  EXPECT_GT(port, 0);
-
-  ShutdownObservability();
-
-  EXPECT_EQ(GlobalStatusServer(), nullptr);
-  EXPECT_LT(ConnectLoopback(port), 0) << "statusz port survived shutdown";
-  const std::string summary = FindSummary(ReadLines(path));
-  ASSERT_FALSE(summary.empty());
-  EXPECT_FALSE(JsonlNumberField(summary, "signal").has_value());
-  std::remove(path.c_str());
 }
 
 }  // namespace

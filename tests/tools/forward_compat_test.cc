@@ -72,13 +72,16 @@ std::string WriteStream(const std::string& name, const std::string& body) {
 }
 
 /// A stream mixing known records, a privacy_check, three records of a
-/// type from "the future", and the watchdog_stall, hw_counters and
-/// hw_counters_unavailable records that builds before the stall
-/// watchdog's and the hardware-counter engine's removal wrote.
+/// type from "the future", and the status_server, watchdog_stall,
+/// hw_counters and hw_counters_unavailable records that builds before
+/// the status server's, the stall watchdog's and the hardware-counter
+/// engine's removal wrote.
 std::string MixedStream() {
   return
       "{\"type\":\"manifest\",\"tool\":\"future_tool\","
       "\"git_describe\":\"v9\"}\n"
+      "{\"type\":\"status_server\",\"t_ms\":1,"
+      "\"address\":\"127.0.0.1\",\"port\":18570}\n"
       "{\"type\":\"privacy_check\",\"t_ms\":1,\"k\":8,\"eps\":0.05,"
       "\"eps_hat\":0.1111,\"obfuscated\":false,\"vertices\":9,"
       "\"not_obfuscated\":1,\"min_entropy_bits\":0,"
@@ -159,6 +162,11 @@ TEST(ObsDumpForwardCompatTest, UnknownTypesPassThroughWithOneNote) {
       << result.stderr_text;
   EXPECT_EQ(result.stdout_text.find("hw counters"), std::string::npos)
       << result.stdout_text;
+  // So is the status server's record.
+  EXPECT_EQ(CountOccurrences(result.stderr_text, "\"status_server\""), 1u)
+      << result.stderr_text;
+  EXPECT_EQ(result.stdout_text.find("status_server"), std::string::npos)
+      << result.stdout_text;
   std::remove(path.c_str());
 }
 
@@ -230,6 +238,10 @@ TEST(FollowForwardCompatTest, UnknownTypesPassThroughWithOneNote) {
   EXPECT_NE(result.stdout_text.find("privacy checks:"), std::string::npos)
       << result.stdout_text;
   EXPECT_EQ(result.stdout_text.find("hw counters"), std::string::npos)
+      << result.stdout_text;
+  EXPECT_EQ(CountOccurrences(result.stderr_text, "\"status_server\""), 1u)
+      << result.stderr_text;
+  EXPECT_EQ(result.stdout_text.find("status_server"), std::string::npos)
       << result.stdout_text;
   std::remove(path.c_str());
 }

@@ -8,10 +8,8 @@
 //       --metrics_out=run.jsonl
 //   chameleon_obs_dump run.jsonl
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <optional>
 
 #include "chameleon/graph/generators.h"
@@ -79,9 +77,6 @@ int Run(int argc, char** argv) {
                   "(0 = off)");
   flags.AddInt64("min_samples", 100,
                  "no early-stop decision before this many worlds");
-  flags.AddInt64("statusz_port", -1,
-                 "serve live /statusz and /metricsz on this loopback port "
-                 "(0 = ephemeral, -1 = off)");
   flags.AddBool("connected_pairs", true,
                 "also estimate E[#connected pairs]");
   obs::AddObsFlags(flags);
@@ -104,14 +99,8 @@ int Run(int argc, char** argv) {
   const int threads = ResolvedThreads(flags);
   SetDefaultThreads(threads);
 
-  obs::ObsOptions obs_options = obs::ObsOptionsFromFlags(flags);
-  if (const std::int64_t port = flags.GetInt64("statusz_port"); port >= 0) {
-    // Clamped, not wrapped, so a port that does not fit fails the
-    // server's range check.
-    obs_options.status_server.emplace().port = static_cast<int>(
-        std::min<std::int64_t>(port, std::numeric_limits<int>::max()));
-  }
-  if (Status s = obs::InitObservability(obs_options); !s.ok()) {
+  if (Status s = obs::InitObservability(obs::ObsOptionsFromFlags(flags));
+      !s.ok()) {
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
     return 1;
   }

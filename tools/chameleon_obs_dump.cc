@@ -172,7 +172,7 @@ void Ingest(JsonValue record, DumpResult* out) {
   } else if (std::find(std::begin(kStoredTypes), std::end(kStoredTypes),
                        type) != std::end(kStoredTypes)) {
     out->records[type].push_back(std::move(record));
-  } else if (type != "status_server") {
+  } else {
     ++out->unknown_types[type];
   }
 }
