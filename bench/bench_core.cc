@@ -91,6 +91,70 @@ void BM_WriteEdgeListEr2k(bench::BenchContext& context) {
 CHAMELEON_BENCHMARK(BM_WriteEdgeListEr2k);
 
 // --------------------------------------------------------------------------
+// parse_edge_list_er_50k_{1t,2t}: graph::ParseEdgeList on an er-50k graph's
+// edge list in memory (~4 MB, laid out as the er-2k one), which spans 16
+// parse blocks, on one worker and on two. The er-2k rows above are one
+// block each and so time the inline case.
+// --------------------------------------------------------------------------
+const graph::UncertainGraph& Er50k() {
+  static const graph::UncertainGraph graph = bench::SeededGraph(50000, 5.0);
+  return graph;
+}
+
+void ParseEr50k(bench::BenchContext& context, int threads) {
+  static const std::string text = [] {
+    std::string lines = "# nodes 50000\n";
+    for (const graph::UncertainEdge& e : Er50k().edges()) {
+      lines += StrFormat("%u %u %.17g\n", e.u, e.v, e.p);
+    }
+    return lines;
+  }();
+  context.SetItemsPerIteration(Er50k().num_edges());
+  for (std::uint64_t i = 0; i < context.iterations(); ++i) {
+    const auto graph = graph::ParseEdgeList(text, "er50k.edges", threads);
+    bench::DoNotOptimize(graph.value().num_edges());
+  }
+}
+
+void BM_ParseEdgeListEr50k1t(bench::BenchContext& context) {
+  ParseEr50k(context, 1);
+}
+CHAMELEON_BENCHMARK(BM_ParseEdgeListEr50k1t);
+
+void BM_ParseEdgeListEr50k2t(bench::BenchContext& context) {
+  ParseEr50k(context, 2);
+}
+CHAMELEON_BENCHMARK(BM_ParseEdgeListEr50k2t);
+
+// --------------------------------------------------------------------------
+// write_edge_list_er_50k_{1t,2t}: graph::WriteEdgeList of the same graph
+// to a file in the temp directory, 8 write blocks, on one worker and on
+// two.
+// --------------------------------------------------------------------------
+void WriteEr50k(bench::BenchContext& context, int threads) {
+  const graph::UncertainGraph& graph = Er50k();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "chameleon_bench_er50k.edges")
+          .string();
+  context.SetItemsPerIteration(graph.num_edges());
+  for (std::uint64_t i = 0; i < context.iterations(); ++i) {
+    const Status written = graph::WriteEdgeList(graph, path, threads);
+    bench::DoNotOptimize(written.ok());
+  }
+  std::remove(path.c_str());
+}
+
+void BM_WriteEdgeListEr50k1t(bench::BenchContext& context) {
+  WriteEr50k(context, 1);
+}
+CHAMELEON_BENCHMARK(BM_WriteEdgeListEr50k1t);
+
+void BM_WriteEdgeListEr50k2t(bench::BenchContext& context) {
+  WriteEr50k(context, 2);
+}
+CHAMELEON_BENCHMARK(BM_WriteEdgeListEr50k2t);
+
+// --------------------------------------------------------------------------
 // world_sample_er_2k: one possible world per iteration on the same graph
 // — the innermost loop of every Monte Carlo estimate.
 // --------------------------------------------------------------------------

@@ -141,7 +141,7 @@ class GenObfScratch {
  public:
   /// p̃ per edge of the latest attempt run on this scratch; empty before
   /// the first. A view from either accessor stays valid until the next
-  /// attempt or Keep() on this scratch.
+  /// attempt, Keep() or TakeKept() on this scratch.
   std::span<const double> probabilities() const { return latest_.p; }
 
   /// p̃ of the attempt that was latest at the last Keep().
@@ -154,6 +154,16 @@ class GenObfScratch {
   void Keep() {
     std::swap(latest_, kept_);
     latest_.p.reserve(kept_.p.size());
+  }
+
+  /// Hands out the kept p̃ and frees every other buffer, leaving this
+  /// scratch as a fresh one: its next attempt fills p̃ from the graph.
+  /// A search calls it once it has its winner, before it builds the
+  /// published graph, so the build does not add to the search's buffers.
+  std::vector<double> TakeKept() {
+    std::vector<double> kept = std::move(kept_.p);
+    *this = GenObfScratch();
+    return kept;
   }
 
  private:

@@ -38,16 +38,31 @@
 ///
 /// WriteEdgeList prints p in shortest round-trip form, so ReadEdgeList of
 /// a written file gives back the same doubles bit for bit.
+///
+/// Both run on up to `threads` workers (< 1 = the process default, as
+/// every `threads` option; see util/parallel.h). ParseEdgeList cuts the
+/// text into fixed blocks of 256 KiB, each owning the lines that start in
+/// it; workers scan blocks straight into the graph's edge vector, and the
+/// blocks merge in file order before the node count and the semantic
+/// checks, which need every `# nodes` header. WriteEdgeList formats fixed
+/// blocks of 16,384 edges on the workers, one buffer of under 1 MiB per
+/// worker, and writes them in edge order. The block sizes are constants,
+/// so the graph, every error (code, message and `<origin>:<line>`) and
+/// every written byte are the same at any worker count; a file of one
+/// block runs inline on the caller.
 
 namespace chameleon::graph {
 
-/// Parses the edge list `text`. `origin` names the source in errors.
+/// Parses the edge list `text` on up to `threads` workers. `origin`
+/// names the source in errors.
 Result<UncertainGraph> ParseEdgeList(std::string_view text,
-                                     std::string_view origin);
+                                     std::string_view origin,
+                                     int threads = 0);
 
-/// Reads the file at `path` into memory and parses it. IoError when it
-/// cannot be opened or read.
-Result<UncertainGraph> ReadEdgeList(const std::string& path);
+/// Reads the file at `path` into memory and parses it on up to `threads`
+/// workers. IoError when it cannot be opened or read.
+Result<UncertainGraph> ReadEdgeList(const std::string& path,
+                                    int threads = 0);
 
 /// Writes a "graph_summary" JSONL record (n, m, mean/max structural
 /// degree, sum/mean edge probability, log2 degree histogram — the
@@ -58,9 +73,15 @@ Result<UncertainGraph> ReadEdgeList(const std::string& path);
 void EmitGraphSummary(const UncertainGraph& graph, std::string_view origin);
 
 /// Writes the `# nodes` header plus one `u v p` line per edge, p in
-/// shortest round-trip form. IoError when the file cannot be opened or a
-/// write fails.
-Status WriteEdgeList(const UncertainGraph& graph, const std::string& path);
+/// shortest round-trip form, formatting on up to `threads` workers. The
+/// bytes go to a new file in the directory of `path`, which is renamed
+/// over `path` only after every write and the close succeeded; on any
+/// failure it is removed, and a file already at `path` is left as it
+/// was, never cut short. (So `path` is replaced, not written through: a
+/// symlink there is replaced by the file.) IoError when the new file
+/// cannot be created, a write or the close fails, or the rename fails.
+Status WriteEdgeList(const UncertainGraph& graph, const std::string& path,
+                     int threads = 0);
 
 }  // namespace chameleon::graph
 

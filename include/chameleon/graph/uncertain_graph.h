@@ -99,6 +99,14 @@ class UncertainGraphBuilder {
   /// duplicate detection happens in Build().
   Status AddEdge(NodeId u, NodeId v, double p);
 
+  /// Queues every edge of `edges` in order, as AddEdge queues each one,
+  /// taking the vector over when nothing is queued yet, so a caller that
+  /// filled it (the edge-list parser, on every worker) hands it on
+  /// without a copy. On the first edge AddEdge refuses, returns that
+  /// error, sets `*rejected` to the edge's index in `edges` and queues
+  /// none of them.
+  Status AddEdges(std::vector<UncertainEdge> edges, std::size_t* rejected);
+
   std::size_t num_queued_edges() const { return edges_.size(); }
 
   /// Makes room for `edges` more AddEdge calls without regrowing.

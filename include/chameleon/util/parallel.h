@@ -65,7 +65,10 @@ std::size_t ParallelWorkers(std::size_t n, std::size_t block_size,
 /// of one item's work relative to a cheap per-vertex step: a sweep whose
 /// every item touches all |E| edges passes |E|. It moves only the worker
 /// count, never the block boundaries. `fn` must be thread-safe across
-/// distinct blocks and must not throw.
+/// distinct blocks and must not throw. Blocks are claimed in increasing
+/// order, and a worker claims its next block only once `fn` returned on
+/// its last, so `fn` may wait for an earlier block's call to finish:
+/// that call has started, on another worker.
 void ParallelForBlocks(
     std::size_t n, std::size_t block_size, int threads,
     const std::function<void(std::size_t block, std::size_t begin,

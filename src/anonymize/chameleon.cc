@@ -291,7 +291,7 @@ Result<AnonymizeResult> Anonymize(const graph::UncertainGraph& graph,
   result.feasible = found;
   if (found) {
     Result<graph::UncertainGraph> published =
-        graph.WithProbabilities(scratch.kept());
+        graph.WithProbabilities(scratch.TakeKept());
     if (!published.ok()) return published.status();
     result.sigma = hi;
     result.published = std::move(*published);

@@ -68,6 +68,29 @@ Status UncertainGraphBuilder::AddEdge(NodeId u, NodeId v, double p) {
   return Status::OK();
 }
 
+Status UncertainGraphBuilder::AddEdges(std::vector<UncertainEdge> edges,
+                                       std::size_t* rejected) {
+  const std::size_t queued = edges_.size();
+  if (queued == 0) {
+    edges_ = std::move(edges);
+  } else {
+    edges_.insert(edges_.end(), edges.begin(), edges.end());
+  }
+  for (std::size_t i = queued; i < edges_.size(); ++i) {
+    UncertainEdge& e = edges_[i];
+    if (e.u >= num_nodes_ || e.v >= num_nodes_ || e.u == e.v ||
+        !(e.p >= 0.0 && e.p <= 1.0)) {
+      // AddEdge names the reason; it queues nothing it refuses.
+      Status refused = AddEdge(e.u, e.v, e.p);
+      edges_.resize(queued);
+      *rejected = i - queued;
+      return refused;
+    }
+    if (e.u > e.v) std::swap(e.u, e.v);
+  }
+  return Status::OK();
+}
+
 Result<UncertainGraph> UncertainGraphBuilder::Build() && {
   CHOBS_SPAN(span, "graph/build");
   const auto by_endpoints = [](const UncertainEdge& a, const UncertainEdge& b) {

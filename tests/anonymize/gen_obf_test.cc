@@ -555,6 +555,46 @@ TEST(GenObfScratchTest, RefillsUnderAnotherPlanOrGraph) {
   }
 }
 
+TEST(GenObfScratchTest, TakeKeptHandsOutTheKeptVectorAndResets) {
+  // A kept attempt, then a later one at another seed, so the latest p̃
+  // and the kept one differ: TakeKept must hand out the kept one.
+  const UncertainGraph g = RandomGraph(600, 3000, 23);
+  const std::vector<double> uniqueness = Uniqueness(g);
+  const std::vector<double> priorities =
+      ComputeEdgePriorities(g, uniqueness, {}).value();
+  GenObfOptions options;
+  options.k = 8.0;
+  options.epsilon = 0.01;
+  options.candidate_fraction = 1.0;
+  const GenObfPlan plan = PlanGenObf(g, uniqueness, options).value();
+  GenObfScratch scratch;
+  Rng kept_rng(1);
+  ASSERT_TRUE(
+      GenObf(g, plan, priorities, 0.7, options, kept_rng, scratch).ok());
+  scratch.Keep();
+  Rng later_rng(2);
+  ASSERT_TRUE(
+      GenObf(g, plan, priorities, 0.7, options, later_rng, scratch).ok());
+  const std::vector<double> kept(scratch.kept().begin(),
+                                 scratch.kept().end());
+  const std::vector<double> latest(scratch.probabilities().begin(),
+                                   scratch.probabilities().end());
+  ASSERT_EQ(kept.size(), g.num_edges());
+  ASSERT_NE(std::memcmp(kept.data(), latest.data(),
+                        kept.size() * sizeof(double)),
+            0);
+
+  const std::vector<double> taken = scratch.TakeKept();
+  ASSERT_EQ(taken.size(), kept.size());
+  EXPECT_EQ(std::memcmp(taken.data(), kept.data(),
+                        kept.size() * sizeof(double)),
+            0);
+  EXPECT_TRUE(scratch.kept().empty());
+  EXPECT_TRUE(scratch.probabilities().empty());
+  // Reset, the scratch fills p̃ from the graph again on its next attempt.
+  ExpectSameAsFreshScratch(g, plan, priorities, options, 3, scratch);
+}
+
 TEST(GenObfScratchTest, AttemptsAfterTheFirstAllocateUnderOneMiB) {
   // 8k vertices at mean degree 100: 400k edges, so p̃ alone is 3.2 MB and
   // the selection keys another 3.2 MB. Reused, they leave an attempt

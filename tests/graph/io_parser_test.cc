@@ -2,7 +2,10 @@
 // (graph/io_oracle.h): a seeded differential fuzz over hostile inputs, the
 // number grammar token by token, the order errors are reported in, the
 // three inputs on which the two differ by design, the exact re-read of
-// written probabilities, and a read from a pipe.
+// written probabilities, and a read from a pipe. The fuzz and the error
+// order also run with the text cut into blocks of 1, 7 and 64 bytes
+// (graph/io_blocks.h) at 1, 2, 3 and 8 workers, beside inputs made to put
+// a block edge where the merge of blocks could go wrong.
 
 #include <array>
 #include <cerrno>
@@ -26,8 +29,10 @@
 
 #include "chameleon/graph/io.h"
 #include "chameleon/graph/uncertain_graph.h"
+#include "chameleon/obs/alloc_stats.h"
 #include "chameleon/util/rng.h"
 #include "chameleon/util/string_util.h"
+#include "graph/io_blocks.h"
 #include "graph/io_oracle.h"
 
 namespace chameleon::graph {
@@ -95,6 +100,32 @@ testing::AssertionResult SameOutcome(const Result<UncertainGraph>& got,
              << "edge " << i << ": parser (" << a.u << ", " << a.v << ", "
              << StrFormat("%a", a.p) << "), oracle (" << b.u << ", " << b.v
              << ", " << StrFormat("%a", b.p) << ")";
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+/// Block sizes and worker counts every comparison also runs at. Blocks
+/// this small cut even a short input inside its tokens, between '\r' and
+/// '\n', and around lines that are only blank or a comment.
+constexpr std::array<std::size_t, 3> kBlockBytes = {1, 7, 64};
+constexpr std::array<int, 4> kWorkers = {1, 2, 3, 8};
+
+/// The block parse of `text` at every size and worker count above must
+/// give `want`, graph or error, exactly.
+testing::AssertionResult SameAtEveryCut(std::string_view text,
+                                        std::string_view origin,
+                                        const Result<UncertainGraph>& want) {
+  for (const std::size_t block_bytes : kBlockBytes) {
+    for (const int workers : kWorkers) {
+      const testing::AssertionResult same = SameOutcome(
+          internal::ParseEdgeListBlocks(text, origin, workers, block_bytes),
+          want);
+      if (!same) {
+        return testing::AssertionFailure()
+               << block_bytes << "-byte blocks, " << workers
+               << " workers: " << same.message();
+      }
     }
   }
   return testing::AssertionSuccess();
@@ -473,6 +504,10 @@ TEST(IoParserTest, MatchesTheOracleOnHostileEdgeLists) {
   while (compared < kInputs) {
     const std::string text = inputs.Next();
     const Result<UncertainGraph> got = ParseEdgeList(text, "fuzz.edges");
+    // Cut into blocks, the parse gives the same graph or error: the
+    // oracle's where the two agree by design.
+    ASSERT_TRUE(SameAtEveryCut(text, "fuzz.edges", got))
+        << "input " << compared << ": '" << Escaped(text) << "'";
     if (HasDeliberateDivergence(text)) {
       // The oracle wraps a wide id; the parser must refuse the input.
       ++divergent;
@@ -524,10 +559,157 @@ TEST(IoParserTest, ErrorsAreReportedInTheOraclesOrder) {
     const Result<UncertainGraph> got = ParseEdgeList(text, "order.edges");
     EXPECT_TRUE(SameOutcome(got, OracleParse(text, "order.edges")))
         << Escaped(text);
+    EXPECT_TRUE(SameAtEveryCut(text, "order.edges", got)) << Escaped(text);
     ASSERT_FALSE(got.ok()) << Escaped(text);
     EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(got.status().message(), message) << Escaped(text);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Block edges
+
+/// A comment line of `bytes` bytes, its newline included (at least 2).
+std::string Filler(std::size_t bytes) {
+  return "#" + std::string(bytes - 2, 'x') + "\n";
+}
+
+TEST(IoParserTest, BlockEdgesKeepTheOraclesOutcome) {
+  // Every case at every cut must give the oracle's graph or error, which
+  // is the message shown, or else a graph of the node count shown. The
+  // filler line is longer than the largest block, so what stands on each
+  // side of it lies in different blocks.
+  const std::string filler = Filler(70);
+  struct Case {
+    std::string text;
+    std::string_view message;
+    NodeId nodes;
+  };
+  const Case cases[] = {
+      // A duplicate pair in an earlier block than a syntax error, and the
+      // other way round.
+      {"0 1 0.5\n1 0 0.5\n" + filler + "0 1\n",
+       "cut.edges:2: duplicate edge (1, 0)", 0},
+      {"0 1 0.5\n" + filler + "1 2\n" + filler + "1 0 0.5\n",
+       "cut.edges:3: expected 'u v p', got '1 2'", 0},
+      // Both blocks ascend; the second repeats the first's pair.
+      {"0 1 0.5\n1 2 0.5\n" + filler + "0 1 0.5\n",
+       "cut.edges:4: duplicate edge (0, 1)", 0},
+      // Blocks in descending order with no repeat.
+      {"4 5 0.5\n" + filler + "2 3 0.5\n" + filler + "0 1 0.5\n", "", 6},
+      // `# nodes` headers in two blocks: the last one wins.
+      {"# nodes 9\n0 1 0.5\n" + filler + "# nodes 4\n" + filler +
+           "2 3 0.5\n",
+       "", 4},
+      // The max id first seen in a later block, and seen again after it.
+      {"0 1 0.5\n" + filler + "1 6 0.5\n" + filler + "2 6 0.5\n" + filler,
+       "", 7},
+      // An id that only a later header makes out of range.
+      {"0 5 0.5\n" + filler + "# nodes 3\n",
+       "cut.edges:1: edge (0, 5) out of range for 3 nodes", 0},
+      // Semantic errors in file order across blocks.
+      {"0 1 0.5\n" + filler + "2 2 0.5\n" + filler + "1 2 1.5\n",
+       "cut.edges:3: self-loop at node 2", 0},
+      // Blocks of nothing but blank lines and comments, between edges.
+      {"0 1 0.5\n" + std::string(150, '\n') + filler + filler +
+           " \t\r\n1 2 0.25\n",
+       "", 3},
+      // No trailing newline after an edge, a header or a syntax error.
+      {"0 1 0.5\n" + filler + "1 2 0.25", "", 3},
+      {"0 1 0.5\n" + filler + "# nodes 5", "", 5},
+      {"0 1 0.5\n" + filler + "1 2", "cut.edges:3: expected 'u v p', got '1 2'",
+       0},
+  };
+  for (const Case& c : cases) {
+    const Result<UncertainGraph> want = OracleParse(c.text, "cut.edges");
+    EXPECT_TRUE(SameOutcome(ParseEdgeList(c.text, "cut.edges"), want))
+        << Escaped(c.text);
+    EXPECT_TRUE(SameAtEveryCut(c.text, "cut.edges", want)) << Escaped(c.text);
+    if (c.message.empty()) {
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      EXPECT_EQ(want->num_nodes(), c.nodes) << Escaped(c.text);
+    } else {
+      ASSERT_FALSE(want.ok()) << Escaped(c.text);
+      EXPECT_EQ(want.status().message(), c.message);
+    }
+  }
+  // The node-count policy names the first line with the max id, which
+  // lies in a later block than the first edge.
+  const std::string wide = "0 1 0.5\n" + filler + "5 20000000 0.5\n" +
+                           filler + "1 20000000 0.5\n";
+  const Result<UncertainGraph> limit = ParseEdgeList(wide, "cut.edges");
+  ASSERT_FALSE(limit.ok());
+  EXPECT_EQ(limit.status().message(),
+            "cut.edges:3: node id 20000000 makes 20000001 nodes, more than "
+            "16777222 (2 per edge plus 2^24 isolated vertices)");
+  EXPECT_TRUE(SameAtEveryCut(wide, "cut.edges", limit));
+}
+
+TEST(IoParserTest, CarriageReturnsSplitFromTheirNewlines) {
+  // Led by 2 to 65 bytes of comment, the "\r\n" line ends fall at every
+  // offset within a block of each size, so some block ends between a
+  // '\r' and its '\n'.
+  for (std::size_t lead = 2; lead < 66; ++lead) {
+    const std::string text = Filler(lead) +
+                             "0 1 0.5\r\n1 2 0.25\r\n\r\n# nodes 4\r\n"
+                             "2 3 0\r";
+    const Result<UncertainGraph> want = OracleParse(text, "crlf.edges");
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(want->num_nodes(), 4u);
+    EXPECT_TRUE(SameAtEveryCut(text, "crlf.edges", want)) << Escaped(text);
+  }
+}
+
+/// A path over `nodes` vertices written one edge a line, a comment and a
+/// blank line after every 97th edge; descending when `reversed`.
+std::string PathText(NodeId nodes, bool reversed) {
+  Rng rng(7);
+  std::string text = StrFormat("# generated\n# nodes %u\n", nodes);
+  for (NodeId i = 0; i + 1 < nodes; ++i) {
+    const NodeId u = reversed ? nodes - 2 - i : i;
+    text += StrFormat("%u %u %.17g\n", u, u + 1, rng.UniformDouble());
+    if (i % 97 == 0) text += "# a comment mid-file\n\n";
+  }
+  return text;
+}
+
+TEST(IoParserTest, ManyBlocksOnSeveralWorkers) {
+  // ~90 KB cut into 64-byte blocks: enough work that the scan runs on
+  // spawned workers, up to the host's CPUs. The comments mid-file move
+  // later blocks' edges down in the merge.
+  for (const bool reversed : {false, true}) {
+    const std::string text = PathText(3000, reversed);
+    const Result<UncertainGraph> want = OracleParse(text, "many.edges");
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_TRUE(SameAtEveryCut(text, "many.edges", want));
+    // One bad line at a third, a half and the end of the file.
+    for (const std::string_view bad :
+         {"0 1\n", "5 4 0.5\n", "7 7 0.5\n", "1 2 1.5\n", "9 3000 0.5\n"}) {
+      for (const std::size_t at :
+           {text.find('\n', text.size() / 3) + 1,
+            text.find('\n', text.size() / 2) + 1, text.size()}) {
+        const std::string broken =
+            text.substr(0, at) + std::string(bad) + text.substr(at);
+        const Result<UncertainGraph> error = OracleParse(broken, "many.edges");
+        ASSERT_FALSE(error.ok()) << Escaped(bad);
+        EXPECT_TRUE(SameAtEveryCut(broken, "many.edges", error))
+            << Escaped(bad) << " at " << at;
+      }
+    }
+  }
+}
+
+TEST(IoParserTest, WorkersAllocateNothingPerLine) {
+  // Each block scans into the slots its caller reserved; what the parse
+  // allocates is per block and per graph, not per line.
+  const std::string text = PathText(50000, false);
+  const std::uint64_t before = obs::TotalAllocStats().allocs;
+  const Result<UncertainGraph> graph = internal::ParseEdgeListBlocks(
+      text, "alloc.edges", 2, std::size_t{1} << 12);
+  const std::uint64_t allocs = obs::TotalAllocStats().allocs - before;
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_EQ(graph->num_edges(), 49999u);
+  EXPECT_LT(allocs, 100u);
 }
 
 // ---------------------------------------------------------------------------

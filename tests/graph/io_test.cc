@@ -1,13 +1,26 @@
 #include "chameleon/graph/io.h"
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <charconv>
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "chameleon/graph/generators.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/sink.h"
+#include "chameleon/util/rng.h"
+#include "graph/io_blocks.h"
 
 namespace chameleon::graph {
 namespace {
@@ -136,6 +149,129 @@ TEST(IoTest, ParseEmitsGraphSummaryRecord) {
   // Bucket 0 = isolated, bucket 1 = degree 1, bucket 2 = degrees 2..3.
   EXPECT_NE(summary.find("\"deg_hist_log2\":[0,2,2]"), std::string::npos)
       << summary;
+}
+
+std::string FileText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// The names in `dir`.
+std::vector<std::string> Entries(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  return names;
+}
+
+/// io.h's format, line by line: the header, then "u v p" with every
+/// number in std::to_chars' shortest form.
+std::string ExpectedText(const UncertainGraph& graph) {
+  const auto number = [](auto x) {
+    char buffer[32];
+    return std::string(buffer, std::to_chars(buffer, buffer + 32, x).ptr);
+  };
+  std::string text =
+      "# chameleon uncertain graph\n# nodes " + number(graph.num_nodes()) +
+      "\n";
+  for (const UncertainEdge& e : graph.edges()) {
+    text += number(e.u) + " " + number(e.v) + " " + number(e.p) + "\n";
+  }
+  return text;
+}
+
+UncertainGraph SeededGraph(std::int64_t nodes, double avg_degree) {
+  Rng rng(2018);
+  return RandomGraph({.nodes = nodes, .avg_degree = avg_degree}, rng)
+      .value();
+}
+
+TEST(IoTest, WritesTheSameBytesAtAnyWorkerCount) {
+  // An empty graph, one smaller than a write block and one of three
+  // blocks (40k edges against 16,384 a block), at the block size
+  // WriteEdgeList uses and at blocks of 1 and 7 edges.
+  const std::string path = testing::TempDir() + "/chameleon_io_workers.edges";
+  const UncertainGraph graphs[] = {UncertainGraph(), SeededGraph(200, 4.0),
+                                   SeededGraph(20000, 4.0)};
+  ASSERT_GT(graphs[2].num_edges(), 2 * internal::kWriteBlockEdges);
+  for (const UncertainGraph& graph : graphs) {
+    const std::string want = ExpectedText(graph);
+    for (const std::size_t block_edges :
+         {internal::kWriteBlockEdges, std::size_t{1}, std::size_t{7}}) {
+      for (const int workers : {1, 2, 3, 8}) {
+        SCOPED_TRACE(testing::Message()
+                     << graph.num_edges() << " edges, " << block_edges
+                     << "-edge blocks, " << workers << " workers");
+        ASSERT_TRUE(internal::WriteEdgeListBlocks(graph, path, workers,
+                                                  block_edges)
+                        .ok());
+        EXPECT_TRUE(FileText(path) == want);
+      }
+    }
+    ASSERT_TRUE(WriteEdgeList(graph, path, 2).ok());
+    EXPECT_TRUE(FileText(path) == want);
+  }
+  std::remove(path.c_str());
+}
+
+/// Runs WriteEdgeList of `graph` to `path` on `threads` workers in a
+/// child whose files may not grow past `max_bytes` (SIGXFSZ ignored, so
+/// the write past it fails with EFBIG); the child exits 0 when the call
+/// returned an IoError.
+bool ChildWriteFailsPast(const UncertainGraph& graph, const std::string& path,
+                         int threads, rlim_t max_bytes) {
+  const pid_t child = fork();
+  if (child == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit limit{max_bytes, max_bytes};
+    if (setrlimit(RLIMIT_FSIZE, &limit) != 0) _exit(2);
+    const Status written = WriteEdgeList(graph, path, threads);
+    _exit(written.code() == StatusCode::kIoError ? 0 : 1);
+  }
+  int status = 0;
+  if (child < 0 || waitpid(child, &status, 0) != child) return false;
+  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
+
+TEST(IoTest, FailedWriteLeavesTheTargetAsItWas) {
+  // 20k nodes and 100k edges, ~2.8 MB written, cut off at 99,991 bytes:
+  // written in place, the cut file would read back as a smaller graph.
+  const UncertainGraph graph = SeededGraph(20000, 10.0);
+  const std::string dir = testing::TempDir() + "/chameleon_io_failed_write";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/published.edges";
+  const std::string earlier = "# nodes 2\n0 1 0.5\n";
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    std::ofstream(path, std::ios::binary) << earlier;
+    ASSERT_TRUE(ChildWriteFailsPast(graph, path, threads, 99991));
+    EXPECT_EQ(FileText(path), earlier);
+    EXPECT_EQ(Entries(dir), std::vector<std::string>{"published.edges"});
+  }
+  // With no earlier file, nothing is left at the target or beside it.
+  std::filesystem::remove(path);
+  ASSERT_TRUE(ChildWriteFailsPast(graph, path, 2, 99991));
+  EXPECT_TRUE(Entries(dir).empty());
+  // Without the limit the same write replaces the earlier file whole.
+  std::ofstream(path, std::ios::binary) << earlier;
+  ASSERT_TRUE(WriteEdgeList(graph, path, 2).ok());
+  EXPECT_TRUE(FileText(path) == ExpectedText(graph));
+  EXPECT_EQ(Entries(dir), std::vector<std::string>{"published.edges"});
+  std::filesystem::remove_all(dir);
+}
+
+TEST(IoTest, WriteToAMissingDirectoryIsIoError) {
+  UncertainGraphBuilder builder(2);
+  ASSERT_TRUE(builder.AddEdge(0, 1, 0.5).ok());
+  const Result<UncertainGraph> graph = std::move(builder).Build();
+  ASSERT_TRUE(graph.ok());
+  const Status written =
+      WriteEdgeList(*graph, "/nonexistent/chameleon.edges", 2);
+  EXPECT_EQ(written.code(), StatusCode::kIoError);
+  EXPECT_EQ(written.message(),
+            "cannot open /nonexistent/chameleon.edges for writing");
 }
 
 TEST(IoTest, MissingFileIsIoError) {

@@ -209,7 +209,8 @@ int Run(int argc, char** argv) {
   manifest.AddParam("threads", StrFormat("%d", options.threads));
   obs::EmitRunManifest(manifest);
 
-  const Result<graph::UncertainGraph> graph = graph::ReadEdgeList(graph_path);
+  const Result<graph::UncertainGraph> graph =
+      graph::ReadEdgeList(graph_path, options.threads);
   if (!graph.ok()) {
     std::fprintf(stderr, "error: %s\n", graph.status().ToString().c_str());
     return 1;
@@ -245,7 +246,9 @@ int Run(int argc, char** argv) {
   const std::string& out = flags.GetString("out");
   if (!out.empty()) {
     if (result->feasible) {
-      if (Status s = graph::WriteEdgeList(result->published, out); !s.ok()) {
+      if (Status s = graph::WriteEdgeList(result->published, out,
+                                          options.threads);
+          !s.ok()) {
         std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
         return 1;
       }

@@ -181,7 +181,8 @@ int Run(int argc, char** argv) {
   manifest.AddParam("threads", StrFormat("%d", options.threads));
   obs::EmitRunManifest(manifest);
 
-  const Result<graph::UncertainGraph> graph = graph::ReadEdgeList(graph_path);
+  const Result<graph::UncertainGraph> graph =
+      graph::ReadEdgeList(graph_path, options.threads);
   if (!graph.ok()) {
     std::fprintf(stderr, "error: %s\n", graph.status().ToString().c_str());
     return 1;
