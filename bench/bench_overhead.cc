@@ -1,6 +1,6 @@
 // The overhead gates of the observability layer, all in one binary:
 //
-//   chameleon_bench_overhead --out=BENCH_overhead.json   # all seven gates
+//   chameleon_bench_overhead --out=BENCH_overhead.json   # all six gates
 //   chameleon_bench_overhead --filter=flight              # one gate
 //
 // Each gate times a baseline arm against the same loop with one engine's
@@ -10,9 +10,8 @@
 // delta exceeds 3x the worse arm's MAD. Each budget is the constant in
 // its gate's namespace. Every gate starts and ends with observability
 // dormant, and checks that its dormant arm recorded nothing. The
-// profiler and heap_active gates are skipped, not failed, where their
-// engine cannot start (both off Linux, the heap sampler under a
-// sanitizer). Exit 0 when every gate passes or skips, 1 when one fails,
+// profiler gate is skipped, not failed, where its engine cannot start
+// (off Linux). Exit 0 when every gate passes or skips, 1 when one fails,
 // 2 on a usage error.
 
 #include <algorithm>
@@ -31,7 +30,6 @@
 
 #include "chameleon/graph/uncertain_graph.h"
 #include "chameleon/obs/flight_recorder.h"
-#include "chameleon/obs/heap_profiler.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/parallel_stats.h"
 #include "chameleon/obs/profiler.h"
@@ -52,9 +50,9 @@ using bench::GateOutcome;
 constexpr std::uint64_t kSeed = 2018;
 
 /// Every gate measures from, and hands back, a dormant process: no sink,
-/// no CPU or heap sampler.
+/// no CPU sampler.
 Status ExpectDormant(const char* when) {
-  if (obs::Enabled() || obs::ProfilerRunning() || obs::HeapProfilerActive()) {
+  if (obs::Enabled() || obs::ProfilerRunning()) {
     return Status::FailedPrecondition(
         std::string("observability is not dormant ") + when);
   }
@@ -444,7 +442,7 @@ Result<GateOutcome> Gate(int reps) {
 }  // namespace span
 
 // --------------------------------------------------------------------------
-// heap_dormant / heap_active: one malloc-shaped loop. Each iteration
+// heap_dormant: one malloc-shaped loop. Each iteration
 // interleaves one allocate-touch-free of a small block (16..512 B
 // rotation) with a burst of RNG draws standing in for the work real code
 // does between allocations. One allocation per ~500 ns is still two
@@ -453,16 +451,12 @@ Result<GateOutcome> Gate(int reps) {
 // while keeping the per-allocation hook tax (a few ns) readable against
 // the budget instead of drowned in a raw ~11 ns malloc/free pair.
 //
-// heap_dormant times ::operator new/delete (per-thread counters + the
-// sampler's one relaxed load + countdown check) against raw malloc/free:
-// the tax every build pays. heap_active times the same loop with the
-// sampler running at the default 1/512 KiB rate against the bare loop:
-// the tax of --heap_profile runs.
+// It times ::operator new/delete (the per-thread allocation counters)
+// against raw malloc/free: the tax every build pays.
 // --------------------------------------------------------------------------
 namespace heap {
 
-constexpr double kDormantBudget = 0.02;
-constexpr double kActiveBudget = 0.05;
+constexpr double kBudget = 0.02;
 
 /// Block sizes rotated per iteration. Small on purpose: the hook cost
 /// is per allocation, so small blocks give the most conservative ratio.
@@ -474,8 +468,8 @@ constexpr int kDrawsPerAlloc = 128;
 
 /// One timed pass: `iterations` rounds of draw-burst + allocate-touch-
 /// free over the size rotation. `instrumented` routes through the
-/// replaced global operator new/delete (counters + sampler hook); the
-/// bare arm calls malloc/free directly, bypassing both.
+/// replaced global operator new/delete and its counters; the bare arm
+/// calls malloc/free directly, bypassing them.
 template <bool instrumented>
 double TimeLoop(std::size_t iterations) {
   Rng rng(kSeed);
@@ -500,39 +494,12 @@ double TimeLoop(std::size_t iterations) {
   return static_cast<double>(MonotonicNanos() - start);
 }
 
-Result<GateOutcome> DormantGate(int reps) {
-  const std::uint64_t samples_before = obs::HeapSamplesRecorded();
-  GateOutcome outcome{
+Result<GateOutcome> Gate(int reps) {
+  return GateOutcome{
       bench::RunPairedGate("BM_AllocLoop_Bare", TimeLoop<false>,
                            "BM_AllocLoop_DormantHook", TimeLoop<true>,
-                           kDormantBudget, reps),
+                           kBudget, reps),
       {}};
-  if (obs::HeapSamplesRecorded() != samples_before) {
-    return Status::Internal("the dormant hook sampled allocations");
-  }
-  return outcome;
-}
-
-Result<GateOutcome> ActiveGate(int reps) {
-  if (Status s = obs::StartHeapProfiler(obs::HeapProfilerOptions{});
-      !s.ok()) {
-    return GateOutcome{{}, "heap profiler unavailable: " + s.ToString()};
-  }
-  GateOutcome outcome{
-      bench::RunPairedGate("BM_AllocLoop_ActiveBare", TimeLoop<false>,
-                           "BM_AllocLoop_ActiveSampler", TimeLoop<true>,
-                           kActiveBudget, reps),
-      {}};
-  const std::uint64_t samples = obs::HeapSamplesRecorded();
-  CHAMELEON_RETURN_IF_ERROR(obs::StopHeapProfiler().status());
-  if (samples == 0) {
-    return Status::Internal(
-        "the active sampler recorded no heap samples, so the measurement "
-        "is vacuous");
-  }
-  std::fprintf(stderr, "heap_active: %llu heap samples\n",
-               static_cast<unsigned long long>(samples));
-  return outcome;
 }
 
 }  // namespace heap
@@ -542,8 +509,7 @@ CHAMELEON_GATE(profiler, Dormant(profiler::Gate));
 CHAMELEON_GATE(flight, Dormant(flight::Gate));
 CHAMELEON_GATE(parallel, Dormant(parallel::Gate));
 CHAMELEON_GATE(span, Dormant(span::Gate));
-CHAMELEON_GATE(heap_dormant, Dormant(heap::DormantGate));
-CHAMELEON_GATE(heap_active, Dormant(heap::ActiveGate));
+CHAMELEON_GATE(heap_dormant, Dormant(heap::Gate));
 
 }  // namespace
 }  // namespace chameleon

@@ -7,10 +7,9 @@
 /// Heap-allocation counters. alloc_stats.cc replaces the global operator
 /// new/delete (every overload — plain, array, nothrow, sized, and the
 /// C++17 aligned std::align_val_t variants) with malloc-backed versions
-/// that bump per-thread counters and feed the sampling heap profiler
-/// (heap_profiler.h), so a TraceSpan can report how many allocations
-/// (and requested bytes) a phase performed on its thread and run_summary
-/// can report the process-wide totals. The counters are monotonically
+/// that bump per-thread counters, so a TraceSpan can report how many
+/// allocations (and requested bytes) a phase performed on its thread and
+/// run_summary can report the process-wide totals. The counters are monotonically
 /// increasing; consumers diff two samples.
 
 namespace chameleon::obs {
@@ -31,8 +30,7 @@ AllocStats ThreadAllocStats();
 
 /// Process-wide totals: the sum over every thread that ever allocated,
 /// exited threads included. Lock-free walk of the (leaked) per-thread
-/// counter list; feeds run_summary's heap block and the heap profiler's
-/// exact-counter cross-check.
+/// counter list; feeds run_summary's heap block.
 AllocStats TotalAllocStats();
 
 }  // namespace chameleon::obs

@@ -1,12 +1,10 @@
 #ifndef CHAMELEON_OBS_OBS_H_
 #define CHAMELEON_OBS_OBS_H_
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 
-#include "chameleon/obs/heap_profiler.h"
 #include "chameleon/obs/metrics.h"
 #include "chameleon/obs/profiler.h"
 #include "chameleon/obs/progress.h"
@@ -39,33 +37,27 @@ class FlagSet;
 
 namespace chameleon::obs {
 
-/// One run's observability: the sink, and the profilers that sample the
-/// run. InitObservability starts the engines that are set, after the
-/// sink, in declaration order; ShutdownObservability (and the termination
-/// hooks) stop every one of them.
+/// One run's observability: the sink, and the profiler that samples the
+/// run. InitObservability starts the profiler, when set, after the sink;
+/// ShutdownObservability (and the termination hooks) stop it.
 struct ObsOptions {
   /// JSONL output path. Empty: fall back to $CHAMELEON_METRICS (when
   /// `read_env`); still empty: observability stays disabled.
   std::string metrics_out;
   bool read_env = true;
-  /// Default throttle for ProgressHeartbeat instances that do not
-  /// override it.
-  std::uint64_t heartbeat_interval_nanos = 500'000'000;
   /// Whole-run sampling CPU profile.
   std::optional<ProfilerOptions> profiler;
-  /// Whole-run sampling heap profile.
-  std::optional<HeapProfilerOptions> heap_profiler;
 };
 
 /// Configures the global sink/tracer, flips the runtime switch, then
-/// starts the engines `options` names. The engines attribute samples to
-/// open spans, so a run that requests one without a metrics path (flag
-/// or environment) writes its stream to /dev/null.
+/// starts the profiler if `options` names one. The profiler attributes
+/// samples to open spans, so a run that requests it without a metrics
+/// path (flag or environment) writes its stream to /dev/null.
 /// Calling it again tears the previous run down (final summary
 /// included) and starts a new one. Returns IoError when the sink path is
 /// not writable; the process is left disabled. A profiler that refuses
-/// to start (bad argument, sanitizer, non-Linux host) is a logged
-/// warning: the run goes on without it.
+/// to start (bad argument, non-Linux host) is a logged warning: the run
+/// goes on without it.
 ///
 /// The first successful init also installs abnormal-termination hooks
 /// (atexit + SIGINT/SIGTERM) that write the final run_summary and flush
@@ -80,12 +72,12 @@ Status InitObservability(const ObsOptions& options = {});
 void ShutdownObservability();
 
 /// Registers the observability flags the CLIs share: --metrics_out,
-/// --profile, --profile_hz, --heap_profile, --heap_sample_bytes.
+/// --profile, --profile_hz.
 void AddObsFlags(FlagSet& flags);
 
 /// The ObsOptions those flags select (parsed FlagSet from AddObsFlags).
-/// An engine is set only when its flag asks for it: a non-empty
-/// --profile or --heap_profile path.
+/// The profiler is set only when its flag asks for it: a non-empty
+/// --profile path.
 ObsOptions ObsOptionsFromFlags(const FlagSet& flags);
 
 /// Finalizes the run exactly as the termination hooks do on a fatal
@@ -109,9 +101,6 @@ RecordSink* GlobalSink();
 /// Writes a labelled full-registry snapshot record to the sink. Call at
 /// phase boundaries. No-op when disabled.
 void EmitSnapshot(std::string_view label);
-
-/// Default heartbeat throttle configured at init.
-std::uint64_t HeartbeatIntervalNanos();
 
 /// Test hook: flips the runtime switch without touching sink/tracer.
 void SetEnabledForTesting(bool enabled);

@@ -21,8 +21,7 @@
 ///   // Finish() is implicit in the destructor.
 ///
 /// Reports include throughput (units/s), an ETA from the current rate,
-/// and an optional acceptance rate (accepted/attempted), which GenObf
-/// uses for its randomized-trial loop.
+/// and an optional acceptance rate (accepted/attempted).
 
 namespace chameleon::obs {
 

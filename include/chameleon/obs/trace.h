@@ -87,8 +87,8 @@ std::uint32_t CurrentSpanPathId();
 
 /// Makes `id` the calling thread's innermost span path id without
 /// opening a span. A spawned ParallelForBlocks worker adopts the id of
-/// the span that forked it, so the heap profiler, flight recorder and
-/// crash handler file the worker's work under that span.
+/// the span that forked it, so the flight recorder and crash handler
+/// file the worker's work under that span.
 void AdoptSpanPathId(std::uint32_t id);
 
 /// Adds work that threads forked by the calling thread did on its behalf

@@ -19,9 +19,9 @@
 /// Commonness of property value ω:
 ///   C(ω) = Σ_{u∈V} K_θ(ω − P(u)),   U(ω) = 1 / C(ω)
 /// with P(u) = E[deg u] (the uncertain-graph degree property, per
-/// DESIGN.md §4) and kernel K_θ unnormalized so K_θ(0) = 1 — every
-/// vertex contributes its own full unit of commonness, giving
-/// U^v ∈ (0, 1].
+/// DESIGN.md §4) and the paper's Gaussian kernel K_θ(x) = e^{−x²/2θ²},
+/// unnormalized so K_θ(0) = 1 — every vertex contributes its own full
+/// unit of commonness, giving U^v ∈ (0, 1].
 ///
 /// Algorithm: a one-dimensional fast Gauss transform on sorted values
 /// (Greengard & Strain), O(n log n) instead of the O(n²) pair sum. The
@@ -30,19 +30,18 @@
 /// member y of a box starting at `lo` has t = (y − lo)/θ − ½ ∈ [−½, ½].
 /// A target x sums the boxes within reach of it, in box order:
 ///
-///   - Gaussian, box of ≥ P members: with s = (x − lo)/θ − ½,
+///   - Box of ≥ P members: with s = (x − lo)/θ − ½,
 ///       Σ_y e^{−(s−t)²/2} = e^{−s²/2} · Σ_{k<P} M_k s^k,
 ///       M_k = Σ_y e^{−t²/2} t^k / k!,
 ///     evaluated by Horner from the box's P precomputed moments.
-///   - Gaussian, box of fewer than P members, and every Epanechnikov
-///     box: the kernel of each member, exactly as the pair sum would.
+///   - Box of fewer than P members: the kernel of each member, exactly
+///     as the pair sum would.
 ///
 /// Both constants come from error bounds; neither is an option:
 ///
-///   - Reach c = √(2(ln n + 53 ln 2)) bandwidths (1 for Epanechnikov,
-///     whose support is compact, so its sum is exact). A box is skipped
-///     only when all its members lie farther than cθ from x, so the
-///     neglected mass is ≤ n·e^{−c²/2} = 2⁻⁵³, under half an ulp of C ≥ 1.
+///   - Reach c = √(2(ln n + 53 ln 2)) bandwidths. A box is skipped only
+///     when all its members lie farther than cθ from x, so the neglected
+///     mass is ≤ n·e^{−c²/2} = 2⁻⁵³, under half an ulp of C ≥ 1.
 ///   - Order P = 28. With |t| ≤ ½, the Taylor remainder of e^{st} costs
 ///     each source at most max_s e^{−s²/2+|s|/2}·(|s|/2)^P/P! ≈ 3e−23.
 ///
@@ -54,16 +53,7 @@
 
 namespace chameleon::privacy {
 
-/// Kernel shapes for the commonness density. Both evaluate to 1 at 0.
-enum class Kernel {
-  /// exp(−x² / 2θ²) — the paper's choice; infinite support.
-  kGaussian,
-  /// max(0, 1 − (x/θ)²) — compact support, cheaper tails.
-  kEpanechnikov,
-};
-
 struct UniquenessOptions {
-  Kernel kernel = Kernel::kGaussian;
   /// Kernel bandwidth θ. 0 selects Silverman's rule-of-thumb
   /// 1.06·σ̂·n^(−1/5) over the property values (θ = 1 when the spread
   /// is zero); the paper's §V-C "θ = σ_G" choice is bandwidth = σ̂,

@@ -36,14 +36,6 @@ class BitVector {
     words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
   }
 
-  void Assign(std::size_t i, bool value) {
-    if (value) {
-      Set(i);
-    } else {
-      Clear(i);
-    }
-  }
-
   void ClearAll() { words_.assign(words_.size(), 0); }
 
   std::size_t CountOnes() const {

@@ -12,16 +12,13 @@
 
 namespace chameleon {
 
+/// Messages below kInfo are dropped.
 enum class LogLevel : int {
   kDebug = 0,
   kInfo = 1,
   kWarning = 2,
   kError = 3,
 };
-
-/// Messages below `level` are dropped. Default: kInfo.
-void SetMinLogLevel(LogLevel level);
-LogLevel MinLogLevel();
 
 namespace internal {
 

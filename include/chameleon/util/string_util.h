@@ -27,7 +27,6 @@ std::vector<std::string> SplitTokens(std::string_view text,
 std::string_view StripWhitespace(std::string_view text);
 
 bool HasPrefix(std::string_view text, std::string_view prefix);
-bool HasSuffix(std::string_view text, std::string_view suffix);
 
 /// Strict integer / double parsing of the *entire* token, after
 /// StripWhitespace. Built on std::from_chars: no allocation unless the

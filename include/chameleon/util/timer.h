@@ -27,19 +27,14 @@ inline std::uint64_t WallUnixMillis() {
           .count());
 }
 
-/// Simple restartable stopwatch.
+/// Simple stopwatch.
 class WallTimer {
  public:
   WallTimer() : start_(MonotonicNanos()) {}
 
-  void Restart() { start_ = MonotonicNanos(); }
-
   std::uint64_t ElapsedNanos() const { return MonotonicNanos() - start_; }
   double ElapsedMillis() const {
     return static_cast<double>(ElapsedNanos()) * 1e-6;
-  }
-  double ElapsedSeconds() const {
-    return static_cast<double>(ElapsedNanos()) * 1e-9;
   }
 
  private:

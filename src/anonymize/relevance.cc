@@ -251,7 +251,6 @@ Result<EdgeRelevance> EstimateRelevance(const graph::UncertainGraph& graph,
       "anonymize/relevance/sample_worlds",
       options.heartbeat ? options.worlds : 0,
       obs::ProgressHeartbeat::Options{
-          .min_interval_nanos = obs::HeartbeatIntervalNanos(),
           .log = options.heartbeat,
           .sink = nullptr,
           .use_global_sink = options.heartbeat});

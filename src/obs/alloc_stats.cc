@@ -4,18 +4,15 @@
 #include <cstdlib>
 #include <new>
 
-#include "heap_hooks.h"
-
 /// Replacement global allocation functions. [replacement.functions] allows
 /// a program to define these; every image linking libchameleon gets them
 /// (the archive member is pulled in because operator new is referenced
 /// everywhere). They forward to malloc/free — ASan still interposes at the
 /// malloc layer, so leak and overflow detection keep working — and add a
-/// few thread-local counter stores plus the heap sampler's one-load
-/// dormant check (heap_hooks.h). All overloads route through the three
+/// few thread-local counter stores. All overloads route through the three
 /// Counted* helpers below: the C++17 aligned (std::align_val_t) and sized
 /// variants included, so over-aligned allocations hit the same counters
-/// and sampler as plain ones.
+/// as plain ones.
 ///
 /// The counters live in malloc'd per-thread nodes on a leaked intrusive
 /// list, so TotalAllocStats() can sum the whole process (run_summary's
@@ -103,9 +100,7 @@ void* CountedAlloc(std::size_t size) noexcept {
     chameleon::obs::Bump(counters->alloc_bytes, size);
   }
   // malloc(0) may return null; operator new must return a unique pointer.
-  void* ptr = std::malloc(size != 0 ? size : 1);
-  chameleon::obs::internal::HeapHookAlloc(ptr, size);
-  return ptr;
+  return std::malloc(size != 0 ? size : 1);
 }
 
 void* CountedAlignedAlloc(std::size_t size, std::size_t alignment) noexcept {
@@ -119,7 +114,6 @@ void* CountedAlignedAlloc(std::size_t size, std::size_t alignment) noexcept {
   if (posix_memalign(&ptr, alignment, size != 0 ? size : 1) != 0) {
     return nullptr;
   }
-  chameleon::obs::internal::HeapHookAlloc(ptr, size);
   return ptr;
 }
 
@@ -127,7 +121,6 @@ void CountedFree(void* ptr) noexcept {
   if (ptr == nullptr) return;
   chameleon::obs::ThreadCounterNode* counters = chameleon::obs::Counters();
   if (counters != nullptr) chameleon::obs::Bump(counters->frees, 1);
-  chameleon::obs::internal::HeapHookFree(ptr);
   std::free(ptr);
 }
 

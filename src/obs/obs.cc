@@ -12,7 +12,6 @@
 
 #include "chameleon/obs/alloc_stats.h"
 #include "chameleon/obs/flight_recorder.h"
-#include "chameleon/obs/heap_profiler.h"
 #include "chameleon/obs/profiler.h"
 #include "chameleon/obs/record.h"
 #include "chameleon/obs/run_context.h"
@@ -24,7 +23,6 @@ namespace chameleon::obs {
 namespace {
 
 std::atomic<bool> g_enabled{false};
-std::atomic<std::uint64_t> g_heartbeat_interval_nanos{500'000'000};
 
 std::mutex g_lifecycle_mu;
 // Sink and tracer survive Shutdown/re-Init for the process lifetime:
@@ -76,26 +74,6 @@ void FinalizeRun(int signal_number) {
   // hundred events next to the evidence of how it died. Clean shutdowns
   // skip it: the full JSONL stream already tells the story.
   if (signal_number >= 0) EmitFlightRecorderDump(sink, signal_number);
-
-  // The heap profiler's exactly-one-of contract: a live sampler flushes
-  // its heap_profile/heap_timeline records (then stops, so the folded
-  // file is written); otherwise one record names why the stream carries
-  // no heap data — not requested, refused under a sanitizer, or stopped
-  // early (in which case HeapRecordsEmitted() suppresses the unavailable
-  // record so the two never coexist). Emitting it here rather than at
-  // init keeps the manifest as the stream's first record, and the
-  // one-shot enabled claim above keeps it unique.
-  if (HeapProfilerActive()) {
-    EmitHeapProfileRecords(sink);
-    if (Result<HeapProfileReport> heap = StopHeapProfiler(); !heap.ok()) {
-      CH_LOG(Warning) << "heap profiler flush failed: "
-                      << heap.status().ToString();
-    }
-  } else if (!HeapRecordsEmitted()) {
-    sink->Write(Record("heap_profiler_unavailable")
-                    .Str("reason", HeapProfilerUnavailableReason())
-                    .Finish());
-  }
 
   const double wall_ms =
       static_cast<double>(MonotonicNanos() - run_start) * 1e-6;
@@ -189,10 +167,6 @@ RecordSink* GlobalSink() {
   return g_sink;
 }
 
-std::uint64_t HeartbeatIntervalNanos() {
-  return g_heartbeat_interval_nanos.load(std::memory_order_relaxed);
-}
-
 Status InitObservability(const ObsOptions& options) {
   ShutdownObservability();
 
@@ -202,7 +176,7 @@ Status InitObservability(const ObsOptions& options) {
       path = env;
     }
   }
-  if (path.empty() && (options.profiler || options.heap_profiler)) {
+  if (path.empty() && options.profiler) {
     path = "/dev/null";
   }
   if (path.empty()) return Status::OK();  // stays disabled
@@ -220,23 +194,14 @@ Status InitObservability(const ObsOptions& options) {
     g_tracer = retired.tracers.back().get();
     g_run_start_nanos = MonotonicNanos();
   }
-  g_heartbeat_interval_nanos.store(options.heartbeat_interval_nanos,
-                                   std::memory_order_relaxed);
   InstallTerminationHooks();
   g_enabled.store(true, std::memory_order_release);
   CH_LOG(Info) << "observability enabled, metrics sink: " << path;
 
-  const auto warn_unless_ok = [](const Status& s, const char* engine) {
-    if (!s.ok()) {
-      CH_LOG(Warning) << engine << " disabled: " << s.ToString();
-    }
-  };
   if (options.profiler) {
-    warn_unless_ok(StartGlobalProfiler(*options.profiler), "profiler");
-  }
-  if (options.heap_profiler) {
-    warn_unless_ok(StartHeapProfiler(*options.heap_profiler),
-                   "heap profiler");
+    if (Status s = StartGlobalProfiler(*options.profiler); !s.ok()) {
+      CH_LOG(Warning) << "profiler disabled: " << s.ToString();
+    }
   }
   return Status::OK();
 }
@@ -250,14 +215,6 @@ void AddObsFlags(FlagSet& flags) {
                   "sample CPU for the whole run and write folded collapsed "
                   "stacks (flamegraph.pl input) to this path");
   flags.AddInt64("profile_hz", 99, "sampling frequency per CPU-second");
-  flags.AddString("heap_profile", "",
-                  "sample heap allocations for the whole run, emit "
-                  "heap_profile records, and write folded collapsed "
-                  "stacks (flamegraph.pl input) to this path");
-  flags.AddInt64("heap_sample_bytes",
-                 static_cast<std::int64_t>(kDefaultHeapSampleBytes),
-                 "mean bytes between heap samples (smaller = finer "
-                 "attribution, more overhead)");
 }
 
 ObsOptions ObsOptionsFromFlags(const FlagSet& flags) {
@@ -272,13 +229,6 @@ ObsOptions ObsOptionsFromFlags(const FlagSet& flags) {
         std::numeric_limits<int>::max()));
     profiler.folded_out = out;
   }
-  if (const std::string& out = flags.GetString("heap_profile");
-      !out.empty()) {
-    HeapProfilerOptions& heap = options.heap_profiler.emplace();
-    heap.sample_bytes = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(0, flags.GetInt64("heap_sample_bytes")));
-    heap.folded_out = out;
-  }
   return options;
 }
 
@@ -286,9 +236,6 @@ void FinalizeRunForSignal(int signal_number) { FinalizeRun(signal_number); }
 
 void EmitSnapshot(std::string_view label) {
   if (!Enabled()) return;
-  // Phase boundaries double as heap-timeline ticks, so even a run with
-  // sparse spans gets memory points at every snapshot.
-  HeapProfilerMaybeSampleTimeline();
   RecordSink* sink = GlobalSink();
   if (sink == nullptr) return;
   Record record("snapshot");

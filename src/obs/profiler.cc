@@ -64,8 +64,10 @@ std::string FoldedText(const ProfileReport& report) {
 
 #if CHAMELEON_PROFILER_IMPL
 
-namespace internal {
+namespace {
 
+/// One frame name, folded-format safe: ';' separates frames and the last
+/// ' ' separates the count, so neither may appear inside a frame.
 std::string SanitizeFrame(std::string_view name) {
   std::string out;
   out.reserve(name.size());
@@ -80,10 +82,6 @@ std::string SanitizeFrame(std::string_view name) {
   }
   return out.empty() ? std::string("(unknown)") : out;
 }
-
-}  // namespace internal
-
-namespace {
 
 constexpr const char kNoSpanLabel[] = "(no_span)";
 
@@ -423,7 +421,7 @@ ProfileReport RenderAggregate(const Aggregate& aggregate, int hz,
       stack.frames.push_back(kNoSpanLabel);
     } else {
       for (const std::string& part : SplitTokens(span_path, "/")) {
-        stack.frames.push_back(internal::SanitizeFrame(part));
+        stack.frames.push_back(SanitizeFrame(part));
       }
     }
     for (std::size_t i = key.size(); i > 1; --i) {

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 
 // Disables sanitizer instrumentation for code that reads stack words
@@ -36,10 +35,6 @@ namespace chameleon::obs::internal {
 #if CHAMELEON_PROFILER_IMPL
 
 inline constexpr std::uint32_t kMaxWalkDepth = 40;
-
-/// One frame name, folded-format safe: ';' separates frames and the last
-/// ' ' separates the count, so neither may appear inside a frame.
-std::string SanitizeFrame(std::string_view name);
 
 /// Async-signal-safe frame-pointer walk starting from the interrupted
 /// context. Writes up to `max_depth` pcs (innermost first) and returns

@@ -9,7 +9,6 @@
 
 #include "chameleon/obs/alloc_stats.h"
 #include "chameleon/obs/flight_recorder.h"
-#include "chameleon/obs/heap_profiler.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/profiler.h"
 #include "chameleon/obs/record.h"
@@ -221,10 +220,6 @@ TraceSpan::~TraceSpan() {
   if (tracer_->metrics() != nullptr) {
     tracer_->metrics()->Observe("span/" + StripPathIndices(path_), duration);
   }
-  // Span boundaries drive the heap timeline (no dedicated timer
-  // thread); one relaxed load + compare when it is not yet time.
-  HeapProfilerMaybeSampleTimeline();
-
   if (tracer_->sink() != nullptr) {
     const ThreadResourceSample end = SampleThreadResources();
     const auto delta = [](std::uint64_t lo, std::uint64_t hi) {

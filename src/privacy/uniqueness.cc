@@ -58,23 +58,10 @@ std::vector<double> Sorted(std::vector<double> values) {
   return values;
 }
 
-double EvalKernel(Kernel kernel, double x, double bandwidth) {
-  const double z = x / bandwidth;
-  switch (kernel) {
-    case Kernel::kGaussian:
-      return std::exp(-0.5 * z * z);
-    case Kernel::kEpanechnikov:
-      return std::max(0.0, 1.0 - z * z);
-  }
-  return 0.0;
-}
-
 /// Cuts sorted values into boxes of width θ: each box starts at the
 /// smallest value not yet covered, beginning with the minimum. Boxes of
-/// at least kOrder members get their Gaussian moments
-/// M_k = Σ e^{−t²/2}·t^k/k! when `with_moments` is set.
-BoxTable BuildBoxes(std::vector<double> sorted, double bandwidth,
-                    bool with_moments) {
+/// at least kOrder members get their moments M_k = Σ e^{−t²/2}·t^k/k!.
+BoxTable BuildBoxes(std::vector<double> sorted, double bandwidth) {
   BoxTable table;
   table.sorted = std::move(sorted);
   const std::vector<double>& y = table.sorted;
@@ -83,7 +70,7 @@ BoxTable BuildBoxes(std::vector<double> sorted, double bandwidth,
     std::size_t end = begin + 1;
     while (end < y.size() && (y[end] - lo) / bandwidth < 1.0) ++end;
     Box box{lo, y[end - 1], begin, end, kDirect};
-    if (with_moments && end - begin >= kOrder) {
+    if (end - begin >= kOrder) {
       box.moments = table.moments.size();
       table.moments.resize(box.moments + kOrder, 0.0);
       double* m = table.moments.data() + box.moments;
@@ -103,8 +90,8 @@ BoxTable BuildBoxes(std::vector<double> sorted, double bandwidth,
 }
 
 /// C(x) over the boxes within `reach` bandwidths of x, in box order.
-double Commonness(const BoxTable& table, Kernel kernel, double bandwidth,
-                  double reach, double x) {
+double Commonness(const BoxTable& table, double bandwidth, double reach,
+                  double x) {
   const auto first = std::partition_point(
       table.boxes.begin(), table.boxes.end(),
       [&](const Box& box) { return (x - box.hi) / bandwidth > reach; });
@@ -114,7 +101,8 @@ double Commonness(const BoxTable& table, Kernel kernel, double bandwidth,
        ++box) {
     if (box->moments == kDirect) {
       for (std::size_t j = box->begin; j < box->end; ++j) {
-        commonness += EvalKernel(kernel, x - table.sorted[j], bandwidth);
+        const double z = (x - table.sorted[j]) / bandwidth;
+        commonness += std::exp(-0.5 * z * z);
       }
       continue;
     }
@@ -166,14 +154,10 @@ Result<UniquenessScores> ComputeUniqueness(const std::vector<double>& values,
   }
 
   const std::size_t n = values.size();
-  const bool gaussian = options.kernel == Kernel::kGaussian;
-  // Past `reach` bandwidths a Gaussian term is below 2⁻⁵³/n; Epanechnikov
-  // vanishes past one.
-  const double reach =
-      gaussian ? std::sqrt(2.0 * (std::log(static_cast<double>(n)) +
-                                  53.0 * std::log(2.0)))
-               : 1.0;
-  const BoxTable table = BuildBoxes(std::move(sorted), bandwidth, gaussian);
+  // Past `reach` bandwidths a term is below 2⁻⁵³/n.
+  const double reach = std::sqrt(
+      2.0 * (std::log(static_cast<double>(n)) + 53.0 * std::log(2.0)));
+  const BoxTable table = BuildBoxes(std::move(sorted), bandwidth);
 
   UniquenessScores result;
   result.bandwidth = bandwidth;
@@ -187,8 +171,7 @@ Result<UniquenessScores> ComputeUniqueness(const std::vector<double>& values,
         for (std::size_t v = begin; v < end; ++v) {
           // The self term K(0) = 1 bounds commonness below, so U ≤ 1.
           result.scores[v] =
-              1.0 / Commonness(table, options.kernel, bandwidth, reach,
-                               values[v]);
+              1.0 / Commonness(table, bandwidth, reach, values[v]);
         }
       });
   span.AddCount("vertices", n);

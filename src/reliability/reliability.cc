@@ -38,7 +38,6 @@ std::optional<obs::ConvergenceTracker> MaybeMakeTracker(
   tracker_options.min_samples = options.min_samples;
   tracker_options.z = kZ95;
   tracker_options.bernoulli = bernoulli;
-  tracker_options.min_emit_interval_nanos = obs::HeartbeatIntervalNanos();
   return std::make_optional<obs::ConvergenceTracker>(label, tracker_options);
 }
 
@@ -85,7 +84,6 @@ Result<ReliabilityEstimate> EstimateTwoTerminalReliability(
       "reliability/two_terminal/sample_worlds",
       options.heartbeat ? options.worlds : 0,
       obs::ProgressHeartbeat::Options{
-          .min_interval_nanos = obs::HeartbeatIntervalNanos(),
           .log = options.heartbeat,
           .sink = nullptr,
           .use_global_sink = options.heartbeat});
@@ -160,7 +158,6 @@ Result<PairSetEstimate> EstimatePairSetReliability(
       "reliability/pair_set/sample_worlds",
       options.heartbeat ? options.worlds : 0,
       obs::ProgressHeartbeat::Options{
-          .min_interval_nanos = obs::HeartbeatIntervalNanos(),
           .log = options.heartbeat,
           .sink = nullptr,
           .use_global_sink = options.heartbeat});
@@ -265,7 +262,6 @@ Result<ConnectedPairsEstimate> ExpectedConnectedPairs(
       "reliability/connected_pairs/sample_worlds",
       options.heartbeat ? options.worlds : 0,
       obs::ProgressHeartbeat::Options{
-          .min_interval_nanos = obs::HeartbeatIntervalNanos(),
           .log = options.heartbeat,
           .sink = nullptr,
           .use_global_sink = options.heartbeat});

@@ -1,6 +1,5 @@
 #include "chameleon/util/logging.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -10,8 +9,6 @@
 
 namespace chameleon {
 namespace {
-
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kInfo)};
 
 char LevelLetter(LogLevel level) {
   switch (level) {
@@ -34,22 +31,13 @@ const char* Basename(const char* path) {
 
 }  // namespace
 
-void SetMinLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel MinLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
     : level_(level),
       file_(file),
       line_(line),
-      enabled_(static_cast<int>(level) >=
-               g_min_level.load(std::memory_order_relaxed)) {}
+      enabled_(level >= LogLevel::kInfo) {}
 
 LogMessage::~LogMessage() {
   if (!enabled_) return;

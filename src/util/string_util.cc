@@ -59,11 +59,6 @@ bool HasPrefix(std::string_view text, std::string_view prefix) {
          text.substr(0, prefix.size()) == prefix;
 }
 
-bool HasSuffix(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
 Result<std::int64_t> ParseInt(std::string_view text) {
   const std::string_view token = StripWhitespace(text);
   if (token.empty()) return Status::InvalidArgument("empty integer token");

@@ -145,8 +145,8 @@ TEST(GenObfTest, FastAndOracleUniquenessPublishTheSameGraph) {
   const Result<privacy::UniquenessScores> fast =
       privacy::ComputeUniqueness(*g, privacy::UniquenessOptions{});
   ASSERT_TRUE(fast.ok());
-  const std::vector<double> oracle = privacy::OracleUniqueness(
-      g->expected_degrees(), privacy::Kernel::kGaussian, fast->bandwidth);
+  const std::vector<double> oracle =
+      privacy::OracleUniqueness(g->expected_degrees(), fast->bandwidth);
   // Priorities are held fixed: they scale the noise continuously, while
   // the exclusion set is the discrete use of U that must match exactly.
   const Result<std::vector<double>> priorities =

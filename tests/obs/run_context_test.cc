@@ -71,28 +71,25 @@ TEST(ObsOptionsFromFlagsTest, StartsOnlyTheEnginesTheFlagsName) {
   ASSERT_EQ(ParseArgs(quiet, {"some_tool"}), std::nullopt);
   const ObsOptions none = ObsOptionsFromFlags(quiet);
   EXPECT_TRUE(none.metrics_out.empty());
-  EXPECT_FALSE(none.profiler || none.heap_profiler);
+  EXPECT_FALSE(none.profiler);
 
   FlagSet all("t");
   AddObsFlags(all);
   ASSERT_EQ(ParseArgs(all, {"some_tool", "--metrics_out=m.jsonl",
-                            "--profile=p.folded", "--profile_hz=199",
-                            "--heap_profile=h.folded",
-                            "--heap_sample_bytes=4096"}),
+                            "--profile=p.folded", "--profile_hz=199"}),
             std::nullopt);
   const ObsOptions options = ObsOptionsFromFlags(all);
   EXPECT_EQ(options.metrics_out, "m.jsonl");
   ASSERT_TRUE(options.profiler);
   EXPECT_EQ(options.profiler->hz, 199);
   EXPECT_EQ(options.profiler->folded_out, "p.folded");
-  ASSERT_TRUE(options.heap_profiler);
-  EXPECT_EQ(options.heap_profiler->sample_bytes, 4096u);
-  EXPECT_EQ(options.heap_profiler->folded_out, "h.folded");
 
-  // The stall watchdog and the --hw_counters switch are gone: their
-  // flags are usage errors like any unknown flag.
-  for (const char* removed : {"--watchdog_stall_seconds=30",
-                              "--watchdog_abort_after=5", "--nohw_counters"}) {
+  // The stall watchdog, the --hw_counters switch and the heap profiler
+  // are gone: their flags are usage errors like any unknown flag.
+  for (const char* removed :
+       {"--watchdog_stall_seconds=30", "--watchdog_abort_after=5",
+        "--nohw_counters", "--heap_profile=h.folded",
+        "--heap_sample_bytes=4096"}) {
     FlagSet flags("t");
     AddObsFlags(flags);
     EXPECT_EQ(ParseArgs(flags, {"some_tool", removed}), 2) << removed;
@@ -100,17 +97,14 @@ TEST(ObsOptionsFromFlagsTest, StartsOnlyTheEnginesTheFlagsName) {
 }
 
 TEST(ObsOptionsFromFlagsTest, OutOfRangeRatesStayInvalid) {
-  // 2^32 + 99 must not wrap to a valid 99 Hz, nor -1 bytes to 2^64 - 1.
+  // 2^32 + 99 must not wrap to a valid 99 Hz.
   FlagSet flags("t");
   AddObsFlags(flags);
   ASSERT_EQ(ParseArgs(flags, {"some_tool", "--profile=p.folded",
-                              "--profile_hz=4294967395",
-                              "--heap_profile=h.folded",
-                              "--heap_sample_bytes=-1"}),
+                              "--profile_hz=4294967395"}),
             std::nullopt);
   const ObsOptions options = ObsOptionsFromFlags(flags);
   EXPECT_EQ(options.profiler->hz, INT_MAX);
-  EXPECT_EQ(options.heap_profiler->sample_bytes, 0u);
 }
 
 TEST(RunManifestTest, CapturesArgvSeedsAndParams) {

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,12 +19,6 @@ namespace {
 
 using graph::UncertainGraph;
 using graph::UncertainGraphBuilder;
-
-constexpr Kernel kKernels[] = {Kernel::kGaussian, Kernel::kEpanechnikov};
-
-std::string KernelName(Kernel kernel) {
-  return kernel == Kernel::kGaussian ? "gaussian" : "epanechnikov";
-}
 
 /// Expected degrees of an ER-like uncertain graph: `m` uniform vertex
 /// pairs with p ~ U[0.2, 0.9]. Only the degree vector matters here, so
@@ -100,26 +93,21 @@ std::vector<std::size_t> TopH(const std::vector<double>& scores,
   return order;
 }
 
-/// Both kernels at `bandwidth` (0 = Silverman) agree with the pair-sum
-/// oracle to 1e-12 relative; with `check_exclusion`, they also pick the
-/// same exclusion sets at ε ∈ {0.01, 0.05, 0.1}.
+/// Scores at `bandwidth` (0 = Silverman) agree with the pair-sum oracle
+/// to 1e-12 relative; with `check_exclusion`, they also pick the same
+/// exclusion sets at ε ∈ {0.01, 0.05, 0.1}.
 void ExpectMatchesOracle(const std::vector<double>& values, double bandwidth,
                          bool check_exclusion) {
-  for (const Kernel kernel : kKernels) {
-    SCOPED_TRACE(KernelName(kernel));
-    UniquenessOptions options;
-    options.kernel = kernel;
-    options.bandwidth = bandwidth;
-    const Result<UniquenessScores> fast = ComputeUniqueness(values, options);
-    ASSERT_TRUE(fast.ok()) << fast.status().ToString();
-    const std::vector<double> oracle =
-        OracleUniqueness(values, kernel, fast->bandwidth);
-    EXPECT_LE(MaxRelativeDeviation(fast->scores, oracle), 1e-12);
-    if (!check_exclusion) continue;
-    for (const double epsilon : {0.01, 0.05, 0.1}) {
-      EXPECT_EQ(TopH(fast->scores, epsilon), TopH(oracle, epsilon))
-          << "epsilon " << epsilon;
-    }
+  UniquenessOptions options;
+  options.bandwidth = bandwidth;
+  const Result<UniquenessScores> fast = ComputeUniqueness(values, options);
+  ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+  const std::vector<double> oracle = OracleUniqueness(values, fast->bandwidth);
+  EXPECT_LE(MaxRelativeDeviation(fast->scores, oracle), 1e-12);
+  if (!check_exclusion) return;
+  for (const double epsilon : {0.01, 0.05, 0.1}) {
+    EXPECT_EQ(TopH(fast->scores, epsilon), TopH(oracle, epsilon))
+        << "epsilon " << epsilon;
   }
 }
 
@@ -189,18 +177,6 @@ TEST(ComputeUniquenessTest, MatchesDirectKernelSum) {
   }
 }
 
-TEST(ComputeUniquenessTest, EpanechnikovHasCompactSupport) {
-  const std::vector<double> values = {0.0, 10.0};
-  UniquenessOptions options;
-  options.kernel = Kernel::kEpanechnikov;
-  options.bandwidth = 1.0;
-  const Result<UniquenessScores> scores = ComputeUniqueness(values, options);
-  ASSERT_TRUE(scores.ok());
-  // The other vertex is outside the kernel support: C = 1, U = 1.
-  EXPECT_DOUBLE_EQ(scores->scores[0], 1.0);
-  EXPECT_DOUBLE_EQ(scores->scores[1], 1.0);
-}
-
 TEST(ComputeUniquenessTest, RejectsBadInputs) {
   const auto rejected = [](const std::vector<double>& values,
                            const UniquenessOptions& options) {
@@ -231,21 +207,17 @@ TEST(ComputeUniquenessTest, RejectsBadInputs) {
 
 TEST(ComputeUniquenessTest, DeterministicAcrossWorkerCounts) {
   const std::vector<double> values = ChungLuDegrees(20000, 100000, 2.5, 5);
-  for (const Kernel kernel : kKernels) {
-    SCOPED_TRACE(KernelName(kernel));
-    UniquenessOptions options;
-    options.kernel = kernel;
-    options.threads = 1;
-    const Result<UniquenessScores> serial = ComputeUniqueness(values, options);
-    ASSERT_TRUE(serial.ok());
-    for (const int threads : {2, 7, 8}) {
-      options.threads = threads;
-      const Result<UniquenessScores> parallel =
-          ComputeUniqueness(values, options);
-      ASSERT_TRUE(parallel.ok());
-      // Bitwise, not approximate.
-      EXPECT_EQ(parallel->scores, serial->scores) << threads << " threads";
-    }
+  UniquenessOptions options;
+  options.threads = 1;
+  const Result<UniquenessScores> serial = ComputeUniqueness(values, options);
+  ASSERT_TRUE(serial.ok());
+  for (const int threads : {2, 7, 8}) {
+    options.threads = threads;
+    const Result<UniquenessScores> parallel =
+        ComputeUniqueness(values, options);
+    ASSERT_TRUE(parallel.ok());
+    // Bitwise, not approximate.
+    EXPECT_EQ(parallel->scores, serial->scores) << threads << " threads";
   }
 }
 
@@ -311,17 +283,12 @@ TEST(UniquenessOracleTest, RelabellingPermutesScoresBitwise) {
   std::shuffle(perm.begin(), perm.end(), rng);
   std::vector<double> permuted(values.size());
   for (std::size_t v = 0; v < values.size(); ++v) permuted[v] = values[perm[v]];
-  for (const Kernel kernel : kKernels) {
-    SCOPED_TRACE(KernelName(kernel));
-    UniquenessOptions options;
-    options.kernel = kernel;
-    const Result<UniquenessScores> a = ComputeUniqueness(values, options);
-    const Result<UniquenessScores> b = ComputeUniqueness(permuted, options);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    for (std::size_t v = 0; v < values.size(); ++v) {
-      ASSERT_EQ(b->scores[v], a->scores[perm[v]]) << "vertex " << v;
-    }
+  const Result<UniquenessScores> a = ComputeUniqueness(values, {});
+  const Result<UniquenessScores> b = ComputeUniqueness(permuted, {});
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  for (std::size_t v = 0; v < values.size(); ++v) {
+    ASSERT_EQ(b->scores[v], a->scores[perm[v]]) << "vertex " << v;
   }
 }
 

@@ -73,9 +73,10 @@ std::string WriteStream(const std::string& name, const std::string& body) {
 
 /// A stream mixing known records, a privacy_check, three records of a
 /// type from "the future", and the status_server, watchdog_stall,
-/// hw_counters and hw_counters_unavailable records that builds before
-/// the status server's, the stall watchdog's and the hardware-counter
-/// engine's removal wrote.
+/// hw_counters, hw_counters_unavailable, heap_profile, heap_timeline and
+/// heap_profiler_unavailable records that builds before the status
+/// server's, the stall watchdog's, the hardware-counter engine's and the
+/// heap profiler's removal wrote.
 std::string MixedStream() {
   return
       "{\"type\":\"manifest\",\"tool\":\"future_tool\","
@@ -117,7 +118,35 @@ std::string MixedStream() {
       "\"branch_miss_rate\":0.003906,\"class\":\"balanced\"}\n"
       "{\"type\":\"hw_counters_unavailable\",\"t_ms\":4,"
       "\"reason\":\"perf_event_paranoid\"}\n"
+      "{\"type\":\"heap_profile\",\"t_ms\":4,"
+      "\"span_path\":\"mc_reliability/load_graph\",\"samples\":5,"
+      "\"cum_bytes\":262144,\"cum_allocs\":5,\"live_bytes\":131072,"
+      "\"live_allocs\":1,\"peak_bytes\":196608,\"leak_bytes\":131072,"
+      "\"allowlisted\":false,\"sample_bytes\":4096,\"scale\":1,"
+      "\"frames\":[\"operator new(unsigned long)\","
+      "\"chameleon::graph::UncertainGraphBuilder::AddEdge(...)\"]}\n"
+      "{\"type\":\"heap_timeline\",\"t_ms\":4,\"sample_bytes\":4096,"
+      "\"duration_ms\":595.8,\"samples\":70,\"dropped\":0,\"sites\":34,"
+      "\"est_cum_bytes\":974127,\"est_cum_allocs\":1200,"
+      "\"est_live_bytes\":320864,\"est_peak_bytes\":603980,"
+      "\"exact_cum_bytes\":1158676,\"exact_cum_allocs\":8771,"
+      "\"points\":[{\"mono_ns\":1000,\"live_bytes\":0,\"cum_bytes\":0,"
+      "\"cum_allocs\":0,\"rss_kb\":5240}]}\n"
+      "{\"type\":\"heap_profiler_unavailable\",\"t_ms\":4,"
+      "\"reason\":\"heap profiling not requested (--heap_profile)\"}\n"
       "{\"type\":\"run_summary\",\"t_ms\":5,\"wall_ms\":12.5}\n";
+}
+
+/// The heap profiler's three record types are unknown like any other:
+/// one note each, and no report or live line.
+void ExpectHeapRecordsPassThrough(const RunResult& result) {
+  for (const char* type : {"\"heap_profile\"", "\"heap_timeline\"",
+                           "\"heap_profiler_unavailable\""}) {
+    EXPECT_EQ(CountOccurrences(result.stderr_text, type), 1u)
+        << type << "\n" << result.stderr_text;
+  }
+  EXPECT_EQ(result.stdout_text.find("heap profile"), std::string::npos)
+      << result.stdout_text;
 }
 
 TEST(ObsDumpForwardCompatTest, UnknownTypesPassThroughWithOneNote) {
@@ -162,19 +191,22 @@ TEST(ObsDumpForwardCompatTest, UnknownTypesPassThroughWithOneNote) {
       << result.stderr_text;
   EXPECT_EQ(result.stdout_text.find("hw counters"), std::string::npos)
       << result.stdout_text;
-  // So is the status server's record.
+  // So is the status server's record, and so are the heap profiler's.
   EXPECT_EQ(CountOccurrences(result.stderr_text, "\"status_server\""), 1u)
       << result.stderr_text;
   EXPECT_EQ(result.stdout_text.find("status_server"), std::string::npos)
       << result.stdout_text;
+  ExpectHeapRecordsPassThrough(result);
   std::remove(path.c_str());
 }
 
-TEST(ObsDumpForwardCompatTest, HwViewIsAUsageError) {
-  const std::string path = WriteStream("fc_hw.jsonl", MixedStream());
-  const RunResult result =
-      RunCommand(std::string(OBS_DUMP_BIN) + " --hw " + path);
-  EXPECT_EQ(result.exit_code, 2) << result.stderr_text;
+TEST(ObsDumpForwardCompatTest, RemovedViewsAreUsageErrors) {
+  const std::string path = WriteStream("fc_views.jsonl", MixedStream());
+  for (const char* view : {"--hw", "--heap", "--heap_sort=live"}) {
+    const RunResult result = RunCommand(std::string(OBS_DUMP_BIN) + " " +
+                                        view + " " + path);
+    EXPECT_EQ(result.exit_code, 2) << view << "\n" << result.stderr_text;
+  }
   std::remove(path.c_str());
 }
 
@@ -243,6 +275,7 @@ TEST(FollowForwardCompatTest, UnknownTypesPassThroughWithOneNote) {
       << result.stderr_text;
   EXPECT_EQ(result.stdout_text.find("status_server"), std::string::npos)
       << result.stdout_text;
+  ExpectHeapRecordsPassThrough(result);
   std::remove(path.c_str());
 }
 
@@ -406,9 +439,16 @@ TEST(ToolSmokeTest, ObfCheckClassifiesCommittedFixtures) {
   EXPECT_NE(bad.stdout_text.find("VIOLATED"), std::string::npos)
       << bad.stdout_text;
 
-  // Usage errors exit 2.
+  // Usage errors exit 2, among them --kernel, which older builds took.
   const RunResult usage = RunCommand(std::string(OBF_CHECK_BIN));
   EXPECT_EQ(usage.exit_code, 2);
+  const RunResult kernel =
+      RunCommand(std::string(OBF_CHECK_BIN) + " --kernel=gaussian --k=8 " +
+                 "--eps=0.05 " + dir + "/graphs/cycle_obfuscated.edges");
+  EXPECT_EQ(kernel.exit_code, 2) << kernel.stdout_text;
+  EXPECT_NE(kernel.stderr_text.find("unknown flag --kernel"),
+            std::string::npos)
+      << kernel.stderr_text;
   // Runtime errors (missing graph) exit 1.
   const RunResult missing =
       RunCommand(std::string(OBF_CHECK_BIN) + " /nonexistent.edges");

@@ -119,8 +119,6 @@ int Run(int argc, char** argv) {
   flags.AddString("csv", "", "write the per-vertex CSV here");
   flags.AddDouble("bandwidth", 0.0,
                   "uniqueness kernel bandwidth (0 = Silverman's rule)");
-  flags.AddString("kernel", "gaussian",
-                  "uniqueness kernel: gaussian | epanechnikov");
   obs::AddObsFlags(flags);
   if (const std::optional<int> exit_code = obs::ParseToolFlags(
           flags, "chameleon_obf_check", argc, argv)) {
@@ -153,15 +151,6 @@ int Run(int argc, char** argv) {
   privacy::UniquenessOptions uniqueness_options;
   uniqueness_options.bandwidth = flags.GetDouble("bandwidth");
   uniqueness_options.threads = options.threads;
-  const std::string& kernel = flags.GetString("kernel");
-  if (kernel == "gaussian") {
-    uniqueness_options.kernel = privacy::Kernel::kGaussian;
-  } else if (kernel == "epanechnikov") {
-    uniqueness_options.kernel = privacy::Kernel::kEpanechnikov;
-  } else {
-    std::fprintf(stderr, "error: unknown --kernel=%s\n", kernel.c_str());
-    return 2;
-  }
 
   if (Status s = obs::InstallCrashForensics(); !s.ok()) {
     std::fprintf(stderr, "warning: crash forensics disabled: %s\n",

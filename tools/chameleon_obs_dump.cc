@@ -103,8 +103,7 @@ struct DumpResult {
 constexpr std::string_view kStoredTypes[] = {
     "manifest", "run_summary", "graph_summary", "profile", "privacy_check",
     "sigma_search", "anonymize_attempt", "relevance_progress", "crash",
-    "flight_event_dump", "heap_profile", "heap_timeline",
-    "heap_profiler_unavailable"};
+    "flight_event_dump"};
 
 /// Self time: a phase's total minus the time attributed to nested phases
 /// (clamped at 0 — overlapping spans can over-subtract). Each phase
@@ -605,22 +604,6 @@ void PrintReport(const DumpResult& dump, const std::string& sort_key,
                 last.Num("dropped"));
   }
 
-  const std::vector<JsonValue>& heap_sites = dump.Of("heap_profile");
-  const std::vector<JsonValue>& heap_timelines = dump.Of("heap_timeline");
-  if (!heap_sites.empty() || !heap_timelines.empty()) {
-    std::printf("\nheap profile: %zu site(s), %.0f samples; rerun with "
-                "--heap for the allocation table\n",
-                heap_sites.size(),
-                heap_timelines.empty() ? 0.0
-                                       : heap_timelines.back().Num("samples"));
-  } else if (!dump.Of("heap_profiler_unavailable").empty()) {
-    std::printf("\nheap profiler unavailable: %s\n",
-                dump.Of("heap_profiler_unavailable")
-                    .front()
-                    .Str("reason", "?")
-                    .c_str());
-  }
-
   const std::vector<std::pair<std::string, double>> counters =
       SummaryCounters(dump);
   if (!counters.empty()) {
@@ -696,115 +679,6 @@ int PrintFlame(const DumpResult& dump, std::int64_t top) {
   return 0;
 }
 
-/// The --heap view: "who owns the heap at peak?" — the per-site sampled
-/// allocation table from the run's "heap_profile" records, sorted by
-/// `sort` (cum | live | peak | leak), biggest first, with the process-
-/// wide timeline headline on top.
-int PrintHeap(const DumpResult& dump, const std::string& sort_key,
-              std::int64_t top) {
-  const std::vector<JsonValue>& sites = dump.Of("heap_profile");
-  const std::vector<JsonValue>& timelines = dump.Of("heap_timeline");
-  if (sites.empty() && timelines.empty()) {
-    if (!dump.Of("heap_profiler_unavailable").empty()) {
-      std::fprintf(stderr, "heap profiler unavailable: %s\n",
-                   dump.Of("heap_profiler_unavailable")
-                       .front()
-                       .Str("reason", "?")
-                       .c_str());
-    } else {
-      std::fprintf(stderr,
-                   "no heap_profile records found (rerun the tool with "
-                   "--heap_profile=heap.folded)\n");
-    }
-    return 1;
-  }
-
-  if (!timelines.empty()) {
-    const JsonValue& t = timelines.back();
-    std::printf("heap profile: %.0f samples over %.1f ms at 1/%.0f bytes "
-                "(%.0f dropped, %.0f sites)\n",
-                t.Num("samples"), t.Num("duration_ms"), t.Num("sample_bytes"),
-                t.Num("dropped"), t.Num("sites"));
-    std::printf("  estimated: cum %.3f MiB, live-at-end %.3f MiB, "
-                "peak %.3f MiB\n",
-                t.Num("est_cum_bytes") / 1048576.0,
-                t.Num("est_live_bytes") / 1048576.0,
-                t.Num("est_peak_bytes") / 1048576.0);
-    std::printf("  exact:     cum %.3f MiB across %.0f allocations\n",
-                t.Num("exact_cum_bytes") / 1048576.0,
-                t.Num("exact_cum_allocs"));
-    // The RSS trajectory: last and peak over the timeline points.
-    std::size_t points = 0;
-    double last_rss_kb = 0.0;
-    double peak_rss_kb = 0.0;
-    if (const JsonValue* trajectory = t.Get("points")) {
-      for (const JsonValue& point : trajectory->elements()) {
-        const JsonValue* rss = point.Get("rss_kb", kNumber);
-        if (rss == nullptr) continue;
-        ++points;
-        last_rss_kb = rss->number();
-        peak_rss_kb = std::max(peak_rss_kb, last_rss_kb);
-      }
-    }
-    if (points > 0) {
-      std::printf("  rss: last %.0f kb, peak %.0f kb over %zu timeline "
-                  "points\n",
-                  last_rss_kb, peak_rss_kb, points);
-    }
-  }
-  if (sites.empty()) {
-    std::printf("(no per-site records — the run allocated less than one "
-                "sampling interval)\n");
-    return 0;
-  }
-
-  const std::string key = sort_key == "live"   ? "live_bytes"
-                          : sort_key == "peak" ? "peak_bytes"
-                          : sort_key == "leak" ? "leak_bytes"
-                                               : "cum_bytes";
-  std::vector<const JsonValue*> rows;
-  for (const JsonValue& site : sites) rows.push_back(&site);
-  std::sort(rows.begin(), rows.end(),
-            [&key](const JsonValue* a, const JsonValue* b) {
-              return a->Num(key) > b->Num(key);
-            });
-  if (top > 0 && static_cast<std::size_t>(top) < rows.size()) {
-    rows.resize(static_cast<std::size_t>(top));
-  }
-
-  std::size_t width = 9;
-  for (const JsonValue* row : rows) {
-    width = std::max(width, row->Str("span_path", "?").size());
-  }
-  std::printf("\n%-*s %8s %12s %10s %12s %12s %12s\n",
-              static_cast<int>(width), "span path", "samples", "cum MiB",
-              "allocs", "live KiB", "peak KiB", "leak KiB");
-  for (const JsonValue* row : rows) {
-    std::printf("%-*s %8.0f %12.3f %10.0f %12.1f %12.1f %12.1f%s\n",
-                static_cast<int>(width), row->Str("span_path", "?").c_str(),
-                row->Num("samples"), row->Num("cum_bytes") / 1048576.0,
-                row->Num("cum_allocs"), row->Num("live_bytes") / 1024.0,
-                row->Num("peak_bytes") / 1024.0,
-                row->Num("leak_bytes") / 1024.0,
-                row->Flag("allowlisted") ? "  [allowlisted]" : "");
-    // The innermost non-allocator frame names the allocating code; one
-    // line keeps the table scannable while still answering "who".
-    const JsonValue* frames = row->Get("frames");
-    if (frames == nullptr) continue;
-    for (const JsonValue& frame : frames->elements()) {
-      const std::string& name = frame.str();
-      if (name.compare(0, 12, "operator_new") == 0 ||
-          name.compare(0, 12, "operator new") == 0) {
-        continue;
-      }
-      std::printf("%-*s   ^ %s\n", static_cast<int>(width), "",
-                  name.c_str());
-      break;
-    }
-  }
-  return 0;
-}
-
 /// The --chrome_trace view: spans become complete events on one track
 /// per thread, snapshots instant markers, progress counter tracks.
 int WriteChromeTrace(const std::string& path, const std::string& out) {
@@ -837,11 +711,6 @@ int Run(int argc, char** argv) {
   flags.AddBool("flame", false,
                 "print the per-span self-CPU sample table from the last "
                 "profiler capture instead of the timing report");
-  flags.AddBool("heap", false,
-                "print the sampled heap-allocation site table instead of "
-                "the timing report (sort with --heap_sort)");
-  flags.AddString("heap_sort", "cum",
-                  "heap table order: cum | live | peak | leak");
   flags.AddBool("follow", false,
                 "tail a stream still being written: one line per progress "
                 "record as it lands, then the report once the run_summary "
@@ -876,10 +745,6 @@ int Run(int argc, char** argv) {
   }
   if (flags.GetBool("flame")) {
     return PrintFlame(*dump, flags.GetInt64("top"));
-  }
-  if (flags.GetBool("heap")) {
-    return PrintHeap(*dump, flags.GetString("heap_sort"),
-                     flags.GetInt64("top"));
   }
   // Forward-compat: one debug note per distinct unrecognized type. A
   // stream written by a newer tool still dumps — whatever this build
