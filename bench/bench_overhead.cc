@@ -1,7 +1,7 @@
 // The overhead gates of the observability layer, all in one binary:
 //
-//   chameleon_bench_overhead --out=BENCH_overhead.json   # all six gates
-//   chameleon_bench_overhead --filter=flight              # one gate
+//   chameleon_bench_overhead --out=BENCH_overhead.json   # all five gates
+//   chameleon_bench_overhead --filter=span                # one gate
 //
 // Each gate times a baseline arm against the same loop with one engine's
 // hook in it, under the harness's paired rule (RunPairedGate): calibrate
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "chameleon/graph/uncertain_graph.h"
-#include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/parallel_stats.h"
 #include "chameleon/obs/profiler.h"
@@ -234,52 +233,6 @@ Result<GateOutcome> Gate(int reps) {
 }  // namespace profiler
 
 // --------------------------------------------------------------------------
-// flight: a sampling-style inner loop with one CHOBS_FLIGHT_EVENT per
-// iteration, dormant, against the same loop bare. This is the density
-// worst case — real call sites record per phase / heartbeat / graph op,
-// not per world — so passing here bounds every realistic placement.
-// --------------------------------------------------------------------------
-namespace flight {
-
-constexpr double kBudget = 0.02;
-
-/// A world-sampling stand-in: per iteration, a handful of RNG draws and
-/// an accumulate — comparable work to flipping the edges of a small
-/// world. `instrumented` adds the dormant macro per iteration.
-template <bool instrumented>
-double TimeLoop(std::size_t iterations) {
-  Rng rng(kSeed);
-  std::uint64_t acc = 0;
-  const std::uint64_t start = MonotonicNanos();
-  for (std::size_t i = 0; i < iterations; ++i) {
-    for (int draw = 0; draw < 16; ++draw) {
-      acc += rng.UniformInt(1u << 20);
-    }
-    if constexpr (instrumented) {
-      CHOBS_FLIGHT_EVENT(kCheckpoint, "bench_tick", i, iterations);
-    }
-  }
-  const std::uint64_t stop = MonotonicNanos();
-  bench::DoNotOptimize(acc);
-  return static_cast<double>(stop - start);
-}
-
-Result<GateOutcome> Gate(int reps) {
-  const std::uint64_t recorded_before = obs::FlightEventsRecorded();
-  GateOutcome outcome{
-      bench::RunPairedGate("BM_SampleLoop_Bare", TimeLoop<false>,
-                           "BM_SampleLoop_DormantFlightEvent",
-                           TimeLoop<true>, kBudget, reps),
-      {}};
-  if (obs::FlightEventsRecorded() != recorded_before) {
-    return Status::Internal("the dormant macro recorded flight events");
-  }
-  return outcome;
-}
-
-}  // namespace flight
-
-// --------------------------------------------------------------------------
 // parallel: a loop of small ParallelForBlocks regions, dormant, against
 // the same regions run by a bare replica of the pre-instrumentation
 // fork-join path. With obs dormant the only additions on the real path
@@ -432,9 +385,9 @@ Result<GateOutcome> Gate(int reps) {
                            "BM_SpanLoop_DormantSpan", TimeLoop<true>,
                            kBudget, reps),
       {}};
-  if (obs::GlobalMetrics().TakeSnapshot().FindHistogram(
-          "span/bench/span_tick") != nullptr) {
-    return Status::Internal("dormant spans recorded span latencies");
+  CHOBS_SPAN(probe, "bench/span_tick");
+  if (probe.active() || obs::CurrentSpanPathId() != 0) {
+    return Status::Internal("a dormant span opened");
   }
   return outcome;
 }
@@ -506,7 +459,6 @@ Result<GateOutcome> Gate(int reps) {
 
 CHAMELEON_GATE(obs_dormant, Dormant(obs_dormant::Gate));
 CHAMELEON_GATE(profiler, Dormant(profiler::Gate));
-CHAMELEON_GATE(flight, Dormant(flight::Gate));
 CHAMELEON_GATE(parallel, Dormant(parallel::Gate));
 CHAMELEON_GATE(span, Dormant(span::Gate));
 CHAMELEON_GATE(heap_dormant, Dormant(heap::Gate));

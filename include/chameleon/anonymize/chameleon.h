@@ -38,8 +38,8 @@
 ///
 /// Observability: `anonymize/driver` spans, one `anonymize_attempt`
 /// JSONL record per GenObf attempt, one `sigma_search` record per σ
-/// level plus a final summary record, flight events per level, and the
-/// relevance estimator's own `relevance_progress` checkpoints.
+/// level plus a final summary record, and the relevance estimator's own
+/// `relevance_progress` checkpoints.
 ///
 /// Determinism: uniqueness, relevance, GenObf, and the verifier all use
 /// fixed-block parallel reductions, and every stochastic choice draws

@@ -105,9 +105,9 @@ class ConvergenceTracker {
 
   ConvergenceSnapshot Snapshot() const;
 
-  /// Emits the final estimator_progress record (idempotent; the
-  /// destructor calls Finish(false) if nobody did) and publishes
-  /// convergence gauges so the stopping decision lands in run_summary.
+  /// Emits the final estimator_progress record, which carries the
+  /// stopping decision (idempotent; the destructor calls Finish(false)
+  /// if nobody did).
   void Finish(bool stopped_early);
 
   /// Number of estimator_progress records written (throttle tests).

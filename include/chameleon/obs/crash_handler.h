@@ -9,9 +9,7 @@
 ///      active span path, process rusage, and a symbolized
 ///      frame-pointer backtrace (reusing the profiler's walker and
 ///      symbolizer);
-///   2. a `flight_event_dump` record — every thread's flight-recorder
-///      ring tail (via FinalizeRunForSignal);
-///   3. the signal-annotated `run_summary`;
+///   2. the signal-annotated `run_summary` (via FinalizeRunForSignal);
 ///
 /// then restores the default disposition and re-raises, so the process
 /// still dies by the original signal (correct wait status, core dumps
@@ -25,32 +23,20 @@
 /// because the process is already dead and the alternative is learning
 /// nothing from a multi-hour run. That is the same documented trade-off
 /// as FinalizeRun on SIGINT; a handler that wedges (e.g. a lock held by
-/// the crashed thread) is killed by the alarm, and SA_RESETHAND makes a
-/// recursive fault die immediately by default disposition.
+/// the crashed thread) is killed by a 5 s alarm, and SA_RESETHAND makes
+/// a recursive fault die immediately by default disposition.
 
 #include "chameleon/util/status.h"
 
 namespace chameleon {
 namespace obs {
 
-struct CrashHandlerOptions {
-  /// Also dump the flight recorder + run_summary via
-  /// FinalizeRunForSignal after the crash record.
-  bool finalize_run = true;
-  /// Hard deadline, in seconds, between handler entry and process
-  /// death: alarm() with default SIGALRM disposition kills the process
-  /// if forensics wedge on a lock the crashed thread held.
-  unsigned deadline_seconds = 5;
-};
-
-/// Installs the handlers (idempotent; later calls update the options).
-/// Also registers the calling thread with the profiler so its stack
-/// bounds are known to the walker. Returns Unimplemented off Linux;
-/// tools treat that as a warning, not an error.
-Status InstallCrashHandler(const CrashHandlerOptions& options = {});
-
-/// True once InstallCrashHandler succeeded in this process.
-bool CrashHandlerInstalled();
+/// Installs the handlers (idempotent). The one call every tool main()
+/// makes right after flag parsing. Also registers the calling thread
+/// with the profiler so its stack bounds are known to the walker.
+/// Returns Unimplemented off Linux; tools treat that as a warning, not
+/// an error.
+Status InstallCrashHandler();
 
 /// "SIGSEGV" / "SIGABRT" / "SIGBUS" / "SIGFPE", or "signal" for
 /// anything else. Async-signal-safe (static strings).

@@ -3,7 +3,6 @@
 
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "chameleon/obs/metrics.h"
 #include "chameleon/obs/profiler.h"
@@ -28,7 +27,7 @@
 ///   }
 ///   if (Status s = obs::InitObservability(obs::ObsOptionsFromFlags(flags));
 ///       !s.ok()) { ... exit 1 ... }
-///   ... run phases, obs::EmitSnapshot("phase_name") after each ...
+///   ... run phases ...
 ///   obs::ShutdownObservability();   // writes the final run_summary
 
 namespace chameleon {
@@ -66,8 +65,8 @@ struct ObsOptions {
 /// the process still dies by that signal afterwards.
 Status InitObservability(const ObsOptions& options = {});
 
-/// Emits the "run_summary" record (total wall time + full metrics
-/// snapshot), flushes the sink, and disables the runtime switch.
+/// Emits the "run_summary" record (total wall time + the registry's
+/// counters), flushes the sink, and disables the runtime switch.
 /// No-op when disabled.
 void ShutdownObservability();
 
@@ -81,26 +80,22 @@ void AddObsFlags(FlagSet& flags);
 ObsOptions ObsOptionsFromFlags(const FlagSet& flags);
 
 /// Finalizes the run exactly as the termination hooks do on a fatal
-/// signal: stops the profiler, dumps the flight recorder, then writes a
-/// run_summary annotated with `signal_number` (>= 0). Idempotent (the
-/// first finalizer wins). The crash handler calls this after its `crash`
-/// record; normal code wants ShutdownObservability() instead.
+/// signal: stops the profiler, then writes a run_summary annotated with
+/// `signal_number` (>= 0). Idempotent (the first finalizer wins). The
+/// crash handler calls this after its `crash` record; normal code wants
+/// ShutdownObservability() instead.
 void FinalizeRunForSignal(int signal_number);
 
 /// Runtime switch; one relaxed atomic load.
 bool Enabled();
 
-/// The registry behind the CHOBS_* macros (always usable, even when
+/// The registry behind CHOBS_COUNT (always usable, even when
 /// disabled — tests drive it directly).
 MetricsRegistry& GlobalMetrics();
 
 /// Global tracer / sink; null until InitObservability() succeeds.
 Tracer* GlobalTracer();
 RecordSink* GlobalSink();
-
-/// Writes a labelled full-registry snapshot record to the sink. Call at
-/// phase boundaries. No-op when disabled.
-void EmitSnapshot(std::string_view label);
 
 /// Test hook: flips the runtime switch without touching sink/tracer.
 void SetEnabledForTesting(bool enabled);
@@ -118,22 +113,6 @@ void SetEnabledForTesting(bool enabled);
     if (::chameleon::obs::Enabled()) {                        \
       ::chameleon::obs::GlobalMetrics().Count((name), (delta)); \
     }                                                         \
-  } while (0)
-
-/// Sets gauge `name` (no-op while disabled).
-#define CHOBS_GAUGE(name, value)                                   \
-  do {                                                             \
-    if (::chameleon::obs::Enabled()) {                             \
-      ::chameleon::obs::GlobalMetrics().SetGauge((name), (value)); \
-    }                                                              \
-  } while (0)
-
-/// Records a latency observation (no-op while disabled).
-#define CHOBS_OBSERVE(name, nanos)                                 \
-  do {                                                             \
-    if (::chameleon::obs::Enabled()) {                             \
-      ::chameleon::obs::GlobalMetrics().Observe((name), (nanos));  \
-    }                                                              \
   } while (0)
 
 /// Declares an RAII trace span named `var` on the global tracer.

@@ -15,13 +15,8 @@
 /// *which* of serial fraction, load imbalance, or fan-out overhead is to
 /// blame. The instrumentation only times the existing block claims; block
 /// boundaries and merge order are untouched, so the bit-identical-across-
-/// worker-counts guarantee survives.
-///
-/// Two consumers:
-///  - the JSONL stream (`parallel_region` records, rendered by
-///    obs_dump);
-///  - the metrics registry (per-region-name busy/idle/overhead counters
-///    plus a wall-time histogram, in every snapshot and the run_summary).
+/// worker-counts guarantee survives. obs_dump's "parallel regions" table
+/// sums the records per call site.
 
 namespace chameleon::obs {
 
@@ -71,9 +66,9 @@ struct ParallelRegionStats {
 /// interaction; exposed for tests).
 std::string FormatParallelRegionRecord(const ParallelRegionStats& stats);
 
-/// Emits the record to the global sink (when one is configured) and bumps
-/// the per-region-name metrics counters. ParallelForBlocks calls this
-/// after join; it is safe with observability half-configured (null sink).
+/// Emits the record to the global sink (when one is configured).
+/// ParallelForBlocks calls this after join; it is safe with
+/// observability half-configured (null sink).
 void RecordParallelRegion(const ParallelRegionStats& stats);
 
 /// Total `parallel_region` records ever recorded (relaxed counter).

@@ -16,12 +16,12 @@
 ///   ProgressHeartbeat progress("reliability/sample_worlds", num_worlds);
 ///   for (std::size_t w = 0; w < num_worlds; ++w) {
 ///     ...
-///     progress.Tick(w + 1, accepted, attempted);
+///     progress.Tick(w + 1);
 ///   }
 ///   // Finish() is implicit in the destructor.
 ///
-/// Reports include throughput (units/s), an ETA from the current rate,
-/// and an optional acceptance rate (accepted/attempted).
+/// Reports include throughput (units/s) and an ETA from the current
+/// rate.
 
 namespace chameleon::obs {
 
@@ -47,10 +47,7 @@ class ProgressHeartbeat {
   CHAMELEON_DISALLOW_COPY_AND_ASSIGN(ProgressHeartbeat);
 
   /// Records progress; emits a report if the throttle interval elapsed.
-  /// `accepted`/`attempted` feed the acceptance-rate field when
-  /// `attempted` > 0.
-  void Tick(std::uint64_t done_units, std::uint64_t accepted = 0,
-            std::uint64_t attempted = 0);
+  void Tick(std::uint64_t done_units);
 
   /// Emits the final report (idempotent; called by the destructor).
   void Finish();
@@ -69,8 +66,6 @@ class ProgressHeartbeat {
   std::uint64_t start_nanos_;
   std::uint64_t last_emit_nanos_ = 0;
   std::uint64_t done_units_ = 0;
-  std::uint64_t accepted_ = 0;
-  std::uint64_t attempted_ = 0;
   std::uint64_t emit_count_ = 0;
 };
 

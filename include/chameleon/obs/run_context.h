@@ -8,8 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "chameleon/util/status.h"
-
 /// \file run_context.h
 /// Run provenance: which build, config, seeds, and host produced a JSONL
 /// stream. A RunManifest is emitted as the first record of a run
@@ -120,13 +118,6 @@ class RunManifest {
 /// observability is disabled; call right after InitObservability() so the
 /// manifest is the stream's first record.
 void EmitRunManifest(const RunManifest& manifest);
-
-/// Installs the crash-forensics handlers (SIGSEGV/SIGABRT/SIGBUS/SIGFPE
-/// -> `crash` record + flight-recorder dump + signal-annotated
-/// run_summary, then re-raise; see crash_handler.h). The one call every
-/// tool main() makes right after flag parsing; failure (non-Linux) is a
-/// warning, never fatal.
-Status InstallCrashForensics();
 
 }  // namespace chameleon::obs
 

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "chameleon/obs/metrics.h"
 #include "chameleon/obs/sink.h"
 #include "chameleon/util/common.h"
 #include "chameleon/util/timer.h"
@@ -15,11 +14,9 @@
 /// \file trace.h
 /// Hierarchical phase tracing. A TraceSpan is an RAII scope whose path is
 /// built from the enclosing spans on the same thread, e.g.
-/// `anonymize/genobf/trial[3]/sample_worlds`. On close a span emits one
-/// JSONL "span" record to the tracer's sink and records its duration into
-/// the metrics histogram `span/<path-without-[indices]>`, so per-phase
-/// latency distributions aggregate across loop iterations while the trace
-/// keeps the individual iterations apart.
+/// `anonymize/relevance/sample_worlds`. On close a span emits one JSONL
+/// "span" record to the tracer's sink; obs_dump aggregates the records
+/// into its per-phase table.
 ///
 /// Each span record also carries per-phase resource accounting (deltas
 /// between open and close on the owning thread): thread CPU time, the
@@ -57,7 +54,7 @@ std::uint64_t ThreadCpuNanos();
 std::uint32_t CurrentThreadIndex();
 
 /// Removes every `[...]` segment: "genobf/trial[3]/sample" ->
-/// "genobf/trial/sample". Used to keep metric-name cardinality static.
+/// "genobf/trial/sample". obs_dump folds parallel-region names with it.
 std::string StripPathIndices(std::string_view path);
 
 /// Interns `path` into the process-global span-path table and returns its
@@ -87,8 +84,7 @@ std::uint32_t CurrentSpanPathId();
 
 /// Makes `id` the calling thread's innermost span path id without
 /// opening a span. A spawned ParallelForBlocks worker adopts the id of
-/// the span that forked it, so the flight recorder and crash handler
-/// file the worker's work under that span.
+/// the span that forked it, so a crash on the worker names that span.
 void AdoptSpanPathId(std::uint32_t id);
 
 /// Adds work that threads forked by the calling thread did on its behalf
@@ -101,22 +97,15 @@ void FoldIntoOpenSpans(std::uint64_t cpu_ns, std::uint64_t allocs,
 
 class Tracer {
  public:
-  /// Neither pointer is owned; both may outlive every span. `sink` may be
-  /// null (spans then only feed the metrics registry).
-  Tracer(RecordSink* sink, MetricsRegistry* metrics)
-      : sink_(sink), metrics_(metrics) {}
+  /// `sink` is not owned and may outlive every span; it may be null
+  /// (spans then keep their path but write no record).
+  explicit Tracer(RecordSink* sink) : sink_(sink) {}
   CHAMELEON_DISALLOW_COPY_AND_ASSIGN(Tracer);
 
-  /// Path of the innermost open span of this tracer on the calling
-  /// thread, or "" when none is open.
-  std::string CurrentPath() const;
-
   RecordSink* sink() const { return sink_; }
-  MetricsRegistry* metrics() const { return metrics_; }
 
  private:
   RecordSink* sink_;
-  MetricsRegistry* metrics_;
 };
 
 class TraceSpan {

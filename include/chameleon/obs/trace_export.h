@@ -11,7 +11,6 @@
 /// (the format chrome://tracing and ui.perfetto.dev load natively):
 ///   * span records   -> "X" complete events (ts/dur in microseconds on
 ///                       the monotonic clock), resource counters in args
-///   * snapshot       -> "i" instant events marking phase boundaries
 ///   * progress       -> "C" counter events (done units over time)
 ///   * manifest       -> process_name metadata + trace otherData
 /// Thread indices from span records become Chrome tids, so multi-threaded
@@ -21,7 +20,6 @@ namespace chameleon::obs {
 
 struct TraceExportStats {
   std::size_t spans = 0;
-  std::size_t snapshots = 0;
   std::size_t progress = 0;
   std::size_t skipped_lines = 0;
   bool saw_manifest = false;

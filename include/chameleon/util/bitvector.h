@@ -38,14 +38,6 @@ class BitVector {
 
   void ClearAll() { words_.assign(words_.size(), 0); }
 
-  std::size_t CountOnes() const {
-    std::size_t total = 0;
-    for (const std::uint64_t w : words_) {
-      total += static_cast<std::size_t>(std::popcount(w));
-    }
-    return total;
-  }
-
   /// Calls `fn(i)` for every set bit, in increasing order: one ctz per set
   /// bit, no per-bit branch. Bits past size() must be zero (Set/Clear
   /// keep this; writers through mutable_words() must too).

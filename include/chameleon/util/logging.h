@@ -12,13 +12,7 @@
 
 namespace chameleon {
 
-/// Messages below kInfo are dropped.
-enum class LogLevel : int {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-};
+enum class LogLevel { kInfo, kWarning, kError };
 
 namespace internal {
 
@@ -33,7 +27,7 @@ class LogMessage {
 
   template <typename T>
   LogMessage& operator<<(const T& value) {
-    if (enabled_) stream_ << value;
+    stream_ << value;
     return *this;
   }
 
@@ -42,7 +36,6 @@ class LogMessage {
   LogLevel level_;
   const char* file_;
   int line_;
-  bool enabled_;
 };
 
 [[noreturn]] void FailCheck(const char* condition, const char* file, int line,

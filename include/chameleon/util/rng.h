@@ -82,13 +82,6 @@ class Rng {
   /// lo <= hi.
   double TruncatedGaussian(double mean, double sigma, double lo, double hi);
 
-  /// Derives an independent child stream (for per-thread / per-phase
-  /// generators that must not share state with the parent).
-  Rng Split() {
-    const std::uint64_t child_seed = (*this)();
-    return Rng(child_seed);
-  }
-
  private:
   static std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -47,26 +47,6 @@ class RunningStats {
     if (x > max_) max_ = x;
   }
 
-  /// Folds `other` into this accumulator (Chan's parallel combination of
-  /// Welford states). Equivalent to having Add()ed every one of `other`'s
-  /// samples here, up to floating-point rounding; stable at billion-scale
-  /// counts because the mean update is weighted, never re-summed.
-  void Merge(const RunningStats& other) {
-    if (other.count_ == 0) return;
-    if (count_ == 0) {
-      *this = other;
-      return;
-    }
-    const double na = static_cast<double>(count_);
-    const double nb = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    mean_ += delta * nb / (na + nb);
-    m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
-    count_ += other.count_;
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-  }
-
   std::size_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
   /// Sample variance (n-1 denominator); 0 for fewer than two samples.

@@ -2,15 +2,16 @@
 """Validates the crash-forensics trail in a chameleon metrics JSONL file.
 
 Usage: check_crash.py <metrics.jsonl> [--signal=N] [--min-frames=K]
-           [--require-span] [--no-flight]
+           [--require-span]
 
 Passes when the stream holds a "crash" record whose signal matches
 --signal (when given), whose backtrace has at least --min-frames frames
 with at least one of them symbolized (a frame that names a function, not
-just a "module+0x..." fallback), and — unless --no-flight — a
-"flight_event_dump" record with at least one event. --require-span
-additionally demands the crash record name the span that was open at the
-fault. Exits 0 on success, 1 on a validation failure, 2 on usage errors.
+just a "module+0x..." fallback), and a "run_summary" stamped with the
+crash's signal: the evidence that the handler flushed the stream.
+--require-span additionally demands the crash record name the span that
+was open at the fault. Exits 0 on success, 1 on a validation failure, 2
+on usage errors.
 """
 import json
 import sys
@@ -25,7 +26,7 @@ def is_symbolized(frame):
 
 
 def load_records(path):
-    crashes, dumps, summaries = [], [], []
+    crashes, summaries = [], []
     with open(path, encoding="utf-8") as stream:
         for lineno, line in enumerate(stream, 1):
             line = line.strip()
@@ -38,18 +39,15 @@ def load_records(path):
             kind = obj.get("type")
             if kind == "crash":
                 crashes.append(obj)
-            elif kind == "flight_event_dump":
-                dumps.append(obj)
             elif kind == "run_summary":
                 summaries.append(obj)
-    return crashes, dumps, summaries
+    return crashes, summaries
 
 
 def main() -> int:
     want_signal = None
     min_frames = 1
     require_span = False
-    check_flight = True
     positional = []
     for arg in sys.argv[1:]:
         if arg.startswith("--signal="):
@@ -58,8 +56,6 @@ def main() -> int:
             min_frames = int(arg.split("=", 1)[1])
         elif arg == "--require-span":
             require_span = True
-        elif arg == "--no-flight":
-            check_flight = False
         else:
             positional.append(arg)
     if len(positional) != 1:
@@ -68,7 +64,7 @@ def main() -> int:
 
     path = positional[0]
     try:
-        crashes, dumps, summaries = load_records(path)
+        crashes, summaries = load_records(path)
     except (OSError, ValueError) as err:
         print(err, file=sys.stderr)
         return 1
@@ -99,26 +95,17 @@ def main() -> int:
         print(f"{path}: crash record has no span_path", file=sys.stderr)
         return 1
 
-    if check_flight:
-        if not dumps:
-            print(f"{path}: no flight_event_dump record", file=sys.stderr)
-            return 1
-        dump = dumps[-1]
-        if dump.get("events", 0) < 1:
-            print(f"{path}: flight_event_dump holds no events",
-                  file=sys.stderr)
-            return 1
+    if not any("signal" in summary and summary["signal"] == crash.get("signal")
+               for summary in summaries):
+        print(f"{path}: no run_summary stamped with signal "
+              f"{crash.get('signal')}", file=sys.stderr)
+        return 1
 
-    summary_note = ""
-    if summaries and "signal" in summaries[-1]:
-        summary_note = f", run_summary signal {summaries[-1]['signal']}"
     print(f"crash trail OK: {crash.get('signal_name', '?')} "
           f"(signal {crash.get('signal')}), {len(frames)} frames "
           f"({len(symbolized)} symbolized)"
           + (f", span {crash['span_path']}" if crash.get("span_path") else "")
-          + (f", flight dump with {dumps[-1]['events']} events"
-             if check_flight else "")
-          + summary_note)
+          + f", run_summary signal {crash.get('signal')}")
     return 0
 
 

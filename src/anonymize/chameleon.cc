@@ -8,7 +8,6 @@
 
 #include "chameleon/anonymize/perturbation.h"
 #include "chameleon/anonymize/rep_an.h"
-#include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/record.h"
 #include "chameleon/util/string_util.h"
@@ -255,8 +254,6 @@ Result<AnonymizeResult> Anonymize(const graph::UncertainGraph& graph,
     if (success) hi = sigma;
     EmitSigmaSearchRecord(variant, phase, level, sigma, lo, hi, success,
                           best_eps_hat, attempts_here, hi);
-    CHOBS_FLIGHT_EVENT(kCheckpoint, "anonymize/sigma_level", level,
-                       success ? 1 : 0);
     ++level;
     return success;
   };

@@ -7,7 +7,6 @@
 
 #include "chameleon/graph/union_find.h"
 #include "chameleon/obs/convergence.h"
-#include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/progress.h"
 #include "chameleon/obs/record.h"
@@ -293,8 +292,6 @@ Result<EdgeRelevance> EstimateRelevance(const graph::UncertainGraph& graph,
     done = round_end;
     next_checkpoint = round_end * 2;
     progress.Tick(done);
-    CHOBS_FLIGHT_EVENT(kCheckpoint, "anonymize/relevance", done,
-                       options.worlds);
 
     const double hw = obs::NormalCiHalfwidth(world_mass.variance(),
                                              world_mass.count(), kZ95);

@@ -16,7 +16,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/record.h"
 #include "chameleon/util/parallel.h"
@@ -427,8 +426,6 @@ Result<UncertainGraph> ParseEdgeListBlocks(std::string_view text,
     span.AddCount("lines", lines);
     span.AddCount("edges", graph->num_edges());
     CHOBS_COUNT("graph/io/edges_read", graph->num_edges());
-    CHOBS_FLIGHT_EVENT(kGraphOp, origin, graph->num_nodes(),
-                       graph->num_edges());
     EmitGraphSummary(*graph, origin);
   }
   return graph;
@@ -507,7 +504,6 @@ Status WriteEdgeListBlocks(const UncertainGraph& graph,
   }
   span.AddCount("edges", graph.num_edges());
   CHOBS_COUNT("graph/io/edges_written", graph.num_edges());
-  CHOBS_FLIGHT_EVENT(kGraphOp, path, graph.num_nodes(), graph.num_edges());
   return Status::OK();
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/record.h"
 #include "chameleon/util/timer.h"
@@ -119,9 +118,6 @@ void ConvergenceTracker::MaybeEmitLocked() {
 void ConvergenceTracker::EmitLocked(bool final, bool stopped_early) {
   if (options_.sink == nullptr) return;
   const ConvergenceSnapshot s = SnapshotLocked();
-  // Estimator checkpoints feed the flight recorder (lock-free; mu_ being
-  // held here is irrelevant to it).
-  CHOBS_FLIGHT_EVENT(kCheckpoint, label_, s.samples, 0);
   Record record("estimator_progress");
   record.Str("label", label_)
       .Int("samples", s.samples)
@@ -136,26 +132,11 @@ void ConvergenceTracker::EmitLocked(bool final, bool stopped_early) {
 }
 
 void ConvergenceTracker::Finish(bool stopped_early) {
-  ConvergenceSnapshot s;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (finished_) return;
-    finished_ = true;
-    stopped_early_ = stopped_early;
-    EmitLocked(/*final=*/true, stopped_early);
-    s = SnapshotLocked();
-  }
-  // Final gauges record the stopping decision in the next snapshot /
-  // run_summary. Gauge writes go through the same runtime gate as the
-  // CHOBS_* macros.
-  if (Enabled()) {
-    MetricsRegistry& metrics = GlobalMetrics();
-    const std::string prefix = "convergence/" + label_;
-    metrics.SetGauge(prefix + "/samples", static_cast<double>(s.samples));
-    metrics.SetGauge(prefix + "/mean", s.mean);
-    metrics.SetGauge(prefix + "/ci_halfwidth", s.ci_halfwidth);
-    metrics.SetGauge(prefix + "/early_stop", stopped_early ? 1.0 : 0.0);
-  }
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (finished_) return;
+  finished_ = true;
+  stopped_early_ = stopped_early;
+  EmitLocked(/*final=*/true, stopped_early);
 }
 
 std::uint64_t ConvergenceTracker::emit_count() const {

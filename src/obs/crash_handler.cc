@@ -10,7 +10,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/profiler.h"
 #include "chameleon/obs/record.h"
@@ -52,10 +51,12 @@ namespace {
 
 constexpr int kCrashSignals[] = {SIGSEGV, SIGABRT, SIGBUS, SIGFPE};
 
-std::atomic<bool> g_installed{false};
+/// Hard deadline, in seconds, between handler entry and process death:
+/// alarm() with default SIGALRM disposition kills the process if
+/// forensics wedge on a lock the crashed thread held.
+constexpr unsigned kDeadlineSeconds = 5;
+
 std::atomic<bool> g_crash_claimed{false};
-std::atomic<bool> g_finalize_run{true};
-std::atomic<unsigned> g_deadline_seconds{5};
 
 /// Alternate signal stack for the installing thread, so a stack
 /// overflow on the main thread still reaches the handler. Worker
@@ -152,13 +153,11 @@ extern "C" CHAMELEON_NO_SANITIZE void ChameleonCrashSignalHandler(
   }
   // Hard deadline: if forensics wedge (a lock held by the crashed
   // thread), SIGALRM's default disposition kills the process.
-  ::alarm(g_deadline_seconds.load(std::memory_order_relaxed));
+  ::alarm(kDeadlineSeconds);
 
   // --- post-claim forensics: best-effort, documented trade-off ---
   WriteCrashRecord(sig, info, pcs, depth, span_path_id);
-  if (g_finalize_run.load(std::memory_order_relaxed)) {
-    FinalizeRunForSignal(sig);
-  }
+  FinalizeRunForSignal(sig);
 
   // Die by the original signal for a correct wait status.
   signal(sig, SIG_DFL);
@@ -171,12 +170,8 @@ extern "C" CHAMELEON_NO_SANITIZE void ChameleonCrashSignalHandler(
 
 }  // namespace
 
-Status InstallCrashHandler(const CrashHandlerOptions& options) {
-  g_finalize_run.store(options.finalize_run, std::memory_order_relaxed);
-  g_deadline_seconds.store(options.deadline_seconds,
-                           std::memory_order_relaxed);
-  // Known stack bounds for the walker, and a flight ring for this
-  // thread, before anything can crash.
+Status InstallCrashHandler() {
+  // Known stack bounds for the walker before anything can crash.
   ProfilerRegisterCurrentThread();
 
   stack_t altstack = {};
@@ -200,22 +195,15 @@ Status InstallCrashHandler(const CrashHandlerOptions& options) {
           StrFormat("sigaction(%s) failed", CrashSignalName(sig)));
     }
   }
-  g_installed.store(true, std::memory_order_release);
   return Status::OK();
-}
-
-bool CrashHandlerInstalled() {
-  return g_installed.load(std::memory_order_acquire);
 }
 
 #else  // !CHAMELEON_PROFILER_IMPL
 
-Status InstallCrashHandler(const CrashHandlerOptions& /*options*/) {
+Status InstallCrashHandler() {
   return Status::Unimplemented(
       "crash forensics require Linux signal/ucontext support");
 }
-
-bool CrashHandlerInstalled() { return false; }
 
 #endif  // CHAMELEON_PROFILER_IMPL
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "chameleon/obs/alloc_stats.h"
-#include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/profiler.h"
 #include "chameleon/obs/record.h"
 #include "chameleon/obs/run_context.h"
@@ -69,12 +68,6 @@ void FinalizeRun(int signal_number) {
   }
   if (sink == nullptr) return;
 
-  // Abnormal exits (fatal signal, SIGINT/SIGTERM) dump the flight
-  // recorder before the summary, so a killed run leaves its last few
-  // hundred events next to the evidence of how it died. Clean shutdowns
-  // skip it: the full JSONL stream already tells the story.
-  if (signal_number >= 0) EmitFlightRecorderDump(sink, signal_number);
-
   const double wall_ms =
       static_cast<double>(MonotonicNanos() - run_start) * 1e-6;
   const ProcessUsage usage = GetProcessUsage();
@@ -99,7 +92,7 @@ void FinalizeRun(int signal_number) {
 }
 
 /// Best-effort abnormal-termination hook: a killed Monte Carlo run
-/// (Ctrl-C, job-manager SIGTERM) still leaves a final snapshot in its
+/// (Ctrl-C, job-manager SIGTERM) still leaves its run_summary in its
 /// JSONL stream. Writing JSON from a signal handler is not async-signal-
 /// safe; this is a deliberate tooling trade-off — the alternative is
 /// losing hours of partial results, and the worst corruption is a
@@ -189,8 +182,7 @@ Status InitObservability(const ObsOptions& options) {
     RetiredRuns& retired = Retired();
     retired.sinks.push_back(*std::move(sink));
     g_sink = retired.sinks.back().get();
-    retired.tracers.push_back(
-        std::make_unique<Tracer>(g_sink, &GlobalMetrics()));
+    retired.tracers.push_back(std::make_unique<Tracer>(g_sink));
     g_tracer = retired.tracers.back().get();
     g_run_start_nanos = MonotonicNanos();
   }
@@ -233,15 +225,5 @@ ObsOptions ObsOptionsFromFlags(const FlagSet& flags) {
 }
 
 void FinalizeRunForSignal(int signal_number) { FinalizeRun(signal_number); }
-
-void EmitSnapshot(std::string_view label) {
-  if (!Enabled()) return;
-  RecordSink* sink = GlobalSink();
-  if (sink == nullptr) return;
-  Record record("snapshot");
-  record.Str("label", label);
-  GlobalMetrics().TakeSnapshot().AppendJson("metrics", &record);
-  sink->Write(record.Finish());
-}
 
 }  // namespace chameleon::obs

@@ -5,7 +5,6 @@
 
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/record.h"
-#include "chameleon/obs/trace.h"
 
 namespace chameleon::obs {
 namespace {
@@ -83,22 +82,6 @@ void RecordParallelRegion(const ParallelRegionStats& stats) {
   if (RecordSink* sink = GlobalSink(); sink != nullptr) {
     sink->Write(FormatParallelRegionRecord(stats));
   }
-
-  // Metric names strip `[i]` loop indices (static cardinality, like
-  // span/<path> histograms): one counter family per instrumented call
-  // site, not per iteration.
-  const std::string stripped = StripPathIndices(stats.name);
-  MetricsRegistry& metrics = GlobalMetrics();
-  metrics.Count("parallel/regions", 1);
-  if (stats.workers > 1) {
-    metrics.Count("parallel/workers_spawned", stats.workers - 1);
-  }
-  const std::string prefix = "parallel/" + stripped;
-  metrics.Count(prefix + "/regions", 1);
-  metrics.Count(prefix + "/busy_ns", stats.BusyTotalNanos());
-  metrics.Count(prefix + "/idle_ns", stats.IdleTotalNanos());
-  metrics.Count(prefix + "/overhead_ns", stats.spawn_ns + stats.join_ns);
-  metrics.Observe(prefix + "/wall", stats.wall_ns);
 }
 
 std::uint64_t ParallelRegionsRecorded() {

@@ -1,6 +1,5 @@
 #include "chameleon/obs/progress.h"
 
-#include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/record.h"
 #include "chameleon/util/logging.h"
@@ -31,12 +30,9 @@ ProgressHeartbeat::ProgressHeartbeat(std::string_view label,
 
 ProgressHeartbeat::~ProgressHeartbeat() { Finish(); }
 
-void ProgressHeartbeat::Tick(std::uint64_t done_units, std::uint64_t accepted,
-                             std::uint64_t attempted) {
+void ProgressHeartbeat::Tick(std::uint64_t done_units) {
   if (!active_) return;
   done_units_ = done_units;
-  accepted_ = accepted;
-  attempted_ = attempted;
   const std::uint64_t now = MonotonicNanos();
   if (now - last_emit_nanos_ < options_.min_interval_nanos) return;
   last_emit_nanos_ = now;
@@ -51,9 +47,6 @@ void ProgressHeartbeat::Finish() {
 
 void ProgressHeartbeat::Emit(bool final) {
   ++emit_count_;
-  // Heartbeats double as flight-recorder checkpoints; throttled by
-  // min_interval, so well off the Tick hot path.
-  CHOBS_FLIGHT_EVENT(kCheckpoint, label_, done_units_, total_units_);
   const double elapsed_s =
       static_cast<double>(MonotonicNanos() - start_nanos_) * 1e-9;
   const double rate =
@@ -61,11 +54,6 @@ void ProgressHeartbeat::Emit(bool final) {
   const double eta_s =
       (total_units_ > done_units_ && rate > 0.0)
           ? static_cast<double>(total_units_ - done_units_) / rate
-          : 0.0;
-  const bool has_accept = attempted_ > 0;
-  const double accept_rate =
-      has_accept
-          ? static_cast<double>(accepted_) / static_cast<double>(attempted_)
           : 0.0;
 
   if (options_.log) {
@@ -82,7 +70,6 @@ void ProgressHeartbeat::Emit(bool final) {
       text = StrFormat("[%s] %llu done, %.0f/s", label_.c_str(),
                        static_cast<unsigned long long>(done_units_), rate);
     }
-    if (has_accept) text += StrFormat(", accept %.1f%%", 100.0 * accept_rate);
     if (final) text += StrFormat(", finished in %.2fs", elapsed_s);
     CH_LOG(Info) << text;
   }
@@ -94,11 +81,6 @@ void ProgressHeartbeat::Emit(bool final) {
         .Int("total", total_units_)
         .Num("rate_per_s", rate)
         .Num("eta_s", eta_s);
-    if (has_accept) {
-      record.Int("accepted", accepted_)
-          .Int("attempted", attempted_)
-          .Num("accept_rate", accept_rate);
-    }
     if (final) record.Bool("final", true);
     options_.sink->Write(record.Finish());
   }

@@ -6,8 +6,6 @@
 #include <cstdio>
 
 #include "chameleon/build_info.h"  // generated at configure time
-#include "chameleon/obs/crash_handler.h"
-#include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/record.h"
 #include "chameleon/obs/sink.h"
@@ -166,16 +164,8 @@ void EmitRunManifest(const RunManifest& manifest) {
   if (!Enabled()) return;
   RecordSink* sink = GlobalSink();
   if (sink == nullptr) return;
-  // Seeds also land in the flight recorder: a crash dump then shows
-  // which RNG streams the dead run was using without scanning back to
-  // the manifest record.
-  for (const auto& [name, value] : manifest.seeds()) {
-    CHOBS_FLIGHT_EVENT(kSeed, name, value, 0);
-  }
   sink->Write(manifest.ToJsonLine());
-  sink->Flush();  // survive even if the run dies before the first snapshot
+  sink->Flush();  // survive even if the run dies before its next flush
 }
-
-Status InstallCrashForensics() { return InstallCrashHandler(); }
 
 }  // namespace chameleon::obs

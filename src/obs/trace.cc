@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "chameleon/obs/alloc_stats.h"
-#include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/profiler.h"
 #include "chameleon/obs/record.h"
@@ -166,11 +165,6 @@ void FoldIntoOpenSpans(std::uint64_t cpu_ns, std::uint64_t allocs,
   }
 }
 
-std::string Tracer::CurrentPath() const {
-  const TraceSpan* span = InnermostFor(this);
-  return span != nullptr ? span->path() : std::string();
-}
-
 TraceSpan::TraceSpan(std::string_view name) {
   Tracer* tracer = Enabled() ? GlobalTracer() : nullptr;
   if (tracer != nullptr) Open(name, tracer);
@@ -196,14 +190,12 @@ void TraceSpan::Open(std::string_view name, Tracer* tracer) {
   start_wall_millis_ = WallUnixMillis();
   start_resources_ = SampleThreadResources();
   start_nanos_ = MonotonicNanos();
-  CHOBS_FLIGHT_EVENT(kSpanOpen, path_, path_id_, 0);
   tls_span_stack.push_back(StackEntry{tracer_, this});
 }
 
 TraceSpan::~TraceSpan() {
   if (!active()) return;
   const std::uint64_t duration = MonotonicNanos() - start_nanos_;
-  CHOBS_FLIGHT_EVENT(kSpanClose, path_, path_id_, duration);
   // Restore the sampler's active-span word; the guard keeps a tolerated
   // out-of-order close from resurrecting a stale id.
   if (tls_span_path_id == path_id_) tls_span_path_id = parent_path_id_;
@@ -217,9 +209,6 @@ TraceSpan::~TraceSpan() {
     }
   }
 
-  if (tracer_->metrics() != nullptr) {
-    tracer_->metrics()->Observe("span/" + StripPathIndices(path_), duration);
-  }
   if (tracer_->sink() != nullptr) {
     const ThreadResourceSample end = SampleThreadResources();
     const auto delta = [](std::uint64_t lo, std::uint64_t hi) {

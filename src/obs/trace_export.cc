@@ -29,8 +29,8 @@ std::string ChromeTraceFromJsonlLines(const std::vector<std::string>& lines,
   for (const std::string& line : lines) records.push_back(ParseJson(line));
 
   // Pass 1: wall-to-monotonic offset (µs) from the first span carrying
-  // both clocks, so wall-only records (snapshots, progress) land on the
-  // same timeline as the monotonic span timestamps.
+  // both clocks, so wall-only progress records land on the same
+  // timeline as the monotonic span timestamps.
   double wall_offset_us = 0.0;
   bool have_offset = false;
   const JsonValue* manifest = nullptr;
@@ -102,13 +102,6 @@ std::string ChromeTraceFromJsonlLines(const std::vector<std::string>& lines,
           "\"dur\":%.3f,\"pid\":1,\"tid\":%u,\"args\":%s}",
           JsonEscape(LastPathSegment(path->str())).c_str(), ts_us,
           dur->number() / 1e3, tid, args.c_str()));
-    } else if (type == "snapshot") {
-      ++stats.snapshots;
-      append_event(StrFormat(
-          "{\"name\":\"snapshot:%s\",\"cat\":\"snapshot\",\"ph\":\"i\","
-          "\"ts\":%.3f,\"pid\":1,\"tid\":0,\"s\":\"p\"}",
-          JsonEscape(record.Str("label")).c_str(),
-          wall_to_ts(record.Num("t_ms"))));
     } else if (type == "progress") {
       ++stats.progress;
       append_event(StrFormat(
@@ -119,8 +112,7 @@ std::string ChromeTraceFromJsonlLines(const std::vector<std::string>& lines,
     } else if (type == "manifest") {
       stats.saw_manifest = true;
     }
-    // snapshot/run_summary metric payloads stay in the JSONL; obs_dump
-    // renders those.
+    // run_summary's counters stay in the JSONL; obs_dump renders them.
   }
 
   // Metadata: process name from the manifest, one named track per tid.

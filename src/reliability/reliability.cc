@@ -103,7 +103,7 @@ Result<ReliabilityEstimate> EstimateTwoTerminalReliability(
       const bool connected = dsu.Connected(source, target);
       if (connected) ++hits;
       sampled = w + 1;
-      progress.Tick(sampled, hits, sampled);
+      progress.Tick(sampled);
       if (tracker.has_value()) {
         tracker->AddBernoulli(connected);
         if (adaptive && sampled < options.worlds && tracker->ShouldStop()) {

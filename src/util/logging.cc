@@ -12,8 +12,6 @@ namespace {
 
 char LevelLetter(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug:
-      return 'D';
     case LogLevel::kInfo:
       return 'I';
     case LogLevel::kWarning:
@@ -34,13 +32,9 @@ const char* Basename(const char* path) {
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level),
-      file_(file),
-      line_(line),
-      enabled_(level >= LogLevel::kInfo) {}
+    : level_(level), file_(file), line_(line) {}
 
 LogMessage::~LogMessage() {
-  if (!enabled_) return;
   const auto now = std::chrono::system_clock::now();
   const std::time_t secs = std::chrono::system_clock::to_time_t(now);
   const auto millis = std::chrono::duration_cast<std::chrono::milliseconds>(

@@ -13,7 +13,6 @@
 
 #include "chameleon/graph/io.h"
 #include "chameleon/graph/uncertain_graph.h"
-#include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/util/status.h"
 #include "chameleon/util/string_util.h"
@@ -146,8 +145,6 @@ inline Result<UncertainGraph> ParseEdgeList(std::istream& in,
     span.AddCount("lines", line_number);
     span.AddCount("edges", graph->num_edges());
     CHOBS_COUNT("graph/io/edges_read", graph->num_edges());
-    CHOBS_FLIGHT_EVENT(kGraphOp, origin, graph->num_nodes(),
-                       graph->num_edges());
     EmitGraphSummary(*graph, origin);
   }
   return graph;

@@ -1,10 +1,10 @@
 // End-to-end smoke test: a 1k-world Monte Carlo run with the JSONL sink
 // enabled must produce valid JSONL containing the expected nested phase
-// spans, per-phase snapshots, and a final run summary (ISSUE acceptance
-// criterion).
+// spans and a final run summary whose metrics are the counters alone.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,6 +13,7 @@
 
 #include "chameleon/graph/uncertain_graph.h"
 #include "chameleon/obs/obs.h"
+#include "chameleon/obs/record.h"
 #include "chameleon/reliability/reliability.h"
 
 namespace chameleon {
@@ -50,12 +51,10 @@ TEST(McObsSmokeTest, OneThousandWorldRunEmitsPhaseSpans) {
   const Result<double> two_terminal =
       rel::TwoTerminalReliability(g, 0, 8, mc, rng);
   ASSERT_TRUE(two_terminal.ok());
-  obs::EmitSnapshot("two_terminal");
 
   const Result<rel::ConnectedPairsEstimate> pairs =
       rel::ExpectedConnectedPairs(g, mc, rng);
   ASSERT_TRUE(pairs.ok());
-  obs::EmitSnapshot("connected_pairs");
 
   obs::ShutdownObservability();
   EXPECT_FALSE(obs::Enabled());
@@ -68,7 +67,6 @@ TEST(McObsSmokeTest, OneThousandWorldRunEmitsPhaseSpans) {
   ASSERT_FALSE(lines.empty());
 
   std::set<std::string> span_paths;
-  std::set<std::string> snapshot_labels;
   std::size_t run_summaries = 0;
   for (const std::string& line : lines) {
     // Structurally valid JSONL: one object per line.
@@ -82,16 +80,21 @@ TEST(McObsSmokeTest, OneThousandWorldRunEmitsPhaseSpans) {
       ASSERT_TRUE(span_path.has_value()) << line;
       span_paths.insert(*span_path);
       EXPECT_GE(*obs::JsonlNumberField(line, "dur_ns"), 0.0);
-    } else if (*type == "snapshot") {
-      snapshot_labels.insert(*obs::JsonlStringField(line, "label"));
     } else if (*type == "run_summary") {
       ++run_summaries;
       EXPECT_GE(*obs::JsonlNumberField(line, "wall_ms"), 0.0);
+      // The stream's records hold every other fact once; the summary's
+      // metrics are the registry's counters and nothing else.
+      const std::optional<obs::JsonValue> summary = obs::ParseJson(line);
+      ASSERT_TRUE(summary.has_value()) << line;
+      const obs::JsonValue* metrics =
+          summary->Get("metrics", obs::JsonValue::Kind::kObject);
+      ASSERT_NE(metrics, nullptr) << line;
+      ASSERT_EQ(metrics->members().size(), 1u) << line;
+      EXPECT_EQ(metrics->members().front().first, "counters");
     }
   }
 
-  EXPECT_TRUE(snapshot_labels.count("two_terminal"));
-  EXPECT_TRUE(snapshot_labels.count("connected_pairs"));
   EXPECT_EQ(run_summaries, 1u);
 
   // Nested phase spans: the world-sampling loop appears as a child of
@@ -133,7 +136,6 @@ TEST(McObsSmokeTest, InitFromEnvironmentVariable) {
   obs::ObsOptions options;  // no explicit path; read_env = true
   ASSERT_TRUE(obs::InitObservability(options).ok());
   EXPECT_TRUE(obs::Enabled());
-  obs::EmitSnapshot("env_check");
   obs::ShutdownObservability();
   ASSERT_EQ(unsetenv("CHAMELEON_METRICS"), 0);
 

@@ -197,6 +197,18 @@ TEST(ParallelStatsTest, SpawnedWorkersReportToTheForkingSpans) {
               static_cast<double>(kBlocks * kBlockBytes))
         << span_path;
   }
+
+  // The parallel_region record is the region's one account: the
+  // run_summary's counters keep no per-call-site copy of it.
+  const std::optional<JsonValue> summary =
+      FindRecord(path, "run_summary", "type", "run_summary");
+  ASSERT_TRUE(summary.has_value());
+  const JsonValue* counters =
+      summary->Find("counters", JsonValue::Kind::kObject);
+  ASSERT_NE(counters, nullptr);
+  for (const auto& [name, value] : counters->members()) {
+    EXPECT_NE(name.rfind("parallel/", 0), 0u) << name;
+  }
   std::remove(path.c_str());
 }
 

@@ -76,7 +76,7 @@ TEST(SpanPathInternTest, SameidForSamePathRoundTrips) {
 
 TEST(SpanPathInternTest, TlsWordTracksInnermostSpan) {
   MemorySink sink;
-  Tracer tracer(&sink, nullptr);
+  Tracer tracer(&sink);
   EXPECT_EQ(CurrentSpanPathId(), 0u);
   {
     TraceSpan outer("tls_outer", &tracer);
@@ -117,7 +117,7 @@ TEST(ProfilerTest, RejectsBadHz) {
 
 TEST(ProfilerTest, CaptureAttributesSamplesToActiveSpan) {
   MemorySink sink;
-  Tracer tracer(&sink, nullptr);
+  Tracer tracer(&sink);
   ProfilerOptions options;
   options.hz = 997;  // fast sampling keeps the burn loop short
   options.emit_record = false;
@@ -158,7 +158,7 @@ TEST(ProfilerTest, CaptureAttributesSamplesToActiveSpan) {
 
 TEST(ProfilerTest, WritesFoldedFileOnStop) {
   MemorySink sink;
-  Tracer tracer(&sink, nullptr);
+  Tracer tracer(&sink);
   const std::string path = testing::TempDir() + "/profiler_test.folded";
   std::remove(path.c_str());
 
@@ -187,7 +187,7 @@ TEST(ProfilerTest, WritesFoldedFileOnStop) {
 
 TEST(ProfilerTest, FullRingAccountsDroppedSamples) {
   MemorySink sink;
-  Tracer tracer(&sink, nullptr);
+  Tracer tracer(&sink);
 
   // CPU-time timers fire at scheduler-tick granularity, so a requested
   // 10 kHz often delivers a few hundred Hz. Probe the effective rate
@@ -234,7 +234,7 @@ TEST(ProfilerTest, FullRingAccountsDroppedSamples) {
 // the handler, the drainer, registration, and span open/close.
 TEST(ProfilerTest, ConcurrentSpansAndStartStopAreRaceFree) {
   MemorySink sink;
-  Tracer tracer(&sink, nullptr);
+  Tracer tracer(&sink);
   std::atomic<bool> stop{false};
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {

@@ -59,19 +59,6 @@ TEST(ProgressHeartbeatTest, FinishIsIdempotent) {
   EXPECT_EQ(sink.lines().size(), 2u);  // one tick + one final
 }
 
-TEST(ProgressHeartbeatTest, AcceptanceRateIsReported) {
-  MemorySink sink;
-  {
-    ProgressHeartbeat progress("genobf/trials", 0, SinkOnly(&sink, 0));
-    progress.Tick(4, /*accepted=*/1, /*attempted=*/4);
-  }
-  const auto lines = sink.lines();
-  ASSERT_GE(lines.size(), 1u);
-  EXPECT_EQ(*JsonlNumberField(lines[0], "accepted"), 1.0);
-  EXPECT_EQ(*JsonlNumberField(lines[0], "attempted"), 4.0);
-  EXPECT_NEAR(*JsonlNumberField(lines[0], "accept_rate"), 0.25, 1e-9);
-}
-
 TEST(ProgressHeartbeatTest, InertWithoutAnySink) {
   ProgressHeartbeat::Options options;
   options.log = false;

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "chameleon/obs/alloc_stats.h"
-#include "chameleon/obs/metrics.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/sink.h"
 #include "chameleon/obs/trace.h"
@@ -113,9 +112,8 @@ TEST(ThreadResourceTest, ThreadIndexIsStableAndDistinct) {
 }
 
 TEST(TraceSpanResourceTest, SpanRecordCarriesResourceFields) {
-  MetricsRegistry metrics;
   MemorySink sink;
-  Tracer tracer(&sink, &metrics);
+  Tracer tracer(&sink);
   {
     TraceSpan span("resource_probe", &tracer);
     BurnCpu();
@@ -150,9 +148,8 @@ TEST(TraceSpanResourceTest, SpanRecordCarriesResourceFields) {
 }
 
 TEST(TraceSpanResourceTest, NestedSpansSplitCpuDeltas) {
-  MetricsRegistry metrics;
   MemorySink sink;
-  Tracer tracer(&sink, &metrics);
+  Tracer tracer(&sink);
   {
     TraceSpan outer("outer", &tracer);
     {

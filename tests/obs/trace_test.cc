@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "chameleon/obs/metrics.h"
 #include "chameleon/obs/sink.h"
 
 namespace chameleon::obs {
@@ -19,30 +18,30 @@ TEST(StripPathIndicesTest, RemovesBracketSegments) {
 }
 
 TEST(TraceSpanTest, PathsNestOnOneThread) {
-  MetricsRegistry metrics;
   MemorySink sink;
-  Tracer tracer(&sink, &metrics);
-  EXPECT_EQ(tracer.CurrentPath(), "");
+  Tracer tracer(&sink);
   {
     TraceSpan outer("anonymize", &tracer);
     EXPECT_EQ(outer.path(), "anonymize");
-    EXPECT_EQ(tracer.CurrentPath(), "anonymize");
     {
       TraceSpan mid("genobf", &tracer);
       EXPECT_EQ(mid.path(), "anonymize/genobf");
       TraceSpan inner("trial[3]", &tracer);
       EXPECT_EQ(inner.path(), "anonymize/genobf/trial[3]");
     }
-    EXPECT_EQ(tracer.CurrentPath(), "anonymize");
+    // Closed spans leave the stack: a sibling nests under `anonymize`.
+    TraceSpan sibling("write", &tracer);
   }
-  EXPECT_EQ(tracer.CurrentPath(), "");
+  { TraceSpan root("next", &tracer); }
 
   // Inner spans close (and are recorded) before outer ones.
   const auto lines = sink.lines();
-  ASSERT_EQ(lines.size(), 3u);
+  ASSERT_EQ(lines.size(), 5u);
   EXPECT_EQ(*JsonlStringField(lines[0], "path"), "anonymize/genobf/trial[3]");
   EXPECT_EQ(*JsonlStringField(lines[1], "path"), "anonymize/genobf");
-  EXPECT_EQ(*JsonlStringField(lines[2], "path"), "anonymize");
+  EXPECT_EQ(*JsonlStringField(lines[2], "path"), "anonymize/write");
+  EXPECT_EQ(*JsonlStringField(lines[3], "path"), "anonymize");
+  EXPECT_EQ(*JsonlStringField(lines[4], "path"), "next");
   for (const std::string& line : lines) {
     EXPECT_EQ(*JsonlStringField(line, "type"), "span");
     EXPECT_GE(*JsonlNumberField(line, "dur_ns"), 0.0);
@@ -50,8 +49,7 @@ TEST(TraceSpanTest, PathsNestOnOneThread) {
 }
 
 TEST(TraceSpanTest, DurationsAreMonotoneAndNested) {
-  MetricsRegistry metrics;
-  Tracer tracer(nullptr, &metrics);
+  Tracer tracer(nullptr);
   TraceSpan outer("outer", &tracer);
   const std::uint64_t first = outer.ElapsedNanos();
   std::uint64_t inner_total = 0;
@@ -67,22 +65,9 @@ TEST(TraceSpanTest, DurationsAreMonotoneAndNested) {
   EXPECT_GE(second, inner_total);  // the parent covers the child
 }
 
-TEST(TraceSpanTest, MetricsUseIndexStrippedNames) {
-  MetricsRegistry metrics;
-  Tracer tracer(nullptr, &metrics);
-  for (int trial = 0; trial < 4; ++trial) {
-    TraceSpan span("trial[" + std::to_string(trial) + "]", &tracer);
-  }
-  const MetricsSnapshot snapshot = metrics.TakeSnapshot();
-  const HistogramSample* h = snapshot.FindHistogram("span/trial");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 4u);
-}
-
 TEST(TraceSpanTest, CountersLandInSpanRecord) {
-  MetricsRegistry metrics;
   MemorySink sink;
-  Tracer tracer(&sink, &metrics);
+  Tracer tracer(&sink);
   {
     TraceSpan span("load", &tracer);
     span.AddCount("edges", 10);
@@ -103,17 +88,17 @@ TEST(TraceSpanTest, NullTracerIsInactive) {
 }
 
 TEST(TraceSpanTest, SeparateTracersDoNotNestIntoEachOther) {
-  MetricsRegistry metrics;
   MemorySink sink_a;
   MemorySink sink_b;
-  Tracer a(&sink_a, &metrics);
-  Tracer b(&sink_b, &metrics);
+  Tracer a(&sink_a);
+  Tracer b(&sink_b);
   TraceSpan outer("outer", &a);
   {
     TraceSpan other("other", &b);
     EXPECT_EQ(other.path(), "other");  // not "outer/other"
   }
-  EXPECT_EQ(a.CurrentPath(), "outer");
+  TraceSpan inner("inner", &a);
+  EXPECT_EQ(inner.path(), "outer/inner");
 }
 
 }  // namespace

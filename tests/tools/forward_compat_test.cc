@@ -73,10 +73,11 @@ std::string WriteStream(const std::string& name, const std::string& body) {
 
 /// A stream mixing known records, a privacy_check, three records of a
 /// type from "the future", and the status_server, watchdog_stall,
-/// hw_counters, hw_counters_unavailable, heap_profile, heap_timeline and
-/// heap_profiler_unavailable records that builds before the status
-/// server's, the stall watchdog's, the hardware-counter engine's and the
-/// heap profiler's removal wrote.
+/// hw_counters, hw_counters_unavailable, heap_profile, heap_timeline,
+/// heap_profiler_unavailable, snapshot and flight_event_dump records
+/// that builds before the status server's, the stall watchdog's, the
+/// hardware-counter engine's, the heap profiler's and the flight
+/// recorder's removal wrote.
 std::string MixedStream() {
   return
       "{\"type\":\"manifest\",\"tool\":\"future_tool\","
@@ -134,18 +135,34 @@ std::string MixedStream() {
       "\"cum_allocs\":0,\"rss_kb\":5240}]}\n"
       "{\"type\":\"heap_profiler_unavailable\",\"t_ms\":4,"
       "\"reason\":\"heap profiling not requested (--heap_profile)\"}\n"
+      "{\"type\":\"snapshot\",\"t_ms\":4,\"label\":\"load_graph\","
+      "\"metrics\":{\"counters\":{\"graph/io/edges_read\":9},"
+      "\"gauges\":{},\"histograms\":{}}}\n"
+      "{\"type\":\"flight_event_dump\",\"t_ms\":5,\"signal\":11,"
+      "\"threads\":1,\"events\":2,\"recorded\":2,\"dropped\":0,"
+      "\"tail\":[\"-0.010s tid1 span_open reliability/two_terminal a=1 b=0\","
+      "\"-0.001s tid1 checkpoint reliability/two_terminal a=4096 b=0\"],"
+      "\"rings\":[{\"tid\":1,\"recorded\":2,\"dropped\":0,"
+      "\"events\":[]}]}\n"
       "{\"type\":\"run_summary\",\"t_ms\":5,\"wall_ms\":12.5}\n";
 }
 
-/// The heap profiler's three record types are unknown like any other:
-/// one note each, and no report or live line.
-void ExpectHeapRecordsPassThrough(const RunResult& result) {
-  for (const char* type : {"\"heap_profile\"", "\"heap_timeline\"",
-                           "\"heap_profiler_unavailable\""}) {
+/// The heap profiler's three record types, snapshots and flight-recorder
+/// dumps are unknown like any other: one note each, and no report or
+/// live line.
+void ExpectRemovedRecordsPassThrough(const RunResult& result) {
+  for (const char* type :
+       {"\"heap_profile\"", "\"heap_timeline\"",
+        "\"heap_profiler_unavailable\"", "\"snapshot\"",
+        "\"flight_event_dump\""}) {
     EXPECT_EQ(CountOccurrences(result.stderr_text, type), 1u)
         << type << "\n" << result.stderr_text;
   }
   EXPECT_EQ(result.stdout_text.find("heap profile"), std::string::npos)
+      << result.stdout_text;
+  EXPECT_EQ(result.stdout_text.find("flight recorder"), std::string::npos)
+      << result.stdout_text;
+  EXPECT_EQ(result.stdout_text.find("snapshot"), std::string::npos)
       << result.stdout_text;
 }
 
@@ -191,12 +208,13 @@ TEST(ObsDumpForwardCompatTest, UnknownTypesPassThroughWithOneNote) {
       << result.stderr_text;
   EXPECT_EQ(result.stdout_text.find("hw counters"), std::string::npos)
       << result.stdout_text;
-  // So is the status server's record, and so are the heap profiler's.
+  // So is the status server's record, and so are the heap profiler's,
+  // the snapshot and the flight-recorder dump.
   EXPECT_EQ(CountOccurrences(result.stderr_text, "\"status_server\""), 1u)
       << result.stderr_text;
   EXPECT_EQ(result.stdout_text.find("status_server"), std::string::npos)
       << result.stdout_text;
-  ExpectHeapRecordsPassThrough(result);
+  ExpectRemovedRecordsPassThrough(result);
   std::remove(path.c_str());
 }
 
@@ -275,7 +293,7 @@ TEST(FollowForwardCompatTest, UnknownTypesPassThroughWithOneNote) {
       << result.stderr_text;
   EXPECT_EQ(result.stdout_text.find("status_server"), std::string::npos)
       << result.stdout_text;
-  ExpectHeapRecordsPassThrough(result);
+  ExpectRemovedRecordsPassThrough(result);
   std::remove(path.c_str());
 }
 

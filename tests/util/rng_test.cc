@@ -149,15 +149,6 @@ TEST(RngTest, TruncatedGaussianDeterministicFromSeed) {
   }
 }
 
-TEST(RngTest, SplitStreamsAreIndependentlySeeded) {
-  Rng parent(99);
-  Rng child = parent.Split();
-  Rng parent_again(99);
-  Rng child_again = parent_again.Split();
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(child(), child_again());
-  EXPECT_NE(child(), parent());
-}
-
 TEST(KahanSumTest, CompensatesSmallTerms) {
   KahanSum sum;
   sum.Add(1e16);

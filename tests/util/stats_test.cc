@@ -1,8 +1,5 @@
 #include "chameleon/util/stats.h"
 
-#include <cstddef>
-#include <vector>
-
 #include <gtest/gtest.h>
 
 namespace chameleon {
@@ -38,81 +35,6 @@ TEST(RunningStatsTest, BasicMoments) {
   EXPECT_NEAR(stats.variance(), 32.0 / 7.0, 1e-12);
   EXPECT_DOUBLE_EQ(stats.min(), 2.0);
   EXPECT_DOUBLE_EQ(stats.max(), 9.0);
-}
-
-TEST(RunningStatsTest, MergeOfTwoHalvesMatchesWhole) {
-  // Deterministic, mean-shifted sequence so both moments are exercised.
-  std::vector<double> samples;
-  samples.reserve(1000);
-  for (std::size_t i = 0; i < 1000; ++i) {
-    samples.push_back(static_cast<double>(i % 17) * 0.25 +
-                      static_cast<double>(i) * 1e-3);
-  }
-
-  RunningStats whole;
-  RunningStats first;
-  RunningStats second;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    whole.Add(samples[i]);
-    (i < samples.size() / 2 ? first : second).Add(samples[i]);
-  }
-  first.Merge(second);
-
-  EXPECT_EQ(first.count(), whole.count());
-  EXPECT_NEAR(first.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(first.variance(), whole.variance(),
-              1e-10 * whole.variance());
-  EXPECT_DOUBLE_EQ(first.min(), whole.min());
-  EXPECT_DOUBLE_EQ(first.max(), whole.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmptySides) {
-  RunningStats full;
-  full.Add(1.0);
-  full.Add(3.0);
-
-  RunningStats empty;
-  full.Merge(empty);  // no-op
-  EXPECT_EQ(full.count(), 2u);
-  EXPECT_DOUBLE_EQ(full.mean(), 2.0);
-
-  RunningStats target;
-  target.Merge(full);  // adopt
-  EXPECT_EQ(target.count(), 2u);
-  EXPECT_DOUBLE_EQ(target.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(target.min(), 1.0);
-  EXPECT_DOUBLE_EQ(target.max(), 3.0);
-
-  RunningStats a;
-  RunningStats b;
-  a.Merge(b);  // empty + empty stays empty
-  EXPECT_EQ(a.count(), 0u);
-}
-
-TEST(RunningStatsTest, MergeStableAtBillionScaleCounts) {
-  // Doubling a 1000-sample base 20 times simulates a ~1e9-sample merge
-  // tree (the sharded Monte Carlo use case). The weighted mean update
-  // must not drift and the variance must stay put: with identical
-  // halves, delta == 0, so mean is bit-stable and m2 exactly doubles.
-  RunningStats stats;
-  for (std::size_t i = 0; i < 1000; ++i) {
-    stats.Add(static_cast<double>(i % 7) - 3.0);
-  }
-  const double base_mean = stats.mean();
-  const double base_variance = stats.variance();
-
-  for (int doubling = 0; doubling < 20; ++doubling) {
-    const RunningStats half = stats;
-    stats.Merge(half);
-  }
-
-  EXPECT_EQ(stats.count(), 1000u << 20);  // ~1.05e9
-  EXPECT_NEAR(stats.mean(), base_mean, 1e-12);
-  // Sample variance converges to m2/n as n grows; allow the (n-1)->n
-  // denominator drift plus rounding, nothing more.
-  EXPECT_NEAR(stats.variance(), base_variance, 2e-3 * base_variance);
-  EXPECT_DOUBLE_EQ(stats.min(), -3.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 3.0);
 }
 
 }  // namespace

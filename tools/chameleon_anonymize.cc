@@ -20,6 +20,7 @@
 #include "chameleon/anonymize/rep_an.h"
 #include "chameleon/graph/io.h"
 #include "chameleon/graph/uncertain_graph.h"
+#include "chameleon/obs/crash_handler.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/run_context.h"
 #include "chameleon/util/flags.h"
@@ -187,7 +188,7 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  if (Status s = obs::InstallCrashForensics(); !s.ok()) {
+  if (Status s = obs::InstallCrashHandler(); !s.ok()) {
     std::fprintf(stderr, "warning: crash forensics disabled: %s\n",
                  s.ToString().c_str());
   }
@@ -222,7 +223,6 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
     return 1;
   }
-  obs::EmitSnapshot("anonymize");
 
   std::fprintf(stdout, "graph: %u nodes, %zu edges (%s)\n",
                graph->num_nodes(), graph->num_edges(), graph_path.c_str());

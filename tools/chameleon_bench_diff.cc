@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <optional>
 
+#include "chameleon/obs/crash_handler.h"
 #include "chameleon/obs/run_context.h"
 #include "chameleon/util/flags.h"
 #include "harness.h"
@@ -49,7 +50,7 @@ int Run(int argc, char** argv) {
       return 2;
     }
   }
-  static_cast<void>(obs::InstallCrashForensics());
+  static_cast<void>(obs::InstallCrashHandler());
 
   const Result<bench::BenchSuite> baseline =
       bench::LoadBenchFile(flags.positional()[0]);

@@ -15,6 +15,7 @@
 #include "chameleon/graph/generators.h"
 #include "chameleon/graph/io.h"
 #include "chameleon/graph/uncertain_graph.h"
+#include "chameleon/obs/crash_handler.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/run_context.h"
 #include "chameleon/reliability/reliability.h"
@@ -86,9 +87,9 @@ int Run(int argc, char** argv) {
   }
 
   // Crash forensics before anything heavy runs: a SIGSEGV from here on
-  // leaves a `crash` record + flight-recorder dump in the JSONL stream
-  // (or at least a symbolized backtrace on stderr).
-  if (Status s = obs::InstallCrashForensics(); !s.ok()) {
+  // leaves a `crash` record and a signal-stamped run_summary in the
+  // JSONL stream (or at least a symbolized backtrace on stderr).
+  if (Status s = obs::InstallCrashHandler(); !s.ok()) {
     std::fprintf(stderr, "warning: crash forensics disabled: %s\n",
                  s.ToString().c_str());
   }
@@ -134,7 +135,6 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", graph.status().ToString().c_str());
     return 1;
   }
-  obs::EmitSnapshot("load_graph");
 
   std::fprintf(stdout, "graph: %u nodes, %zu edges, mean p %.3f\n",
                graph->num_nodes(), graph->num_edges(),
@@ -160,7 +160,6 @@ int Run(int argc, char** argv) {
                  reliability.status().ToString().c_str());
     return 1;
   }
-  obs::EmitSnapshot("two_terminal");
   std::fprintf(stdout, "R(%u, %u) = %.4f +/- %.4f  (%zu worlds%s)\n", source,
                target, reliability->reliability, reliability->ci_halfwidth,
                reliability->worlds,
@@ -173,7 +172,6 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", pairs.status().ToString().c_str());
       return 1;
     }
-    obs::EmitSnapshot("connected_pairs");
     std::fprintf(stdout,
                  "E[#connected pairs] = %.1f +/- %.1f (stddev %.1f, "
                  "%zu worlds%s)\n",

@@ -20,6 +20,7 @@
 
 #include "chameleon/graph/io.h"
 #include "chameleon/graph/uncertain_graph.h"
+#include "chameleon/obs/crash_handler.h"
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/run_context.h"
 #include "chameleon/privacy/obfuscation.h"
@@ -152,7 +153,7 @@ int Run(int argc, char** argv) {
   uniqueness_options.bandwidth = flags.GetDouble("bandwidth");
   uniqueness_options.threads = options.threads;
 
-  if (Status s = obs::InstallCrashForensics(); !s.ok()) {
+  if (Status s = obs::InstallCrashHandler(); !s.ok()) {
     std::fprintf(stderr, "warning: crash forensics disabled: %s\n",
                  s.ToString().c_str());
   }
@@ -190,7 +191,6 @@ int Run(int argc, char** argv) {
                  uniqueness.status().ToString().c_str());
     return 1;
   }
-  obs::EmitSnapshot("obf_check");
 
   std::fprintf(stdout, "graph: %u nodes, %zu edges (%s)\n",
                graph->num_nodes(), graph->num_edges(), graph_path.c_str());

@@ -37,8 +37,9 @@
 #include <utility>
 #include <vector>
 
-#include "chameleon/obs/run_context.h"
+#include "chameleon/obs/crash_handler.h"
 #include "chameleon/obs/record.h"
+#include "chameleon/obs/run_context.h"
 #include "chameleon/obs/trace.h"
 #include "chameleon/obs/trace_export.h"
 #include "chameleon/util/flags.h"
@@ -89,7 +90,6 @@ struct DumpResult {
   std::size_t typed_records = 0;  ///< every record with a "type" field
   std::size_t span_records = 0;
   std::size_t progress_records = 0;
-  std::size_t snapshot_records = 0;
   std::size_t estimator_records = 0;
 
   const std::vector<JsonValue>& Of(std::string_view type) const {
@@ -102,8 +102,7 @@ struct DumpResult {
 /// Record types stored whole by Load and rendered at print time.
 constexpr std::string_view kStoredTypes[] = {
     "manifest", "run_summary", "graph_summary", "profile", "privacy_check",
-    "sigma_search", "anonymize_attempt", "relevance_progress", "crash",
-    "flight_event_dump"};
+    "sigma_search", "anonymize_attempt", "relevance_progress", "crash"};
 
 /// Self time: a phase's total minus the time attributed to nested phases
 /// (clamped at 0 — overlapping spans can over-subtract). Each phase
@@ -146,8 +145,6 @@ void Ingest(JsonValue record, DumpResult* out) {
     agg.max_ns = std::max(agg.max_ns, dur->number());
   } else if (type == "progress") {
     ++out->progress_records;
-  } else if (type == "snapshot") {
-    ++out->snapshot_records;
   } else if (type == "parallel_region") {
     const JsonValue* name = record.Get("name", kString);
     if (name == nullptr) return;
@@ -583,19 +580,6 @@ void PrintReport(const DumpResult& dump, const std::string& sort_key,
     }
   }
 
-  if (!dump.Of("flight_event_dump").empty()) {
-    const JsonValue& last = dump.Of("flight_event_dump").back();
-    std::printf("\nflight recorder (%.0f threads, %.0f events kept of "
-                "%.0f recorded, %.0f overwritten), most recent last:\n",
-                last.Num("threads"), last.Num("events"), last.Num("recorded"),
-                last.Num("dropped"));
-    if (const JsonValue* tail = last.Get("tail")) {
-      for (const JsonValue& event : tail->elements()) {
-        std::printf("  %s\n", event.str().c_str());
-      }
-    }
-  }
-
   if (!dump.Of("profile").empty()) {
     const JsonValue& last = dump.Of("profile").back();
     std::printf("\nprofile: %.0f samples at %.0f Hz over %.1f ms "
@@ -632,10 +616,10 @@ void PrintReport(const DumpResult& dump, const std::string& sort_key,
     }
   }
   if (run_wall_ms >= 0.0) {
-    std::printf("\nrun wall time: %.3f ms  (%zu spans, %zu snapshots, "
-                "%zu progress, %zu estimator records)\n",
-                run_wall_ms, dump.span_records, dump.snapshot_records,
-                dump.progress_records, dump.estimator_records);
+    std::printf("\nrun wall time: %.3f ms  (%zu spans, %zu progress, "
+                "%zu estimator records)\n",
+                run_wall_ms, dump.span_records, dump.progress_records,
+                dump.estimator_records);
   }
 }
 
@@ -680,7 +664,7 @@ int PrintFlame(const DumpResult& dump, std::int64_t top) {
 }
 
 /// The --chrome_trace view: spans become complete events on one track
-/// per thread, snapshots instant markers, progress counter tracks.
+/// per thread, progress records counter tracks.
 int WriteChromeTrace(const std::string& path, const std::string& out) {
   const Result<obs::TraceExportStats> stats =
       obs::ExportChromeTrace(path, out);
@@ -688,10 +672,8 @@ int WriteChromeTrace(const std::string& path, const std::string& out) {
     std::fprintf(stderr, "error: %s\n", stats.status().ToString().c_str());
     return 1;
   }
-  std::fprintf(stdout,
-               "wrote %s: %zu spans, %zu snapshots, %zu progress events%s"
-               "%s\n",
-               out.c_str(), stats->spans, stats->snapshots, stats->progress,
+  std::fprintf(stdout, "wrote %s: %zu spans, %zu progress events%s%s\n",
+               out.c_str(), stats->spans, stats->progress,
                stats->saw_manifest ? ", manifest" : ", no manifest",
                stats->skipped_lines > 0 ? " (some lines skipped)" : "");
   if (stats->skipped_lines > 0) {
@@ -732,7 +714,7 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  static_cast<void>(obs::InstallCrashForensics());
+  static_cast<void>(obs::InstallCrashHandler());
 
   const Result<DumpResult> dump = Load(path, flags.GetBool("follow"));
   if (!dump.ok()) {
