@@ -33,6 +33,9 @@ struct RepAnOptions {
 };
 
 /// The representative instance: selected edges at p = 1, others dropped.
+/// Expected-edge-count extraction selects its edges with nth_element, in
+/// linear expected time. InvalidArgument when `threshold` is NaN or
+/// above 1.
 Result<graph::UncertainGraph> ExtractRepresentative(
     const graph::UncertainGraph& graph, double threshold);
 

@@ -53,10 +53,6 @@ std::uint64_t ThreadCpuNanos();
 /// usually gets 1). Stable for the thread's lifetime; never reused.
 std::uint32_t CurrentThreadIndex();
 
-/// Removes every `[...]` segment: "genobf/trial[3]/sample" ->
-/// "genobf/trial/sample". obs_dump folds parallel-region names with it.
-std::string StripPathIndices(std::string_view path);
-
 /// Interns `path` into the process-global span-path table and returns its
 /// id (> 0; stable for the process lifetime). Id 0 is reserved for "no
 /// span". Interning takes a mutex and happens at span open — per phase,

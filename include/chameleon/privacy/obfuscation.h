@@ -27,8 +27,8 @@
 /// Posterior entropies are computed without materializing any posterior:
 /// H(Y_ω) = log₂ S(ω) − T(ω)/S(ω) with S(ω) = Σ_u X_u(ω) and
 /// T(ω) = Σ_u X_u(ω)·log₂ X_u(ω), both accumulated vertex-major in one
-/// parallel sweep over the PMFs (O(Σ_v deg v) after the O(Σ deg²) PMF
-/// build), and only over the adversary-value range [min ω, max ω]: the
+/// parallel sweep over the PMFs (O(Σ_v deg v) after the PMF build), and
+/// only over the adversary-value range [min ω, max ω]: the
 /// certificate reads no other entry. Per-block partials are reduced in
 /// fixed block order, so the result is bit-identical across worker
 /// counts.
@@ -99,8 +99,11 @@ struct ObfuscationCertificate {
 /// Verifies `graph` against (k, ε). Never materializes the degree PMFs:
 /// each block of vertices builds them one at a time in one scratch
 /// buffer and folds each into the block's S/T partials as it is built,
-/// so no per-vertex DegreeDistribution is allocated. The certificate is
-/// bit-identical to BuildDegreeDistributions + the dists overload below.
+/// so no per-vertex DegreeDistribution is allocated. A vertex's PMF is
+/// built from its edges with 0 < p < 1 alone and folded at an offset of
+/// its p = 1 edges, in O(Σ_v d_unc(v)²) for d_unc(v) such edges at v.
+/// The certificate is bit-identical to BuildDegreeDistributions + the
+/// dists overload below.
 /// Emits `privacy/obf_check` trace spans, counters, and one
 /// `privacy_check` JSONL record when observability is live.
 Result<ObfuscationCertificate> VerifyObfuscation(

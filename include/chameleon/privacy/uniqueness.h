@@ -47,9 +47,14 @@
 ///
 /// Against the pair sum (tests/privacy/uniqueness_oracle.h) the test
 /// inputs agree to ≤ 1e−12 relative and give the same exclusion sets.
-/// Memory is O(n): a sorted copy of the values plus at most
-/// min(n, span/θ + 1) boxes and P moments per box of ≥ P members, all
-/// freed before returning.
+/// A score is a function of its value alone. Where at most half of the
+/// n values are distinct (a representative's integer degrees), each of
+/// the D distinct values is scored once and each vertex finds its
+/// value's score by binary search among them, O(n log D) more; every
+/// vertex is scored otherwise. Memory is O(n): a sorted copy of the
+/// values, the D distinct values and their scores where they are used,
+/// at most min(n, span/θ + 1) boxes and P moments per box of ≥ P
+/// members, all freed before returning.
 
 namespace chameleon::privacy {
 
@@ -91,9 +96,9 @@ Result<UniquenessScores> ComputeUniqueness(const std::vector<double>& values,
                                            const UniquenessOptions& options);
 
 /// U^v over the expected-degree property of `graph`. Bit-identical
-/// across worker counts: each vertex is scored independently against
-/// the same box table, in fixed box order. Emits a `privacy/uniqueness`
-/// trace span.
+/// across worker counts: each distinct value is scored independently
+/// against the same box table, in fixed box order. Emits a
+/// `privacy/uniqueness` trace span.
 Result<UniquenessScores> ComputeUniqueness(const graph::UncertainGraph& graph,
                                            const UniquenessOptions& options);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <numeric>
 #include <vector>
 
@@ -12,8 +13,11 @@ namespace chameleon::anonymize {
 
 Result<graph::UncertainGraph> ExtractRepresentative(
     const graph::UncertainGraph& graph, double threshold) {
-  if (threshold > 1.0) {
-    return Status::InvalidArgument("threshold must be <= 1");
+  // Written so that NaN fails the check too.
+  if (!(threshold <= 1.0)) {
+    return Status::InvalidArgument(StrFormat(
+        "threshold = %g must be <= 1 (negative for the expected edge count)",
+        threshold));
   }
   CHOBS_SPAN(span, "anonymize/rep_extract");
   const auto& edges = graph.edges();
@@ -24,16 +28,22 @@ Result<graph::UncertainGraph> ExtractRepresentative(
     }
   } else {
     // Expected-edge-count extraction: the round(Σp) most probable edges,
-    // ties toward the earlier edge in canonical order.
+    // ties toward the earlier edge in canonical order. That order is
+    // strict, so the first m after nth_element are the set a full sort
+    // puts first, found in linear expected time.
     const std::size_t m = std::min<std::size_t>(
         edges.size(),
         static_cast<std::size_t>(std::llround(graph.expected_num_edges())));
     std::vector<EdgeId> order(edges.size());
     std::iota(order.begin(), order.end(), EdgeId{0});
-    std::sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-      if (edges[a].p != edges[b].p) return edges[a].p > edges[b].p;
-      return a < b;
-    });
+    std::nth_element(order.begin(),
+                     order.begin() + static_cast<std::ptrdiff_t>(m),
+                     order.end(), [&](EdgeId a, EdgeId b) {
+                       if (edges[a].p != edges[b].p) {
+                         return edges[a].p > edges[b].p;
+                       }
+                       return a < b;
+                     });
     for (std::size_t i = 0; i < m; ++i) keep[order[i]] = 1;
   }
   graph::UncertainGraphBuilder builder(graph.num_nodes());

@@ -107,22 +107,6 @@ std::uint32_t CurrentThreadIndex() {
   return index;
 }
 
-std::string StripPathIndices(std::string_view path) {
-  std::string out;
-  out.reserve(path.size());
-  int depth = 0;
-  for (const char c : path) {
-    if (c == '[') {
-      ++depth;
-    } else if (c == ']') {
-      if (depth > 0) --depth;
-    } else if (depth == 0) {
-      out += c;
-    }
-  }
-  return out;
-}
-
 std::uint32_t InternSpanPath(std::string_view path) {
   const std::lock_guard<std::mutex> lock(SpanPathsMu());
   SpanPathTable& table = SpanPaths();

@@ -21,6 +21,17 @@
 /// for bit. Vectors never cross a function
 /// boundary by value, so no 32-byte argument changes the ABI of code
 /// built without AVX.
+///
+/// Certain edges shift the PMF exactly. A p = 1 step computes
+/// f'[k] = f[k]·0 + f[k−1]·1 = f[k−1] and f'[0] = +0.0, and a p = 0 step
+/// f'[k] = f[k]·1 + f[k−1]·0 = f[k]: every entry is ≥ 0 and finite, so
+/// each product is exact, each added term is +0.0, and x + (+0.0) = x.
+/// A shifted PMF then goes through any later step entry for entry as the
+/// unshifted one does (its lowest new entry is f[0]·q + (+0.0)·p =
+/// f[0]·q), so the shift commutes with it. Hence the PMF of d edges, c of
+/// them with p = 1 and u with 0 < p < 1, is the PMF of those u edges
+/// alone, in the same order, moved up by c, with exact zeros below c and
+/// above c + u: the verifier builds that one, in O(u²) instead of O(d²).
 
 namespace chameleon::privacy::internal {
 

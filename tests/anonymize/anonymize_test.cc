@@ -1,8 +1,11 @@
 #include "chameleon/anonymize/chameleon.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <string>
 #include <utility>
@@ -13,6 +16,7 @@
 #include "chameleon/anonymize/gen_obf.h"
 #include "chameleon/anonymize/perturbation.h"
 #include "chameleon/anonymize/rep_an.h"
+#include "chameleon/graph/generators.h"
 #include "chameleon/graph/uncertain_graph.h"
 #include "chameleon/privacy/obfuscation.h"
 #include "chameleon/privacy/uniqueness.h"
@@ -125,6 +129,101 @@ TEST(RepAnTest, ExpectedEdgeCountExtraction) {
   rep = ExtractRepresentative(*g, 0.2);
   ASSERT_TRUE(rep.ok());
   EXPECT_EQ(rep->num_edges(), 3u);
+}
+
+TEST(RepAnTest, RejectsThresholdsAboveOneAndNan) {
+  UncertainGraphBuilder builder(3);
+  ASSERT_TRUE(builder.AddEdge(0, 1, 0.9).ok());
+  ASSERT_TRUE(builder.AddEdge(1, 2, 0.4).ok());
+  Result<UncertainGraph> g = std::move(builder).Build();
+  ASSERT_TRUE(g.ok());
+  for (const double threshold :
+       {std::nan(""), 1.5, std::numeric_limits<double>::infinity()}) {
+    const Result<UncertainGraph> rep = ExtractRepresentative(*g, threshold);
+    ASSERT_FALSE(rep.ok()) << threshold;
+    EXPECT_EQ(rep.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rep.status().message().find("threshold = "), std::string::npos)
+        << rep.status().ToString();
+  }
+  const Result<UncertainGraph> nan = ExtractRepresentative(*g, std::nan(""));
+  EXPECT_NE(nan.status().message().find("nan"), std::string::npos)
+      << nan.status().ToString();
+  RepAnOptions options;
+  options.driver = FastOptions();
+  options.threshold = std::nan("");
+  EXPECT_EQ(RepAnAnonymize(*g, options).status().code(),
+            StatusCode::kInvalidArgument);
+  // The bound itself is a threshold.
+  const Result<UncertainGraph> rep = ExtractRepresentative(*g, 1.0);
+  ASSERT_TRUE(rep.ok());
+  EXPECT_EQ(rep->num_edges(), 0u);
+}
+
+/// Expected-edge-count extraction as first written, kept as the oracle
+/// for the selection: every edge id sorted by p descending, then id, and
+/// the first round(Σp) kept. Returns their endpoints in canonical order.
+std::vector<std::pair<NodeId, NodeId>> FullSortRepresentative(
+    const UncertainGraph& g) {
+  const auto& edges = g.edges();
+  const std::size_t m = std::min<std::size_t>(
+      edges.size(),
+      static_cast<std::size_t>(std::llround(g.expected_num_edges())));
+  std::vector<EdgeId> order(edges.size());
+  std::iota(order.begin(), order.end(), EdgeId{0});
+  std::sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
+    if (edges[a].p != edges[b].p) return edges[a].p > edges[b].p;
+    return a < b;
+  });
+  std::vector<std::pair<NodeId, NodeId>> kept;
+  for (std::size_t i = 0; i < m; ++i) {
+    kept.emplace_back(edges[order[i]].u, edges[order[i]].v);
+  }
+  std::sort(kept.begin(), kept.end());
+  return kept;
+}
+
+TEST(RepAnTest, ExtractionKeepsTheFullSortsEdges) {
+  Rng rng(2018);
+  const UncertainGraph er =
+      graph::RandomGraph({.nodes = 3000, .avg_degree = 8.0}, rng).value();
+  const std::size_t m = er.num_edges();
+  const auto with = [&](const std::vector<double>& p) {
+    return er.WithProbabilities(p).value();
+  };
+  std::vector<double> tiers(m);
+  for (double& p : tiers) {
+    p = 0.25 * static_cast<double>(1 + rng.UniformInt(3));
+  }
+  std::vector<double> nearly_certain(m, 1.0 - 1e-5);
+  nearly_certain[7] = 0.7;
+  // Heavy ties (p from {0.25, 0.5, 0.75}, then every p equal), then
+  // round(Σp) = 0, and round(Σp) = |E| with and without an uncertain edge.
+  const UncertainGraph graphs[] = {
+      with(tiers), with(std::vector<double>(m, 0.5)),
+      with(std::vector<double>(m, 1e-5)), with(nearly_certain),
+      with(std::vector<double>(m, 1.0))};
+  for (std::size_t i = 0; i < std::size(graphs); ++i) {
+    SCOPED_TRACE(testing::Message() << "graph " << i);
+    const UncertainGraph& g = graphs[i];
+    const std::vector<std::pair<NodeId, NodeId>> want =
+        FullSortRepresentative(g);
+    if (i == 2) {
+      EXPECT_TRUE(want.empty());
+    }
+    if (i >= 3) {
+      EXPECT_EQ(want.size(), m);
+    }
+    const Result<UncertainGraph> rep = ExtractRepresentative(g, -1.0);
+    ASSERT_TRUE(rep.ok());
+    EXPECT_EQ(rep->num_nodes(), g.num_nodes());
+    std::vector<std::pair<NodeId, NodeId>> got;
+    for (const graph::UncertainEdge& e : rep->edges()) {
+      EXPECT_EQ(e.p, 1.0);
+      got.emplace_back(e.u, e.v);
+    }
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want);
+  }
 }
 
 TEST(GenObfTest, FastAndOracleUniquenessPublishTheSameGraph) {

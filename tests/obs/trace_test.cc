@@ -9,14 +9,6 @@
 namespace chameleon::obs {
 namespace {
 
-TEST(StripPathIndicesTest, RemovesBracketSegments) {
-  EXPECT_EQ(StripPathIndices("a/b/c"), "a/b/c");
-  EXPECT_EQ(StripPathIndices("genobf/trial[3]/sample"), "genobf/trial/sample");
-  EXPECT_EQ(StripPathIndices("x[0]"), "x");
-  EXPECT_EQ(StripPathIndices("a[1]/b[22]/c[333]"), "a/b/c");
-  EXPECT_EQ(StripPathIndices(""), "");
-}
-
 TEST(TraceSpanTest, PathsNestOnOneThread) {
   MemorySink sink;
   Tracer tracer(&sink);

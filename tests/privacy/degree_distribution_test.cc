@@ -135,6 +135,58 @@ TEST(DegreeDistributionTest, DeterministicEdgesShiftThePmf) {
   EXPECT_DOUBLE_EQ(dist.EntropyBits(), 0.0);
 }
 
+TEST(DegreeDistributionTest, CertainEdgesShiftTheFractionalPmfBitForBit) {
+  // The verifier builds a vertex's PMF from its edges with 0 < p < 1
+  // alone and reads it c places up, for c edges of p = 1
+  // (poisson_binomial.h). The full recurrence over every edge, with the
+  // p ∈ {0, 1} edges first, last or at random places, must give exactly
+  // that PMF, with exact zeros around it, at every lane count.
+  Rng rng(77);
+  for (std::size_t u = 0; u <= 40; ++u) {
+    std::vector<double> fractional(u);
+    for (std::size_t i = 0; i < u; ++i) {
+      fractional[i] = i % 7 == 3   ? 1e-300
+                      : i % 7 == 5 ? 1.0 - 0x1.0p-53
+                                   : rng.Uniform(0.01, 0.99);
+    }
+    const std::vector<double> alone = ScalarPmf(fractional);
+    for (std::size_t c = 0; c <= 6; ++c) {
+      for (const std::size_t z : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{3}}) {
+        std::vector<double> certain(c, 1.0);
+        certain.insert(certain.end(), z, 0.0);
+        std::shuffle(certain.begin(), certain.end(), rng);
+        std::vector<double> want(u + c + z + 1, 0.0);
+        std::copy(alone.begin(), alone.end(),
+                  want.begin() + static_cast<std::ptrdiff_t>(c));
+        std::vector<double> first = certain;
+        first.insert(first.end(), fractional.begin(), fractional.end());
+        std::vector<double> last = fractional;
+        last.insert(last.end(), certain.begin(), certain.end());
+        std::vector<double> scattered = fractional;
+        for (const double p : certain) {
+          scattered.insert(scattered.begin() + static_cast<std::ptrdiff_t>(
+                                                   rng.UniformInt(
+                                                       scattered.size() + 1)),
+                           p);
+        }
+        for (const std::vector<double>* probs : {&first, &last, &scattered}) {
+          SCOPED_TRACE(testing::Message() << u << " fractional, " << c
+                                          << " certain, " << z << " zero");
+          ASSERT_TRUE(SameBits(ScalarPmf(*probs), want));
+          std::vector<double> two(probs->size() + 1);
+          std::vector<double> four(probs->size() + 1);
+          internal::BuildPmfLanes<2>(two.data(), probs->data(), probs->size());
+          internal::BuildPmfLanes<4>(four.data(), probs->data(),
+                                     probs->size());
+          ASSERT_TRUE(SameBits(two, want));
+          ASSERT_TRUE(SameBits(four, want));
+        }
+      }
+    }
+  }
+}
+
 TEST(DegreeDistributionTest, TwoLaneKernelMatchesScalarRecurrence) {
   // Every degree from 0 to 257 runs once per pattern, so both the even
   // and the odd tail of the two-lane loop run many times. The patterns

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <fstream>
@@ -357,12 +358,113 @@ UncertainGraph MakeGraphWithIsolatedVertices() {
   return *std::move(g);
 }
 
+/// Stars whose centers mix certain edges, p ∈ {0, 1}, with fractional
+/// ones. For each count u ∈ [0, 9] of fractional edges (across the
+/// two- and four-lane tails of the recurrence), c ∈ [0, 5] of p = 1
+/// edges and z ∈ {0, 2} of p = 0 edges, three centers list their
+/// certain edges first, last and interleaved in adjacency order. Each
+/// leaf has one edge, so leaves have only p = 1 edges, only p = 0 edges
+/// or one fractional edge; the centers with u = 0 have only certain
+/// edges, and those with u = c = 0, z = 2 only p = 0 edges.
+UncertainGraph MakeMixedCertaintyStars() {
+  Rng rng(31);
+  std::vector<std::vector<double>> stars;
+  for (std::size_t u = 0; u <= 9; ++u) {
+    for (std::size_t c = 0; c <= 5; ++c) {
+      for (const std::size_t z : {std::size_t{0}, std::size_t{2}}) {
+        std::vector<double> fractional(u);
+        for (double& p : fractional) p = rng.Uniform(0.02, 0.98);
+        std::vector<double> certain(c, 1.0);
+        certain.insert(certain.end(), z, 0.0);
+        std::shuffle(certain.begin(), certain.end(), rng);
+        std::vector<double> first = certain;
+        first.insert(first.end(), fractional.begin(), fractional.end());
+        std::vector<double> last = fractional;
+        last.insert(last.end(), certain.begin(), certain.end());
+        std::vector<double> interleaved;
+        for (std::size_t i = 0; i < std::max(certain.size(), fractional.size());
+             ++i) {
+          if (i < certain.size()) interleaved.push_back(certain[i]);
+          if (i < fractional.size()) interleaved.push_back(fractional[i]);
+        }
+        stars.push_back(std::move(first));
+        stars.push_back(std::move(last));
+        stars.push_back(std::move(interleaved));
+      }
+    }
+  }
+  std::size_t nodes = 0;
+  for (const std::vector<double>& star : stars) nodes += 1 + star.size();
+  UncertainGraphBuilder builder(static_cast<NodeId>(nodes));
+  NodeId center = 0;
+  for (const std::vector<double>& star : stars) {
+    // Leaf ids ascend, so the center's adjacency lists the star's edges
+    // in the order given.
+    for (std::size_t i = 0; i < star.size(); ++i) {
+      EXPECT_TRUE(
+          builder.AddEdge(center, center + 1 + static_cast<NodeId>(i), star[i])
+              .ok());
+    }
+    center += 1 + static_cast<NodeId>(star.size());
+  }
+  Result<UncertainGraph> g = std::move(builder).Build();
+  EXPECT_TRUE(g.ok());
+  return *std::move(g);
+}
+
+/// Probabilities for `g` as a Rep-An attempt sees them: each edge p = 1
+/// with probability 0.6, p = 0 with probability 0.1, and its own p
+/// otherwise.
+std::vector<double> MostlyCertainProbabilities(const UncertainGraph& g,
+                                               std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> p(g.num_edges());
+  for (std::size_t e = 0; e < p.size(); ++e) {
+    const double draw = rng.UniformDouble();
+    p[e] = draw < 0.6 ? 1.0 : draw < 0.7 ? 0.0 : g.edges()[e].p;
+  }
+  return p;
+}
+
+UncertainGraph WithMostlyCertainEdges(const UncertainGraph& g) {
+  return g.WithProbabilities(MostlyCertainProbabilities(g, 5)).value();
+}
+
+/// Every certificate field but wall_ms, and every per-vertex row, bit for
+/// bit.
+void ExpectSameCertificate(const ObfuscationCertificate& got,
+                           const ObfuscationCertificate& want) {
+  EXPECT_EQ(got.k, want.k);
+  EXPECT_EQ(got.epsilon, want.epsilon);
+  EXPECT_EQ(got.vertices, want.vertices);
+  EXPECT_EQ(got.not_obfuscated, want.not_obfuscated);
+  EXPECT_EQ(got.epsilon_hat, want.epsilon_hat);
+  EXPECT_EQ(got.obfuscated, want.obfuscated);
+  EXPECT_EQ(got.min_entropy_bits, want.min_entropy_bits);
+  EXPECT_EQ(got.mean_entropy_bits, want.mean_entropy_bits);
+  EXPECT_EQ(got.distinct_omegas, want.distinct_omegas);
+  EXPECT_EQ(got.adversary, want.adversary);
+  EXPECT_EQ(got.threads, want.threads);
+  ASSERT_EQ(got.per_vertex.size(), want.per_vertex.size());
+  for (std::size_t v = 0; v < want.per_vertex.size(); ++v) {
+    const VertexObfuscation& a = got.per_vertex[v];
+    const VertexObfuscation& b = want.per_vertex[v];
+    ASSERT_EQ(a.vertex, b.vertex);
+    ASSERT_EQ(a.omega, b.omega) << "vertex " << v;
+    ASSERT_EQ(a.entropy_bits, b.entropy_bits) << "vertex " << v;
+    ASSERT_EQ(a.k_anonymity, b.k_anonymity) << "vertex " << v;
+    ASSERT_EQ(a.obfuscated, b.obfuscated) << "vertex " << v;
+  }
+}
+
 TEST(VerifyObfuscationTest, ReusedDistributionsMatchInternalBuild) {
-  // The one-graph overload builds each block's PMFs in scratch; its
-  // certificate must equal BuildDegreeDistributions + the overload that
-  // takes them, bit for bit.
-  const UncertainGraph graphs[] = {MakeStar9(), MakeHubGraph(),
-                                   MakeGraphWithIsolatedVertices()};
+  // The one-graph overload builds each block's PMFs in scratch, from each
+  // vertex's fractional edges at an offset of its p = 1 edges; its
+  // certificate must equal BuildDegreeDistributions (the full recurrence
+  // over every edge) + the overload that takes them, bit for bit.
+  const UncertainGraph graphs[] = {
+      MakeStar9(), MakeHubGraph(), MakeGraphWithIsolatedVertices(),
+      MakeMixedCertaintyStars(), WithMostlyCertainEdges(MakeHubGraph())};
   ASSERT_TRUE(graphs[2].Neighbors(2).empty());
   ASSERT_TRUE(graphs[2].Neighbors(graphs[2].num_nodes() - 1).empty());
   for (const UncertainGraph& g : graphs) {
@@ -374,7 +476,7 @@ TEST(VerifyObfuscationTest, ReusedDistributionsMatchInternalBuild) {
           std::pair{AdversaryModel::kRoundedExpectedDegree, 1024.0},
           std::pair{AdversaryModel::kStructuralDegree, 16.0},
           std::pair{AdversaryModel::kStructuralDegree, 1024.0}}) {
-      for (const int threads : {1, 2, 4}) {
+      for (const int threads : {1, 2, 3, 8}) {
         SCOPED_TRACE(testing::Message()
                      << g.num_nodes() << " vertices, "
                      << AdversaryModelName(adversary) << ", k " << k
@@ -390,21 +492,7 @@ TEST(VerifyObfuscationTest, ReusedDistributionsMatchInternalBuild) {
             VerifyObfuscation(g, options);
         ASSERT_TRUE(want.ok());
         ASSERT_TRUE(got.ok());
-        ASSERT_EQ(got->per_vertex.size(), want->per_vertex.size());
-        for (std::size_t v = 0; v < want->per_vertex.size(); ++v) {
-          const VertexObfuscation& a = got->per_vertex[v];
-          const VertexObfuscation& b = want->per_vertex[v];
-          ASSERT_EQ(a.vertex, b.vertex);
-          ASSERT_EQ(a.omega, b.omega) << "vertex " << v;
-          ASSERT_EQ(a.entropy_bits, b.entropy_bits) << "vertex " << v;
-          ASSERT_EQ(a.k_anonymity, b.k_anonymity) << "vertex " << v;
-          ASSERT_EQ(a.obfuscated, b.obfuscated) << "vertex " << v;
-        }
-        EXPECT_EQ(got->not_obfuscated, want->not_obfuscated);
-        EXPECT_EQ(got->epsilon_hat, want->epsilon_hat);
-        EXPECT_EQ(got->min_entropy_bits, want->min_entropy_bits);
-        EXPECT_EQ(got->mean_entropy_bits, want->mean_entropy_bits);
-        EXPECT_EQ(got->distinct_omegas, want->distinct_omegas);
+        ExpectSameCertificate(*got, *want);
         exposed += got->not_obfuscated;
       }
     }
@@ -527,14 +615,32 @@ std::vector<double> PerturbedProbabilities(const UncertainGraph& g,
 
 TEST(VerifyObfuscationTest, ProbabilityVectorMatchesGraphWithThoseProbabilities) {
   // VerifyObfuscation(g, p̃) against the one-graph overload on
-  // g.WithProbabilities(p̃), and both against the global-width sweep on
-  // that graph's distributions, bit for bit.
-  const UncertainGraph graphs[] = {MakeDenseEr(),
-                                   MakeGraphWithIsolatedVertices(),
-                                   MakeHubGraph()};
-  for (const UncertainGraph& g : graphs) {
-    const std::vector<double> p = PerturbedProbabilities(g, g.num_nodes());
-    const Result<UncertainGraph> published = g.WithProbabilities(p);
+  // g.WithProbabilities(p̃), against the dists overload on that graph's
+  // distributions (the full recurrence over every edge) and against the
+  // global-width sweep on them, bit for bit. The last two p̃ mix p̃ = 0
+  // and p̃ = 1 edges with fractional ones.
+  struct Case {
+    UncertainGraph graph;
+    std::vector<double> p;
+  };
+  std::vector<Case> cases;
+  for (UncertainGraph g : {MakeDenseEr(), MakeGraphWithIsolatedVertices(),
+                           MakeHubGraph()}) {
+    std::vector<double> p = PerturbedProbabilities(g, g.num_nodes());
+    cases.push_back({std::move(g), std::move(p)});
+  }
+  {
+    UncertainGraph stars = MakeMixedCertaintyStars();
+    std::vector<double> p(stars.num_edges());
+    for (std::size_t e = 0; e < p.size(); ++e) p[e] = stars.edges()[e].p;
+    cases.push_back({std::move(stars), std::move(p)});
+    UncertainGraph hub = MakeHubGraph();
+    p = MostlyCertainProbabilities(hub, 6);
+    cases.push_back({std::move(hub), std::move(p)});
+  }
+  for (const Case& c : cases) {
+    const UncertainGraph& g = c.graph;
+    const Result<UncertainGraph> published = g.WithProbabilities(c.p);
     ASSERT_TRUE(published.ok());
     const std::vector<DegreeDistribution> dists =
         BuildDegreeDistributions(*published, 2);
@@ -556,36 +662,29 @@ TEST(VerifyObfuscationTest, ProbabilityVectorMatchesGraphWithThoseProbabilities)
         options.adversary = adversary;
         options.threads = threads;
         const Result<ObfuscationCertificate> got =
-            VerifyObfuscation(g, p, options);
+            VerifyObfuscation(g, c.p, options);
         const Result<ObfuscationCertificate> want =
             VerifyObfuscation(*published, options);
+        const Result<ObfuscationCertificate> from_dists =
+            VerifyObfuscation(*published, dists, options);
         ASSERT_TRUE(got.ok()) << got.status().message();
         ASSERT_TRUE(want.ok());
+        ASSERT_TRUE(from_dists.ok());
         ASSERT_EQ(got->per_vertex.size(), g.num_nodes());
-        ASSERT_EQ(want->per_vertex.size(), g.num_nodes());
+        ExpectSameCertificate(*got, *want);
+        ExpectSameCertificate(*got, *from_dists);
         std::size_t min_omega = g.num_nodes();
         std::size_t max_omega = 0;
         for (std::size_t v = 0; v < g.num_nodes(); ++v) {
           const VertexObfuscation& a = got->per_vertex[v];
-          const VertexObfuscation& b = want->per_vertex[v];
-          ASSERT_EQ(a.vertex, b.vertex);
-          ASSERT_EQ(a.omega, b.omega) << "vertex " << v;
-          ASSERT_EQ(a.entropy_bits, b.entropy_bits) << "vertex " << v;
           ASSERT_EQ(a.entropy_bits, oracle.entropy_bits[v]) << "vertex " << v;
-          ASSERT_EQ(a.k_anonymity, b.k_anonymity) << "vertex " << v;
-          ASSERT_EQ(a.obfuscated, b.obfuscated) << "vertex " << v;
           min_omega = std::min(min_omega, a.omega);
           max_omega = std::max(max_omega, a.omega);
         }
-        EXPECT_EQ(got->not_obfuscated, want->not_obfuscated);
         EXPECT_EQ(got->not_obfuscated, oracle.not_obfuscated);
-        EXPECT_EQ(got->epsilon_hat, want->epsilon_hat);
-        EXPECT_EQ(got->min_entropy_bits, want->min_entropy_bits);
         EXPECT_EQ(got->min_entropy_bits, oracle.min_entropy_bits);
-        EXPECT_EQ(got->mean_entropy_bits, want->mean_entropy_bits);
         EXPECT_EQ(got->mean_entropy_bits, oracle.mean_entropy_bits);
-        EXPECT_EQ(got->distinct_omegas, want->distinct_omegas);
-        if (&g == &graphs[0] &&
+        if (&c == &cases[0] &&
             adversary == AdversaryModel::kRoundedExpectedDegree) {
           std::size_t max_degree = 0;
           for (NodeId v = 0; v < g.num_nodes(); ++v) {

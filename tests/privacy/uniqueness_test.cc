@@ -36,9 +36,12 @@ std::vector<double> ErDegrees(std::size_t n, std::size_t m,
 }
 
 /// Expected degrees of a Chung–Lu-like graph with power-law exponent
-/// `gamma`: endpoints drawn with probability ∝ (i + 1)^(−1/(γ−1)).
+/// `gamma`: endpoints drawn with probability ∝ (i + 1)^(−1/(γ−1)). With
+/// `certain`, every edge has p = 1, so the degrees are integers, as a
+/// Rep-An representative's are.
 std::vector<double> ChungLuDegrees(std::size_t n, std::size_t m,
-                                   double gamma, std::uint64_t seed) {
+                                   double gamma, std::uint64_t seed,
+                                   bool certain = false) {
   std::vector<double> cumulative(n);
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -54,7 +57,7 @@ std::vector<double> ChungLuDegrees(std::size_t n, std::size_t m,
   };
   std::vector<double> degrees(n, 0.0);
   for (std::size_t e = 0; e < m; ++e) {
-    const double p = rng.Uniform(0.2, 0.9);
+    const double p = certain ? 1.0 : rng.Uniform(0.2, 0.9);
     degrees[endpoint()] += p;
     degrees[endpoint()] += p;
   }
@@ -206,18 +209,40 @@ TEST(ComputeUniquenessTest, RejectsBadInputs) {
 }
 
 TEST(ComputeUniquenessTest, DeterministicAcrossWorkerCounts) {
-  const std::vector<double> values = ChungLuDegrees(20000, 100000, 2.5, 5);
-  UniquenessOptions options;
-  options.threads = 1;
-  const Result<UniquenessScores> serial = ComputeUniqueness(values, options);
-  ASSERT_TRUE(serial.ok());
-  for (const int threads : {2, 7, 8}) {
-    options.threads = threads;
-    const Result<UniquenessScores> parallel =
-        ComputeUniqueness(values, options);
-    ASSERT_TRUE(parallel.ok());
-    // Bitwise, not approximate.
-    EXPECT_EQ(parallel->scores, serial->scores) << threads << " threads";
+  // Expected degrees, nearly all distinct, so every vertex is scored; and
+  // a representative's integer degrees, few of them distinct, so each
+  // distinct value is scored once and looked up. Their runs of equal
+  // values are longer than a 256-target block.
+  const std::vector<double> expected = ChungLuDegrees(20000, 100000, 2.5, 5);
+  const std::vector<double> integer =
+      ChungLuDegrees(20000, 100000, 2.5, 5, /*certain=*/true);
+  std::vector<double> sorted = integer;
+  std::sort(sorted.begin(), sorted.end());
+  std::size_t runs = 0;
+  std::size_t longest_run = 0;
+  for (std::size_t i = 0, j = 0; i < sorted.size(); i = j) {
+    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
+    ++runs;
+    longest_run = std::max(longest_run, j - i);
+  }
+  ASSERT_LT(2 * runs, sorted.size());
+  ASSERT_GT(longest_run, 4 * 256u);
+  for (const std::vector<double>* values : {&expected, &integer}) {
+    UniquenessOptions options;
+    options.threads = 1;
+    const Result<UniquenessScores> serial = ComputeUniqueness(*values, options);
+    ASSERT_TRUE(serial.ok());
+    for (std::size_t v = 0; v < values->size(); ++v) {
+      ASSERT_GT(serial->scores[v], 0.0) << "vertex " << v;
+    }
+    for (const int threads : {2, 7, 8}) {
+      options.threads = threads;
+      const Result<UniquenessScores> parallel =
+          ComputeUniqueness(*values, options);
+      ASSERT_TRUE(parallel.ok());
+      // Bitwise, not approximate.
+      EXPECT_EQ(parallel->scores, serial->scores) << threads << " threads";
+    }
   }
 }
 

@@ -151,8 +151,7 @@ void Ingest(JsonValue record, DumpResult* out) {
     // Older builds flushed a "partial" record for a region a fatal
     // signal cut short; it is not a completed region.
     if (record.Flag("partial")) return;
-    ParallelRegionDumpAgg& agg =
-        out->parallel_regions[obs::StripPathIndices(name->str())];
+    ParallelRegionDumpAgg& agg = out->parallel_regions[name->str()];
     ++agg.regions;
     agg.wall_ns += record.Num("wall_ns");
     agg.busy_ns += record.Num("busy_total_ns");
